@@ -4,9 +4,12 @@
 //! See `src/bin/make_tables.rs` and the `benches/` directory.
 //!
 //! [`cli`] holds the flag grammar shared by every bin in this crate and
-//! by the `isacmpd` daemon / `load_driver` in `crates/server`.
+//! by the `isacmpd` daemon / `load_driver` in `crates/server`;
+//! [`experiments`] holds the reports `make_tables` prints, callable from
+//! tests.
 
 pub mod cli;
+pub mod experiments;
 
 /// The experiment ids this crate can regenerate.
 pub const EXPERIMENTS: [&str; 8] =
