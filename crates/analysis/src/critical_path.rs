@@ -12,11 +12,10 @@
 //! one; loads and stores are *not* scaled ("we assume store forwarding in
 //! most cases").
 //!
-//! Memory is tracked at 8-byte-word granularity (all workload FP traffic is
-//! 8-byte aligned; sub-word accesses conservatively merge over the words
-//! they touch).
+//! Both fold over [`simcore::DepTable`], which states the dependency
+//! model (register slots, 8-byte words, sources before destinations).
 
-use simcore::{InstGroup, Observer, RetireSource, RetiredInst, SimError, WordMap, NUM_REG_SLOTS};
+use simcore::{DepTable, InstGroup, Observer, RetireSource, RetiredInst, SimError};
 use uarch::LatencyModel;
 
 /// Result of a critical-path analysis.
@@ -41,120 +40,16 @@ impl CpResult {
     }
 }
 
-/// Streaming critical-path observer.
-///
-/// With `cost = Unit` this is the paper's ideal-CPI analysis (§4); with a
-/// latency model it is the scaled critical path (§5).
-pub struct CriticalPath {
-    reg_chain: [u64; NUM_REG_SLOTS],
-    mem_chain: WordMap<u64>,
-    longest: u64,
-    retired: u64,
-    cost: Cost,
-}
-
-enum Cost {
-    Unit,
-    Scaled(Box<dyn LatencyModel + Send>),
-}
-
-impl CriticalPath {
-    /// Unit-cost critical path (the paper's ideal processor).
-    pub fn new() -> Self {
-        CriticalPath {
-            reg_chain: [0; NUM_REG_SLOTS],
-            mem_chain: WordMap::default(),
-            longest: 0,
-            retired: 0,
-            cost: Cost::Unit,
-        }
-    }
-
-    /// Latency-scaled critical path. Loads and stores contribute one cycle
-    /// regardless of the model (store-forwarding assumption, §5.1).
-    pub fn scaled<M: LatencyModel + Send + 'static>(model: M) -> Self {
-        CriticalPath {
-            reg_chain: [0; NUM_REG_SLOTS],
-            mem_chain: WordMap::default(),
-            longest: 0,
-            retired: 0,
-            cost: Cost::Scaled(Box::new(model)),
-        }
-    }
-
-    #[inline]
-    fn cost_of(&self, group: InstGroup) -> u64 {
-        match &self.cost {
-            Cost::Unit => 1,
-            Cost::Scaled(m) => match group {
-                InstGroup::Load | InstGroup::Store => 1,
-                g => m.latency(g),
-            },
-        }
-    }
-
-    /// Pump an entire retirement source (live run, replayed trace, or
-    /// record slice) through this analysis.
-    pub fn consume(&mut self, source: &mut dyn RetireSource) -> Result<u64, SimError> {
-        let mut obs: [&mut dyn Observer; 1] = [self];
-        source.drive(&mut obs)
-    }
-
-    /// Current result snapshot.
-    pub fn result(&self) -> CpResult {
-        CpResult { critical_path: self.longest, path_length: self.retired }
-    }
-}
-
-impl Default for CriticalPath {
-    fn default() -> Self {
-        CriticalPath::new()
-    }
-}
-
-impl Observer for CriticalPath {
-    #[inline]
-    fn on_retire(&mut self, ri: &RetiredInst) {
-        self.retired += 1;
-        let mut longest_src = 0u64;
-        for r in ri.srcs.iter() {
-            longest_src = longest_src.max(self.reg_chain[r.index()]);
-        }
-        for a in ri.mem_reads.iter() {
-            let first = a.addr >> 3;
-            let last = (a.addr + a.size.max(1) as u64 - 1) >> 3;
-            for w in first..=last {
-                if let Some(&c) = self.mem_chain.get(&w) {
-                    longest_src = longest_src.max(c);
-                }
-            }
-        }
-        let depth = longest_src + self.cost_of(ri.group);
-        for r in ri.dsts.iter() {
-            self.reg_chain[r.index()] = depth;
-        }
-        for a in ri.mem_writes.iter() {
-            let first = a.addr >> 3;
-            let last = (a.addr + a.size.max(1) as u64 - 1) >> 3;
-            for w in first..=last {
-                self.mem_chain.insert(w, depth);
-            }
-        }
-        if depth > self.longest {
-            self.longest = depth;
-        }
-    }
-}
-
 /// Unit-cost and latency-scaled critical paths computed in one pass.
 ///
-/// Functionally identical to running [`CriticalPath::new`] and
-/// [`CriticalPath::scaled`] side by side, but shares the register table and
-/// the memory map (one lookup per word instead of two) — at paper scale the
-/// maps hold tens of millions of entries and dominate the analysis time.
+/// The unit half is the paper's ideal-CPI analysis (§4, Table 1); the
+/// scaled half adds each instruction's latency instead of one (§5,
+/// Table 2). Both share one dependency table, so each memory word costs one
+/// lookup — at paper scale the table holds tens of millions of words and
+/// dominates the analysis time.
 pub struct DualCriticalPath {
-    reg_chain: [(u64, u64); NUM_REG_SLOTS],
-    mem_chain: WordMap<(u64, u64)>,
+    /// (unit, scaled) chain depth of the value in each location.
+    chains: DepTable<(u64, u64)>,
     longest_unit: u64,
     longest_scaled: u64,
     retired: u64,
@@ -165,8 +60,7 @@ impl DualCriticalPath {
     /// Dual analysis with the given latency model for the scaled half.
     pub fn new<M: LatencyModel + Send + 'static>(model: M) -> Self {
         DualCriticalPath {
-            reg_chain: [(0, 0); NUM_REG_SLOTS],
-            mem_chain: WordMap::default(),
+            chains: DepTable::new(),
             longest_unit: 0,
             longest_scaled: 0,
             retired: 0,
@@ -196,38 +90,16 @@ impl Observer for DualCriticalPath {
     #[inline]
     fn on_retire(&mut self, ri: &RetiredInst) {
         self.retired += 1;
-        let mut src_u = 0u64;
-        let mut src_s = 0u64;
-        for r in ri.srcs.iter() {
-            let (u, s) = self.reg_chain[r.index()];
-            src_u = src_u.max(u);
-            src_s = src_s.max(s);
-        }
-        for a in ri.mem_reads.iter() {
-            let first = a.addr >> 3;
-            let last = (a.addr + a.size.max(1) as u64 - 1) >> 3;
-            for w in first..=last {
-                if let Some(&(u, s)) = self.mem_chain.get(&w) {
-                    src_u = src_u.max(u);
-                    src_s = src_s.max(s);
-                }
-            }
-        }
+        let (src_u, src_s) =
+            self.chains.fold_reads(ri, (0, 0), |(u, s), (cu, cs)| (u.max(cu), s.max(cs)));
+        // Loads and stores are not scaled: the paper assumes store
+        // forwarding (§5.1).
         let scaled_cost = match ri.group {
             InstGroup::Load | InstGroup::Store => 1,
             g => self.model.latency(g),
         };
         let depth = (src_u + 1, src_s + scaled_cost);
-        for r in ri.dsts.iter() {
-            self.reg_chain[r.index()] = depth;
-        }
-        for a in ri.mem_writes.iter() {
-            let first = a.addr >> 3;
-            let last = (a.addr + a.size.max(1) as u64 - 1) >> 3;
-            for w in first..=last {
-                self.mem_chain.insert(w, depth);
-            }
-        }
+        self.chains.write(ri, depth);
         self.longest_unit = self.longest_unit.max(depth.0);
         self.longest_scaled = self.longest_scaled.max(depth.1);
     }
@@ -248,12 +120,12 @@ mod tests {
 
     #[test]
     fn serial_chain_equals_length() {
-        let mut cp = CriticalPath::new();
+        let mut cp = DualCriticalPath::new(Tx2Latency);
         let x = RegId::Int(1);
         for _ in 0..10 {
             cp.on_retire(&op(InstGroup::IntAlu, &[x], &[x]));
         }
-        let r = cp.result();
+        let r = cp.unit();
         assert_eq!(r.critical_path, 10);
         assert_eq!(r.path_length, 10);
         assert_eq!(r.ilp(), 1.0);
@@ -261,18 +133,18 @@ mod tests {
 
     #[test]
     fn independent_instructions_dont_chain() {
-        let mut cp = CriticalPath::new();
+        let mut cp = DualCriticalPath::new(Tx2Latency);
         for i in 0..10u8 {
             cp.on_retire(&op(InstGroup::IntAlu, &[], &[RegId::Int(i)]));
         }
-        let r = cp.result();
+        let r = cp.unit();
         assert_eq!(r.critical_path, 1);
         assert_eq!(r.ilp(), 10.0);
     }
 
     #[test]
     fn chains_flow_through_memory() {
-        let mut cp = CriticalPath::new();
+        let mut cp = DualCriticalPath::new(Tx2Latency);
         let x = RegId::Int(1);
         // x -> store -> load -> y
         cp.on_retire(&op(InstGroup::IntAlu, &[], &[x]));
@@ -282,35 +154,35 @@ mod tests {
         let mut ld = op(InstGroup::Load, &[], &[RegId::Int(2)]);
         ld.mem_reads.push(0x100, 8);
         cp.on_retire(&ld);
-        assert_eq!(cp.result().critical_path, 3);
+        assert_eq!(cp.unit().critical_path, 3);
         // A load from elsewhere doesn't extend the chain.
         let mut ld2 = op(InstGroup::Load, &[], &[RegId::Int(3)]);
         ld2.mem_reads.push(0x800, 8);
         cp.on_retire(&ld2);
-        assert_eq!(cp.result().critical_path, 3);
+        assert_eq!(cp.unit().critical_path, 3);
     }
 
     #[test]
     fn partial_word_overlap_conservative() {
-        let mut cp = CriticalPath::new();
+        let mut cp = DualCriticalPath::new(Tx2Latency);
         let mut st = op(InstGroup::Store, &[], &[]);
         st.mem_writes.push(0x104, 4); // upper half of word 0x100
         cp.on_retire(&st);
         let mut ld = op(InstGroup::Load, &[], &[RegId::Int(1)]);
         ld.mem_reads.push(0x100, 4); // lower half: same 8-byte word
         cp.on_retire(&ld);
-        assert_eq!(cp.result().critical_path, 2, "word granularity merges sub-word accesses");
+        assert_eq!(cp.unit().critical_path, 2, "word granularity merges sub-word accesses");
     }
 
     #[test]
     fn scaled_uses_latencies_but_not_for_memory() {
-        let mut cp = CriticalPath::scaled(Tx2Latency);
+        let mut cp = DualCriticalPath::new(Tx2Latency);
         let f = RegId::Fp(0);
         // fadd chain of 3: 18 cycles.
         for _ in 0..3 {
             cp.on_retire(&op(InstGroup::FpAdd, &[f], &[f]));
         }
-        assert_eq!(cp.result().critical_path, 18);
+        assert_eq!(cp.scaled().critical_path, 18);
         // A store/load appended adds 1+1, not the L1 latency.
         let mut st = op(InstGroup::Store, &[f], &[]);
         st.mem_writes.push(0x0, 8);
@@ -318,42 +190,7 @@ mod tests {
         let mut ld = op(InstGroup::Load, &[], &[f]);
         ld.mem_reads.push(0x0, 8);
         cp.on_retire(&ld);
-        assert_eq!(cp.result().critical_path, 20);
-    }
-
-    #[test]
-    fn dual_matches_separate_passes() {
-        // Differential: DualCriticalPath == (CriticalPath::new, ::scaled).
-        let stream: Vec<RetiredInst> = (0..200)
-            .map(|i| {
-                let g = match i % 5 {
-                    0 => InstGroup::FpAdd,
-                    1 => InstGroup::Load,
-                    2 => InstGroup::Store,
-                    3 => InstGroup::IntMul,
-                    _ => InstGroup::IntAlu,
-                };
-                let mut ri = op(g, &[RegId::Int((i % 7) as u8)], &[RegId::Int((i % 3) as u8)]);
-                if g == InstGroup::Load {
-                    ri.mem_reads.push(0x1000 + (i % 13) * 8, 8);
-                }
-                if g == InstGroup::Store {
-                    ri.mem_writes.push(0x1000 + (i % 13) * 8, 8);
-                }
-                ri
-            })
-            .collect();
-        let mut unit = CriticalPath::new();
-        let mut scaled = CriticalPath::scaled(Tx2Latency);
-        let mut dual = DualCriticalPath::new(Tx2Latency);
-        for ri in &stream {
-            unit.on_retire(ri);
-            scaled.on_retire(ri);
-            dual.on_retire(ri);
-        }
-        assert_eq!(dual.unit().critical_path, unit.result().critical_path);
-        assert_eq!(dual.scaled().critical_path, scaled.result().critical_path);
-        assert_eq!(dual.unit().path_length, 200);
+        assert_eq!(cp.scaled().critical_path, 20);
     }
 
     #[test]
@@ -365,12 +202,10 @@ mod tests {
                 op(g, &[RegId::Int(1)], &[RegId::Int(1)])
             })
             .collect();
-        let mut unit = CriticalPath::new();
-        let mut scaled = CriticalPath::scaled(Tx2Latency);
+        let mut cp = DualCriticalPath::new(Tx2Latency);
         for ri in &stream {
-            unit.on_retire(ri);
-            scaled.on_retire(ri);
+            cp.on_retire(ri);
         }
-        assert!(scaled.result().critical_path >= unit.result().critical_path);
+        assert!(cp.scaled().critical_path >= cp.unit().critical_path);
     }
 }

@@ -7,18 +7,15 @@
 //! the distance (in retired instructions) back to the most recent producer
 //! of each of its sources, bucketed into a histogram.
 
-use simcore::{Observer, RetireSource, RetiredInst, SimError, WordMap, NUM_REG_SLOTS};
+use simcore::{DepTable, Observer, RetireSource, RetiredInst, SimError};
 
 /// Histogram bucket upper bounds (inclusive), in retired instructions.
 pub const DIST_BUCKETS: [u64; 8] = [1, 2, 4, 8, 16, 64, 256, u64::MAX];
 
 /// Dependency-distance histogram over the retirement stream.
 pub struct DepDistance {
-    /// Retirement index of the last writer per register slot.
-    reg_writer: [u64; NUM_REG_SLOTS],
-    reg_valid: [bool; NUM_REG_SLOTS],
-    /// Retirement index of the last writer per 8-byte memory word.
-    mem_writer: WordMap<u64>,
+    /// Retirement index of the last writer of each location.
+    writers: DepTable<u64>,
     /// Histogram: edges whose distance falls in each bucket.
     buckets: [u64; DIST_BUCKETS.len()],
     /// Total dependency edges observed.
@@ -32,26 +29,11 @@ impl DepDistance {
     /// Fresh analyzer.
     pub fn new() -> Self {
         DepDistance {
-            reg_writer: [0; NUM_REG_SLOTS],
-            reg_valid: [false; NUM_REG_SLOTS],
-            mem_writer: WordMap::default(),
+            writers: DepTable::new(),
             buckets: [0; DIST_BUCKETS.len()],
             edges: 0,
             dist_sum: 0,
             index: 0,
-        }
-    }
-
-    #[inline]
-    fn record(&mut self, producer_index: u64) {
-        let dist = self.index - producer_index;
-        self.edges += 1;
-        self.dist_sum += dist;
-        for (i, &ub) in DIST_BUCKETS.iter().enumerate() {
-            if dist <= ub {
-                self.buckets[i] += 1;
-                break;
-            }
         }
     }
 
@@ -99,33 +81,15 @@ impl Observer for DepDistance {
     #[inline]
     fn on_retire(&mut self, ri: &RetiredInst) {
         self.index += 1;
-        for r in ri.srcs.iter() {
-            let idx = r.index();
-            if self.reg_valid[idx] {
-                let w = self.reg_writer[idx];
-                self.record(w);
-            }
-        }
-        for a in ri.mem_reads.iter() {
-            let first = a.addr >> 3;
-            let last = (a.addr + a.size.max(1) as u64 - 1) >> 3;
-            for w in first..=last {
-                if let Some(&p) = self.mem_writer.get(&w) {
-                    self.record(p);
-                }
-            }
-        }
-        for r in ri.dsts.iter() {
-            self.reg_writer[r.index()] = self.index;
-            self.reg_valid[r.index()] = true;
-        }
-        for a in ri.mem_writes.iter() {
-            let first = a.addr >> 3;
-            let last = (a.addr + a.size.max(1) as u64 - 1) >> 3;
-            for w in first..=last {
-                self.mem_writer.insert(w, self.index);
-            }
-        }
+        self.writers.fold_reads(ri, (), |(), producer| {
+            let dist = self.index - producer;
+            self.edges += 1;
+            self.dist_sum += dist;
+            let bucket =
+                DIST_BUCKETS.iter().position(|&ub| dist <= ub).expect("last bucket is unbounded");
+            self.buckets[bucket] += 1;
+        });
+        self.writers.write(ri, self.index);
     }
 }
 

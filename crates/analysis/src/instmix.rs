@@ -6,7 +6,7 @@
 //! chain ("they were more computationally dense"). These observers make
 //! both quantitative.
 
-use simcore::{InstGroup, Observer, RetireSource, RetiredInst, SimError, WordMap, NUM_REG_SLOTS};
+use simcore::{DepTable, InstGroup, Observer, RetireSource, RetiredInst, SimError};
 
 /// Histogram of retired instructions per [`InstGroup`].
 #[derive(Debug, Clone, Default)]
@@ -97,8 +97,8 @@ impl Observer for InstMix {
 
 /// Approximate composition of the critical chain.
 ///
-/// Tracks unit-cost chain depths exactly like
-/// [`crate::CriticalPath`], and attributes every instruction that pushes
+/// Tracks unit-cost chain depths exactly like the unit half of
+/// [`crate::DualCriticalPath`], and attributes every instruction that pushes
 /// the *global* maximum depth forward — the frontier of the winning chain.
 /// For a single dominant chain (the common case: a pointer bump or
 /// reduction) this is exact; when the maximum hops between chains it is an
@@ -106,8 +106,7 @@ impl Observer for InstMix {
 /// folded into the CP result.
 #[derive(Debug, Clone)]
 pub struct CpComposition {
-    reg_chain: [u64; NUM_REG_SLOTS],
-    mem_chain: WordMap<u64>,
+    chains: DepTable<u64>,
     longest: u64,
     frontier: [u64; InstGroup::ALL.len()],
 }
@@ -116,8 +115,7 @@ impl CpComposition {
     /// Fresh analyzer.
     pub fn new() -> Self {
         CpComposition {
-            reg_chain: [0; NUM_REG_SLOTS],
-            mem_chain: WordMap::default(),
+            chains: DepTable::new(),
             longest: 0,
             frontier: [0; InstGroup::ALL.len()],
         }
@@ -160,30 +158,8 @@ impl Default for CpComposition {
 impl Observer for CpComposition {
     #[inline]
     fn on_retire(&mut self, ri: &RetiredInst) {
-        let mut longest_src = 0u64;
-        for r in ri.srcs.iter() {
-            longest_src = longest_src.max(self.reg_chain[r.index()]);
-        }
-        for a in ri.mem_reads.iter() {
-            let first = a.addr >> 3;
-            let last = (a.addr + a.size.max(1) as u64 - 1) >> 3;
-            for w in first..=last {
-                if let Some(&c) = self.mem_chain.get(&w) {
-                    longest_src = longest_src.max(c);
-                }
-            }
-        }
-        let depth = longest_src + 1;
-        for r in ri.dsts.iter() {
-            self.reg_chain[r.index()] = depth;
-        }
-        for a in ri.mem_writes.iter() {
-            let first = a.addr >> 3;
-            let last = (a.addr + a.size.max(1) as u64 - 1) >> 3;
-            for w in first..=last {
-                self.mem_chain.insert(w, depth);
-            }
-        }
+        let depth = self.chains.fold_reads(ri, 0, u64::max) + 1;
+        self.chains.write(ri, depth);
         if depth > self.longest {
             self.longest = depth;
             self.frontier[group_index(ri.group)] += 1;

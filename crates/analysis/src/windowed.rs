@@ -7,17 +7,27 @@
 //! physical registers and perfect branch prediction; instruction latency is
 //! not accounted for (§6.1).
 //!
-//! All window sizes are measured in a single pass: a shared ring buffer
-//! holds the most recent `max(sizes)` retirement records, and each size
-//! recomputes its window CP every `size/2` retirements — O(2) amortised
-//! work per instruction per window size.
+//! All window sizes are measured in a single pass. Each retirement is
+//! resolved once, as it arrives, into its producers: the last writer of
+//! each source register slot and of each word read ([`simcore::DepTable`]).
+//! A window over retirements `[start, end)` is then hash-free array
+//! max-plus, `depth[i] = 1 + max depth[p]` over producers `p >= start`.
+//! This is exact: a location's last writer is unique, so if it precedes
+//! `start`, no instruction in the window writes the location. A producer
+//! `max(sizes)` or more retirements back can never fall inside a window, so
+//! it is not stored, and the writer table drops memory words last written
+//! that long ago: the analysis holds the producers of at most
+//! `2 * max(max(sizes), 1024)` retirements, however long the run.
 
-use std::collections::VecDeque;
-
-use simcore::{Observer, RetireSource, RetiredInst, SimError, WordMap, NUM_REG_SLOTS};
+use simcore::{DepTable, Observer, RetireSource, RetiredInst, SimError};
 
 /// The window sizes used in the paper's Figure 2.
 pub const PAPER_WINDOW_SIZES: [usize; 7] = [4, 16, 64, 200, 500, 1000, 2000];
+
+/// Fewest retirements one compaction forgets. Pruning the writer table
+/// scans its pages, so with tiny windows it must not run every few
+/// retirements.
+const MIN_COMPACTION: usize = 1024;
 
 /// Statistics for one window size.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,14 +68,21 @@ struct PerSize {
 
 /// Single-pass windowed-CP analyzer for a set of window sizes.
 pub struct WindowedCp {
-    ring: VecDeque<RetiredInst>,
     max_size: usize,
     sizes: Vec<PerSize>,
-    // Reused scratch state for the per-window CP computation.
-    reg_chain: [u64; NUM_REG_SLOTS],
-    reg_epoch: [u64; NUM_REG_SLOTS],
-    epoch: u64,
-    mem_chain: WordMap<u64>,
+    /// Retirement index of the last writer of every register slot, and of
+    /// every word written in the last `max_size` retirements.
+    writers: DepTable<u64>,
+    /// Retirements seen so far: the index of the next one.
+    retired: u64,
+    /// Producers of the retained retirements, oldest first, each stored as
+    /// its distance back (`1..max_size`).
+    producers: Vec<u32>,
+    /// `producers[bounds[k]..bounds[k + 1]]` belong to the `k`-th retained
+    /// retirement; the last one retained is retirement `retired - 1`.
+    bounds: Vec<usize>,
+    /// Scratch: chain depth per retirement of the window being measured.
+    depth: Vec<u32>,
 }
 
 impl WindowedCp {
@@ -78,8 +95,8 @@ impl WindowedCp {
     pub fn new(sizes: &[usize]) -> Self {
         assert!(!sizes.is_empty());
         let max_size = *sizes.iter().max().unwrap();
+        assert!(max_size <= u32::MAX as usize, "window size must fit in u32");
         WindowedCp {
-            ring: VecDeque::with_capacity(max_size + 1),
             max_size,
             sizes: sizes
                 .iter()
@@ -95,53 +112,45 @@ impl WindowedCp {
                     }
                 })
                 .collect(),
-            reg_chain: [0; NUM_REG_SLOTS],
-            reg_epoch: [0; NUM_REG_SLOTS],
-            epoch: 0,
-            mem_chain: WordMap::default(),
+            writers: DepTable::new(),
+            retired: 0,
+            producers: Vec::new(),
+            bounds: vec![0],
+            depth: vec![0; max_size],
         }
     }
 
-    /// Unit-cost CP over the most recent `size` records in the ring.
+    /// Unit-cost CP over the most recent `size` retirements.
     fn window_cp(&mut self, size: usize) -> u64 {
-        self.epoch += 1;
-        self.mem_chain.clear();
-        let mut longest = 0u64;
-        let start = self.ring.len() - size;
-        for i in start..self.ring.len() {
-            let ri = &self.ring[i];
-            let mut longest_src = 0u64;
-            for r in ri.srcs.iter() {
-                let idx = r.index();
-                if self.reg_epoch[idx] == self.epoch {
-                    longest_src = longest_src.max(self.reg_chain[idx]);
+        let bounds = &self.bounds[self.bounds.len() - 1 - size..];
+        let depth = &mut self.depth[..size];
+        let mut longest = 0;
+        for (j, span) in bounds.windows(2).enumerate() {
+            // A producer `dist` back from the window's `j`-th retirement is
+            // in the window iff `dist <= j`.
+            let mut d = 0;
+            for &dist in &self.producers[span[0]..span[1]] {
+                if let Some(k) = j.checked_sub(dist as usize) {
+                    d = d.max(depth[k]);
                 }
             }
-            for a in ri.mem_reads.iter() {
-                let first = a.addr >> 3;
-                let last = (a.addr + a.size.max(1) as u64 - 1) >> 3;
-                for w in first..=last {
-                    if let Some(&c) = self.mem_chain.get(&w) {
-                        longest_src = longest_src.max(c);
-                    }
-                }
-            }
-            let depth = longest_src + 1;
-            for r in ri.dsts.iter() {
-                let idx = r.index();
-                self.reg_chain[idx] = depth;
-                self.reg_epoch[idx] = self.epoch;
-            }
-            for a in ri.mem_writes.iter() {
-                let first = a.addr >> 3;
-                let last = (a.addr + a.size.max(1) as u64 - 1) >> 3;
-                for w in first..=last {
-                    self.mem_chain.insert(w, depth);
-                }
-            }
-            longest = longest.max(depth);
+            depth[j] = d + 1;
+            longest = longest.max(d + 1);
         }
-        longest
+        longest as u64
+    }
+
+    /// Forget the oldest `n` retirements, and the memory words last written
+    /// `max_size` or more retirements ago: no window reaches back to them.
+    fn compact(&mut self, n: usize) {
+        let cut = self.bounds[n];
+        self.producers.drain(..cut);
+        self.bounds.drain(..n);
+        for b in &mut self.bounds {
+            *b -= cut;
+        }
+        let (next, max) = (self.retired, self.max_size as u64);
+        self.writers.retain_words(|p| next - p < max);
     }
 
     /// Pump an entire retirement source (live run, replayed trace, or
@@ -168,27 +177,34 @@ impl WindowedCp {
 
 impl Observer for WindowedCp {
     fn on_retire(&mut self, ri: &RetiredInst) {
-        if self.ring.len() == self.max_size {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(*ri);
+        let (index, max) = (self.retired, self.max_size as u64);
+        self.writers.fold_reads(ri, (), |(), p| {
+            if index - p < max {
+                self.producers.push((index - p) as u32);
+            }
+        });
+        self.bounds.push(self.producers.len());
+        self.writers.write(ri, index);
+        self.retired += 1;
 
+        // The first window of each size closes after `size` retirements,
+        // each later one `size / 2` further on (50 % slide).
         for i in 0..self.sizes.len() {
             self.sizes[i].until_next -= 1;
             if self.sizes[i].until_next == 0 {
                 let size = self.sizes[i].size;
-                if self.ring.len() >= size {
-                    let cp = self.window_cp(size);
-                    let s = &mut self.sizes[i];
-                    s.windows += 1;
-                    s.cp_sum += cp;
-                    s.cp_min = s.cp_min.min(cp);
-                    s.cp_max = s.cp_max.max(cp);
-                    s.until_next = size / 2; // 50 % slide
-                } else {
-                    self.sizes[i].until_next = 1; // not enough history yet
-                }
+                let cp = self.window_cp(size);
+                let s = &mut self.sizes[i];
+                s.windows += 1;
+                s.cp_sum += cp;
+                s.cp_min = s.cp_min.min(cp);
+                s.cp_max = s.cp_max.max(cp);
+                s.until_next = size / 2;
             }
+        }
+        let period = self.max_size.max(MIN_COMPACTION);
+        if self.bounds.len() > 2 * period {
+            self.compact(period);
         }
     }
 }
@@ -268,7 +284,7 @@ mod tests {
     #[test]
     fn chains_reset_between_windows() {
         // The serial register chain must not leak CP across window
-        // evaluations (epoch tagging).
+        // evaluations (producers before the window are ignored).
         let mut w = WindowedCp::new(&[4]);
         for _ in 0..8 {
             w.on_retire(&serial());

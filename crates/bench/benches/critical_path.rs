@@ -2,7 +2,9 @@
 //! the ideal-CPI / ILP measurement.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use isacmp::{compile, execute, CriticalPath, IsaKind, Personality, SizeClass, Workload};
+use isacmp::{
+    compile, execute, DualCriticalPath, IsaKind, Personality, SizeClass, Tx2Latency, Workload,
+};
 
 fn bench_critical_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("critical_path");
@@ -11,9 +13,9 @@ fn bench_critical_path(c: &mut Criterion) {
         for isa in [IsaKind::AArch64, IsaKind::RiscV] {
             let prog = w.build(SizeClass::Test);
             let compiled = compile(&prog, isa, &Personality::gcc122());
-            let mut cp = CriticalPath::new();
+            let mut cp = DualCriticalPath::new(Tx2Latency);
             execute(&compiled, &mut [&mut cp]);
-            let r = cp.result();
+            let r = cp.unit();
             println!(
                 "# table1: {} {} CP={} ILP={:.0} runtime={:.4}ms",
                 w.name(),
@@ -27,9 +29,9 @@ fn bench_critical_path(c: &mut Criterion) {
                 &compiled,
                 |b, compiled| {
                     b.iter(|| {
-                        let mut cp = CriticalPath::new();
+                        let mut cp = DualCriticalPath::new(Tx2Latency);
                         execute(compiled, &mut [&mut cp]);
-                        cp.result().critical_path
+                        cp.unit().critical_path
                     })
                 },
             );

@@ -2,7 +2,9 @@
 //! ThunderX2 latency model, loads/stores unscaled.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use isacmp::{compile, execute, CriticalPath, IsaKind, Personality, SizeClass, Tx2Latency, Workload};
+use isacmp::{
+    compile, execute, DualCriticalPath, IsaKind, Personality, SizeClass, Tx2Latency, Workload,
+};
 
 fn bench_scaled_cp(c: &mut Criterion) {
     let mut group = c.benchmark_group("scaled_cp");
@@ -11,9 +13,9 @@ fn bench_scaled_cp(c: &mut Criterion) {
         for isa in [IsaKind::AArch64, IsaKind::RiscV] {
             let prog = w.build(SizeClass::Test);
             let compiled = compile(&prog, isa, &Personality::gcc122());
-            let mut scp = CriticalPath::scaled(Tx2Latency);
+            let mut scp = DualCriticalPath::new(Tx2Latency);
             execute(&compiled, &mut [&mut scp]);
-            let r = scp.result();
+            let r = scp.scaled();
             println!(
                 "# table2: {} {} scaledCP={} ILP={:.0}",
                 w.name(),
@@ -26,9 +28,9 @@ fn bench_scaled_cp(c: &mut Criterion) {
                 &compiled,
                 |b, compiled| {
                     b.iter(|| {
-                        let mut scp = CriticalPath::scaled(Tx2Latency);
+                        let mut scp = DualCriticalPath::new(Tx2Latency);
                         execute(compiled, &mut [&mut scp]);
-                        scp.result().critical_path
+                        scp.scaled().critical_path
                     })
                 },
             );

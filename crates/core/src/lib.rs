@@ -50,7 +50,7 @@ pub use trace::{TraceError, TraceMeta, TraceReader, TraceSummary, TraceWriter};
 pub use tracecache::{cell_meta, replay_cell, trace_path};
 
 pub use analysis::{
-    runtime_ms, CellAnalyses, CellFailure, CpComposition, CpResult, CriticalPath, DepDistance,
+    runtime_ms, CellAnalyses, CellFailure, CpComposition, CpResult, DepDistance,
     DualCriticalPath, ExperimentCell, FusedCell, InstMix, PathLength,
     ResultMatrix, WindowStats, WindowedCp, CLOCK_GHZ, PAPER_WINDOW_SIZES,
 };

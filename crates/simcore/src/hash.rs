@@ -1,8 +1,8 @@
 //! A fast hasher for word-keyed maps on the analysis hot paths.
 //!
-//! The dependency analyses key hash maps by 8-byte-aligned guest addresses
-//! and touch them once or twice per retired instruction — hundreds of
-//! millions of lookups at paper scale. The default SipHash is DoS-hardened
+//! The dependency table keys its memory pages, and the ISA back-ends their
+//! decode caches, by guest address, and touch them once or twice per
+//! retired instruction — hundreds of millions of lookups at paper scale. The default SipHash is DoS-hardened
 //! but slow for this; a Fibonacci multiplicative hash is ample for
 //! guest-address keys (the "attacker" is our own workload generator).
 

@@ -7,8 +7,8 @@
 //! * a sparse, paged [`Memory`] model,
 //! * the architectural [`CpuState`] (integer + FP register files, PC, NZCV
 //!   flags, memory, syscall plumbing),
-//! * the unified [`RegId`] register-identifier space used by dependency
-//!   analyses,
+//! * the unified [`RegId`] register-identifier space and the
+//!   [`DepTable`] dependency model every critical-path analysis folds over,
 //! * the [`RetiredInst`] record emitted for every retired instruction and the
 //!   [`Observer`] trait analyses implement to consume the retirement stream,
 //! * the [`IsaExecutor`] trait each ISA crate implements, and the
@@ -41,6 +41,7 @@
 
 pub mod checkpoint;
 pub mod core;
+pub mod deps;
 pub mod durable;
 pub mod elf;
 pub mod error;
@@ -59,6 +60,7 @@ pub mod state;
 
 pub use crate::checkpoint::{CampaignState, Checkpoint, CheckpointError, TraceMark};
 pub use crate::core::{host_mips, EmulationCore, Engine, IsaExecutor, RunStats, StopReason};
+pub use crate::deps::DepTable;
 pub use crate::phase::{Phase, PhaseNanos};
 pub use crate::sample::{Sample, SampleSnapshot};
 pub use crate::error::SimError;

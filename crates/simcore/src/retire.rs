@@ -129,6 +129,16 @@ pub struct MemAccess {
     pub size: u8,
 }
 
+impl MemAccess {
+    /// The 8-byte words (`addr >> 3`) the access touches: the memory
+    /// granularity of every dependency analysis. An unaligned access spans
+    /// up to three words; a zero-width one counts as one byte.
+    #[inline]
+    pub fn words(self) -> std::ops::Range<u64> {
+        (self.addr >> 3)..((self.addr + self.size.max(1) as u64 - 1) >> 3) + 1
+    }
+}
+
 /// A fixed-capacity list of memory accesses (no instruction in either ISA
 /// subset performs more than two).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -234,6 +244,16 @@ mod tests {
         let v: Vec<MemAccess> = l.iter().collect();
         assert_eq!(v[0], MemAccess { addr: 0x100, size: 8 });
         assert_eq!(v[1], MemAccess { addr: 0x108, size: 8 });
+    }
+
+    #[test]
+    fn access_words_cover_every_byte() {
+        let words = |addr, size| MemAccess { addr, size }.words().collect::<Vec<_>>();
+        assert_eq!(words(0x100, 8), vec![0x20]);
+        assert_eq!(words(0x104, 4), vec![0x20]);
+        assert_eq!(words(0x107, 2), vec![0x20, 0x21]);
+        assert_eq!(words(0x10f, 16), vec![0x21, 0x22, 0x23]);
+        assert_eq!(words(0x108, 0), vec![0x21]);
     }
 
     #[test]

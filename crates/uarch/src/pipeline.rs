@@ -11,7 +11,7 @@
 //! * [`OoOCore`] — out-of-order with a ROB, issue width and per-class
 //!   functional units (TX2-class by default).
 
-use simcore::{InstGroup, MemAccess, Observer, RetiredInst, WordMap, NUM_REG_SLOTS};
+use simcore::{DepTable, InstGroup, Observer, RetiredInst};
 
 use crate::cache::{CacheConfig, CacheModel};
 use crate::latency::LatencyModel;
@@ -85,13 +85,6 @@ fn unit_class(group: InstGroup) -> usize {
     }
 }
 
-/// Word-granular addresses covered by a memory access.
-fn words(a: MemAccess) -> impl Iterator<Item = u64> {
-    let first = a.addr >> 3;
-    let last = (a.addr + a.size.max(1) as u64 - 1) >> 3;
-    first..=last
-}
-
 /// Optional L1D timing attached to a pipeline model: on a miss, a load's
 /// latency becomes `miss_penalty` instead of the model's L1-hit latency.
 struct DCache {
@@ -122,8 +115,8 @@ pub struct InOrderCore<M: LatencyModel> {
     config: PipelineConfig,
     cycle: u64,
     issued_this_cycle: u64,
-    reg_ready: [u64; NUM_REG_SLOTS],
-    mem_ready: WordMap<u64>,
+    /// Completion cycle of the value in each location.
+    ready: DepTable<u64>,
     retired: u64,
     done_max: u64,
     dcache: Option<DCache>,
@@ -137,8 +130,7 @@ impl<M: LatencyModel> InOrderCore<M> {
             config,
             cycle: 0,
             issued_this_cycle: 0,
-            reg_ready: [0; NUM_REG_SLOTS],
-            mem_ready: WordMap::default(),
+            ready: DepTable::new(),
             retired: 0,
             done_max: 0,
             dcache: None,
@@ -165,15 +157,7 @@ impl<M: LatencyModel> Observer for InOrderCore<M> {
             self.issued_this_cycle = 0;
         }
         // Stall until sources are ready (in-order: the whole front stalls).
-        let mut ready = self.cycle;
-        for r in ri.srcs.iter() {
-            ready = ready.max(self.reg_ready[r.index()]);
-        }
-        for a in ri.mem_reads.iter() {
-            for w in words(a) {
-                ready = ready.max(self.mem_ready.get(&w).copied().unwrap_or(0));
-            }
-        }
+        let ready = self.ready.fold_reads(ri, self.cycle, u64::max);
         if ready > self.cycle {
             self.cycle = ready;
             self.issued_this_cycle = 0;
@@ -181,14 +165,7 @@ impl<M: LatencyModel> Observer for InOrderCore<M> {
         let done =
             self.cycle + self.model.latency(ri.group) + dcache_extra(&mut self.dcache, ri);
         self.done_max = self.done_max.max(done);
-        for r in ri.dsts.iter() {
-            self.reg_ready[r.index()] = done;
-        }
-        for a in ri.mem_writes.iter() {
-            for w in words(a) {
-                self.mem_ready.insert(w, done);
-            }
-        }
+        self.ready.write(ri, done);
         self.issued_this_cycle += 1;
         self.retired += 1;
     }
@@ -199,10 +176,8 @@ impl<M: LatencyModel> Observer for InOrderCore<M> {
 pub struct OoOCore<M: LatencyModel> {
     model: M,
     config: PipelineConfig,
-    /// Completion cycle per architectural register.
-    reg_ready: [u64; NUM_REG_SLOTS],
-    /// Completion cycle per 8-byte memory word.
-    mem_ready: WordMap<u64>,
+    /// Completion cycle of the value in each location.
+    ready: DepTable<u64>,
     /// Retire cycle of the i-th most recent instruction (ring, ROB-sized).
     rob_retire: Vec<u64>,
     rob_head: usize,
@@ -224,8 +199,7 @@ impl<M: LatencyModel> OoOCore<M> {
         ];
         OoOCore {
             model,
-            reg_ready: [0; NUM_REG_SLOTS],
-            mem_ready: WordMap::default(),
+            ready: DepTable::new(),
             rob_retire: vec![0; config.rob.max(1)],
             rob_head: 0,
             fu_free,
@@ -258,15 +232,7 @@ impl<M: LatencyModel> Observer for OoOCore<M> {
         let dispatch = width_cycle.max(rob_cycle);
 
         // Operand readiness.
-        let mut ready = dispatch;
-        for r in ri.srcs.iter() {
-            ready = ready.max(self.reg_ready[r.index()]);
-        }
-        for a in ri.mem_reads.iter() {
-            for w in words(a) {
-                ready = ready.max(self.mem_ready.get(&w).copied().unwrap_or(0));
-            }
-        }
+        let ready = self.ready.fold_reads(ri, dispatch, u64::max);
 
         // Functional-unit contention: pick the earliest-free pipe of the
         // class, but not before `ready`.
@@ -280,15 +246,7 @@ impl<M: LatencyModel> Observer for OoOCore<M> {
         let start = ready.max(self.fu_free[class][best]);
         self.fu_free[class][best] = start + 1; // pipelined unit: 1/cycle
         let done = start + self.model.latency(ri.group) + dcache_extra(&mut self.dcache, ri);
-
-        for r in ri.dsts.iter() {
-            self.reg_ready[r.index()] = done;
-        }
-        for a in ri.mem_writes.iter() {
-            for w in words(a) {
-                self.mem_ready.insert(w, done);
-            }
-        }
+        self.ready.write(ri, done);
 
         // In-order retirement.
         let retire = done.max(self.last_retire);

@@ -10,7 +10,8 @@
 //! ```
 
 use isacmp::{
-    compile, execute, interpret, CriticalPath, IsaKind, PathLength, Personality, SizeClass,
+    compile, execute, interpret, DualCriticalPath, IsaKind, PathLength, Personality, SizeClass,
+    Tx2Latency,
 };
 use kernelgen::{Access, ArrayInit, Expr, Kernel, KernelProgram, Stmt};
 
@@ -60,11 +61,11 @@ fn main() {
         for isa in [IsaKind::AArch64, IsaKind::RiscV] {
             let compiled = compile(&prog, isa, &p);
             let mut pl = PathLength::new(&compiled.program.regions);
-            let mut cp = CriticalPath::new();
+            let mut cp = DualCriticalPath::new(Tx2Latency);
             let (st, _) = execute(&compiled, &mut [&mut pl, &mut cp]);
             let got = st.mem.read_f64(compiled.checksum_addr).unwrap();
             assert_eq!(got.to_bits(), expected.to_bits(), "guest must match interpreter");
-            let r = cp.result();
+            let r = cp.unit();
             println!(
                 "{:<10}{:<10}{:>14}{:>12}{:>8.0}   {:.6e}",
                 p.label(),

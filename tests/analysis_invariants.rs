@@ -1,12 +1,16 @@
 //! Property tests over the analysis passes, driven by randomly generated
 //! retirement streams (no emulation involved — these check the analyses'
-//! mathematical invariants in isolation).
+//! mathematical invariants in isolation). The brute-force DAG oracle
+//! (`common::oracle`) is the reference critical path.
 
 use proptest::prelude::*;
 use simcore::{InstGroup, Observer, RegId, RegSet, RetiredInst};
 
-use analysis::{CriticalPath, PathLength, WindowedCp};
+use analysis::{DualCriticalPath, PathLength, WindowedCp};
 use uarch::{InOrderCore, OoOCore, PipelineConfig, Tx2Latency, UnitLatency};
+
+mod common;
+use common::oracle::Dag;
 
 /// Strategy: a plausible random retirement record.
 fn retired_inst() -> impl Strategy<Value = RetiredInst> {
@@ -52,35 +56,35 @@ fn stream() -> impl Strategy<Value = Vec<RetiredInst>> {
 proptest! {
     #[test]
     fn cp_bounded_by_path_length(insts in stream()) {
-        let mut cp = CriticalPath::new();
+        let mut cp = DualCriticalPath::new(Tx2Latency);
         for ri in &insts {
             cp.on_retire(ri);
         }
-        let r = cp.result();
+        let r = cp.unit();
         prop_assert_eq!(r.path_length, insts.len() as u64);
+        prop_assert_eq!(r.critical_path, Dag::new(&insts).unit_cp());
         prop_assert!(r.critical_path >= 1);
         prop_assert!(r.critical_path <= r.path_length);
     }
 
     #[test]
     fn scaled_cp_at_least_unit_cp(insts in stream()) {
-        let mut unit = CriticalPath::new();
-        let mut scaled = CriticalPath::scaled(Tx2Latency);
+        let mut cp = DualCriticalPath::new(Tx2Latency);
         for ri in &insts {
-            unit.on_retire(ri);
-            scaled.on_retire(ri);
+            cp.on_retire(ri);
         }
-        prop_assert!(scaled.result().critical_path >= unit.result().critical_path);
+        prop_assert_eq!(cp.scaled().critical_path, Dag::new(&insts).scaled_cp());
+        prop_assert!(cp.scaled().critical_path >= cp.unit().critical_path);
     }
 
     #[test]
     fn cp_monotone_under_extension(insts in stream()) {
         // Adding instructions can never shorten the critical path.
-        let mut cp = CriticalPath::new();
+        let mut cp = DualCriticalPath::new(Tx2Latency);
         let mut prev = 0;
         for ri in &insts {
             cp.on_retire(ri);
-            let now = cp.result().critical_path;
+            let now = cp.unit().critical_path;
             prop_assert!(now >= prev);
             prev = now;
         }
@@ -121,16 +125,14 @@ proptest! {
         // Any real pipeline takes at least CP cycles (with unit latency)
         // and at least len/width cycles; the in-order core is never faster
         // than the same-width OoO core with ample units.
-        let mut cp = CriticalPath::new();
         let cfg = PipelineConfig { width: 2, rob: 64, fp_units: 4, int_units: 4, mem_units: 4 };
         let mut ino = InOrderCore::new(UnitLatency, cfg.clone());
         let mut ooo = OoOCore::new(UnitLatency, cfg);
         for ri in &insts {
-            cp.on_retire(ri);
             ino.on_retire(ri);
             ooo.on_retire(ri);
         }
-        let lower = cp.result().critical_path;
+        let lower = Dag::new(&insts).unit_cp();
         prop_assert!(ooo.stats().cycles >= lower, "OoO below dependence bound");
         prop_assert!(ino.stats().cycles >= lower, "in-order below dependence bound");
         prop_assert!(

@@ -1,0 +1,263 @@
+//! Every streaming dependency analysis against the brute-force DAG oracle
+//! (`common::oracle`): unit and TX2-scaled critical paths, each window's
+//! critical path, the dependency-distance histogram and the critical-chain
+//! length, over random streams and over emulated fuzzed programs.
+
+use analysis::{CpComposition, DepDistance, DualCriticalPath, WindowedCp, PAPER_WINDOW_SIZES};
+use isa_aarch64::AArch64Executor;
+use isa_riscv::RiscVExecutor;
+use kernelgen::{compile, KernelProgram, Personality};
+use proptest::prelude::*;
+use simcore::{CpuState, EmulationCore, InstGroup, IsaKind, Observer, RegId, RegSet, RetiredInst};
+use uarch::Tx2Latency;
+
+mod common;
+use common::fuzz_programs::{program_spec, realise};
+use common::oracle::Dag;
+
+/// Small sizes, so that short streams still close many windows.
+const SMALL_WINDOWS: [usize; 7] = [2, 3, 4, 7, 16, 64, 200];
+/// Odd sizes, whose slides fall out of step with the periodic pruning of
+/// the windowed writer table.
+const ODD_WINDOWS: [usize; 3] = [5, 150, 333];
+
+/// Run every analysis over `stream` and require the oracle's numbers.
+fn assert_matches_oracle(stream: &[RetiredInst]) {
+    let dag = Dag::new(stream);
+    let mut dual = DualCriticalPath::new(Tx2Latency);
+    let mut comp = CpComposition::new();
+    let mut dep = DepDistance::new();
+    let mut small = WindowedCp::new(&SMALL_WINDOWS);
+    let mut odd = WindowedCp::new(&ODD_WINDOWS);
+    let mut paper = WindowedCp::paper();
+    for ri in stream {
+        dual.on_retire(ri);
+        comp.on_retire(ri);
+        dep.on_retire(ri);
+        small.on_retire(ri);
+        odd.on_retire(ri);
+        paper.on_retire(ri);
+    }
+
+    let unit = dag.unit_cp();
+    assert_eq!(dual.unit().critical_path, unit, "unit CP");
+    assert_eq!(dual.scaled().critical_path, dag.scaled_cp(), "scaled CP");
+    assert_eq!(dual.unit().path_length, stream.len() as u64);
+    assert_eq!(comp.critical_path(), unit, "CpComposition CP");
+
+    let distances = dag.distances();
+    assert_eq!(dep.edges(), distances.len() as u64, "dependency edges");
+    assert_eq!(dep.histogram(), dag.distance_histogram(), "distance histogram");
+    let mean = distances.iter().sum::<u64>() as f64 / distances.len().max(1) as f64;
+    assert_eq!(dep.mean(), mean, "mean distance");
+
+    let analyzers = [
+        (&small, &SMALL_WINDOWS[..]),
+        (&odd, &ODD_WINDOWS[..]),
+        (&paper, &PAPER_WINDOW_SIZES[..]),
+    ];
+    for (w, sizes) in analyzers {
+        let want: Vec<_> = sizes.iter().map(|&s| dag.window_stats(s)).collect();
+        assert_eq!(w.stats(), want, "window stats");
+    }
+}
+
+/// splitmix64: a seeded, dependency-free stream generator.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn reg(&mut self) -> RegId {
+        match self.below(5) {
+            0 | 1 => RegId::Int(self.below(8) as u8),
+            2 | 3 => RegId::Fp(self.below(8) as u8),
+            _ => RegId::Flags,
+        }
+    }
+
+    /// An unaligned access of 1-16 bytes, so one access spans up to three
+    /// words; mostly in a hot 128-byte region, sometimes in a cold one whose
+    /// words stay unwritten for long stretches.
+    fn access(&mut self) -> (u64, u8) {
+        let addr = if self.below(4) == 0 {
+            0x10_0000 + self.below(1 << 12)
+        } else {
+            0x8000 + self.below(128)
+        };
+        (addr, [1, 2, 4, 8, 16][self.below(5) as usize])
+    }
+}
+
+/// Random records over FP, integer and flag registers and unaligned
+/// memory, a quarter of which also write a register they read.
+fn random_stream(seed: u64, len: usize) -> Vec<RetiredInst> {
+    let mut rng = Rng(seed);
+    (0..len)
+        .map(|i| {
+            let group = InstGroup::ALL[rng.below(InstGroup::ALL.len() as u64) as usize];
+            let mut ri = RetiredInst::new(0x1000 + 4 * (i as u64 % 64), group);
+            for _ in 0..rng.below(4) {
+                ri.srcs.insert(rng.reg());
+            }
+            for _ in 0..rng.below(3) {
+                ri.dsts.insert(rng.reg());
+            }
+            if rng.below(4) == 0 {
+                if let Some(r) = ri.srcs.iter().next() {
+                    ri.dsts.insert(r);
+                }
+            }
+            for _ in 0..rng.below(3) {
+                let (addr, size) = rng.access();
+                ri.mem_reads.push(addr, size);
+            }
+            for _ in 0..rng.below(3) {
+                let (addr, size) = rng.access();
+                ri.mem_writes.push(addr, size);
+            }
+            ri
+        })
+        .collect()
+}
+
+#[test]
+fn random_streams_match_the_oracle() {
+    let mut lengths = Rng(7);
+    for seed in 0..24 {
+        let len = 1 + lengths.below(3000) as usize;
+        assert_matches_oracle(&random_stream(seed, len));
+    }
+}
+
+#[test]
+fn long_random_stream_matches_the_oracle() {
+    // Longer than four of the largest paper windows: the windowed writer
+    // table is pruned several times.
+    assert_matches_oracle(&random_stream(99, 9_000));
+}
+
+#[test]
+fn windows_ignore_writers_older_than_the_largest_window() {
+    // A store, a long run of unrelated work, then a chain of loads of the
+    // stored word: the store is never inside any window with the loads,
+    // and the small-window table prunes the stored word meanwhile.
+    let mut stream = Vec::new();
+    let mut st = RetiredInst::new(0, InstGroup::Store);
+    st.mem_writes.push(0x100, 8);
+    stream.push(st);
+    for i in 0..1_000u64 {
+        let mut ri = RetiredInst::new(4, InstGroup::IntAlu);
+        ri.dsts = RegSet::of(&[RegId::Int((i % 8) as u8 + 1)]);
+        stream.push(ri);
+    }
+    for _ in 0..50 {
+        let mut ld = RetiredInst::new(8, InstGroup::Load);
+        ld.mem_reads.push(0x104, 4);
+        ld.srcs = RegSet::of(&[RegId::Int(20)]);
+        ld.dsts = RegSet::of(&[RegId::Int(20)]);
+        stream.push(ld);
+    }
+    assert_matches_oracle(&stream);
+}
+
+#[test]
+fn windows_keep_writers_up_to_the_largest_window_back() {
+    // A chain through memory whose store-to-load links are 101-330
+    // retirements long, up to just inside the largest window of the small
+    // and odd sizes: each link must survive the pruning of the windowed
+    // writer table.
+    let mut stream = Vec::new();
+    let chain = RegId::Int(20);
+    for k in 0..60u64 {
+        let mut st = RetiredInst::new(0, InstGroup::Store);
+        st.srcs = RegSet::of(&[chain]);
+        st.mem_writes.push(0x100 + 8 * k, 8);
+        stream.push(st);
+        for i in 0..100 + (k * 37) % 230 {
+            let mut ri = RetiredInst::new(4, InstGroup::IntAlu);
+            ri.dsts = RegSet::of(&[RegId::Int((i % 8) as u8 + 1)]);
+            stream.push(ri);
+        }
+        let mut ld = RetiredInst::new(8, InstGroup::Load);
+        ld.mem_reads.push(0x100 + 8 * k, 8);
+        ld.dsts = RegSet::of(&[chain]);
+        stream.push(ld);
+    }
+    assert_matches_oracle(&stream);
+}
+
+#[test]
+fn dual_matches_oracle_on_mixed_stream() {
+    let stream: Vec<RetiredInst> = (0..200)
+        .map(|i| {
+            let g = match i % 5 {
+                0 => InstGroup::FpAdd,
+                1 => InstGroup::Load,
+                2 => InstGroup::Store,
+                3 => InstGroup::IntMul,
+                _ => InstGroup::IntAlu,
+            };
+            let mut ri = RetiredInst::new(0, g);
+            ri.srcs = RegSet::of(&[RegId::Int((i % 7) as u8)]);
+            ri.dsts = RegSet::of(&[RegId::Int((i % 3) as u8)]);
+            if g == InstGroup::Load {
+                ri.mem_reads.push(0x1000 + (i % 13) * 8, 8);
+            }
+            if g == InstGroup::Store {
+                ri.mem_writes.push(0x1000 + (i % 13) * 8, 8);
+            }
+            ri
+        })
+        .collect();
+    assert_matches_oracle(&stream);
+}
+
+/// Collects the retired stream.
+struct Capture(Vec<RetiredInst>);
+
+impl Observer for Capture {
+    fn on_retire(&mut self, ri: &RetiredInst) {
+        self.0.push(*ri);
+    }
+}
+
+fn emulate(prog: &KernelProgram, isa: IsaKind, p: &Personality) -> Vec<RetiredInst> {
+    let c = compile(prog, isa, p);
+    let mut st = CpuState::new();
+    c.program.load(&mut st).unwrap();
+    let mut capture = Capture(Vec::new());
+    match isa {
+        IsaKind::RiscV => {
+            EmulationCore::new(RiscVExecutor::new()).run(&mut st, &mut [&mut capture]).unwrap()
+        }
+        IsaKind::AArch64 => {
+            EmulationCore::new(AArch64Executor::new()).run(&mut st, &mut [&mut capture]).unwrap()
+        }
+    };
+    capture.0
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn fuzzed_programs_match_the_oracle(spec in program_spec()) {
+        let prog = realise(&spec);
+        for p in [Personality::gcc92(), Personality::gcc122()] {
+            for isa in [IsaKind::RiscV, IsaKind::AArch64] {
+                assert_matches_oracle(&emulate(&prog, isa, &p));
+            }
+        }
+    }
+}

@@ -5,8 +5,8 @@
 
 use isacmp::{
     compile, execute, run_pipeline, run_pipeline_full, try_execute, try_run_pipeline_full,
-    CacheConfig, CacheModel, CriticalPath, FaultInjector, FaultPlan, IsaKind, Observer,
-    PathLength, Personality, PipelineConfig, Program, SizeClass, Workload,
+    CacheConfig, CacheModel, DualCriticalPath, FaultInjector, FaultPlan, IsaKind, Observer,
+    PathLength, Personality, PipelineConfig, Program, SizeClass, Tx2Latency, Workload,
 };
 
 #[test]
@@ -29,7 +29,7 @@ fn elf_round_trip_preserves_measurements() {
             array_addrs: compiled.array_addrs.clone(),
         };
         let mut pl_elf = PathLength::new(&reloaded.program.regions);
-        let mut cp = CriticalPath::new();
+        let mut cp = DualCriticalPath::new(Tx2Latency);
         let (st, _) = execute(&reloaded, &mut [&mut pl_elf, &mut cp]);
 
         assert_eq!(pl_elf.total(), pl_direct.total(), "identical execution after round trip");
