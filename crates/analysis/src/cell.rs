@@ -6,7 +6,7 @@
 //! so the same measurement code runs off a live emulation pass *or* a
 //! replayed trace ([`simcore::RetireSource`]).
 
-use simcore::{Observer, Region, RetireSource, SimError};
+use simcore::{Observer, Region, RetireSource, RetiredInst, SimError};
 use uarch::Tx2Latency;
 
 use crate::critical_path::DualCriticalPath;
@@ -19,10 +19,26 @@ use crate::windowed::WindowedCp;
 pub struct CellAnalyses {
     /// Dynamic instruction counts, total and per kernel region.
     pub path_length: PathLength,
-    /// Unit-cost and TX2-scaled critical paths, shared-table single pass.
-    pub critical_path: DualCriticalPath,
-    /// Windowed critical path over the paper's Figure 2 window sizes.
-    pub windowed: WindowedCp,
+    /// Unit-cost, TX2-scaled and windowed critical paths.
+    paths: SharedFold,
+}
+
+/// [`DualCriticalPath`] and a [`WindowedCp`] over the paper's Figure 2
+/// window sizes, fed by one fold per retirement: the critical path's
+/// dependency table resolves each read once and hands every producer's
+/// distance to the windowed lanes.
+struct SharedFold {
+    critical_path: DualCriticalPath,
+    windowed: WindowedCp,
+}
+
+impl Observer for SharedFold {
+    #[inline]
+    fn on_retire(&mut self, ri: &RetiredInst) {
+        let lanes = self.windowed.lanes();
+        self.critical_path.retire(ri, |dist| lanes.producer(dist));
+        lanes.retire();
+    }
 }
 
 impl CellAnalyses {
@@ -30,15 +46,17 @@ impl CellAnalyses {
     pub fn new(regions: &[Region]) -> Self {
         CellAnalyses {
             path_length: PathLength::new(regions),
-            critical_path: DualCriticalPath::new(Tx2Latency),
-            windowed: WindowedCp::paper(),
+            paths: SharedFold {
+                critical_path: DualCriticalPath::new(Tx2Latency),
+                windowed: WindowedCp::paper(),
+            },
         }
     }
 
     /// The bundle as an observer list, ready for an emulation core run or
     /// a [`RetireSource::drive`] call.
     pub fn observers(&mut self) -> Vec<&mut dyn Observer> {
-        vec![&mut self.path_length, &mut self.critical_path, &mut self.windowed]
+        vec![&mut self.path_length, &mut self.paths]
     }
 
     /// Pump an entire retirement source through the bundle, returning the
@@ -51,16 +69,16 @@ impl CellAnalyses {
     /// Package the measurements as an [`ExperimentCell`] for the given
     /// cell coordinates.
     pub fn into_cell(self, workload: &str, compiler: &str, isa: &str) -> ExperimentCell {
+        let SharedFold { critical_path, windowed } = self.paths;
         ExperimentCell {
             workload: workload.to_string(),
             compiler: compiler.to_string(),
             isa: isa.to_string(),
             path_length: self.path_length.total(),
-            critical_path: self.critical_path.unit().critical_path,
-            scaled_cp: self.critical_path.scaled().critical_path,
+            critical_path: critical_path.unit().critical_path,
+            scaled_cp: critical_path.scaled().critical_path,
             kernels: self.path_length.by_kernel(),
-            windows: self
-                .windowed
+            windows: windowed
                 .stats()
                 .iter()
                 .map(|s| (s.size, s.mean_cp(), s.mean_ilp()))
@@ -76,14 +94,41 @@ impl CellAnalyses {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::{InstGroup, RegId, RegSet, RetiredInst};
+    use simcore::{InstGroup, RegId, RegSet};
 
+    /// Register chains, stores and loads over a few dozen words, and a
+    /// base register written once and read ever after, so producers lie
+    /// both inside and far beyond the largest window.
     fn stream(n: u64) -> Vec<RetiredInst> {
         (0..n)
             .map(|i| {
-                let mut ri = RetiredInst::new(0x100 + (i % 16) * 4, InstGroup::IntAlu);
-                ri.srcs = RegSet::of(&[RegId::Int((i % 4) as u8 + 1)]);
-                ri.dsts = RegSet::of(&[RegId::Int((i % 4) as u8 + 1)]);
+                let reg = RegId::Int((i % 4) as u8 + 1);
+                let base = RegId::Int(9);
+                let word = 0x1000 + (i * 7 % 40) * 8;
+                let mut ri = match i % 3 {
+                    0 if i > 0 => {
+                        let mut st = RetiredInst::new(0x100 + (i % 16) * 4, InstGroup::Store);
+                        st.srcs = RegSet::of(&[reg, base]);
+                        st.mem_writes.push(word, 8);
+                        st
+                    }
+                    1 => {
+                        let mut ld = RetiredInst::new(0x100 + (i % 16) * 4, InstGroup::Load);
+                        ld.srcs = RegSet::of(&[base]);
+                        ld.mem_reads.push(word + 4, 8);
+                        ld
+                    }
+                    _ => {
+                        let mut alu = RetiredInst::new(0x100 + (i % 16) * 4, InstGroup::IntAlu);
+                        alu.srcs = RegSet::of(&[reg]);
+                        alu
+                    }
+                };
+                if i == 0 {
+                    ri.dsts.insert(base);
+                } else if ri.group != InstGroup::Store {
+                    ri.dsts.insert(reg);
+                }
                 ri
             })
             .collect()
@@ -93,25 +138,32 @@ mod tests {
     fn bundle_matches_individual_observers() {
         let regions =
             vec![Region { name: "k".into(), start: 0x100, end: 0x120 }];
-        let records = stream(500);
+        // Long enough that three of the largest paper windows close.
+        let records = stream(4_500);
 
         let mut bundle = CellAnalyses::new(&regions);
         let mut src: &[RetiredInst] = &records;
         let n = bundle.run(&mut src).unwrap();
-        assert_eq!(n, 500);
+        assert_eq!(n, 4_500);
 
         let mut pl = PathLength::new(&regions);
         let mut cp = DualCriticalPath::new(Tx2Latency);
+        let mut windowed = WindowedCp::paper();
         for ri in &records {
             pl.on_retire(ri);
             cp.on_retire(ri);
+            windowed.on_retire(ri);
         }
+        let stats = windowed.stats();
+        assert_eq!(stats.last().map(|s| s.windows), Some(3));
+        assert_eq!(bundle.paths.windowed.stats(), stats, "shared fold equals standalone");
         let cell = bundle.into_cell("STREAM", "gcc-12.2", "RISC-V");
         assert_eq!(cell.path_length, pl.total());
         assert_eq!(cell.critical_path, cp.unit().critical_path);
         assert_eq!(cell.scaled_cp, cp.scaled().critical_path);
         assert_eq!(cell.kernels, pl.by_kernel());
         assert_eq!(cell.workload, "STREAM");
-        assert!(!cell.windows.is_empty());
+        let windows: Vec<_> = stats.iter().map(|s| (s.size, s.mean_cp(), s.mean_ilp())).collect();
+        assert_eq!(cell.windows, windows);
     }
 }

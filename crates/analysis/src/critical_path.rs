@@ -15,6 +15,8 @@
 //! Both fold over [`simcore::DepTable`], which states the dependency
 //! model (register slots, 8-byte words, sources before destinations).
 
+use std::num::NonZeroU64;
+
 use simcore::{DepTable, InstGroup, Observer, RetireSource, RetiredInst, SimError};
 use uarch::LatencyModel;
 
@@ -40,16 +42,28 @@ impl CpResult {
     }
 }
 
+/// The value in one location: the chain depths its last writer reached,
+/// and that writer's retirement index.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    /// Unit-cost depth, at least 1. Being non-zero, it gives
+    /// `Option<Chain>` its `None`, so table entries stay 24 bytes.
+    unit: NonZeroU64,
+    scaled: u64,
+    writer: u64,
+}
+
 /// Unit-cost and latency-scaled critical paths computed in one pass.
 ///
 /// The unit half is the paper's ideal-CPI analysis (§4, Table 1); the
 /// scaled half adds each instruction's latency instead of one (§5,
 /// Table 2). Both share one dependency table, so each memory word costs one
 /// lookup — at paper scale the table holds tens of millions of words and
-/// dominates the analysis time.
+/// dominates the analysis time. The table also keeps each location's
+/// writer, so the per-cell bundle can hand every producer's distance to
+/// its windowed CP from the same fold.
 pub struct DualCriticalPath {
-    /// (unit, scaled) chain depth of the value in each location.
-    chains: DepTable<(u64, u64)>,
+    chains: DepTable<Chain>,
     longest_unit: u64,
     longest_scaled: u64,
     retired: u64,
@@ -86,22 +100,38 @@ impl DualCriticalPath {
     }
 }
 
-impl Observer for DualCriticalPath {
+impl DualCriticalPath {
+    /// Fold one retirement into both chains, reporting each producer (the
+    /// last writer of a location it reads) as its distance back.
     #[inline]
-    fn on_retire(&mut self, ri: &RetiredInst) {
+    pub(crate) fn retire(&mut self, ri: &RetiredInst, mut producer: impl FnMut(u64)) {
+        let index = self.retired;
         self.retired += 1;
-        let (src_u, src_s) =
-            self.chains.fold_reads(ri, (0, 0), |(u, s), (cu, cs)| (u.max(cu), s.max(cs)));
+        let (src_u, src_s) = self.chains.fold_reads(ri, (0, 0), |(u, s), c| {
+            producer(index - c.writer);
+            (u.max(c.unit.get()), s.max(c.scaled))
+        });
         // Loads and stores are not scaled: the paper assumes store
         // forwarding (§5.1).
         let scaled_cost = match ri.group {
             InstGroup::Load | InstGroup::Store => 1,
             g => self.model.latency(g),
         };
-        let depth = (src_u + 1, src_s + scaled_cost);
-        self.chains.write(ri, depth);
-        self.longest_unit = self.longest_unit.max(depth.0);
-        self.longest_scaled = self.longest_scaled.max(depth.1);
+        let chain = Chain {
+            unit: NonZeroU64::MIN.saturating_add(src_u),
+            scaled: src_s + scaled_cost,
+            writer: index,
+        };
+        self.chains.write(ri, chain);
+        self.longest_unit = self.longest_unit.max(chain.unit.get());
+        self.longest_scaled = self.longest_scaled.max(chain.scaled);
+    }
+}
+
+impl Observer for DualCriticalPath {
+    #[inline]
+    fn on_retire(&mut self, ri: &RetiredInst) {
+        self.retire(ri, |_| {});
     }
 }
 
@@ -116,6 +146,22 @@ mod tests {
         ri.srcs = RegSet::of(srcs);
         ri.dsts = RegSet::of(dsts);
         ri
+    }
+
+    #[test]
+    fn table_entries_stay_24_bytes() {
+        assert_eq!(std::mem::size_of::<Option<Chain>>(), 24);
+    }
+
+    #[test]
+    fn producers_are_reported_as_distances() {
+        let mut cp = DualCriticalPath::new(Tx2Latency);
+        let (x, y) = (RegId::Int(1), RegId::Int(2));
+        cp.retire(&op(InstGroup::IntAlu, &[], &[x]), |_| panic!("nothing written yet"));
+        cp.retire(&op(InstGroup::IntAlu, &[], &[y]), |_| panic!("no sources"));
+        let mut seen = Vec::new();
+        cp.retire(&op(InstGroup::IntAlu, &[x, y], &[x]), |d| seen.push(d));
+        assert_eq!(seen, vec![2, 1]);
     }
 
     #[test]

@@ -7,25 +7,47 @@
 //! physical registers and perfect branch prediction; instruction latency is
 //! not accounted for (§6.1).
 //!
-//! All window sizes are measured in a single pass. Each retirement is
-//! resolved once, as it arrives, into its producers: the last writer of
-//! each source register slot and of each word read ([`simcore::DepTable`]).
-//! A window over retirements `[start, end)` is then hash-free array
-//! max-plus, `depth[i] = 1 + max depth[p]` over producers `p >= start`.
-//! This is exact: a location's last writer is unique, so if it precedes
-//! `start`, no instruction in the window writes the location. A producer
-//! `max(sizes)` or more retirements back can never fall inside a window, so
-//! it is not stored, and the writer table drops memory words last written
-//! that long ago: the analysis holds the producers of at most
-//! `2 * max(max(sizes), 1024)` retirements, however long the run.
+//! Every window of every size is measured at once, with the same small
+//! amount of work per retirement. With a 50 % slide, a size has
+//! `ceil(size / (size / 2))` windows open at any time, 2 for an even size
+//! and 3 for an odd one, and each open window owns a *lane*: an `i16`
+//! slot in a row of 16. The paper's seven sizes need 14 lanes, one
+//! row. Each retirement is resolved into its producers, the last writer of
+//! each source register slot and of each word read ([`simcore::DepTable`]),
+//! and its chain depth in every lane is
+//! `depth[l] = 1 + max(row_p[l] if dist_p <= age[l] else 0)` over its
+//! producers `p`. `age[l]` is the retirement's offset into lane `l`'s
+//! window, `dist_p` how far back `p` retired, and `row_p` the producer's
+//! depths, kept in a ring of the last `next_pow2(max(sizes))` retirements.
+//! Each lane keeps the running max of its depths, which is the window's
+//! CP when it closes; the lane's age and max reset when its next window
+//! starts.
+//!
+//! This is exact: a location's last writer is unique, so if it precedes a
+//! window's start, no instruction in the window writes the location. A
+//! producer `max(sizes)` or more retirements back can never fall inside a
+//! window, so it is ignored, and a standalone analyzer's writer table drops
+//! memory words last written that long ago. The per-cell bundle
+//! ([`crate::CellAnalyses`]) feeds the lanes from the table its critical
+//! path keeps instead, so each retirement's reads are folded once.
 
 use simcore::{DepTable, Observer, RetireSource, RetiredInst, SimError};
 
 /// The window sizes used in the paper's Figure 2.
 pub const PAPER_WINDOW_SIZES: [usize; 7] = [4, 16, 64, 200, 500, 1000, 2000];
 
-/// Fewest retirements one compaction forgets. Pruning the writer table
-/// scans its pages, so with tiny windows it must not run every few
+/// A chain depth, age or producer distance within one window. A window
+/// size must fit, which bounds sizes to `Depth::MAX`.
+type Depth = i16;
+
+/// Lanes per row: 16 `i16`s, two SSE2 registers.
+const LANES: usize = 16;
+
+/// One value per lane.
+type Row = [Depth; LANES];
+
+/// Fewest retirements between two prunings of the writer table. Pruning
+/// scans the table's pages, so with tiny windows it must not run every few
 /// retirements.
 const MIN_COMPACTION: usize = 1024;
 
@@ -57,32 +79,182 @@ impl WindowStats {
     }
 }
 
+/// One window size: its lanes, its schedule and its totals. Window `k`
+/// covers retirements `[k * size / 2, k * size / 2 + size)` and owns lane
+/// `first_lane + k % lanes`.
 struct PerSize {
     size: usize,
-    until_next: usize,
+    first_lane: usize,
+    /// Windows open at once.
+    lanes: usize,
+    /// Windows started so far.
+    started: u64,
+    /// Retirement index at which the next window starts.
+    next_start: u64,
+    /// Retirement count at which the oldest open window closes.
+    next_close: u64,
     windows: u64,
     cp_sum: u64,
     cp_min: u64,
     cp_max: u64,
 }
 
+/// The lane kernel: the chain depths of every open window, fed one
+/// retirement's producer distances at a time.
+pub(crate) struct Lanes {
+    /// Producers this far back or further are outside every window.
+    max_size: u64,
+    /// Rows per retirement.
+    rows: usize,
+    /// Depths of the last `mask + 1` retirements, `rows` rows each.
+    ring: Vec<Row>,
+    mask: usize,
+    /// Offset of the retirement being resolved into each lane's window.
+    age: Vec<Row>,
+    /// Deepest chain so far in each lane's window.
+    longest: Vec<Row>,
+    /// Distances back to the producers of the retirement being resolved
+    /// that may lie inside a window.
+    dists: Vec<Depth>,
+    /// Retirements seen so far: the index of the one being resolved.
+    retired: u64,
+    /// Retirement count at which the next window of any size starts or
+    /// closes.
+    next_event: u64,
+    sizes: Vec<PerSize>,
+}
+
+impl Lanes {
+    fn new(sizes: &[usize]) -> Self {
+        assert!(!sizes.is_empty());
+        let mut first_lane = 0;
+        let sizes: Vec<PerSize> = sizes
+            .iter()
+            .map(|&size| {
+                assert!(size >= 2, "window size must be at least 2");
+                assert!(
+                    size <= Depth::MAX as usize,
+                    "window size {size} exceeds the lane limit of {}",
+                    Depth::MAX
+                );
+                let (first, lanes) = (first_lane, size.div_ceil(size / 2));
+                first_lane += lanes;
+                PerSize {
+                    size,
+                    first_lane: first,
+                    lanes,
+                    // Window 0 starts now, in a lane that is already clear.
+                    started: 1,
+                    next_start: (size / 2) as u64,
+                    next_close: size as u64,
+                    windows: 0,
+                    cp_sum: 0,
+                    cp_min: u64::MAX,
+                    cp_max: 0,
+                }
+            })
+            .collect();
+        let max_size = sizes.iter().map(|s| s.size).max().unwrap();
+        let min_size = sizes.iter().map(|s| s.size).min().unwrap();
+        let rows = first_lane.div_ceil(LANES);
+        let slots = max_size.next_power_of_two();
+        Lanes {
+            max_size: max_size as u64,
+            rows,
+            ring: vec![[0; LANES]; slots * rows],
+            mask: slots - 1,
+            age: vec![[0; LANES]; rows],
+            longest: vec![[0; LANES]; rows],
+            dists: Vec::new(),
+            retired: 0,
+            next_event: (min_size / 2) as u64,
+            sizes,
+        }
+    }
+
+    /// Count a producer `dist` retirements back from the retirement being
+    /// resolved.
+    #[inline]
+    pub(crate) fn producer(&mut self, dist: u64) {
+        if dist < self.max_size {
+            self.dists.push(dist as Depth);
+        }
+    }
+
+    /// Finish the retirement being resolved: record its depths, close the
+    /// windows it completes and start those the next one opens.
+    #[inline]
+    pub(crate) fn retire(&mut self) {
+        let (index, mask, rows) = (self.retired as usize, self.mask, self.rows);
+        for r in 0..rows {
+            let (age, mut longest) = (self.age[r], self.longest[r]);
+            let mut depth = [0; LANES];
+            for &d in &self.dists {
+                let row = self.ring[(index - d as usize & mask) * rows + r];
+                for l in 0..LANES {
+                    // In lane `l`'s window iff at most `age[l]` back;
+                    // branch-free, so the lanes vectorize.
+                    depth[l] = depth[l].max(row[l] & -((d <= age[l]) as Depth));
+                }
+            }
+            let mut next = age;
+            for l in 0..LANES {
+                // Lanes no window uses, and an odd size's lanes between
+                // windows, count past the lane type's range; wrapping keeps
+                // them harmless until a window start resets them.
+                depth[l] = depth[l].wrapping_add(1);
+                longest[l] = longest[l].max(depth[l]);
+                next[l] = next[l].wrapping_add(1);
+            }
+            self.ring[(index & mask) * rows + r] = depth;
+            (self.age[r], self.longest[r]) = (next, longest);
+        }
+        self.dists.clear();
+        self.retired += 1;
+        if self.retired == self.next_event {
+            self.boundaries();
+        }
+    }
+
+    /// Close the windows the last retirement completed, then start those
+    /// the next one opens: a lane can close one window and start the next.
+    fn boundaries(&mut self) {
+        let now = self.retired;
+        let mut next = u64::MAX;
+        for s in &mut self.sizes {
+            let slide = (s.size / 2) as u64;
+            if s.next_close == now {
+                let lane = s.first_lane + (s.windows % s.lanes as u64) as usize;
+                let cp = self.longest[lane / LANES][lane % LANES] as u64;
+                s.windows += 1;
+                s.cp_sum += cp;
+                s.cp_min = s.cp_min.min(cp);
+                s.cp_max = s.cp_max.max(cp);
+                s.next_close += slide;
+            }
+            if s.next_start == now {
+                let lane = s.first_lane + (s.started % s.lanes as u64) as usize;
+                self.age[lane / LANES][lane % LANES] = 0;
+                self.longest[lane / LANES][lane % LANES] = 0;
+                s.started += 1;
+                s.next_start += slide;
+            }
+            next = next.min(s.next_close).min(s.next_start);
+        }
+        self.next_event = next;
+    }
+}
+
 /// Single-pass windowed-CP analyzer for a set of window sizes.
 pub struct WindowedCp {
-    max_size: usize,
-    sizes: Vec<PerSize>,
+    lanes: Lanes,
     /// Retirement index of the last writer of every register slot, and of
-    /// every word written in the last `max_size` retirements.
+    /// every word written in the last `max(sizes)` retirements.
     writers: DepTable<u64>,
-    /// Retirements seen so far: the index of the next one.
-    retired: u64,
-    /// Producers of the retained retirements, oldest first, each stored as
-    /// its distance back (`1..max_size`).
-    producers: Vec<u32>,
-    /// `producers[bounds[k]..bounds[k + 1]]` belong to the `k`-th retained
-    /// retirement; the last one retained is retirement `retired - 1`.
-    bounds: Vec<usize>,
-    /// Scratch: chain depth per retirement of the window being measured.
-    depth: Vec<u32>,
+    /// Retirements between two prunings of `writers`.
+    period: usize,
+    /// Retirements until `writers` is next pruned.
+    to_prune: usize,
 }
 
 impl WindowedCp {
@@ -91,66 +263,16 @@ impl WindowedCp {
         Self::new(&PAPER_WINDOW_SIZES)
     }
 
-    /// Analyzer over custom window sizes.
+    /// Analyzer over custom window sizes, each from 2 to `i16::MAX`.
     pub fn new(sizes: &[usize]) -> Self {
-        assert!(!sizes.is_empty());
-        let max_size = *sizes.iter().max().unwrap();
-        assert!(max_size <= u32::MAX as usize, "window size must fit in u32");
-        WindowedCp {
-            max_size,
-            sizes: sizes
-                .iter()
-                .map(|&size| {
-                    assert!(size >= 2, "window size must be at least 2");
-                    PerSize {
-                        size,
-                        until_next: size,
-                        windows: 0,
-                        cp_sum: 0,
-                        cp_min: u64::MAX,
-                        cp_max: 0,
-                    }
-                })
-                .collect(),
-            writers: DepTable::new(),
-            retired: 0,
-            producers: Vec::new(),
-            bounds: vec![0],
-            depth: vec![0; max_size],
-        }
+        let lanes = Lanes::new(sizes);
+        let period = (lanes.max_size as usize).max(MIN_COMPACTION);
+        WindowedCp { lanes, writers: DepTable::new(), period, to_prune: period }
     }
 
-    /// Unit-cost CP over the most recent `size` retirements.
-    fn window_cp(&mut self, size: usize) -> u64 {
-        let bounds = &self.bounds[self.bounds.len() - 1 - size..];
-        let depth = &mut self.depth[..size];
-        let mut longest = 0;
-        for (j, span) in bounds.windows(2).enumerate() {
-            // A producer `dist` back from the window's `j`-th retirement is
-            // in the window iff `dist <= j`.
-            let mut d = 0;
-            for &dist in &self.producers[span[0]..span[1]] {
-                if let Some(k) = j.checked_sub(dist as usize) {
-                    d = d.max(depth[k]);
-                }
-            }
-            depth[j] = d + 1;
-            longest = longest.max(d + 1);
-        }
-        longest as u64
-    }
-
-    /// Forget the oldest `n` retirements, and the memory words last written
-    /// `max_size` or more retirements ago: no window reaches back to them.
-    fn compact(&mut self, n: usize) {
-        let cut = self.bounds[n];
-        self.producers.drain(..cut);
-        self.bounds.drain(..n);
-        for b in &mut self.bounds {
-            *b -= cut;
-        }
-        let (next, max) = (self.retired, self.max_size as u64);
-        self.writers.retain_words(|p| next - p < max);
+    /// The lane kernel, for a caller that resolves producers itself.
+    pub(crate) fn lanes(&mut self) -> &mut Lanes {
+        &mut self.lanes
     }
 
     /// Pump an entire retirement source (live run, replayed trace, or
@@ -162,7 +284,8 @@ impl WindowedCp {
 
     /// Per-size statistics, in the order sizes were supplied.
     pub fn stats(&self) -> Vec<WindowStats> {
-        self.sizes
+        self.lanes
+            .sizes
             .iter()
             .map(|s| WindowStats {
                 size: s.size,
@@ -177,34 +300,19 @@ impl WindowedCp {
 
 impl Observer for WindowedCp {
     fn on_retire(&mut self, ri: &RetiredInst) {
-        let (index, max) = (self.retired, self.max_size as u64);
-        self.writers.fold_reads(ri, (), |(), p| {
-            if index - p < max {
-                self.producers.push((index - p) as u32);
-            }
-        });
-        self.bounds.push(self.producers.len());
+        let lanes = &mut self.lanes;
+        let index = lanes.retired;
+        self.writers.fold_reads(ri, (), |(), p| lanes.producer(index - p));
         self.writers.write(ri, index);
-        self.retired += 1;
+        lanes.retire();
 
-        // The first window of each size closes after `size` retirements,
-        // each later one `size / 2` further on (50 % slide).
-        for i in 0..self.sizes.len() {
-            self.sizes[i].until_next -= 1;
-            if self.sizes[i].until_next == 0 {
-                let size = self.sizes[i].size;
-                let cp = self.window_cp(size);
-                let s = &mut self.sizes[i];
-                s.windows += 1;
-                s.cp_sum += cp;
-                s.cp_min = s.cp_min.min(cp);
-                s.cp_max = s.cp_max.max(cp);
-                s.until_next = size / 2;
-            }
-        }
-        let period = self.max_size.max(MIN_COMPACTION);
-        if self.bounds.len() > 2 * period {
-            self.compact(period);
+        self.to_prune -= 1;
+        if self.to_prune == 0 {
+            // Forget the memory words last written `max(sizes)` or more
+            // retirements ago: no window reaches back to them.
+            let (next, max) = (lanes.retired, lanes.max_size);
+            self.writers.retain_words(|p| next - p < max);
+            self.to_prune = self.period;
         }
     }
 }
@@ -225,6 +333,17 @@ mod tests {
         let mut ri = RetiredInst::new(0, InstGroup::IntAlu);
         ri.dsts = RegSet::of(&[RegId::Int(i % 30)]);
         ri
+    }
+
+    #[test]
+    fn each_size_takes_one_lane_per_open_window() {
+        let paper = Lanes::new(&PAPER_WINDOW_SIZES);
+        assert!(paper.sizes.iter().all(|s| s.lanes == 2));
+        assert_eq!(paper.rows, 1, "the paper's sizes fit one row");
+        let odd = Lanes::new(&[3, 5, 7, 9, 11, 13]);
+        assert!(odd.sizes.iter().all(|s| s.lanes == 3));
+        assert_eq!(odd.rows, 2);
+        assert_eq!(odd.sizes[5].first_lane, 15, "a size's lanes may straddle rows");
     }
 
     #[test]

@@ -292,7 +292,7 @@ fn run_cell_attempt(
         }
         None => None,
     };
-    let run_result = {
+    let (run_result, cell) = {
         let mut obs = analyses.observers();
         if let Some(p) = fusion_pass.as_mut() {
             obs.push(p);
@@ -322,6 +322,14 @@ fn run_cell_attempt(
                 }
                 e
             });
+        drop(obs);
+        // Package the measurements before verifying them, so that the
+        // analyses' dependency tables are freed before the reference
+        // interpreter allocates its arrays.
+        let mut cell = analyses.into_cell(workload.name(), personality.label(), isa_label(isa));
+        if let Some(p) = fusion_pass {
+            cell.fused = Some(p.report().to_fused_cell());
+        }
         if let Some(c) = &armed {
             let fired = c.fired_count();
             tel.counter_add("faults_fired", fired);
@@ -336,7 +344,7 @@ fn run_cell_attempt(
                 );
             }
         }
-        run.map(|(st, stats)| (st, stats, emu_start.elapsed())).and_then(|(st, stats, wall)| {
+        let verified = run.map(|(st, stats)| (st, stats, emu_start.elapsed())).and_then(|(st, stats, wall)| {
             // Cross-check the guest checksum against the reference
             // interpreter: every measured cell is also a correctness test,
             // and the gate that turns injected silent corruption into a
@@ -358,7 +366,8 @@ fn run_cell_attempt(
                 tel.counter_add("faults_survived", c.fired_count());
             }
             Ok((st, stats, wall))
-        })
+        });
+        (verified, cell)
     };
     match run_result {
         Ok((st, stats, wall)) => {
@@ -408,10 +417,6 @@ fn run_cell_attempt(
         }
     }
 
-    let mut cell = analyses.into_cell(workload.name(), personality.label(), isa_label(isa));
-    if let Some(p) = fusion_pass {
-        cell.fused = Some(p.report().to_fused_cell());
-    }
     Ok(cell)
 }
 

@@ -119,7 +119,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(text, &mut pos)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -216,14 +216,15 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(bytes, pos, "null").map(|_| Json::Null),
         Some(b't') => expect(bytes, pos, "true").map(|_| Json::Bool(true)),
         Some(b'f') => expect(bytes, pos, "false").map(|_| Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -233,7 +234,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -255,10 +256,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -275,20 +276,28 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at byte {pos}", pos = *pos));
     }
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote or backslash as one slice. Both
+        // are ASCII, so the run ends on a character boundary.
+        let run = bytes[*pos..].iter().position(|&b| b == b'"' || b == b'\\');
+        let end = run.map_or(bytes.len(), |n| *pos + n);
+        out.push_str(&text[*pos..end]);
+        *pos = end;
         match bytes.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // A backslash: one escape.
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -311,13 +320,6 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is safe).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
@@ -443,6 +445,70 @@ mod tests {
         // Unbalanced deep input errors instead of succeeding bogusly.
         let open = "[".repeat(128);
         assert!(Json::parse(&open).is_err());
+    }
+
+    /// splitmix64, for generated documents.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+
+        /// Up to `max` characters: plain ASCII runs, every character the
+        /// writer escapes, and one-, two-, three- and four-byte UTF-8.
+        fn string(&mut self, max: u64) -> String {
+            const SPECIAL: [char; 12] =
+                ['"', '\\', '/', '\n', '\r', '\t', '\u{8}', '\u{c}', '\u{1}', '\u{1f}', '\u{7f}', ' '];
+            const WIDE: [char; 4] = ['é', '→', '世', '🚀'];
+            (0..self.below(max + 1))
+                .map(|_| match self.below(8) {
+                    0 => SPECIAL[self.below(SPECIAL.len() as u64) as usize],
+                    1 => WIDE[self.below(WIDE.len() as u64) as usize],
+                    _ => char::from(b'a' + self.below(26) as u8),
+                })
+                .collect()
+        }
+
+        fn value(&mut self, depth: u32) -> Json {
+            match self.below(if depth == 0 { 4 } else { 6 }) {
+                0 => Json::Null,
+                1 => Json::Bool(self.below(2) == 0),
+                2 => Json::Num(self.below(1 << 40) as f64 - (1u64 << 39) as f64),
+                3 => {
+                    let max = if self.below(4) == 0 { 5_000 } else { 12 };
+                    Json::Str(self.string(max))
+                }
+                4 => Json::Arr((0..self.below(5)).map(|_| self.value(depth - 1)).collect()),
+                _ => Json::Obj(
+                    (0..self.below(5)).map(|_| (self.string(8), self.value(depth - 1))).collect(),
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn generated_documents_round_trip() {
+        let mut rng = Rng(17);
+        for _ in 0..200 {
+            let v = rng.value(4);
+            assert_eq!(Json::parse(&v.compact()).unwrap(), v);
+            assert_eq!(Json::parse(&v.pretty()).unwrap(), v);
+        }
+    }
+
+    #[test]
+    fn every_escape_parses() {
+        let text = r#""\"\\\/\b\f\n\r\t\u00e9\u4e16x""#;
+        let want = "\"\\/\u{8}\u{c}\n\r\té世x";
+        assert_eq!(Json::parse(text).unwrap().as_str(), Some(want));
+        for bad in [r#""\x""#, r#""\u12""#, r#""ab"#, r#""é\"#] {
+            assert!(Json::parse(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

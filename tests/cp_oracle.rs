@@ -1,7 +1,8 @@
 //! Every streaming dependency analysis against the brute-force DAG oracle
 //! (`common::oracle`): unit and TX2-scaled critical paths, each window's
 //! critical path, the dependency-distance histogram and the critical-chain
-//! length, over random streams and over emulated fuzzed programs.
+//! length, over random streams and over emulated fuzzed programs. Run it
+//! in the debug profile too, where an overflowing lane panics.
 
 use analysis::{CpComposition, DepDistance, DualCriticalPath, WindowedCp, PAPER_WINDOW_SIZES};
 use isa_aarch64::AArch64Executor;
@@ -20,6 +21,8 @@ const SMALL_WINDOWS: [usize; 7] = [2, 3, 4, 7, 16, 64, 200];
 /// Odd sizes, whose slides fall out of step with the periodic pruning of
 /// the windowed writer table.
 const ODD_WINDOWS: [usize; 3] = [5, 150, 333];
+/// Sizes needing 27 lanes, more than one 16-lane row.
+const MULTI_ROW_WINDOWS: [usize; 10] = [2, 3, 5, 7, 9, 11, 13, 16, 33, 64];
 
 /// Run every analysis over `stream` and require the oracle's numbers.
 fn assert_matches_oracle(stream: &[RetiredInst]) {
@@ -29,6 +32,7 @@ fn assert_matches_oracle(stream: &[RetiredInst]) {
     let mut dep = DepDistance::new();
     let mut small = WindowedCp::new(&SMALL_WINDOWS);
     let mut odd = WindowedCp::new(&ODD_WINDOWS);
+    let mut multi_row = WindowedCp::new(&MULTI_ROW_WINDOWS);
     let mut paper = WindowedCp::paper();
     for ri in stream {
         dual.on_retire(ri);
@@ -36,6 +40,7 @@ fn assert_matches_oracle(stream: &[RetiredInst]) {
         dep.on_retire(ri);
         small.on_retire(ri);
         odd.on_retire(ri);
+        multi_row.on_retire(ri);
         paper.on_retire(ri);
     }
 
@@ -54,12 +59,17 @@ fn assert_matches_oracle(stream: &[RetiredInst]) {
     let analyzers = [
         (&small, &SMALL_WINDOWS[..]),
         (&odd, &ODD_WINDOWS[..]),
+        (&multi_row, &MULTI_ROW_WINDOWS[..]),
         (&paper, &PAPER_WINDOW_SIZES[..]),
     ];
     for (w, sizes) in analyzers {
-        let want: Vec<_> = sizes.iter().map(|&s| dag.window_stats(s)).collect();
-        assert_eq!(w.stats(), want, "window stats");
+        assert_windows_match(&dag, w, sizes);
     }
+}
+
+fn assert_windows_match(dag: &Dag, w: &WindowedCp, sizes: &[usize]) {
+    let want: Vec<_> = sizes.iter().map(|&s| dag.window_stats(s)).collect();
+    assert_eq!(w.stats(), want, "window stats for sizes {sizes:?}");
 }
 
 /// splitmix64: a seeded, dependency-free stream generator.
@@ -145,6 +155,28 @@ fn long_random_stream_matches_the_oracle() {
     // Longer than four of the largest paper windows: the windowed writer
     // table is pruned several times.
     assert_matches_oracle(&random_stream(99, 9_000));
+}
+
+#[test]
+fn lanes_survive_wrapping_their_depth_type() {
+    // Over 70,000 retirements the lanes no window uses count past
+    // `i16::MAX`, and so do the lanes of the largest legal size while they
+    // wait between an odd size's windows. In the debug profile an
+    // unwrapped overflow panics.
+    let stream = random_stream(5, 72_000);
+    assert_matches_oracle(&stream);
+    let sizes = [3, i16::MAX as usize];
+    let mut w = WindowedCp::new(&sizes);
+    for ri in &stream {
+        w.on_retire(ri);
+    }
+    assert_windows_match(&Dag::new(&stream), &w, &sizes);
+}
+
+#[test]
+#[should_panic(expected = "window size 32768 exceeds the lane limit of 32767")]
+fn windows_larger_than_the_lane_type_are_rejected() {
+    WindowedCp::new(&[4, i16::MAX as usize + 1]);
 }
 
 #[test]
