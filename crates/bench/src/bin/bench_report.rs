@@ -27,14 +27,13 @@
 //! daemon's serving performance rides the same trajectory file as
 //! emulation throughput.
 //!
-//! The suite is pinned: all five workloads x {RISC-V, AArch64} x gcc-12.2
-//! x {legacy, block} engines, each cell emulated bare (no observers)
-//! `--runs` times with the best (highest-MIPS) run kept. Per cell the
-//! report shows rvr-style normalized columns alongside raw wall time:
-//! host nanoseconds per guest op, host cycles per guest op (scaled by
-//! `--host-ghz`, default 3.0), and slowdown versus the host-native kernel
-//! (the same `KernelProgram` run through `kernelgen::interpret`). The
-//! geomean of per-cell MIPS over the *block*-engine rows is the headline
+//! The suite is pinned: all five workloads x {RISC-V, AArch64} x gcc-12.2,
+//! each cell emulated bare (no observers) `--runs` times with the best
+//! (highest-MIPS) run kept. Per cell the report shows rvr-style normalized
+//! columns alongside raw wall time: host nanoseconds per guest op, host
+//! cycles per guest op (scaled by `--host-ghz`, default 3.0), and slowdown
+//! versus the host-native kernel (the same `KernelProgram` run through
+//! `kernelgen::interpret`). The geomean of per-cell MIPS is the headline
 //! number compared against the previous history entry; a drop larger than
 //! `--threshold` percent (default 20) is a regression. Report-only by
 //! default; `--strict` exits 4 on regression. Malformed history entries
@@ -50,14 +49,14 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use isacmp::telemetry::Json;
 use isacmp::{
-    compile, interpret, isa_label, try_execute_engine, Compiled, DualCriticalPath, Engine,
-    FusionPass, IsaKind, Observer, PathLength, Personality, SizeClass, Tx2Latency, Workload,
+    compile, interpret, isa_label, try_execute, Compiled, DualCriticalPath, FusionPass, IsaKind,
+    Observer, PathLength, Personality, SizeClass, Tx2Latency, Workload,
 };
 
 /// What rides the retire loop of every timed run.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum ObserverLoad {
-    /// No observers: raw engine throughput (the default suite).
+    /// No observers: raw emulation throughput (the default suite).
     Bare,
     /// `PathLength` + `DualCriticalPath` — the analyses the fusion pass
     /// drives internally, without the fusion machinery.
@@ -179,13 +178,12 @@ fn parse_args() -> Args {
     args
 }
 
-/// One measured suite cell: best-of-N bare emulation of a compiled kernel
-/// on one retire engine, with rvr-style normalized columns.
+/// One measured suite cell: best-of-N bare emulation of a compiled kernel,
+/// with rvr-style normalized columns.
 struct CellResult {
     workload: &'static str,
     isa: &'static str,
     compiler: &'static str,
-    engine: Engine,
     retired: u64,
     wall_ms: f64,
     mips: f64,
@@ -201,13 +199,12 @@ struct CellResult {
 
 impl CellResult {
     fn label(&self) -> String {
-        format!("{}/{}/{}/{}", self.workload, self.isa, self.compiler, self.engine)
+        format!("{}/{}/{}", self.workload, self.isa, self.compiler)
     }
 
     fn to_json(&self) -> Json {
         let mut fields = vec![
             ("cell", Json::Str(self.label())),
-            ("engine", Json::Str(self.engine.name().to_string())),
             ("retired", Json::Num(self.retired as f64)),
             ("wall_ms", Json::Num(self.wall_ms)),
             ("mips", Json::Num(self.mips)),
@@ -227,7 +224,6 @@ fn measure_cell(
     isa: IsaKind,
     compiled: &Compiled,
     personality: &Personality,
-    engine: Engine,
     native_wall: Duration,
     runs: u32,
     mips_scale: f64,
@@ -239,21 +235,21 @@ fn measure_cell(
         // Observers are built fresh per timed run so no run pays for a
         // previous run's accumulated state.
         let run = match load {
-            ObserverLoad::Bare => try_execute_engine(compiled, &mut [], None, None, engine),
+            ObserverLoad::Bare => try_execute(compiled, &mut [], None, None),
             ObserverLoad::FusionBaseline => {
                 let mut pl = PathLength::new(&compiled.program.regions);
                 let mut cp = DualCriticalPath::new(Tx2Latency);
                 let mut obs: [&mut dyn Observer; 2] = [&mut pl, &mut cp];
-                try_execute_engine(compiled, &mut obs, None, None, engine)
+                try_execute(compiled, &mut obs, None, None)
             }
             ObserverLoad::Fusion => {
                 let mut pass = FusionPass::new(isa, &compiled.program.regions);
                 let mut obs: [&mut dyn Observer; 1] = [&mut pass];
-                try_execute_engine(compiled, &mut obs, None, None, engine)
+                try_execute(compiled, &mut obs, None, None)
             }
         };
         let (_, stats) = run
-            .map_err(|e| format!("{}/{}/{engine}: {e}", workload.name(), isa_label(isa)))?;
+            .map_err(|e| format!("{}/{}: {e}", workload.name(), isa_label(isa)))?;
         let mips = stats.host_mips() * mips_scale;
         if best.as_ref().is_none_or(|b| mips > b.mips) {
             let wall_ns = stats.wall.as_secs_f64() * 1e9;
@@ -264,7 +260,6 @@ fn measure_cell(
                 workload: workload.name(),
                 isa: isa_label(isa),
                 compiler: personality.label(),
-                engine,
                 retired: stats.retired,
                 wall_ms: stats.wall.as_secs_f64() * 1e3,
                 mips,
@@ -378,11 +373,10 @@ fn main() -> ExitCode {
         .iter()
         .flat_map(|w| [(*w, IsaKind::RiscV), (*w, IsaKind::AArch64)])
         .collect();
-    const ENGINES: [Engine; 2] = [Engine::Legacy, Engine::Block];
 
     println!(
         "bench_report: {} cells x best-of-{} @ size {} (host clock {:.1} GHz){}",
-        suite.len() * ENGINES.len(),
+        suite.len(),
         args.runs,
         args.size.name(),
         args.host_ghz,
@@ -396,7 +390,7 @@ fn main() -> ExitCode {
         "  {:<34} {:>12}  {:>9}  {:>8}  {:>8}  {:>8}  {:>9}",
         "cell", "retired", "wall ms", "MIPS", "ns/op", "cyc/op", "vs native"
     );
-    let mut cells = Vec::with_capacity(suite.len() * ENGINES.len());
+    let mut cells = Vec::with_capacity(suite.len());
     for (workload, isa) in suite {
         let prog = workload.build(args.size);
         let compiled = compile(&prog, isa, &personality);
@@ -405,56 +399,45 @@ fn main() -> ExitCode {
         let native_start = Instant::now();
         let _ = interpret(&prog, &personality);
         let native_wall = native_start.elapsed();
-        for engine in ENGINES {
-            match measure_cell(
-                workload,
-                isa,
-                &compiled,
-                &personality,
-                engine,
-                native_wall,
-                args.runs,
-                args.mips_scale,
-                args.host_ghz,
-                args.load,
-            ) {
-                Ok(cell) => {
-                    let vs_native = cell
-                        .overhead_vs_native
-                        .map_or_else(|| "-".to_string(), |x| format!("{x:.1}x"));
-                    println!(
-                        "  {:<34} {:>12}  {:>9.2}  {:>8.2}  {:>8.1}  {:>8.1}  {:>9}",
-                        cell.label(),
-                        cell.retired,
-                        cell.wall_ms,
-                        cell.mips,
-                        cell.host_ns_per_op,
-                        cell.host_cycles_per_op,
-                        vs_native
-                    );
-                    cells.push(cell);
-                }
-                Err(e) => {
-                    eprintln!("bench_report: cell failed: {e}");
-                    return ExitCode::FAILURE;
-                }
+        match measure_cell(
+            workload,
+            isa,
+            &compiled,
+            &personality,
+            native_wall,
+            args.runs,
+            args.mips_scale,
+            args.host_ghz,
+            args.load,
+        ) {
+            Ok(cell) => {
+                let vs_native = cell
+                    .overhead_vs_native
+                    .map_or_else(|| "-".to_string(), |x| format!("{x:.1}x"));
+                println!(
+                    "  {:<34} {:>12}  {:>9.2}  {:>8.2}  {:>8.1}  {:>8.1}  {:>9}",
+                    cell.label(),
+                    cell.retired,
+                    cell.wall_ms,
+                    cell.mips,
+                    cell.host_ns_per_op,
+                    cell.host_cycles_per_op,
+                    vs_native
+                );
+                cells.push(cell);
+            }
+            Err(e) => {
+                eprintln!("bench_report: cell failed: {e}");
+                return ExitCode::FAILURE;
             }
         }
     }
 
-    // The block engine is the default retire loop, so it carries the
-    // headline (and trajectory-compared) geomean; the legacy geomean is
-    // recorded alongside for A/B context.
-    let geomean_mips = geomean(cells.iter().filter(|c| c.engine == Engine::Block).map(|c| c.mips));
-    let geomean_mips_legacy =
-        geomean(cells.iter().filter(|c| c.engine == Engine::Legacy).map(|c| c.mips));
+    let geomean_mips = geomean(cells.iter().map(|c| c.mips));
     let total_retired: u64 = cells.iter().map(|c| c.retired).sum();
     let timestamp =
         SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0);
-    println!(
-        "  geomean {geomean_mips:.2} MIPS (block) | {geomean_mips_legacy:.2} MIPS (legacy) | \
-         {total_retired} instructions retired"
-    );
+    println!("  geomean {geomean_mips:.2} MIPS | {total_retired} instructions retired");
 
     let mut fields = vec![
         ("schema", Json::Num(SCHEMA as f64)),
@@ -463,7 +446,6 @@ fn main() -> ExitCode {
         ("runs", Json::Num(args.runs as f64)),
         ("host_ghz", Json::Num(args.host_ghz)),
         ("geomean_mips", Json::Num(geomean_mips)),
-        ("geomean_mips_legacy", Json::Num(geomean_mips_legacy)),
         ("total_retired", Json::Num(total_retired as f64)),
         ("cells", Json::Arr(cells.iter().map(CellResult::to_json).collect())),
     ];

@@ -23,9 +23,6 @@
 //! - `--deadline-secs <s>`: per-cell wall-clock watchdog.
 //! - `--retries <n>`: per-cell retries for retryable failures (default 1,
 //!   hard-capped at 3).
-//! - `--engine <legacy|block>`: retire loop for every cell (default
-//!   `block`, the pre-decoded basic-block engine; both produce identical
-//!   tables — see `tests/engine_differential.rs`).
 //! - `--fusion`: arm the macro-op fusion pass as a third scenario axis
 //!   (workload x compiler x ISA x fusion): every cell additionally
 //!   reports per-pair-kind fusion counts and the effective (fused)
@@ -143,7 +140,6 @@ fn parse_matrix_opts(args: &[String]) -> (MatrixOptions, Option<CampaignManifest
         trace_dir: flags.trace_dir,
         heed_shutdown: true,
         checkpoint_dir,
-        engine: flags.engine,
         fusion: flags.fusion,
     };
     (opts, campaign_manifest)

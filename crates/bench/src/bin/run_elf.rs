@@ -38,8 +38,6 @@
 //!   and on a watchdog trip; add `--checkpoint-every <N>` to also write
 //!   one every ~N retirements (rounded up to the retire loop's masked
 //!   check interval, so snapshots land on trace-block boundaries).
-//! - `--engine <legacy|block>`: retire loop (default `block`, the
-//!   pre-decoded basic-block engine; byte-identical outputs either way).
 //! - `--restore <path>`: resume from a snapshot. Mutually exclusive with
 //!   `--inject`/`--campaign` — the armed fault schedule, fired flags and
 //!   partial-trace position all come from the checkpoint. A restored run
@@ -53,7 +51,7 @@ use bench::cli;
 use isacmp::telemetry::sampler::Sampler;
 use isacmp::{
     shutdown, AArch64Executor, Campaign, CampaignSpec, Checkpoint, CpuState, DualCriticalPath,
-    EmulationCore, Engine, FaultInjector, FaultPlan, IsaKind, Observer, PathLength, PhaseNanos, Program,
+    EmulationCore, FaultInjector, FaultPlan, IsaKind, Observer, PathLength, PhaseNanos, Program,
     ProfilingObserver, RiscVExecutor, RunReport, RunStats, SimError, StopReason, TraceMark,
     TraceMeta, TraceReader, TraceWriter, Tx2Latency, WindowedCp, DEFAULT_CAMPAIGN_WINDOW,
     DEFAULT_FAULT_SEED,
@@ -87,7 +85,6 @@ struct Args {
     checkpoint: Option<String>,
     checkpoint_every: Option<u64>,
     restore: Option<String>,
-    engine: Engine,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -104,7 +101,6 @@ fn parse_args() -> Result<Args, String> {
     let mut checkpoint = None;
     let mut checkpoint_every = None;
     let mut restore = None;
-    let mut engine = Engine::default();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         if a == "--metrics" {
@@ -142,9 +138,6 @@ fn parse_args() -> Result<Args, String> {
                 Some(n.parse::<u64>().map_err(|_| format!("bad --checkpoint-every value {n:?}"))?);
         } else if a == "--restore" {
             restore = Some(it.next().ok_or("--restore needs a checkpoint path")?);
-        } else if a == "--engine" {
-            let s = it.next().ok_or("--engine needs legacy|block")?;
-            engine = s.parse()?;
         } else if a.starts_with("--") {
             return Err(format!("unknown flag {a:?}"));
         } else if elf.is_none() {
@@ -171,8 +164,7 @@ fn parse_args() -> Result<Args, String> {
             "usage: run_elf <binary.elf> [--metrics out.json] [--trace-out out.trace] \
              [--spans-out out.folded] [--sample[=PERIOD_US]] [--events out.jsonl] \
              [--progress[=N]] [--deadline-secs s] [--inject fault] [--campaign seed:n] \
-             [--checkpoint out.ckpt [--checkpoint-every N]] [--restore in.ckpt] \
-             [--engine legacy|block]",
+             [--checkpoint out.ckpt [--checkpoint-every N]] [--restore in.ckpt]",
         )?,
         metrics,
         trace_out,
@@ -186,7 +178,6 @@ fn parse_args() -> Result<Args, String> {
         checkpoint,
         checkpoint_every,
         restore,
-        engine,
     })
 }
 
@@ -202,7 +193,6 @@ fn run_segment(
     sample: Option<Arc<SampleSnapshot>>,
     checkpoint_every: Option<u64>,
     heed_shutdown: bool,
-    engine: Engine,
 ) -> Result<RunStats, SimError> {
     fn core_for<E: isacmp::IsaExecutor>(
         exec: E,
@@ -211,9 +201,8 @@ fn run_segment(
         sample: Option<Arc<SampleSnapshot>>,
         checkpoint_every: Option<u64>,
         heed_shutdown: bool,
-        engine: Engine,
     ) -> EmulationCore<E> {
-        let mut core = EmulationCore::new(exec).with_engine(engine);
+        let mut core = EmulationCore::new(exec);
         if let Some(d) = deadline {
             core = core.with_deadline(d);
         }
@@ -239,7 +228,6 @@ fn run_segment(
             sample,
             checkpoint_every,
             heed_shutdown,
-            engine,
         )
         .run(st, obs),
         IsaKind::AArch64 => core_for(
@@ -249,7 +237,6 @@ fn run_segment(
             sample,
             checkpoint_every,
             heed_shutdown,
-            engine,
         )
         .run(st, obs),
     }
@@ -522,7 +509,6 @@ fn main() {
                 snapshot.clone(),
                 args.checkpoint_every,
                 checkpointing,
-                args.engine,
             )
         };
         match seg {
@@ -647,7 +633,7 @@ fn main() {
         let bare_run = |obs: &mut Vec<&mut dyn Observer>| {
             let mut st = CpuState::new();
             program.load(&mut st).ok()?;
-            run_segment(program.isa, &mut st, obs, None, None, None, None, false, args.engine)
+            run_segment(program.isa, &mut st, obs, None, None, None, None, false)
                 .ok()
                 .map(|s| s.wall)
         };

@@ -1,8 +1,8 @@
 //! Shared CLI flag parsing for every bench and server binary.
 //!
 //! `run_elf`, `make_tables` and `bench_report` grew three private copies
-//! of the same flag grammar (`--size`, `--engine`, `--deadline-secs`,
-//! `--inject`, `--campaign`, `--retries`, `--trace-dir`); the `isacmpd`
+//! of the same flag grammar (`--size`, `--deadline-secs`, `--inject`,
+//! `--campaign`, `--retries`, `--trace-dir`); the `isacmpd`
 //! daemon and `load_driver` would have been the fourth and fifth. This
 //! module is the single source of truth: the value grammars live here
 //! once, and [`MatrixFlags`] bundles the matrix-shaped subset so a job
@@ -16,7 +16,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use isacmp::{CampaignSpec, Engine, InjectSpec, SizeClass};
+use isacmp::{CampaignSpec, InjectSpec, SizeClass};
 
 /// The value following `flag`, when present (`--flag value` style).
 pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
@@ -73,15 +73,6 @@ pub fn parse_retries(args: &[String], default: u32) -> Result<u32, String> {
     }
 }
 
-/// Parse `--engine` (default [`Engine::Block`], the pre-decoded
-/// basic-block engine).
-pub fn parse_engine(args: &[String]) -> Result<Engine, String> {
-    match flag_value(args, "--engine") {
-        Some(s) => s.parse().map_err(|e| format!("bad --engine value: {e}")),
-        None => Ok(Engine::default()),
-    }
-}
-
 /// Parse `--inject workload/compiler/isa:fault` (matrix-style targeted
 /// injection), if given.
 pub fn parse_inject(args: &[String]) -> Result<Option<InjectSpec>, String> {
@@ -127,8 +118,6 @@ pub struct MatrixFlags {
     pub campaign: Option<CampaignSpec>,
     /// Trace capture/replay cache directory (`--trace-dir`).
     pub trace_dir: Option<PathBuf>,
-    /// Retire loop engine (`--engine`, default block).
-    pub engine: Engine,
     /// Arm the macro-op fusion pass (`--fusion`): every cell additionally
     /// reports fused pair counts and effective path length.
     pub fusion: bool,
@@ -144,7 +133,6 @@ impl MatrixFlags {
             inject: parse_inject(args)?,
             campaign: parse_campaign_spec(args)?,
             trace_dir: parse_trace_dir(args),
-            engine: parse_engine(args)?,
             fusion: has_flag(args, "--fusion"),
         })
     }
@@ -181,8 +169,6 @@ mod tests {
             "7:3",
             "--trace-dir",
             "results/traces",
-            "--engine",
-            "legacy",
             "--fusion",
         ]))
         .unwrap();
@@ -193,7 +179,6 @@ mod tests {
         let c = f.campaign.unwrap();
         assert_eq!((c.seed, c.n_faults), (7, 3));
         assert_eq!(f.trace_dir.as_deref(), Some(std::path::Path::new("results/traces")));
-        assert_eq!(f.engine, Engine::Legacy);
         assert!(f.fusion);
     }
 
@@ -202,7 +187,6 @@ mod tests {
         let f = MatrixFlags::parse(&args(&[])).unwrap();
         assert_eq!(f.size, SizeClass::Small);
         assert_eq!(f.retries, 1);
-        assert_eq!(f.engine, Engine::Block);
         assert!(f.deadline.is_none() && f.inject.is_none() && f.campaign.is_none());
         assert!(!f.fusion);
     }
@@ -211,7 +195,6 @@ mod tests {
     fn bad_values_are_actionable_errors() {
         assert!(parse_deadline(&args(&["--deadline-secs", "fast"])).unwrap_err().contains("deadline"));
         assert!(parse_retries(&args(&["--retries", "many"]), 1).unwrap_err().contains("retries"));
-        assert!(parse_engine(&args(&["--engine", "warp"])).is_err());
         assert!(parse_inject(&args(&["--inject", "nope"])).is_err());
         assert!(parse_campaign_spec(&args(&["--campaign", "x"])).is_err());
     }

@@ -114,6 +114,11 @@ fn killed_checkpointed_run_restores_byte_identically() {
         "resumed trace diverges from the uninterrupted capture"
     );
 
+    // The shipped comparator agrees: exit 0, no divergence.
+    let (code, diff_out, stderr) = run("trace_tool", &dir, &["diff", "ref.trace", "crash.trace"]);
+    assert_eq!(code, 0, "trace_tool diff must exit 0:\n{stderr}");
+    assert!(diff_out.contains("traces are identical"), "unexpected diff output:\n{diff_out}");
+
     // The analysis tables (path length, critical path, per-kernel and
     // windowed ILP) must be identical too — the replayed prefix fed the
     // observers exactly what the live run did.
@@ -227,76 +232,4 @@ fn sigkill_mid_campaign_resumes_with_rearmed_schedule() {
     let resumed_manifest = std::fs::read(victim.join("results/campaign.json")).expect("manifest");
     assert_eq!(resumed_manifest, ref_manifest, "campaign manifest must be unchanged");
     assert!(!journal.exists(), "journal must be deleted after the resumed sweep completes");
-}
-
-/// Cross-engine conformance through the shipped binaries: the legacy and
-/// block engines must capture byte-identical traces (modulo the trailer
-/// wall time) and identical analysis tables, `trace_tool diff` must agree
-/// (exit 0), and a block-engine run killed at a checkpoint and restored
-/// cache-cold must still reproduce the legacy engine's trace bytes.
-#[test]
-fn block_engine_traces_match_legacy_through_crash_and_restore() {
-    let dir = scratch("crossengine");
-    let (code, _, stderr) = run("make_tables", &dir, &["elves", "--size", "small"]);
-    assert_eq!(code, 0, "elves must build:\n{stderr}");
-    let elf = "results/bin/stream-gcc-12.2-riscv64.elf";
-
-    // Reference: legacy engine, uninterrupted.
-    let (code, legacy_out, stderr) =
-        run("run_elf", &dir, &[elf, "--engine", "legacy", "--trace-out", "legacy.trace"]);
-    assert_eq!(code, 0, "legacy run:\n{stderr}");
-    let legacy_trace = std::fs::read(dir.join("legacy.trace")).expect("legacy trace");
-
-    // Block engine, uninterrupted: identical bytes and tables.
-    let (code, block_out, stderr) =
-        run("run_elf", &dir, &[elf, "--engine", "block", "--trace-out", "block.trace"]);
-    assert_eq!(code, 0, "block run:\n{stderr}");
-    let block_trace = std::fs::read(dir.join("block.trace")).expect("block trace");
-    assert_eq!(block_trace.len(), legacy_trace.len(), "trace sizes differ across engines");
-    let cut = legacy_trace.len() - TRACE_WALL_SUFFIX;
-    assert_eq!(
-        &block_trace[..cut],
-        &legacy_trace[..cut],
-        "block-engine trace diverges from the legacy capture"
-    );
-    assert_eq!(analysis_lines(&block_out), analysis_lines(&legacy_out));
-
-    // The shipped comparator agrees: exit 0, no divergence.
-    let (code, diff_out, stderr) = run("trace_tool", &dir, &["diff", "legacy.trace", "block.trace"]);
-    assert_eq!(code, 0, "trace_tool diff must exit 0:\n{stderr}");
-    assert!(diff_out.contains("traces are identical"), "unexpected diff output:\n{diff_out}");
-
-    // Crash leg: a checkpointed block-engine run killed mid-flight and
-    // restored into a fresh process (cold block cache) must finish the
-    // capture byte-identical to the legacy reference.
-    let mut child = Command::new(exe("run_elf"))
-        .args([elf, "--engine", "block", "--trace-out", "crash.trace"])
-        .args(["--checkpoint", "crash.ckpt", "--checkpoint-every", "400000"])
-        .current_dir(&dir)
-        .spawn()
-        .expect("victim spawns");
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while !dir.join("crash.ckpt").exists() {
-        assert!(Instant::now() < deadline, "no checkpoint within 60s");
-        if child.try_wait().expect("try_wait").is_some() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    child.kill().ok();
-    child.wait().expect("victim reaped");
-
-    let (code, _, stderr) = run(
-        "run_elf",
-        &dir,
-        &[elf, "--engine", "block", "--restore", "crash.ckpt", "--trace-out", "crash.trace"],
-    );
-    assert_eq!(code, 0, "restore must finish the run:\n{stderr}");
-    let resumed_trace = std::fs::read(dir.join("crash.trace")).expect("resumed trace");
-    assert_eq!(resumed_trace.len(), legacy_trace.len(), "resumed trace size differs");
-    assert_eq!(
-        &resumed_trace[..cut],
-        &legacy_trace[..cut],
-        "cold-cache block restore diverges from the legacy capture"
-    );
 }

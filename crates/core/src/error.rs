@@ -12,7 +12,7 @@
 use std::time::Duration;
 
 use analysis::CellFailure;
-use simcore::{Campaign, Engine, FaultPlan, SimError, DEFAULT_FAULT_SEED};
+use simcore::{Campaign, FaultPlan, SimError, DEFAULT_FAULT_SEED};
 
 /// Why one (workload, compiler, ISA) cell failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,9 +179,6 @@ pub struct CellOptions {
     /// deadline, its machine state is checkpointed here (one `.ckpt` per
     /// cell label) before the `ERR(timeout)` is recorded.
     pub checkpoint_dir: Option<std::path::PathBuf>,
-    /// Retire loop to drive ([`Engine::Block`] by default; see
-    /// [`simcore::Engine`] for when a block run degrades to legacy).
-    pub engine: Engine,
     /// Run the macro-op fusion pass alongside the cell analyses and carry
     /// its report in the cell (`ExperimentCell::fused`). A fused cell is
     /// a distinct scenario-axis point: it caches and journals under a
@@ -293,8 +290,6 @@ pub struct MatrixOptions {
     /// Directory for resumable watchdog snapshots (see
     /// [`CellOptions::checkpoint_dir`]).
     pub checkpoint_dir: Option<std::path::PathBuf>,
-    /// Retire loop driven in every cell (see [`CellOptions::engine`]).
-    pub engine: Engine,
     /// Run the macro-op fusion pass in every cell (see
     /// [`CellOptions::fusion`]) — the matrix's third scenario axis.
     pub fusion: bool,
@@ -315,7 +310,6 @@ impl MatrixOptions {
             trace_dir: self.trace_dir.clone(),
             heed_shutdown: self.heed_shutdown,
             checkpoint_dir: self.checkpoint_dir.clone(),
-            engine: self.engine,
             fusion: self.fusion,
         }
     }

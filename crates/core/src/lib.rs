@@ -60,7 +60,7 @@ pub use isa_riscv::RiscVExecutor;
 pub use kernelgen::{compile, interpret, Compiled, KernelProgram, Personality};
 pub use simcore::{
     durable, host_mips, shutdown, Campaign, CampaignSpec, CampaignState, Checkpoint,
-    CheckpointError, CpuState, EmulationCore, Engine, FaultInjector, FaultKind,
+    CheckpointError, CpuState, EmulationCore, FaultInjector, FaultKind,
     FaultPlan, InjectAction, InstGroup, IsaExecutor, IsaKind, Observer, Phase, PhaseNanos,
     Program, RegSet, RetiredInst, RunStats, Sample, SampleSnapshot,
     SimError, StopReason, TraceMark, DEFAULT_CAMPAIGN_WINDOW, DEFAULT_FAULT_SEED,
@@ -106,22 +106,6 @@ pub fn try_execute(
     try_execute_with(compiled, observers, deadline, injector)
 }
 
-/// [`try_execute`] with an explicit retire-loop [`Engine`] — the knob the
-/// bench tools and the differential conformance suite use to pit the
-/// legacy and block engines against each other on identical cells.
-pub fn try_execute_engine(
-    compiled: &Compiled,
-    observers: &mut [&mut dyn Observer],
-    deadline: Option<std::time::Duration>,
-    fault: Option<&FaultPlan>,
-    engine: Engine,
-) -> Result<(CpuState, RunStats), CellError> {
-    let injector: Option<Box<dyn FaultInjector>> =
-        fault.map(|p| Box::new(p.clone()) as Box<dyn FaultInjector>);
-    try_execute_inner(compiled, observers, deadline, injector, false, engine)
-        .map_err(|(e, _)| e)
-}
-
 /// [`try_execute`] with an arbitrary [`FaultInjector`] (e.g. a whole
 /// [`Campaign`]) instead of a single plan.
 pub fn try_execute_with(
@@ -130,11 +114,10 @@ pub fn try_execute_with(
     deadline: Option<std::time::Duration>,
     injector: Option<Box<dyn FaultInjector>>,
 ) -> Result<(CpuState, RunStats), CellError> {
-    try_execute_inner(compiled, observers, deadline, injector, false, Engine::default())
-        .map_err(|(e, _)| e)
+    try_execute_inner(compiled, observers, deadline, injector, false).map_err(|(e, _)| e)
 }
 
-/// The execution engine behind [`try_execute_with`]: same typed errors,
+/// The execution path behind [`try_execute_with`]: same typed errors,
 /// but the failing machine state rides along with the error so callers
 /// can snapshot it (watchdog-trip checkpoints need the state the guest
 /// died in, not a fresh one).
@@ -144,7 +127,6 @@ fn try_execute_inner(
     deadline: Option<std::time::Duration>,
     injector: Option<Box<dyn FaultInjector>>,
     heed_shutdown: bool,
-    engine: Engine,
 ) -> Result<(CpuState, RunStats), (CellError, Box<CpuState>)> {
     let _span = telemetry::global().enter("emulate");
     let mut st = CpuState::new();
@@ -157,9 +139,8 @@ fn try_execute_inner(
         deadline: Option<std::time::Duration>,
         injector: Option<Box<dyn FaultInjector>>,
         heed_shutdown: bool,
-        engine: Engine,
     ) -> EmulationCore<E> {
-        let mut core = EmulationCore::new(exec).with_engine(engine);
+        let mut core = EmulationCore::new(exec);
         if let Some(d) = deadline {
             core = core.with_deadline(d);
         }
@@ -174,11 +155,11 @@ fn try_execute_inner(
 
     let result = match compiled.program.isa {
         IsaKind::RiscV => {
-            build_core(RiscVExecutor::new(), deadline, injector, heed_shutdown, engine)
+            build_core(RiscVExecutor::new(), deadline, injector, heed_shutdown)
                 .run(&mut st, observers)
         }
         IsaKind::AArch64 => {
-            build_core(AArch64Executor::new(), deadline, injector, heed_shutdown, engine)
+            build_core(AArch64Executor::new(), deadline, injector, heed_shutdown)
                 .run(&mut st, observers)
         }
     };
@@ -309,7 +290,7 @@ fn run_cell_attempt(
         let injector: Option<Box<dyn FaultInjector>> =
             armed.as_ref().map(|c| Box::new(c.clone()) as Box<dyn FaultInjector>);
         let emu_start = std::time::Instant::now();
-        let run = try_execute_inner(&compiled, &mut obs, opts.deadline, injector, opts.heed_shutdown, opts.engine)
+        let run = try_execute_inner(&compiled, &mut obs, opts.deadline, injector, opts.heed_shutdown)
             .map_err(|(e, st)| {
                 // A watchdog-tripped cell leaves a resumable snapshot behind:
                 // the state it died in plus the armed schedule, so the slow
@@ -944,24 +925,10 @@ pub fn try_run_pipeline_full(
     let mut core = AnyPipeline::build(config, out_of_order, dcache);
     let result = match compiled.program.isa {
         IsaKind::RiscV => {
-            uarch::run_guest(
-                core.observer(),
-                RiscVExecutor::new(),
-                &mut st,
-                deadline,
-                injector,
-                Engine::default(),
-            )
+            uarch::run_guest(core.observer(), RiscVExecutor::new(), &mut st, deadline, injector)
         }
         IsaKind::AArch64 => {
-            uarch::run_guest(
-                core.observer(),
-                AArch64Executor::new(),
-                &mut st,
-                deadline,
-                injector,
-                Engine::default(),
-            )
+            uarch::run_guest(core.observer(), AArch64Executor::new(), &mut st, deadline, injector)
         }
     };
     let stats = result.map_err(|err| {

@@ -49,7 +49,7 @@ fn ends_block(inst: &Inst) -> bool {
 }
 
 /// AArch64 executor with a per-instance decode cache and a pre-decoded
-/// basic-block cache (used by the core's block engine).
+/// basic-block cache (used by the core's block loop).
 #[derive(Default)]
 pub struct AArch64Executor {
     cache: RefCell<WordMap<Inst>>,
@@ -77,18 +77,25 @@ impl AArch64Executor {
         let mut insts = Vec::new();
         let mut cur = pc;
         loop {
-            let word = {
-                let _t = phase::scoped(Phase::Fetch);
-                match state.mem.read_u32(cur) {
-                    Ok(w) => w,
-                    Err(_) => break,
-                }
-            };
-            let inst = {
-                let _t = phase::scoped(Phase::Decode);
-                match decode(word) {
-                    Ok(i) => i,
-                    Err(_) => break,
+            // A decode `step` has cached wins over the word in memory: a
+            // read flip that landed on that fetch keeps its flipped
+            // instruction for the rest of the run, as stepping does.
+            let cached = self.cache.borrow().get(&cur).copied();
+            let inst = match cached {
+                Some(i) => i,
+                None => {
+                    let word = {
+                        let _t = phase::scoped(Phase::Fetch);
+                        match state.mem.read_u32(cur) {
+                            Ok(w) => w,
+                            Err(_) => break,
+                        }
+                    };
+                    let _t = phase::scoped(Phase::Decode);
+                    match decode(word) {
+                        Ok(i) => i,
+                        Err(_) => break,
+                    }
                 }
             };
             let done = ends_block(&inst);
@@ -384,10 +391,6 @@ impl IsaExecutor for AArch64Executor {
     fn flush_decode_cache(&self) {
         self.cache.borrow_mut().clear();
         self.blocks.borrow_mut().clear();
-    }
-
-    fn supports_blocks(&self) -> bool {
-        true
     }
 
     fn run_block(

@@ -48,7 +48,7 @@ fn ends_block(inst: &Inst) -> bool {
 }
 
 /// RV64G executor with a per-instance decode cache and a pre-decoded
-/// basic-block cache (used by the core's block engine).
+/// basic-block cache (used by the core's block loop).
 #[derive(Default)]
 pub struct RiscVExecutor {
     cache: RefCell<WordMap<Inst>>,
@@ -76,18 +76,25 @@ impl RiscVExecutor {
         let mut insts = Vec::new();
         let mut cur = pc;
         loop {
-            let word = {
-                let _t = phase::scoped(Phase::Fetch);
-                match state.mem.read_u32(cur) {
-                    Ok(w) => w,
-                    Err(_) => break,
-                }
-            };
-            let inst = {
-                let _t = phase::scoped(Phase::Decode);
-                match decode(word) {
-                    Ok(i) => i,
-                    Err(_) => break,
+            // A decode `step` has cached wins over the word in memory: a
+            // read flip that landed on that fetch keeps its flipped
+            // instruction for the rest of the run, as stepping does.
+            let cached = self.cache.borrow().get(&cur).copied();
+            let inst = match cached {
+                Some(i) => i,
+                None => {
+                    let word = {
+                        let _t = phase::scoped(Phase::Fetch);
+                        match state.mem.read_u32(cur) {
+                            Ok(w) => w,
+                            Err(_) => break,
+                        }
+                    };
+                    let _t = phase::scoped(Phase::Decode);
+                    match decode(word) {
+                        Ok(i) => i,
+                        Err(_) => break,
+                    }
                 }
             };
             let done = ends_block(&inst);
@@ -339,10 +346,6 @@ impl IsaExecutor for RiscVExecutor {
     fn flush_decode_cache(&self) {
         self.cache.borrow_mut().clear();
         self.blocks.borrow_mut().clear();
-    }
-
-    fn supports_blocks(&self) -> bool {
-        true
     }
 
     fn run_block(

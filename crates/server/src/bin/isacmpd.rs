@@ -2,8 +2,7 @@
 //!
 //! Usage: isacmpd [--addr HOST:PORT] [--max-jobs N] [--jobs-dir PATH]
 //!                [--trace-dir PATH] [--warm MATRIX.JSON]
-//!                [--warm-size NAME] [--warm-engine NAME]
-//!                [--drain-secs SECS]
+//!                [--warm-size NAME] [--drain-secs SECS]
 //!
 //! Binds the listener (port 0 lets the OS pick), prints
 //! `isacmpd listening on <addr>` on stdout once ready, and serves until
@@ -22,7 +21,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: isacmpd [--addr HOST:PORT] [--max-jobs N] [--jobs-dir PATH] \
          [--trace-dir PATH] [--warm MATRIX.JSON] [--warm-size NAME] \
-         [--warm-engine NAME] [--drain-secs SECS]"
+         [--drain-secs SECS]"
     );
     std::process::exit(2);
 }
@@ -56,12 +55,6 @@ fn parse_config(args: &[String]) -> Config {
     }
     if let Some(name) = cli::flag_value(args, "--warm-size") {
         cfg.warm_size = or_usage(cli::size_from_name(&name));
-    }
-    if let Some(name) = cli::flag_value(args, "--warm-engine") {
-        cfg.warm_engine = or_usage(
-            name.parse()
-                .map_err(|e: String| format!("--warm-engine: {e}")),
-        );
     }
     if let Some(s) = cli::flag_value(args, "--drain-secs") {
         let secs = or_usage(

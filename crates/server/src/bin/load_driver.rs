@@ -1,8 +1,8 @@
 //! `load_driver` — concurrent load generator for `isacmpd`.
 //!
 //! Usage: load_driver --addr HOST:PORT [--clients N] [--requests N]
-//!                    [job flags: --size/--engine/--retries/--deadline-secs/
-//!                     --inject/--campaign/--kind/--fusion]
+//!                    [job flags: --size/--retries/--deadline-secs/--inject/
+//!                     --campaign/--kind/--fusion]
 //!                    [--out MATRIX.JSON] [--stats-out STATS.JSON]
 //!                    [--min-hit-rate PCT]
 //!
@@ -65,7 +65,7 @@ fn busy_backoff(retry: u32, rng: &mut u64) -> Duration {
 fn usage() -> ! {
     eprintln!(
         "usage: load_driver --addr HOST:PORT [--clients N] [--requests N] \
-         [--size NAME] [--engine NAME] [--retries N] [--deadline-secs S] \
+         [--size NAME] [--retries N] [--deadline-secs S] \
          [--inject SPEC] [--campaign SEED:N] [--kind matrix|campaign|trace|fusion] \
          [--fusion] [--out MATRIX.JSON] [--stats-out STATS.JSON] [--min-hit-rate PCT] \
          [--fail-on-cell-failures]"

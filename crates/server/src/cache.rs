@@ -2,7 +2,7 @@
 //!
 //! One entry per experiment cell, keyed by everything that determines the
 //! cell's measurements: workload, compiler personality, ISA, size class
-//! and retire engine ([`CellKey`]). Cell measurements are deterministic
+//! and the fusion axis ([`CellKey`]). Cell measurements are deterministic
 //! (the emulator is), so a cached cell is byte-identical to a recomputed
 //! one — which is what lets the daemon unify the in-memory cache, the
 //! `core::tracecache` trace replay layer (cells run *through* the trace
@@ -34,7 +34,6 @@ pub struct CellKey {
     pub compiler: String,
     pub isa: String,
     pub size: String,
-    pub engine: String,
     /// Whether the macro-op fusion pass was armed. Fused and unfused
     /// measurements of the same cell differ (the fused one carries the
     /// extra report), so they must never share a cache slot.
@@ -42,20 +41,12 @@ pub struct CellKey {
 }
 
 impl CellKey {
-    pub fn new(
-        workload: &str,
-        compiler: &str,
-        isa: &str,
-        size: &str,
-        engine: &str,
-        fusion: bool,
-    ) -> CellKey {
+    pub fn new(workload: &str, compiler: &str, isa: &str, size: &str, fusion: bool) -> CellKey {
         CellKey {
             workload: workload.into(),
             compiler: compiler.into(),
             isa: isa.into(),
             size: size.into(),
-            engine: engine.into(),
             fusion,
         }
     }
@@ -65,12 +56,11 @@ impl std::fmt::Display for CellKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}/{}/{}@{}/{}{}",
+            "{}/{}/{}@{}{}",
             self.workload,
             self.compiler,
             self.isa,
             self.size,
-            self.engine,
             if self.fusion { "+fusion" } else { "" }
         )
     }
@@ -179,21 +169,15 @@ impl ResultCache {
     /// Seed the cache from a one-shot `matrix.json` artifact (only
     /// healthy cells; recorded failures are not reusable results).
     /// Returns how many cells were inserted.
-    pub fn warm(&self, matrix: &ResultMatrix, size: &str, engine: &str) -> usize {
+    pub fn warm(&self, matrix: &ResultMatrix, size: &str) -> usize {
         let mut map = self.map.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let mut n = 0;
         for cell in &matrix.cells {
             // A cell carrying a fusion report seeds the fused slot; its
             // plain twin stays a miss (and vice versa) — the two are
             // different measurements.
-            let key = CellKey::new(
-                &cell.workload,
-                &cell.compiler,
-                &cell.isa,
-                size,
-                engine,
-                cell.fused.is_some(),
-            );
+            let key =
+                CellKey::new(&cell.workload, &cell.compiler, &cell.isa, size, cell.fused.is_some());
             if !matches!(map.get(&key), Some(Entry::Done(_))) {
                 map.insert(key, Entry::Done(cell.clone()));
                 n += 1;

@@ -23,8 +23,9 @@ use isacmp::telemetry::Json;
 use isacmp::{CampaignManifest, MatrixOptions, SizeClass};
 
 /// Protocol version spoken by this build. Client messages carry it; a
-/// mismatch is a typed error, not silent misinterpretation.
-pub const PROTO_VERSION: u64 = 1;
+/// mismatch is a typed error, not silent misinterpretation. Version 2
+/// dropped the job spec's `engine` field (there is one retire loop).
+pub const PROTO_VERSION: u64 = 2;
 
 /// Hard cap on a frame payload. A full paper-size `matrix.json` is ~100
 /// KiB; 16 MiB leaves room for growth while keeping a hostile length
@@ -231,7 +232,6 @@ impl JobKind {
 pub struct JobSpec {
     pub kind: JobKind,
     pub size: SizeClass,
-    pub engine: isacmp::Engine,
     pub retries: u32,
     /// Per-cell watchdog, in (fractional) seconds.
     pub deadline_secs: Option<f64>,
@@ -251,7 +251,6 @@ impl JobSpec {
         JobSpec {
             kind: JobKind::Matrix,
             size,
-            engine: isacmp::Engine::default(),
             retries: 1,
             deadline_secs: None,
             inject: None,
@@ -261,8 +260,8 @@ impl JobSpec {
     }
 
     /// Build a spec from CLI args via the shared `bench::cli` grammar
-    /// (`--size`, `--engine`, `--retries`, `--deadline-secs`, `--inject`,
-    /// `--campaign`, `--kind`). Values are validated here, client-side,
+    /// (`--size`, `--retries`, `--deadline-secs`, `--inject`, `--campaign`,
+    /// `--kind`). Values are validated here, client-side,
     /// with the same parsers the daemon re-runs server-side.
     pub fn from_args(args: &[String]) -> Result<JobSpec, String> {
         let flags = cli::MatrixFlags::parse(args)?;
@@ -274,7 +273,6 @@ impl JobSpec {
         let spec = JobSpec {
             kind,
             size: flags.size,
-            engine: flags.engine,
             retries: flags.retries,
             deadline_secs: flags.deadline.map(|d| d.as_secs_f64()),
             inject: cli::flag_value(args, "--inject"),
@@ -315,17 +313,15 @@ impl JobSpec {
     /// of a killed run when the same spec is resubmitted.
     pub fn canonical(&self) -> String {
         let mut key = format!(
-            "v{PROTO_VERSION}:{}:{}:{}:r{}:d{}:i{}:c{}",
+            "v{PROTO_VERSION}:{}:{}:r{}:d{}:i{}:c{}",
             self.kind.name(),
             self.size.name(),
-            self.engine.name(),
             self.retries,
             self.deadline_secs.map(|d| d.to_string()).unwrap_or_else(|| "-".into()),
             self.inject.as_deref().unwrap_or("-"),
             self.campaign.as_deref().unwrap_or("-"),
         );
-        // Appended only when armed, so unfused keys (and the journal file
-        // names hashed from them) are byte-identical to older builds'.
+        // Appended only when armed: an unfused key carries no fusion field.
         if self.fusion {
             key.push_str(":f1");
         }
@@ -370,7 +366,6 @@ impl JobSpec {
                 .flatten(),
             heed_shutdown: true,
             checkpoint_dir: None,
-            engine: self.engine,
             fusion: self.fusion,
         };
         Ok((opts, manifest))
@@ -380,7 +375,6 @@ impl JobSpec {
         let mut fields = vec![
             ("kind", Json::Str(self.kind.name().into())),
             ("size", Json::Str(self.size.name().into())),
-            ("engine", Json::Str(self.engine.name().into())),
             ("retries", Json::Num(self.retries as f64)),
         ];
         if let Some(d) = self.deadline_secs {
@@ -405,8 +399,6 @@ impl JobSpec {
             .map_err(|e| bad(&e))?;
         let size = cli::size_from_name(&s("size").ok_or_else(|| bad("missing size"))?)
             .map_err(|e| bad(&e))?;
-        let engine: isacmp::Engine =
-            s("engine").ok_or_else(|| bad("missing engine"))?.parse().map_err(|e: String| bad(&e))?;
         let retries = j
             .get("retries")
             .and_then(Json::as_u64)
@@ -422,7 +414,6 @@ impl JobSpec {
         let spec = JobSpec {
             kind,
             size,
-            engine,
             retries,
             deadline_secs,
             inject: s("inject"),

@@ -56,8 +56,6 @@ pub struct Config {
     pub warm: Option<PathBuf>,
     /// Size class the warm artifact was measured at.
     pub warm_size: SizeClass,
-    /// Engine the warm artifact was measured with.
-    pub warm_engine: isacmp::Engine,
     /// How long `run` waits for connection threads to drain after a
     /// shutdown signal before detaching them.
     pub drain_timeout: Duration,
@@ -72,7 +70,6 @@ impl Default for Config {
             trace_dir: None,
             warm: None,
             warm_size: SizeClass::Small,
-            warm_engine: isacmp::Engine::default(),
             drain_timeout: Duration::from_secs(10),
         }
     }
@@ -230,7 +227,7 @@ impl Server {
             let text = std::fs::read_to_string(warm)?;
             let matrix = ResultMatrix::from_json(&text)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            let n = cache.warm(&matrix, cfg.warm_size.name(), cfg.warm_engine.name());
+            let n = cache.warm(&matrix, cfg.warm_size.name());
             eprintln!("isacmpd: cache warmed with {n} cell(s) from {}", warm.display());
         }
         Ok(Server {
@@ -423,7 +420,7 @@ fn run_job(state: &Arc<State>, spec: &JobSpec, stream: &mut TcpStream) -> Result
             outstanding += 1;
             continue;
         }
-        let key = CellKey::new(wn, pl, il, size.name(), spec.engine.name(), spec.fusion);
+        let key = CellKey::new(wn, pl, il, size.name(), spec.fusion);
         match state.cache.claim(&key) {
             Claim::Hit(cell) => {
                 hits += 1;

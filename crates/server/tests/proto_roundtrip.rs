@@ -33,7 +33,6 @@ fn client_messages_round_trip() {
     let full = JobSpec {
         kind: server::JobKind::Campaign,
         size: isacmp::SizeClass::Small,
-        engine: isacmp::Engine::Legacy,
         retries: 3,
         deadline_secs: Some(2.5),
         inject: None,
@@ -245,19 +244,19 @@ fn job_spec_canonical_is_stable_and_discriminating() {
     let a = JobSpec::matrix(isacmp::SizeClass::Test);
     // The journal-recovery contract: the canonical string (and thus the
     // journal file name) must not drift between builds.
-    assert_eq!(a.canonical(), "v1:matrix:test:block:r1:d-:i-:c-");
+    assert_eq!(a.canonical(), "v2:matrix:test:r1:d-:i-:c-");
     let mut b = a.clone();
     b.retries = 2;
     assert_ne!(a.canonical(), b.canonical());
     let mut c = a.clone();
-    c.engine = isacmp::Engine::Legacy;
+    c.size = isacmp::SizeClass::Small;
     assert_ne!(a.canonical(), c.canonical());
     // The fusion axis must discriminate cache/journal identity, and it does
     // so with a suffix so every pre-fusion canonical string stays byte-stable.
     let mut f = a.clone();
     f.fusion = true;
     assert_ne!(a.canonical(), f.canonical());
-    assert_eq!(f.canonical(), "v1:matrix:test:block:r1:d-:i-:c-:f1");
+    assert_eq!(f.canonical(), "v2:matrix:test:r1:d-:i-:c-:f1");
 }
 
 #[test]

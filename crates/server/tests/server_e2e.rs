@@ -3,7 +3,9 @@
 //!
 //! The shutdown flag is process-global, so every test that runs a server
 //! serializes behind [`E2E_LOCK`] — a drained test server must not take a
-//! concurrently-running one down with it.
+//! concurrently-running one down with it — and builds its one-shot
+//! reference under the same lock: the reference heeds the flag too, so
+//! another test's drain would truncate it.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -34,12 +36,24 @@ fn one_shot_reference() -> String {
 /// Boot a server, run `f` against it, then drain it and restore the
 /// global shutdown flag.
 fn with_server(cfg: Config, f: impl FnOnce(SocketAddr)) {
+    with_reference(cfg, |_| (), |addr, ()| f(addr));
+}
+
+/// [`with_server`] with a reference built first, under [`E2E_LOCK`] and
+/// with the shutdown flag clear. `reference` runs before the server
+/// binds, so it can also seed the jobs dir (a warm artifact, a journal).
+fn with_reference<R>(
+    cfg: Config,
+    reference: impl FnOnce(&Config) -> R,
+    f: impl FnOnce(SocketAddr, R),
+) {
     let _guard = E2E_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     shutdown::reset();
+    let r = reference(&cfg);
     let srv = Server::bind(cfg).expect("bind loopback");
     let addr = srv.local_addr().expect("bound addr");
     let handle = std::thread::spawn(move || srv.run());
-    f(addr);
+    f(addr, r);
     shutdown::request();
     assert_eq!(handle.join().expect("server thread"), 0, "drain must exit 0");
     shutdown::reset();
@@ -65,8 +79,7 @@ fn expect_done(outcome: JobOutcome) -> (u64, u64, u64, String) {
 
 #[test]
 fn served_matrix_is_byte_identical_to_one_shot_run() {
-    let reference = one_shot_reference();
-    with_server(test_config("byte-identity"), |addr| {
+    with_reference(test_config("byte-identity"), |_| one_shot_reference(), |addr, reference| {
         let mut client = Client::connect(&addr.to_string()).expect("connect");
         let total_cells = matrix_combos(&Workload::ALL).len() as u64;
         let mut progress = 0u64;
@@ -122,13 +135,15 @@ fn repeated_submissions_are_served_from_the_cache() {
 
 #[test]
 fn warm_start_serves_a_one_shot_artifact_without_recomputing() {
-    let reference = one_shot_reference();
     let mut cfg = test_config("warm-start");
-    let artifact = cfg.jobs_dir.join("matrix.json");
-    std::fs::write(&artifact, &reference).expect("write artifact");
-    cfg.warm = Some(artifact);
+    cfg.warm = Some(cfg.jobs_dir.join("matrix.json"));
     cfg.warm_size = SizeClass::Test;
-    with_server(cfg, |addr| {
+    let reference = |cfg: &Config| {
+        let reference = one_shot_reference();
+        std::fs::write(cfg.warm.as_ref().unwrap(), &reference).expect("write artifact");
+        reference
+    };
+    with_reference(cfg, reference, |addr, reference| {
         let mut client = Client::connect(&addr.to_string()).expect("connect");
         let total = matrix_combos(&Workload::ALL).len() as u64;
         let (hits, misses, _, served) =
@@ -156,22 +171,22 @@ fn restarted_daemon_recovers_a_killed_jobs_journal() {
     // previous run sits in the jobs dir; a *fresh* daemon (cold cache)
     // receiving the same spec must serve entirely from the journal —
     // zero cells recomputed — and produce the exact one-shot bytes.
-    let reference_matrix = {
-        let opts = MatrixOptions { retries: 1, heed_shutdown: true, ..Default::default() };
-        run_matrix_opts(&Workload::ALL, SizeClass::Test, &opts)
-    };
     let cfg = test_config("journal-recovery");
     let spec = JobSpec::matrix(SizeClass::Test);
     let journal_path =
         cfg.jobs_dir.join(format!("job-{:016x}.journal.jsonl", fnv1a64(&spec.canonical())));
-    let mut journal =
-        CellJournal::create(&journal_path, SizeClass::Test.name(), None).expect("create journal");
-    for cell in &reference_matrix.cells {
-        journal.record_cell(cell).expect("record");
-    }
-    drop(journal);
+    let reference = |_: &Config| {
+        let opts = MatrixOptions { retries: 1, heed_shutdown: true, ..Default::default() };
+        let reference_matrix = run_matrix_opts(&Workload::ALL, SizeClass::Test, &opts);
+        let mut journal = CellJournal::create(&journal_path, SizeClass::Test.name(), None)
+            .expect("create journal");
+        for cell in &reference_matrix.cells {
+            journal.record_cell(cell).expect("record");
+        }
+        reference_matrix
+    };
 
-    with_server(cfg, |addr| {
+    with_reference(cfg, reference, |addr, reference_matrix| {
         let mut client = Client::connect(&addr.to_string()).expect("connect");
         let total = matrix_combos(&Workload::ALL).len() as u64;
         let mut recovered = 0u64;
@@ -192,16 +207,16 @@ fn restarted_daemon_recovers_a_killed_jobs_journal() {
 
 #[test]
 fn fused_and_unfused_jobs_never_share_cache_slots() {
-    // Same size, same engine, opposite fusion axis: the daemon must key the
+    // Same size, opposite fusion axis: the daemon must key the
     // two apart (distinct CellKeys, distinct canonical/journal identities)
     // and a fused submission after a warm unfused one must recompute every
     // cell — a cross-contaminated hit would serve unfused bytes as fused.
-    let fused_reference = {
+    let fused_reference = |_: &Config| {
         let opts =
             MatrixOptions { retries: 1, heed_shutdown: true, fusion: true, ..Default::default() };
         run_matrix_opts(&Workload::ALL, SizeClass::Test, &opts).to_json()
     };
-    with_server(test_config("fusion-axis"), |addr| {
+    with_reference(test_config("fusion-axis"), fused_reference, |addr, fused_reference| {
         let mut client = Client::connect(&addr.to_string()).expect("connect");
         let total = matrix_combos(&Workload::ALL).len() as u64;
 

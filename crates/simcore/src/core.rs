@@ -24,55 +24,6 @@ pub fn host_mips(retired: u64, wall: Duration) -> f64 {
     }
 }
 
-/// Which retire loop [`EmulationCore::run`] drives.
-///
-/// Both engines retire the exact same architectural instruction stream —
-/// the differential conformance suite (`tests/engine_differential.rs`)
-/// holds them byte-identical on state hashes, traces and matrices — they
-/// differ only in how much per-retirement overhead the host pays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Engine {
-    /// The original per-instruction loop: one decode-cache lookup, one
-    /// boundary-check bundle and one observer dispatch per retirement.
-    Legacy,
-    /// The pre-decoded basic-block engine: guest code is decoded once into
-    /// cached blocks of micro-ops and retired in batches, with boundary
-    /// checks amortized over whole blocks. Falls back to [`Engine::Legacy`]
-    /// per run when the executor does not support blocks, a fault injector
-    /// is attached, or armed read faults are pending (block pre-decode
-    /// performs eager fetches that would perturb the nth-read count).
-    #[default]
-    Block,
-}
-
-impl Engine {
-    /// Stable lowercase name, matching [`Engine::from_str`].
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Legacy => "legacy",
-            Engine::Block => "block",
-        }
-    }
-}
-
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "legacy" => Ok(Engine::Legacy),
-            "block" => Ok(Engine::Block),
-            other => Err(format!("unknown engine '{other}' (expected legacy|block)")),
-        }
-    }
-}
-
 /// Implemented by each ISA back-end: fetch, decode and execute exactly one
 /// instruction, mutating `state` and describing what happened.
 pub trait IsaExecutor {
@@ -93,23 +44,17 @@ pub trait IsaExecutor {
     /// drop their block cache here too, not just per-instruction decodes.
     fn flush_decode_cache(&self) {}
 
-    /// Whether [`IsaExecutor::run_block`] is a real pre-decoded block
-    /// engine. The default (`false`) routes [`Engine::Block`] runs through
-    /// the legacy loop, so executors without block support stay correct.
-    fn supports_blocks(&self) -> bool {
-        false
-    }
-
     /// Retire up to `fuel` instructions (block by block), stopping early if
     /// the guest exits or an instruction faults. Returns how many retired
     /// and the fault, if any; on a fault `state.pc` addresses the faulting
     /// instruction, exactly as a failed [`IsaExecutor::step`] leaves it.
     /// When `sink` is present it receives every retirement record in
-    /// program order (the observer slow path); when absent the engine may
+    /// program order (the observer slow path); when absent the executor may
     /// skip materializing records entirely (the fast path).
     ///
     /// The default implementation steps one instruction at a time, which is
-    /// semantically exact but gains nothing; block engines override it.
+    /// semantically exact but gains nothing; block-caching executors
+    /// override it.
     fn run_block(
         &self,
         state: &mut CpuState,
@@ -151,10 +96,6 @@ impl<E: IsaExecutor + ?Sized> IsaExecutor for &E {
 
     fn flush_decode_cache(&self) {
         (**self).flush_decode_cache()
-    }
-
-    fn supports_blocks(&self) -> bool {
-        (**self).supports_blocks()
     }
 
     fn run_block(
@@ -215,8 +156,8 @@ impl RunStats {
 /// When the `ISACMP_PROGRESS` environment variable is set to a retirement
 /// interval (or to `1` for the default of 50M), the core prints a heartbeat
 /// line to stderr every interval: instructions retired and host MIPS. The
-/// hot loop pays a single integer compare per retirement for this — the
-/// sentinel is `u64::MAX` when disabled, so the branch never takes.
+/// heartbeat is one more boundary the retire loop never runs a block past;
+/// disabled, its sentinel is `u64::MAX` and it bounds nothing.
 pub struct EmulationCore<E: IsaExecutor> {
     exec: E,
     /// Abort if this many instructions retire without the guest exiting.
@@ -226,8 +167,9 @@ pub struct EmulationCore<E: IsaExecutor> {
     /// Wall-clock watchdog; checked every [`Self::DEADLINE_CHECK_INTERVAL`]
     /// retirements so the hot loop pays only an AND and a branch.
     deadline: Option<Duration>,
-    /// Fault-injection hook, consulted before every step when present.
-    /// `RefCell` keeps [`EmulationCore::run`] callable on a shared core.
+    /// Fault-injection hook, consulted before each step at which it is due
+    /// (see [`FaultInjector::next_due`]). `RefCell` keeps
+    /// [`EmulationCore::run`] callable on a shared core.
     injector: Option<RefCell<Box<dyn FaultInjector>>>,
     /// Shared snapshot for the sampling profiler, written every
     /// `sample_mask + 1` retirements when attached.
@@ -247,10 +189,6 @@ pub struct EmulationCore<E: IsaExecutor> {
     /// with [`SimError::Interrupted`] when set. Off by default so library
     /// users and tests are unaffected by the process-wide flag.
     heed_shutdown: bool,
-    /// Which retire loop to drive (see [`Engine`]); [`Engine::Block`] by
-    /// default, degrading to the legacy loop whenever its preconditions
-    /// do not hold.
-    engine: Engine,
 }
 
 /// Default heartbeat interval when `ISACMP_PROGRESS` is set without a count.
@@ -288,14 +226,7 @@ impl<E: IsaExecutor> EmulationCore<E> {
             sample_mask: u64::MAX,
             checkpoint_every: u64::MAX,
             heed_shutdown: false,
-            engine: Engine::default(),
         }
-    }
-
-    /// Select the retire loop (defaults to [`Engine::Block`]).
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
     }
 
     /// Override the instruction budget.
@@ -314,7 +245,7 @@ impl<E: IsaExecutor> EmulationCore<E> {
     }
 
     /// Attach a fault injector (e.g. a [`crate::FaultPlan`]), consulted
-    /// before every step.
+    /// before every step at which it is due.
     pub fn with_injector(mut self, injector: Box<dyn FaultInjector>) -> Self {
         self.injector = Some(RefCell::new(injector));
         self
@@ -374,30 +305,22 @@ impl<E: IsaExecutor> EmulationCore<E> {
     /// On error, `state.instret` holds the retirement count reached and
     /// `state.pc` the faulting program counter, so callers can report how
     /// far the guest got.
+    ///
+    /// There is one retire loop. Each iteration computes the earliest
+    /// retirement count at which any event is due — budget, masked
+    /// boundary (checkpoint / shutdown / deadline), sampling boundary,
+    /// heartbeat, and the injector's next due point — and hands the
+    /// executor exactly that much fuel, so blocks never straddle an event
+    /// and every event lands at the same `instret` (and `state.pc`) as it
+    /// would when checked before every single step. At one count the
+    /// order is: masked checks, sample publish, injector.
+    ///
+    /// While an armed read fault is pending the loop advances through
+    /// [`IsaExecutor::step`] only: a block build fetches words ahead of
+    /// execution, which would move the read the flip lands on, and a flip
+    /// that hits an instruction fetch must reach the per-word decode
+    /// cache exactly as a single step leaves it.
     pub fn run(
-        &self,
-        state: &mut CpuState,
-        observers: &mut [&mut dyn Observer],
-    ) -> Result<RunStats, SimError> {
-        // The block engine runs only when its equivalence preconditions
-        // hold: the executor actually pre-decodes blocks, no injector needs
-        // a before-every-step hook, and no armed read fault could be
-        // miscounted by the block builder's eager fetches. Everything else
-        // degrades to the legacy loop, which is always exact.
-        if self.engine == Engine::Block
-            && self.exec.supports_blocks()
-            && self.injector.is_none()
-            && !state.mem.read_fault_pending()
-        {
-            self.run_blocks(state, observers)
-        } else {
-            self.run_legacy(state, observers)
-        }
-    }
-
-    /// The original per-instruction retire loop; the behavioral reference
-    /// every other engine is held equivalent to.
-    fn run_legacy(
         &self,
         state: &mut CpuState,
         observers: &mut [&mut dyn Observer],
@@ -412,7 +335,18 @@ impl<E: IsaExecutor> EmulationCore<E> {
         } else {
             start_retired.saturating_add(self.checkpoint_every)
         };
-        let mut next_beat = self.progress_every;
+        // Beats fall on multiples of the interval counted from 0, so a run
+        // resumed past the first beat never beats again.
+        let mut next_beat =
+            if self.progress_every > start_retired { self.progress_every } else { u64::MAX };
+        // The masked 2^14 boundary only matters when one of its three
+        // tenants is live; otherwise blocks run straight through it.
+        let masked_live =
+            next_checkpoint != u64::MAX || self.heed_shutdown || self.deadline.is_some();
+        // Observer fast path: when no attached observer wants per-
+        // instruction records, the executor skips materializing them and
+        // observers get one `on_batch` per block instead.
+        let wants_retires = observers.iter().any(|o| o.wants_retires());
         // Reset this thread's phase accumulator so a prior (possibly failed)
         // run on the same worker thread cannot leak into our breakdown.
         let _ = phase::take();
@@ -425,9 +359,7 @@ impl<E: IsaExecutor> EmulationCore<E> {
             }
             if retired & (Self::DEADLINE_CHECK_INTERVAL - 1) == 0 {
                 // Everything in this block runs once per 2^14 retirements,
-                // so the checkpoint/shutdown polls are off the hot path;
-                // with all three features disabled the loop pays exactly
-                // the same single masked branch it always has.
+                // so the checkpoint/shutdown polls are off the hot path.
                 if retired >= next_checkpoint {
                     state.instret = retired;
                     return Ok(RunStats {
@@ -457,28 +389,71 @@ impl<E: IsaExecutor> EmulationCore<E> {
                     snap.publish(state.pc, retired);
                 }
             }
+            let mut injector_due = u64::MAX;
             if let Some(inj) = &self.injector {
-                match inj.borrow_mut().before_step(state, retired) {
-                    Ok(InjectAction::Continue) => {}
-                    Ok(InjectAction::FlushDecodeCache) => self.exec.flush_decode_cache(),
-                    Err(e) => {
-                        state.instret = retired;
-                        return Err(e);
+                let mut inj = inj.borrow_mut();
+                if inj.next_due(retired) == Some(retired) {
+                    match inj.before_step(state, retired) {
+                        Ok(InjectAction::Continue) => {}
+                        Ok(InjectAction::FlushDecodeCache) => self.exec.flush_decode_cache(),
+                        Err(e) => {
+                            state.instret = retired;
+                            return Err(e);
+                        }
                     }
                 }
+                injector_due = inj.next_due(retired + 1).unwrap_or(u64::MAX);
             }
-            let ri = match self.exec.step(state) {
-                Ok(ri) => ri,
-                Err(e) => {
+            if state.mem.read_fault_pending() {
+                if let Err(e) = self.step_one(state, observers, wants_retires) {
                     state.instret = retired;
                     return Err(e);
                 }
-            };
-            retired += 1;
-            if !observers.is_empty() {
-                let _t = phase::scoped(Phase::Observe);
-                for obs in observers.iter_mut() {
-                    obs.on_retire(&ri);
+                retired += 1;
+            } else {
+                // Earliest retirement count at which an event is due again.
+                // Every candidate is strictly greater than `retired` (the
+                // budget was just checked; the boundary expressions round
+                // up), so the executor always gets at least one instruction
+                // of fuel.
+                let mut stop = self.max_insts.min(next_beat).min(injector_due);
+                if masked_live {
+                    stop = stop.min((retired | (Self::DEADLINE_CHECK_INTERVAL - 1)) + 1);
+                }
+                if self.sample_mask != u64::MAX {
+                    stop = stop.min((retired | self.sample_mask) + 1);
+                }
+                let fuel = stop - retired;
+                let (done, err) = if wants_retires {
+                    let mut sink = |ri: &RetiredInst| {
+                        let _t = phase::scoped(Phase::Observe);
+                        for obs in observers.iter_mut() {
+                            obs.on_retire(ri);
+                        }
+                    };
+                    self.exec.run_block(state, fuel, Some(&mut sink))
+                } else {
+                    self.exec.run_block(state, fuel, None)
+                };
+                retired += done;
+                if !wants_retires && done > 0 && !observers.is_empty() {
+                    let _t = phase::scoped(Phase::Observe);
+                    for obs in observers.iter_mut() {
+                        obs.on_batch(done);
+                    }
+                }
+                if let Some(e) = err {
+                    state.instret = retired;
+                    return Err(e);
+                }
+                if done == 0 && state.exited.is_none() {
+                    // Forward-progress guard against a miscounting executor:
+                    // one step either retires or surfaces the fault.
+                    if let Err(e) = self.step_one(state, observers, wants_retires) {
+                        state.instret = retired;
+                        return Err(e);
+                    }
+                    retired += 1;
                 }
             }
             if retired == next_beat {
@@ -504,161 +479,26 @@ impl<E: IsaExecutor> EmulationCore<E> {
         })
     }
 
-    /// The pre-decoded basic-block retire loop.
-    ///
-    /// Equivalence with [`Self::run_legacy`] hinges on one invariant: no
-    /// loop-level event may fire at a different retirement count. The loop
-    /// therefore computes, each iteration, the earliest retirement count at
-    /// which *any* event is due — budget, masked boundary (checkpoint /
-    /// shutdown / deadline), sampling boundary, heartbeat — and hands the
-    /// executor exactly that much fuel. Blocks never straddle an event
-    /// boundary, so every checkpoint pause, sample publish, watchdog trip
-    /// and heartbeat lands at the same `instret` (and the same `state.pc`)
-    /// the legacy loop produces.
-    fn run_blocks(
+    /// Retire exactly one instruction through [`IsaExecutor::step`] and
+    /// hand it to the observers the way a block of one would.
+    fn step_one(
         &self,
         state: &mut CpuState,
         observers: &mut [&mut dyn Observer],
-    ) -> Result<RunStats, SimError> {
-        let start = Instant::now();
-        let start_retired = state.instret;
-        let mut retired: u64 = start_retired;
-        let next_checkpoint = if self.checkpoint_every == u64::MAX {
-            u64::MAX
-        } else {
-            start_retired.saturating_add(self.checkpoint_every)
-        };
-        // The legacy heartbeat check is an equality against a counter that
-        // starts at `progress_every`, so a resumed run that is already past
-        // the first beat never beats again — mirror that exactly.
-        let mut next_beat =
-            if self.progress_every > start_retired { self.progress_every } else { u64::MAX };
-        // The masked 2^14 boundary only matters when one of its three
-        // tenants is live; otherwise blocks run straight through it, just
-        // as the legacy loop's branch never does anything there.
-        let masked_live =
-            next_checkpoint != u64::MAX || self.heed_shutdown || self.deadline.is_some();
-        // Observer fast path: when no attached observer wants per-
-        // instruction records, the executor skips materializing them and
-        // observers get one `on_batch` per block instead.
-        let wants_retires = observers.iter().any(|o| o.wants_retires());
-        let _ = phase::take();
-        while state.exited.is_none() {
-            if retired >= self.max_insts {
-                state.instret = retired;
-                return Err(SimError::InstructionBudgetExceeded {
-                    budget: self.max_insts,
-                });
-            }
-            if retired & (Self::DEADLINE_CHECK_INTERVAL - 1) == 0 {
-                if retired >= next_checkpoint {
-                    state.instret = retired;
-                    return Ok(RunStats {
-                        retired,
-                        exit_code: 0,
-                        stop: StopReason::CheckpointDue,
-                        wall: start.elapsed(),
-                        phases: phase::take(),
-                    });
+        wants_retires: bool,
+    ) -> Result<(), SimError> {
+        let ri = self.exec.step(state)?;
+        if !observers.is_empty() {
+            let _t = phase::scoped(Phase::Observe);
+            for obs in observers.iter_mut() {
+                if wants_retires {
+                    obs.on_retire(&ri);
+                } else {
+                    obs.on_batch(1);
                 }
-                if self.heed_shutdown && crate::shutdown::requested() {
-                    state.instret = retired;
-                    return Err(SimError::Interrupted { retired });
-                }
-                if let Some(deadline) = self.deadline {
-                    if start.elapsed() >= deadline {
-                        state.instret = retired;
-                        return Err(SimError::WallClockExceeded {
-                            limit_ms: deadline.as_millis() as u64,
-                            retired,
-                        });
-                    }
-                }
-            }
-            if retired & self.sample_mask == 0 {
-                if let Some(snap) = &self.sample {
-                    snap.publish(state.pc, retired);
-                }
-            }
-            // Earliest retirement count at which an event is due again.
-            // Every candidate is strictly greater than `retired` (the
-            // budget was just checked; the boundary expressions round up),
-            // so the executor always gets at least one instruction of fuel.
-            let mut stop = self.max_insts;
-            if masked_live {
-                stop = stop.min((retired | (Self::DEADLINE_CHECK_INTERVAL - 1)) + 1);
-            }
-            if self.sample_mask != u64::MAX {
-                stop = stop.min((retired | self.sample_mask) + 1);
-            }
-            stop = stop.min(next_beat);
-            let fuel = stop - retired;
-            let (done, err) = if wants_retires {
-                let mut sink = |ri: &RetiredInst| {
-                    let _t = phase::scoped(Phase::Observe);
-                    for obs in observers.iter_mut() {
-                        obs.on_retire(ri);
-                    }
-                };
-                self.exec.run_block(state, fuel, Some(&mut sink))
-            } else {
-                self.exec.run_block(state, fuel, None)
-            };
-            retired += done;
-            if !wants_retires && done > 0 && !observers.is_empty() {
-                let _t = phase::scoped(Phase::Observe);
-                for obs in observers.iter_mut() {
-                    obs.on_batch(done);
-                }
-            }
-            if let Some(e) = err {
-                state.instret = retired;
-                return Err(e);
-            }
-            if done == 0 && state.exited.is_none() {
-                // Forward-progress guard against a miscounting executor:
-                // one legacy step either retires or surfaces the fault.
-                match self.exec.step(state) {
-                    Ok(ri) => {
-                        retired += 1;
-                        if !observers.is_empty() {
-                            let _t = phase::scoped(Phase::Observe);
-                            for obs in observers.iter_mut() {
-                                if wants_retires {
-                                    obs.on_retire(&ri);
-                                } else {
-                                    obs.on_batch(1);
-                                }
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        state.instret = retired;
-                        return Err(e);
-                    }
-                }
-            }
-            if retired == next_beat {
-                let mips = host_mips(retired, start.elapsed());
-                eprintln!(
-                    "[{}] {retired} retired, {mips:.1} MIPS, pc={:#x}",
-                    self.exec.name(),
-                    state.pc
-                );
-                next_beat = next_beat.saturating_add(self.progress_every);
             }
         }
-        state.instret = retired;
-        for obs in observers.iter_mut() {
-            obs.on_finish();
-        }
-        Ok(RunStats {
-            retired,
-            exit_code: state.exited.unwrap_or(0),
-            stop: StopReason::Exited,
-            wall: start.elapsed(),
-            phases: phase::take(),
-        })
+        Ok(())
     }
 }
 
@@ -910,15 +750,28 @@ mod tests {
     /// SpinExec with genuine block support: retires up to 16 instructions
     /// per `run_block` call (a fixed pretend block length), so fuel
     /// splitting, mid-block exits, and batch callbacks all get exercised
-    /// without an ISA decoder.
+    /// without an ISA decoder. Records the pc each block starts at.
     struct BlockSpinExec {
         inner: SpinExec,
         block_calls: Cell<u32>,
+        block_starts: std::cell::RefCell<Vec<u64>>,
     }
 
     impl BlockSpinExec {
         fn new() -> Self {
-            BlockSpinExec { inner: SpinExec::new(), block_calls: Cell::new(0) }
+            BlockSpinExec {
+                inner: SpinExec::new(),
+                block_calls: Cell::new(0),
+                block_starts: Default::default(),
+            }
+        }
+
+        /// How many blocks started before and at-or-after retirement `n`
+        /// of a spinning guest.
+        fn blocks_around(&self, n: u64) -> (usize, usize) {
+            let starts = self.block_starts.borrow();
+            let before = starts.iter().filter(|&&pc| pc < pc_at(n)).count();
+            (before, starts.len() - before)
         }
     }
 
@@ -935,8 +788,8 @@ mod tests {
             "block-spin"
         }
 
-        fn supports_blocks(&self) -> bool {
-            true
+        fn flush_decode_cache(&self) {
+            self.inner.flush_decode_cache()
         }
 
         fn run_block(
@@ -946,6 +799,7 @@ mod tests {
             mut sink: Option<&mut dyn FnMut(&RetiredInst)>,
         ) -> (u64, Option<SimError>) {
             self.block_calls.set(self.block_calls.get() + 1);
+            self.block_starts.borrow_mut().push(state.pc);
             let take = fuel.min(16);
             let mut done = 0;
             while done < take && state.exited.is_none() {
@@ -963,8 +817,13 @@ mod tests {
         }
     }
 
+    /// The pc a spinning guest executes as its `n`th retirement (from 0).
+    fn pc_at(n: u64) -> u64 {
+        0x1000 + 4 * n
+    }
+
     /// A full-stream observer: `wants_retires` stays true, so the block
-    /// engine must take its slow path and deliver every record.
+    /// loop must take its slow path and deliver every record.
     #[derive(Default)]
     struct EveryRecord {
         records: u64,
@@ -980,87 +839,65 @@ mod tests {
 
     #[test]
     fn block_engine_pauses_checkpoints_at_the_legacy_boundary() {
-        let run = |engine: Engine| {
-            let mut st = spinning_state();
-            let exec = BlockSpinExec::new();
-            let stats = EmulationCore::new(&exec)
-                .with_engine(engine)
-                .with_checkpoint_every(16384)
-                .run(&mut st, &mut [])
-                .expect("pause, not error");
-            (stats.stop, stats.retired, st.instret, st.pc, exec.block_calls.get())
-        };
-        let (l_stop, l_ret, l_instret, l_pc, _) = run(Engine::Legacy);
-        let (b_stop, b_ret, b_instret, b_pc, calls) = run(Engine::Block);
-        assert_eq!(l_stop, StopReason::CheckpointDue);
-        assert_eq!((l_stop, l_ret, l_instret, l_pc), (b_stop, b_ret, b_instret, b_pc));
+        let mut st = spinning_state();
+        let exec = BlockSpinExec::new();
+        let stats = EmulationCore::new(&exec)
+            .with_checkpoint_every(16384)
+            .run(&mut st, &mut [])
+            .expect("pause, not error");
+        assert_eq!(stats.stop, StopReason::CheckpointDue);
         // 16384 = DEADLINE_CHECK_INTERVAL: pauses land on masked boundaries.
-        assert_eq!(b_ret, 16384, "pause lands exactly on the masked boundary");
-        assert!(calls > 0, "the block path must actually have run blocks");
+        assert_eq!(stats.retired, 16384, "pause lands exactly on the masked boundary");
+        assert_eq!((st.instret, st.pc), (16384, pc_at(16384)));
+        assert!(exec.block_calls.get() > 0, "the block path must actually have run blocks");
     }
 
     #[test]
     fn block_engine_trips_the_budget_at_the_exact_count() {
-        for engine in [Engine::Legacy, Engine::Block] {
-            let mut st = spinning_state();
-            let err = EmulationCore::new(BlockSpinExec::new())
-                .with_engine(engine)
-                .with_budget(1000)
-                .run(&mut st, &mut [])
-                .unwrap_err();
-            assert!(
-                matches!(err, SimError::InstructionBudgetExceeded { budget: 1000 }),
-                "{engine}: {err}"
-            );
-            assert_eq!(st.instret, 1000, "{engine}: instret at the budget stop");
-        }
+        let mut st = spinning_state();
+        let err = EmulationCore::new(BlockSpinExec::new())
+            .with_budget(1000)
+            .run(&mut st, &mut [])
+            .unwrap_err();
+        assert!(matches!(err, SimError::InstructionBudgetExceeded { budget: 1000 }), "{err}");
+        assert_eq!(st.instret, 1000, "instret at the budget stop");
     }
 
     #[test]
     fn block_engine_publishes_samples_on_the_legacy_stride() {
-        let run = |engine: Engine| {
-            let mut st = spinning_state();
-            st.mem.write_u32(0x1000 + 200 * 4, 3).unwrap(); // exit at retirement 201
-            let snap = std::sync::Arc::new(crate::sample::SampleSnapshot::new());
-            EmulationCore::new(BlockSpinExec::new())
-                .with_engine(engine)
-                .with_sampling(std::sync::Arc::clone(&snap), 6)
-                .run(&mut st, &mut [])
-                .expect("run exits");
-            (snap.read(), snap.publishes())
-        };
-        let legacy = run(Engine::Legacy);
-        let block = run(Engine::Block);
-        assert_eq!(legacy, block, "published samples and publish counts must match");
-        assert!(legacy.1 > 0, "the stride must have published at least once");
+        let mut st = spinning_state();
+        st.mem.write_u32(pc_at(200), 3).unwrap(); // exit at retirement 201
+        let snap = std::sync::Arc::new(crate::sample::SampleSnapshot::new());
+        EmulationCore::new(BlockSpinExec::new())
+            .with_sampling(std::sync::Arc::clone(&snap), 6)
+            .run(&mut st, &mut [])
+            .expect("run exits");
+        // Stride 64 over 201 retirements: publishes at 0, 64, 128 and 192.
+        assert_eq!(snap.publishes(), 4);
+        let last = snap.read().expect("samples were published");
+        assert_eq!((last.pc, last.instret), (pc_at(192), 192));
     }
 
     #[test]
     fn block_engine_heartbeat_path_matches_legacy_results() {
-        for engine in [Engine::Legacy, Engine::Block] {
-            let mut st = spinning_state();
-            st.mem.write_u32(0x1000 + 500 * 4, 9).unwrap();
-            let stats = EmulationCore::new(BlockSpinExec::new())
-                .with_engine(engine)
-                .with_progress(64)
-                .run(&mut st, &mut [])
-                .expect("run exits");
-            assert_eq!(stats.retired, 501, "{engine}");
-            assert_eq!(stats.exit_code, 9, "{engine}");
-        }
+        let mut st = spinning_state();
+        st.mem.write_u32(pc_at(500), 9).unwrap();
+        let stats = EmulationCore::new(BlockSpinExec::new())
+            .with_progress(64)
+            .run(&mut st, &mut [])
+            .expect("run exits");
+        assert_eq!(stats.retired, 501);
+        assert_eq!(stats.exit_code, 9);
     }
 
     #[test]
     fn block_fast_path_batches_and_slow_path_delivers_every_record() {
         // Batch-only observer: fast path, one on_batch per block batch.
         let mut st = spinning_state();
-        st.mem.write_u32(0x1000 + 100 * 4, 1).unwrap();
+        st.mem.write_u32(pc_at(100), 1).unwrap();
         let mut count = CountingObserver::default();
         let exec = BlockSpinExec::new();
-        EmulationCore::new(&exec)
-            .with_engine(Engine::Block)
-            .run(&mut st, &mut [&mut count])
-            .expect("run exits");
+        EmulationCore::new(&exec).run(&mut st, &mut [&mut count]).expect("run exits");
         assert_eq!(count.retired, 101, "batched counts must equal retirements");
         assert!(
             exec.block_calls.get() > 1,
@@ -1069,13 +906,115 @@ mod tests {
 
         // Record-hungry observer: slow path, every record delivered.
         let mut st = spinning_state();
-        st.mem.write_u32(0x1000 + 100 * 4, 1).unwrap();
+        st.mem.write_u32(pc_at(100), 1).unwrap();
         let mut every = EveryRecord::default();
         EmulationCore::new(BlockSpinExec::new())
-            .with_engine(Engine::Block)
             .run(&mut st, &mut [&mut every])
             .expect("run exits");
         assert_eq!(every.records, 101);
-        assert_eq!(every.last_pc, 0x1000 + 100 * 4, "last record is the exiting instruction");
+        assert_eq!(every.last_pc, pc_at(100), "last record is the exiting instruction");
+    }
+
+    #[test]
+    fn injected_trap_lands_on_its_count_between_blocks() {
+        let mut st = spinning_state();
+        st.mem.write_u32(pc_at(3000), 9).unwrap();
+        let exec = BlockSpinExec::new();
+        let plan = FaultPlan::parse("trap@1000").unwrap();
+        let core = EmulationCore::new(&exec).with_injector(Box::new(plan));
+        let err = core.run(&mut st, &mut []).unwrap_err();
+        assert!(matches!(err, SimError::Fault { .. }), "{err}");
+        assert_eq!((st.instret, st.pc), (1000, pc_at(1000)));
+        assert!(exec.blocks_around(1000).0 > 0, "blocks ran up to the trap");
+        // The plan is spent, so the same core carries the guest on.
+        let stats = core.run(&mut st, &mut []).unwrap();
+        assert_eq!((stats.retired, stats.exit_code), (3001, 9));
+        assert!(exec.blocks_around(1000).1 > 0, "blocks ran after the trap");
+    }
+
+    #[test]
+    fn injected_fetch_corruption_lands_on_its_count_between_blocks() {
+        let mut st = spinning_state();
+        // exit(7) as retirement 1000: only a flip at exactly 1000 turns it
+        // into a nop (one earlier exits with 7 at 1000, one later never
+        // comes), and the guest runs on to exit(9).
+        st.mem.write_u32(pc_at(1000), 7).unwrap();
+        st.mem.write_u32(pc_at(3000), 9).unwrap();
+        let exec = BlockSpinExec::new();
+        let plan = FaultPlan::parse("fetch@1000:0x7").unwrap();
+        let stats =
+            EmulationCore::new(&exec).with_injector(Box::new(plan)).run(&mut st, &mut []).unwrap();
+        assert_eq!((stats.retired, stats.exit_code), (3001, 9));
+        assert_eq!(exec.inner.flushes.get(), 1, "decode cache flushed once");
+        let (before, after) = exec.blocks_around(1000);
+        assert!(before > 0 && after > 0, "blocks ran on both sides: {before}/{after}");
+        assert!(exec.block_starts.borrow().contains(&pc_at(1000)), "no block spans the fault");
+    }
+
+    #[test]
+    fn read_flip_runs_blocks_only_after_it_fires() {
+        let mut st = spinning_state();
+        // SpinExec fetches once per step, so read #500 is the fetch of
+        // retirement 499: its exit(8) loses bit 3 and becomes a nop.
+        st.mem.write_u32(pc_at(499), 8).unwrap();
+        st.mem.write_u32(pc_at(3000), 9).unwrap();
+        let exec = BlockSpinExec::new();
+        let plan = FaultPlan::parse("read@500:3").unwrap();
+        let stats =
+            EmulationCore::new(&exec).with_injector(Box::new(plan)).run(&mut st, &mut []).unwrap();
+        assert_eq!((stats.retired, stats.exit_code), (3001, 9));
+        assert_eq!(exec.blocks_around(500), (0, exec.block_calls.get() as usize));
+        assert!(exec.block_calls.get() > 0, "blocks ran once the flip had fired");
+        assert_eq!(exec.block_starts.borrow()[0], pc_at(500));
+    }
+
+    #[test]
+    fn campaign_restored_between_its_faults_fires_the_second_once() {
+        use crate::checkpoint::{Checkpoint, TraceMark};
+        use crate::fault::Campaign;
+        let schedule = || {
+            let plans = ["fetch@100:0x5", "trap@20000"].map(|s| FaultPlan::parse(s).unwrap());
+            Campaign::from_plans(plans.to_vec(), 0)
+        };
+        let guest = || {
+            let mut st = spinning_state();
+            st.mem.write_u32(pc_at(100), 5).unwrap(); // the fetch fault turns it into a nop
+            st
+        };
+
+        // Uninterrupted reference.
+        let mut st = guest();
+        let campaign = schedule();
+        let err = EmulationCore::new(BlockSpinExec::new())
+            .with_injector(Box::new(campaign.clone()))
+            .run(&mut st, &mut [])
+            .unwrap_err();
+        assert!(matches!(err, SimError::Fault { .. }), "{err}");
+        assert_eq!((st.instret, campaign.fired_count()), (20000, 2));
+
+        // Paused between the two faults, snapshotted, restored, resumed.
+        let mut st = guest();
+        let campaign = schedule();
+        let stats = EmulationCore::new(BlockSpinExec::new())
+            .with_injector(Box::new(campaign.clone()))
+            .with_checkpoint_every(16384)
+            .run(&mut st, &mut [])
+            .unwrap();
+        assert_eq!(stats.stop, StopReason::CheckpointDue);
+        assert_eq!((stats.retired, campaign.fired_count()), (16384, 1));
+        let bytes = Checkpoint::capture(&st, Some(&campaign), TraceMark::default()).to_bytes();
+        let ckpt = Checkpoint::from_bytes(&bytes).unwrap();
+        let mut st = ckpt.restore_state().unwrap();
+        let restored = ckpt.campaign.as_ref().unwrap().rearm().unwrap();
+        let exec = BlockSpinExec::new();
+        let err = EmulationCore::new(&exec)
+            .with_injector(Box::new(restored.clone()))
+            .run(&mut st, &mut [])
+            .unwrap_err();
+        assert!(matches!(err, SimError::Fault { .. }), "{err}");
+        assert_eq!(st.instret, 20000, "the second fault lands where it does uninterrupted");
+        assert_eq!(restored.fired_count(), 2, "the second fault fired once");
+        assert_eq!(exec.inner.flushes.get(), 0, "the first fault did not fire again");
+        assert!(exec.block_calls.get() > 0);
     }
 }

@@ -59,7 +59,7 @@ pub mod source;
 pub mod state;
 
 pub use crate::checkpoint::{CampaignState, Checkpoint, CheckpointError, TraceMark};
-pub use crate::core::{host_mips, EmulationCore, Engine, IsaExecutor, RunStats, StopReason};
+pub use crate::core::{host_mips, EmulationCore, IsaExecutor, RunStats, StopReason};
 pub use crate::deps::DepTable;
 pub use crate::phase::{Phase, PhaseNanos};
 pub use crate::sample::{Sample, SampleSnapshot};

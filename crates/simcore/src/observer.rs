@@ -17,7 +17,7 @@ pub trait Observer {
     fn on_finish(&mut self) {}
 
     /// Whether this observer needs the per-instruction
-    /// [`Observer::on_retire`] stream. The block engine only takes its
+    /// [`Observer::on_retire`] stream. The core's block loop only takes its
     /// fast path (no retirement records materialized) when **every**
     /// attached observer returns `false`; those observers then receive
     /// [`Observer::on_batch`] instead. Defaults to `true`, so existing
@@ -26,7 +26,7 @@ pub trait Observer {
         true
     }
 
-    /// Called with the size of each retired batch when the block engine
+    /// Called with the size of each retired batch when the block loop
     /// runs its fast path (see [`Observer::wants_retires`]). An observer
     /// returning `false` from `wants_retires` must account for `n`
     /// retirements here; the default does nothing.

@@ -13,9 +13,7 @@
 
 use std::time::Duration;
 
-use simcore::{
-    CpuState, EmulationCore, Engine, FaultInjector, IsaExecutor, Observer, RunStats, SimError,
-};
+use simcore::{CpuState, EmulationCore, FaultInjector, IsaExecutor, Observer, RunStats, SimError};
 
 use crate::cache::CacheModel;
 use crate::latency::LatencyModel;
@@ -23,19 +21,18 @@ use crate::pipeline::{InOrderCore, OoOCore};
 
 /// Run the guest in `state` to completion on `exec`, feeding every
 /// retirement to `observer`, with an optional wall-clock deadline and
-/// fault injector — the same knobs as the emulation path. `engine`
-/// selects the retire loop; timing models want per-instruction records,
-/// so a block-engine run takes the observer slow path (records are still
-/// delivered one by one, only decode overhead is amortized).
+/// fault injector — the same knobs as the emulation path. Timing models
+/// want per-instruction records, so the core takes its observer slow path
+/// (records are still delivered one by one; only decode overhead is
+/// amortized over blocks).
 pub fn run_guest<E: IsaExecutor>(
     observer: &mut dyn Observer,
     exec: E,
     state: &mut CpuState,
     deadline: Option<Duration>,
     injector: Option<Box<dyn FaultInjector>>,
-    engine: Engine,
 ) -> Result<RunStats, SimError> {
-    let mut core = EmulationCore::new(exec).with_engine(engine);
+    let mut core = EmulationCore::new(exec);
     if let Some(d) = deadline {
         core = core.with_deadline(d);
     }
@@ -47,7 +44,7 @@ pub fn run_guest<E: IsaExecutor>(
 
 impl<M: LatencyModel> InOrderCore<M> {
     /// Execute the guest in `state` on `exec` and time it on this core,
-    /// consulting `injector` before every step (see [`run_guest`]).
+    /// consulting `injector` wherever it is due (see [`run_guest`]).
     pub fn run_guest<E: IsaExecutor>(
         &mut self,
         exec: E,
@@ -55,13 +52,13 @@ impl<M: LatencyModel> InOrderCore<M> {
         deadline: Option<Duration>,
         injector: Option<Box<dyn FaultInjector>>,
     ) -> Result<RunStats, SimError> {
-        run_guest(self, exec, state, deadline, injector, Engine::default())
+        run_guest(self, exec, state, deadline, injector)
     }
 }
 
 impl<M: LatencyModel> OoOCore<M> {
     /// Execute the guest in `state` on `exec` and time it on this core,
-    /// consulting `injector` before every step (see [`run_guest`]).
+    /// consulting `injector` wherever it is due (see [`run_guest`]).
     pub fn run_guest<E: IsaExecutor>(
         &mut self,
         exec: E,
@@ -69,14 +66,14 @@ impl<M: LatencyModel> OoOCore<M> {
         deadline: Option<Duration>,
         injector: Option<Box<dyn FaultInjector>>,
     ) -> Result<RunStats, SimError> {
-        run_guest(self, exec, state, deadline, injector, Engine::default())
+        run_guest(self, exec, state, deadline, injector)
     }
 }
 
 impl CacheModel {
     /// Execute the guest in `state` on `exec` and replay its memory
-    /// accesses through this cache, consulting `injector` before every
-    /// step (see [`run_guest`]).
+    /// accesses through this cache, consulting `injector` wherever it is
+    /// due (see [`run_guest`]).
     pub fn run_guest<E: IsaExecutor>(
         &mut self,
         exec: E,
@@ -84,7 +81,7 @@ impl CacheModel {
         deadline: Option<Duration>,
         injector: Option<Box<dyn FaultInjector>>,
     ) -> Result<RunStats, SimError> {
-        run_guest(self, exec, state, deadline, injector, Engine::default())
+        run_guest(self, exec, state, deadline, injector)
     }
 }
 

@@ -200,27 +200,26 @@ fn corruption_of_every_image_byte_is_caught_or_visible() {
     }
 }
 
-/// Checkpointing the block engine mid-run: the decoded-block cache is
+/// Checkpointing a block-running core mid-run: the decoded-block cache is
 /// host-side state and is deliberately NOT serialized, so a restore into
 /// a fresh executor starts cache-cold. The resumed run must rebuild the
 /// cache by re-decoding and still finish byte-identical (full checkpoint
-/// image, not just the state hash) to an uninterrupted block-engine run.
+/// image, not just the state hash) to an uninterrupted run.
 #[test]
 fn block_engine_restore_rebuilds_cache_cold_and_finishes_byte_identical() {
     use isacmp::{
-        compile, EmulationCore, Engine, IsaKind, Personality, RiscVExecutor, SizeClass,
-        StopReason, Workload,
+        compile, EmulationCore, IsaKind, Personality, RiscVExecutor, SizeClass, StopReason,
+        Workload,
     };
 
     let compiled =
         compile(&Workload::Stream.build(SizeClass::Small), IsaKind::RiscV, &Personality::gcc122());
     let mark = TraceMark { records: 0, blocks: 0, bytes: 0 };
 
-    // Reference: one uninterrupted block-engine run.
+    // Reference: one uninterrupted run.
     let mut ref_st = CpuState::new();
     compiled.program.load(&mut ref_st).expect("program loads");
     EmulationCore::new(RiscVExecutor::new())
-        .with_engine(Engine::Block)
         .run(&mut ref_st, &mut [])
         .expect("reference run completes");
     let ref_image = Checkpoint::capture(&ref_st, None, mark).to_bytes();
@@ -230,7 +229,6 @@ fn block_engine_restore_rebuilds_cache_cold_and_finishes_byte_identical() {
     let mut st = CpuState::new();
     compiled.program.load(&mut st).expect("program loads");
     let stats = EmulationCore::new(RiscVExecutor::new())
-        .with_engine(Engine::Block)
         .with_checkpoint_every(400_000)
         .run(&mut st, &mut [])
         .expect("run reaches the checkpoint boundary");
@@ -245,7 +243,6 @@ fn block_engine_restore_rebuilds_cache_cold_and_finishes_byte_identical() {
         .restore_state()
         .expect("snapshot restores");
     EmulationCore::new(RiscVExecutor::new())
-        .with_engine(Engine::Block)
         .run(&mut resumed, &mut [])
         .expect("resumed run completes");
 

@@ -3,3 +3,4 @@
 
 pub mod fuzz_programs;
 pub mod oracle;
+pub mod stepper;

@@ -1,27 +1,35 @@
-//! Differential conformance suite for the retire engines: every kernel ×
-//! both ISAs × two size classes must produce byte-identical results on
-//! the legacy per-instruction loop and the pre-decoded basic-block
-//! engine — identical final architectural state hashes, identical
-//! retirement streams, and identical `matrix.json` sweeps — including
-//! under injected faults and seeded campaign schedules.
+//! Differential conformance suite for the retire loop: every kernel ×
+//! both ISAs × two size classes must come out of the emulation core's
+//! block loop byte-identical to the per-instruction stepper oracle
+//! (`tests/common/stepper.rs`) — identical final architectural state
+//! hashes, identical retirement streams, and identical `matrix.json`
+//! sweeps — including under injected faults and seeded campaign
+//! schedules.
 //!
-//! The block engine deliberately *falls back* to the legacy loop when a
-//! fault injector is armed (pre-step hooks need per-instruction
-//! granularity), so the faulted legs here pin the dispatch contract:
-//! whatever engine the caller requests, the observable run is the same.
+//! The core runs blocks between an injector's due points and single-steps
+//! while a read flip is pending; the stepper consults the injector before
+//! every step. The faulted legs here pin that the two are the same run.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 use isacmp::{
-    compile, run_matrix_opts, AArch64Executor, CampaignManifest, CampaignSpec, CpuState,
-    EmulationCore, Engine, FaultInjector, FaultPlan, InjectSpec, IsaKind, MatrixOptions, Observer,
-    Personality, RetiredInst, RiscVExecutor, SizeClass, Workload,
+    compile, interpret, isa_label, matrix_combos, record_outcome, run_matrix_opts,
+    AArch64Executor, CampaignManifest, CampaignSpec, CellAnalyses, CellError, CellOptions,
+    CpuState, EmulationCore, ExperimentCell, FaultInjector, FaultPlan, InjectSpec, IsaExecutor,
+    IsaKind, MatrixOptions, Observer, Personality, ResultMatrix, RetiredInst, RiscVExecutor,
+    SizeClass, Workload,
 };
 
+mod common;
+use common::stepper::run_stepped;
+
+/// The core's default budget, which the stepper must stop at too.
+const BUDGET: u64 = EmulationCore::<RiscVExecutor>::DEFAULT_BUDGET;
+
 /// Folds the full retirement stream — every field of every record, in
-/// order — into one hash. Requests per-instruction callbacks, so on the
-/// block engine this also exercises the observer slow path.
+/// order — into one hash. Requests per-instruction callbacks, so in the
+/// core this also exercises the observer slow path.
 #[derive(Default)]
 struct StreamHash {
     hash: u64,
@@ -38,7 +46,8 @@ impl Observer for StreamHash {
     }
 }
 
-/// Everything observable about one run, comparable across engines.
+/// Everything observable about one run, comparable between the core and
+/// the stepper.
 #[derive(Debug, PartialEq, Eq)]
 struct Outcome {
     result: Result<u64, String>,
@@ -48,11 +57,42 @@ struct Outcome {
     stream: Option<(u64, u64)>,
 }
 
+/// Run `state` on the core, or on the stepper oracle when `stepped`.
+fn drive<E: IsaExecutor>(
+    exec: E,
+    state: &mut CpuState,
+    observers: &mut [&mut dyn Observer],
+    injector: Option<Box<dyn FaultInjector>>,
+    stepped: bool,
+) -> Result<u64, isacmp::SimError> {
+    if stepped {
+        return run_stepped(&exec, state, observers, injector, BUDGET);
+    }
+    let mut core = EmulationCore::new(exec);
+    if let Some(inj) = injector {
+        core = core.with_injector(inj);
+    }
+    core.run(state, observers).map(|s| s.retired)
+}
+
+fn drive_isa(
+    isa: IsaKind,
+    state: &mut CpuState,
+    observers: &mut [&mut dyn Observer],
+    injector: Option<Box<dyn FaultInjector>>,
+    stepped: bool,
+) -> Result<u64, isacmp::SimError> {
+    match isa {
+        IsaKind::RiscV => drive(RiscVExecutor::new(), state, observers, injector, stepped),
+        IsaKind::AArch64 => drive(AArch64Executor::new(), state, observers, injector, stepped),
+    }
+}
+
 fn run_one(
     workload: Workload,
     isa: IsaKind,
     size: SizeClass,
-    engine: Engine,
+    stepped: bool,
     injector: Option<Box<dyn FaultInjector>>,
     with_stream: bool,
 ) -> Outcome {
@@ -64,24 +104,9 @@ fn run_one(
     if with_stream {
         obs.push(&mut stream);
     }
-    let result = match isa {
-        IsaKind::RiscV => {
-            let mut core = EmulationCore::new(RiscVExecutor::new()).with_engine(engine);
-            if let Some(inj) = injector {
-                core = core.with_injector(inj);
-            }
-            core.run(&mut st, &mut obs)
-        }
-        IsaKind::AArch64 => {
-            let mut core = EmulationCore::new(AArch64Executor::new()).with_engine(engine);
-            if let Some(inj) = injector {
-                core = core.with_injector(inj);
-            }
-            core.run(&mut st, &mut obs)
-        }
-    };
+    let result = drive_isa(isa, &mut st, &mut obs, injector, stepped);
     Outcome {
-        result: result.map(|s| s.retired).map_err(|e| e.to_string()),
+        result: result.map_err(|e| e.to_string()),
         state_hash: st.state_hash(),
         instret: st.instret,
         pc: st.pc,
@@ -89,7 +114,7 @@ fn run_one(
     }
 }
 
-fn assert_engines_agree(
+fn assert_core_matches_stepper(
     workload: Workload,
     isa: IsaKind,
     size: SizeClass,
@@ -99,12 +124,12 @@ fn assert_engines_agree(
     let inj = |f: Option<&FaultPlan>| {
         f.map(|p| Box::new(p.clone()) as Box<dyn FaultInjector>)
     };
-    let legacy = run_one(workload, isa, size, Engine::Legacy, inj(fault), with_stream);
-    let block = run_one(workload, isa, size, Engine::Block, inj(fault), with_stream);
+    let stepper = run_one(workload, isa, size, true, inj(fault), with_stream);
+    let core = run_one(workload, isa, size, false, inj(fault), with_stream);
     assert_eq!(
-        legacy,
-        block,
-        "engines diverge on {}/{:?}/{} fault={:?}",
+        stepper,
+        core,
+        "core diverges from the stepper on {}/{:?}/{} fault={:?}",
         workload.name(),
         isa,
         size.name(),
@@ -114,13 +139,13 @@ fn assert_engines_agree(
 
 /// Every kernel × both ISAs at the small size class, bare (no
 /// observers): final state hash, instret, pc, and stop outcome must be
-/// identical. Bare runs take the block engine's batched fast path, so
-/// this is the leg that actually exercises block-cached execution.
+/// identical. Bare runs take the core's batched fast path, so this is the
+/// leg that actually exercises block-cached execution.
 #[test]
 fn small_runs_agree_bare_on_both_engines() {
     for workload in Workload::ALL {
         for isa in [IsaKind::RiscV, IsaKind::AArch64] {
-            assert_engines_agree(workload, isa, SizeClass::Small, None, false);
+            assert_core_matches_stepper(workload, isa, SizeClass::Small, None, false);
         }
     }
 }
@@ -132,14 +157,15 @@ fn small_runs_agree_bare_on_both_engines() {
 fn test_runs_agree_with_full_retirement_streams() {
     for workload in Workload::ALL {
         for isa in [IsaKind::RiscV, IsaKind::AArch64] {
-            assert_engines_agree(workload, isa, SizeClass::Test, None, true);
+            assert_core_matches_stepper(workload, isa, SizeClass::Test, None, true);
         }
     }
 }
 
 /// Injected faults — a trap, a fetch corruption, and a read bit-flip —
-/// must degrade both engines identically: same error (or same silent
-/// corruption), same final state hash, same faulting retirement count.
+/// must degrade the core exactly as the stepper: same error (or same
+/// silent corruption), same final state hash, same faulting retirement
+/// count.
 #[test]
 fn faulted_runs_agree_on_both_engines() {
     let faults = [
@@ -149,88 +175,106 @@ fn faulted_runs_agree_on_both_engines() {
     ];
     for fault in &faults {
         for isa in [IsaKind::RiscV, IsaKind::AArch64] {
-            assert_engines_agree(Workload::Stream, isa, SizeClass::Test, Some(fault), true);
+            assert_core_matches_stepper(Workload::Stream, isa, SizeClass::Test, Some(fault), true);
         }
     }
 }
 
 /// A seeded campaign schedule (multiple faults per run) must fire at the
-/// same retirement counts and leave the same wreckage on both engines.
+/// same retirement counts and leave the same wreckage on the core as on
+/// the stepper.
 #[test]
 fn campaign_runs_agree_on_both_engines() {
     let spec = CampaignSpec::parse("7:3").unwrap();
     let manifest = CampaignManifest::sample(spec);
     for isa in [IsaKind::RiscV, IsaKind::AArch64] {
-        let legacy = run_one(
-            Workload::Lbm,
-            isa,
-            SizeClass::Test,
-            Engine::Legacy,
-            Some(Box::new(manifest.campaign().unwrap())),
-            true,
-        );
-        let block = run_one(
-            Workload::Lbm,
-            isa,
-            SizeClass::Test,
-            Engine::Block,
-            Some(Box::new(manifest.campaign().unwrap())),
-            true,
-        );
-        assert_eq!(legacy, block, "campaign runs diverge on {isa:?}");
+        let campaign = || Some(Box::new(manifest.campaign().unwrap()) as Box<dyn FaultInjector>);
+        let stepper = run_one(Workload::Lbm, isa, SizeClass::Test, true, campaign(), true);
+        let core = run_one(Workload::Lbm, isa, SizeClass::Test, false, campaign(), true);
+        assert_eq!(stepper, core, "campaign runs diverge on {isa:?}");
     }
+}
+
+/// One matrix cell measured on the stepper: the same analyses, exit-code
+/// and checksum checks and failure kinds as a live cell, minus retries.
+fn stepped_cell(
+    workload: Workload,
+    isa: IsaKind,
+    p: &Personality,
+    size: SizeClass,
+    opts: &CellOptions,
+) -> Result<ExperimentCell, CellError> {
+    let prog = workload.build(size);
+    let compiled = compile(&prog, isa, p);
+    let mut st = CpuState::new();
+    compiled.program.load(&mut st).map_err(CellError::Load)?;
+    let mut analyses = CellAnalyses::new(&compiled.program.regions);
+    let injector = opts.armed_campaign().map(|c| Box::new(c) as Box<dyn FaultInjector>);
+    let run = drive_isa(isa, &mut st, &mut analyses.observers(), injector, true);
+    run.map_err(|err| CellError::Sim { err, instret: st.instret })?;
+    if let Some(code) = st.exited.filter(|&c| c != 0) {
+        return Err(CellError::NonZeroExit { code });
+    }
+    let expected = interpret(&prog, p).checksum;
+    let got = st
+        .mem
+        .read_f64(compiled.checksum_addr)
+        .map_err(|err| CellError::Sim { err, instret: st.instret })?;
+    if got.to_bits() != expected.to_bits() {
+        return Err(CellError::ChecksumMismatch {
+            expected_bits: expected.to_bits(),
+            got_bits: got.to_bits(),
+        });
+    }
+    Ok(analyses.into_cell(workload.name(), p.label(), isa_label(isa)))
+}
+
+/// The whole matrix, cell by cell on the stepper, in the matrix's order.
+fn stepped_matrix(workloads: &[Workload], size: SizeClass, opts: &MatrixOptions) -> ResultMatrix {
+    let mut m = ResultMatrix::default();
+    for (w, p, isa) in matrix_combos(workloads) {
+        let cell_opts = opts.cell_options(w.name(), p.label(), isa_label(isa));
+        let outcome = stepped_cell(w, isa, &p, size, &cell_opts);
+        record_outcome(&mut m, w.name(), p.label(), isa_label(isa), Ok(outcome), opts.retries);
+    }
+    m
 }
 
 /// Whole-sweep equivalence: `matrix.json` — the analysis tables' on-disk
 /// form, cells and failure records both — must serialize byte-identically
-/// whichever engine ran the sweep, clean, with a targeted `--inject`
-/// fault, and under a `--campaign` schedule.
+/// to the stepper's, clean, with a targeted `--inject` fault, and under a
+/// `--campaign` schedule.
 #[test]
 fn matrix_json_is_byte_identical_across_engines() {
     let workloads = [Workload::Stream, Workload::Lbm];
-    let sweep = |opts: &MatrixOptions| run_matrix_opts(&workloads, SizeClass::Test, opts).to_json();
-    let with_engine = |base: &MatrixOptions, engine: Engine| MatrixOptions {
-        engine,
-        ..base.clone()
+    let agree = |opts: &MatrixOptions, what: &str| {
+        assert_eq!(
+            stepped_matrix(&workloads, SizeClass::Test, opts).to_json(),
+            run_matrix_opts(&workloads, SizeClass::Test, opts).to_json(),
+            "{what} sweeps diverge"
+        );
     };
 
-    let clean = MatrixOptions::default();
-    assert_eq!(
-        sweep(&with_engine(&clean, Engine::Legacy)),
-        sweep(&with_engine(&clean, Engine::Block)),
-        "clean sweeps diverge"
-    );
-
+    agree(&MatrixOptions::default(), "clean");
     let inject = MatrixOptions {
         inject: Some(InjectSpec::parse("STREAM/gcc-12.2/RISC-V:trap@1000").unwrap()),
         ..Default::default()
     };
-    assert_eq!(
-        sweep(&with_engine(&inject, Engine::Legacy)),
-        sweep(&with_engine(&inject, Engine::Block)),
-        "injected sweeps diverge"
-    );
-
+    agree(&inject, "injected");
     let campaign = MatrixOptions {
         campaign: Some(CampaignManifest::sample(CampaignSpec::parse("7:3").unwrap())
             .campaign()
             .unwrap()),
         ..Default::default()
     };
-    assert_eq!(
-        sweep(&with_engine(&campaign, Engine::Legacy)),
-        sweep(&with_engine(&campaign, Engine::Block)),
-        "campaign sweeps diverge"
-    );
+    agree(&campaign, "campaign");
 }
 
-/// Block-cache invalidation: the decoded-block cache lives in the
-/// executor and is keyed by PC, so mutated instruction bytes are only
-/// picked up after a decode-cache flush — exactly what a `fetch@N:MASK`
-/// fault requests via `InjectAction::FlushDecodeCache`.
 mod invalidation {
-    use isa_riscv::{decode, encode, ImmOp, Inst};
-    use isacmp::{CpuState, EmulationCore, Engine, FaultPlan, IsaExecutor, RiscVExecutor};
+    use isa_riscv::{decode, encode, BranchOp, ImmOp, Inst};
+    use isacmp::{CpuState, EmulationCore, FaultInjector, FaultPlan, IsaExecutor, RiscVExecutor};
+
+    use super::common::stepper::run_stepped;
 
     const CODE: u64 = 0x1_0000;
 
@@ -248,7 +292,7 @@ mod invalidation {
     }
 
     /// An explicit `flush_decode_cache` must drop cached blocks: after
-    /// the program bytes at a warm PC change, a block-engine run must
+    /// the program bytes at a warm PC change, a run must
     /// execute the new bytes, not the stale decode.
     #[test]
     fn flush_drops_cached_blocks_and_redecodes() {
@@ -268,7 +312,7 @@ mod invalidation {
     }
 
     /// End-to-end: a `fetch@N:MASK` fault mutates the fetched word and
-    /// flushes the decode caches. A later block-engine run on the same
+    /// flushes the decode caches. A later run on the same
     /// executor, over the mutated program image, must execute the
     /// mutated semantics — the pre-fault block cached at the same PC
     /// (with the original bytes) must not survive.
@@ -301,13 +345,41 @@ mod invalidation {
         assert_eq!(st.x[1], 69, "the corrupted fetch must execute the mutated immediate");
         assert_eq!(st.mem.read_u32(CODE + 4).unwrap(), w_mut, "the fault mutates guest memory");
 
-        // Block-engine run over a mutated image at the warm PC: only the
+        // A run over a mutated image at the warm PC: only the
         // fault's cache flush makes this re-decode instead of replaying
         // the pristine block cached in step one.
         let mut st = load(&[program[0], w_mut]);
-        let _ = EmulationCore::new(&exec)
-            .with_engine(Engine::Block)
-            .run(&mut st, &mut []);
+        let _ = EmulationCore::new(&exec).run(&mut st, &mut []);
         assert_eq!(st.x[1], 69, "stale pre-fault block must not survive the flush");
+    }
+
+    /// A read flip that lands on an instruction fetch is decoded and kept
+    /// in the per-word decode cache, so every later pass over that pc
+    /// runs the flipped instruction. Blocks built after the flip has fired
+    /// must reuse that decode, not re-fetch the clean word.
+    #[test]
+    fn read_flip_on_a_fetch_stays_in_the_loop() {
+        // x1 += 1 until x1 >= 50; read #1 is the first fetch of the addi,
+        // and flipping bit 21 turns its immediate 1 into 3.
+        let program = [
+            addi(1, 1, 1),
+            encode(&Inst::Branch { op: BranchOp::Blt, rs1: 1, rs2: 2, offset: -4 }),
+        ];
+        let flip = || Some(Box::new(FaultPlan::parse("read@1:21").unwrap()) as Box<dyn FaultInjector>);
+        let run = |stepped: bool| {
+            let mut st = load(&program);
+            st.x[2] = 50;
+            let exec = RiscVExecutor::new();
+            let result = if stepped {
+                run_stepped(&exec, &mut st, &mut [], flip(), 1000)
+            } else {
+                let core = EmulationCore::new(&exec).with_budget(1000).with_injector(flip().unwrap());
+                core.run(&mut st, &mut []).map(|s| s.retired)
+            };
+            (result.map_err(|e| e.to_string()), st.x[1], st.instret, st.pc)
+        };
+        let stepper = run(true);
+        assert_eq!(stepper.1, 51, "every pass adds the flipped immediate 3");
+        assert_eq!(run(false), stepper);
     }
 }

@@ -78,10 +78,11 @@ proptest! {
     }
 }
 
-/// Engine-differential fuzzing over *raw instruction sequences*: DeckRng-
-/// generated branch-dense, self-branching, and block-boundary-straddling
-/// code must retire identical (pc, instret, state-hash) streams on the
-/// legacy per-instruction loop and the pre-decoded block engine — with
+/// Retire-loop differential fuzzing over *raw instruction sequences*:
+/// DeckRng-generated branch-dense, self-branching, and
+/// block-boundary-straddling code must retire identical (pc, instret,
+/// state-hash) streams on the emulation core's block loop and on the
+/// per-instruction stepper oracle (`tests/common/stepper.rs`) — with
 /// observers attached (block slow path) and bare (block fast path). On
 /// the first divergence the failing sequence is shrunk by hand (prefix
 /// truncation, then per-instruction nop substitution; the in-tree
@@ -90,12 +91,15 @@ mod engine_fuzz {
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};
 
-    use simcore::{CpuState, EmulationCore, Engine, IsaExecutor, Observer, RetiredInst};
+    use simcore::{CpuState, EmulationCore, IsaExecutor, Observer, RetiredInst};
+
+    use crate::common::stepper::run_stepped;
 
     const CODE_BASE: u64 = 0x1_0000;
     const SCRATCH: u64 = 0x8_0000;
-    /// Retirement budget: bounds self-branching loops on both engines at
-    /// the same count, so infinite loops are comparable, not fatal.
+    /// Retirement budget: bounds self-branching loops on the core and the
+    /// stepper at the same count, so infinite loops are comparable, not
+    /// fatal.
     const BUDGET: u64 = 4096;
 
     /// splitmix64, mirroring the workloads crate's (private) `DeckRng` so
@@ -148,7 +152,7 @@ mod engine_fuzz {
 
     /// Branch target: any slot in the sequence (self-branch when t == i)
     /// or one past the end (falls into zero-filled page → decode fault,
-    /// which both engines must surface identically).
+    /// which the core and the stepper must surface identically).
     fn target_offset(rng: &mut DeckRng, i: usize, len: usize) -> i64 {
         let t = rng.below(len as u64 + 1) as i64;
         (t - i as i64) * 4
@@ -300,7 +304,7 @@ mod engine_fuzz {
     fn run_words<E: IsaExecutor>(
         words: &[u32],
         exec: E,
-        engine: Engine,
+        stepped: bool,
         with_stream: bool,
     ) -> Fingerprint {
         let mut st = CpuState::new();
@@ -320,12 +324,13 @@ mod engine_fuzz {
         if with_stream {
             obs.push(&mut stream);
         }
-        let result = EmulationCore::new(exec)
-            .with_engine(engine)
-            .with_budget(BUDGET)
-            .run(&mut st, &mut obs);
+        let result = if stepped {
+            run_stepped(&exec, &mut st, &mut obs, None, BUDGET)
+        } else {
+            EmulationCore::new(exec).with_budget(BUDGET).run(&mut st, &mut obs).map(|s| s.retired)
+        };
         Fingerprint {
-            result: result.map(|s| s.retired).map_err(|e| e.to_string()),
+            result: result.map_err(|e| e.to_string()),
             instret: st.instret,
             pc: st.pc,
             state_hash: st.state_hash(),
@@ -333,34 +338,21 @@ mod engine_fuzz {
         }
     }
 
-    /// `Some(description)` when the two engines disagree on `words`,
-    /// checked on both the observed (slow) and bare (fast) paths.
+    /// `Some(description)` when the core and the stepper disagree on
+    /// `words`, checked on both the observed (slow) and bare (fast) paths.
     fn divergence(words: &[u32], riscv: bool) -> Option<String> {
-        for with_stream in [true, false] {
-            let (legacy, block) = if riscv {
-                (
-                    run_words(words, isa_riscv::RiscVExecutor::new(), Engine::Legacy, with_stream),
-                    run_words(words, isa_riscv::RiscVExecutor::new(), Engine::Block, with_stream),
-                )
+        let run = |stepped, with_stream| {
+            if riscv {
+                run_words(words, isa_riscv::RiscVExecutor::new(), stepped, with_stream)
             } else {
-                (
-                    run_words(
-                        words,
-                        isa_aarch64::AArch64Executor::new(),
-                        Engine::Legacy,
-                        with_stream,
-                    ),
-                    run_words(
-                        words,
-                        isa_aarch64::AArch64Executor::new(),
-                        Engine::Block,
-                        with_stream,
-                    ),
-                )
-            };
-            if legacy != block {
+                run_words(words, isa_aarch64::AArch64Executor::new(), stepped, with_stream)
+            }
+        };
+        for with_stream in [true, false] {
+            let (stepper, core) = (run(true, with_stream), run(false, with_stream));
+            if stepper != core {
                 return Some(format!(
-                    "observers={with_stream}: legacy={legacy:?} block={block:?}"
+                    "observers={with_stream}: stepper={stepper:?} core={core:?}"
                 ));
             }
         }
@@ -429,7 +421,7 @@ mod engine_fuzz {
                     .map(|(i, w)| format!("  {:#07x}: {}", CODE_BASE + 4 * i as u64, disasm(*w)))
                     .collect();
                 panic!(
-                    "engines diverged (seed {seed}, {} insts): {d}\n\
+                    "core diverged from the stepper (seed {seed}, {} insts): {d}\n\
                      shrunk to {} insts:\n{}",
                     words.len(),
                     min.len(),
