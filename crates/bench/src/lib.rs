@@ -1,7 +1,7 @@
-//! Benchmark crate: Criterion benches (one per paper table/figure) and the
-//! `make_tables` harness binary that regenerates every artefact.
+//! Harness crate: the `make_tables` binary that regenerates every artefact,
+//! plus `run_elf`, the trace tools and `bench_report`.
 //!
-//! See `src/bin/make_tables.rs` and the `benches/` directory.
+//! See `src/bin/make_tables.rs`.
 //!
 //! [`cli`] holds the flag grammar shared by every bin in this crate and
 //! by the `isacmpd` daemon / `load_driver` in `crates/server`;
