@@ -14,27 +14,25 @@ use crate::path_length::PathLength;
 use crate::tables::ExperimentCell;
 use crate::windowed::WindowedCp;
 
-/// The paper's per-cell measurement set, as one bundle of streaming
-/// observers.
+/// The paper's per-cell measurement set, as one streaming observer.
 pub struct CellAnalyses {
     /// Dynamic instruction counts, total and per kernel region.
     pub path_length: PathLength,
-    /// Unit-cost, TX2-scaled and windowed critical paths.
-    paths: SharedFold,
-}
-
-/// [`DualCriticalPath`] and a [`WindowedCp`] over the paper's Figure 2
-/// window sizes, fed by one fold per retirement: the critical path's
-/// dependency table resolves each read once and hands every producer's
-/// distance to the windowed lanes.
-struct SharedFold {
+    /// Unit-cost and TX2-scaled critical paths.
     critical_path: DualCriticalPath,
+    /// Windowed critical path over the paper's Figure 2 window sizes.
     windowed: WindowedCp,
 }
 
-impl Observer for SharedFold {
+/// One observer for the whole bundle, so every analysis takes each
+/// retirement in the same call and their independent work overlaps in the
+/// core; handed a run of records as separate observers, each would walk
+/// the run in turn. The critical path's dependency table resolves each
+/// read once and hands every producer's distance to the windowed lanes.
+impl Observer for CellAnalyses {
     #[inline]
     fn on_retire(&mut self, ri: &RetiredInst) {
+        self.path_length.on_retire(ri);
         let lanes = self.windowed.lanes();
         self.critical_path.retire(ri, |dist| lanes.producer(dist));
         lanes.retire();
@@ -46,17 +44,15 @@ impl CellAnalyses {
     pub fn new(regions: &[Region]) -> Self {
         CellAnalyses {
             path_length: PathLength::new(regions),
-            paths: SharedFold {
-                critical_path: DualCriticalPath::new(Tx2Latency),
-                windowed: WindowedCp::paper(),
-            },
+            critical_path: DualCriticalPath::new(Tx2Latency),
+            windowed: WindowedCp::paper(),
         }
     }
 
     /// The bundle as an observer list, ready for an emulation core run or
     /// a [`RetireSource::drive`] call.
     pub fn observers(&mut self) -> Vec<&mut dyn Observer> {
-        vec![&mut self.path_length, &mut self.paths]
+        vec![self]
     }
 
     /// Pump an entire retirement source through the bundle, returning the
@@ -69,15 +65,15 @@ impl CellAnalyses {
     /// Package the measurements as an [`ExperimentCell`] for the given
     /// cell coordinates.
     pub fn into_cell(self, workload: &str, compiler: &str, isa: &str) -> ExperimentCell {
-        let SharedFold { critical_path, windowed } = self.paths;
+        let CellAnalyses { path_length, critical_path, windowed } = self;
         ExperimentCell {
             workload: workload.to_string(),
             compiler: compiler.to_string(),
             isa: isa.to_string(),
-            path_length: self.path_length.total(),
+            path_length: path_length.total(),
             critical_path: critical_path.unit().critical_path,
             scaled_cp: critical_path.scaled().critical_path,
-            kernels: self.path_length.by_kernel(),
+            kernels: path_length.by_kernel(),
             windows: windowed
                 .stats()
                 .iter()
@@ -156,7 +152,7 @@ mod tests {
         }
         let stats = windowed.stats();
         assert_eq!(stats.last().map(|s| s.windows), Some(3));
-        assert_eq!(bundle.paths.windowed.stats(), stats, "shared fold equals standalone");
+        assert_eq!(bundle.windowed.stats(), stats, "shared fold equals standalone");
         let cell = bundle.into_cell("STREAM", "gcc-12.2", "RISC-V");
         assert_eq!(cell.path_length, pl.total());
         assert_eq!(cell.critical_path, cp.unit().critical_path);

@@ -9,7 +9,8 @@
 //! `all`. Figure data is written as CSV next to the printed tables; a full
 //! JSON dump of the result matrix is written to `results/matrix.json`.
 //!
-//! Options (any experiment):
+//! Options (any experiment; an unknown flag, a flag missing its value or a
+//! stray argument exits 2 with the usage text):
 //! - `--metrics <path>`: write a structured telemetry report (per-stage
 //!   span timings, counters, cell wall-time histogram, host MIPS) as JSON.
 //! - `--progress[=N]`: emulation heartbeat on stderr every N retirements.
@@ -91,6 +92,25 @@ fn journal_path(fusion: bool) -> &'static str {
         JOURNAL_PATH
     }
 }
+
+const USAGE: &str = "usage: make_tables [table1|table2|fig1|fig2|ablation|pipeline|mix|elves|check|all] \
+     [--size test|small|paper] [--metrics out.json] [--events out.jsonl] [--progress[=N]] \
+     [--strict] [--deadline-secs s] [--retries n] [--fusion] [--inject spec] \
+     [--campaign seed:n] [--resume matrix.json] [--trace-dir dir]";
+
+/// Flags taking a value, and bare flags (`--progress=` admits `--progress=N`).
+const VALUED_FLAGS: [&str; 9] = [
+    "--size",
+    "--metrics",
+    "--events",
+    "--deadline-secs",
+    "--retries",
+    "--inject",
+    "--campaign",
+    "--resume",
+    "--trace-dir",
+];
+const BARE_FLAGS: [&str; 4] = ["--strict", "--fusion", "--progress", "--progress="];
 
 /// CLI parse failures are usage errors: report and exit 2.
 fn or_usage<T>(r: Result<T, String>) -> T {
@@ -344,6 +364,10 @@ fn main() {
     shutdown::install();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let what = args.first().map(|s| s.as_str()).unwrap_or("all");
+    if let Err(e) = cli::check_flags(args.get(1..).unwrap_or(&[]), &VALUED_FLAGS, &BARE_FLAGS) {
+        eprintln!("{e}\n{USAGE}");
+        std::process::exit(2);
+    }
     let size = or_usage(cli::parse_size(&args));
     let metrics_path = cli::flag_value(&args, "--metrics");
     // Reject contradictory flags before parse_matrix_opts samples (and
@@ -500,9 +524,7 @@ fn main() {
             println!("{}", experiments::mix(size));
         }
         other => {
-            eprintln!(
-                "unknown experiment {other}; one of: table1 table2 fig1 fig2 ablation pipeline mix elves check all"
-            );
+            eprintln!("unknown experiment {other}\n{USAGE}");
             std::process::exit(2);
         }
     }

@@ -28,6 +28,29 @@ pub fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
+/// Check `args` against a binary's flag grammar: each `--flag` must be in
+/// `valued` (and be followed by its value) or in `bare`, where an entry
+/// ending in `=` admits `--flag=VALUE` forms. Anything else — an unknown
+/// flag, a missing value, a stray positional — is an error, so a typo
+/// fails instead of silently running with defaults.
+pub fn check_flags(args: &[String], valued: &[&str], bare: &[&str]) -> Result<(), String> {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if valued.contains(&a.as_str()) {
+            if it.next().is_none() {
+                return Err(format!("{a} needs a value"));
+            }
+        } else if !bare.iter().any(|b| a == b || (b.ends_with('=') && a.starts_with(b))) {
+            return Err(if a.starts_with("--") {
+                format!("unknown flag {a:?}")
+            } else {
+                format!("unexpected argument {a:?}")
+            });
+        }
+    }
+    Ok(())
+}
+
 /// Parse a size-class name (`test`, `small`, `paper`).
 pub fn size_from_name(name: &str) -> Result<SizeClass, String> {
     match name {
@@ -189,6 +212,16 @@ mod tests {
         assert_eq!(f.retries, 1);
         assert!(f.deadline.is_none() && f.inject.is_none() && f.campaign.is_none());
         assert!(!f.fusion);
+    }
+
+    #[test]
+    fn check_flags_admits_the_grammar_and_nothing_else() {
+        let check = |a: &[&str]| check_flags(&args(a), &["--size"], &["--strict", "--progress="]);
+        assert!(check(&["--size", "test", "--strict", "--progress=5"]).is_ok());
+        assert!(check(&["--engine", "legacy"]).unwrap_err().contains("unknown flag \"--engine\""));
+        assert!(check(&["--size"]).unwrap_err().contains("needs a value"));
+        assert!(check(&["--progress"]).is_err(), "only the `=` form was admitted");
+        assert!(check(&["stray"]).unwrap_err().contains("unexpected argument"));
     }
 
     #[test]

@@ -220,7 +220,7 @@ fn run_cell_attempt(
             let trace = telemetry::Json::Str(path.display().to_string());
             match tracecache::replay_cell(&path, workload, personality, isa, size, opts.fusion) {
                 Ok(Some(cell)) => return Ok(cell),
-                // Stale provenance: fall through and recapture.
+                // Stale provenance or format version: fall through and recapture.
                 Ok(None) => {
                     tel.counter_add("trace_stale", 1);
                     tel.event("trace_stale", &[("path", trace)]);
@@ -624,6 +624,12 @@ fn run_combos(
     opts: &MatrixOptions,
     journal: Option<&std::sync::Arc<std::sync::Mutex<CellJournal>>>,
 ) -> Vec<Option<Result<Result<ExperimentCell, CellError>, String>>> {
+    // A matrix report always carries the cell counters, so a clean run
+    // reads `cells_failed: 0` instead of lacking the key.
+    let tel = telemetry::global();
+    for name in ["cells_run", "cells_failed", "cell_retries"] {
+        tel.counter_add(name, 0);
+    }
     let tasks: Vec<Box<dyn FnOnce() -> Result<ExperimentCell, CellError> + Send>> = combos
         .iter()
         .map(|&(w, p, isa)| {

@@ -57,10 +57,11 @@ pub fn cell_meta(
 
 /// Replay a cached trace into a fresh [`CellAnalyses`] bundle.
 ///
-/// Returns `Ok(None)` when the file's provenance does not match the cell
-/// (stale cache — caller should run live and recapture). Corruption or I/O
-/// trouble comes back as a [`CellError::Sim`] so the caller can count it
-/// and likewise fall back.
+/// Returns `Ok(None)` when the file is stale — its provenance names
+/// another cell, or it was written in another format version — so the
+/// caller runs live and recaptures. Corruption or I/O trouble comes back
+/// as a [`CellError::Sim`] so the caller can count it and likewise fall
+/// back.
 ///
 /// Telemetry: counter `trace_replays`, histogram `trace_replay_ms`, and
 /// gauge `trace_replay_speedup` (capture emulation wall time over replay
@@ -85,7 +86,11 @@ pub fn replay_cell(
         err: simcore::SimError::Fault { pc: 0, msg: format!("trace replay: {e}") },
         instret: 0,
     };
-    let mut reader = TraceReader::open(path).map_err(to_cell_err)?;
+    let mut reader = match TraceReader::open(path) {
+        Ok(reader) => reader,
+        Err(trace::TraceError::UnsupportedVersion { .. }) => return Ok(None),
+        Err(e) => return Err(to_cell_err(e)),
+    };
     if !reader.meta().matches_cell(
         workload.name(),
         personality.label(),

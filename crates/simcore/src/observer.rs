@@ -13,6 +13,19 @@ pub trait Observer {
     /// Called after each instruction retires.
     fn on_retire(&mut self, ri: &RetiredInst);
 
+    /// Called with a run of consecutive retirements, in program order, by
+    /// sources that hold records in bulk (a decoded trace block, an
+    /// in-memory slice): one dynamic call per run instead of one per
+    /// record. The default loops over [`Observer::on_retire`]; since it is
+    /// instantiated for each implementing type, those calls are direct and
+    /// inlinable, so observers need not override it.
+    #[inline]
+    fn on_records(&mut self, run: &[RetiredInst]) {
+        for ri in run {
+            self.on_retire(ri);
+        }
+    }
+
     /// Called once when the program exits; default does nothing.
     fn on_finish(&mut self) {}
 

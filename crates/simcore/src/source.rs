@@ -28,13 +28,20 @@ pub trait RetireSource {
     }
 }
 
+/// Longest run of records a bulk source hands an observer in one
+/// [`Observer::on_records`] call. Matches the trace format's block size,
+/// so a replayed trace and an in-memory slice dispatch the same way.
+pub const RUN_RECORDS: usize = 4096;
+
 /// In-memory record lists are sources too — handy for tests and for
-/// re-analyzing a stream that was buffered anyway.
+/// re-analyzing a stream that was buffered anyway. Records go out in runs
+/// of at most [`RUN_RECORDS`], each observer taking a whole run before the
+/// next observer sees it.
 impl RetireSource for &[RetiredInst] {
     fn drive(&mut self, observers: &mut [&mut dyn Observer]) -> Result<u64, SimError> {
-        for ri in self.iter() {
+        for run in self.chunks(RUN_RECORDS) {
             for obs in observers.iter_mut() {
-                obs.on_retire(ri);
+                obs.on_records(run);
             }
         }
         for obs in observers.iter_mut() {
@@ -66,5 +73,38 @@ mod tests {
         };
         assert_eq!(n, 7);
         assert_eq!(count.retired, 7);
+    }
+
+    /// Keeps every run it is handed, so the hand-off itself is visible.
+    #[derive(Default)]
+    struct Runs(Vec<Vec<RetiredInst>>);
+
+    impl Observer for Runs {
+        fn on_retire(&mut self, ri: &RetiredInst) {
+            self.0.push(vec![*ri]);
+        }
+
+        fn on_records(&mut self, run: &[RetiredInst]) {
+            self.0.push(run.to_vec());
+        }
+    }
+
+    #[test]
+    fn slice_source_hands_out_bounded_runs_in_order() {
+        let n = 2 * RUN_RECORDS as u64 + 5;
+        let records: Vec<RetiredInst> =
+            (0..n).map(|i| RetiredInst::new(i * 4, InstGroup::IntAlu)).collect();
+        let (mut a, mut b) = (Runs::default(), Runs::default());
+        let mut src: &[RetiredInst] = &records;
+        let delivered = {
+            let mut obs: Vec<&mut dyn Observer> = vec![&mut a, &mut b];
+            src.drive(&mut obs).unwrap()
+        };
+        assert_eq!(delivered, n);
+        for seen in [&a, &b] {
+            let lens: Vec<usize> = seen.0.iter().map(Vec::len).collect();
+            assert_eq!(lens, [RUN_RECORDS, RUN_RECORDS, 5]);
+            assert_eq!(seen.0.concat(), records);
+        }
     }
 }

@@ -90,11 +90,15 @@ pub struct TraceSummary {
 /// checksum before yielding its records.
 ///
 /// Use as an `Iterator<Item = Result<RetiredInst, TraceError>>`, or drive a
-/// set of observers directly via the [`RetireSource`] impl.
+/// set of observers directly via the [`RetireSource`] impl, which hands
+/// each decoded block to every observer as one
+/// [`Observer::on_records`] slice.
 pub struct TraceReader<R: Read> {
     input: R,
     meta: TraceMeta,
     version: u16,
+    /// The current block's encoded bytes; reused from block to block.
+    payload: Vec<u8>,
     block: Vec<RetiredInst>,
     next_in_block: usize,
     blocks_read: u64,
@@ -146,6 +150,7 @@ impl<R: Read> TraceReader<R> {
             input,
             meta,
             version,
+            payload: Vec::new(),
             block: Vec::new(),
             next_in_block: 0,
             blocks_read: 0,
@@ -170,7 +175,7 @@ impl<R: Read> TraceReader<R> {
         self.trailer.as_ref()
     }
 
-    /// Records yielded so far.
+    /// Records yielded (or handed to observers) so far.
     pub fn records_read(&self) -> u64 {
         self.records_read
     }
@@ -295,9 +300,13 @@ impl<R: Read> TraceReader<R> {
                 detail: format!("implausible payload length {payload_len} for {n_records} records"),
             });
         }
-        let mut payload = vec![0u8; payload_len];
-        self.input.read_exact(&mut payload)?;
-        let computed = fnv1a64(&payload);
+        // Grown to fit, never doubled: the buffer stays the size of the
+        // largest block seen. `resize` zero-fills only growth past the
+        // previous block's length; `read_exact` overwrites every byte.
+        self.payload.reserve_exact(payload_len.saturating_sub(self.payload.len()));
+        self.payload.resize(payload_len, 0);
+        self.input.read_exact(&mut self.payload)?;
+        let computed = fnv1a64(&self.payload);
         if computed != stored_checksum {
             return Err(TraceError::Corrupt {
                 block: self.blocks_read,
@@ -305,30 +314,43 @@ impl<R: Read> TraceReader<R> {
             });
         }
         self.block.clear();
-        self.block.reserve(n_records);
+        self.next_in_block = 0;
+        if let Err(detail) = Self::decode_block(&self.payload, n_records, first_pc, &mut self.block)
+        {
+            // Never leave part of a damaged block where `drive` or `next`
+            // could hand it out.
+            self.block.clear();
+            return Err(TraceError::Corrupt { block: self.blocks_read, detail });
+        }
+        self.blocks_read += 1;
+        Ok(true)
+    }
+
+    /// Decode all `n_records` of a checksum-verified payload into `block`,
+    /// which must consume the payload exactly.
+    fn decode_block(
+        payload: &[u8],
+        n_records: usize,
+        first_pc: u64,
+        block: &mut Vec<RetiredInst>,
+    ) -> Result<(), String> {
+        block.reserve(n_records);
         let mut pos = 0usize;
         let mut prev_pc = first_pc;
         let mut prev_addr = 0u64;
         for i in 0..n_records {
-            match Self::decode_record(&payload, &mut pos, &mut prev_pc, &mut prev_addr) {
-                Some(ri) => self.block.push(ri),
-                None => {
-                    return Err(TraceError::Corrupt {
-                        block: self.blocks_read,
-                        detail: format!("record {i} of {n_records} failed to decode"),
-                    })
-                }
+            match Self::decode_record(payload, &mut pos, &mut prev_pc, &mut prev_addr) {
+                Some(ri) => block.push(ri),
+                None => return Err(format!("record {i} of {n_records} failed to decode")),
             }
         }
         if pos != payload.len() {
-            return Err(TraceError::Corrupt {
-                block: self.blocks_read,
-                detail: format!("{} trailing payload bytes after the last record", payload.len() - pos),
-            });
+            return Err(format!(
+                "{} trailing payload bytes after the last record",
+                payload.len() - pos
+            ));
         }
-        self.next_in_block = 0;
-        self.blocks_read += 1;
-        Ok(true)
+        Ok(())
     }
 
     /// Decode the whole trace, verifying every checksum and the trailer.
@@ -376,29 +398,39 @@ impl<R: Read> Iterator for TraceReader<R> {
 }
 
 impl<R: Read> RetireSource for TraceReader<R> {
-    /// Replay the trace through `observers`. Corruption surfaces as a
-    /// [`SimError::Fault`] naming the damaged block, so replay failures
-    /// flow through the same typed error paths as live-simulation faults.
+    /// Replay the trace through `observers`, handing each verified block
+    /// to every observer as one [`Observer::on_records`] slice (starting
+    /// with whatever the iterator left of the current block). A block is
+    /// handed out only once its checksum and every record in it have
+    /// checked out. Corruption surfaces as a [`SimError::Fault`] naming the
+    /// damaged block, so replay failures flow through the same typed error
+    /// paths as live-simulation faults.
     fn drive(&mut self, observers: &mut [&mut dyn Observer]) -> Result<u64, SimError> {
+        let fault = |e: TraceError| SimError::Fault { pc: 0, msg: format!("trace replay: {e}") };
         let start = self.records_read;
         loop {
-            match self.next() {
-                Some(Ok(ri)) => {
-                    for obs in observers.iter_mut() {
-                        obs.on_retire(&ri);
-                    }
+            let run = &self.block[self.next_in_block..];
+            if !run.is_empty() {
+                for obs in observers.iter_mut() {
+                    obs.on_records(run);
                 }
-                Some(Err(e)) => {
-                    return Err(SimError::Fault { pc: 0, msg: format!("trace replay: {e}") })
+                self.records_read += run.len() as u64;
+                self.next_in_block = self.block.len();
+            }
+            if self.failed || self.trailer.is_some() {
+                break;
+            }
+            match self.next_block() {
+                Ok(true) => {}
+                Ok(false) => break,
+                Err(e) => {
+                    self.failed = true;
+                    return Err(fault(e));
                 }
-                None => break,
             }
         }
         if self.trailer.is_none() {
-            return Err(SimError::Fault {
-                pc: 0,
-                msg: format!("trace replay: {}", TraceError::Truncated),
-            });
+            return Err(fault(TraceError::Truncated));
         }
         for obs in observers.iter_mut() {
             obs.on_finish();
@@ -535,6 +567,99 @@ mod tests {
         };
         assert_eq!(n, 2500);
         assert_eq!(count.retired, 2500);
+    }
+
+    /// Keeps what it is handed, and how: one entry per `on_records` run.
+    #[derive(Default)]
+    struct Recorder {
+        records: Vec<RetiredInst>,
+        runs: Vec<usize>,
+        finished: bool,
+    }
+
+    impl Observer for Recorder {
+        fn on_retire(&mut self, ri: &RetiredInst) {
+            self.on_records(std::slice::from_ref(ri));
+        }
+
+        fn on_records(&mut self, run: &[RetiredInst]) {
+            self.records.extend_from_slice(run);
+            self.runs.push(run.len());
+        }
+
+        fn on_finish(&mut self) {
+            self.finished = true;
+        }
+    }
+
+    /// Byte offset of block `k`'s section in a capture.
+    fn block_offset(buf: &[u8], k: usize) -> usize {
+        let meta_len = u32::from_le_bytes(buf[8..12].try_into().unwrap()) as usize;
+        let mut at = 12 + meta_len;
+        for _ in 0..k {
+            assert_eq!(buf[at], BLOCK_TAG);
+            let payload_len = u32::from_le_bytes(buf[at + 5..at + 9].try_into().unwrap());
+            at += 25 + payload_len as usize;
+        }
+        at
+    }
+
+    #[test]
+    fn drive_hands_each_block_to_every_observer_as_one_slice() {
+        let n = 3 * BLOCK_RECORDS + 17;
+        let buf = capture(&sample_stream(n));
+        let iterated: Vec<RetiredInst> =
+            TraceReader::new(io::Cursor::new(&buf)).unwrap().map(|r| r.unwrap()).collect();
+        assert_eq!(iterated.len(), n);
+
+        let mut reader = TraceReader::new(io::Cursor::new(&buf)).unwrap();
+        let (mut a, mut b) = (Recorder::default(), Recorder::default());
+        let delivered = {
+            let mut obs: Vec<&mut dyn Observer> = vec![&mut a, &mut b];
+            reader.drive(&mut obs).unwrap()
+        };
+        assert_eq!(delivered, n as u64);
+        assert_eq!(reader.records_read(), n as u64);
+        for seen in [&a, &b] {
+            assert_eq!(seen.runs, [BLOCK_RECORDS, BLOCK_RECORDS, BLOCK_RECORDS, 17]);
+            assert_eq!(seen.records, iterated, "drive must deliver what the iterator yields");
+            assert!(seen.finished);
+        }
+    }
+
+    #[test]
+    fn drive_resumes_where_the_iterator_stopped() {
+        let stream = sample_stream(BLOCK_RECORDS + 10);
+        let buf = capture(&stream);
+        let mut reader = TraceReader::new(io::Cursor::new(&buf)).unwrap();
+        for _ in 0..5 {
+            reader.next().unwrap().unwrap();
+        }
+        let mut rec = Recorder::default();
+        let delivered = reader.drive(&mut [&mut rec]).unwrap();
+        assert_eq!(delivered, stream.len() as u64 - 5);
+        assert_eq!(rec.runs, [BLOCK_RECORDS - 5, 10]);
+        assert_eq!(rec.records, stream[5..]);
+    }
+
+    #[test]
+    fn drive_stops_before_a_damaged_block() {
+        let stream = sample_stream(3 * BLOCK_RECORDS);
+        let mut buf = capture(&stream);
+        // One payload byte of the second block.
+        let at = block_offset(&buf, 1) + 25 + 100;
+        buf[at] ^= 0x10;
+        let mut reader = TraceReader::new(io::Cursor::new(&buf)).unwrap();
+        let mut rec = Recorder::default();
+        let err = reader.drive(&mut [&mut rec]).expect_err("damage must be caught");
+        let SimError::Fault { msg, .. } = err else { panic!("want a fault, got {err}") };
+        assert!(msg.contains("corrupt trace block 1:"), "got: {msg}");
+        assert_eq!(rec.records, stream[..BLOCK_RECORDS], "observers saw only block 0");
+        assert!(!rec.finished);
+        // The reader stays failed: nothing more comes out either way.
+        assert!(reader.next().is_none());
+        assert!(reader.drive(&mut [&mut rec]).is_err());
+        assert_eq!(rec.records.len(), BLOCK_RECORDS);
     }
 
     #[test]

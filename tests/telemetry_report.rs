@@ -79,3 +79,19 @@ fn run_report_round_trips_through_json() {
     assert!(text.contains("cell:LBM/AArch64/gcc-9.2"));
     assert!(text.contains("instructions_retired"));
 }
+
+#[test]
+fn clean_matrix_report_carries_every_cell_counter() {
+    // No test in this binary fails a cell, so `cells_failed` must read 0 —
+    // present, not absent, which is what a report reader keys on.
+    let matrix = isacmp::run_matrix(SizeClass::Test);
+    assert!(matrix.is_complete(), "{}", matrix.failure_summary());
+    let report = RunReport::new("matrix").finish_from(isacmp::telemetry::global());
+    let json = report.to_json();
+    let counters = json.get("metrics").and_then(|m| m.get("counters")).expect("counters");
+    for name in ["cells_run", "cells_failed", "cell_retries"] {
+        assert!(counters.get(name).is_some(), "{name} missing from {}", counters.pretty());
+    }
+    assert_eq!(counters.get("cells_failed").and_then(Json::as_u64), Some(0));
+    assert!(counters.get("cells_run").and_then(Json::as_u64) >= Some(20));
+}

@@ -86,3 +86,41 @@ fn stale_provenance_falls_back_to_live_recapture() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn older_format_version_is_stale_and_recaptured() {
+    use isacmp::{run_cell_opts, CellOptions, IsaKind, Personality};
+
+    let _serial = serial();
+    let dir = std::env::temp_dir().join(format!("isacmp-oldver-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let tel = isacmp::telemetry::global();
+    let opts = CellOptions { trace_dir: Some(dir.clone()), ..Default::default() };
+    let cell = || {
+        run_cell_opts(Workload::Stream, IsaKind::RiscV, &Personality::gcc122(), SizeClass::Test, &opts)
+            .expect("cell must run")
+    };
+    let first = cell();
+
+    // Stamp the capture as format version 1 (bytes 4..6 of the header):
+    // an older build's cache. It is stale, not damaged.
+    let path = dir.join("STREAM-gcc-12.2-RISC-V-test.trace");
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    let (stale, errors) = (tel.counter("trace_stale"), tel.counter("trace_replay_errors"));
+    let second = cell();
+    assert_eq!(tel.counter("trace_stale") - stale, 1);
+    assert_eq!(tel.counter("trace_replay_errors") - errors, 0);
+    assert_eq!(first, second, "fallback run must reproduce the live cell");
+
+    // The live run recaptured the file in the current version.
+    let bytes = std::fs::read(&path).unwrap();
+    assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), trace::VERSION);
+    assert_eq!(trace::VERSION, 2);
+    let summary = trace::TraceReader::open(&path).unwrap().verify().unwrap();
+    assert_eq!(summary.version, trace::VERSION);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
