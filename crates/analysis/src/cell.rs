@@ -4,22 +4,42 @@
 //! compiler, ISA) cell — path length with per-kernel attribution, unit and
 //! latency-scaled critical paths, and the windowed critical path — bundled
 //! so the same measurement code runs off a live emulation pass *or* a
-//! replayed trace ([`simcore::RetireSource`]).
+//! replayed trace ([`simcore::RetireSource`]). Its fused form adds the
+//! macro-op fusion axis to the same fold.
 
-use simcore::{Observer, Region, RetireSource, RetiredInst, SimError};
+use simcore::{IsaKind, Observer, Region, RetireSource, RetiredInst, SimError};
 use uarch::Tx2Latency;
 
 use crate::critical_path::DualCriticalPath;
+use crate::fused::FusedCriticalPath;
 use crate::path_length::PathLength;
 use crate::tables::ExperimentCell;
 use crate::windowed::WindowedCp;
 
+/// The dependency half of a [`CellAnalyses`] bundle: one table whose
+/// reads, resolved once per retirement, feed its critical paths and, as
+/// producer distances, the bundle's windowed lanes. Each implementation is
+/// its own monomorphic bundle, so the choice costs nothing per record.
+pub trait DependencyFold {
+    /// Fold one retirement, reporting each producer (the last writer of a
+    /// location it reads) as its distance back.
+    fn retire(&mut self, ri: &RetiredInst, producer: impl FnMut(u64));
+
+    /// The stream ended; the default does nothing.
+    fn finish(&mut self) {}
+
+    /// Write the critical-path fields of `cell`, whose other measurements
+    /// are already in place.
+    fn fill(&self, cell: &mut ExperimentCell);
+}
+
 /// The paper's per-cell measurement set, as one streaming observer.
-pub struct CellAnalyses {
+pub struct CellAnalyses<D = DualCriticalPath> {
     /// Dynamic instruction counts, total and per kernel region.
     pub path_length: PathLength,
-    /// Unit-cost and TX2-scaled critical paths.
-    critical_path: DualCriticalPath,
+    /// Unit-cost and TX2-scaled critical paths, and in the fused form the
+    /// fused ones too.
+    critical_path: D,
     /// Windowed critical path over the paper's Figure 2 window sizes.
     windowed: WindowedCp,
 }
@@ -29,13 +49,17 @@ pub struct CellAnalyses {
 /// core; handed a run of records as separate observers, each would walk
 /// the run in turn. The critical path's dependency table resolves each
 /// read once and hands every producer's distance to the windowed lanes.
-impl Observer for CellAnalyses {
+impl<D: DependencyFold> Observer for CellAnalyses<D> {
     #[inline]
     fn on_retire(&mut self, ri: &RetiredInst) {
         self.path_length.on_retire(ri);
         let lanes = self.windowed.lanes();
         self.critical_path.retire(ri, |dist| lanes.producer(dist));
         lanes.retire();
+    }
+
+    fn on_finish(&mut self) {
+        self.critical_path.finish();
     }
 }
 
@@ -48,7 +72,22 @@ impl CellAnalyses {
             windowed: WindowedCp::paper(),
         }
     }
+}
 
+impl CellAnalyses<FusedCriticalPath> {
+    /// Fresh bundle with the macro-op fusion axis armed for `isa`: the
+    /// same measurements, plus the cell's [`crate::FusedCell`] from the
+    /// same dependency fold.
+    pub fn fused(isa: IsaKind, regions: &[Region]) -> Self {
+        CellAnalyses {
+            path_length: PathLength::new(regions),
+            critical_path: FusedCriticalPath::new(isa, regions),
+            windowed: WindowedCp::paper(),
+        }
+    }
+}
+
+impl<D: DependencyFold> CellAnalyses<D> {
     /// The bundle as an observer list, ready for an emulation core run or
     /// a [`RetireSource::drive`] call.
     pub fn observers(&mut self) -> Vec<&mut dyn Observer> {
@@ -66,24 +105,23 @@ impl CellAnalyses {
     /// cell coordinates.
     pub fn into_cell(self, workload: &str, compiler: &str, isa: &str) -> ExperimentCell {
         let CellAnalyses { path_length, critical_path, windowed } = self;
-        ExperimentCell {
+        let mut cell = ExperimentCell {
             workload: workload.to_string(),
             compiler: compiler.to_string(),
             isa: isa.to_string(),
             path_length: path_length.total(),
-            critical_path: critical_path.unit().critical_path,
-            scaled_cp: critical_path.scaled().critical_path,
+            critical_path: 0,
+            scaled_cp: 0,
             kernels: path_length.by_kernel(),
             windows: windowed
                 .stats()
                 .iter()
                 .map(|s| (s.size, s.mean_cp(), s.mean_ilp()))
                 .collect(),
-            // The fusion pass rides outside the bundle (crates/fusion
-            // depends on this crate); the orchestration layer merges its
-            // report in after `into_cell`.
             fused: None,
-        }
+        };
+        critical_path.fill(&mut cell);
+        cell
     }
 }
 

@@ -20,6 +20,9 @@ use std::num::NonZeroU64;
 use simcore::{DepTable, InstGroup, Observer, RetireSource, RetiredInst, SimError};
 use uarch::LatencyModel;
 
+use crate::cell::DependencyFold;
+use crate::tables::ExperimentCell;
+
 /// Result of a critical-path analysis.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpResult {
@@ -45,12 +48,12 @@ impl CpResult {
 /// The value in one location: the chain depths its last writer reached,
 /// and that writer's retirement index.
 #[derive(Debug, Clone, Copy)]
-struct Chain {
+pub(crate) struct Chain {
     /// Unit-cost depth, at least 1. Being non-zero, it gives
     /// `Option<Chain>` its `None`, so table entries stay 24 bytes.
-    unit: NonZeroU64,
-    scaled: u64,
-    writer: u64,
+    pub(crate) unit: NonZeroU64,
+    pub(crate) scaled: u64,
+    pub(crate) writer: u64,
 }
 
 /// Unit-cost and latency-scaled critical paths computed in one pass.
@@ -100,11 +103,11 @@ impl DualCriticalPath {
     }
 }
 
-impl DualCriticalPath {
+impl DependencyFold for DualCriticalPath {
     /// Fold one retirement into both chains, reporting each producer (the
     /// last writer of a location it reads) as its distance back.
     #[inline]
-    pub(crate) fn retire(&mut self, ri: &RetiredInst, mut producer: impl FnMut(u64)) {
+    fn retire(&mut self, ri: &RetiredInst, mut producer: impl FnMut(u64)) {
         let index = self.retired;
         self.retired += 1;
         let (src_u, src_s) = self.chains.fold_reads(ri, (0, 0), |(u, s), c| {
@@ -125,6 +128,11 @@ impl DualCriticalPath {
         self.chains.write(ri, chain);
         self.longest_unit = self.longest_unit.max(chain.unit.get());
         self.longest_scaled = self.longest_scaled.max(chain.scaled);
+    }
+
+    fn fill(&self, cell: &mut ExperimentCell) {
+        cell.critical_path = self.longest_unit;
+        cell.scaled_cp = self.longest_scaled;
     }
 }
 

@@ -10,7 +10,10 @@
 //!   (Table 2);
 //! * [`WindowedCp`] — critical path within a sliding window over the
 //!   execution (window sizes 4..2000, 50 % slide), modelling a finite ROB
-//!   (Figure 2).
+//!   (Figure 2);
+//! * [`FusedCriticalPath`] — both critical paths again, and the effective
+//!   path length, of the stream a macro-op fusing front end retires
+//!   (Celio et al.), under the pair tables in [`pairs`].
 //!
 //! Every dependency analysis here folds over one model of what depends on
 //! what, [`simcore::DepTable`]. All analyses implement [`simcore::Observer`]
@@ -44,7 +47,9 @@
 pub mod cell;
 pub mod critical_path;
 pub mod depdist;
+pub mod fused;
 pub mod instmix;
+pub mod pairs;
 pub mod path_length;
 pub mod tables;
 pub mod windowed;
@@ -52,6 +57,7 @@ pub mod windowed;
 pub use cell::CellAnalyses;
 pub use critical_path::{CpResult, DualCriticalPath};
 pub use depdist::{DepDistance, DIST_BUCKETS};
+pub use fused::FusedCriticalPath;
 pub use instmix::{CpComposition, InstMix};
 pub use path_length::PathLength;
 pub use tables::*;

@@ -136,3 +136,46 @@ fn bad_campaign_spec_is_a_usage_error() {
         make_tables("badcamp", &["table1", "--size", "test", "--campaign", "7:zero"]);
     assert_eq!(code, 2, "malformed --campaign is a usage error:\n{stderr}");
 }
+
+/// Address-space cap for the runaway campaign, in KiB (about 2 GB).
+const RUNAWAY_CAP_KIB: u64 = 2_000_000;
+/// How long the capped campaign may take.
+const RUNAWAY_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(120);
+
+#[cfg(unix)]
+#[test]
+fn runaway_campaign_cells_fail_within_their_budget() {
+    // Seed 2 corrupts a fetch in every cell and traps none: some guests
+    // run far past their workload. Under a 2 GB address-space cap (on the
+    // child alone) the run must still finish, with those cells reported
+    // as budget failures rather than an allocator abort.
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("runaway");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let script = format!("ulimit -v {RUNAWAY_CAP_KIB}; exec \"$0\" \"$@\"");
+    let mut child = Command::new("sh")
+        .args(["-c", &script, env!("CARGO_BIN_EXE_make_tables")])
+        .args(["table1", "--size", "test", "--campaign", "2:3"])
+        .current_dir(&dir)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("make_tables runs");
+    let start = std::time::Instant::now();
+    while child.try_wait().expect("child status").is_none() {
+        if start.elapsed() > RUNAWAY_TIMEOUT {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("the capped campaign ran past {RUNAWAY_TIMEOUT:?}");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+    let out = child.wait_with_output().expect("child output");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("memory allocation"), "allocator abort:\n{stderr}");
+    assert_eq!(out.status.code(), Some(0), "degraded run exits 0:\n{stderr}");
+    assert!(stdout.contains("ERR(timeout)"), "runaway cells are marked:\n{stdout}");
+    let matrix =
+        std::fs::read_to_string(dir.join("results/matrix.json")).expect("matrix.json written");
+    assert!(matrix.contains("instruction budget of"), "budget failures recorded:\n{matrix}");
+}

@@ -55,6 +55,7 @@ pub use analysis::{
     ResultMatrix, WindowStats, WindowedCp, CLOCK_GHZ, PAPER_WINDOW_SIZES,
 };
 pub use fusion::{FusionPass, FusionReport, PairKind};
+use analysis::FusedCriticalPath;
 pub use isa_aarch64::AArch64Executor;
 pub use isa_riscv::RiscVExecutor;
 pub use kernelgen::{compile, interpret, Compiled, KernelProgram, Personality};
@@ -114,18 +115,20 @@ pub fn try_execute_with(
     deadline: Option<std::time::Duration>,
     injector: Option<Box<dyn FaultInjector>>,
 ) -> Result<(CpuState, RunStats), CellError> {
-    try_execute_inner(compiled, observers, deadline, injector, false).map_err(|(e, _)| e)
+    try_execute_inner(compiled, observers, deadline, injector, None, false).map_err(|(e, _)| e)
 }
 
 /// The execution path behind [`try_execute_with`]: same typed errors,
 /// but the failing machine state rides along with the error so callers
 /// can snapshot it (watchdog-trip checkpoints need the state the guest
-/// died in, not a fresh one).
+/// died in, not a fresh one). `budget` replaces the emulation core's
+/// default instruction budget.
 fn try_execute_inner(
     compiled: &Compiled,
     observers: &mut [&mut dyn Observer],
     deadline: Option<std::time::Duration>,
     injector: Option<Box<dyn FaultInjector>>,
+    budget: Option<u64>,
     heed_shutdown: bool,
 ) -> Result<(CpuState, RunStats), (CellError, Box<CpuState>)> {
     let _span = telemetry::global().enter("emulate");
@@ -138,9 +141,13 @@ fn try_execute_inner(
         exec: E,
         deadline: Option<std::time::Duration>,
         injector: Option<Box<dyn FaultInjector>>,
+        budget: Option<u64>,
         heed_shutdown: bool,
     ) -> EmulationCore<E> {
         let mut core = EmulationCore::new(exec);
+        if let Some(b) = budget {
+            core = core.with_budget(b);
+        }
         if let Some(d) = deadline {
             core = core.with_deadline(d);
         }
@@ -155,11 +162,11 @@ fn try_execute_inner(
 
     let result = match compiled.program.isa {
         IsaKind::RiscV => {
-            build_core(RiscVExecutor::new(), deadline, injector, heed_shutdown)
+            build_core(RiscVExecutor::new(), deadline, injector, budget, heed_shutdown)
                 .run(&mut st, observers)
         }
         IsaKind::AArch64 => {
-            build_core(AArch64Executor::new(), deadline, injector, heed_shutdown)
+            build_core(AArch64Executor::new(), deadline, injector, budget, heed_shutdown)
                 .run(&mut st, observers)
         }
     };
@@ -193,6 +200,60 @@ pub fn execute(
 ) -> (CpuState, RunStats) {
     try_execute(compiled, observers, None, None)
         .unwrap_or_else(|e| panic!("execute({}): {e}", compiled.program.isa))
+}
+
+/// How many times its size class's longest clean path length a
+/// fault-armed cell may retire; see [`faulted_budget`].
+pub const FAULTED_BUDGET_FACTOR: u64 = 4;
+
+/// The instruction budget of a cell with a fault or campaign armed:
+/// [`FAULTED_BUDGET_FACTOR`] times the longest clean path length at its
+/// size, which `tests/golden/` pins (LBM, GCC 9.2, RISC-V at `test` and
+/// `small`). A fault that sends the guest astray then fails the cell as an
+/// `ERR(timeout)` budget trip in bounded time and memory. `None` at
+/// `paper` size, whose clean matrix is not pinned: such cells keep
+/// [`EmulationCore::DEFAULT_BUDGET`].
+pub fn faulted_budget(size: SizeClass) -> Option<u64> {
+    let longest = match size {
+        SizeClass::Test => 63_681,
+        SizeClass::Small => 2_079_349,
+        SizeClass::Paper => return None,
+    };
+    Some(FAULTED_BUDGET_FACTOR * longest)
+}
+
+/// A cell's analysis bundle, plain or with the fusion axis armed. Either
+/// form is one monomorphic observer; the choice is made once per cell.
+/// The plain form stays inline: boxing it would move the unfused cells'
+/// hot tables behind one more pointer.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Bundle {
+    Plain(CellAnalyses),
+    Fused(Box<CellAnalyses<FusedCriticalPath>>),
+}
+
+impl Bundle {
+    pub(crate) fn new(isa: IsaKind, regions: &[simcore::Region], fusion: bool) -> Self {
+        if fusion {
+            Bundle::Fused(Box::new(CellAnalyses::fused(isa, regions)))
+        } else {
+            Bundle::Plain(CellAnalyses::new(regions))
+        }
+    }
+
+    pub(crate) fn observer(&mut self) -> &mut dyn Observer {
+        match self {
+            Bundle::Plain(b) => b,
+            Bundle::Fused(b) => b.as_mut(),
+        }
+    }
+
+    pub(crate) fn into_cell(self, workload: &str, compiler: &str, isa: &str) -> ExperimentCell {
+        match self {
+            Bundle::Plain(b) => b.into_cell(workload, compiler, isa),
+            Bundle::Fused(b) => b.into_cell(workload, compiler, isa),
+        }
+    }
 }
 
 /// One measurement attempt for a cell, with every failure mode typed.
@@ -247,12 +308,9 @@ fn run_cell_attempt(
     let (prog, compiled) =
         compiled_or.map_err(|p| CellError::Compile { msg: error::panic_message(p) })?;
 
-    let mut analyses = CellAnalyses::new(&compiled.program.regions);
-    // The fusion pass is an ordinary observer riding next to the bundle:
-    // it sees the exact stream the trace format carries, so a live fused
-    // cell and a replayed one are byte-identical.
-    let mut fusion_pass =
-        opts.fusion.then(|| fusion::FusionPass::new(isa, &compiled.program.regions));
+    // The bundle sees the exact stream the trace format carries, so a live
+    // cell and a replayed one, fused or not, are byte-identical.
+    let mut analyses = Bundle::new(isa, &compiled.program.regions, opts.fusion);
     // Capture goes to a `.tmp` sibling first; only a verified run renames
     // it into place, so the cache never holds a half-written file.
     let mut capture = match tracing {
@@ -274,10 +332,7 @@ fn run_cell_attempt(
         None => None,
     };
     let (run_result, cell) = {
-        let mut obs = analyses.observers();
-        if let Some(p) = fusion_pass.as_mut() {
-            obs.push(p);
-        }
+        let mut obs = vec![analyses.observer()];
         if let Some((w, _, _)) = capture.as_mut() {
             obs.push(w);
         }
@@ -290,7 +345,10 @@ fn run_cell_attempt(
         let injector: Option<Box<dyn FaultInjector>> =
             armed.as_ref().map(|c| Box::new(c.clone()) as Box<dyn FaultInjector>);
         let emu_start = std::time::Instant::now();
-        let run = try_execute_inner(&compiled, &mut obs, opts.deadline, injector, opts.heed_shutdown)
+        // A fault can send the guest astray; its budget bounds the run's
+        // time and the memory the guest and the analyses' tables grow to.
+        let budget = armed.as_ref().and(faulted_budget(size));
+        let run = try_execute_inner(&compiled, &mut obs, opts.deadline, injector, budget, opts.heed_shutdown)
             .map_err(|(e, st)| {
                 // A watchdog-tripped cell leaves a resumable snapshot behind:
                 // the state it died in plus the armed schedule, so the slow
@@ -307,10 +365,7 @@ fn run_cell_attempt(
         // Package the measurements before verifying them, so that the
         // analyses' dependency tables are freed before the reference
         // interpreter allocates its arrays.
-        let mut cell = analyses.into_cell(workload.name(), personality.label(), isa_label(isa));
-        if let Some(p) = fusion_pass {
-            cell.fused = Some(p.report().to_fused_cell());
-        }
+        let cell = analyses.into_cell(workload.name(), personality.label(), isa_label(isa));
         if let Some(c) = &armed {
             let fired = c.fired_count();
             tel.counter_add("faults_fired", fired);

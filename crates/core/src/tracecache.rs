@@ -12,14 +12,14 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use analysis::{CellAnalyses, ExperimentCell};
+use analysis::ExperimentCell;
 use kernelgen::Personality;
 use simcore::{IsaKind, RetireSource};
 use trace::{TraceMeta, TraceReader};
 use workloads::{SizeClass, Workload};
 
 use crate::error::CellError;
-use crate::isa_label;
+use crate::{isa_label, Bundle};
 
 /// The cache file for one cell: `{workload}-{compiler}-{isa}-{size}.trace`.
 pub fn trace_path(
@@ -55,7 +55,7 @@ pub fn cell_meta(
     }
 }
 
-/// Replay a cached trace into a fresh [`CellAnalyses`] bundle.
+/// Replay a cached trace into a fresh [`analysis::CellAnalyses`] bundle.
 ///
 /// Returns `Ok(None)` when the file is stale — its provenance names
 /// another cell, or it was written in another format version — so the
@@ -69,8 +69,8 @@ pub fn cell_meta(
 ///
 /// Trace files are fusion-independent — they carry the raw retired stream
 /// — so one capture serves both the plain and the `fusion` scenario; the
-/// flag only decides whether a [`fusion::FusionPass`] rides alongside the
-/// analysis bundle during this replay.
+/// flag only decides whether the bundle replayed into is the fused form
+/// ([`analysis::CellAnalyses::fused`]).
 pub fn replay_cell(
     path: &Path,
     workload: Workload,
@@ -100,15 +100,8 @@ pub fn replay_cell(
         return Ok(None);
     }
     let regions = reader.meta().regions.clone();
-    let mut analyses = CellAnalyses::new(&regions);
-    let mut pass = fuse.then(|| fusion::FusionPass::new(isa, &regions));
-    {
-        let mut obs = analyses.observers();
-        if let Some(p) = pass.as_mut() {
-            obs.push(p);
-        }
-        reader.drive(&mut obs).map_err(|err| CellError::Sim { err, instret: 0 })?;
-    }
+    let mut analyses = Bundle::new(isa, &regions, fuse);
+    reader.drive(&mut [analyses.observer()]).map_err(|err| CellError::Sim { err, instret: 0 })?;
     let trailer = *reader.trailer().expect("drive() validated the trailer");
     let elapsed = start.elapsed();
     tel.counter_add("trace_replays", 1);
@@ -118,11 +111,7 @@ pub fn replay_cell(
         let speedup = trailer.capture_wall_us as f64 / elapsed.as_micros().max(1) as f64;
         tel.gauge_set("trace_replay_speedup", speedup);
     }
-    let mut cell = analyses.into_cell(workload.name(), personality.label(), isa_label(isa));
-    if let Some(p) = pass {
-        cell.fused = Some(p.report().to_fused_cell());
-    }
-    Ok(Some(cell))
+    Ok(Some(analyses.into_cell(workload.name(), personality.label(), isa_label(isa))))
 }
 
 #[cfg(test)]

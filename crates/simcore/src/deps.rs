@@ -77,6 +77,24 @@ impl<V: Copy> DepTable<V> {
         }
     }
 
+    /// Rewrite with `f` the value of every location `ri` writes that holds
+    /// one. A word two of `ri`'s accesses share is handed to `f` twice.
+    #[inline]
+    pub fn update(&mut self, ri: &RetiredInst, mut f: impl FnMut(&mut V)) {
+        for r in ri.dsts.iter() {
+            if let Some(v) = &mut self.regs[r.index()] {
+                f(v);
+            }
+        }
+        for a in ri.mem_writes.iter() {
+            for w in a.words() {
+                if let Some(v) = self.pages.get_mut(&(w / PAGE_WORDS)).and_then(|p| p[slot(w)].as_mut()) {
+                    f(v);
+                }
+            }
+        }
+    }
+
     /// Forget every memory word whose value fails `keep`, and free the
     /// pages left empty; a later read of such a word finds no writer.
     pub fn retain_words(&mut self, mut keep: impl FnMut(V) -> bool) {
@@ -161,6 +179,30 @@ mod tests {
         ld.mem_reads.push(4 * 1024, 16);
         assert_eq!(reads(&t, &ld), vec![3]);
         assert_eq!(t.pages.len(), 2);
+    }
+
+    #[test]
+    fn update_rewrites_only_what_was_written() {
+        let mut t = DepTable::new();
+        let mut w = inst(&[], &[RegId::Int(1), RegId::Int(2)]);
+        w.mem_writes.push(0x104, 8); // two words
+        t.write(&w, 1u64);
+        let mut later = inst(&[], &[RegId::Int(2)]);
+        later.mem_writes.push(0x108, 4);
+        t.write(&later, 2u64);
+        // Rewrite the locations `w` still holds; `later` took the rest.
+        t.update(&w, |v| {
+            if *v == 1 {
+                *v = 9;
+            }
+        });
+        let mut r = inst(&[RegId::Int(1), RegId::Int(2), RegId::Int(3)], &[]);
+        r.mem_reads.push(0x100, 16);
+        assert_eq!(reads(&t, &r), vec![9, 2, 9, 2]);
+        // A write set over unwritten locations finds nothing to rewrite.
+        let mut fresh = inst(&[], &[RegId::Int(4)]);
+        fresh.mem_writes.push(0x9000, 8);
+        t.update(&fresh, |_| panic!("no value held"));
     }
 
     #[test]

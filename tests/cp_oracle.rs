@@ -1,15 +1,23 @@
 //! Every streaming dependency analysis against the brute-force DAG oracle
 //! (`common::oracle`): unit and TX2-scaled critical paths, each window's
 //! critical path, the dependency-distance histogram and the critical-chain
-//! length, over random streams and over emulated fuzzed programs. Run it
-//! in the debug profile too, where an overflowing lane panics.
+//! length, over random streams and over emulated fuzzed programs. The
+//! fused bundle's critical paths are checked against the oracle's paths
+//! through the merged stream a naive greedy pairing builds. Run it in the
+//! debug profile too, where an overflowing lane panics.
 
-use analysis::{CpComposition, DepDistance, DualCriticalPath, WindowedCp, PAPER_WINDOW_SIZES};
+use analysis::{
+    CellAnalyses, CpComposition, DepDistance, DualCriticalPath, PathLength, WindowedCp,
+    PAPER_WINDOW_SIZES,
+};
+use fusion::{merge, recognise, PairKind};
 use isa_aarch64::AArch64Executor;
 use isa_riscv::RiscVExecutor;
 use kernelgen::{compile, KernelProgram, Personality};
 use proptest::prelude::*;
-use simcore::{CpuState, EmulationCore, InstGroup, IsaKind, Observer, RegId, RegSet, RetiredInst};
+use simcore::{
+    CpuState, EmulationCore, InstGroup, IsaKind, Observer, RegId, RegSet, Region, RetiredInst,
+};
 use uarch::Tx2Latency;
 
 mod common;
@@ -255,6 +263,268 @@ fn dual_matches_oracle_on_mixed_stream() {
     assert_matches_oracle(&stream);
 }
 
+/// Fuse `stream` the naive way: at each record, try to pair it with the
+/// next under `isa`'s table, merging a pair into one record. Returns the
+/// merged stream and the count of each kind, in [`PairKind::ALL`] order.
+fn naive_fuse(isa: IsaKind, stream: &[RetiredInst]) -> (Vec<RetiredInst>, Vec<u64>) {
+    let mut merged = Vec::new();
+    let mut counts = vec![0; PairKind::ALL.len()];
+    let mut i = 0;
+    while i < stream.len() {
+        let pair = stream.get(i + 1).and_then(|c| recognise(isa, &stream[i], c));
+        match pair {
+            Some(kind) => {
+                counts[kind.index()] += 1;
+                merged.push(merge(kind, &stream[i], &stream[i + 1]));
+                i += 2;
+            }
+            None => {
+                merged.push(stream[i]);
+                i += 1;
+            }
+        }
+    }
+    (merged, counts)
+}
+
+/// Run the fused bundle over `stream` and require the oracle's numbers:
+/// the unfused ones of `stream`, and the fused ones of the merged stream.
+/// Returns the pair counts, in [`PairKind::ALL`] order.
+fn assert_fused_matches_oracle(isa: IsaKind, stream: &[RetiredInst], regions: &[Region]) -> Vec<u64> {
+    let mut bundle = CellAnalyses::fused(isa, regions);
+    let n = bundle.run(&mut &stream[..]).unwrap();
+    assert_eq!(n, stream.len() as u64);
+    let cell = bundle.into_cell("w", "c", "i");
+
+    let dag = Dag::new(stream);
+    assert_eq!(cell.critical_path, dag.unit_cp(), "unit CP of the fused bundle");
+    assert_eq!(cell.scaled_cp, dag.scaled_cp(), "scaled CP of the fused bundle");
+    let windows: Vec<_> = PAPER_WINDOW_SIZES
+        .iter()
+        .map(|&s| {
+            let w = dag.window_stats(s);
+            (s, w.mean_cp(), w.mean_ilp())
+        })
+        .collect();
+    assert_eq!(cell.windows, windows, "windows of the fused bundle");
+
+    let (merged, counts) = naive_fuse(isa, stream);
+    let fused = cell.fused.expect("the fused bundle reports a fused cell");
+    let merged_dag = Dag::new(&merged);
+    assert_eq!(fused.fused_critical_path, merged_dag.unit_cp(), "fused unit CP under {isa:?}");
+    assert_eq!(fused.fused_scaled_cp, merged_dag.scaled_cp(), "fused scaled CP under {isa:?}");
+    assert_eq!(fused.effective_path_length, merged.len() as u64, "effective path length");
+    assert_eq!(fused.fused_pairs, counts.iter().sum::<u64>());
+    let named: Vec<_> = PairKind::ALL
+        .iter()
+        .zip(&counts)
+        .filter(|(_, n)| **n > 0)
+        .map(|(k, n)| (k.name().to_string(), *n))
+        .collect();
+    assert_eq!(fused.pair_counts, named, "pair counts under {isa:?}");
+    let mut effective = PathLength::new(regions);
+    for ri in &merged {
+        effective.on_retire(ri);
+    }
+    assert_eq!(fused.effective_kernels, effective.by_kernel(), "effective kernels");
+    counts
+}
+
+/// Two kernel regions, each over half the pair-rich streams' PCs.
+fn pair_regions() -> Vec<Region> {
+    vec![
+        Region { name: "low".into(), start: 0x1000, end: 0x1080 },
+        Region { name: "high".into(), start: 0x1080, end: 0x1100 },
+    ]
+}
+
+/// A stream rich in `isa`'s fusible pairs, shaped the way the ISA retires
+/// them: idioms of every pair kind among filler a real front end would
+/// also see. Among them:
+///
+/// * an in-place shift or compare whose source, the pair's link, ends a
+///   deep chain, so the producer's depth alone exceeds the merged one;
+/// * on AArch64, two 4-byte halves of one 8-byte word stored as a store
+///   pair, a store pair whose first half writes back its base, and a flag
+///   setter that also writes a general register before `b.cond`.
+///
+/// Odd seeds end on a producer still waiting for its consumer.
+fn pair_stream(isa: IsaKind, seed: u64, len: usize) -> Vec<RetiredInst> {
+    let mut rng = Rng(seed);
+    let mut out: Vec<RetiredInst> = Vec::with_capacity(len + 4);
+    let x = |n: u64| RegId::Int(n as u8 + 1);
+    while out.len() < len {
+        let op = |group: InstGroup, srcs: &[RegId], dsts: &[RegId]| {
+            let mut ri = RetiredInst::new(0, group);
+            ri.srcs = RegSet::of(srcs);
+            ri.dsts = RegSet::of(dsts);
+            ri
+        };
+        let branch = |srcs: &[RegId]| {
+            let mut b = op(InstGroup::Branch, srcs, &[]);
+            b.is_branch = true;
+            b.taken = srcs.len() == 1;
+            b
+        };
+        let (a, b, d) = (x(rng.below(6)), x(rng.below(6)), x(rng.below(6)));
+        let word = 0x8000 + 8 * rng.below(16);
+        let deep = [InstGroup::IntMul, InstGroup::IntDiv, InstGroup::FpCmp][rng.below(3) as usize];
+        match (isa, rng.below(12)) {
+            // Filler: plain ALU work over few registers, loads and stores.
+            (_, 0) => {
+                let group = [
+                    InstGroup::IntAlu,
+                    InstGroup::IntMul,
+                    InstGroup::Shift,
+                    InstGroup::Logical,
+                    InstGroup::FpAdd,
+                    InstGroup::FpFma,
+                ][rng.below(6) as usize];
+                out.push(op(group, &[a, b], &[d]));
+            }
+            (_, 1) => {
+                let mut ld = op(InstGroup::Load, &[a], &[d]);
+                ld.mem_reads.push(word, 8);
+                out.push(ld);
+            }
+            (_, 2) => {
+                let mut st = op(InstGroup::Store, &[a, b], &[]);
+                st.mem_writes.push(word + 4 * rng.below(2), [4, 8][rng.below(2) as usize]);
+                out.push(st);
+            }
+            // A deep chain into `d`, then a pair whose producer reads `d`
+            // as its link.
+            (IsaKind::RiscV, 3) => {
+                out.push(op(deep, &[d, a], &[d]));
+                out.push(op(InstGroup::Shift, &[d], &[d]));
+                out.push(op(InstGroup::IntAlu, &[b, d], &[d]));
+            }
+            (IsaKind::RiscV, 4) => {
+                out.push(op(InstGroup::Shift, &[a], &[d]));
+                let mut ld = op(InstGroup::Load, &[d], &[d]);
+                ld.mem_reads.push(word, 8);
+                out.push(ld);
+            }
+            (IsaKind::RiscV, 5) => {
+                out.push(op(InstGroup::IntAlu, &[], &[d]));
+                out.push(op(InstGroup::IntAlu, &[d], &[d]));
+            }
+            (IsaKind::RiscV, 6) => {
+                out.push(op(InstGroup::IntAlu, &[], &[d]));
+                let mut ld = op(InstGroup::Load, &[d], &[d]);
+                ld.mem_reads.push(word, 8);
+                out.push(ld);
+            }
+            (IsaKind::RiscV, 7) => {
+                out.push(op(deep, &[d], &[d]));
+                out.push(op(InstGroup::IntAlu, &[d, a], &[d]));
+                out.push(branch(&[d]));
+            }
+            (IsaKind::RiscV, 8) => {
+                out.push(op(InstGroup::IntAlu, &[a, b], &[d]));
+                out.push(branch(&[d, a]));
+            }
+            (IsaKind::RiscV, _) => {
+                out.push(op(InstGroup::Shift, &[a], &[d]));
+                out.push(op(InstGroup::IntAlu, &[b, d], &[d]));
+            }
+            // cmp + b.cond, the compare reading a deep flags chain or also
+            // writing a general register.
+            (IsaKind::AArch64, 3) => {
+                out.push(op(deep, &[a], &[RegId::Flags]));
+                out.push(op(InstGroup::IntAlu, &[RegId::Flags, a], &[RegId::Flags, d]));
+                out.push(branch(&[RegId::Flags]));
+            }
+            (IsaKind::AArch64, 4) => {
+                out.push(op(InstGroup::IntAlu, &[d], &[d, RegId::Flags]));
+                out.push(branch(&[RegId::Flags]));
+            }
+            (IsaKind::AArch64, 5) => {
+                out.push(op(InstGroup::IntAlu, &[], &[d]));
+                out.push(op(InstGroup::IntAlu, &[d], &[d]));
+            }
+            (IsaKind::AArch64, 6) => {
+                let (u, v) = (x(6), x(7));
+                let mut first = op(InstGroup::Load, &[a], &[u]);
+                first.mem_reads.push(word, 8);
+                let mut second = op(InstGroup::Load, &[a], &[v]);
+                second.mem_reads.push(word + 8, 8);
+                out.extend([first, second]);
+            }
+            (IsaKind::AArch64, 7) => {
+                // Two 4-byte halves of one word.
+                let mut first = op(InstGroup::Store, &[a, b], &[]);
+                first.mem_writes.push(word, 4);
+                let mut second = op(InstGroup::Store, &[d, b], &[]);
+                second.mem_writes.push(word + 4, 4);
+                out.extend([first, second]);
+            }
+            (IsaKind::AArch64, 8) => {
+                // A pre-indexed store writes back its base; the second half
+                // stores through the new base.
+                let mut first = op(InstGroup::Store, &[a, b], &[b]);
+                first.mem_writes.push(word, 8);
+                let mut second = op(InstGroup::Store, &[d, b], &[]);
+                second.mem_writes.push(word + 8, 8);
+                out.extend([first, second]);
+            }
+            (IsaKind::AArch64, _) => {
+                out.push(op(InstGroup::IntAlu, &[a, b], &[RegId::Flags]));
+                out.push(branch(&[RegId::Flags]));
+            }
+        }
+    }
+    if seed % 2 == 1 {
+        let producer = match isa {
+            IsaKind::RiscV => RegSet::of(&[x(0)]),
+            IsaKind::AArch64 => RegSet::of(&[RegId::Flags]),
+        };
+        let mut last = RetiredInst::new(0x1000, InstGroup::IntAlu);
+        last.srcs = RegSet::of(&[x(1)]);
+        last.dsts = producer;
+        out.push(last);
+    }
+    // Consecutive PCs, so some pairs straddle the two regions.
+    for (i, ri) in out.iter_mut().enumerate() {
+        ri.pc = 0x1000 + 4 * (i as u64 % 64);
+    }
+    out
+}
+
+#[test]
+fn fused_bundle_matches_the_merged_stream_oracle() {
+    for isa in [IsaKind::RiscV, IsaKind::AArch64] {
+        let mut totals = vec![0; PairKind::ALL.len()];
+        let mut lengths = Rng(11);
+        for seed in 0..16 {
+            let len = 1 + lengths.below(2500) as usize;
+            let counts = assert_fused_matches_oracle(isa, &pair_stream(isa, seed, len), &pair_regions());
+            for (t, n) in totals.iter_mut().zip(counts) {
+                *t += n;
+            }
+        }
+        for (k, n) in PairKind::ALL.iter().zip(&totals) {
+            if k.isa() == isa {
+                assert!(*n > 0, "{k:?} never fused under {isa:?}");
+            } else {
+                assert_eq!(*n, 0, "{k:?} fused under {isa:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_bundle_matches_the_oracle_on_streams_ending_in_a_producer() {
+    // Streams of one to four records cover a producer pending at the end
+    // with and without a pair before it.
+    for isa in [IsaKind::RiscV, IsaKind::AArch64] {
+        for seed in 0..40 {
+            let stream = pair_stream(isa, 2 * seed + 1, 1 + seed as usize % 3);
+            assert_fused_matches_oracle(isa, &stream, &pair_regions());
+        }
+    }
+}
+
 /// Collects the retired stream.
 struct Capture(Vec<RetiredInst>);
 
@@ -264,7 +534,7 @@ impl Observer for Capture {
     }
 }
 
-fn emulate(prog: &KernelProgram, isa: IsaKind, p: &Personality) -> Vec<RetiredInst> {
+fn emulate(prog: &KernelProgram, isa: IsaKind, p: &Personality) -> (Vec<RetiredInst>, Vec<Region>) {
     let c = compile(prog, isa, p);
     let mut st = CpuState::new();
     c.program.load(&mut st).unwrap();
@@ -277,7 +547,7 @@ fn emulate(prog: &KernelProgram, isa: IsaKind, p: &Personality) -> Vec<RetiredIn
             EmulationCore::new(AArch64Executor::new()).run(&mut st, &mut [&mut capture]).unwrap()
         }
     };
-    capture.0
+    (capture.0, c.program.regions)
 }
 
 proptest! {
@@ -288,7 +558,9 @@ proptest! {
         let prog = realise(&spec);
         for p in [Personality::gcc92(), Personality::gcc122()] {
             for isa in [IsaKind::RiscV, IsaKind::AArch64] {
-                assert_matches_oracle(&emulate(&prog, isa, &p));
+                let (stream, regions) = emulate(&prog, isa, &p);
+                assert_matches_oracle(&stream);
+                assert_fused_matches_oracle(isa, &stream, &regions);
             }
         }
     }

@@ -3,13 +3,15 @@
 //! must be byte-identical — the pass sees only `RetiredInst` fields, which
 //! is exactly what the trace format carries. Also pins the cache-separation
 //! contract: fused and unfused cells share trace files (traces are
-//! fusion-independent) but never share results.
+//! fusion-independent) but never share results, and checks the fused
+//! bundle the cells use against the merged-stream `FusionPass`.
 
 use std::sync::{Mutex, MutexGuard};
 
 use isacmp::{
-    run_cell_opts, run_matrix_opts, CellOptions, IsaKind, MatrixOptions, Personality, SizeClass,
-    Workload,
+    compile, matrix_combos, run_cell_opts, run_matrix_opts, try_execute, CellAnalyses,
+    CellOptions, FusionPass, IsaKind, MatrixOptions, Observer, Personality, RetiredInst,
+    SizeClass, Workload,
 };
 
 /// Every test in this binary holds this lock: the trace counters they
@@ -96,4 +98,36 @@ fn fused_and_unfused_cells_share_traces_but_not_results() {
     assert_eq!(unfused, defused, "fusion must not perturb the baseline measurements");
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Collects the retired stream.
+struct Capture(Vec<RetiredInst>);
+
+impl Observer for Capture {
+    fn on_retire(&mut self, ri: &RetiredInst) {
+        self.0.push(*ri);
+    }
+}
+
+#[test]
+fn fused_bundle_equals_the_merged_stream_pass_on_every_test_cell() {
+    for (w, p, isa) in matrix_combos(&Workload::ALL) {
+        let compiled = compile(&w.build(SizeClass::Test), isa, &p);
+        let mut capture = Capture(Vec::new());
+        try_execute(&compiled, &mut [&mut capture], None, None).expect("clean cell");
+        let regions = &compiled.program.regions;
+
+        let mut bundle = CellAnalyses::fused(isa, regions);
+        bundle.run(&mut &capture.0[..]).unwrap();
+        let cell = bundle.into_cell(w.name(), p.label(), "isa");
+        let mut pass = FusionPass::new(isa, regions);
+        pass.consume(&mut &capture.0[..]).unwrap();
+        assert_eq!(
+            cell.fused,
+            Some(pass.report().to_fused_cell()),
+            "{}/{}/{isa:?}",
+            w.name(),
+            p.label()
+        );
+    }
 }

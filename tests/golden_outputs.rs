@@ -28,14 +28,17 @@
 
 use bench::experiments;
 use isacmp::{
-    run_matrix_opts, CampaignManifest, CampaignSpec, FaultKind, InjectSpec, MatrixOptions,
-    SizeClass, Workload,
+    faulted_budget, run_matrix_opts, CampaignManifest, CampaignSpec, FaultKind, InjectSpec,
+    MatrixOptions, ResultMatrix, SizeClass, Workload, FAULTED_BUDGET_FACTOR,
 };
 
-fn assert_golden(name: &str, got: &str) {
+fn golden(name: &str) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
+}
+
+fn assert_golden(name: &str, got: &str) {
+    let want = golden(name);
     if got != want {
         let line = got.lines().zip(want.lines()).position(|(g, w)| g != w);
         let line = line.unwrap_or_else(|| got.lines().count().min(want.lines().count()));
@@ -102,4 +105,14 @@ fn injected_read_flip_matrix_matches_golden() {
     let m = run_matrix_opts(&Workload::ALL, SizeClass::Test, &opts);
     assert!(!m.is_complete(), "the flip must turn its cell into an ERR entry");
     assert_golden("matrix-inject.json", &m.to_json());
+}
+
+#[test]
+fn faulted_budgets_follow_the_longest_clean_paths() {
+    for (size, name) in [(SizeClass::Test, "matrix.json"), (SizeClass::Small, "matrix-small.json")] {
+        let m = ResultMatrix::from_json(&golden(name)).unwrap();
+        let longest = m.cells.iter().map(|c| c.path_length).max().unwrap();
+        assert_eq!(faulted_budget(size), Some(FAULTED_BUDGET_FACTOR * longest), "{name}");
+    }
+    assert_eq!(faulted_budget(SizeClass::Paper), None);
 }
