@@ -18,7 +18,10 @@ pub struct InstMix {
 }
 
 fn group_index(g: InstGroup) -> usize {
-    InstGroup::ALL.iter().position(|&x| x == g).expect("group in ALL")
+    InstGroup::ALL
+        .iter()
+        .position(|&x| x == g)
+        .expect("group in ALL")
 }
 
 impl InstMix {
@@ -75,7 +78,12 @@ impl InstMix {
     pub fn table(&self) -> String {
         let mut out = format!("{:<10} {:>12} {:>8}\n", "group", "count", "share");
         for (g, c) in self.sorted() {
-            out.push_str(&format!("{:<10} {:>12} {:>7.2}%\n", format!("{g:?}"), c, 100.0 * c as f64 / self.total.max(1) as f64));
+            out.push_str(&format!(
+                "{:<10} {:>12} {:>7.2}%\n",
+                format!("{g:?}"),
+                c,
+                100.0 * c as f64 / self.total.max(1) as f64
+            ));
         }
         out
     }

@@ -102,9 +102,21 @@ mod tests {
     #[test]
     fn attributes_to_regions() {
         let regions = vec![
-            Region { name: "a".into(), start: 0x100, end: 0x200 },
-            Region { name: "b".into(), start: 0x200, end: 0x300 },
-            Region { name: "a".into(), start: 0x400, end: 0x500 },
+            Region {
+                name: "a".into(),
+                start: 0x100,
+                end: 0x200,
+            },
+            Region {
+                name: "b".into(),
+                start: 0x200,
+                end: 0x300,
+            },
+            Region {
+                name: "a".into(),
+                start: 0x400,
+                end: 0x500,
+            },
         ];
         let mut pl = PathLength::new(&regions);
         for pc in [0x100, 0x104, 0x250, 0x404, 0x50] {

@@ -149,7 +149,12 @@ impl ResultMatrix {
     /// included, so partial tables still show every row).
     pub fn workloads(&self) -> Vec<String> {
         let mut out = Vec::new();
-        for w in self.cells.iter().map(|c| &c.workload).chain(self.failures.iter().map(|f| &f.workload)) {
+        for w in self
+            .cells
+            .iter()
+            .map(|c| &c.workload)
+            .chain(self.failures.iter().map(|f| &f.workload))
+        {
             if !out.contains(w) {
                 out.push(w.clone());
             }
@@ -159,7 +164,12 @@ impl ResultMatrix {
 
     fn compilers(&self) -> Vec<String> {
         let mut out = Vec::new();
-        for c in self.cells.iter().map(|c| &c.compiler).chain(self.failures.iter().map(|f| &f.compiler)) {
+        for c in self
+            .cells
+            .iter()
+            .map(|c| &c.compiler)
+            .chain(self.failures.iter().map(|f| &f.compiler))
+        {
             if !out.contains(c) {
                 out.push(c.clone());
             }
@@ -211,17 +221,26 @@ impl ResultMatrix {
             "Table F: Macro-op Fusion — effective path length and fused CP",
             &[
                 ("Path Length", &|c: &ExperimentCell| fmt_u64(c.path_length)),
-                ("Effective PL", &|c| fused(c, &|f| fmt_u64(f.effective_path_length))),
+                ("Effective PL", &|c| {
+                    fused(c, &|f| fmt_u64(f.effective_path_length))
+                }),
                 ("Fused pairs", &|c| fused(c, &|f| fmt_u64(f.fused_pairs))),
                 ("PL reduction", &|c| {
                     fused(c, &|f| {
                         let base = c.path_length.max(1) as f64;
-                        format!("{:.1}%", 100.0 * (1.0 - f.effective_path_length as f64 / base))
+                        format!(
+                            "{:.1}%",
+                            100.0 * (1.0 - f.effective_path_length as f64 / base)
+                        )
                     })
                 }),
                 ("CP", &|c| fmt_u64(c.critical_path)),
-                ("Fused CP", &|c| fused(c, &|f| fmt_u64(f.fused_critical_path))),
-                ("Fused scaled CP", &|c| fused(c, &|f| fmt_u64(f.fused_scaled_cp))),
+                ("Fused CP", &|c| {
+                    fused(c, &|f| fmt_u64(f.fused_critical_path))
+                }),
+                ("Fused scaled CP", &|c| {
+                    fused(c, &|f| fmt_u64(f.fused_scaled_cp))
+                }),
                 ("Fused ILP", &|c| fused(c, &|f| format!("{:.0}", f.ilp()))),
             ],
         )
@@ -376,7 +395,10 @@ impl ResultMatrix {
             }
         }
         for f in self.failures.iter().filter(|f| f.compiler == "gcc-12.2") {
-            out.push_str(&format!("{},{},ERR({}),0.000,0.000\n", f.workload, f.isa, f.kind));
+            out.push_str(&format!(
+                "{},{},ERR({}),0.000,0.000\n",
+                f.workload, f.isa, f.kind
+            ));
         }
         out
     }
@@ -405,8 +427,11 @@ impl ResultMatrix {
     pub fn window_averages_txt(&self) -> String {
         let mut out = String::new();
         for c in self.cells.iter().filter(|c| c.compiler == "gcc-12.2") {
-            let means: Vec<String> =
-                c.windows.iter().map(|(_, cp, _)| format!("{cp:.3}")).collect();
+            let means: Vec<String> = c
+                .windows
+                .iter()
+                .map(|(_, cp, _)| format!("{cp:.3}"))
+                .collect();
             out.push_str(&format!("{} {}: {}\n", c.workload, c.isa, means.join(",")));
         }
         out
@@ -426,8 +451,11 @@ impl ResultMatrix {
             "set title 'Mean ILP per window (GCC 12.2)'\n",
             "set key outside\n",
         ));
-        let cells: Vec<&ExperimentCell> =
-            self.cells.iter().filter(|c| c.compiler == "gcc-12.2").collect();
+        let cells: Vec<&ExperimentCell> = self
+            .cells
+            .iter()
+            .filter(|c| c.compiler == "gcc-12.2")
+            .collect();
         for (i, c) in cells.iter().enumerate() {
             out.push_str(&format!("$data{i} << EOD\n"));
             for (size, _, ilp) in &c.windows {
@@ -461,11 +489,21 @@ impl ResultMatrix {
         Json::obj(vec![
             (
                 "cells",
-                Json::Arr(self.cells.iter().map(ExperimentCell::to_json_value).collect()),
+                Json::Arr(
+                    self.cells
+                        .iter()
+                        .map(ExperimentCell::to_json_value)
+                        .collect(),
+                ),
             ),
             (
                 "failures",
-                Json::Arr(self.failures.iter().map(CellFailure::to_json_value).collect()),
+                Json::Arr(
+                    self.failures
+                        .iter()
+                        .map(CellFailure::to_json_value)
+                        .collect(),
+                ),
             ),
         ])
         .pretty()
@@ -480,11 +518,17 @@ impl ResultMatrix {
             .and_then(Json::as_arr)
             .ok_or("matrix: missing \"cells\" array")?;
         let failures = match j.get("failures").and_then(Json::as_arr) {
-            Some(arr) => arr.iter().map(CellFailure::from_json_value).collect::<Result<_, _>>()?,
+            Some(arr) => arr
+                .iter()
+                .map(CellFailure::from_json_value)
+                .collect::<Result<_, _>>()?,
             None => Vec::new(),
         };
         Ok(ResultMatrix {
-            cells: cells.iter().map(ExperimentCell::from_json_value).collect::<Result<_, _>>()?,
+            cells: cells
+                .iter()
+                .map(ExperimentCell::from_json_value)
+                .collect::<Result<_, _>>()?,
             failures,
         })
     }
@@ -551,11 +595,7 @@ impl ExperimentCell {
                     self.windows
                         .iter()
                         .map(|&(size, cp, ilp)| {
-                            Json::Arr(vec![
-                                Json::Num(size as f64),
-                                Json::Num(cp),
-                                Json::Num(ilp),
-                            ])
+                            Json::Arr(vec![Json::Num(size as f64), Json::Num(cp), Json::Num(ilp)])
                         })
                         .collect(),
                 ),
@@ -635,8 +675,14 @@ impl FusedCell {
         };
         Json::obj(vec![
             ("fused_pairs", Json::Num(self.fused_pairs as f64)),
-            ("effective_path_length", Json::Num(self.effective_path_length as f64)),
-            ("fused_critical_path", Json::Num(self.fused_critical_path as f64)),
+            (
+                "effective_path_length",
+                Json::Num(self.effective_path_length as f64),
+            ),
+            (
+                "fused_critical_path",
+                Json::Num(self.fused_critical_path as f64),
+            ),
             ("fused_scaled_cp", Json::Num(self.fused_scaled_cp as f64)),
             ("pair_counts", pairs(&self.pair_counts)),
             ("effective_kernels", pairs(&self.effective_kernels)),
@@ -719,7 +765,10 @@ mod tests {
             fused_critical_path: 90,
             fused_scaled_cp: 540,
             pair_counts: vec![("slli+add".into(), pl / 20), ("cmp+branch".into(), pl / 20)],
-            effective_kernels: vec![("k1".into(), pl / 2 - pl / 20), ("k2".into(), pl / 2 - pl / 20)],
+            effective_kernels: vec![
+                ("k1".into(), pl / 2 - pl / 20),
+                ("k2".into(), pl / 2 - pl / 20),
+            ],
         }
     }
 
@@ -756,10 +805,13 @@ mod tests {
 
     fn degraded() -> ResultMatrix {
         let mut m = sample();
-        m.cells.retain(|c| !(c.compiler == "gcc-12.2" && c.isa == "RISC-V"));
-        m.failures.push(failure("STREAM", "gcc-12.2", "RISC-V", "timeout"));
+        m.cells
+            .retain(|c| !(c.compiler == "gcc-12.2" && c.isa == "RISC-V"));
+        m.failures
+            .push(failure("STREAM", "gcc-12.2", "RISC-V", "timeout"));
         // A workload where *every* cell failed must still appear.
-        m.failures.push(failure("LBM", "gcc-9.2", "AArch64", "panic"));
+        m.failures
+            .push(failure("LBM", "gcc-9.2", "AArch64", "panic"));
         m
     }
 
@@ -784,7 +836,10 @@ mod tests {
     fn fig1_normalises_to_gcc92_aarch64() {
         let csv = sample().fig1_csv();
         // gcc-12.2/AArch64 kernel k1: 450/1000 = 0.45
-        assert!(csv.contains("STREAM,gcc-12.2,AArch64,k1,450,0.450000"), "{csv}");
+        assert!(
+            csv.contains("STREAM,gcc-12.2,AArch64,k1,450,0.450000"),
+            "{csv}"
+        );
     }
 
     #[test]
@@ -806,7 +861,10 @@ mod tests {
             csv.contains("LBM,gcc-9.2,AArch64,ERR(panic),0,0.000000"),
             "all-failed workload still appears:\n{csv}"
         );
-        assert!(csv.contains("STREAM,gcc-9.2,AArch64,k1,500,0.500000"), "healthy rows intact");
+        assert!(
+            csv.contains("STREAM,gcc-9.2,AArch64,k1,500,0.500000"),
+            "healthy rows intact"
+        );
         // Every row has the full 6-column shape.
         for line in csv.lines().skip(1) {
             assert_eq!(line.split(',').count(), 6, "malformed row: {line}");
@@ -817,8 +875,14 @@ mod tests {
     fn fig2_emits_err_rows_for_gcc122_failures() {
         let m = degraded();
         let csv = m.fig2_csv();
-        assert!(csv.contains("STREAM,RISC-V,ERR(timeout),0.000,0.000"), "{csv}");
-        assert!(!csv.contains("ERR(panic)"), "gcc-9.2 failures stay out of figure 2:\n{csv}");
+        assert!(
+            csv.contains("STREAM,RISC-V,ERR(timeout),0.000,0.000"),
+            "{csv}"
+        );
+        assert!(
+            !csv.contains("ERR(panic)"),
+            "gcc-9.2 failures stay out of figure 2:\n{csv}"
+        );
         for line in csv.lines().skip(1) {
             assert_eq!(line.split(',').count(), 5, "malformed row: {line}");
         }
@@ -865,14 +929,26 @@ mod tests {
         let m = degraded();
         let t1 = m.table1();
         assert!(t1.contains("ERR(timeout)"), "{t1}");
-        assert!(t1.contains("gcc-12.2/RISC-V"), "failed column keeps its header:\n{t1}");
+        assert!(
+            t1.contains("gcc-12.2/RISC-V"),
+            "failed column keeps its header:\n{t1}"
+        );
         assert!(t1.contains("1,000"), "healthy cells still render");
-        assert!(t1.contains("== LBM =="), "all-failed workload still has a section:\n{t1}");
+        assert!(
+            t1.contains("== LBM =="),
+            "all-failed workload still has a section:\n{t1}"
+        );
         assert!(t1.contains("ERR(panic)"), "{t1}");
         assert!(!m.is_complete());
-        assert_eq!(m.get_failure("STREAM", "gcc-12.2", "RISC-V").unwrap().kind, "timeout");
+        assert_eq!(
+            m.get_failure("STREAM", "gcc-12.2", "RISC-V").unwrap().kind,
+            "timeout"
+        );
         let summary = m.failure_summary();
-        assert!(summary.contains("ERR(timeout) STREAM gcc-12.2 RISC-V"), "{summary}");
+        assert!(
+            summary.contains("ERR(timeout) STREAM gcc-12.2 RISC-V"),
+            "{summary}"
+        );
     }
 
     #[test]
@@ -937,7 +1013,10 @@ mod tests {
     fn fusion_csv_rows_per_pair_kind() {
         let csv = fused_sample().fusion_csv();
         assert!(csv.starts_with("workload,compiler,isa,pair,count,per_kilo_inst\n"));
-        assert!(csv.contains("STREAM,gcc-12.2,RISC-V,slli+add,55,50.000"), "{csv}");
+        assert!(
+            csv.contains("STREAM,gcc-12.2,RISC-V,slli+add,55,50.000"),
+            "{csv}"
+        );
         for line in csv.lines().skip(1) {
             assert_eq!(line.split(',').count(), 6, "malformed row: {line}");
         }
@@ -950,7 +1029,11 @@ mod tests {
         let bare = sample().fig1_csv();
         assert!(bare.starts_with("workload,compiler,isa,kernel,instructions,normalised\n"));
         for line in bare.lines() {
-            assert_eq!(line.split(',').count(), 6, "unfused shape unchanged: {line}");
+            assert_eq!(
+                line.split(',').count(),
+                6,
+                "unfused shape unchanged: {line}"
+            );
         }
         let csv = fused_sample().fig1_csv();
         assert!(
@@ -960,9 +1043,16 @@ mod tests {
             "{csv}"
         );
         for line in csv.lines() {
-            assert_eq!(line.split(',').count(), 8, "fused rows carry 8 columns: {line}");
+            assert_eq!(
+                line.split(',').count(),
+                8,
+                "fused rows carry 8 columns: {line}"
+            );
         }
         // k1 of the gcc-12.2/AArch64 cell: 450 raw, 450 - 45 effective.
-        assert!(csv.contains("STREAM,gcc-12.2,AArch64,k1,450,0.450000,405,0.405000"), "{csv}");
+        assert!(
+            csv.contains("STREAM,gcc-12.2,AArch64,k1,450,0.450000,405,0.405000"),
+            "{csv}"
+        );
     }
 }

@@ -115,10 +115,12 @@ fn parse_args() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
-        let mut value = |flag: &str| it.next().unwrap_or_else(|| {
-            eprintln!("bench_report: {flag} needs a value");
-            usage()
-        });
+        let mut value = |flag: &str| {
+            it.next().unwrap_or_else(|| {
+                eprintln!("bench_report: {flag} needs a value");
+                usage()
+            })
+        };
         match a.as_str() {
             "--size" => {
                 args.size = bench::cli::size_from_name(&value("--size")).unwrap_or_else(|e| {
@@ -127,20 +129,24 @@ fn parse_args() -> Args {
                 })
             }
             "--runs" => {
-                args.runs = value("--runs").parse::<u32>().ok().filter(|n| *n > 0).unwrap_or_else(
-                    || {
+                args.runs = value("--runs")
+                    .parse::<u32>()
+                    .ok()
+                    .filter(|n| *n > 0)
+                    .unwrap_or_else(|| {
                         eprintln!("bench_report: --runs needs a positive integer");
                         usage()
-                    },
-                )
+                    })
             }
             "--threshold" => {
-                args.threshold_pct =
-                    value("--threshold").parse::<f64>().ok().filter(|t| t.is_finite() && *t >= 0.0)
-                        .unwrap_or_else(|| {
-                            eprintln!("bench_report: --threshold needs a non-negative percent");
-                            usage()
-                        })
+                args.threshold_pct = value("--threshold")
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|t| t.is_finite() && *t >= 0.0)
+                    .unwrap_or_else(|| {
+                        eprintln!("bench_report: --threshold needs a non-negative percent");
+                        usage()
+                    })
             }
             "--history" => args.history = PathBuf::from(value("--history")),
             "--baseline" => args.baseline = PathBuf::from(value("--baseline")),
@@ -248,13 +254,15 @@ fn measure_cell(
                 try_execute(compiled, &mut obs, None, None)
             }
         };
-        let (_, stats) = run
-            .map_err(|e| format!("{}/{}: {e}", workload.name(), isa_label(isa)))?;
+        let (_, stats) = run.map_err(|e| format!("{}/{}: {e}", workload.name(), isa_label(isa)))?;
         let mips = stats.host_mips() * mips_scale;
         if best.as_ref().is_none_or(|b| mips > b.mips) {
             let wall_ns = stats.wall.as_secs_f64() * 1e9;
-            let host_ns_per_op =
-                if stats.retired > 0 { wall_ns / stats.retired as f64 } else { 0.0 };
+            let host_ns_per_op = if stats.retired > 0 {
+                wall_ns / stats.retired as f64
+            } else {
+                0.0
+            };
             let native_s = native_wall.as_secs_f64();
             best = Some(CellResult {
                 workload: workload.name(),
@@ -265,8 +273,7 @@ fn measure_cell(
                 mips,
                 host_ns_per_op,
                 host_cycles_per_op: host_ns_per_op * host_ghz,
-                overhead_vs_native: (native_s > 0.0)
-                    .then(|| stats.wall.as_secs_f64() / native_s),
+                overhead_vs_native: (native_s > 0.0).then(|| stats.wall.as_secs_f64() / native_s),
             });
         }
     }
@@ -283,7 +290,11 @@ fn geomean(values: impl Iterator<Item = f64>) -> f64 {
             n += 1;
         }
     }
-    if n == 0 { 0.0 } else { (log_sum / n as f64).exp() }
+    if n == 0 {
+        0.0
+    } else {
+        (log_sum / n as f64).exp()
+    }
 }
 
 /// A validated history entry (the fields the comparator needs).
@@ -298,20 +309,34 @@ struct Entry {
 fn parse_entry(line: &str, lineno: usize) -> Result<Entry, String> {
     let at = |what: &str| format!("history line {lineno}: {what}");
     let j = Json::parse(line).map_err(|e| at(&format!("not valid JSON ({e})")))?;
-    let schema = j.get("schema").and_then(Json::as_u64).ok_or_else(|| at("missing schema"))?;
+    let schema = j
+        .get("schema")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| at("missing schema"))?;
     if schema != SCHEMA {
-        return Err(at(&format!("schema {schema} (this binary reads schema {SCHEMA})")));
+        return Err(at(&format!(
+            "schema {schema} (this binary reads schema {SCHEMA})"
+        )));
     }
     let geomean_mips = j
         .get("geomean_mips")
         .and_then(Json::as_f64)
         .filter(|m| m.is_finite() && *m >= 0.0)
         .ok_or_else(|| at("missing or invalid geomean_mips"))?;
-    let timestamp =
-        j.get("timestamp").and_then(Json::as_u64).ok_or_else(|| at("missing timestamp"))?;
-    let size =
-        j.get("size").and_then(Json::as_str).ok_or_else(|| at("missing size"))?.to_string();
-    Ok(Entry { timestamp, size, geomean_mips })
+    let timestamp = j
+        .get("timestamp")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| at("missing timestamp"))?;
+    let size = j
+        .get("size")
+        .and_then(Json::as_str)
+        .ok_or_else(|| at("missing size"))?
+        .to_string();
+    Ok(Entry {
+        timestamp,
+        size,
+        geomean_mips,
+    })
 }
 
 /// Load a `load_driver --stats-out` report and validate the fields this
@@ -361,7 +386,12 @@ fn main() -> ExitCode {
         }
     };
     // Same fail-fast rule for a requested server-stats merge.
-    let server_stats = match args.server_stats.as_deref().map(read_server_stats).transpose() {
+    let server_stats = match args
+        .server_stats
+        .as_deref()
+        .map(read_server_stats)
+        .transpose()
+    {
         Ok(s) => s,
         Err(e) => {
             eprintln!("bench_report: schema error: {e}");
@@ -435,8 +465,10 @@ fn main() -> ExitCode {
 
     let geomean_mips = geomean(cells.iter().map(|c| c.mips));
     let total_retired: u64 = cells.iter().map(|c| c.retired).sum();
-    let timestamp =
-        SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0);
+    let timestamp = SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .map(|d| d.as_secs())
+        .unwrap_or(0);
     println!("  geomean {geomean_mips:.2} MIPS | {total_retired} instructions retired");
 
     let mut fields = vec![
@@ -447,7 +479,10 @@ fn main() -> ExitCode {
         ("host_ghz", Json::Num(args.host_ghz)),
         ("geomean_mips", Json::Num(geomean_mips)),
         ("total_retired", Json::Num(total_retired as f64)),
-        ("cells", Json::Arr(cells.iter().map(CellResult::to_json).collect())),
+        (
+            "cells",
+            Json::Arr(cells.iter().map(CellResult::to_json).collect()),
+        ),
     ];
     match args.load {
         ObserverLoad::Bare => {}
@@ -471,8 +506,14 @@ fn main() -> ExitCode {
             .unwrap_or_default();
         println!(
             "  server: {} job(s), p99 {:.0} us{hit_rate} (from {})",
-            stats.get("server_jobs_total").and_then(Json::as_u64).unwrap_or(0),
-            stats.get("p99_latency_us").and_then(Json::as_f64).unwrap_or(0.0),
+            stats
+                .get("server_jobs_total")
+                .and_then(Json::as_u64)
+                .unwrap_or(0),
+            stats
+                .get("p99_latency_us")
+                .and_then(Json::as_f64)
+                .unwrap_or(0.0),
             args.server_stats.as_ref().unwrap().display(),
         );
         fields.push(("server", stats.clone()));
@@ -492,7 +533,10 @@ fn main() -> ExitCode {
     if let Err(e) =
         isacmp::durable::durable_write(&args.baseline, format!("{}\n", entry.pretty()).as_bytes())
     {
-        eprintln!("bench_report: cannot write {}: {e}", args.baseline.display());
+        eprintln!(
+            "bench_report: cannot write {}: {e}",
+            args.baseline.display()
+        );
         return ExitCode::FAILURE;
     }
     println!("  history  -> {}", args.history.display());

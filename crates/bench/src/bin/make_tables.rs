@@ -72,9 +72,8 @@ use std::sync::{Arc, Mutex};
 use bench::{cli, experiments};
 use isacmp::{
     compile, continue_matrix, durable, read_journal, resume_matrix_journaled, run_cell,
-    run_matrix_journaled, run_matrix_opts, shutdown, CampaignManifest, CellJournal,
-    ExperimentCell, IsaKind, JournalContents, MatrixOptions, Personality, ResultMatrix,
-    SizeClass, Workload,
+    run_matrix_journaled, run_matrix_opts, shutdown, CampaignManifest, CellJournal, ExperimentCell,
+    IsaKind, JournalContents, MatrixOptions, Personality, ResultMatrix, SizeClass, Workload,
 };
 
 /// Where matrix runs journal completed cells for crash recovery. Fused
@@ -93,7 +92,8 @@ fn journal_path(fusion: bool) -> &'static str {
     }
 }
 
-const USAGE: &str = "usage: make_tables [table1|table2|fig1|fig2|ablation|pipeline|mix|elves|check|all] \
+const USAGE: &str =
+    "usage: make_tables [table1|table2|fig1|fig2|ablation|pipeline|mix|elves|check|all] \
      [--size test|small|paper] [--metrics out.json] [--events out.jsonl] [--progress[=N]] \
      [--strict] [--deadline-secs s] [--retries n] [--fusion] [--inject spec] \
      [--campaign seed:n] [--resume matrix.json] [--trace-dir dir]";
@@ -150,8 +150,9 @@ fn parse_matrix_opts(args: &[String]) -> (MatrixOptions, Option<CampaignManifest
     }
     // Watchdog-tripped cells leave a resumable snapshot behind whenever a
     // deadline is armed.
-    let checkpoint_dir =
-        flags.deadline.map(|_| std::path::PathBuf::from("results/snapshots"));
+    let checkpoint_dir = flags
+        .deadline
+        .map(|_| std::path::PathBuf::from("results/snapshots"));
     let opts = MatrixOptions {
         deadline: flags.deadline,
         retries: flags.retries,
@@ -179,7 +180,12 @@ fn write_out(path: &str, contents: impl AsRef<[u8]>) {
 /// but reported with its typed kind rather than a panic trace.
 fn cell_or_die(w: Workload, isa: IsaKind, p: &Personality, size: SizeClass) -> ExperimentCell {
     run_cell(w, isa, p, size).unwrap_or_else(|e| {
-        eprintln!("ERR({}) {} on {}: {e}", e.kind(), w.name(), isacmp::isa_label(isa));
+        eprintln!(
+            "ERR({}) {} on {}: {e}",
+            e.kind(),
+            w.name(),
+            isacmp::isa_label(isa)
+        );
         std::process::exit(1);
     })
 }
@@ -284,9 +290,8 @@ fn matrix(
 
 fn ablation(size: SizeClass) -> String {
     // Experiment E6: toggle the paper's section 3.3 idioms one at a time.
-    let mut out = String::from(
-        "Idiom ablation (STREAM, instruction counts; paper sections 3.3 and 7)\n",
-    );
+    let mut out =
+        String::from("Idiom ablation (STREAM, instruction counts; paper sections 3.3 and 7)\n");
     let base = Personality::gcc122();
     let mut post = base;
     post.arm_post_index = true;
@@ -296,13 +301,24 @@ fn ablation(size: SizeClass) -> String {
     nofuse.riscv_fused_compare_branch = false;
     let rows: [(&str, IsaKind, Personality); 5] = [
         ("AArch64 gcc-12.2 (register offset)", IsaKind::AArch64, base),
-        ("AArch64 + post-index (paper's 'optimal')", IsaKind::AArch64, post),
-        ("AArch64 - register offset (pointer bump)", IsaKind::AArch64, noreg),
-        ("RISC-V gcc-12.2 (fused compare-branch)", IsaKind::RiscV, base),
+        (
+            "AArch64 + post-index (paper's 'optimal')",
+            IsaKind::AArch64,
+            post,
+        ),
+        (
+            "AArch64 - register offset (pointer bump)",
+            IsaKind::AArch64,
+            noreg,
+        ),
+        (
+            "RISC-V gcc-12.2 (fused compare-branch)",
+            IsaKind::RiscV,
+            base,
+        ),
         ("RISC-V - fused compare-branch", IsaKind::RiscV, nofuse),
     ];
-    let baseline =
-        cell_or_die(Workload::Stream, IsaKind::AArch64, &base, size).path_length as f64;
+    let baseline = cell_or_die(Workload::Stream, IsaKind::AArch64, &base, size).path_length as f64;
     for (label, isa, p) in rows {
         let cell = cell_or_die(Workload::Stream, isa, &p, size);
         out.push_str(&format!(
@@ -318,7 +334,12 @@ fn ablation(size: SizeClass) -> String {
     out.push_str("\nOffset-folding ablation (minisweep, RISC-V)\n");
     let mut unfolded = Personality::gcc122();
     unfolded.fold_const_offsets = false;
-    let folded_cell = cell_or_die(Workload::Minisweep, IsaKind::RiscV, &Personality::gcc122(), size);
+    let folded_cell = cell_or_die(
+        Workload::Minisweep,
+        IsaKind::RiscV,
+        &Personality::gcc122(),
+        size,
+    );
     let unfolded_cell = cell_or_die(Workload::Minisweep, IsaKind::RiscV, &unfolded, size);
     out.push_str(&format!(
         "{:<44} {:>12}\n{:<44} {:>12}  ({:+.1}%)\n",
@@ -346,10 +367,19 @@ fn check(size: SizeClass, opts: &MatrixOptions) -> String {
     let mut out = String::from("Paper-shape checks (see EXPERIMENTS.md)\n");
     let mut ok = true;
     for (label, pass, detail) in experiments::shape_checks(&m) {
-        out.push_str(&format!("{} {:<58} {}\n", if pass { "PASS" } else { "FAIL" }, label, detail));
+        out.push_str(&format!(
+            "{} {:<58} {}\n",
+            if pass { "PASS" } else { "FAIL" },
+            label,
+            detail
+        ));
         ok &= pass;
     }
-    out.push_str(if ok { "\nAll shape checks passed.\n" } else { "\nSHAPE CHECKS FAILED.\n" });
+    out.push_str(if ok {
+        "\nAll shape checks passed.\n"
+    } else {
+        "\nSHAPE CHECKS FAILED.\n"
+    });
     if !ok {
         eprint!("{out}");
         std::process::exit(1);
@@ -441,7 +471,12 @@ fn main() {
     // report are written).
     let mut failed_cells = 0usize;
     let mut matrix = |size| {
-        let m = matrix(size, &matrix_opts, campaign_manifest.as_ref(), resume_src.as_ref());
+        let m = matrix(
+            size,
+            &matrix_opts,
+            campaign_manifest.as_ref(),
+            resume_src.as_ref(),
+        );
         failed_cells += m.failures.len();
         m
     };
@@ -472,9 +507,7 @@ fn main() {
             write_out("results/fig2.gnuplot", m.fig2_gnuplot());
             write_out("results/windowAverages.txt", m.window_averages_txt());
             println!("{}", m.fig2_csv());
-            eprintln!(
-                "written to results/fig2.csv (+ fig2.gnuplot, windowAverages.txt)"
-            );
+            eprintln!("written to results/fig2.csv (+ fig2.gnuplot, windowAverages.txt)");
         }
         "ablation" => println!("{}", ablation(size)),
         "elves" => {
@@ -486,8 +519,7 @@ fn main() {
             });
             for w in Workload::ALL {
                 for p in [Personality::gcc92(), Personality::gcc122()] {
-                    for (isa, tag) in [(IsaKind::AArch64, "aarch64"), (IsaKind::RiscV, "riscv64")]
-                    {
+                    for (isa, tag) in [(IsaKind::AArch64, "aarch64"), (IsaKind::RiscV, "riscv64")] {
                         let c = compile(&w.build(size), isa, &p);
                         let path = format!(
                             "results/bin/{}-{}-{tag}.elf",
@@ -567,8 +599,10 @@ fn main() {
     // After all artifacts (results, metrics, events) are flushed, an
     // interrupted run reports the conventional SIGINT exit status.
     if shutdown::requested() {
-        eprintln!("interrupted by signal; partial results flushed (exit {})",
-            shutdown::EXIT_INTERRUPTED);
+        eprintln!(
+            "interrupted by signal; partial results flushed (exit {})",
+            shutdown::EXIT_INTERRUPTED
+        );
         std::process::exit(shutdown::EXIT_INTERRUPTED);
     }
     if strict && failed_cells > 0 {

@@ -49,14 +49,14 @@
 
 use bench::cli;
 use isacmp::telemetry::sampler::Sampler;
+use isacmp::SampleSnapshot;
 use isacmp::{
     shutdown, AArch64Executor, Campaign, CampaignSpec, Checkpoint, CpuState, DualCriticalPath,
-    EmulationCore, FaultInjector, FaultPlan, IsaKind, Observer, PathLength, PhaseNanos, Program,
-    ProfilingObserver, RiscVExecutor, RunReport, RunStats, SimError, StopReason, TraceMark,
-    TraceMeta, TraceReader, TraceWriter, Tx2Latency, WindowedCp, DEFAULT_CAMPAIGN_WINDOW,
-    DEFAULT_FAULT_SEED,
+    EmulationCore, FaultInjector, FaultPlan, IsaKind, Observer, PathLength, PhaseNanos,
+    ProfilingObserver, Program, RiscVExecutor, RunReport, RunStats, SimError, StopReason,
+    TraceMark, TraceMeta, TraceReader, TraceWriter, Tx2Latency, WindowedCp,
+    DEFAULT_CAMPAIGN_WINDOW, DEFAULT_FAULT_SEED,
 };
-use isacmp::SampleSnapshot;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -108,7 +108,9 @@ fn parse_args() -> Result<Args, String> {
         } else if a == "--sample" {
             sample = Some(Sampler::DEFAULT_PERIOD);
         } else if let Some(us) = a.strip_prefix("--sample=") {
-            let us: u64 = us.parse().map_err(|_| format!("bad --sample period {us:?}"))?;
+            let us: u64 = us
+                .parse()
+                .map_err(|_| format!("bad --sample period {us:?}"))?;
             sample = Some(Duration::from_micros(us));
         } else if a == "--events" {
             events = Some(it.next().ok_or("--events needs a path")?);
@@ -119,7 +121,10 @@ fn parse_args() -> Result<Args, String> {
         } else if a == "--progress" {
             progress = Some(1);
         } else if let Some(n) = a.strip_prefix("--progress=") {
-            progress = Some(n.parse::<u64>().map_err(|_| format!("bad --progress value {n:?}"))?);
+            progress = Some(
+                n.parse::<u64>()
+                    .map_err(|_| format!("bad --progress value {n:?}"))?,
+            );
         } else if a == "--deadline-secs" {
             let s = it.next().ok_or("--deadline-secs needs a value")?;
             deadline = Some(cli::deadline_from_secs(&s)?);
@@ -129,13 +134,21 @@ fn parse_args() -> Result<Args, String> {
         } else if a == "--campaign" {
             let s = it.next().ok_or("--campaign needs <seed>:<n-faults>")?;
             let spec = CampaignSpec::parse(&s)?;
-            campaign = Some(Campaign::sample(spec.seed, spec.n_faults, DEFAULT_CAMPAIGN_WINDOW));
+            campaign = Some(Campaign::sample(
+                spec.seed,
+                spec.n_faults,
+                DEFAULT_CAMPAIGN_WINDOW,
+            ));
         } else if a == "--checkpoint" {
             checkpoint = Some(it.next().ok_or("--checkpoint needs a path")?);
         } else if a == "--checkpoint-every" {
-            let n = it.next().ok_or("--checkpoint-every needs a retirement count")?;
-            checkpoint_every =
-                Some(n.parse::<u64>().map_err(|_| format!("bad --checkpoint-every value {n:?}"))?);
+            let n = it
+                .next()
+                .ok_or("--checkpoint-every needs a retirement count")?;
+            checkpoint_every = Some(
+                n.parse::<u64>()
+                    .map_err(|_| format!("bad --checkpoint-every value {n:?}"))?,
+            );
         } else if a == "--restore" {
             restore = Some(it.next().ok_or("--restore needs a checkpoint path")?);
         } else if a.starts_with("--") {
@@ -153,11 +166,9 @@ fn parse_args() -> Result<Args, String> {
         return Err("--checkpoint-every needs --checkpoint <path>".into());
     }
     if restore.is_some() && (inject.is_some() || campaign.is_some()) {
-        return Err(
-            "--restore is mutually exclusive with --inject/--campaign \
+        return Err("--restore is mutually exclusive with --inject/--campaign \
              (the armed fault schedule comes from the checkpoint)"
-                .into(),
-        );
+            .into());
     }
     Ok(Args {
         elf: elf.ok_or(
@@ -253,8 +264,13 @@ fn write_checkpoint(
 ) -> Result<Checkpoint, String> {
     let mark = match tracer {
         Some(t) => {
-            t.sync_all().map_err(|e| format!("cannot sync trace file: {e}"))?;
-            TraceMark { records: t.records(), blocks: t.blocks(), bytes: t.bytes_written() }
+            t.sync_all()
+                .map_err(|e| format!("cannot sync trace file: {e}"))?;
+            TraceMark {
+                records: t.records(),
+                blocks: t.blocks(),
+                bytes: t.bytes_written(),
+            }
         }
         None => TraceMark::default(),
     };
@@ -273,13 +289,20 @@ fn write_checkpoint(
             ("bytes", isacmp::telemetry::Json::Num(bytes as f64)),
         ],
     );
-    eprintln!("checkpoint: {path} at {} retirements ({bytes} bytes)", st.instret);
+    eprintln!(
+        "checkpoint: {path} at {} retirements ({bytes} bytes)",
+        st.instret
+    );
     Ok(ckpt)
 }
 
 fn report_fired(campaign: Option<&Campaign>) {
     if let Some(c) = campaign {
-        eprintln!("campaign: {} of {} scheduled fault(s) fired", c.fired_count(), c.len());
+        eprintln!(
+            "campaign: {} of {} scheduled fault(s) fired",
+            c.fired_count(),
+            c.len()
+        );
         isacmp::telemetry::global().counter_add("faults_fired", c.fired_count());
     }
 }
@@ -433,12 +456,19 @@ fn main() {
             &[
                 ("path", isacmp::telemetry::Json::Str(ckpt_path.clone())),
                 ("instret", isacmp::telemetry::Json::Num(ckpt.instret as f64)),
-                ("trace_records", isacmp::telemetry::Json::Num(ckpt.trace.records as f64)),
+                (
+                    "trace_records",
+                    isacmp::telemetry::Json::Num(ckpt.trace.records as f64),
+                ),
             ],
         );
         eprintln!("restored: {ckpt_path} at {} retirements", st.instret);
         if let Some(c) = &campaign {
-            eprintln!("{} (restored, {} already fired)", c.describe(), c.fired_count());
+            eprintln!(
+                "{} (restored, {} already fired)",
+                c.describe(),
+                c.fired_count()
+            );
             tel.counter_add("faults_scheduled", c.len() as u64);
         }
     } else {
@@ -515,8 +545,10 @@ fn main() {
             Ok(s) if s.stop == StopReason::CheckpointDue => {
                 total_wall += s.wall;
                 total_phases = sum_phases(total_phases, s.phases);
-                let ckpt_path =
-                    args.checkpoint.as_deref().expect("--checkpoint-every requires --checkpoint");
+                let ckpt_path = args
+                    .checkpoint
+                    .as_deref()
+                    .expect("--checkpoint-every requires --checkpoint");
                 match write_checkpoint(ckpt_path, &st, campaign.as_ref(), tracer.as_mut()) {
                     Ok(ckpt) => {
                         // Continue with the snapshot's own re-armed schedule
@@ -583,16 +615,31 @@ fn main() {
     println!("  exit code    : {}", stats.exit_code);
     println!("  path length  : {}", pl.total());
     let r = cp.unit();
-    println!("  critical path: {}  (ILP {:.0}, 2GHz runtime {:.4} ms)", r.critical_path, r.ilp(), r.runtime_ms());
+    println!(
+        "  critical path: {}  (ILP {:.0}, 2GHz runtime {:.4} ms)",
+        r.critical_path,
+        r.ilp(),
+        r.runtime_ms()
+    );
     let s = cp.scaled();
-    println!("  scaled CP    : {}  (ILP {:.0}, 2GHz runtime {:.4} ms)", s.critical_path, s.ilp(), s.runtime_ms());
+    println!(
+        "  scaled CP    : {}  (ILP {:.0}, 2GHz runtime {:.4} ms)",
+        s.critical_path,
+        s.ilp(),
+        s.runtime_ms()
+    );
     println!("  per kernel   :");
     for (name, count) in pl.by_kernel() {
         println!("    {name:<14} {count}");
     }
     println!("  windowed ILP :");
     for w in wcp.stats() {
-        println!("    window {:<6} mean CP {:>10.2}  mean ILP {:>8.2}", w.size, w.mean_cp(), w.mean_ilp());
+        println!(
+            "    window {:<6} mean CP {:>10.2}  mean ILP {:>8.2}",
+            w.size,
+            w.mean_cp(),
+            w.mean_ilp()
+        );
     }
     if !st.output.is_empty() {
         println!("  guest output : {:?}", st.output_string());
@@ -654,7 +701,9 @@ fn main() {
             ];
             for (name, obs) in solo {
                 if let Some(wall) = bare_run(&mut vec![obs]) {
-                    report.observer_overheads.push((name.to_string(), pct_over(wall)));
+                    report
+                        .observer_overheads
+                        .push((name.to_string(), pct_over(wall)));
                 }
             }
         }
@@ -675,7 +724,10 @@ fn main() {
         println!("  spans        : collapsed stacks written to {spans_path}");
     }
     if let Some(events_path) = &args.events {
-        match tel.events().drain_to_file(std::path::Path::new(events_path)) {
+        match tel
+            .events()
+            .drain_to_file(std::path::Path::new(events_path))
+        {
             Ok(0) => println!("  events       : none emitted"),
             Ok(n) => println!("  events       : {n} written to {events_path}"),
             Err(e) => {
@@ -685,10 +737,12 @@ fn main() {
         }
     }
     if let Some(metrics_path) = &args.metrics {
-        report.write_file(std::path::Path::new(metrics_path)).unwrap_or_else(|e| {
-            eprintln!("cannot write {metrics_path}: {e}");
-            std::process::exit(1);
-        });
+        report
+            .write_file(std::path::Path::new(metrics_path))
+            .unwrap_or_else(|e| {
+                eprintln!("cannot write {metrics_path}: {e}");
+                std::process::exit(1);
+            });
         println!("  metrics      : written to {metrics_path}");
     }
     println!("  run          : {}", report.summary());

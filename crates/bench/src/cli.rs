@@ -20,7 +20,9 @@ use isacmp::{CampaignSpec, InjectSpec, SizeClass};
 
 /// The value following `flag`, when present (`--flag value` style).
 pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1).cloned())
 }
 
 /// Is the bare flag present?
@@ -40,7 +42,10 @@ pub fn check_flags(args: &[String], valued: &[&str], bare: &[&str]) -> Result<()
             if it.next().is_none() {
                 return Err(format!("{a} needs a value"));
             }
-        } else if !bare.iter().any(|b| a == b || (b.ends_with('=') && a.starts_with(b))) {
+        } else if !bare
+            .iter()
+            .any(|b| a == b || (b.ends_with('=') && a.starts_with(b)))
+        {
             return Err(if a.starts_with("--") {
                 format!("unknown flag {a:?}")
             } else {
@@ -57,7 +62,9 @@ pub fn size_from_name(name: &str) -> Result<SizeClass, String> {
         "test" => Ok(SizeClass::Test),
         "small" => Ok(SizeClass::Small),
         "paper" => Ok(SizeClass::Paper),
-        other => Err(format!("unknown size {other:?}; one of: test, small, paper")),
+        other => Err(format!(
+            "unknown size {other:?}; one of: test, small, paper"
+        )),
     }
 }
 
@@ -81,7 +88,9 @@ pub fn deadline_from_secs(s: &str) -> Result<Duration, String> {
 
 /// Parse `--deadline-secs`, if given.
 pub fn parse_deadline(args: &[String]) -> Result<Option<Duration>, String> {
-    flag_value(args, "--deadline-secs").map(|s| deadline_from_secs(&s)).transpose()
+    flag_value(args, "--deadline-secs")
+        .map(|s| deadline_from_secs(&s))
+        .transpose()
 }
 
 /// Parse `--retries` (defaulting to `default` — one retry for matrix
@@ -99,13 +108,17 @@ pub fn parse_retries(args: &[String], default: u32) -> Result<u32, String> {
 /// Parse `--inject workload/compiler/isa:fault` (matrix-style targeted
 /// injection), if given.
 pub fn parse_inject(args: &[String]) -> Result<Option<InjectSpec>, String> {
-    flag_value(args, "--inject").map(|s| InjectSpec::parse(&s)).transpose()
+    flag_value(args, "--inject")
+        .map(|s| InjectSpec::parse(&s))
+        .transpose()
 }
 
 /// Parse `--campaign <seed>:<n-faults>` into its spec (sampling the
 /// schedule — and writing the manifest — stays with the caller), if given.
 pub fn parse_campaign_spec(args: &[String]) -> Result<Option<CampaignSpec>, String> {
-    flag_value(args, "--campaign").map(|s| CampaignSpec::parse(&s)).transpose()
+    flag_value(args, "--campaign")
+        .map(|s| CampaignSpec::parse(&s))
+        .transpose()
 }
 
 /// Parse `--trace-dir`, if given. Directory creation stays with the
@@ -172,8 +185,14 @@ mod tests {
     #[test]
     fn sizes_parse_with_default() {
         assert_eq!(parse_size(&args(&[])).unwrap(), SizeClass::Small);
-        assert_eq!(parse_size(&args(&["--size", "test"])).unwrap(), SizeClass::Test);
-        assert_eq!(parse_size(&args(&["--size", "paper"])).unwrap(), SizeClass::Paper);
+        assert_eq!(
+            parse_size(&args(&["--size", "test"])).unwrap(),
+            SizeClass::Test
+        );
+        assert_eq!(
+            parse_size(&args(&["--size", "paper"])).unwrap(),
+            SizeClass::Paper
+        );
         assert!(parse_size(&args(&["--size", "huge"])).is_err());
     }
 
@@ -201,7 +220,10 @@ mod tests {
         assert!(f.inject.is_some());
         let c = f.campaign.unwrap();
         assert_eq!((c.seed, c.n_faults), (7, 3));
-        assert_eq!(f.trace_dir.as_deref(), Some(std::path::Path::new("results/traces")));
+        assert_eq!(
+            f.trace_dir.as_deref(),
+            Some(std::path::Path::new("results/traces"))
+        );
         assert!(f.fusion);
     }
 
@@ -218,16 +240,27 @@ mod tests {
     fn check_flags_admits_the_grammar_and_nothing_else() {
         let check = |a: &[&str]| check_flags(&args(a), &["--size"], &["--strict", "--progress="]);
         assert!(check(&["--size", "test", "--strict", "--progress=5"]).is_ok());
-        assert!(check(&["--engine", "legacy"]).unwrap_err().contains("unknown flag \"--engine\""));
+        assert!(check(&["--engine", "legacy"])
+            .unwrap_err()
+            .contains("unknown flag \"--engine\""));
         assert!(check(&["--size"]).unwrap_err().contains("needs a value"));
-        assert!(check(&["--progress"]).is_err(), "only the `=` form was admitted");
-        assert!(check(&["stray"]).unwrap_err().contains("unexpected argument"));
+        assert!(
+            check(&["--progress"]).is_err(),
+            "only the `=` form was admitted"
+        );
+        assert!(check(&["stray"])
+            .unwrap_err()
+            .contains("unexpected argument"));
     }
 
     #[test]
     fn bad_values_are_actionable_errors() {
-        assert!(parse_deadline(&args(&["--deadline-secs", "fast"])).unwrap_err().contains("deadline"));
-        assert!(parse_retries(&args(&["--retries", "many"]), 1).unwrap_err().contains("retries"));
+        assert!(parse_deadline(&args(&["--deadline-secs", "fast"]))
+            .unwrap_err()
+            .contains("deadline"));
+        assert!(parse_retries(&args(&["--retries", "many"]), 1)
+            .unwrap_err()
+            .contains("retries"));
         assert!(parse_inject(&args(&["--inject", "nope"])).is_err());
         assert!(parse_campaign_spec(&args(&["--campaign", "x"])).is_err());
     }

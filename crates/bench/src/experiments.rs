@@ -86,9 +86,8 @@ pub fn mix(size: SizeClass) -> String {
 
 /// Experiment E7 (Future Work): realistic-resource runtime estimates.
 pub fn pipeline(size: SizeClass) -> String {
-    let mut out = String::from(
-        "Pipeline estimates (GCC 12.2, TX2 latencies, cycles; paper section 8)\n",
-    );
+    let mut out =
+        String::from("Pipeline estimates (GCC 12.2, TX2 latencies, cycles; paper section 8)\n");
     out.push_str(&format!(
         "{:<12} {:<8} {:>14} {:>14} {:>15} {:>14}\n",
         "workload", "isa", "in-order(A55)", "OoO(TX2)", "OoO(Firestorm)", "OoO(TX2)+L1D"
@@ -137,8 +136,14 @@ pub fn shape_checks(m: &ResultMatrix) -> Vec<ShapeCheck> {
     let cell = |w: &str, c: &str, i: &str| m.get(w, c, i).expect("complete matrix").clone();
 
     // E1: compiler deltas on STREAM.
-    let (a92, a122) = (cell("STREAM", "gcc-9.2", "AArch64"), cell("STREAM", "gcc-12.2", "AArch64"));
-    let (r92, r122) = (cell("STREAM", "gcc-9.2", "RISC-V"), cell("STREAM", "gcc-12.2", "RISC-V"));
+    let (a92, a122) = (
+        cell("STREAM", "gcc-9.2", "AArch64"),
+        cell("STREAM", "gcc-12.2", "AArch64"),
+    );
+    let (r92, r122) = (
+        cell("STREAM", "gcc-9.2", "RISC-V"),
+        cell("STREAM", "gcc-12.2", "RISC-V"),
+    );
     rows.push((
         "gcc 9.2 -> 12.2 shortens AArch64 STREAM (loop-exit cmp)",
         a92.path_length > a122.path_length,

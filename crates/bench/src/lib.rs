@@ -12,5 +12,6 @@ pub mod cli;
 pub mod experiments;
 
 /// The experiment ids this crate can regenerate.
-pub const EXPERIMENTS: [&str; 8] =
-    ["table1", "table2", "fig1", "fig2", "ablation", "pipeline", "mix", "elves"];
+pub const EXPERIMENTS: [&str; 8] = [
+    "table1", "table2", "fig1", "fig2", "ablation", "pipeline", "mix", "elves",
+];

@@ -13,7 +13,10 @@ fn make_tables(dir: &Path, args: &[&str]) -> (i32, String) {
         .current_dir(dir)
         .output()
         .expect("make_tables runs");
-    (out.status.code().unwrap_or(-1), String::from_utf8_lossy(&out.stderr).into_owned())
+    (
+        out.status.code().unwrap_or(-1),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
 }
 
 fn scratch(name: &str) -> PathBuf {
@@ -29,7 +32,10 @@ fn unknown_flag_is_a_usage_error() {
     assert_eq!(code, 2, "{stderr}");
     assert!(stderr.contains("unknown flag \"--engine\""), "{stderr}");
     assert!(stderr.contains("usage: make_tables"), "{stderr}");
-    assert!(!dir.join("results").exists(), "a rejected command line must run nothing");
+    assert!(
+        !dir.join("results").exists(),
+        "a rejected command line must run nothing"
+    );
 
     let (code, stderr) = make_tables(&dir, &["table1", "--size"]);
     assert_eq!(code, 2, "a flag missing its value: {stderr}");
@@ -67,12 +73,28 @@ fn every_documented_flag_is_accepted() {
     // The flags the first run could not combine: a resume (exclusive with
     // --campaign), bare --progress, and a targeted injection, which
     // degrades one cell and so cannot ride with --strict.
-    let (code, stderr) =
-        make_tables(&dir, &["table1", "--size", "test", "--fusion", "--resume", "results/matrix.json", "--progress"]);
+    let (code, stderr) = make_tables(
+        &dir,
+        &[
+            "table1",
+            "--size",
+            "test",
+            "--fusion",
+            "--resume",
+            "results/matrix.json",
+            "--progress",
+        ],
+    );
     assert_eq!(code, 0, "{stderr}");
     let (code, stderr) = make_tables(
         &dir,
-        &["table1", "--size", "test", "--inject", "STREAM/gcc-12.2/RISC-V:trap@1000"],
+        &[
+            "table1",
+            "--size",
+            "test",
+            "--inject",
+            "STREAM/gcc-12.2/RISC-V:trap@1000",
+        ],
     );
     assert_eq!(code, 0, "{stderr}");
     let (code, stderr) = make_tables(&dir, &["table1", "--size", "test", "--campaign", "7:1"]);

@@ -28,7 +28,11 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 fn run(bin: &str, dir: &Path, args: &[&str]) -> (i32, String, String) {
-    let out = Command::new(exe(bin)).args(args).current_dir(dir).output().expect("binary runs");
+    let out = Command::new(exe(bin))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("binary runs");
     (
         out.status.code().unwrap_or(-1),
         String::from_utf8_lossy(&out.stdout).into_owned(),
@@ -74,7 +78,13 @@ fn killed_checkpointed_run_restores_byte_identically() {
     // Victim: same run with periodic durable snapshots, killed (SIGKILL,
     // no cleanup handlers) as soon as the first snapshot lands.
     let mut child = Command::new(exe("run_elf"))
-        .args([elf, "--trace-out", "crash.trace", "--checkpoint", "crash.ckpt"])
+        .args([
+            elf,
+            "--trace-out",
+            "crash.trace",
+            "--checkpoint",
+            "crash.ckpt",
+        ])
         .args(["--checkpoint-every", "400000"])
         .current_dir(&dir)
         .spawn()
@@ -96,8 +106,11 @@ fn killed_checkpointed_run_restores_byte_identically() {
     assert!(dir.join("crash.ckpt").exists());
 
     // Restore: continue the partial capture to completion.
-    let (code, resumed_out, stderr) =
-        run("run_elf", &dir, &[elf, "--restore", "crash.ckpt", "--trace-out", "crash.trace"]);
+    let (code, resumed_out, stderr) = run(
+        "run_elf",
+        &dir,
+        &[elf, "--restore", "crash.ckpt", "--trace-out", "crash.trace"],
+    );
     assert_eq!(code, 0, "restore must finish the run:\n{stderr}");
     assert!(stderr.contains("restored: crash.ckpt"), "{stderr}");
 
@@ -117,7 +130,10 @@ fn killed_checkpointed_run_restores_byte_identically() {
     // The shipped comparator agrees: exit 0, no divergence.
     let (code, diff_out, stderr) = run("trace_tool", &dir, &["diff", "ref.trace", "crash.trace"]);
     assert_eq!(code, 0, "trace_tool diff must exit 0:\n{stderr}");
-    assert!(diff_out.contains("traces are identical"), "unexpected diff output:\n{diff_out}");
+    assert!(
+        diff_out.contains("traces are identical"),
+        "unexpected diff output:\n{diff_out}"
+    );
 
     // The analysis tables (path length, critical path, per-kernel and
     // windowed ILP) must be identical too — the replayed prefix fed the
@@ -165,8 +181,17 @@ fn sigkill_mid_matrix_resumes_to_byte_identical_results() {
     // Resume: the surviving journal supersedes the (absent or partial)
     // matrix JSON, re-runs only the missing cells, and reassembles the
     // matrix in canonical order.
-    let (code, _, stderr) =
-        run("make_tables", &victim, &["table1", "--size", "test", "--resume", "results/matrix.json"]);
+    let (code, _, stderr) = run(
+        "make_tables",
+        &victim,
+        &[
+            "table1",
+            "--size",
+            "test",
+            "--resume",
+            "results/matrix.json",
+        ],
+    );
     assert_eq!(code, 0, "resume must complete the sweep:\n{stderr}");
 
     let resumed_matrix = std::fs::read(victim.join("results/matrix.json")).expect("resumed");
@@ -174,7 +199,10 @@ fn sigkill_mid_matrix_resumes_to_byte_identical_results() {
         resumed_matrix, ref_matrix,
         "resumed matrix.json must be byte-identical to an uninterrupted run's"
     );
-    assert!(!journal.exists(), "journal must be deleted after the resumed run completes");
+    assert!(
+        !journal.exists(),
+        "journal must be deleted after the resumed run completes"
+    );
 }
 
 #[test]
@@ -185,8 +213,11 @@ fn sigkill_mid_campaign_resumes_with_rearmed_schedule() {
 
     // Reference: an uninterrupted seeded campaign sweep (every cell
     // degrades deterministically under the seed-7 schedule).
-    let (code, _, stderr) =
-        run("make_tables", &reference, &["table1", "--size", "test", "--campaign", "7:3"]);
+    let (code, _, stderr) = run(
+        "make_tables",
+        &reference,
+        &["table1", "--size", "test", "--campaign", "7:3"],
+    );
     assert_eq!(code, 0, "reference campaign sweep:\n{stderr}");
     let ref_matrix = std::fs::read(reference.join("results/matrix.json")).expect("reference");
     let ref_manifest = std::fs::read(reference.join("results/campaign.json")).expect("manifest");
@@ -216,20 +247,41 @@ fn sigkill_mid_campaign_resumes_with_rearmed_schedule() {
         // failures instead of re-arming them, so the only meaningful
         // check left is determinism of the finished sweep.
         let matrix = std::fs::read(victim.join("results/matrix.json")).expect("matrix");
-        assert_eq!(matrix, ref_matrix, "uninterrupted campaign must match the reference");
+        assert_eq!(
+            matrix, ref_matrix,
+            "uninterrupted campaign must match the reference"
+        );
         return;
     }
 
     // Resume WITHOUT --campaign: the schedule is re-armed from the
     // journal's begin record, so the healed sweep runs the exact same
     // faults and reproduces the reference bytes.
-    let (code, _, stderr) =
-        run("make_tables", &victim, &["table1", "--size", "test", "--resume", "results/matrix.json"]);
+    let (code, _, stderr) = run(
+        "make_tables",
+        &victim,
+        &[
+            "table1",
+            "--size",
+            "test",
+            "--resume",
+            "results/matrix.json",
+        ],
+    );
     assert_eq!(code, 0, "campaign resume:\n{stderr}");
 
     let resumed_matrix = std::fs::read(victim.join("results/matrix.json")).expect("resumed");
-    assert_eq!(resumed_matrix, ref_matrix, "campaign matrix must resume byte-identically");
+    assert_eq!(
+        resumed_matrix, ref_matrix,
+        "campaign matrix must resume byte-identically"
+    );
     let resumed_manifest = std::fs::read(victim.join("results/campaign.json")).expect("manifest");
-    assert_eq!(resumed_manifest, ref_manifest, "campaign manifest must be unchanged");
-    assert!(!journal.exists(), "journal must be deleted after the resumed sweep completes");
+    assert_eq!(
+        resumed_manifest, ref_manifest,
+        "campaign manifest must be unchanged"
+    );
+    assert!(
+        !journal.exists(),
+        "journal must be deleted after the resumed sweep completes"
+    );
 }

@@ -29,16 +29,36 @@ const INJECT: &str = "STREAM/gcc-12.2/RISC-V:trap@1000";
 fn injected_fault_degrades_gracefully() {
     let (code, stdout, stderr) = make_tables(
         "degrade",
-        &["table1", "--size", "test", "--inject", INJECT, "--metrics", "metrics.json"],
+        &[
+            "table1",
+            "--size",
+            "test",
+            "--inject",
+            INJECT,
+            "--metrics",
+            "metrics.json",
+        ],
     );
-    assert_eq!(code, 0, "degraded run still exits 0 without --strict:\n{stderr}");
+    assert_eq!(
+        code, 0,
+        "degraded run still exits 0 without --strict:\n{stderr}"
+    );
 
     // The faulty cell is marked, the other 19 still populate.
-    assert!(stdout.contains("ERR(sim)"), "stdout should mark the faulted cell:\n{stdout}");
+    assert!(
+        stdout.contains("ERR(sim)"),
+        "stdout should mark the faulted cell:\n{stdout}"
+    );
     for w in ["STREAM", "LBM", "minisweep", "miniBUDE", "CloverLeaf"] {
-        assert!(stdout.contains(w), "table should still include {w}:\n{stdout}");
+        assert!(
+            stdout.contains(w),
+            "table should still include {w}:\n{stdout}"
+        );
     }
-    assert!(stderr.contains("1 of 20 cells failed"), "stderr summary:\n{stderr}");
+    assert!(
+        stderr.contains("1 of 20 cells failed"),
+        "stderr summary:\n{stderr}"
+    );
 
     // The failure and the retry spent on it land in the metrics report.
     let metrics = std::fs::read_to_string(
@@ -60,10 +80,18 @@ fn injected_fault_degrades_gracefully() {
 
 #[test]
 fn strict_flips_the_exit_code() {
-    let (code, _stdout, stderr) =
-        make_tables("strict", &["table1", "--size", "test", "--inject", INJECT, "--strict"]);
-    assert_eq!(code, 3, "--strict must fail the run on a degraded matrix:\n{stderr}");
-    assert!(stderr.contains("--strict"), "stderr explains the exit:\n{stderr}");
+    let (code, _stdout, stderr) = make_tables(
+        "strict",
+        &["table1", "--size", "test", "--inject", INJECT, "--strict"],
+    );
+    assert_eq!(
+        code, 3,
+        "--strict must fail the run on a degraded matrix:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("--strict"),
+        "stderr explains the exit:\n{stderr}"
+    );
 }
 
 #[test]
@@ -75,8 +103,10 @@ fn healthy_strict_run_passes() {
 
 #[test]
 fn bad_inject_spec_is_a_usage_error() {
-    let (code, _stdout, stderr) =
-        make_tables("badspec", &["table1", "--size", "test", "--inject", "nonsense"]);
+    let (code, _stdout, stderr) = make_tables(
+        "badspec",
+        &["table1", "--size", "test", "--inject", "nonsense"],
+    );
     assert_eq!(code, 2, "malformed --inject is a usage error:\n{stderr}");
 }
 
@@ -90,7 +120,10 @@ fn campaign_then_resume_heals_the_matrix() {
         &["table1", "--size", "test", "--campaign", "7:3", "--strict"],
     );
     assert_eq!(code, 3, "campaign faults + --strict must exit 3:\n{stderr}");
-    assert!(stdout.contains("ERR(sim)"), "campaign faults mark cells:\n{stdout}");
+    assert!(
+        stdout.contains("ERR(sim)"),
+        "campaign faults mark cells:\n{stdout}"
+    );
     assert!(
         stderr.contains("campaign: seed 0x7, 3 fault(s) per cell"),
         "stderr announces the campaign:\n{stderr}"
@@ -108,11 +141,27 @@ fn campaign_then_resume_heals_the_matrix() {
     // recorded failure re-runs healthy, so --strict now passes.
     let (code, stdout, stderr) = make_tables(
         "campaign",
-        &["table1", "--size", "test", "--resume", "results/matrix.json", "--strict"],
+        &[
+            "table1",
+            "--size",
+            "test",
+            "--resume",
+            "results/matrix.json",
+            "--strict",
+        ],
     );
-    assert_eq!(code, 0, "resumed matrix must heal and pass --strict:\n{stderr}");
-    assert!(!stdout.contains("ERR("), "no failures after the resume:\n{stdout}");
-    assert!(stderr.contains("resuming matrix"), "stderr announces the resume:\n{stderr}");
+    assert_eq!(
+        code, 0,
+        "resumed matrix must heal and pass --strict:\n{stderr}"
+    );
+    assert!(
+        !stdout.contains("ERR("),
+        "no failures after the resume:\n{stdout}"
+    );
+    assert!(
+        stderr.contains("resuming matrix"),
+        "stderr announces the resume:\n{stderr}"
+    );
 }
 
 #[test]
@@ -120,20 +169,31 @@ fn campaign_and_resume_are_mutually_exclusive() {
     let (code, _stdout, stderr) = make_tables(
         "camexcl",
         &[
-            "table1", "--size", "test", "--campaign", "7:3", "--resume", "results/matrix.json",
+            "table1",
+            "--size",
+            "test",
+            "--campaign",
+            "7:3",
+            "--resume",
+            "results/matrix.json",
         ],
     );
     assert_eq!(code, 2, "contradictory flags are a usage error:\n{stderr}");
     assert!(stderr.contains("mutually exclusive"), "stderr: {stderr}");
     // The rejected run must not leave a manifest behind.
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("camexcl");
-    assert!(!dir.join("results/campaign.json").exists(), "no artifact from a rejected run");
+    assert!(
+        !dir.join("results/campaign.json").exists(),
+        "no artifact from a rejected run"
+    );
 }
 
 #[test]
 fn bad_campaign_spec_is_a_usage_error() {
-    let (code, _stdout, stderr) =
-        make_tables("badcamp", &["table1", "--size", "test", "--campaign", "7:zero"]);
+    let (code, _stdout, stderr) = make_tables(
+        "badcamp",
+        &["table1", "--size", "test", "--campaign", "7:zero"],
+    );
     assert_eq!(code, 2, "malformed --campaign is a usage error:\n{stderr}");
 }
 
@@ -172,10 +232,23 @@ fn runaway_campaign_cells_fail_within_their_budget() {
     let out = child.wait_with_output().expect("child output");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!stderr.contains("memory allocation"), "allocator abort:\n{stderr}");
-    assert_eq!(out.status.code(), Some(0), "degraded run exits 0:\n{stderr}");
-    assert!(stdout.contains("ERR(timeout)"), "runaway cells are marked:\n{stdout}");
+    assert!(
+        !stderr.contains("memory allocation"),
+        "allocator abort:\n{stderr}"
+    );
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "degraded run exits 0:\n{stderr}"
+    );
+    assert!(
+        stdout.contains("ERR(timeout)"),
+        "runaway cells are marked:\n{stdout}"
+    );
     let matrix =
         std::fs::read_to_string(dir.join("results/matrix.json")).expect("matrix.json written");
-    assert!(matrix.contains("instruction budget of"), "budget failures recorded:\n{matrix}");
+    assert!(
+        matrix.contains("instruction budget of"),
+        "budget failures recorded:\n{matrix}"
+    );
 }

@@ -23,7 +23,11 @@ fn run(bin: &str, dir: &PathBuf, args: &[&str]) -> (i32, String, String) {
         "run_elf" => env!("CARGO_BIN_EXE_run_elf"),
         other => panic!("unknown bin {other}"),
     };
-    let out = Command::new(exe).args(args).current_dir(dir).output().expect("binary runs");
+    let out = Command::new(exe)
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("binary runs");
     (
         out.status.code().unwrap_or(-1),
         String::from_utf8_lossy(&out.stdout).into_owned(),
@@ -40,7 +44,10 @@ fn bench_report_builds_a_trajectory_and_flags_regressions() {
     // First run: seeds history and baseline, nothing to compare against.
     let (code, stdout, stderr) = run("bench_report", &dir, BASE);
     assert_eq!(code, 0, "first run:\n{stderr}");
-    assert!(stdout.contains("first entry"), "first-run trajectory line:\n{stdout}");
+    assert!(
+        stdout.contains("first entry"),
+        "first-run trajectory line:\n{stdout}"
+    );
 
     // Second run: a second history entry and a real comparison.
     let (code, stdout, stderr) = run("bench_report", &dir, BASE);
@@ -52,14 +59,23 @@ fn bench_report_builds_a_trajectory_and_flags_regressions() {
         .lines()
         .map(|l| Json::parse(l).expect("each history line is valid JSON"))
         .collect();
-    assert!(entries.len() >= 2, "two runs must leave at least two entries");
+    assert!(
+        entries.len() >= 2,
+        "two runs must leave at least two entries"
+    );
     for e in &entries {
         assert_eq!(e.get("schema").and_then(Json::as_u64), Some(1));
         assert_eq!(e.get("size").and_then(Json::as_str), Some("test"));
         assert!(e.get("geomean_mips").and_then(Json::as_f64).unwrap() > 0.0);
         // The pinned suite: 5 workloads x 2 ISAs at gcc-12.2.
-        assert_eq!(e.get("cells").and_then(Json::as_arr).map(<[Json]>::len), Some(10));
-        assert!(e.get("geomean_mips_legacy").is_none(), "one retire loop, one geomean");
+        assert_eq!(
+            e.get("cells").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(10)
+        );
+        assert!(
+            e.get("geomean_mips_legacy").is_none(),
+            "one retire loop, one geomean"
+        );
     }
 
     // The baseline is the pretty-printed latest entry.
@@ -67,20 +83,34 @@ fn bench_report_builds_a_trajectory_and_flags_regressions() {
     let b = Json::parse(&baseline).expect("baseline parses");
     assert_eq!(
         b.get("timestamp").and_then(Json::as_u64),
-        entries.last().unwrap().get("timestamp").and_then(Json::as_u64)
+        entries
+            .last()
+            .unwrap()
+            .get("timestamp")
+            .and_then(Json::as_u64)
     );
 
     // An artificial 100x slowdown is far past the 20% default threshold:
     // report-only mode still exits 0, --strict exits 4.
-    let scaled: Vec<&str> = BASE.iter().copied().chain(["--mips-scale", "0.01"]).collect();
+    let scaled: Vec<&str> = BASE
+        .iter()
+        .copied()
+        .chain(["--mips-scale", "0.01"])
+        .collect();
     let (code, _, stderr) = run("bench_report", &dir, &scaled);
     assert_eq!(code, 0, "report-only regression must not fail:\n{stderr}");
-    assert!(stderr.contains("REGRESSION"), "regression reported:\n{stderr}");
+    assert!(
+        stderr.contains("REGRESSION"),
+        "regression reported:\n{stderr}"
+    );
 
     // The report-only leg appended its scaled entry, so the strict leg
     // needs a further slowdown relative to that to regress again.
-    let strict: Vec<&str> =
-        BASE.iter().copied().chain(["--mips-scale", "0.0001", "--strict"]).collect();
+    let strict: Vec<&str> = BASE
+        .iter()
+        .copied()
+        .chain(["--mips-scale", "0.0001", "--strict"])
+        .collect();
     let (code, _, stderr) = run("bench_report", &dir, &strict);
     assert_eq!(code, 4, "--strict regression exits 4:\n{stderr}");
 }
@@ -115,7 +145,10 @@ fn sampler_attributes_stream_host_time_to_kernel_loops() {
         ],
     );
     assert_eq!(code, 0, "run_elf --sample must pass:\n{stderr}");
-    assert!(stdout.contains("hot blocks:"), "hot-block table printed:\n{stdout}");
+    assert!(
+        stdout.contains("hot blocks:"),
+        "hot-block table printed:\n{stdout}"
+    );
 
     let metrics = std::fs::read_to_string(dir.join("metrics.json")).expect("metrics written");
     let report = Json::parse(&metrics).expect("metrics parse");
@@ -153,7 +186,10 @@ fn structured_events_drain_from_a_faulted_matrix_run() {
         ],
     );
     assert_eq!(code, 0, "degraded run still exits 0:\n{stderr}");
-    assert!(stderr.contains("structured events:"), "drain line on stderr:\n{stderr}");
+    assert!(
+        stderr.contains("structured events:"),
+        "drain line on stderr:\n{stderr}"
+    );
 
     let events = std::fs::read_to_string(dir.join("events.jsonl")).expect("events written");
     let mut kinds = Vec::new();
@@ -163,5 +199,8 @@ fn structured_events_drain_from_a_faulted_matrix_run() {
         kinds.push(e.get("kind").and_then(Json::as_str).unwrap().to_string());
     }
     // An injected trap is a non-retryable sim error: the cell fails.
-    assert!(kinds.iter().any(|k| k == "cell_failed"), "kinds: {kinds:?}\n{events}");
+    assert!(
+        kinds.iter().any(|k| k == "cell_failed"),
+        "kinds: {kinds:?}\n{events}"
+    );
 }

@@ -23,7 +23,11 @@ fn run(bin: &str, dir: &PathBuf, args: &[&str]) -> (i32, String, String) {
         "trace_tool" => env!("CARGO_BIN_EXE_trace_tool"),
         other => panic!("unknown bin {other}"),
     };
-    let out = Command::new(exe).args(args).current_dir(dir).output().expect("binary runs");
+    let out = Command::new(exe)
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("binary runs");
     (
         out.status.code().unwrap_or(-1),
         String::from_utf8_lossy(&out.stdout).into_owned(),
@@ -42,10 +46,19 @@ fn capture_inspect_and_diff_through_the_binaries() {
     let (code, stdout, stderr) = run(
         "run_elf",
         &dir,
-        &[elf, "--trace-out", "stream.trace", "--spans-out", "stream.folded"],
+        &[
+            elf,
+            "--trace-out",
+            "stream.trace",
+            "--spans-out",
+            "stream.folded",
+        ],
     );
     assert_eq!(code, 0, "run_elf must pass:\n{stderr}");
-    assert!(stdout.contains("trace        : stream.trace"), "capture line:\n{stdout}");
+    assert!(
+        stdout.contains("trace        : stream.trace"),
+        "capture line:\n{stdout}"
+    );
     assert!(stdout.contains("spans        :"), "spans line:\n{stdout}");
 
     // The collapsed-stack export is flamegraph grammar: `stack n` lines.
@@ -56,7 +69,10 @@ fn capture_inspect_and_diff_through_the_binaries() {
         assert!(!stack.is_empty(), "{line}");
         n.parse::<u64>().expect("numeric self time");
     }
-    assert!(folded.contains("emulate"), "emulate span present:\n{folded}");
+    assert!(
+        folded.contains("emulate"),
+        "emulate span present:\n{folded}"
+    );
 
     let (code, stdout, _) = run("trace_tool", &dir, &["info", "stream.trace"]);
     assert_eq!(code, 0);
@@ -67,13 +83,23 @@ fn capture_inspect_and_diff_through_the_binaries() {
     assert_eq!(code, 0, "clean capture must verify:\n{stdout}");
     assert!(stdout.contains("OK"), "{stdout}");
 
-    let (code, stdout, _) = run("trace_tool", &dir, &["dump", "stream.trace", "--limit", "3"]);
+    let (code, stdout, _) = run(
+        "trace_tool",
+        &dir,
+        &["dump", "stream.trace", "--limit", "3"],
+    );
     assert_eq!(code, 0);
-    assert!(stdout.contains("IntAlu") || stdout.contains("Load"), "{stdout}");
+    assert!(
+        stdout.contains("IntAlu") || stdout.contains("Load"),
+        "{stdout}"
+    );
 
     // Same trace diffed against itself: identical, exit 0.
-    let (code, stdout, _) =
-        run("trace_tool", &dir, &["diff", "stream.trace", "stream.trace"]);
+    let (code, stdout, _) = run(
+        "trace_tool",
+        &dir,
+        &["diff", "stream.trace", "stream.trace"],
+    );
     assert_eq!(code, 0);
     assert!(stdout.contains("identical"), "{stdout}");
 
@@ -81,7 +107,11 @@ fn capture_inspect_and_diff_through_the_binaries() {
     let (code, _, stderr) = run(
         "run_elf",
         &dir,
-        &["results/bin/stream-gcc-12.2-aarch64.elf", "--trace-out", "a64.trace"],
+        &[
+            "results/bin/stream-gcc-12.2-aarch64.elf",
+            "--trace-out",
+            "a64.trace",
+        ],
     );
     assert_eq!(code, 0, "{stderr}");
     let (code, stdout, _) = run("trace_tool", &dir, &["diff", "stream.trace", "a64.trace"]);
@@ -106,7 +136,15 @@ fn matrix_replay_is_byte_identical_and_counted() {
     let (code, live, stderr) = run(
         "make_tables",
         &dir,
-        &["table1", "--size", "test", "--trace-dir", "traces", "--metrics", "cap.json"],
+        &[
+            "table1",
+            "--size",
+            "test",
+            "--trace-dir",
+            "traces",
+            "--metrics",
+            "cap.json",
+        ],
     );
     assert_eq!(code, 0, "capture leg:\n{stderr}");
     let cap = std::fs::read_to_string(dir.join("cap.json")).expect("metrics written");
@@ -115,7 +153,15 @@ fn matrix_replay_is_byte_identical_and_counted() {
     let (code, replayed, stderr) = run(
         "make_tables",
         &dir,
-        &["table1", "--size", "test", "--trace-dir", "traces", "--metrics", "rep.json"],
+        &[
+            "table1",
+            "--size",
+            "test",
+            "--trace-dir",
+            "traces",
+            "--metrics",
+            "rep.json",
+        ],
     );
     assert_eq!(code, 0, "replay leg:\n{stderr}");
     assert_eq!(live, replayed, "replayed table1 must be byte-identical");
@@ -126,9 +172,11 @@ fn matrix_replay_is_byte_identical_and_counted() {
 
     // Every cached trace passes a full integrity verify.
     let a_trace = dir.join("traces/STREAM-gcc-12.2-RISC-V-test.trace");
-    assert!(a_trace.exists(), "cache file uses the documented naming scheme");
-    let (code, stdout, _) =
-        run("trace_tool", &dir, &["verify", a_trace.to_str().unwrap()]);
+    assert!(
+        a_trace.exists(),
+        "cache file uses the documented naming scheme"
+    );
+    let (code, stdout, _) = run("trace_tool", &dir, &["verify", a_trace.to_str().unwrap()]);
     assert_eq!(code, 0, "cached trace verifies:\n{stdout}");
 }
 
@@ -139,21 +187,30 @@ fn armed_faults_disable_the_trace_cache_for_the_targeted_cell() {
         "make_tables",
         &dir,
         &[
-            "table1", "--size", "test", "--trace-dir", "traces",
-            "--inject", "STREAM/gcc-12.2/RISC-V:trap@1000",
+            "table1",
+            "--size",
+            "test",
+            "--trace-dir",
+            "traces",
+            "--inject",
+            "STREAM/gcc-12.2/RISC-V:trap@1000",
         ],
     );
     assert_eq!(code, 0, "degraded run exits 0:\n{stderr}");
     // The faulted cell must not leave a capture behind (an injected-fault
     // run is not a reusable measurement); untargeted cells still cache.
     assert!(
-        !dir.join("traces/STREAM-gcc-12.2-RISC-V-test.trace").exists(),
+        !dir.join("traces/STREAM-gcc-12.2-RISC-V-test.trace")
+            .exists(),
         "no capture for the faulted cell"
     );
     assert!(
-        dir.join("traces/STREAM-gcc-12.2-AArch64-test.trace").exists(),
+        dir.join("traces/STREAM-gcc-12.2-AArch64-test.trace")
+            .exists(),
         "healthy cells still capture"
     );
-    let captures = std::fs::read_dir(dir.join("traces")).expect("dir created").count();
+    let captures = std::fs::read_dir(dir.join("traces"))
+        .expect("dir created")
+        .count();
     assert_eq!(captures, 19, "every cell but the faulted one captures");
 }

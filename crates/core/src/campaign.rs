@@ -88,7 +88,11 @@ impl CampaignManifest {
             .map(|v| v.as_str().map(str::to_string))
             .collect::<Option<Vec<_>>>()
             .ok_or("campaign manifest: non-string fault spec")?;
-        Ok(CampaignManifest { seed, window, specs })
+        Ok(CampaignManifest {
+            seed,
+            window,
+            specs,
+        })
     }
 }
 
@@ -98,18 +102,27 @@ mod tests {
 
     #[test]
     fn sampling_is_deterministic_and_seed_sensitive() {
-        let spec = CampaignSpec { seed: 42, n_faults: 6 };
+        let spec = CampaignSpec {
+            seed: 42,
+            n_faults: 6,
+        };
         let a = CampaignManifest::sample(spec);
         let b = CampaignManifest::sample(spec);
         assert_eq!(a, b);
         assert_eq!(a.specs.len(), 6);
-        let c = CampaignManifest::sample(CampaignSpec { seed: 43, n_faults: 6 });
+        let c = CampaignManifest::sample(CampaignSpec {
+            seed: 43,
+            n_faults: 6,
+        });
         assert_ne!(a.specs, c.specs);
     }
 
     #[test]
     fn json_round_trip_preserves_full_u64_seed() {
-        let m = CampaignManifest::sample(CampaignSpec { seed: u64::MAX - 1, n_faults: 4 });
+        let m = CampaignManifest::sample(CampaignSpec {
+            seed: u64::MAX - 1,
+            n_faults: 4,
+        });
         let back = CampaignManifest::from_json(&m.to_json()).unwrap();
         assert_eq!(back, m);
         assert_eq!(back.seed, u64::MAX - 1);
@@ -117,7 +130,10 @@ mod tests {
 
     #[test]
     fn manifest_re_arms_the_exact_schedule() {
-        let m = CampaignManifest::sample(CampaignSpec { seed: 9, n_faults: 5 });
+        let m = CampaignManifest::sample(CampaignSpec {
+            seed: 9,
+            n_faults: 5,
+        });
         let c = m.campaign().unwrap();
         assert_eq!(c.len(), 5);
         assert_eq!(c.seed(), 9);
@@ -128,10 +144,15 @@ mod tests {
     #[test]
     fn malformed_manifests_are_rejected() {
         assert!(CampaignManifest::from_json("{}").is_err());
-        assert!(CampaignManifest::from_json("{\"seed\": \"zz\", \"window\": 4, \"faults\": []}").is_err());
-        let bad_spec =
-            "{\"seed\": \"0x1\", \"window\": 4, \"faults\": [\"bogus@1\"]}";
+        assert!(
+            CampaignManifest::from_json("{\"seed\": \"zz\", \"window\": 4, \"faults\": []}")
+                .is_err()
+        );
+        let bad_spec = "{\"seed\": \"0x1\", \"window\": 4, \"faults\": [\"bogus@1\"]}";
         let m = CampaignManifest::from_json(bad_spec).unwrap();
-        assert!(m.campaign().is_err(), "unknown fault kinds fail at re-arm time");
+        assert!(
+            m.campaign().is_err(),
+            "unknown fault kinds fail at re-arm time"
+        );
     }
 }

@@ -121,7 +121,10 @@ impl std::fmt::Display for CellError {
                 write!(f, "guest fault after {instret} retirements: {err}")
             }
             CellError::Panic { msg } => write!(f, "panic during emulation: {msg}"),
-            CellError::ChecksumMismatch { expected_bits, got_bits } => write!(
+            CellError::ChecksumMismatch {
+                expected_bits,
+                got_bits,
+            } => write!(
                 f,
                 "checksum mismatch: expected {:#018x}, got {:#018x}",
                 expected_bits, got_bits
@@ -198,15 +201,22 @@ impl CellOptions {
     /// built per call, so every retry of a cell deterministically
     /// re-injects the same schedule from scratch.
     pub fn armed_campaign(&self) -> Option<Campaign> {
-        let mut plans: Vec<FaultPlan> =
-            self.campaign.as_ref().map(|c| c.plans().to_vec()).unwrap_or_default();
+        let mut plans: Vec<FaultPlan> = self
+            .campaign
+            .as_ref()
+            .map(|c| c.plans().to_vec())
+            .unwrap_or_default();
         if let Some(f) = &self.fault {
             plans.push(f.clone());
         }
         if plans.is_empty() {
             return None;
         }
-        let seed = self.campaign.as_ref().map(Campaign::seed).unwrap_or(DEFAULT_FAULT_SEED);
+        let seed = self
+            .campaign
+            .as_ref()
+            .map(Campaign::seed)
+            .unwrap_or(DEFAULT_FAULT_SEED);
         Some(Campaign::from_plans(plans, seed))
     }
 }
@@ -263,7 +273,10 @@ impl InjectSpec {
         let (sel, spec) = s.split_once(':').ok_or_else(|| {
             format!("bad inject spec {s:?}: expected workload/compiler/isa:<fault>")
         })?;
-        Ok(InjectSpec { selector: CellSelector::parse(sel)?, plan: FaultPlan::parse(spec)? })
+        Ok(InjectSpec {
+            selector: CellSelector::parse(sel)?,
+            plan: FaultPlan::parse(spec)?,
+        })
     }
 }
 
@@ -300,7 +313,9 @@ impl MatrixOptions {
     /// fault when the selector matches, and the campaign unconditionally).
     pub fn cell_options(&self, workload: &str, compiler: &str, isa: &str) -> CellOptions {
         let fault = self.inject.as_ref().and_then(|i| {
-            i.selector.matches(workload, compiler, isa).then(|| i.plan.clone())
+            i.selector
+                .matches(workload, compiler, isa)
+                .then(|| i.plan.clone())
         });
         CellOptions {
             deadline: self.deadline,
@@ -321,17 +336,30 @@ mod tests {
 
     #[test]
     fn kinds_and_retryability() {
-        let sim = CellError::Sim { err: SimError::MisalignedPc { pc: 2 }, instret: 7 };
+        let sim = CellError::Sim {
+            err: SimError::MisalignedPc { pc: 2 },
+            instret: 7,
+        };
         assert_eq!(sim.kind(), "sim");
         assert!(sim.retryable());
         let timeout = CellError::Timeout {
-            err: SimError::WallClockExceeded { limit_ms: 5, retired: 9 },
+            err: SimError::WallClockExceeded {
+                limit_ms: 5,
+                retired: 9,
+            },
             instret: 9,
         };
         assert_eq!(timeout.kind(), "timeout");
-        assert!(!timeout.retryable(), "watchdogs are deterministic, no retry");
+        assert!(
+            !timeout.retryable(),
+            "watchdogs are deterministic, no retry"
+        );
         assert!(!CellError::Compile { msg: "x".into() }.retryable());
-        assert!(CellError::ChecksumMismatch { expected_bits: 1, got_bits: 2 }.retryable());
+        assert!(CellError::ChecksumMismatch {
+            expected_bits: 1,
+            got_bits: 2
+        }
+        .retryable());
     }
 
     #[test]
@@ -348,7 +376,10 @@ mod tests {
     fn selector_parses_and_matches() {
         let sel = CellSelector::parse("STREAM/gcc-12.2/RISC-V").unwrap();
         assert!(sel.matches("STREAM", "gcc-12.2", "RISC-V"));
-        assert!(sel.matches("stream", "GCC-12.2", "risc-v"), "case-insensitive");
+        assert!(
+            sel.matches("stream", "GCC-12.2", "risc-v"),
+            "case-insensitive"
+        );
         assert!(!sel.matches("LBM", "gcc-12.2", "RISC-V"));
         let any = CellSelector::parse("*/*/RISC-V").unwrap();
         assert!(any.matches("LBM", "gcc-9.2", "RISC-V"));
@@ -371,7 +402,10 @@ mod tests {
 
     #[test]
     fn retries_are_capped() {
-        let o = CellOptions { retries: 99, ..Default::default() };
+        let o = CellOptions {
+            retries: 99,
+            ..Default::default()
+        };
         assert_eq!(o.effective_retries(), MAX_CELL_RETRIES);
     }
 
@@ -394,7 +428,10 @@ mod tests {
 
     #[test]
     fn matrix_campaign_reaches_every_cell() {
-        let opts = MatrixOptions { campaign: Some(Campaign::sample(1, 2, 100)), ..Default::default() };
+        let opts = MatrixOptions {
+            campaign: Some(Campaign::sample(1, 2, 100)),
+            ..Default::default()
+        };
         let a = opts.cell_options("STREAM", "gcc-9.2", "AArch64");
         let b = opts.cell_options("LBM", "gcc-12.2", "RISC-V");
         assert_eq!(a.campaign.as_ref().unwrap().len(), 2);

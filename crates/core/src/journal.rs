@@ -57,7 +57,9 @@ impl CellJournal {
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
             Err(e) => return Err(e),
         }
-        let mut journal = CellJournal { log: DurableLog::open(path)? };
+        let mut journal = CellJournal {
+            log: DurableLog::open(path)?,
+        };
         let mut fields = vec![
             ("kind", Json::Str("begin".into())),
             ("schema", Json::Num(JOURNAL_SCHEMA as f64)),
@@ -73,7 +75,9 @@ impl CellJournal {
     /// Reopen an existing journal to continue appending after a resume.
     /// No `begin` record is written — the original one still governs.
     pub fn append_to(path: &Path) -> io::Result<CellJournal> {
-        Ok(CellJournal { log: DurableLog::open(path)? })
+        Ok(CellJournal {
+            log: DurableLog::open(path)?,
+        })
     }
 
     /// Durably record one measured cell.
@@ -166,8 +170,7 @@ pub fn read_journal(path: &Path) -> Result<JournalContents, String> {
 
     let mut matrix = ResultMatrix::default();
     for (i, line) in it.enumerate() {
-        let rec =
-            Json::parse(line).map_err(|e| format!("journal record {}: {e}", i + 2))?;
+        let rec = Json::parse(line).map_err(|e| format!("journal record {}: {e}", i + 2))?;
         match rec.get("kind").and_then(Json::as_str) {
             Some("cell") => {
                 let cell = rec
@@ -189,14 +192,17 @@ pub fn read_journal(path: &Path) -> Result<JournalContents, String> {
                     })?;
                 matrix.failures.push(failure);
             }
-            Some(other) => {
-                return Err(format!("journal record {}: unknown kind {other:?}", i + 2))
-            }
+            Some(other) => return Err(format!("journal record {}: unknown kind {other:?}", i + 2)),
             None => return Err(format!("journal record {}: missing kind", i + 2)),
         }
     }
 
-    Ok(JournalContents { size, campaign, matrix, torn_tail })
+    Ok(JournalContents {
+        size,
+        campaign,
+        matrix,
+        torn_tail,
+    })
 }
 
 /// Embed a campaign manifest as a JSON value (same shape as
@@ -254,7 +260,10 @@ mod tests {
     fn journal_round_trips_cells_failures_and_manifest() {
         let dir = tmp_dir("roundtrip");
         let path = dir.join("matrix.journal.jsonl");
-        let manifest = CampaignManifest::sample(CampaignSpec { seed: 7, n_faults: 3 });
+        let manifest = CampaignManifest::sample(CampaignSpec {
+            seed: 7,
+            n_faults: 3,
+        });
         {
             let mut j = CellJournal::create(&path, "test", Some(&manifest)).unwrap();
             j.record_cell(&sample_cell("stream")).unwrap();
@@ -282,8 +291,12 @@ mod tests {
         }
         // Simulate a SIGKILL mid-append: a prefix of a record, no newline.
         use std::io::Write;
-        let mut f = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(b"{\"kind\":\"cell\",\"cell\":{\"worklo").unwrap();
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        f.write_all(b"{\"kind\":\"cell\",\"cell\":{\"worklo")
+            .unwrap();
         drop(f);
 
         let back = read_journal(&path).unwrap();
@@ -317,11 +330,20 @@ mod tests {
     fn corrupt_complete_lines_and_bad_schema_are_rejected() {
         let dir = tmp_dir("corrupt");
         let path = dir.join("matrix.journal.jsonl");
-        std::fs::write(&path, "{\"kind\":\"begin\",\"schema\":1,\"size\":\"test\"}\nnot json\n")
-            .unwrap();
-        assert!(read_journal(&path).unwrap_err().contains("journal record 2"));
+        std::fs::write(
+            &path,
+            "{\"kind\":\"begin\",\"schema\":1,\"size\":\"test\"}\nnot json\n",
+        )
+        .unwrap();
+        assert!(read_journal(&path)
+            .unwrap_err()
+            .contains("journal record 2"));
 
-        std::fs::write(&path, "{\"kind\":\"begin\",\"schema\":99,\"size\":\"test\"}\n").unwrap();
+        std::fs::write(
+            &path,
+            "{\"kind\":\"begin\",\"schema\":99,\"size\":\"test\"}\n",
+        )
+        .unwrap();
         assert!(read_journal(&path).unwrap_err().contains("schema 99"));
 
         std::fs::write(&path, "").unwrap();

@@ -125,7 +125,10 @@ impl ShardPool {
                     .expect("spawn pool worker")
             })
             .collect();
-        ShardPool { inner, workers: Mutex::new(handles) }
+        ShardPool {
+            inner,
+            workers: Mutex::new(handles),
+        }
     }
 
     /// Enqueue one task on the next shard (round-robin) and wake a worker.
@@ -250,7 +253,11 @@ fn worker_loop(inner: &Inner, me: usize) {
 pub fn global() -> &'static ShardPool {
     static POOL: OnceLock<ShardPool> = OnceLock::new();
     POOL.get_or_init(|| {
-        ShardPool::new(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
+        ShardPool::new(
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+        )
     })
 }
 
@@ -343,7 +350,10 @@ mod tests {
         shutdown::request();
         let out = pool.run_batch(batch_of(&[1, 3]), true);
         shutdown::reset();
-        assert!(out.iter().all(Option::is_none), "no task runs once the flag is up");
+        assert!(
+            out.iter().all(Option::is_none),
+            "no task runs once the flag is up"
+        );
         let out = pool.run_batch(batch_of(&[1, 3]), true);
         assert_eq!(out, vec![Some(Ok(10)), Some(Ok(30))]);
     }

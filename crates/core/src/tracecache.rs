@@ -83,7 +83,10 @@ pub fn replay_cell(
     let _span = tel.enter("trace_replay");
     let start = Instant::now();
     let to_cell_err = |e: trace::TraceError| CellError::Sim {
-        err: simcore::SimError::Fault { pc: 0, msg: format!("trace replay: {e}") },
+        err: simcore::SimError::Fault {
+            pc: 0,
+            msg: format!("trace replay: {e}"),
+        },
         instret: 0,
     };
     let mut reader = match TraceReader::open(path) {
@@ -101,7 +104,9 @@ pub fn replay_cell(
     }
     let regions = reader.meta().regions.clone();
     let mut analyses = Bundle::new(isa, &regions, fuse);
-    reader.drive(&mut [analyses.observer()]).map_err(|err| CellError::Sim { err, instret: 0 })?;
+    reader
+        .drive(&mut [analyses.observer()])
+        .map_err(|err| CellError::Sim { err, instret: 0 })?;
     let trailer = *reader.trailer().expect("drive() validated the trailer");
     let elapsed = start.elapsed();
     tel.counter_add("trace_replays", 1);
@@ -111,7 +116,11 @@ pub fn replay_cell(
         let speedup = trailer.capture_wall_us as f64 / elapsed.as_micros().max(1) as f64;
         tel.gauge_set("trace_replay_speedup", speedup);
     }
-    Ok(Some(analyses.into_cell(workload.name(), personality.label(), isa_label(isa))))
+    Ok(Some(analyses.into_cell(
+        workload.name(),
+        personality.label(),
+        isa_label(isa),
+    )))
 }
 
 #[cfg(test)]
@@ -127,7 +136,10 @@ mod tests {
             IsaKind::RiscV,
             SizeClass::Test,
         );
-        assert_eq!(p, PathBuf::from("/tmp/traces/STREAM-gcc-12.2-RISC-V-test.trace"));
+        assert_eq!(
+            p,
+            PathBuf::from("/tmp/traces/STREAM-gcc-12.2-RISC-V-test.trace")
+        );
     }
 
     #[test]

@@ -17,10 +17,26 @@ pub struct Label(usize);
 
 enum Item {
     Fixed(Inst),
-    BTo { link: bool, label: Label },
-    BCondTo { cond: Cond, label: Label },
-    CbzTo { nonzero: bool, sf: bool, rt: u8, label: Label },
-    TbzTo { nonzero: bool, rt: u8, bit: u8, label: Label },
+    BTo {
+        link: bool,
+        label: Label,
+    },
+    BCondTo {
+        cond: Cond,
+        label: Label,
+    },
+    CbzTo {
+        nonzero: bool,
+        sf: bool,
+        rt: u8,
+        label: Label,
+    },
+    TbzTo {
+        nonzero: bool,
+        rt: u8,
+        bit: u8,
+        label: Label,
+    },
 }
 
 /// A64 assembler/builder.
@@ -240,15 +256,35 @@ impl A64Asm {
     }
     /// `mul xd, xn, xm` (`madd` with `xzr` accumulator).
     pub fn mul(&mut self, rd: u8, rn: u8, rm: u8) {
-        self.push(Inst::MulAdd { sub: false, sf: true, rd, rn, rm, ra: 31 });
+        self.push(Inst::MulAdd {
+            sub: false,
+            sf: true,
+            rd,
+            rn,
+            rm,
+            ra: 31,
+        });
     }
     /// `madd xd, xn, xm, xa`.
     pub fn madd(&mut self, rd: u8, rn: u8, rm: u8, ra: u8) {
-        self.push(Inst::MulAdd { sub: false, sf: true, rd, rn, rm, ra });
+        self.push(Inst::MulAdd {
+            sub: false,
+            sf: true,
+            rd,
+            rn,
+            rm,
+            ra,
+        });
     }
     /// `sdiv xd, xn, xm`.
     pub fn sdiv(&mut self, rd: u8, rn: u8, rm: u8) {
-        self.push(Inst::Div { unsigned: false, sf: true, rd, rn, rm });
+        self.push(Inst::Div {
+            unsigned: false,
+            sf: true,
+            rd,
+            rn,
+            rm,
+        });
     }
     /// `lsl xd, xn, #shift` (ubfm alias).
     pub fn lsl_imm(&mut self, rd: u8, rn: u8, shift: u8) {
@@ -265,12 +301,26 @@ impl A64Asm {
     /// `lsr xd, xn, #shift`.
     pub fn lsr_imm(&mut self, rd: u8, rn: u8, shift: u8) {
         assert!(shift < 64);
-        self.push(Inst::Bitfield { op: BitfieldOp::Ubfm, sf: true, rd, rn, immr: shift, imms: 63 });
+        self.push(Inst::Bitfield {
+            op: BitfieldOp::Ubfm,
+            sf: true,
+            rd,
+            rn,
+            immr: shift,
+            imms: 63,
+        });
     }
     /// `asr xd, xn, #shift`.
     pub fn asr_imm(&mut self, rd: u8, rn: u8, shift: u8) {
         assert!(shift < 64);
-        self.push(Inst::Bitfield { op: BitfieldOp::Sbfm, sf: true, rd, rn, immr: shift, imms: 63 });
+        self.push(Inst::Bitfield {
+            op: BitfieldOp::Sbfm,
+            sf: true,
+            rd,
+            rn,
+            immr: shift,
+            imms: 63,
+        });
     }
     /// `mov xd, xm` (orr alias).
     pub fn mov(&mut self, rd: u8, rm: u8) {
@@ -308,7 +358,13 @@ impl A64Asm {
             });
             for (i, &h) in halves.iter().enumerate() {
                 if i != first && h != 0xFFFF {
-                    self.push(Inst::MovWide { op: MovOp::Movk, sf: true, rd, imm16: h, hw: i as u8 });
+                    self.push(Inst::MovWide {
+                        op: MovOp::Movk,
+                        sf: true,
+                        rd,
+                        imm16: h,
+                        hw: i as u8,
+                    });
                 }
             }
         } else {
@@ -322,7 +378,13 @@ impl A64Asm {
             });
             for (i, &h) in halves.iter().enumerate() {
                 if i != first && h != 0 {
-                    self.push(Inst::MovWide { op: MovOp::Movk, sf: true, rd, imm16: h, hw: i as u8 });
+                    self.push(Inst::MovWide {
+                        op: MovOp::Movk,
+                        sf: true,
+                        rd,
+                        imm16: h,
+                        hw: i as u8,
+                    });
                 }
             }
         }
@@ -333,7 +395,10 @@ impl A64Asm {
     pub fn la(&mut self, rd: u8, addr: u64) {
         let here = self.here();
         let page_delta = (addr & !0xFFF).wrapping_sub(here & !0xFFF) as i64;
-        self.push(Inst::Adrp { rd, offset: page_delta });
+        self.push(Inst::Adrp {
+            rd,
+            offset: page_delta,
+        });
         let lo = addr & 0xFFF;
         if lo != 0 {
             self.add_imm(rd, rd, lo);
@@ -372,19 +437,38 @@ impl A64Asm {
     }
     /// `cbz xt, label`.
     pub fn cbz(&mut self, rt: u8, label: Label) {
-        self.items.push(Item::CbzTo { nonzero: false, sf: true, rt, label });
+        self.items.push(Item::CbzTo {
+            nonzero: false,
+            sf: true,
+            rt,
+            label,
+        });
     }
     /// `cbnz xt, label`.
     pub fn cbnz(&mut self, rt: u8, label: Label) {
-        self.items.push(Item::CbzTo { nonzero: true, sf: true, rt, label });
+        self.items.push(Item::CbzTo {
+            nonzero: true,
+            sf: true,
+            rt,
+            label,
+        });
     }
     /// `tbz xt, #bit, label`.
     pub fn tbz(&mut self, rt: u8, bit: u8, label: Label) {
-        self.items.push(Item::TbzTo { nonzero: false, rt, bit, label });
+        self.items.push(Item::TbzTo {
+            nonzero: false,
+            rt,
+            bit,
+            label,
+        });
     }
     /// `ret`.
     pub fn ret(&mut self) {
-        self.push(Inst::BrReg { link: false, ret: true, rn: 30 });
+        self.push(Inst::BrReg {
+            link: false,
+            ret: true,
+            rn: 30,
+        });
     }
 
     // ---- memory ------------------------------------------------------------
@@ -392,115 +476,266 @@ impl A64Asm {
     /// `ldr xt, [xn, #off]` (off must be 8-byte scaled).
     pub fn ldr_imm(&mut self, rt: u8, rn: u8, off: u64) {
         assert_eq!(off % 8, 0);
-        self.push(Inst::LdrImm { size: MemSize::X, rt, rn, imm12: (off / 8) as u16 });
+        self.push(Inst::LdrImm {
+            size: MemSize::X,
+            rt,
+            rn,
+            imm12: (off / 8) as u16,
+        });
     }
     /// `str xt, [xn, #off]`.
     pub fn str_imm(&mut self, rt: u8, rn: u8, off: u64) {
         assert_eq!(off % 8, 0);
-        self.push(Inst::StrImm { size: MemSize::X, rt, rn, imm12: (off / 8) as u16 });
+        self.push(Inst::StrImm {
+            size: MemSize::X,
+            rt,
+            rn,
+            imm12: (off / 8) as u16,
+        });
     }
     /// `ldr dt, [xn, #off]`.
     pub fn ldr_d_imm(&mut self, rt: u8, rn: u8, off: u64) {
         assert_eq!(off % 8, 0);
-        self.push(Inst::LdrFpImm { size: FpSize::D, rt, rn, imm12: (off / 8) as u16 });
+        self.push(Inst::LdrFpImm {
+            size: FpSize::D,
+            rt,
+            rn,
+            imm12: (off / 8) as u16,
+        });
     }
     /// `str dt, [xn, #off]`.
     pub fn str_d_imm(&mut self, rt: u8, rn: u8, off: u64) {
         assert_eq!(off % 8, 0);
-        self.push(Inst::StrFpImm { size: FpSize::D, rt, rn, imm12: (off / 8) as u16 });
+        self.push(Inst::StrFpImm {
+            size: FpSize::D,
+            rt,
+            rn,
+            imm12: (off / 8) as u16,
+        });
     }
     /// `ldr dt, [xn, xm, lsl #3]` — the paper's register-offset load.
     pub fn ldr_d_reg(&mut self, rt: u8, rn: u8, rm: u8) {
-        self.push(Inst::LdrFpReg { size: FpSize::D, rt, rn, rm, extend: Extend::Uxtx, shift: true });
+        self.push(Inst::LdrFpReg {
+            size: FpSize::D,
+            rt,
+            rn,
+            rm,
+            extend: Extend::Uxtx,
+            shift: true,
+        });
     }
     /// `str dt, [xn, xm, lsl #3]`.
     pub fn str_d_reg(&mut self, rt: u8, rn: u8, rm: u8) {
-        self.push(Inst::StrFpReg { size: FpSize::D, rt, rn, rm, extend: Extend::Uxtx, shift: true });
+        self.push(Inst::StrFpReg {
+            size: FpSize::D,
+            rt,
+            rn,
+            rm,
+            extend: Extend::Uxtx,
+            shift: true,
+        });
     }
     /// `ldr dt, [xn], #off` — post-indexed.
     pub fn ldr_d_post(&mut self, rt: u8, rn: u8, off: i16) {
-        self.push(Inst::LdrFpIdx { size: FpSize::D, mode: IndexMode::Post, rt, rn, simm9: off });
+        self.push(Inst::LdrFpIdx {
+            size: FpSize::D,
+            mode: IndexMode::Post,
+            rt,
+            rn,
+            simm9: off,
+        });
     }
     /// `str dt, [xn], #off` — post-indexed.
     pub fn str_d_post(&mut self, rt: u8, rn: u8, off: i16) {
-        self.push(Inst::StrFpIdx { size: FpSize::D, mode: IndexMode::Post, rt, rn, simm9: off });
+        self.push(Inst::StrFpIdx {
+            size: FpSize::D,
+            mode: IndexMode::Post,
+            rt,
+            rn,
+            simm9: off,
+        });
     }
     /// `ldr xt, [xn, xm, lsl #3]`.
     pub fn ldr_reg(&mut self, rt: u8, rn: u8, rm: u8) {
-        self.push(Inst::LdrReg { size: MemSize::X, rt, rn, rm, extend: Extend::Uxtx, shift: true });
+        self.push(Inst::LdrReg {
+            size: MemSize::X,
+            rt,
+            rn,
+            rm,
+            extend: Extend::Uxtx,
+            shift: true,
+        });
     }
     /// `str xt, [xn, xm, lsl #3]`.
     pub fn str_reg(&mut self, rt: u8, rn: u8, rm: u8) {
-        self.push(Inst::StrReg { size: MemSize::X, rt, rn, rm, extend: Extend::Uxtx, shift: true });
+        self.push(Inst::StrReg {
+            size: MemSize::X,
+            rt,
+            rn,
+            rm,
+            extend: Extend::Uxtx,
+            shift: true,
+        });
     }
 
     // ---- FP ------------------------------------------------------------------
 
     /// `fadd dd, dn, dm`.
     pub fn fadd_d(&mut self, rd: u8, rn: u8, rm: u8) {
-        self.push(Inst::FpBin { op: FpBinOp::Fadd, size: FpSize::D, rd, rn, rm });
+        self.push(Inst::FpBin {
+            op: FpBinOp::Fadd,
+            size: FpSize::D,
+            rd,
+            rn,
+            rm,
+        });
     }
     /// `fsub dd, dn, dm`.
     pub fn fsub_d(&mut self, rd: u8, rn: u8, rm: u8) {
-        self.push(Inst::FpBin { op: FpBinOp::Fsub, size: FpSize::D, rd, rn, rm });
+        self.push(Inst::FpBin {
+            op: FpBinOp::Fsub,
+            size: FpSize::D,
+            rd,
+            rn,
+            rm,
+        });
     }
     /// `fmul dd, dn, dm`.
     pub fn fmul_d(&mut self, rd: u8, rn: u8, rm: u8) {
-        self.push(Inst::FpBin { op: FpBinOp::Fmul, size: FpSize::D, rd, rn, rm });
+        self.push(Inst::FpBin {
+            op: FpBinOp::Fmul,
+            size: FpSize::D,
+            rd,
+            rn,
+            rm,
+        });
     }
     /// `fdiv dd, dn, dm`.
     pub fn fdiv_d(&mut self, rd: u8, rn: u8, rm: u8) {
-        self.push(Inst::FpBin { op: FpBinOp::Fdiv, size: FpSize::D, rd, rn, rm });
+        self.push(Inst::FpBin {
+            op: FpBinOp::Fdiv,
+            size: FpSize::D,
+            rd,
+            rn,
+            rm,
+        });
     }
     /// `fsqrt dd, dn`.
     pub fn fsqrt_d(&mut self, rd: u8, rn: u8) {
-        self.push(Inst::FpUn { op: FpUnOp::Fsqrt, size: FpSize::D, rd, rn });
+        self.push(Inst::FpUn {
+            op: FpUnOp::Fsqrt,
+            size: FpSize::D,
+            rd,
+            rn,
+        });
     }
     /// `fneg dd, dn`.
     pub fn fneg_d(&mut self, rd: u8, rn: u8) {
-        self.push(Inst::FpUn { op: FpUnOp::Fneg, size: FpSize::D, rd, rn });
+        self.push(Inst::FpUn {
+            op: FpUnOp::Fneg,
+            size: FpSize::D,
+            rd,
+            rn,
+        });
     }
     /// `fabs dd, dn`.
     pub fn fabs_d(&mut self, rd: u8, rn: u8) {
-        self.push(Inst::FpUn { op: FpUnOp::Fabs, size: FpSize::D, rd, rn });
+        self.push(Inst::FpUn {
+            op: FpUnOp::Fabs,
+            size: FpSize::D,
+            rd,
+            rn,
+        });
     }
     /// `fmov dd, dn`.
     pub fn fmov_d(&mut self, rd: u8, rn: u8) {
-        self.push(Inst::FpUn { op: FpUnOp::Fmov, size: FpSize::D, rd, rn });
+        self.push(Inst::FpUn {
+            op: FpUnOp::Fmov,
+            size: FpSize::D,
+            rd,
+            rn,
+        });
     }
     /// `fmadd dd, dn, dm, da` — `dn*dm + da`.
     pub fn fmadd_d(&mut self, rd: u8, rn: u8, rm: u8, ra: u8) {
-        self.push(Inst::FpFma { op: FpFmaOp::Fmadd, size: FpSize::D, rd, rn, rm, ra });
+        self.push(Inst::FpFma {
+            op: FpFmaOp::Fmadd,
+            size: FpSize::D,
+            rd,
+            rn,
+            rm,
+            ra,
+        });
     }
     /// `fmsub dd, dn, dm, da` — `-(dn*dm) + da`.
     pub fn fmsub_d(&mut self, rd: u8, rn: u8, rm: u8, ra: u8) {
-        self.push(Inst::FpFma { op: FpFmaOp::Fmsub, size: FpSize::D, rd, rn, rm, ra });
+        self.push(Inst::FpFma {
+            op: FpFmaOp::Fmsub,
+            size: FpSize::D,
+            rd,
+            rn,
+            rm,
+            ra,
+        });
     }
     /// `fmin dd, dn, dm` / `fmax dd, dn, dm`.
     pub fn fmin_d(&mut self, rd: u8, rn: u8, rm: u8) {
-        self.push(Inst::FpBin { op: FpBinOp::Fmin, size: FpSize::D, rd, rn, rm });
+        self.push(Inst::FpBin {
+            op: FpBinOp::Fmin,
+            size: FpSize::D,
+            rd,
+            rn,
+            rm,
+        });
     }
     /// `fmax dd, dn, dm`.
     pub fn fmax_d(&mut self, rd: u8, rn: u8, rm: u8) {
-        self.push(Inst::FpBin { op: FpBinOp::Fmax, size: FpSize::D, rd, rn, rm });
+        self.push(Inst::FpBin {
+            op: FpBinOp::Fmax,
+            size: FpSize::D,
+            rd,
+            rn,
+            rm,
+        });
     }
     /// `fcmp dn, dm`.
     pub fn fcmp_d(&mut self, rn: u8, rm: u8) {
-        self.push(Inst::Fcmp { size: FpSize::D, rn, rm, zero: false });
+        self.push(Inst::Fcmp {
+            size: FpSize::D,
+            rn,
+            rm,
+            zero: false,
+        });
     }
     /// `scvtf dd, xn`.
     pub fn scvtf_d(&mut self, rd: u8, rn: u8) {
-        self.push(Inst::IntToFp { unsigned: false, sf: true, size: FpSize::D, rd, rn });
+        self.push(Inst::IntToFp {
+            unsigned: false,
+            sf: true,
+            size: FpSize::D,
+            rd,
+            rn,
+        });
     }
     /// `fcvtzs xd, dn`.
     pub fn fcvtzs(&mut self, rd: u8, rn: u8) {
-        self.push(Inst::FpToInt { unsigned: false, sf: true, size: FpSize::D, rd, rn });
+        self.push(Inst::FpToInt {
+            unsigned: false,
+            sf: true,
+            size: FpSize::D,
+            rd,
+            rn,
+        });
     }
     /// `fmov dd, #imm` — panics if the constant is not VFP-representable.
     pub fn fmov_d_imm(&mut self, rd: u8, v: f64) {
         let imm8 = f64_to_fp_imm8(v)
             .unwrap_or_else(|| panic!("{v} is not representable as an FP immediate"));
-        self.push(Inst::FmovImm { size: FpSize::D, rd, imm8 });
+        self.push(Inst::FmovImm {
+            size: FpSize::D,
+            rd,
+            imm8,
+        });
     }
 
     /// Emit the Linux `exit(code)` sequence.
@@ -526,23 +761,61 @@ impl A64Asm {
                 Item::Fixed(inst) => *inst,
                 Item::BTo { link, label } => {
                     let offset = resolve(*label, &self.labels).wrapping_sub(pc) as i64;
-                    assert!((-(1 << 27)..(1 << 27)).contains(&offset), "b offset {offset}");
-                    Inst::B { link: *link, offset }
+                    assert!(
+                        (-(1 << 27)..(1 << 27)).contains(&offset),
+                        "b offset {offset}"
+                    );
+                    Inst::B {
+                        link: *link,
+                        offset,
+                    }
                 }
                 Item::BCondTo { cond, label } => {
                     let offset = resolve(*label, &self.labels).wrapping_sub(pc) as i64;
-                    assert!((-(1 << 20)..(1 << 20)).contains(&offset), "b.cond offset {offset}");
-                    Inst::BCond { cond: *cond, offset }
+                    assert!(
+                        (-(1 << 20)..(1 << 20)).contains(&offset),
+                        "b.cond offset {offset}"
+                    );
+                    Inst::BCond {
+                        cond: *cond,
+                        offset,
+                    }
                 }
-                Item::CbzTo { nonzero, sf, rt, label } => {
+                Item::CbzTo {
+                    nonzero,
+                    sf,
+                    rt,
+                    label,
+                } => {
                     let offset = resolve(*label, &self.labels).wrapping_sub(pc) as i64;
-                    assert!((-(1 << 20)..(1 << 20)).contains(&offset), "cbz offset {offset}");
-                    Inst::Cbz { nonzero: *nonzero, sf: *sf, rt: *rt, offset }
+                    assert!(
+                        (-(1 << 20)..(1 << 20)).contains(&offset),
+                        "cbz offset {offset}"
+                    );
+                    Inst::Cbz {
+                        nonzero: *nonzero,
+                        sf: *sf,
+                        rt: *rt,
+                        offset,
+                    }
                 }
-                Item::TbzTo { nonzero, rt, bit, label } => {
+                Item::TbzTo {
+                    nonzero,
+                    rt,
+                    bit,
+                    label,
+                } => {
                     let offset = resolve(*label, &self.labels).wrapping_sub(pc) as i64;
-                    assert!((-(1 << 15)..(1 << 15)).contains(&offset), "tbz offset {offset}");
-                    Inst::Tbz { nonzero: *nonzero, rt: *rt, bit: *bit, offset }
+                    assert!(
+                        (-(1 << 15)..(1 << 15)).contains(&offset),
+                        "tbz offset {offset}"
+                    );
+                    Inst::Tbz {
+                        nonzero: *nonzero,
+                        rt: *rt,
+                        bit: *bit,
+                        offset,
+                    }
                 }
             };
             text.extend_from_slice(&encode(&inst).to_le_bytes());
@@ -561,7 +834,11 @@ impl A64Asm {
         let mut regions = Vec::new();
         for name in order {
             for (start, end) in &merged[&name] {
-                regions.push(Region { name: name.clone(), start: *start, end: *end });
+                regions.push(Region {
+                    name: name.clone(),
+                    start: *start,
+                    end: *end,
+                });
             }
         }
 

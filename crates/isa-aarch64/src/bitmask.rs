@@ -26,10 +26,19 @@ pub fn decode_bitmask(sf: bool, n: u32, immr: u32, imms: u32) -> Option<u64> {
     }
     let ones = s + 1;
     // Element: `ones` low bits set, rotated right by r.
-    let mut elem: u64 = if ones == 64 { u64::MAX } else { (1u64 << ones) - 1 };
+    let mut elem: u64 = if ones == 64 {
+        u64::MAX
+    } else {
+        (1u64 << ones) - 1
+    };
     if r != 0 {
         let e = esize as u64;
-        elem = ((elem >> r) | (elem << (e as u32 - r))) & if esize == 64 { u64::MAX } else { (1u64 << esize) - 1 };
+        elem = ((elem >> r) | (elem << (e as u32 - r)))
+            & if esize == 64 {
+                u64::MAX
+            } else {
+                (1u64 << esize) - 1
+            };
     }
     // Replicate to 64 bits.
     let mut mask = 0u64;
@@ -72,13 +81,21 @@ pub fn encode_bitmask(sf: bool, value: u64) -> Option<(u32, u32, u32)> {
             reproduced |= elem << shift;
             shift += e;
         }
-        let full = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
+        let full = if width == 64 {
+            u64::MAX
+        } else {
+            (1u64 << width) - 1
+        };
         if reproduced & full == value {
             esize = e;
         }
         e /= 2;
     }
-    let mask = if esize == 64 { u64::MAX } else { (1u64 << esize) - 1 };
+    let mask = if esize == 64 {
+        u64::MAX
+    } else {
+        (1u64 << esize) - 1
+    };
     let elem = value & mask;
     // The element must be a rotated run of ones: count ones, find rotation.
     let ones = elem.count_ones();
@@ -93,7 +110,11 @@ pub fn encode_bitmask(sf: bool, value: u64) -> Option<(u32, u32, u32)> {
             ((v << r) | (v >> (esize - r))) & mask
         }
     };
-    let canonical = if ones == 64 { u64::MAX } else { (1u64 << ones) - 1 };
+    let canonical = if ones == 64 {
+        u64::MAX
+    } else {
+        (1u64 << ones) - 1
+    };
     let mut r_found = None;
     for r in 0..esize {
         if rot_left(elem, r) == canonical {
@@ -139,8 +160,8 @@ mod tests {
             0xFFFF_FFFF_0000_0000,
             0x3FF8,
         ] {
-            let (n, immr, imms) = encode_bitmask(true, v)
-                .unwrap_or_else(|| panic!("{v:#x} should be encodable"));
+            let (n, immr, imms) =
+                encode_bitmask(true, v).unwrap_or_else(|| panic!("{v:#x} should be encodable"));
             let back = decode_bitmask(true, n, immr, imms).unwrap();
             assert_eq!(back, v, "round trip of {v:#x}");
         }
@@ -150,8 +171,14 @@ mod tests {
     fn unencodable_values() {
         assert!(encode_bitmask(true, 0).is_none());
         assert!(encode_bitmask(true, u64::MAX).is_none());
-        assert!(encode_bitmask(true, 0xDEAD_BEEF).is_none(), "not a rotated run");
-        assert!(encode_bitmask(false, 0x1_0000_0000).is_none(), "out of 32-bit range");
+        assert!(
+            encode_bitmask(true, 0xDEAD_BEEF).is_none(),
+            "not a rotated run"
+        );
+        assert!(
+            encode_bitmask(false, 0x1_0000_0000).is_none(),
+            "out of 32-bit range"
+        );
     }
 
     #[test]

@@ -102,10 +102,14 @@ pub fn decode(w: u32) -> Result<Inst, DecodeError> {
         return Ok(Inst::Nop);
     }
     if w & 0xFFE0_001F == 0xD400_0001 {
-        return Ok(Inst::Svc { imm16: ((w >> 5) & 0xFFFF) as u16 });
+        return Ok(Inst::Svc {
+            imm16: ((w >> 5) & 0xFFFF) as u16,
+        });
     }
     if w & 0xFFE0_001F == 0xD420_0000 {
-        return Ok(Inst::Brk { imm16: ((w >> 5) & 0xFFFF) as u16 });
+        return Ok(Inst::Brk {
+            imm16: ((w >> 5) & 0xFFFF) as u16,
+        });
     }
     match (w >> 25) & 0xF {
         0b1000 | 0b1001 => decode_dp_imm(w),
@@ -125,9 +129,15 @@ fn decode_dp_imm(w: u32) -> Result<Inst, DecodeError> {
             let immhi = (w >> 5) & 0x7_FFFF;
             let imm21 = sext((immhi << 2) | immlo, 21);
             if w >> 31 == 0 {
-                Ok(Inst::Adr { rd: rd(w), offset: imm21 })
+                Ok(Inst::Adr {
+                    rd: rd(w),
+                    offset: imm21,
+                })
             } else {
-                Ok(Inst::Adrp { rd: rd(w), offset: imm21 << 12 })
+                Ok(Inst::Adrp {
+                    rd: rd(w),
+                    offset: imm21 << 12,
+                })
             }
         }
         0b010 => {
@@ -156,9 +166,19 @@ fn decode_dp_imm(w: u32) -> Result<Inst, DecodeError> {
             if !sf(w) && n != 0 {
                 return err("logical imm with sf=0, N=1");
             }
-            let imm = decode_bitmask(sf(w), n, (w >> 16) & 0x3F, (w >> 10) & 0x3F)
-                .ok_or_else(|| DecodeError { msg: "reserved bitmask immediate".into() })?;
-            Ok(Inst::LogicalImm { op, sf: sf(w), rd: rd(w), rn: rn(w), imm })
+            let imm =
+                decode_bitmask(sf(w), n, (w >> 16) & 0x3F, (w >> 10) & 0x3F).ok_or_else(|| {
+                    DecodeError {
+                        msg: "reserved bitmask immediate".into(),
+                    }
+                })?;
+            Ok(Inst::LogicalImm {
+                op,
+                sf: sf(w),
+                rd: rd(w),
+                rn: rn(w),
+                imm,
+            })
         }
         0b101 => {
             let opc = (w >> 29) & 3;
@@ -172,7 +192,13 @@ fn decode_dp_imm(w: u32) -> Result<Inst, DecodeError> {
             if !sf(w) && hw > 1 {
                 return err("move-wide hw > 1 with sf=0");
             }
-            Ok(Inst::MovWide { op, sf: sf(w), rd: rd(w), imm16: ((w >> 5) & 0xFFFF) as u16, hw })
+            Ok(Inst::MovWide {
+                op,
+                sf: sf(w),
+                rd: rd(w),
+                imm16: ((w >> 5) & 0xFFFF) as u16,
+                hw,
+            })
         }
         0b110 => {
             let opc = (w >> 29) & 3;
@@ -191,7 +217,14 @@ fn decode_dp_imm(w: u32) -> Result<Inst, DecodeError> {
             if !sf(w) && (immr > 31 || imms > 31) {
                 return err("bitfield immr/imms out of range for 32-bit");
             }
-            Ok(Inst::Bitfield { op, sf: sf(w), rd: rd(w), rn: rn(w), immr, imms })
+            Ok(Inst::Bitfield {
+                op,
+                sf: sf(w),
+                rd: rd(w),
+                rn: rn(w),
+                immr,
+                imms,
+            })
         }
         0b111 => {
             // EXTR
@@ -206,7 +239,13 @@ fn decode_dp_imm(w: u32) -> Result<Inst, DecodeError> {
             if !sf(w) && lsb > 31 {
                 return err("extr lsb out of range for 32-bit");
             }
-            Ok(Inst::Extr { sf: sf(w), rd: rd(w), rn: rn(w), rm: rm(w), lsb })
+            Ok(Inst::Extr {
+                sf: sf(w),
+                rd: rd(w),
+                rn: rn(w),
+                rm: rm(w),
+                lsb,
+            })
         }
         g => err(format!("dp-imm group {g:#b}")),
     }
@@ -215,7 +254,10 @@ fn decode_dp_imm(w: u32) -> Result<Inst, DecodeError> {
 fn decode_branch(w: u32) -> Result<Inst, DecodeError> {
     if (w >> 26) & 0x1F == 0b00101 {
         let link = w >> 31 != 0;
-        return Ok(Inst::B { link, offset: sext(w & 0x03FF_FFFF, 26) << 2 });
+        return Ok(Inst::B {
+            link,
+            offset: sext(w & 0x03FF_FFFF, 26) << 2,
+        });
     }
     if w >> 24 == 0b0101_0100 && w & 0x10 == 0 {
         return Ok(Inst::BCond {
@@ -241,9 +283,27 @@ fn decode_branch(w: u32) -> Result<Inst, DecodeError> {
         });
     }
     match w & 0xFFFF_FC1F {
-        0xD61F_0000 => return Ok(Inst::BrReg { link: false, ret: false, rn: rn(w) }),
-        0xD63F_0000 => return Ok(Inst::BrReg { link: true, ret: false, rn: rn(w) }),
-        0xD65F_0000 => return Ok(Inst::BrReg { link: false, ret: true, rn: rn(w) }),
+        0xD61F_0000 => {
+            return Ok(Inst::BrReg {
+                link: false,
+                ret: false,
+                rn: rn(w),
+            })
+        }
+        0xD63F_0000 => {
+            return Ok(Inst::BrReg {
+                link: true,
+                ret: false,
+                rn: rn(w),
+            })
+        }
+        0xD65F_0000 => {
+            return Ok(Inst::BrReg {
+                link: false,
+                ret: true,
+                rn: rn(w),
+            })
+        }
         _ => {}
     }
     err(format!("unsupported branch/system word {w:#010x}"))
@@ -273,9 +333,23 @@ fn decode_loadstore(w: u32) -> Result<Inst, DecodeError> {
             let imm7 = sext((w >> 15) & 0x7F, 7) as i16;
             let (rt, rt2, rn) = (rd(w), ra(w), rn(w));
             Ok(if load {
-                Inst::Ldp { sf, mode, rt, rt2, rn, imm7 }
+                Inst::Ldp {
+                    sf,
+                    mode,
+                    rt,
+                    rt2,
+                    rn,
+                    imm7,
+                }
             } else {
-                Inst::Stp { sf, mode, rt, rt2, rn, imm7 }
+                Inst::Stp {
+                    sf,
+                    mode,
+                    rt,
+                    rt2,
+                    rn,
+                    imm7,
+                }
             })
         }
         0b111 => {
@@ -288,16 +362,36 @@ fn decode_loadstore(w: u32) -> Result<Inst, DecodeError> {
                 if v == 1 {
                     let fsz = fp_size_from(size)?;
                     return Ok(match opc {
-                        0b01 => Inst::LdrFpImm { size: fsz, rt: rd(w), rn: rn(w), imm12 },
-                        0b00 => Inst::StrFpImm { size: fsz, rt: rd(w), rn: rn(w), imm12 },
+                        0b01 => Inst::LdrFpImm {
+                            size: fsz,
+                            rt: rd(w),
+                            rn: rn(w),
+                            imm12,
+                        },
+                        0b00 => Inst::StrFpImm {
+                            size: fsz,
+                            rt: rd(w),
+                            rn: rn(w),
+                            imm12,
+                        },
                         _ => return err("FP load/store opc"),
                     });
                 }
                 let (msz, load) = mem_size_from(size, opc)?;
                 return Ok(if load {
-                    Inst::LdrImm { size: msz, rt: rd(w), rn: rn(w), imm12 }
+                    Inst::LdrImm {
+                        size: msz,
+                        rt: rd(w),
+                        rn: rn(w),
+                        imm12,
+                    }
                 } else {
-                    Inst::StrImm { size: msz, rt: rd(w), rn: rn(w), imm12 }
+                    Inst::StrImm {
+                        size: msz,
+                        rt: rd(w),
+                        rn: rn(w),
+                        imm12,
+                    }
                 });
             }
             if (w >> 24) & 3 == 0b00 {
@@ -307,8 +401,10 @@ fn decode_loadstore(w: u32) -> Result<Inst, DecodeError> {
                         return err("register-offset load/store bits 11:10");
                     }
                     let extend = Extend::from_bits((w >> 13) & 7);
-                    if !matches!(extend, Extend::Uxtw | Extend::Uxtx | Extend::Sxtw | Extend::Sxtx)
-                    {
+                    if !matches!(
+                        extend,
+                        Extend::Uxtw | Extend::Uxtx | Extend::Sxtw | Extend::Sxtx
+                    ) {
                         return err("register-offset extend option");
                     }
                     let shift = (w >> 12) & 1 != 0;
@@ -336,9 +432,23 @@ fn decode_loadstore(w: u32) -> Result<Inst, DecodeError> {
                     }
                     let (msz, load) = mem_size_from(size, opc)?;
                     return Ok(if load {
-                        Inst::LdrReg { size: msz, rt: rd(w), rn: rn(w), rm: rm(w), extend, shift }
+                        Inst::LdrReg {
+                            size: msz,
+                            rt: rd(w),
+                            rn: rn(w),
+                            rm: rm(w),
+                            extend,
+                            shift,
+                        }
                     } else {
-                        Inst::StrReg { size: msz, rt: rd(w), rn: rn(w), rm: rm(w), extend, shift }
+                        Inst::StrReg {
+                            size: msz,
+                            rt: rd(w),
+                            rn: rn(w),
+                            rm: rm(w),
+                            extend,
+                            shift,
+                        }
                     });
                 }
                 // Immediate 9-bit forms.
@@ -352,16 +462,40 @@ fn decode_loadstore(w: u32) -> Result<Inst, DecodeError> {
                 if v == 1 {
                     let fsz = fp_size_from(size)?;
                     return Ok(match opc {
-                        0b01 => Inst::LdrFpIdx { size: fsz, mode, rt: rd(w), rn: rn(w), simm9 },
-                        0b00 => Inst::StrFpIdx { size: fsz, mode, rt: rd(w), rn: rn(w), simm9 },
+                        0b01 => Inst::LdrFpIdx {
+                            size: fsz,
+                            mode,
+                            rt: rd(w),
+                            rn: rn(w),
+                            simm9,
+                        },
+                        0b00 => Inst::StrFpIdx {
+                            size: fsz,
+                            mode,
+                            rt: rd(w),
+                            rn: rn(w),
+                            simm9,
+                        },
                         _ => return err("FP indexed opc"),
                     });
                 }
                 let (msz, load) = mem_size_from(size, opc)?;
                 return Ok(if load {
-                    Inst::LdrIdx { size: msz, mode, rt: rd(w), rn: rn(w), simm9 }
+                    Inst::LdrIdx {
+                        size: msz,
+                        mode,
+                        rt: rd(w),
+                        rn: rn(w),
+                        simm9,
+                    }
                 } else {
-                    Inst::StrIdx { size: msz, mode, rt: rd(w), rn: rn(w), simm9 }
+                    Inst::StrIdx {
+                        size: msz,
+                        mode,
+                        rt: rd(w),
+                        rn: rn(w),
+                        simm9,
+                    }
                 });
             }
             err("load/store sub-group not in subset")
@@ -517,7 +651,13 @@ fn decode_dp_reg(w: u32) -> Result<Inst, DecodeError> {
                     2 => ShiftVOp::Asrv,
                     _ => ShiftVOp::Rorv,
                 };
-                return Ok(Inst::ShiftV { op, sf: sf(w), rd: rd(w), rn: rn(w), rm: rm(w) });
+                return Ok(Inst::ShiftV {
+                    op,
+                    sf: sf(w),
+                    rd: rd(w),
+                    rn: rn(w),
+                    rm: rm(w),
+                });
             }
             _ => return err(format!("dp-2source opcode {opcode:#b}")),
         }
@@ -538,7 +678,12 @@ fn decode_dp_reg(w: u32) -> Result<Inst, DecodeError> {
             (0b000101, _) => Unary1Op::Cls,
             _ => return err(format!("dp-1source opcode {opcode:#b}")),
         };
-        return Ok(Inst::Unary1 { op, sf: sf(w), rd: rd(w), rn: rn(w) });
+        return Ok(Inst::Unary1 {
+            op,
+            sf: sf(w),
+            rd: rd(w),
+            rn: rn(w),
+        });
     }
     if (w >> 21) & 0xFF == 0b11010100 && (w >> 29) & 1 == 0 {
         // Conditional select.
@@ -578,7 +723,14 @@ fn decode_dp_reg(w: u32) -> Result<Inst, DecodeError> {
                 cond,
             });
         }
-        return Ok(Inst::CondCmpReg { negative, sf: sf(w), rn: rn(w), rm: rm(w), nzcv, cond });
+        return Ok(Inst::CondCmpReg {
+            negative,
+            sf: sf(w),
+            rn: rn(w),
+            rm: rm(w),
+            nzcv,
+            cond,
+        });
     }
     err(format!("unsupported dp-reg word {w:#010x}"))
 }
@@ -595,7 +747,14 @@ fn decode_fp(w: u32) -> Result<Inst, DecodeError> {
             (1, 0) => FpFmaOp::Fnmadd,
             _ => FpFmaOp::Fnmsub,
         };
-        return Ok(Inst::FpFma { op, size, rd: rd(w), rn: rn(w), rm: rm(w), ra: ra(w) });
+        return Ok(Inst::FpFma {
+            op,
+            size,
+            rd: rd(w),
+            rn: rn(w),
+            rm: rm(w),
+            ra: ra(w),
+        });
     }
     if (w >> 24) & 0x7F != 0b0011110 || (w >> 21) & 1 != 1 {
         return err(format!("unsupported fp word {w:#010x}"));
@@ -608,30 +767,58 @@ fn decode_fp(w: u32) -> Result<Inst, DecodeError> {
         let opcode = (w >> 16) & 7;
         let sfb = sf(w);
         return match (rmode, opcode) {
-            (0b00, 0b010) => {
-                Ok(Inst::IntToFp { unsigned: false, sf: sfb, size, rd: rd(w), rn: rn(w) })
-            }
-            (0b00, 0b011) => {
-                Ok(Inst::IntToFp { unsigned: true, sf: sfb, size, rd: rd(w), rn: rn(w) })
-            }
-            (0b11, 0b000) => {
-                Ok(Inst::FpToInt { unsigned: false, sf: sfb, size, rd: rd(w), rn: rn(w) })
-            }
-            (0b11, 0b001) => {
-                Ok(Inst::FpToInt { unsigned: true, sf: sfb, size, rd: rd(w), rn: rn(w) })
-            }
+            (0b00, 0b010) => Ok(Inst::IntToFp {
+                unsigned: false,
+                sf: sfb,
+                size,
+                rd: rd(w),
+                rn: rn(w),
+            }),
+            (0b00, 0b011) => Ok(Inst::IntToFp {
+                unsigned: true,
+                sf: sfb,
+                size,
+                rd: rd(w),
+                rn: rn(w),
+            }),
+            (0b11, 0b000) => Ok(Inst::FpToInt {
+                unsigned: false,
+                sf: sfb,
+                size,
+                rd: rd(w),
+                rn: rn(w),
+            }),
+            (0b11, 0b001) => Ok(Inst::FpToInt {
+                unsigned: true,
+                sf: sfb,
+                size,
+                rd: rd(w),
+                rn: rn(w),
+            }),
             (0b00, 0b110) => {
                 // fmov to int requires matching sizes (w<->s, x<->d).
                 if sfb != (size == FpSize::D) {
                     return err("fmov size/sf mismatch");
                 }
-                Ok(Inst::FmovIntFp { to_fp: false, sf: sfb, size, rd: rd(w), rn: rn(w) })
+                Ok(Inst::FmovIntFp {
+                    to_fp: false,
+                    sf: sfb,
+                    size,
+                    rd: rd(w),
+                    rn: rn(w),
+                })
             }
             (0b00, 0b111) => {
                 if sfb != (size == FpSize::D) {
                     return err("fmov size/sf mismatch");
                 }
-                Ok(Inst::FmovIntFp { to_fp: true, sf: sfb, size, rd: rd(w), rn: rn(w) })
+                Ok(Inst::FmovIntFp {
+                    to_fp: true,
+                    sf: sfb,
+                    size,
+                    rd: rd(w),
+                    rn: rn(w),
+                })
             }
             _ => err(format!("fp<->int rmode/opcode {rmode:#b}/{opcode:#b}")),
         };
@@ -642,12 +829,22 @@ fn decode_fp(w: u32) -> Result<Inst, DecodeError> {
     if bits15_10 == 0b001000 {
         let opcode2 = w & 0x1F;
         return match opcode2 {
-            0b00000 => Ok(Inst::Fcmp { size, rn: rn(w), rm: rm(w), zero: false }),
+            0b00000 => Ok(Inst::Fcmp {
+                size,
+                rn: rn(w),
+                rm: rm(w),
+                zero: false,
+            }),
             0b01000 => {
                 if rm(w) != 0 {
                     return err("fcmp-zero with rm != 0");
                 }
-                Ok(Inst::Fcmp { size, rn: rn(w), rm: 0, zero: true })
+                Ok(Inst::Fcmp {
+                    size,
+                    rn: rn(w),
+                    rm: 0,
+                    zero: true,
+                })
             }
             _ => err(format!("fcmp opcode2 {opcode2:#b}")),
         };
@@ -655,7 +852,11 @@ fn decode_fp(w: u32) -> Result<Inst, DecodeError> {
     if bits15_10 & 0b000111 == 0b000100 && rn(w) == 0 {
         // FMOV immediate (bits 12:10 == 100, bits 9:5 == 0).
         let imm8 = ((w >> 13) & 0xFF) as u8;
-        return Ok(Inst::FmovImm { size, rd: rd(w), imm8 });
+        return Ok(Inst::FmovImm {
+            size,
+            rd: rd(w),
+            imm8,
+        });
     }
     match bits15_10 & 0b11 {
         0b10 => {
@@ -672,7 +873,13 @@ fn decode_fp(w: u32) -> Result<Inst, DecodeError> {
                 0b1000 => FpBinOp::Fnmul,
                 _ => return err(format!("fp binop opcode {opcode:#b}")),
             };
-            Ok(Inst::FpBin { op, size, rd: rd(w), rn: rn(w), rm: rm(w) })
+            Ok(Inst::FpBin {
+                op,
+                size,
+                rd: rd(w),
+                rn: rn(w),
+                rm: rm(w),
+            })
         }
         0b11 => Ok(Inst::Fcsel {
             size,
@@ -684,16 +891,45 @@ fn decode_fp(w: u32) -> Result<Inst, DecodeError> {
         0b00 if (w >> 10) & 0x1F == 0b10000 => {
             let opcode = (w >> 15) & 0x3F;
             match opcode {
-                0b000000 => Ok(Inst::FpUn { op: FpUnOp::Fmov, size, rd: rd(w), rn: rn(w) }),
-                0b000001 => Ok(Inst::FpUn { op: FpUnOp::Fabs, size, rd: rd(w), rn: rn(w) }),
-                0b000010 => Ok(Inst::FpUn { op: FpUnOp::Fneg, size, rd: rd(w), rn: rn(w) }),
-                0b000011 => Ok(Inst::FpUn { op: FpUnOp::Fsqrt, size, rd: rd(w), rn: rn(w) }),
+                0b000000 => Ok(Inst::FpUn {
+                    op: FpUnOp::Fmov,
+                    size,
+                    rd: rd(w),
+                    rn: rn(w),
+                }),
+                0b000001 => Ok(Inst::FpUn {
+                    op: FpUnOp::Fabs,
+                    size,
+                    rd: rd(w),
+                    rn: rn(w),
+                }),
+                0b000010 => Ok(Inst::FpUn {
+                    op: FpUnOp::Fneg,
+                    size,
+                    rd: rd(w),
+                    rn: rn(w),
+                }),
+                0b000011 => Ok(Inst::FpUn {
+                    op: FpUnOp::Fsqrt,
+                    size,
+                    rd: rd(w),
+                    rn: rn(w),
+                }),
                 0b000100 | 0b000101 => {
-                    let to = if opcode & 1 == 0 { FpSize::S } else { FpSize::D };
+                    let to = if opcode & 1 == 0 {
+                        FpSize::S
+                    } else {
+                        FpSize::D
+                    };
                     if to == size {
                         return err("fcvt to same precision");
                     }
-                    Ok(Inst::FcvtPrec { to, from: size, rd: rd(w), rn: rn(w) })
+                    Ok(Inst::FcvtPrec {
+                        to,
+                        from: size,
+                        rd: rd(w),
+                        rn: rn(w),
+                    })
                 }
                 _ => err(format!("fp 1-source opcode {opcode:#b}")),
             }
@@ -749,15 +985,28 @@ mod tests {
         );
         assert_eq!(
             decode(0x54FF_FFC1).unwrap(),
-            Inst::BCond { cond: Cond::Ne, offset: -8 }
+            Inst::BCond {
+                cond: Cond::Ne,
+                offset: -8
+            }
         );
     }
 
     #[test]
     fn negative_offsets_sign_extend() {
-        let i = Inst::B { link: false, offset: -1024 };
+        let i = Inst::B {
+            link: false,
+            offset: -1024,
+        };
         assert_eq!(decode(encode(&i)).unwrap(), i);
-        let i = Inst::Ldp { sf: true, mode: None, rt: 0, rt2: 1, rn: 2, imm7: -64 };
+        let i = Inst::Ldp {
+            sf: true,
+            mode: None,
+            rt: 0,
+            rt2: 1,
+            rn: 2,
+            imm7: -64,
+        };
         assert_eq!(decode(encode(&i)).unwrap(), i);
         let i = Inst::LdrIdx {
             size: MemSize::X,
@@ -771,9 +1020,15 @@ mod tests {
 
     #[test]
     fn adrp_page_offsets() {
-        let i = Inst::Adrp { rd: 1, offset: 0x3000 };
+        let i = Inst::Adrp {
+            rd: 1,
+            offset: 0x3000,
+        };
         assert_eq!(decode(encode(&i)).unwrap(), i);
-        let i = Inst::Adrp { rd: 1, offset: -(0x5000i64) };
+        let i = Inst::Adrp {
+            rd: 1,
+            offset: -(0x5000i64),
+        };
         assert_eq!(decode(encode(&i)).unwrap(), i);
     }
 

@@ -16,7 +16,11 @@ fn xz(sf: bool, r: u8) -> String {
 /// Name of general register `r` with 31 = SP.
 fn xs(sf: bool, r: u8) -> String {
     if r == 31 {
-        if sf { "sp".to_string() } else { "wsp".to_string() }
+        if sf {
+            "sp".to_string()
+        } else {
+            "wsp".to_string()
+        }
     } else {
         xz(sf, r)
     }
@@ -99,7 +103,15 @@ fn mem_reg(size: MemSize, r: u8) -> String {
 pub fn disassemble(inst: &Inst) -> String {
     use Inst::*;
     match *inst {
-        AddSubImm { sub, set_flags, sf, rd, rn, imm12, shift12 } => {
+        AddSubImm {
+            sub,
+            set_flags,
+            sf,
+            rd,
+            rn,
+            imm12,
+            shift12,
+        } => {
             let shift = if shift12 { ", lsl #12" } else { "" };
             match (sub, set_flags, rd) {
                 (true, true, 31) => format!("cmp {}, #{imm12}{shift}", xs(sf, rn)),
@@ -116,7 +128,16 @@ pub fn disassemble(inst: &Inst) -> String {
                 }
             }
         }
-        AddSubShifted { sub, set_flags, sf, rd, rn, rm, shift, amount } => {
+        AddSubShifted {
+            sub,
+            set_flags,
+            sf,
+            rd,
+            rn,
+            rm,
+            shift,
+            amount,
+        } => {
             let sh = if amount != 0 {
                 format!(", {} #{amount}", shift_name(shift))
             } else {
@@ -136,14 +157,27 @@ pub fn disassemble(inst: &Inst) -> String {
                 }
             }
         }
-        AddSubExtended { sub, set_flags, sf, rd, rn, rm, extend, amount } => {
+        AddSubExtended {
+            sub,
+            set_flags,
+            sf,
+            rd,
+            rn,
+            rm,
+            extend,
+            amount,
+        } => {
             let m = match (sub, set_flags) {
                 (false, false) => "add",
                 (false, true) => "adds",
                 (true, false) => "sub",
                 (true, true) => "subs",
             };
-            let sh = if amount != 0 { format!(" #{amount}") } else { String::new() };
+            let sh = if amount != 0 {
+                format!(" #{amount}")
+            } else {
+                String::new()
+            };
             format!(
                 "{m} {}, {}, {}, {}{sh}",
                 xs(sf, rd),
@@ -152,7 +186,13 @@ pub fn disassemble(inst: &Inst) -> String {
                 extend_name(extend)
             )
         }
-        LogicalImm { op, sf, rd, rn, imm } => {
+        LogicalImm {
+            op,
+            sf,
+            rd,
+            rn,
+            imm,
+        } => {
             let m = match op {
                 LogicOp::And => "and",
                 LogicOp::Orr => "orr",
@@ -165,7 +205,15 @@ pub fn disassemble(inst: &Inst) -> String {
             }
             format!("{m} {}, {}, #{imm:#x}", xs(sf, rd), xz(sf, rn))
         }
-        LogicalShifted { op, sf, rd, rn, rm, shift, amount } => {
+        LogicalShifted {
+            op,
+            sf,
+            rd,
+            rn,
+            rm,
+            shift,
+            amount,
+        } => {
             let m = match op {
                 LogicOp::And => "and",
                 LogicOp::Bic => "bic",
@@ -186,23 +234,45 @@ pub fn disassemble(inst: &Inst) -> String {
             };
             format!("{m} {}, {}, {}{sh}", xz(sf, rd), xz(sf, rn), xz(sf, rm))
         }
-        MovWide { op, sf, rd, imm16, hw } => {
+        MovWide {
+            op,
+            sf,
+            rd,
+            imm16,
+            hw,
+        } => {
             let m = match op {
                 MovOp::Movn => "movn",
                 MovOp::Movz => "movz",
                 MovOp::Movk => "movk",
             };
-            let sh = if hw != 0 { format!(", lsl #{}", 16 * hw) } else { String::new() };
+            let sh = if hw != 0 {
+                format!(", lsl #{}", 16 * hw)
+            } else {
+                String::new()
+            };
             format!("{m} {}, #{imm16}{sh}", xz(sf, rd))
         }
         Adr { rd, offset } => format!("adr {}, {offset}", xz(true, rd)),
         Adrp { rd, offset } => format!("adrp {}, {offset}", xz(true, rd)),
-        Bitfield { op, sf, rd, rn, immr, imms } => {
+        Bitfield {
+            op,
+            sf,
+            rd,
+            rn,
+            immr,
+            imms,
+        } => {
             let ds: u32 = if sf { 64 } else { 32 };
             // Recognise the common aliases.
             if op == BitfieldOp::Ubfm {
                 if imms as u32 + 1 == immr as u32 {
-                    return format!("lsl {}, {}, #{}", xz(sf, rd), xz(sf, rn), ds - 1 - imms as u32);
+                    return format!(
+                        "lsl {}, {}, #{}",
+                        xz(sf, rd),
+                        xz(sf, rn),
+                        ds - 1 - imms as u32
+                    );
                 }
                 if imms as u32 == ds - 1 {
                     return format!("lsr {}, {}, #{immr}", xz(sf, rd), xz(sf, rn));
@@ -229,23 +299,54 @@ pub fn disassemble(inst: &Inst) -> String {
             };
             format!("{m} {}, {}, #{immr}, #{imms}", xz(sf, rd), xz(sf, rn))
         }
-        Extr { sf, rd, rn, rm, lsb } => {
+        Extr {
+            sf,
+            rd,
+            rn,
+            rm,
+            lsb,
+        } => {
             if rn == rm {
                 format!("ror {}, {}, #{lsb}", xz(sf, rd), xz(sf, rn))
             } else {
-                format!("extr {}, {}, {}, #{lsb}", xz(sf, rd), xz(sf, rn), xz(sf, rm))
+                format!(
+                    "extr {}, {}, {}, #{lsb}",
+                    xz(sf, rd),
+                    xz(sf, rn),
+                    xz(sf, rm)
+                )
             }
         }
-        MulAdd { sub, sf, rd, rn, rm, ra } => {
+        MulAdd {
+            sub,
+            sf,
+            rd,
+            rn,
+            rm,
+            ra,
+        } => {
             if ra == 31 {
                 let m = if sub { "mneg" } else { "mul" };
                 format!("{m} {}, {}, {}", xz(sf, rd), xz(sf, rn), xz(sf, rm))
             } else {
                 let m = if sub { "msub" } else { "madd" };
-                format!("{m} {}, {}, {}, {}", xz(sf, rd), xz(sf, rn), xz(sf, rm), xz(sf, ra))
+                format!(
+                    "{m} {}, {}, {}, {}",
+                    xz(sf, rd),
+                    xz(sf, rn),
+                    xz(sf, rm),
+                    xz(sf, ra)
+                )
             }
         }
-        MulAddLong { sub, unsigned, rd, rn, rm, ra } => {
+        MulAddLong {
+            sub,
+            unsigned,
+            rd,
+            rn,
+            rm,
+            ra,
+        } => {
             let m = match (unsigned, sub, ra) {
                 (false, false, 31) => "smull",
                 (true, false, 31) => "umull",
@@ -266,11 +367,22 @@ pub fn disassemble(inst: &Inst) -> String {
                 )
             }
         }
-        MulHigh { unsigned, rd, rn, rm } => {
+        MulHigh {
+            unsigned,
+            rd,
+            rn,
+            rm,
+        } => {
             let m = if unsigned { "umulh" } else { "smulh" };
             format!("{m} {}, {}, {}", xz(true, rd), xz(true, rn), xz(true, rm))
         }
-        Div { unsigned, sf, rd, rn, rm } => {
+        Div {
+            unsigned,
+            sf,
+            rd,
+            rn,
+            rm,
+        } => {
             let m = if unsigned { "udiv" } else { "sdiv" };
             format!("{m} {}, {}, {}", xz(sf, rd), xz(sf, rn), xz(sf, rm))
         }
@@ -294,7 +406,14 @@ pub fn disassemble(inst: &Inst) -> String {
             };
             format!("{m} {}, {}", xz(sf, rd), xz(sf, rn))
         }
-        CondSel { op, sf, rd, rn, rm, cond } => {
+        CondSel {
+            op,
+            sf,
+            rd,
+            rn,
+            rm,
+            cond,
+        } => {
             if op == CselOp::Csinc && rn == 31 && rm == 31 {
                 return format!("cset {}, {}", xz(sf, rd), cond_name(cond.invert()));
             }
@@ -312,48 +431,120 @@ pub fn disassemble(inst: &Inst) -> String {
                 cond_name(cond)
             )
         }
-        CondCmpReg { negative, sf, rn, rm, nzcv, cond } => {
+        CondCmpReg {
+            negative,
+            sf,
+            rn,
+            rm,
+            nzcv,
+            cond,
+        } => {
             let m = if negative { "ccmn" } else { "ccmp" };
-            format!("{m} {}, {}, #{nzcv}, {}", xz(sf, rn), xz(sf, rm), cond_name(cond))
+            format!(
+                "{m} {}, {}, #{nzcv}, {}",
+                xz(sf, rn),
+                xz(sf, rm),
+                cond_name(cond)
+            )
         }
-        CondCmpImm { negative, sf, rn, imm5, nzcv, cond } => {
+        CondCmpImm {
+            negative,
+            sf,
+            rn,
+            imm5,
+            nzcv,
+            cond,
+        } => {
             let m = if negative { "ccmn" } else { "ccmp" };
             format!("{m} {}, #{imm5}, #{nzcv}, {}", xz(sf, rn), cond_name(cond))
         }
         B { link, offset } => format!("{} {offset}", if link { "bl" } else { "b" }),
         BCond { cond, offset } => format!("b.{} {offset}", cond_name(cond)),
-        Cbz { nonzero, sf, rt, offset } => {
+        Cbz {
+            nonzero,
+            sf,
+            rt,
+            offset,
+        } => {
             let m = if nonzero { "cbnz" } else { "cbz" };
             format!("{m} {}, {offset}", xz(sf, rt))
         }
-        Tbz { nonzero, rt, bit, offset } => {
+        Tbz {
+            nonzero,
+            rt,
+            bit,
+            offset,
+        } => {
             let m = if nonzero { "tbnz" } else { "tbz" };
             format!("{m} {}, #{bit}, {offset}", xz(true, rt))
         }
         BrReg { link, ret, rn } => {
             if ret {
-                if rn == 30 { "ret".to_string() } else { format!("ret {}", xz(true, rn)) }
+                if rn == 30 {
+                    "ret".to_string()
+                } else {
+                    format!("ret {}", xz(true, rn))
+                }
             } else if link {
                 format!("blr {}", xz(true, rn))
             } else {
                 format!("br {}", xz(true, rn))
             }
         }
-        LdrImm { size, rt, rn, imm12 } => {
+        LdrImm {
+            size,
+            rt,
+            rn,
+            imm12,
+        } => {
             let off = imm12 as u64 * size.bytes() as u64;
             fmt_mem_imm(mem_mnemonic(size, true), &mem_reg(size, rt), rn, off)
         }
-        StrImm { size, rt, rn, imm12 } => {
+        StrImm {
+            size,
+            rt,
+            rn,
+            imm12,
+        } => {
             let off = imm12 as u64 * size.bytes() as u64;
             fmt_mem_imm(mem_mnemonic(size, false), &mem_reg(size, rt), rn, off)
         }
-        LdrIdx { size, mode, rt, rn, simm9 } => {
-            fmt_mem_idx(mem_mnemonic(size, true), &mem_reg(size, rt), rn, simm9, mode, true)
-        }
-        StrIdx { size, mode, rt, rn, simm9 } => {
-            fmt_mem_idx(mem_mnemonic(size, false), &mem_reg(size, rt), rn, simm9, mode, false)
-        }
-        LdrReg { size, rt, rn, rm, extend, shift } => fmt_mem_reg(
+        LdrIdx {
+            size,
+            mode,
+            rt,
+            rn,
+            simm9,
+        } => fmt_mem_idx(
+            mem_mnemonic(size, true),
+            &mem_reg(size, rt),
+            rn,
+            simm9,
+            mode,
+            true,
+        ),
+        StrIdx {
+            size,
+            mode,
+            rt,
+            rn,
+            simm9,
+        } => fmt_mem_idx(
+            mem_mnemonic(size, false),
+            &mem_reg(size, rt),
+            rn,
+            simm9,
+            mode,
+            false,
+        ),
+        LdrReg {
+            size,
+            rt,
+            rn,
+            rm,
+            extend,
+            shift,
+        } => fmt_mem_reg(
             mem_mnemonic(size, true),
             &mem_reg(size, rt),
             rn,
@@ -362,7 +553,14 @@ pub fn disassemble(inst: &Inst) -> String {
             shift,
             size.bytes(),
         ),
-        StrReg { size, rt, rn, rm, extend, shift } => fmt_mem_reg(
+        StrReg {
+            size,
+            rt,
+            rn,
+            rm,
+            extend,
+            shift,
+        } => fmt_mem_reg(
             mem_mnemonic(size, false),
             &mem_reg(size, rt),
             rn,
@@ -371,33 +569,77 @@ pub fn disassemble(inst: &Inst) -> String {
             shift,
             size.bytes(),
         ),
-        Ldp { sf, mode, rt, rt2, rn, imm7 } => {
-            fmt_pair("ldp", sf, rt, rt2, rn, imm7, mode)
-        }
-        Stp { sf, mode, rt, rt2, rn, imm7 } => {
-            fmt_pair("stp", sf, rt, rt2, rn, imm7, mode)
-        }
-        LdrFpImm { size, rt, rn, imm12 } => {
+        Ldp {
+            sf,
+            mode,
+            rt,
+            rt2,
+            rn,
+            imm7,
+        } => fmt_pair("ldp", sf, rt, rt2, rn, imm7, mode),
+        Stp {
+            sf,
+            mode,
+            rt,
+            rt2,
+            rn,
+            imm7,
+        } => fmt_pair("stp", sf, rt, rt2, rn, imm7, mode),
+        LdrFpImm {
+            size,
+            rt,
+            rn,
+            imm12,
+        } => {
             let off = imm12 as u64 * size.bytes() as u64;
             fmt_mem_imm("ldr", &fpreg(size, rt), rn, off)
         }
-        StrFpImm { size, rt, rn, imm12 } => {
+        StrFpImm {
+            size,
+            rt,
+            rn,
+            imm12,
+        } => {
             let off = imm12 as u64 * size.bytes() as u64;
             fmt_mem_imm("str", &fpreg(size, rt), rn, off)
         }
-        LdrFpIdx { size, mode, rt, rn, simm9 } => {
-            fmt_mem_idx("ldr", &fpreg(size, rt), rn, simm9, mode, true)
-        }
-        StrFpIdx { size, mode, rt, rn, simm9 } => {
-            fmt_mem_idx("str", &fpreg(size, rt), rn, simm9, mode, false)
-        }
-        LdrFpReg { size, rt, rn, rm, extend, shift } => {
-            fmt_mem_reg("ldr", &fpreg(size, rt), rn, rm, extend, shift, size.bytes())
-        }
-        StrFpReg { size, rt, rn, rm, extend, shift } => {
-            fmt_mem_reg("str", &fpreg(size, rt), rn, rm, extend, shift, size.bytes())
-        }
-        FpBin { op, size, rd, rn, rm } => {
+        LdrFpIdx {
+            size,
+            mode,
+            rt,
+            rn,
+            simm9,
+        } => fmt_mem_idx("ldr", &fpreg(size, rt), rn, simm9, mode, true),
+        StrFpIdx {
+            size,
+            mode,
+            rt,
+            rn,
+            simm9,
+        } => fmt_mem_idx("str", &fpreg(size, rt), rn, simm9, mode, false),
+        LdrFpReg {
+            size,
+            rt,
+            rn,
+            rm,
+            extend,
+            shift,
+        } => fmt_mem_reg("ldr", &fpreg(size, rt), rn, rm, extend, shift, size.bytes()),
+        StrFpReg {
+            size,
+            rt,
+            rn,
+            rm,
+            extend,
+            shift,
+        } => fmt_mem_reg("str", &fpreg(size, rt), rn, rm, extend, shift, size.bytes()),
+        FpBin {
+            op,
+            size,
+            rd,
+            rn,
+            rm,
+        } => {
             let m = match op {
                 FpBinOp::Fadd => "fadd",
                 FpBinOp::Fsub => "fsub",
@@ -409,7 +651,12 @@ pub fn disassemble(inst: &Inst) -> String {
                 FpBinOp::Fminnm => "fminnm",
                 FpBinOp::Fnmul => "fnmul",
             };
-            format!("{m} {}, {}, {}", fpreg(size, rd), fpreg(size, rn), fpreg(size, rm))
+            format!(
+                "{m} {}, {}, {}",
+                fpreg(size, rd),
+                fpreg(size, rn),
+                fpreg(size, rm)
+            )
         }
         FpUn { op, size, rd, rn } => {
             let m = match op {
@@ -420,7 +667,14 @@ pub fn disassemble(inst: &Inst) -> String {
             };
             format!("{m} {}, {}", fpreg(size, rd), fpreg(size, rn))
         }
-        FpFma { op, size, rd, rn, rm, ra } => {
+        FpFma {
+            op,
+            size,
+            rd,
+            rn,
+            rm,
+            ra,
+        } => {
             let m = match op {
                 FpFmaOp::Fmadd => "fmadd",
                 FpFmaOp::Fmsub => "fmsub",
@@ -442,7 +696,13 @@ pub fn disassemble(inst: &Inst) -> String {
                 format!("fcmp {}, {}", fpreg(size, rn), fpreg(size, rm))
             }
         }
-        Fcsel { size, rd, rn, rm, cond } => format!(
+        Fcsel {
+            size,
+            rd,
+            rn,
+            rm,
+            cond,
+        } => format!(
             "fcsel {}, {}, {}, {}",
             fpreg(size, rd),
             fpreg(size, rn),
@@ -452,15 +712,33 @@ pub fn disassemble(inst: &Inst) -> String {
         FcvtPrec { to, from, rd, rn } => {
             format!("fcvt {}, {}", fpreg(to, rd), fpreg(from, rn))
         }
-        IntToFp { unsigned, sf, size, rd, rn } => {
+        IntToFp {
+            unsigned,
+            sf,
+            size,
+            rd,
+            rn,
+        } => {
             let m = if unsigned { "ucvtf" } else { "scvtf" };
             format!("{m} {}, {}", fpreg(size, rd), xz(sf, rn))
         }
-        FpToInt { unsigned, sf, size, rd, rn } => {
+        FpToInt {
+            unsigned,
+            sf,
+            size,
+            rd,
+            rn,
+        } => {
             let m = if unsigned { "fcvtzu" } else { "fcvtzs" };
             format!("{m} {}, {}", xz(sf, rd), fpreg(size, rn))
         }
-        FmovIntFp { to_fp, sf, size, rd, rn } => {
+        FmovIntFp {
+            to_fp,
+            sf,
+            size,
+            rd,
+            rn,
+        } => {
             if to_fp {
                 format!("fmov {}, {}", fpreg(size, rd), xz(sf, rn))
             } else {
@@ -496,7 +774,15 @@ fn fmt_mem_idx(m: &str, rt: &str, rn: u8, simm9: i16, mode: IndexMode, _load: bo
     }
 }
 
-fn fmt_mem_reg(m: &str, rt: &str, rn: u8, rm: u8, extend: Extend, shift: bool, bytes: u8) -> String {
+fn fmt_mem_reg(
+    m: &str,
+    rt: &str,
+    rn: u8,
+    rm: u8,
+    extend: Extend,
+    shift: bool,
+    bytes: u8,
+) -> String {
     let base = xs(true, rn);
     let idx = match extend {
         Extend::Uxtx | Extend::Sxtx => xz(true, rm),
@@ -511,7 +797,15 @@ fn fmt_mem_reg(m: &str, rt: &str, rn: u8, rm: u8, extend: Extend, shift: bool, b
     }
 }
 
-fn fmt_pair(m: &str, sf: bool, rt: u8, rt2: u8, rn: u8, imm7: i16, mode: Option<IndexMode>) -> String {
+fn fmt_pair(
+    m: &str,
+    sf: bool,
+    rt: u8,
+    rt2: u8,
+    rn: u8,
+    imm7: i16,
+    mode: Option<IndexMode>,
+) -> String {
     let scale: i64 = if sf { 8 } else { 4 };
     let off = imm7 as i64 * scale;
     let (a, b, base) = (xz(sf, rt), xz(sf, rt2), xs(true, rn));
@@ -582,17 +876,34 @@ mod tests {
             "cmp x0, x20"
         );
         // b.ne -8
-        assert_eq!(disassemble(&Inst::BCond { cond: Cond::Ne, offset: -8 }), "b.ne -8");
+        assert_eq!(
+            disassemble(&Inst::BCond {
+                cond: Cond::Ne,
+                offset: -8
+            }),
+            "b.ne -8"
+        );
     }
 
     #[test]
     fn aliases() {
         assert_eq!(
-            disassemble(&Inst::BrReg { link: false, ret: true, rn: 30 }),
+            disassemble(&Inst::BrReg {
+                link: false,
+                ret: true,
+                rn: 30
+            }),
             "ret"
         );
         assert_eq!(
-            disassemble(&Inst::MulAdd { sub: false, sf: true, rd: 0, rn: 1, rm: 2, ra: 31 }),
+            disassemble(&Inst::MulAdd {
+                sub: false,
+                sf: true,
+                rd: 0,
+                rn: 1,
+                rm: 2,
+                ra: 31
+            }),
             "mul x0, x1, x2"
         );
         // lsl x1, x2, #3 == ubfm x1, x2, #61, #60

@@ -90,7 +90,15 @@ fn logic_opc_n(op: LogicOp) -> (u32, u32) {
 pub fn encode(inst: &Inst) -> u32 {
     use Inst::*;
     match *inst {
-        AddSubImm { sub, set_flags, sf, rd, rn, imm12, shift12 } => {
+        AddSubImm {
+            sub,
+            set_flags,
+            sf,
+            rd,
+            rn,
+            imm12,
+            shift12,
+        } => {
             (sf_bit(sf) << 31)
                 | ((sub as u32) << 30)
                 | ((set_flags as u32) << 29)
@@ -100,7 +108,16 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rd as u32
         }
-        AddSubShifted { sub, set_flags, sf, rd, rn, rm, shift, amount } => {
+        AddSubShifted {
+            sub,
+            set_flags,
+            sf,
+            rd,
+            rn,
+            rm,
+            shift,
+            amount,
+        } => {
             (sf_bit(sf) << 31)
                 | ((sub as u32) << 30)
                 | ((set_flags as u32) << 29)
@@ -111,7 +128,16 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rd as u32
         }
-        AddSubExtended { sub, set_flags, sf, rd, rn, rm, extend, amount } => {
+        AddSubExtended {
+            sub,
+            set_flags,
+            sf,
+            rd,
+            rn,
+            rm,
+            extend,
+            amount,
+        } => {
             (sf_bit(sf) << 31)
                 | ((sub as u32) << 30)
                 | ((set_flags as u32) << 29)
@@ -122,7 +148,13 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rd as u32
         }
-        LogicalImm { op, sf, rd, rn, imm } => {
+        LogicalImm {
+            op,
+            sf,
+            rd,
+            rn,
+            imm,
+        } => {
             let (opc, n_must_be_zero) = match op {
                 LogicOp::And => (0b00u32, false),
                 LogicOp::Orr => (0b01, false),
@@ -142,7 +174,15 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rd as u32
         }
-        LogicalShifted { op, sf, rd, rn, rm, shift, amount } => {
+        LogicalShifted {
+            op,
+            sf,
+            rd,
+            rn,
+            rm,
+            shift,
+            amount,
+        } => {
             let (opc, n) = logic_opc_n(op);
             (sf_bit(sf) << 31)
                 | (opc << 29)
@@ -154,7 +194,13 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rd as u32
         }
-        MovWide { op, sf, rd, imm16, hw } => {
+        MovWide {
+            op,
+            sf,
+            rd,
+            imm16,
+            hw,
+        } => {
             let opc = match op {
                 MovOp::Movn => 0b00,
                 MovOp::Movz => 0b10,
@@ -175,7 +221,14 @@ pub fn encode(inst: &Inst) -> u32 {
             let pages = (offset >> 12) as u32 & 0x1F_FFFF;
             (1 << 31) | ((pages & 0x3) << 29) | (0b10000 << 24) | ((pages >> 2) << 5) | rd as u32
         }
-        Bitfield { op, sf, rd, rn, immr, imms } => {
+        Bitfield {
+            op,
+            sf,
+            rd,
+            rn,
+            immr,
+            imms,
+        } => {
             let opc = match op {
                 BitfieldOp::Sbfm => 0b00,
                 BitfieldOp::Bfm => 0b01,
@@ -190,7 +243,13 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rd as u32
         }
-        Extr { sf, rd, rn, rm, lsb } => {
+        Extr {
+            sf,
+            rd,
+            rn,
+            rm,
+            lsb,
+        } => {
             (sf_bit(sf) << 31)
                 | (0b00100111 << 23)
                 | (sf_bit(sf) << 22)
@@ -199,7 +258,14 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rd as u32
         }
-        MulAdd { sub, sf, rd, rn, rm, ra } => {
+        MulAdd {
+            sub,
+            sf,
+            rd,
+            rn,
+            rm,
+            ra,
+        } => {
             (sf_bit(sf) << 31)
                 | (0b0011011000 << 21)
                 | ((rm as u32) << 16)
@@ -208,7 +274,14 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rd as u32
         }
-        MulAddLong { sub, unsigned, rd, rn, rm, ra } => {
+        MulAddLong {
+            sub,
+            unsigned,
+            rd,
+            rn,
+            rm,
+            ra,
+        } => {
             (1 << 31)
                 | (0b0011011 << 24)
                 | ((unsigned as u32) << 23)
@@ -219,7 +292,12 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rd as u32
         }
-        MulHigh { unsigned, rd, rn, rm } => {
+        MulHigh {
+            unsigned,
+            rd,
+            rn,
+            rm,
+        } => {
             (1 << 31)
                 | (0b0011011 << 24)
                 | ((unsigned as u32) << 23)
@@ -229,7 +307,13 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rd as u32
         }
-        Div { unsigned, sf, rd, rn, rm } => {
+        Div {
+            unsigned,
+            sf,
+            rd,
+            rn,
+            rm,
+        } => {
             (sf_bit(sf) << 31)
                 | (0b0011010110 << 21)
                 | ((rm as u32) << 16)
@@ -270,7 +354,14 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rd as u32
         }
-        CondSel { op, sf, rd, rn, rm, cond } => {
+        CondSel {
+            op,
+            sf,
+            rd,
+            rn,
+            rm,
+            cond,
+        } => {
             let (o, op2) = match op {
                 CselOp::Csel => (0, 0b00),
                 CselOp::Csinc => (0, 0b01),
@@ -286,7 +377,14 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rd as u32
         }
-        CondCmpReg { negative, sf, rn, rm, nzcv, cond } => {
+        CondCmpReg {
+            negative,
+            sf,
+            rn,
+            rm,
+            nzcv,
+            cond,
+        } => {
             (sf_bit(sf) << 31)
                 | ((!negative as u32) << 30)
                 | (1 << 29)
@@ -296,7 +394,14 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | (nzcv as u32 & 0xF)
         }
-        CondCmpImm { negative, sf, rn, imm5, nzcv, cond } => {
+        CondCmpImm {
+            negative,
+            sf,
+            rn,
+            imm5,
+            nzcv,
+            cond,
+        } => {
             (sf_bit(sf) << 31)
                 | ((!negative as u32) << 30)
                 | (1 << 29)
@@ -313,14 +418,24 @@ pub fn encode(inst: &Inst) -> u32 {
         BCond { cond, offset } => {
             0x5400_0000 | ((((offset >> 2) as u32) & 0x7_FFFF) << 5) | cond.bits()
         }
-        Cbz { nonzero, sf, rt, offset } => {
+        Cbz {
+            nonzero,
+            sf,
+            rt,
+            offset,
+        } => {
             (sf_bit(sf) << 31)
                 | (0b011010 << 25)
                 | ((nonzero as u32) << 24)
                 | ((((offset >> 2) as u32) & 0x7_FFFF) << 5)
                 | rt as u32
         }
-        Tbz { nonzero, rt, bit, offset } => {
+        Tbz {
+            nonzero,
+            rt,
+            bit,
+            offset,
+        } => {
             let b5 = (bit as u32 >> 5) & 1;
             let b40 = bit as u32 & 0x1F;
             (b5 << 31)
@@ -331,10 +446,21 @@ pub fn encode(inst: &Inst) -> u32 {
                 | rt as u32
         }
         BrReg { link, ret, rn } => {
-            let opc = if ret { 0b10 } else if link { 0b01 } else { 0b00 };
+            let opc = if ret {
+                0b10
+            } else if link {
+                0b01
+            } else {
+                0b00
+            };
             0xD600_0000 | (opc << 21) | (0b11111 << 16) | ((rn as u32) << 5)
         }
-        LdrImm { size, rt, rn, imm12 } => {
+        LdrImm {
+            size,
+            rt,
+            rn,
+            imm12,
+        } => {
             let (sz, opc, _) = mem_size_fields(size);
             (sz << 30)
                 | (0b111 << 27)
@@ -344,7 +470,12 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rt as u32
         }
-        StrImm { size, rt, rn, imm12 } => {
+        StrImm {
+            size,
+            rt,
+            rn,
+            imm12,
+        } => {
             let (sz, _, opc) = mem_size_fields(size);
             (sz << 30)
                 | (0b111 << 27)
@@ -354,7 +485,13 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rt as u32
         }
-        LdrIdx { size, mode, rt, rn, simm9 } => {
+        LdrIdx {
+            size,
+            mode,
+            rt,
+            rn,
+            simm9,
+        } => {
             let (sz, opc, _) = mem_size_fields(size);
             (sz << 30)
                 | (0b111 << 27)
@@ -364,7 +501,13 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rt as u32
         }
-        StrIdx { size, mode, rt, rn, simm9 } => {
+        StrIdx {
+            size,
+            mode,
+            rt,
+            rn,
+            simm9,
+        } => {
             let (sz, _, opc) = mem_size_fields(size);
             (sz << 30)
                 | (0b111 << 27)
@@ -374,7 +517,14 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rt as u32
         }
-        LdrReg { size, rt, rn, rm, extend, shift } => {
+        LdrReg {
+            size,
+            rt,
+            rn,
+            rm,
+            extend,
+            shift,
+        } => {
             let (sz, opc, _) = mem_size_fields(size);
             (sz << 30)
                 | (0b111 << 27)
@@ -387,7 +537,14 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rt as u32
         }
-        StrReg { size, rt, rn, rm, extend, shift } => {
+        StrReg {
+            size,
+            rt,
+            rn,
+            rm,
+            extend,
+            shift,
+        } => {
             let (sz, _, opc) = mem_size_fields(size);
             (sz << 30)
                 | (0b111 << 27)
@@ -400,7 +557,22 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rt as u32
         }
-        Ldp { sf, mode, rt, rt2, rn, imm7 } | Stp { sf, mode, rt, rt2, rn, imm7 } => {
+        Ldp {
+            sf,
+            mode,
+            rt,
+            rt2,
+            rn,
+            imm7,
+        }
+        | Stp {
+            sf,
+            mode,
+            rt,
+            rt2,
+            rn,
+            imm7,
+        } => {
             let load = matches!(inst, Ldp { .. });
             let opc = if sf { 0b10 } else { 0b00 };
             let idx = match mode {
@@ -418,7 +590,12 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rt as u32
         }
-        LdrFpImm { size, rt, rn, imm12 } => {
+        LdrFpImm {
+            size,
+            rt,
+            rn,
+            imm12,
+        } => {
             (fp_size_fields(size) << 30)
                 | (0b111 << 27)
                 | (1 << 26)
@@ -428,7 +605,12 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rt as u32
         }
-        StrFpImm { size, rt, rn, imm12 } => {
+        StrFpImm {
+            size,
+            rt,
+            rn,
+            imm12,
+        } => {
             (fp_size_fields(size) << 30)
                 | (0b111 << 27)
                 | (1 << 26)
@@ -437,7 +619,13 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rt as u32
         }
-        LdrFpIdx { size, mode, rt, rn, simm9 } => {
+        LdrFpIdx {
+            size,
+            mode,
+            rt,
+            rn,
+            simm9,
+        } => {
             (fp_size_fields(size) << 30)
                 | (0b111 << 27)
                 | (1 << 26)
@@ -447,7 +635,13 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rt as u32
         }
-        StrFpIdx { size, mode, rt, rn, simm9 } => {
+        StrFpIdx {
+            size,
+            mode,
+            rt,
+            rn,
+            simm9,
+        } => {
             (fp_size_fields(size) << 30)
                 | (0b111 << 27)
                 | (1 << 26)
@@ -456,7 +650,14 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rt as u32
         }
-        LdrFpReg { size, rt, rn, rm, extend, shift } => {
+        LdrFpReg {
+            size,
+            rt,
+            rn,
+            rm,
+            extend,
+            shift,
+        } => {
             (fp_size_fields(size) << 30)
                 | (0b111 << 27)
                 | (1 << 26)
@@ -469,7 +670,14 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rt as u32
         }
-        StrFpReg { size, rt, rn, rm, extend, shift } => {
+        StrFpReg {
+            size,
+            rt,
+            rn,
+            rm,
+            extend,
+            shift,
+        } => {
             (fp_size_fields(size) << 30)
                 | (0b111 << 27)
                 | (1 << 26)
@@ -481,7 +689,13 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rt as u32
         }
-        FpBin { op, size, rd, rn, rm } => {
+        FpBin {
+            op,
+            size,
+            rd,
+            rn,
+            rm,
+        } => {
             let opcode = match op {
                 FpBinOp::Fmul => 0b0000,
                 FpBinOp::Fdiv => 0b0001,
@@ -528,7 +742,14 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rd as u32
         }
-        FpFma { op, size, rd, rn, rm, ra } => {
+        FpFma {
+            op,
+            size,
+            rd,
+            rn,
+            rm,
+            ra,
+        } => {
             let (o1, o0) = match op {
                 FpFmaOp::Fmadd => (0, 0),
                 FpFmaOp::Fmsub => (0, 1),
@@ -554,7 +775,13 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | opcode2
         }
-        Fcsel { size, rd, rn, rm, cond } => {
+        Fcsel {
+            size,
+            rd,
+            rn,
+            rm,
+            cond,
+        } => {
             (0b00011110 << 24)
                 | (fp_type(size) << 22)
                 | (1 << 21)
@@ -564,7 +791,13 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rd as u32
         }
-        IntToFp { unsigned, sf, size, rd, rn } => {
+        IntToFp {
+            unsigned,
+            sf,
+            size,
+            rd,
+            rn,
+        } => {
             let opcode = 0b010 | unsigned as u32;
             (sf_bit(sf) << 31)
                 | (0b0011110 << 24)
@@ -574,7 +807,13 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rd as u32
         }
-        FpToInt { unsigned, sf, size, rd, rn } => {
+        FpToInt {
+            unsigned,
+            sf,
+            size,
+            rd,
+            rn,
+        } => {
             let opcode = unsigned as u32;
             (sf_bit(sf) << 31)
                 | (0b0011110 << 24)
@@ -585,12 +824,15 @@ pub fn encode(inst: &Inst) -> u32 {
                 | ((rn as u32) << 5)
                 | rd as u32
         }
-        FmovIntFp { to_fp, sf, size, rd, rn } => {
+        FmovIntFp {
+            to_fp,
+            sf,
+            size,
+            rd,
+            rn,
+        } => {
             let opcode = 0b110 | to_fp as u32;
-            ((sf_bit(sf) << 31)
-                | (0b0011110 << 24)
-                | (fp_type(size) << 22)
-                | (1 << 21))
+            ((sf_bit(sf) << 31) | (0b0011110 << 24) | (fp_type(size) << 22) | (1 << 21))
                 | (opcode << 16)
                 | ((rn as u32) << 5)
                 | rd as u32
@@ -659,21 +901,47 @@ mod tests {
         );
         // mul x0, x1, x2 == madd x0, x1, x2, xzr -> 0x9b027c20
         assert_eq!(
-            encode(&Inst::MulAdd { sub: false, sf: true, rd: 0, rn: 1, rm: 2, ra: 31 }),
+            encode(&Inst::MulAdd {
+                sub: false,
+                sf: true,
+                rd: 0,
+                rn: 1,
+                rm: 2,
+                ra: 31
+            }),
             0x9B02_7C20
         );
         // sdiv x0, x1, x2 -> 0x9ac20c20
         assert_eq!(
-            encode(&Inst::Div { unsigned: false, sf: true, rd: 0, rn: 1, rm: 2 }),
+            encode(&Inst::Div {
+                unsigned: false,
+                sf: true,
+                rd: 0,
+                rn: 1,
+                rm: 2
+            }),
             0x9AC2_0C20
         );
         // movz x0, #42 -> 0xd2800540
         assert_eq!(
-            encode(&Inst::MovWide { op: MovOp::Movz, sf: true, rd: 0, imm16: 42, hw: 0 }),
+            encode(&Inst::MovWide {
+                op: MovOp::Movz,
+                sf: true,
+                rd: 0,
+                imm16: 42,
+                hw: 0
+            }),
             0xD280_0540
         );
         // ret -> 0xd65f03c0
-        assert_eq!(encode(&Inst::BrReg { link: false, ret: true, rn: 30 }), 0xD65F_03C0);
+        assert_eq!(
+            encode(&Inst::BrReg {
+                link: false,
+                ret: true,
+                rn: 30
+            }),
+            0xD65F_03C0
+        );
         // nop
         assert_eq!(encode(&Inst::Nop), 0xD503_201F);
         // orr x0, x1, x2 -> 0xaa020020
@@ -691,7 +959,13 @@ mod tests {
         );
         // and x0, x1, #0xff -> 0x92401c20
         assert_eq!(
-            encode(&Inst::LogicalImm { op: LogicOp::And, sf: true, rd: 0, rn: 1, imm: 0xFF }),
+            encode(&Inst::LogicalImm {
+                op: LogicOp::And,
+                sf: true,
+                rd: 0,
+                rn: 1,
+                imm: 0xFF
+            }),
             0x9240_1C20
         );
     }
@@ -724,7 +998,12 @@ mod tests {
         );
         // ldr x0, [x1, #16] -> 0xf9400820
         assert_eq!(
-            encode(&Inst::LdrImm { size: MemSize::X, rt: 0, rn: 1, imm12: 2 }),
+            encode(&Inst::LdrImm {
+                size: MemSize::X,
+                rt: 0,
+                rn: 1,
+                imm12: 2
+            }),
             0xF940_0820
         );
         // str x0, [sp, #-16]! -> 0xf81f0fe0
@@ -752,7 +1031,12 @@ mod tests {
         );
         // ldr d0, [x0, #8] -> 0xfd400400
         assert_eq!(
-            encode(&Inst::LdrFpImm { size: FpSize::D, rt: 0, rn: 0, imm12: 1 }),
+            encode(&Inst::LdrFpImm {
+                size: FpSize::D,
+                rt: 0,
+                rn: 0,
+                imm12: 1
+            }),
             0xFD40_0400
         );
     }
@@ -760,28 +1044,63 @@ mod tests {
     #[test]
     fn golden_branch_encodings() {
         // b.ne -8 -> 0x54ffffc1
-        assert_eq!(encode(&Inst::BCond { cond: Cond::Ne, offset: -8 }), 0x54FF_FFC1);
+        assert_eq!(
+            encode(&Inst::BCond {
+                cond: Cond::Ne,
+                offset: -8
+            }),
+            0x54FF_FFC1
+        );
         // cbnz x0, +8 -> 0xb5000040
         assert_eq!(
-            encode(&Inst::Cbz { nonzero: true, sf: true, rt: 0, offset: 8 }),
+            encode(&Inst::Cbz {
+                nonzero: true,
+                sf: true,
+                rt: 0,
+                offset: 8
+            }),
             0xB500_0040
         );
         // b +16 -> 0x14000004
-        assert_eq!(encode(&Inst::B { link: false, offset: 16 }), 0x1400_0004);
+        assert_eq!(
+            encode(&Inst::B {
+                link: false,
+                offset: 16
+            }),
+            0x1400_0004
+        );
         // bl -4 -> 0x97ffffff
-        assert_eq!(encode(&Inst::B { link: true, offset: -4 }), 0x97FF_FFFF);
+        assert_eq!(
+            encode(&Inst::B {
+                link: true,
+                offset: -4
+            }),
+            0x97FF_FFFF
+        );
     }
 
     #[test]
     fn golden_fp_encodings() {
         // fadd d0, d1, d2 -> 0x1e622820
         assert_eq!(
-            encode(&Inst::FpBin { op: FpBinOp::Fadd, size: FpSize::D, rd: 0, rn: 1, rm: 2 }),
+            encode(&Inst::FpBin {
+                op: FpBinOp::Fadd,
+                size: FpSize::D,
+                rd: 0,
+                rn: 1,
+                rm: 2
+            }),
             0x1E62_2820
         );
         // fmul d0, d1, d2 -> 0x1e620820
         assert_eq!(
-            encode(&Inst::FpBin { op: FpBinOp::Fmul, size: FpSize::D, rd: 0, rn: 1, rm: 2 }),
+            encode(&Inst::FpBin {
+                op: FpBinOp::Fmul,
+                size: FpSize::D,
+                rd: 0,
+                rn: 1,
+                rm: 2
+            }),
             0x1E62_0820
         );
         // fmadd d0, d1, d2, d3 -> 0x1f420c20
@@ -798,27 +1117,54 @@ mod tests {
         );
         // fcmp d0, d1 -> 0x1e612000
         assert_eq!(
-            encode(&Inst::Fcmp { size: FpSize::D, rn: 0, rm: 1, zero: false }),
+            encode(&Inst::Fcmp {
+                size: FpSize::D,
+                rn: 0,
+                rm: 1,
+                zero: false
+            }),
             0x1E61_2000
         );
         // scvtf d0, x1 -> 0x9e620020
         assert_eq!(
-            encode(&Inst::IntToFp { unsigned: false, sf: true, size: FpSize::D, rd: 0, rn: 1 }),
+            encode(&Inst::IntToFp {
+                unsigned: false,
+                sf: true,
+                size: FpSize::D,
+                rd: 0,
+                rn: 1
+            }),
             0x9E62_0020
         );
         // fcvtzs x0, d1 -> 0x9e780020
         assert_eq!(
-            encode(&Inst::FpToInt { unsigned: false, sf: true, size: FpSize::D, rd: 0, rn: 1 }),
+            encode(&Inst::FpToInt {
+                unsigned: false,
+                sf: true,
+                size: FpSize::D,
+                rd: 0,
+                rn: 1
+            }),
             0x9E78_0020
         );
         // fmov d0, x1 -> 0x9e670020
         assert_eq!(
-            encode(&Inst::FmovIntFp { to_fp: true, sf: true, size: FpSize::D, rd: 0, rn: 1 }),
+            encode(&Inst::FmovIntFp {
+                to_fp: true,
+                sf: true,
+                size: FpSize::D,
+                rd: 0,
+                rn: 1
+            }),
             0x9E67_0020
         );
         // fmov d0, #1.0 -> 0x1e6e1000
         assert_eq!(
-            encode(&Inst::FmovImm { size: FpSize::D, rd: 0, imm8: 0x70 }),
+            encode(&Inst::FmovImm {
+                size: FpSize::D,
+                rd: 0,
+                imm8: 0x70
+            }),
             0x1E6E_1000
         );
     }

@@ -369,7 +369,15 @@ pub enum ShiftVOp {
 pub enum Inst {
     /// `add`/`adds`/`sub`/`subs` (immediate). `shift12` applies `imm << 12`.
     /// `cmp rn, #imm` is `subs` with `rd == 31`.
-    AddSubImm { sub: bool, set_flags: bool, sf: bool, rd: u8, rn: u8, imm12: u16, shift12: bool },
+    AddSubImm {
+        sub: bool,
+        set_flags: bool,
+        sf: bool,
+        rd: u8,
+        rn: u8,
+        imm12: u16,
+        shift12: bool,
+    },
     /// `add`/`adds`/`sub`/`subs` (shifted register).
     AddSubShifted {
         sub: bool,
@@ -393,7 +401,13 @@ pub enum Inst {
         amount: u8,
     },
     /// Logical operation with a bitmask immediate (`and`/`orr`/`eor`/`ands`).
-    LogicalImm { op: LogicOp, sf: bool, rd: u8, rn: u8, imm: u64 },
+    LogicalImm {
+        op: LogicOp,
+        sf: bool,
+        rd: u8,
+        rn: u8,
+        imm: u64,
+    },
     /// Logical operation, shifted register.
     LogicalShifted {
         op: LogicOp,
@@ -405,90 +419,314 @@ pub enum Inst {
         amount: u8,
     },
     /// `movn`/`movz`/`movk`.
-    MovWide { op: MovOp, sf: bool, rd: u8, imm16: u16, hw: u8 },
+    MovWide {
+        op: MovOp,
+        sf: bool,
+        rd: u8,
+        imm16: u16,
+        hw: u8,
+    },
     /// `adr` — PC-relative address (byte offset).
     Adr { rd: u8, offset: i64 },
     /// `adrp` — PC-relative page address (offset in 4 KiB pages, pre-shifted
     /// to a byte offset here).
     Adrp { rd: u8, offset: i64 },
     /// `sbfm`/`bfm`/`ubfm`.
-    Bitfield { op: BitfieldOp, sf: bool, rd: u8, rn: u8, immr: u8, imms: u8 },
+    Bitfield {
+        op: BitfieldOp,
+        sf: bool,
+        rd: u8,
+        rn: u8,
+        immr: u8,
+        imms: u8,
+    },
     /// `extr` (the `ror #imm` alias when `rn == rm`).
-    Extr { sf: bool, rd: u8, rn: u8, rm: u8, lsb: u8 },
+    Extr {
+        sf: bool,
+        rd: u8,
+        rn: u8,
+        rm: u8,
+        lsb: u8,
+    },
     /// `madd`/`msub` (`mul` is `madd` with `ra == 31`).
-    MulAdd { sub: bool, sf: bool, rd: u8, rn: u8, rm: u8, ra: u8 },
+    MulAdd {
+        sub: bool,
+        sf: bool,
+        rd: u8,
+        rn: u8,
+        rm: u8,
+        ra: u8,
+    },
     /// `smaddl`/`smsubl`/`umaddl`/`umsubl` — widening 32->64 multiply-add.
-    MulAddLong { sub: bool, unsigned: bool, rd: u8, rn: u8, rm: u8, ra: u8 },
+    MulAddLong {
+        sub: bool,
+        unsigned: bool,
+        rd: u8,
+        rn: u8,
+        rm: u8,
+        ra: u8,
+    },
     /// `smulh`/`umulh`.
-    MulHigh { unsigned: bool, rd: u8, rn: u8, rm: u8 },
+    MulHigh {
+        unsigned: bool,
+        rd: u8,
+        rn: u8,
+        rm: u8,
+    },
     /// `sdiv`/`udiv`.
-    Div { unsigned: bool, sf: bool, rd: u8, rn: u8, rm: u8 },
+    Div {
+        unsigned: bool,
+        sf: bool,
+        rd: u8,
+        rn: u8,
+        rm: u8,
+    },
     /// `lslv`/`lsrv`/`asrv`/`rorv` (the `lsl rd, rn, rm` aliases).
-    ShiftV { op: ShiftVOp, sf: bool, rd: u8, rn: u8, rm: u8 },
+    ShiftV {
+        op: ShiftVOp,
+        sf: bool,
+        rd: u8,
+        rn: u8,
+        rm: u8,
+    },
     /// One-source ops: `rbit`, `rev`, `clz`, ...
-    Unary1 { op: Unary1Op, sf: bool, rd: u8, rn: u8 },
+    Unary1 {
+        op: Unary1Op,
+        sf: bool,
+        rd: u8,
+        rn: u8,
+    },
     /// `csel`/`csinc`/`csinv`/`csneg`.
-    CondSel { op: CselOp, sf: bool, rd: u8, rn: u8, rm: u8, cond: Cond },
+    CondSel {
+        op: CselOp,
+        sf: bool,
+        rd: u8,
+        rn: u8,
+        rm: u8,
+        cond: Cond,
+    },
     /// `ccmp`/`ccmn` (register).
-    CondCmpReg { negative: bool, sf: bool, rn: u8, rm: u8, nzcv: u8, cond: Cond },
+    CondCmpReg {
+        negative: bool,
+        sf: bool,
+        rn: u8,
+        rm: u8,
+        nzcv: u8,
+        cond: Cond,
+    },
     /// `ccmp`/`ccmn` (immediate).
-    CondCmpImm { negative: bool, sf: bool, rn: u8, imm5: u8, nzcv: u8, cond: Cond },
+    CondCmpImm {
+        negative: bool,
+        sf: bool,
+        rn: u8,
+        imm5: u8,
+        nzcv: u8,
+        cond: Cond,
+    },
     /// `b` / `bl`.
     B { link: bool, offset: i64 },
     /// `b.cond`.
     BCond { cond: Cond, offset: i64 },
     /// `cbz`/`cbnz`.
-    Cbz { nonzero: bool, sf: bool, rt: u8, offset: i64 },
+    Cbz {
+        nonzero: bool,
+        sf: bool,
+        rt: u8,
+        offset: i64,
+    },
     /// `tbz`/`tbnz`.
-    Tbz { nonzero: bool, rt: u8, bit: u8, offset: i64 },
+    Tbz {
+        nonzero: bool,
+        rt: u8,
+        bit: u8,
+        offset: i64,
+    },
     /// `br`/`blr`/`ret`.
     BrReg { link: bool, ret: bool, rn: u8 },
     /// Integer load, unsigned scaled 12-bit offset.
-    LdrImm { size: MemSize, rt: u8, rn: u8, imm12: u16 },
+    LdrImm {
+        size: MemSize,
+        rt: u8,
+        rn: u8,
+        imm12: u16,
+    },
     /// Integer store, unsigned scaled 12-bit offset.
-    StrImm { size: MemSize, rt: u8, rn: u8, imm12: u16 },
+    StrImm {
+        size: MemSize,
+        rt: u8,
+        rn: u8,
+        imm12: u16,
+    },
     /// Integer load with writeback or unscaled offset (9-bit signed).
-    LdrIdx { size: MemSize, mode: IndexMode, rt: u8, rn: u8, simm9: i16 },
+    LdrIdx {
+        size: MemSize,
+        mode: IndexMode,
+        rt: u8,
+        rn: u8,
+        simm9: i16,
+    },
     /// Integer store with writeback or unscaled offset.
-    StrIdx { size: MemSize, mode: IndexMode, rt: u8, rn: u8, simm9: i16 },
+    StrIdx {
+        size: MemSize,
+        mode: IndexMode,
+        rt: u8,
+        rn: u8,
+        simm9: i16,
+    },
     /// Integer load, register offset: `ldr rt, [rn, rm{, extend {#shift}}]`.
-    LdrReg { size: MemSize, rt: u8, rn: u8, rm: u8, extend: Extend, shift: bool },
+    LdrReg {
+        size: MemSize,
+        rt: u8,
+        rn: u8,
+        rm: u8,
+        extend: Extend,
+        shift: bool,
+    },
     /// Integer store, register offset.
-    StrReg { size: MemSize, rt: u8, rn: u8, rm: u8, extend: Extend, shift: bool },
+    StrReg {
+        size: MemSize,
+        rt: u8,
+        rn: u8,
+        rm: u8,
+        extend: Extend,
+        shift: bool,
+    },
     /// Load pair (X registers only in this subset).
-    Ldp { sf: bool, mode: Option<IndexMode>, rt: u8, rt2: u8, rn: u8, imm7: i16 },
+    Ldp {
+        sf: bool,
+        mode: Option<IndexMode>,
+        rt: u8,
+        rt2: u8,
+        rn: u8,
+        imm7: i16,
+    },
     /// Store pair.
-    Stp { sf: bool, mode: Option<IndexMode>, rt: u8, rt2: u8, rn: u8, imm7: i16 },
+    Stp {
+        sf: bool,
+        mode: Option<IndexMode>,
+        rt: u8,
+        rt2: u8,
+        rn: u8,
+        imm7: i16,
+    },
     /// FP load, unsigned scaled offset.
-    LdrFpImm { size: FpSize, rt: u8, rn: u8, imm12: u16 },
+    LdrFpImm {
+        size: FpSize,
+        rt: u8,
+        rn: u8,
+        imm12: u16,
+    },
     /// FP store, unsigned scaled offset.
-    StrFpImm { size: FpSize, rt: u8, rn: u8, imm12: u16 },
+    StrFpImm {
+        size: FpSize,
+        rt: u8,
+        rn: u8,
+        imm12: u16,
+    },
     /// FP load with writeback/unscaled offset.
-    LdrFpIdx { size: FpSize, mode: IndexMode, rt: u8, rn: u8, simm9: i16 },
+    LdrFpIdx {
+        size: FpSize,
+        mode: IndexMode,
+        rt: u8,
+        rn: u8,
+        simm9: i16,
+    },
     /// FP store with writeback/unscaled offset.
-    StrFpIdx { size: FpSize, mode: IndexMode, rt: u8, rn: u8, simm9: i16 },
+    StrFpIdx {
+        size: FpSize,
+        mode: IndexMode,
+        rt: u8,
+        rn: u8,
+        simm9: i16,
+    },
     /// FP load, register offset.
-    LdrFpReg { size: FpSize, rt: u8, rn: u8, rm: u8, extend: Extend, shift: bool },
+    LdrFpReg {
+        size: FpSize,
+        rt: u8,
+        rn: u8,
+        rm: u8,
+        extend: Extend,
+        shift: bool,
+    },
     /// FP store, register offset.
-    StrFpReg { size: FpSize, rt: u8, rn: u8, rm: u8, extend: Extend, shift: bool },
+    StrFpReg {
+        size: FpSize,
+        rt: u8,
+        rn: u8,
+        rm: u8,
+        extend: Extend,
+        shift: bool,
+    },
     /// Two-source FP arithmetic.
-    FpBin { op: FpBinOp, size: FpSize, rd: u8, rn: u8, rm: u8 },
+    FpBin {
+        op: FpBinOp,
+        size: FpSize,
+        rd: u8,
+        rn: u8,
+        rm: u8,
+    },
     /// One-source FP operation.
-    FpUn { op: FpUnOp, size: FpSize, rd: u8, rn: u8 },
+    FpUn {
+        op: FpUnOp,
+        size: FpSize,
+        rd: u8,
+        rn: u8,
+    },
     /// FP fused multiply-add.
-    FpFma { op: FpFmaOp, size: FpSize, rd: u8, rn: u8, rm: u8, ra: u8 },
+    FpFma {
+        op: FpFmaOp,
+        size: FpSize,
+        rd: u8,
+        rn: u8,
+        rm: u8,
+        ra: u8,
+    },
     /// `fcmp`/`fcmpe` (`zero` compares `rn` against +0.0).
-    Fcmp { size: FpSize, rn: u8, rm: u8, zero: bool },
+    Fcmp {
+        size: FpSize,
+        rn: u8,
+        rm: u8,
+        zero: bool,
+    },
     /// `fcsel`.
-    Fcsel { size: FpSize, rd: u8, rn: u8, rm: u8, cond: Cond },
+    Fcsel {
+        size: FpSize,
+        rd: u8,
+        rn: u8,
+        rm: u8,
+        cond: Cond,
+    },
     /// `fcvt` between S and D.
-    FcvtPrec { to: FpSize, from: FpSize, rd: u8, rn: u8 },
+    FcvtPrec {
+        to: FpSize,
+        from: FpSize,
+        rd: u8,
+        rn: u8,
+    },
     /// `scvtf`/`ucvtf` — integer to FP.
-    IntToFp { unsigned: bool, sf: bool, size: FpSize, rd: u8, rn: u8 },
+    IntToFp {
+        unsigned: bool,
+        sf: bool,
+        size: FpSize,
+        rd: u8,
+        rn: u8,
+    },
     /// `fcvtzs`/`fcvtzu` — FP to integer, round toward zero.
-    FpToInt { unsigned: bool, sf: bool, size: FpSize, rd: u8, rn: u8 },
+    FpToInt {
+        unsigned: bool,
+        sf: bool,
+        size: FpSize,
+        rd: u8,
+        rn: u8,
+    },
     /// `fmov` between integer and FP register files.
-    FmovIntFp { to_fp: bool, sf: bool, size: FpSize, rd: u8, rn: u8 },
+    FmovIntFp {
+        to_fp: bool,
+        sf: bool,
+        size: FpSize,
+        rd: u8,
+        rn: u8,
+    },
     /// `fmov` (scalar immediate) — the 256 representable VFP constants.
     FmovImm { size: FpSize, rd: u8, imm8: u8 },
     /// `nop`.
@@ -504,18 +742,34 @@ impl Inst {
     pub fn group(&self) -> InstGroup {
         use Inst::*;
         match self {
-            AddSubImm { .. } | AddSubShifted { .. } | AddSubExtended { .. } | MovWide { .. }
-            | Adr { .. } | Adrp { .. } | CondSel { .. } | CondCmpReg { .. }
+            AddSubImm { .. }
+            | AddSubShifted { .. }
+            | AddSubExtended { .. }
+            | MovWide { .. }
+            | Adr { .. }
+            | Adrp { .. }
+            | CondSel { .. }
+            | CondCmpReg { .. }
             | CondCmpImm { .. } => InstGroup::IntAlu,
             LogicalImm { .. } | LogicalShifted { .. } | Unary1 { .. } => InstGroup::Logical,
             Bitfield { .. } | Extr { .. } | ShiftV { .. } => InstGroup::Shift,
             MulAdd { .. } | MulAddLong { .. } | MulHigh { .. } => InstGroup::IntMul,
             Div { .. } => InstGroup::IntDiv,
             B { .. } | BCond { .. } | Cbz { .. } | Tbz { .. } | BrReg { .. } => InstGroup::Branch,
-            LdrImm { .. } | LdrIdx { .. } | LdrReg { .. } | Ldp { .. } | LdrFpImm { .. }
-            | LdrFpIdx { .. } | LdrFpReg { .. } => InstGroup::Load,
-            StrImm { .. } | StrIdx { .. } | StrReg { .. } | Stp { .. } | StrFpImm { .. }
-            | StrFpIdx { .. } | StrFpReg { .. } => InstGroup::Store,
+            LdrImm { .. }
+            | LdrIdx { .. }
+            | LdrReg { .. }
+            | Ldp { .. }
+            | LdrFpImm { .. }
+            | LdrFpIdx { .. }
+            | LdrFpReg { .. } => InstGroup::Load,
+            StrImm { .. }
+            | StrIdx { .. }
+            | StrReg { .. }
+            | Stp { .. }
+            | StrFpImm { .. }
+            | StrFpIdx { .. }
+            | StrFpReg { .. } => InstGroup::Store,
             FpBin { op, .. } => match op {
                 FpBinOp::Fadd | FpBinOp::Fsub => InstGroup::FpAdd,
                 FpBinOp::Fmul | FpBinOp::Fnmul => InstGroup::FpMul,
@@ -539,7 +793,11 @@ impl Inst {
     pub fn is_branch(&self) -> bool {
         matches!(
             self,
-            Inst::B { .. } | Inst::BCond { .. } | Inst::Cbz { .. } | Inst::Tbz { .. } | Inst::BrReg { .. }
+            Inst::B { .. }
+                | Inst::BCond { .. }
+                | Inst::Cbz { .. }
+                | Inst::Tbz { .. }
+                | Inst::BrReg { .. }
         )
     }
 }
@@ -572,7 +830,15 @@ mod tests {
     #[test]
     fn groups() {
         assert_eq!(
-            Inst::MulAdd { sub: false, sf: true, rd: 0, rn: 1, rm: 2, ra: 31 }.group(),
+            Inst::MulAdd {
+                sub: false,
+                sf: true,
+                rd: 0,
+                rn: 1,
+                rm: 2,
+                ra: 31
+            }
+            .group(),
             InstGroup::IntMul
         );
         assert_eq!(
@@ -587,7 +853,11 @@ mod tests {
             .group(),
             InstGroup::Load
         );
-        assert!(Inst::BCond { cond: Cond::Ne, offset: -4 }.is_branch());
+        assert!(Inst::BCond {
+            cond: Cond::Ne,
+            offset: -4
+        }
+        .is_branch());
     }
 
     #[test]

@@ -10,7 +10,9 @@ use simcore::{CpuState, EmulationCore, Program};
 fn run(program: &Program) -> CpuState {
     let mut st = CpuState::new();
     program.load(&mut st).unwrap();
-    EmulationCore::new(AArch64Executor::new()).run(&mut st, &mut []).unwrap();
+    EmulationCore::new(AArch64Executor::new())
+        .run(&mut st, &mut [])
+        .unwrap();
     st
 }
 
@@ -22,7 +24,14 @@ fn abs_via_csneg() {
         let out = a.data_zero(8, 8);
         a.mov_imm(1, input as u64);
         a.cmp_imm(1, 0);
-        a.push(Inst::CondSel { op: CselOp::Csneg, sf: true, rd: 2, rn: 1, rm: 1, cond: Cond::Ge });
+        a.push(Inst::CondSel {
+            op: CselOp::Csneg,
+            sf: true,
+            rd: 2,
+            rn: 1,
+            rm: 1,
+            cond: Cond::Ge,
+        });
         a.la(3, out);
         a.str_imm(2, 3, 0);
         a.exit(0);
@@ -42,8 +51,21 @@ fn gcd_with_flags_and_csel() {
     let done = a.new_label();
     a.bind(loop_top);
     a.cbz(2, done);
-    a.push(Inst::Div { unsigned: true, sf: true, rd: 3, rn: 1, rm: 2 });
-    a.push(Inst::MulAdd { sub: true, sf: true, rd: 4, rn: 3, rm: 2, ra: 1 }); // r = a - q*b
+    a.push(Inst::Div {
+        unsigned: true,
+        sf: true,
+        rd: 3,
+        rn: 1,
+        rm: 2,
+    });
+    a.push(Inst::MulAdd {
+        sub: true,
+        sf: true,
+        rd: 4,
+        rn: 3,
+        rm: 2,
+        ra: 1,
+    }); // r = a - q*b
     a.mov(1, 2);
     a.mov(2, 4);
     a.b(loop_top);
@@ -115,9 +137,23 @@ fn bitfield_pack_unpack() {
         amount: 0,
     });
     // ubfx x4, x3, #16, #16
-    a.push(Inst::Bitfield { op: BitfieldOp::Ubfm, sf: true, rd: 4, rn: 3, immr: 16, imms: 31 });
+    a.push(Inst::Bitfield {
+        op: BitfieldOp::Ubfm,
+        sf: true,
+        rd: 4,
+        rn: 3,
+        immr: 16,
+        imms: 31,
+    });
     // uxth x5, w3
-    a.push(Inst::Bitfield { op: BitfieldOp::Ubfm, sf: false, rd: 5, rn: 3, immr: 0, imms: 15 });
+    a.push(Inst::Bitfield {
+        op: BitfieldOp::Ubfm,
+        sf: false,
+        rd: 5,
+        rn: 3,
+        immr: 0,
+        imms: 15,
+    });
     a.la(6, out);
     a.str_imm(4, 6, 0);
     a.str_imm(5, 6, 8);
@@ -132,7 +168,11 @@ fn widening_dot_product() {
     // smull-style dot product of two small i32 vectors via MulAddLong.
     let xs: [i32; 4] = [3, -4, 5, -6];
     let ys: [i32; 4] = [7, 8, -9, 10];
-    let expect: i64 = xs.iter().zip(ys.iter()).map(|(&x, &y)| x as i64 * y as i64).sum();
+    let expect: i64 = xs
+        .iter()
+        .zip(ys.iter())
+        .map(|(&x, &y)| x as i64 * y as i64)
+        .sum();
     let mut a = A64Asm::new(0x1_0000, 0x10_0000);
     let xa = a.data_bytes(&xs.iter().flat_map(|v| v.to_le_bytes()).collect::<Vec<_>>());
     let ya = a.data_bytes(&ys.iter().flat_map(|v| v.to_le_bytes()).collect::<Vec<_>>());
@@ -159,7 +199,14 @@ fn widening_dot_product() {
         extend: isa_aarch64::Extend::Uxtx,
         shift: false,
     });
-    a.push(Inst::MulAddLong { sub: false, unsigned: false, rd: 3, rn: 5, rm: 6, ra: 3 });
+    a.push(Inst::MulAddLong {
+        sub: false,
+        unsigned: false,
+        rd: 3,
+        rn: 5,
+        rm: 6,
+        ra: 3,
+    });
     a.add_imm(4, 4, 4);
     a.cmp_imm(4, 16);
     a.b_ne(loop_top);
@@ -190,7 +237,14 @@ fn ccmp_range_check() {
             nzcv: 0b0010,
             cond: Cond::Cs,
         });
-        a.push(Inst::CondSel { op: CselOp::Csinc, sf: true, rd: 2, rn: 31, rm: 31, cond: Cond::Hi });
+        a.push(Inst::CondSel {
+            op: CselOp::Csinc,
+            sf: true,
+            rd: 2,
+            rn: 31,
+            rm: 31,
+            cond: Cond::Hi,
+        });
         a.la(3, out);
         a.str_imm(2, 3, 0);
         a.exit(0);

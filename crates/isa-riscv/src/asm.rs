@@ -19,8 +19,16 @@ pub struct Label(usize);
 
 enum Item {
     Fixed(Inst),
-    BranchTo { op: BranchOp, rs1: u8, rs2: u8, label: Label },
-    JalTo { rd: u8, label: Label },
+    BranchTo {
+        op: BranchOp,
+        rs1: u8,
+        rs2: u8,
+        label: Label,
+    },
+    JalTo {
+        rd: u8,
+        label: Label,
+    },
 }
 
 /// RV64G assembler/builder.
@@ -41,7 +49,10 @@ impl RvAsm {
     /// `data_base` must stay below 2 GiB so `la` can materialise addresses
     /// with a `lui`+`addi` pair.
     pub fn new(text_base: u64, data_base: u64) -> Self {
-        assert!(data_base < 0x8000_0000, "data must sit below 2 GiB for lui/addi la");
+        assert!(
+            data_base < 0x8000_0000,
+            "data must sit below 2 GiB for lui/addi la"
+        );
         assert_eq!(text_base & 3, 0);
         RvAsm {
             text_base,
@@ -139,7 +150,12 @@ impl RvAsm {
 
     /// Push a conditional branch to a label.
     pub fn branch(&mut self, op: BranchOp, rs1: u8, rs2: u8, label: Label) {
-        self.items.push(Item::BranchTo { op, rs1, rs2, label });
+        self.items.push(Item::BranchTo {
+            op,
+            rs1,
+            rs2,
+            label,
+        });
     }
 
     /// Push a `jal` to a label.
@@ -151,20 +167,43 @@ impl RvAsm {
 
     /// `add rd, rs1, rs2`.
     pub fn add(&mut self, rd: u8, rs1: u8, rs2: u8) {
-        self.push(Inst::Op { op: RegOp::Add, rd, rs1, rs2 });
+        self.push(Inst::Op {
+            op: RegOp::Add,
+            rd,
+            rs1,
+            rs2,
+        });
     }
     /// `sub rd, rs1, rs2`.
     pub fn sub(&mut self, rd: u8, rs1: u8, rs2: u8) {
-        self.push(Inst::Op { op: RegOp::Sub, rd, rs1, rs2 });
+        self.push(Inst::Op {
+            op: RegOp::Sub,
+            rd,
+            rs1,
+            rs2,
+        });
     }
     /// `mul rd, rs1, rs2`.
     pub fn mul(&mut self, rd: u8, rs1: u8, rs2: u8) {
-        self.push(Inst::Op { op: RegOp::Mul, rd, rs1, rs2 });
+        self.push(Inst::Op {
+            op: RegOp::Mul,
+            rd,
+            rs1,
+            rs2,
+        });
     }
     /// `addi rd, rs1, imm`.
     pub fn addi(&mut self, rd: u8, rs1: u8, imm: i64) {
-        assert!((-2048..2048).contains(&imm), "addi immediate out of range: {imm}");
-        self.push(Inst::OpImm { op: ImmOp::Addi, rd, rs1, imm });
+        assert!(
+            (-2048..2048).contains(&imm),
+            "addi immediate out of range: {imm}"
+        );
+        self.push(Inst::OpImm {
+            op: ImmOp::Addi,
+            rd,
+            rs1,
+            imm,
+        });
     }
     /// `mv rd, rs` (canonical `addi rd, rs, 0`).
     pub fn mv(&mut self, rd: u8, rs: u8) {
@@ -172,43 +211,93 @@ impl RvAsm {
     }
     /// `slli rd, rs1, shamt`.
     pub fn slli(&mut self, rd: u8, rs1: u8, shamt: i64) {
-        self.push(Inst::OpImm { op: ImmOp::Slli, rd, rs1, imm: shamt });
+        self.push(Inst::OpImm {
+            op: ImmOp::Slli,
+            rd,
+            rs1,
+            imm: shamt,
+        });
     }
     /// `srli rd, rs1, shamt`.
     pub fn srli(&mut self, rd: u8, rs1: u8, shamt: i64) {
-        self.push(Inst::OpImm { op: ImmOp::Srli, rd, rs1, imm: shamt });
+        self.push(Inst::OpImm {
+            op: ImmOp::Srli,
+            rd,
+            rs1,
+            imm: shamt,
+        });
     }
     /// `srai rd, rs1, shamt`.
     pub fn srai(&mut self, rd: u8, rs1: u8, shamt: i64) {
-        self.push(Inst::OpImm { op: ImmOp::Srai, rd, rs1, imm: shamt });
+        self.push(Inst::OpImm {
+            op: ImmOp::Srai,
+            rd,
+            rs1,
+            imm: shamt,
+        });
     }
     /// `andi rd, rs1, imm`.
     pub fn andi(&mut self, rd: u8, rs1: u8, imm: i64) {
-        self.push(Inst::OpImm { op: ImmOp::Andi, rd, rs1, imm });
+        self.push(Inst::OpImm {
+            op: ImmOp::Andi,
+            rd,
+            rs1,
+            imm,
+        });
     }
     /// `slt rd, rs1, rs2`.
     pub fn slt(&mut self, rd: u8, rs1: u8, rs2: u8) {
-        self.push(Inst::Op { op: RegOp::Slt, rd, rs1, rs2 });
+        self.push(Inst::Op {
+            op: RegOp::Slt,
+            rd,
+            rs1,
+            rs2,
+        });
     }
     /// `sltu rd, rs1, rs2`.
     pub fn sltu(&mut self, rd: u8, rs1: u8, rs2: u8) {
-        self.push(Inst::Op { op: RegOp::Sltu, rd, rs1, rs2 });
+        self.push(Inst::Op {
+            op: RegOp::Sltu,
+            rd,
+            rs1,
+            rs2,
+        });
     }
     /// `ld rd, offset(rs1)`.
     pub fn ld(&mut self, rd: u8, rs1: u8, offset: i64) {
-        self.push(Inst::Load { op: LoadOp::Ld, rd, rs1, offset });
+        self.push(Inst::Load {
+            op: LoadOp::Ld,
+            rd,
+            rs1,
+            offset,
+        });
     }
     /// `lw rd, offset(rs1)`.
     pub fn lw(&mut self, rd: u8, rs1: u8, offset: i64) {
-        self.push(Inst::Load { op: LoadOp::Lw, rd, rs1, offset });
+        self.push(Inst::Load {
+            op: LoadOp::Lw,
+            rd,
+            rs1,
+            offset,
+        });
     }
     /// `sd rs2, offset(rs1)`.
     pub fn sd(&mut self, rs2: u8, rs1: u8, offset: i64) {
-        self.push(Inst::Store { op: StoreOp::Sd, rs2, rs1, offset });
+        self.push(Inst::Store {
+            op: StoreOp::Sd,
+            rs2,
+            rs1,
+            offset,
+        });
     }
     /// `sw rs2, offset(rs1)`.
     pub fn sw(&mut self, rs2: u8, rs1: u8, offset: i64) {
-        self.push(Inst::Store { op: StoreOp::Sw, rs2, rs1, offset });
+        self.push(Inst::Store {
+            op: StoreOp::Sw,
+            rs2,
+            rs1,
+            offset,
+        });
     }
     /// `nop`.
     pub fn nop(&mut self) {
@@ -233,7 +322,12 @@ impl RvAsm {
             if lo != 0 {
                 // addiw, not addi: the result must be the 32-bit sum
                 // sign-extended (lui of 0x80000 wraps negative on RV64).
-                self.push(Inst::OpImm32 { op: ImmOp32::Addiw, rd, rs1: rd, imm: lo });
+                self.push(Inst::OpImm32 {
+                    op: ImmOp32::Addiw,
+                    rd,
+                    rs1: rd,
+                    imm: lo,
+                });
             }
             return;
         }
@@ -301,91 +395,218 @@ impl RvAsm {
 
     /// `fld frd, offset(rs1)`.
     pub fn fld(&mut self, frd: u8, rs1: u8, offset: i64) {
-        self.push(Inst::FpLoad { width: FpWidth::D, frd, rs1, offset });
+        self.push(Inst::FpLoad {
+            width: FpWidth::D,
+            frd,
+            rs1,
+            offset,
+        });
     }
     /// `fsd frs2, offset(rs1)`.
     pub fn fsd(&mut self, frs2: u8, rs1: u8, offset: i64) {
-        self.push(Inst::FpStore { width: FpWidth::D, frs2, rs1, offset });
+        self.push(Inst::FpStore {
+            width: FpWidth::D,
+            frs2,
+            rs1,
+            offset,
+        });
     }
     /// `fadd.d frd, frs1, frs2`.
     pub fn fadd_d(&mut self, frd: u8, frs1: u8, frs2: u8) {
-        self.push(Inst::FpReg { op: FpOp::Fadd, width: FpWidth::D, frd, frs1, frs2 });
+        self.push(Inst::FpReg {
+            op: FpOp::Fadd,
+            width: FpWidth::D,
+            frd,
+            frs1,
+            frs2,
+        });
     }
     /// `fsub.d frd, frs1, frs2`.
     pub fn fsub_d(&mut self, frd: u8, frs1: u8, frs2: u8) {
-        self.push(Inst::FpReg { op: FpOp::Fsub, width: FpWidth::D, frd, frs1, frs2 });
+        self.push(Inst::FpReg {
+            op: FpOp::Fsub,
+            width: FpWidth::D,
+            frd,
+            frs1,
+            frs2,
+        });
     }
     /// `fmul.d frd, frs1, frs2`.
     pub fn fmul_d(&mut self, frd: u8, frs1: u8, frs2: u8) {
-        self.push(Inst::FpReg { op: FpOp::Fmul, width: FpWidth::D, frd, frs1, frs2 });
+        self.push(Inst::FpReg {
+            op: FpOp::Fmul,
+            width: FpWidth::D,
+            frd,
+            frs1,
+            frs2,
+        });
     }
     /// `fdiv.d frd, frs1, frs2`.
     pub fn fdiv_d(&mut self, frd: u8, frs1: u8, frs2: u8) {
-        self.push(Inst::FpReg { op: FpOp::Fdiv, width: FpWidth::D, frd, frs1, frs2 });
+        self.push(Inst::FpReg {
+            op: FpOp::Fdiv,
+            width: FpWidth::D,
+            frd,
+            frs1,
+            frs2,
+        });
     }
     /// `fsqrt.d frd, frs1`.
     pub fn fsqrt_d(&mut self, frd: u8, frs1: u8) {
-        self.push(Inst::FpSqrt { width: FpWidth::D, frd, frs1 });
+        self.push(Inst::FpSqrt {
+            width: FpWidth::D,
+            frd,
+            frs1,
+        });
     }
     /// `fmadd.d frd, frs1, frs2, frs3` — `frs1*frs2 + frs3`.
     pub fn fmadd_d(&mut self, frd: u8, frs1: u8, frs2: u8, frs3: u8) {
-        self.push(Inst::FpFma { op: FmaOp::Fmadd, width: FpWidth::D, frd, frs1, frs2, frs3 });
+        self.push(Inst::FpFma {
+            op: FmaOp::Fmadd,
+            width: FpWidth::D,
+            frd,
+            frs1,
+            frs2,
+            frs3,
+        });
     }
     /// `fmsub.d frd, frs1, frs2, frs3` — `frs1*frs2 - frs3`.
     pub fn fmsub_d(&mut self, frd: u8, frs1: u8, frs2: u8, frs3: u8) {
-        self.push(Inst::FpFma { op: FmaOp::Fmsub, width: FpWidth::D, frd, frs1, frs2, frs3 });
+        self.push(Inst::FpFma {
+            op: FmaOp::Fmsub,
+            width: FpWidth::D,
+            frd,
+            frs1,
+            frs2,
+            frs3,
+        });
     }
     /// `fnmsub.d frd, frs1, frs2, frs3` — `-(frs1*frs2) + frs3`.
     pub fn fnmsub_d(&mut self, frd: u8, frs1: u8, frs2: u8, frs3: u8) {
-        self.push(Inst::FpFma { op: FmaOp::Fnmsub, width: FpWidth::D, frd, frs1, frs2, frs3 });
+        self.push(Inst::FpFma {
+            op: FmaOp::Fnmsub,
+            width: FpWidth::D,
+            frd,
+            frs1,
+            frs2,
+            frs3,
+        });
     }
     /// `fmv.d frd, frs` (canonical `fsgnj.d frd, frs, frs`).
     pub fn fmv_d(&mut self, frd: u8, frs: u8) {
-        self.push(Inst::FpReg { op: FpOp::Fsgnj, width: FpWidth::D, frd, frs1: frs, frs2: frs });
+        self.push(Inst::FpReg {
+            op: FpOp::Fsgnj,
+            width: FpWidth::D,
+            frd,
+            frs1: frs,
+            frs2: frs,
+        });
     }
     /// `fneg.d frd, frs` (canonical `fsgnjn.d frd, frs, frs`).
     pub fn fneg_d(&mut self, frd: u8, frs: u8) {
-        self.push(Inst::FpReg { op: FpOp::Fsgnjn, width: FpWidth::D, frd, frs1: frs, frs2: frs });
+        self.push(Inst::FpReg {
+            op: FpOp::Fsgnjn,
+            width: FpWidth::D,
+            frd,
+            frs1: frs,
+            frs2: frs,
+        });
     }
     /// `fabs.d frd, frs` (canonical `fsgnjx.d frd, frs, frs`).
     pub fn fabs_d(&mut self, frd: u8, frs: u8) {
-        self.push(Inst::FpReg { op: FpOp::Fsgnjx, width: FpWidth::D, frd, frs1: frs, frs2: frs });
+        self.push(Inst::FpReg {
+            op: FpOp::Fsgnjx,
+            width: FpWidth::D,
+            frd,
+            frs1: frs,
+            frs2: frs,
+        });
     }
     /// `fmin.d frd, frs1, frs2`.
     pub fn fmin_d(&mut self, frd: u8, frs1: u8, frs2: u8) {
-        self.push(Inst::FpReg { op: FpOp::Fmin, width: FpWidth::D, frd, frs1, frs2 });
+        self.push(Inst::FpReg {
+            op: FpOp::Fmin,
+            width: FpWidth::D,
+            frd,
+            frs1,
+            frs2,
+        });
     }
     /// `fmax.d frd, frs1, frs2`.
     pub fn fmax_d(&mut self, frd: u8, frs1: u8, frs2: u8) {
-        self.push(Inst::FpReg { op: FpOp::Fmax, width: FpWidth::D, frd, frs1, frs2 });
+        self.push(Inst::FpReg {
+            op: FpOp::Fmax,
+            width: FpWidth::D,
+            frd,
+            frs1,
+            frs2,
+        });
     }
     /// `fcvt.d.l frd, rs1` — signed 64-bit int to double.
     pub fn fcvt_d_l(&mut self, frd: u8, rs1: u8) {
-        self.push(Inst::FcvtFpFromInt { ty: IntTy::L, width: FpWidth::D, frd, rs1 });
+        self.push(Inst::FcvtFpFromInt {
+            ty: IntTy::L,
+            width: FpWidth::D,
+            frd,
+            rs1,
+        });
     }
     /// `fcvt.d.w frd, rs1` — signed 32-bit int to double.
     pub fn fcvt_d_w(&mut self, frd: u8, rs1: u8) {
-        self.push(Inst::FcvtFpFromInt { ty: IntTy::W, width: FpWidth::D, frd, rs1 });
+        self.push(Inst::FcvtFpFromInt {
+            ty: IntTy::W,
+            width: FpWidth::D,
+            frd,
+            rs1,
+        });
     }
     /// `fcvt.l.d rd, frs1` — double to signed 64-bit int (RTZ).
     pub fn fcvt_l_d(&mut self, rd: u8, frs1: u8) {
-        self.push(Inst::FcvtIntFromFp { ty: IntTy::L, width: FpWidth::D, rd, frs1 });
+        self.push(Inst::FcvtIntFromFp {
+            ty: IntTy::L,
+            width: FpWidth::D,
+            rd,
+            frs1,
+        });
     }
     /// `fcvt.w.d rd, frs1` — double to signed 32-bit int (RTZ).
     pub fn fcvt_w_d(&mut self, rd: u8, frs1: u8) {
-        self.push(Inst::FcvtIntFromFp { ty: IntTy::W, width: FpWidth::D, rd, frs1 });
+        self.push(Inst::FcvtIntFromFp {
+            ty: IntTy::W,
+            width: FpWidth::D,
+            rd,
+            frs1,
+        });
     }
     /// `flt.d rd, frs1, frs2`.
     pub fn flt_d(&mut self, rd: u8, frs1: u8, frs2: u8) {
-        self.push(Inst::FpCmp { op: FpCmpOp::Flt, width: FpWidth::D, rd, frs1, frs2 });
+        self.push(Inst::FpCmp {
+            op: FpCmpOp::Flt,
+            width: FpWidth::D,
+            rd,
+            frs1,
+            frs2,
+        });
     }
     /// `fle.d rd, frs1, frs2`.
     pub fn fle_d(&mut self, rd: u8, frs1: u8, frs2: u8) {
-        self.push(Inst::FpCmp { op: FpCmpOp::Fle, width: FpWidth::D, rd, frs1, frs2 });
+        self.push(Inst::FpCmp {
+            op: FpCmpOp::Fle,
+            width: FpWidth::D,
+            rd,
+            frs1,
+            frs2,
+        });
     }
     /// `feq.d rd, frs1, frs2`.
     pub fn feq_d(&mut self, rd: u8, frs1: u8, frs2: u8) {
-        self.push(Inst::FpCmp { op: FpCmpOp::Feq, width: FpWidth::D, rd, frs1, frs2 });
+        self.push(Inst::FpCmp {
+            op: FpCmpOp::Feq,
+            width: FpWidth::D,
+            rd,
+            frs1,
+            frs2,
+        });
     }
 
     /// Emit the Linux `exit(code)` sequence.
@@ -409,14 +630,24 @@ impl RvAsm {
             let pc = self.text_base + 4 * i as u64;
             let inst = match item {
                 Item::Fixed(inst) => *inst,
-                Item::BranchTo { op, rs1, rs2, label } => {
+                Item::BranchTo {
+                    op,
+                    rs1,
+                    rs2,
+                    label,
+                } => {
                     let target = resolve(*label, &self.labels);
                     let offset = target.wrapping_sub(pc) as i64;
                     assert!(
                         (-4096..4096).contains(&offset),
                         "branch offset {offset} out of B-type range"
                     );
-                    Inst::Branch { op: *op, rs1: *rs1, rs2: *rs2, offset }
+                    Inst::Branch {
+                        op: *op,
+                        rs1: *rs1,
+                        rs2: *rs2,
+                        offset,
+                    }
                 }
                 Item::JalTo { rd, label } => {
                     let target = resolve(*label, &self.labels);
@@ -446,7 +677,11 @@ impl RvAsm {
         let mut regions = Vec::new();
         for name in order {
             for (start, end) in &merged[&name] {
-                regions.push(Region { name: name.clone(), start: *start, end: *end });
+                regions.push(Region {
+                    name: name.clone(),
+                    start: *start,
+                    end: *end,
+                });
             }
         }
 
@@ -501,7 +736,12 @@ mod tests {
         a.la(10, arr); // a0 = cursor
         a.la(11, arr + 64); // a1 = end
         a.la(12, out);
-        a.push(Inst::FcvtFpFromInt { ty: IntTy::L, width: FpWidth::D, frd: 0, rs1: 0 }); // fa0 = 0.0
+        a.push(Inst::FcvtFpFromInt {
+            ty: IntTy::L,
+            width: FpWidth::D,
+            frd: 0,
+            rs1: 0,
+        }); // fa0 = 0.0
         let l = a.new_label();
         a.bind(l);
         a.fld(1, 10, 0);

@@ -108,11 +108,24 @@ fn int_ty(code: u32) -> Result<IntTy, DecodeError> {
 pub fn decode(w: u32) -> Result<Inst, DecodeError> {
     let opcode = w & 0x7F;
     match opcode {
-        0b0110111 => Ok(Inst::Lui { rd: rd(w), imm: imm_u(w) }),
-        0b0010111 => Ok(Inst::Auipc { rd: rd(w), imm: imm_u(w) }),
-        0b1101111 => Ok(Inst::Jal { rd: rd(w), offset: imm_j(w) }),
+        0b0110111 => Ok(Inst::Lui {
+            rd: rd(w),
+            imm: imm_u(w),
+        }),
+        0b0010111 => Ok(Inst::Auipc {
+            rd: rd(w),
+            imm: imm_u(w),
+        }),
+        0b1101111 => Ok(Inst::Jal {
+            rd: rd(w),
+            offset: imm_j(w),
+        }),
         0b1100111 => match funct3(w) {
-            0b000 => Ok(Inst::Jalr { rd: rd(w), rs1: rs1(w), offset: imm_i(w) }),
+            0b000 => Ok(Inst::Jalr {
+                rd: rd(w),
+                rs1: rs1(w),
+                offset: imm_i(w),
+            }),
             f => err(format!("jalr funct3 {f:#b}")),
         },
         0b1100011 => {
@@ -125,7 +138,12 @@ pub fn decode(w: u32) -> Result<Inst, DecodeError> {
                 0b111 => BranchOp::Bgeu,
                 f => return err(format!("branch funct3 {f:#b}")),
             };
-            Ok(Inst::Branch { op, rs1: rs1(w), rs2: rs2(w), offset: imm_b(w) })
+            Ok(Inst::Branch {
+                op,
+                rs1: rs1(w),
+                rs2: rs2(w),
+                offset: imm_b(w),
+            })
         }
         0b0000011 => {
             let op = match funct3(w) {
@@ -138,7 +156,12 @@ pub fn decode(w: u32) -> Result<Inst, DecodeError> {
                 0b110 => LoadOp::Lwu,
                 f => return err(format!("load funct3 {f:#b}")),
             };
-            Ok(Inst::Load { op, rd: rd(w), rs1: rs1(w), offset: imm_i(w) })
+            Ok(Inst::Load {
+                op,
+                rd: rd(w),
+                rs1: rs1(w),
+                offset: imm_i(w),
+            })
         }
         0b0100011 => {
             let op = match funct3(w) {
@@ -148,7 +171,12 @@ pub fn decode(w: u32) -> Result<Inst, DecodeError> {
                 0b011 => StoreOp::Sd,
                 f => return err(format!("store funct3 {f:#b}")),
             };
-            Ok(Inst::Store { op, rs2: rs2(w), rs1: rs1(w), offset: imm_s(w) })
+            Ok(Inst::Store {
+                op,
+                rs2: rs2(w),
+                rs1: rs1(w),
+                offset: imm_s(w),
+            })
         }
         0b0010011 => {
             let (op, imm) = match funct3(w) {
@@ -174,7 +202,12 @@ pub fn decode(w: u32) -> Result<Inst, DecodeError> {
                 }
                 _ => unreachable!(),
             };
-            Ok(Inst::OpImm { op, rd: rd(w), rs1: rs1(w), imm })
+            Ok(Inst::OpImm {
+                op,
+                rd: rd(w),
+                rs1: rs1(w),
+                imm,
+            })
         }
         0b0011011 => {
             let (op, imm) = match funct3(w) {
@@ -195,7 +228,12 @@ pub fn decode(w: u32) -> Result<Inst, DecodeError> {
                 }
                 f => return err(format!("op-imm-32 funct3 {f:#b}")),
             };
-            Ok(Inst::OpImm32 { op, rd: rd(w), rs1: rs1(w), imm })
+            Ok(Inst::OpImm32 {
+                op,
+                rd: rd(w),
+                rs1: rs1(w),
+                imm,
+            })
         }
         0b0110011 => {
             let op = match (funct7(w), funct3(w)) {
@@ -219,7 +257,12 @@ pub fn decode(w: u32) -> Result<Inst, DecodeError> {
                 (0b0000001, 0b111) => RegOp::Remu,
                 (f7, f3) => return err(format!("op funct7/3 {f7:#b}/{f3:#b}")),
             };
-            Ok(Inst::Op { op, rd: rd(w), rs1: rs1(w), rs2: rs2(w) })
+            Ok(Inst::Op {
+                op,
+                rd: rd(w),
+                rs1: rs1(w),
+                rs2: rs2(w),
+            })
         }
         0b0111011 => {
             let op = match (funct7(w), funct3(w)) {
@@ -235,7 +278,12 @@ pub fn decode(w: u32) -> Result<Inst, DecodeError> {
                 (0b0000001, 0b111) => RegOp32::Remuw,
                 (f7, f3) => return err(format!("op-32 funct7/3 {f7:#b}/{f3:#b}")),
             };
-            Ok(Inst::Op32 { op, rd: rd(w), rs1: rs1(w), rs2: rs2(w) })
+            Ok(Inst::Op32 {
+                op,
+                rd: rd(w),
+                rs1: rs1(w),
+                rs2: rs2(w),
+            })
         }
         0b0001111 => Ok(Inst::Fence),
         0b1110011 => match (w >> 20) & 0xFFF {
@@ -255,9 +303,18 @@ pub fn decode(w: u32) -> Result<Inst, DecodeError> {
                     if rs2(w) != 0 {
                         return err("lr with nonzero rs2");
                     }
-                    Ok(Inst::Lr { width, rd: rd(w), rs1: rs1(w) })
+                    Ok(Inst::Lr {
+                        width,
+                        rd: rd(w),
+                        rs1: rs1(w),
+                    })
                 }
-                0b00011 => Ok(Inst::Sc { width, rd: rd(w), rs1: rs1(w), rs2: rs2(w) }),
+                0b00011 => Ok(Inst::Sc {
+                    width,
+                    rd: rd(w),
+                    rs1: rs1(w),
+                    rs2: rs2(w),
+                }),
                 _ => {
                     let op = match f5 {
                         0b00000 => AmoOp::Add,
@@ -271,7 +328,13 @@ pub fn decode(w: u32) -> Result<Inst, DecodeError> {
                         0b11100 => AmoOp::Maxu,
                         f => return err(format!("amo funct5 {f:#b}")),
                     };
-                    Ok(Inst::Amo { op, width, rd: rd(w), rs1: rs1(w), rs2: rs2(w) })
+                    Ok(Inst::Amo {
+                        op,
+                        width,
+                        rd: rd(w),
+                        rs1: rs1(w),
+                        rs2: rs2(w),
+                    })
                 }
             }
         }
@@ -281,7 +344,12 @@ pub fn decode(w: u32) -> Result<Inst, DecodeError> {
                 0b011 => FpWidth::D,
                 f => return err(format!("fp-load funct3 {f:#b}")),
             };
-            Ok(Inst::FpLoad { width, frd: rd(w), rs1: rs1(w), offset: imm_i(w) })
+            Ok(Inst::FpLoad {
+                width,
+                frd: rd(w),
+                rs1: rs1(w),
+                offset: imm_i(w),
+            })
         }
         0b0100111 => {
             let width = match funct3(w) {
@@ -289,7 +357,12 @@ pub fn decode(w: u32) -> Result<Inst, DecodeError> {
                 0b011 => FpWidth::D,
                 f => return err(format!("fp-store funct3 {f:#b}")),
             };
-            Ok(Inst::FpStore { width, frs2: rs2(w), rs1: rs1(w), offset: imm_s(w) })
+            Ok(Inst::FpStore {
+                width,
+                frs2: rs2(w),
+                rs1: rs1(w),
+                offset: imm_s(w),
+            })
         }
         0b1000011 | 0b1000111 | 0b1001011 | 0b1001111 => {
             let op = match opcode {
@@ -319,15 +392,43 @@ fn decode_op_fp(w: u32) -> Result<Inst, DecodeError> {
     let width = fp_width(fmt)?;
     let f3 = funct3(w);
     match f7 >> 2 {
-        0b00000 => Ok(Inst::FpReg { op: FpOp::Fadd, width, frd: rd(w), frs1: rs1(w), frs2: rs2(w) }),
-        0b00001 => Ok(Inst::FpReg { op: FpOp::Fsub, width, frd: rd(w), frs1: rs1(w), frs2: rs2(w) }),
-        0b00010 => Ok(Inst::FpReg { op: FpOp::Fmul, width, frd: rd(w), frs1: rs1(w), frs2: rs2(w) }),
-        0b00011 => Ok(Inst::FpReg { op: FpOp::Fdiv, width, frd: rd(w), frs1: rs1(w), frs2: rs2(w) }),
+        0b00000 => Ok(Inst::FpReg {
+            op: FpOp::Fadd,
+            width,
+            frd: rd(w),
+            frs1: rs1(w),
+            frs2: rs2(w),
+        }),
+        0b00001 => Ok(Inst::FpReg {
+            op: FpOp::Fsub,
+            width,
+            frd: rd(w),
+            frs1: rs1(w),
+            frs2: rs2(w),
+        }),
+        0b00010 => Ok(Inst::FpReg {
+            op: FpOp::Fmul,
+            width,
+            frd: rd(w),
+            frs1: rs1(w),
+            frs2: rs2(w),
+        }),
+        0b00011 => Ok(Inst::FpReg {
+            op: FpOp::Fdiv,
+            width,
+            frd: rd(w),
+            frs1: rs1(w),
+            frs2: rs2(w),
+        }),
         0b01011 => {
             if rs2(w) != 0 {
                 return err("fsqrt with nonzero rs2");
             }
-            Ok(Inst::FpSqrt { width, frd: rd(w), frs1: rs1(w) })
+            Ok(Inst::FpSqrt {
+                width,
+                frd: rd(w),
+                frs1: rs1(w),
+            })
         }
         0b00100 => {
             let op = match f3 {
@@ -336,7 +437,13 @@ fn decode_op_fp(w: u32) -> Result<Inst, DecodeError> {
                 0b010 => FpOp::Fsgnjx,
                 f => return err(format!("fsgnj funct3 {f:#b}")),
             };
-            Ok(Inst::FpReg { op, width, frd: rd(w), frs1: rs1(w), frs2: rs2(w) })
+            Ok(Inst::FpReg {
+                op,
+                width,
+                frd: rd(w),
+                frs1: rs1(w),
+                frs2: rs2(w),
+            })
         }
         0b00101 => {
             let op = match f3 {
@@ -344,7 +451,13 @@ fn decode_op_fp(w: u32) -> Result<Inst, DecodeError> {
                 0b001 => FpOp::Fmax,
                 f => return err(format!("fmin/fmax funct3 {f:#b}")),
             };
-            Ok(Inst::FpReg { op, width, frd: rd(w), frs1: rs1(w), frs2: rs2(w) })
+            Ok(Inst::FpReg {
+                op,
+                width,
+                frd: rd(w),
+                frs1: rs1(w),
+                frs2: rs2(w),
+            })
         }
         0b10100 => {
             let op = match f3 {
@@ -353,7 +466,13 @@ fn decode_op_fp(w: u32) -> Result<Inst, DecodeError> {
                 0b010 => FpCmpOp::Feq,
                 f => return err(format!("fcmp funct3 {f:#b}")),
             };
-            Ok(Inst::FpCmp { op, width, rd: rd(w), frs1: rs1(w), frs2: rs2(w) })
+            Ok(Inst::FpCmp {
+                op,
+                width,
+                rd: rd(w),
+                frs1: rs1(w),
+                frs2: rs2(w),
+            })
         }
         0b11000 => Ok(Inst::FcvtIntFromFp {
             ty: int_ty(rs2(w) as u32)?,
@@ -372,23 +491,40 @@ fn decode_op_fp(w: u32) -> Result<Inst, DecodeError> {
             if from == width {
                 return err("fcvt between identical FP widths");
             }
-            Ok(Inst::FcvtFpFp { to: width, from, frd: rd(w), frs1: rs1(w) })
+            Ok(Inst::FcvtFpFp {
+                to: width,
+                from,
+                frd: rd(w),
+                frs1: rs1(w),
+            })
         }
         0b11100 => match f3 {
             0b000 => {
                 if rs2(w) != 0 {
                     return err("fmv.x with nonzero rs2");
                 }
-                Ok(Inst::FmvToInt { width, rd: rd(w), frs1: rs1(w) })
+                Ok(Inst::FmvToInt {
+                    width,
+                    rd: rd(w),
+                    frs1: rs1(w),
+                })
             }
-            0b001 => Ok(Inst::Fclass { width, rd: rd(w), frs1: rs1(w) }),
+            0b001 => Ok(Inst::Fclass {
+                width,
+                rd: rd(w),
+                frs1: rs1(w),
+            }),
             f => err(format!("fmv.x/fclass funct3 {f:#b}")),
         },
         0b11110 => {
             if f3 != 0 || rs2(w) != 0 {
                 return err("fmv to fp with nonzero funct3/rs2");
             }
-            Ok(Inst::FmvToFp { width, frd: rd(w), rs1: rs1(w) })
+            Ok(Inst::FmvToFp {
+                width,
+                frd: rd(w),
+                rs1: rs1(w),
+            })
         }
         f => err(format!("op-fp funct5 {f:#b}")),
     }
@@ -403,32 +539,67 @@ mod tests {
     fn decode_golden_words() {
         assert_eq!(
             decode(0x0000_0013).unwrap(),
-            Inst::OpImm { op: ImmOp::Addi, rd: 0, rs1: 0, imm: 0 }
+            Inst::OpImm {
+                op: ImmOp::Addi,
+                rd: 0,
+                rs1: 0,
+                imm: 0
+            }
         );
         assert_eq!(
             decode(0xFE87_9CE3).unwrap(),
-            Inst::Branch { op: BranchOp::Bne, rs1: 15, rs2: 8, offset: -8 }
+            Inst::Branch {
+                op: BranchOp::Bne,
+                rs1: 15,
+                rs2: 8,
+                offset: -8
+            }
         );
         assert_eq!(decode(0x0000_0073).unwrap(), Inst::Ecall);
         assert_eq!(
             decode(0x0007_B787).unwrap(),
-            Inst::FpLoad { width: FpWidth::D, frd: 15, rs1: 15, offset: 0 }
+            Inst::FpLoad {
+                width: FpWidth::D,
+                frd: 15,
+                rs1: 15,
+                offset: 0
+            }
         );
     }
 
     #[test]
     fn negative_immediates_sign_extend() {
         // addi a0, a0, -1
-        let w = encode(&Inst::OpImm { op: ImmOp::Addi, rd: 10, rs1: 10, imm: -1 });
+        let w = encode(&Inst::OpImm {
+            op: ImmOp::Addi,
+            rd: 10,
+            rs1: 10,
+            imm: -1,
+        });
         assert_eq!(
             decode(w).unwrap(),
-            Inst::OpImm { op: ImmOp::Addi, rd: 10, rs1: 10, imm: -1 }
+            Inst::OpImm {
+                op: ImmOp::Addi,
+                rd: 10,
+                rs1: 10,
+                imm: -1
+            }
         );
         // sd with negative offset
-        let w = encode(&Inst::Store { op: StoreOp::Sd, rs2: 1, rs1: 2, offset: -16 });
+        let w = encode(&Inst::Store {
+            op: StoreOp::Sd,
+            rs2: 1,
+            rs1: 2,
+            offset: -16,
+        });
         assert_eq!(
             decode(w).unwrap(),
-            Inst::Store { op: StoreOp::Sd, rs2: 1, rs1: 2, offset: -16 }
+            Inst::Store {
+                op: StoreOp::Sd,
+                rs2: 1,
+                rs1: 2,
+                offset: -16
+            }
         );
     }
 

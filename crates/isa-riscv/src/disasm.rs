@@ -8,9 +8,9 @@ use crate::inst::*;
 /// ABI name of integer register `n`.
 pub fn xname(n: u8) -> &'static str {
     const NAMES: [&str; 32] = [
-        "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1", "a0", "a1", "a2", "a3",
-        "a4", "a5", "a6", "a7", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11",
-        "t3", "t4", "t5", "t6",
+        "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1", "a0", "a1", "a2", "a3", "a4",
+        "a5", "a6", "a7", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11", "t3", "t4",
+        "t5", "t6",
     ];
     NAMES[n as usize]
 }
@@ -18,9 +18,9 @@ pub fn xname(n: u8) -> &'static str {
 /// ABI name of FP register `n`.
 pub fn fname(n: u8) -> &'static str {
     const NAMES: [&str; 32] = [
-        "ft0", "ft1", "ft2", "ft3", "ft4", "ft5", "ft6", "ft7", "fs0", "fs1", "fa0", "fa1",
-        "fa2", "fa3", "fa4", "fa5", "fa6", "fa7", "fs2", "fs3", "fs4", "fs5", "fs6", "fs7",
-        "fs8", "fs9", "fs10", "fs11", "ft8", "ft9", "ft10", "ft11",
+        "ft0", "ft1", "ft2", "ft3", "ft4", "ft5", "ft6", "ft7", "fs0", "fs1", "fa0", "fa1", "fa2",
+        "fa3", "fa4", "fa5", "fa6", "fa7", "fs2", "fs3", "fs4", "fs5", "fs6", "fs7", "fs8", "fs9",
+        "fs10", "fs11", "ft8", "ft9", "ft10", "ft11",
     ];
     NAMES[n as usize]
 }
@@ -60,7 +60,12 @@ pub fn disassemble(inst: &Inst) -> String {
         Jalr { rd, rs1, offset } => {
             format!("jalr {}, {offset}({})", xname(rd), xname(rs1))
         }
-        Branch { op, rs1, rs2, offset } => {
+        Branch {
+            op,
+            rs1,
+            rs2,
+            offset,
+        } => {
             let m = match op {
                 BranchOp::Beq => "beq",
                 BranchOp::Bne => "bne",
@@ -71,7 +76,12 @@ pub fn disassemble(inst: &Inst) -> String {
             };
             format!("{m} {}, {}, {offset}", xname(rs1), xname(rs2))
         }
-        Load { op, rd, rs1, offset } => {
+        Load {
+            op,
+            rd,
+            rs1,
+            offset,
+        } => {
             let m = match op {
                 LoadOp::Lb => "lb",
                 LoadOp::Lh => "lh",
@@ -83,7 +93,12 @@ pub fn disassemble(inst: &Inst) -> String {
             };
             format!("{m} {}, {offset}({})", xname(rd), xname(rs1))
         }
-        Store { op, rs2, rs1, offset } => {
+        Store {
+            op,
+            rs2,
+            rs1,
+            offset,
+        } => {
             let m = match op {
                 StoreOp::Sb => "sb",
                 StoreOp::Sh => "sh",
@@ -165,14 +180,25 @@ pub fn disassemble(inst: &Inst) -> String {
         Lr { width, rd, rs1 } => {
             format!("lr.{} {}, ({})", amow(width), xname(rd), xname(rs1))
         }
-        Sc { width, rd, rs1, rs2 } => format!(
+        Sc {
+            width,
+            rd,
+            rs1,
+            rs2,
+        } => format!(
             "sc.{} {}, {}, ({})",
             amow(width),
             xname(rd),
             xname(rs2),
             xname(rs1)
         ),
-        Amo { op, width, rd, rs1, rs2 } => {
+        Amo {
+            op,
+            width,
+            rd,
+            rs1,
+            rs2,
+        } => {
             let m = match op {
                 AmoOp::Swap => "amoswap",
                 AmoOp::Add => "amoadd",
@@ -192,15 +218,31 @@ pub fn disassemble(inst: &Inst) -> String {
                 xname(rs1)
             )
         }
-        FpLoad { width, frd, rs1, offset } => {
+        FpLoad {
+            width,
+            frd,
+            rs1,
+            offset,
+        } => {
             let m = if width == FpWidth::S { "flw" } else { "fld" };
             format!("{m} {}, {offset}({})", fname(frd), xname(rs1))
         }
-        FpStore { width, frs2, rs1, offset } => {
+        FpStore {
+            width,
+            frs2,
+            rs1,
+            offset,
+        } => {
             let m = if width == FpWidth::S { "fsw" } else { "fsd" };
             format!("{m} {}, {offset}({})", fname(frs2), xname(rs1))
         }
-        FpReg { op, width, frd, frs1, frs2 } => {
+        FpReg {
+            op,
+            width,
+            frd,
+            frs1,
+            frs2,
+        } => {
             let m = match op {
                 FpOp::Fadd => "fadd",
                 FpOp::Fsub => "fsub",
@@ -224,7 +266,14 @@ pub fn disassemble(inst: &Inst) -> String {
                 fname(frs2)
             )
         }
-        FpFma { op, width, frd, frs1, frs2, frs3 } => {
+        FpFma {
+            op,
+            width,
+            frd,
+            frs1,
+            frs2,
+            frs3,
+        } => {
             let m = match op {
                 FmaOp::Fmadd => "fmadd",
                 FmaOp::Fmsub => "fmsub",
@@ -243,7 +292,13 @@ pub fn disassemble(inst: &Inst) -> String {
         FpSqrt { width, frd, frs1 } => {
             format!("fsqrt.{} {}, {}", fpw(width), fname(frd), fname(frs1))
         }
-        FpCmp { op, width, rd, frs1, frs2 } => {
+        FpCmp {
+            op,
+            width,
+            rd,
+            frs1,
+            frs2,
+        } => {
             let m = match op {
                 FpCmpOp::Feq => "feq",
                 FpCmpOp::Flt => "flt",
@@ -257,21 +312,36 @@ pub fn disassemble(inst: &Inst) -> String {
                 fname(frs2)
             )
         }
-        FcvtIntFromFp { ty, width, rd, frs1 } => format!(
+        FcvtIntFromFp {
+            ty,
+            width,
+            rd,
+            frs1,
+        } => format!(
             "fcvt.{}.{} {}, {}, rtz",
             int_ty_name(ty),
             fpw(width),
             xname(rd),
             fname(frs1)
         ),
-        FcvtFpFromInt { ty, width, frd, rs1 } => format!(
+        FcvtFpFromInt {
+            ty,
+            width,
+            frd,
+            rs1,
+        } => format!(
             "fcvt.{}.{} {}, {}",
             fpw(width),
             int_ty_name(ty),
             fname(frd),
             xname(rs1)
         ),
-        FcvtFpFp { to, from, frd, frs1 } => format!(
+        FcvtFpFp {
+            to,
+            from,
+            frd,
+            frs1,
+        } => format!(
             "fcvt.{}.{} {}, {}",
             fpw(to),
             fpw(from),
@@ -300,19 +370,39 @@ mod tests {
     fn copy_kernel_listing_forms() {
         // The paper's Listing 2 (rv64g copy kernel) shapes.
         assert_eq!(
-            disassemble(&Inst::FpLoad { width: FpWidth::D, frd: 15, rs1: 15, offset: 0 }),
+            disassemble(&Inst::FpLoad {
+                width: FpWidth::D,
+                frd: 15,
+                rs1: 15,
+                offset: 0
+            }),
             "fld fa5, 0(a5)"
         );
         assert_eq!(
-            disassemble(&Inst::FpStore { width: FpWidth::D, frs2: 15, rs1: 14, offset: 0 }),
+            disassemble(&Inst::FpStore {
+                width: FpWidth::D,
+                frs2: 15,
+                rs1: 14,
+                offset: 0
+            }),
             "fsd fa5, 0(a4)"
         );
         assert_eq!(
-            disassemble(&Inst::OpImm { op: ImmOp::Addi, rd: 15, rs1: 15, imm: 8 }),
+            disassemble(&Inst::OpImm {
+                op: ImmOp::Addi,
+                rd: 15,
+                rs1: 15,
+                imm: 8
+            }),
             "addi a5, a5, 8"
         );
         assert_eq!(
-            disassemble(&Inst::Branch { op: BranchOp::Bne, rs1: 15, rs2: 8, offset: -16 }),
+            disassemble(&Inst::Branch {
+                op: BranchOp::Bne,
+                rs1: 15,
+                rs2: 8,
+                offset: -16
+            }),
             "bne a5, s0, -16"
         );
     }
@@ -320,11 +410,20 @@ mod tests {
     #[test]
     fn pseudo_instructions() {
         assert_eq!(
-            disassemble(&Inst::Jalr { rd: 0, rs1: 1, offset: 0 }),
+            disassemble(&Inst::Jalr {
+                rd: 0,
+                rs1: 1,
+                offset: 0
+            }),
             "ret"
         );
         assert_eq!(
-            disassemble(&Inst::OpImm { op: ImmOp::Addi, rd: 10, rs1: 0, imm: 7 }),
+            disassemble(&Inst::OpImm {
+                op: ImmOp::Addi,
+                rd: 10,
+                rs1: 0,
+                imm: 7
+            }),
             "li a0, 7"
         );
         assert_eq!(disassemble(&Inst::Jal { rd: 0, offset: -32 }), "j -32");

@@ -106,7 +106,12 @@ pub fn encode(inst: &Inst) -> u32 {
         Auipc { rd, imm } => u_type(imm, rd as u32, OP_AUIPC),
         Jal { rd, offset } => j_type(offset, rd as u32, OP_JAL),
         Jalr { rd, rs1, offset } => i_type(offset, rs1 as u32, 0b000, rd as u32, OP_JALR),
-        Branch { op, rs1, rs2, offset } => {
+        Branch {
+            op,
+            rs1,
+            rs2,
+            offset,
+        } => {
             let f3 = match op {
                 BranchOp::Beq => 0b000,
                 BranchOp::Bne => 0b001,
@@ -117,7 +122,12 @@ pub fn encode(inst: &Inst) -> u32 {
             };
             b_type(offset, rs2 as u32, rs1 as u32, f3, OP_BRANCH)
         }
-        Load { op, rd, rs1, offset } => {
+        Load {
+            op,
+            rd,
+            rs1,
+            offset,
+        } => {
             let f3 = match op {
                 LoadOp::Lb => 0b000,
                 LoadOp::Lh => 0b001,
@@ -129,7 +139,12 @@ pub fn encode(inst: &Inst) -> u32 {
             };
             i_type(offset, rs1 as u32, f3, rd as u32, OP_LOAD)
         }
-        Store { op, rs2, rs1, offset } => {
+        Store {
+            op,
+            rs2,
+            rs1,
+            offset,
+        } => {
             let f3 = match op {
                 StoreOp::Sb => 0b000,
                 StoreOp::Sh => 0b001,
@@ -197,13 +212,34 @@ pub fn encode(inst: &Inst) -> u32 {
         Fence => i_type(0, 0, 0b000, 0, OP_MISC_MEM),
         Ecall => i_type(0, 0, 0b000, 0, OP_SYSTEM),
         Ebreak => i_type(1, 0, 0b000, 0, OP_SYSTEM),
-        Lr { width, rd, rs1 } => {
-            r_type(0b00010 << 2, 0, rs1 as u32, amo_f3(width), rd as u32, OP_AMO)
-        }
-        Sc { width, rd, rs1, rs2 } => {
-            r_type(0b00011 << 2, rs2 as u32, rs1 as u32, amo_f3(width), rd as u32, OP_AMO)
-        }
-        Amo { op, width, rd, rs1, rs2 } => {
+        Lr { width, rd, rs1 } => r_type(
+            0b00010 << 2,
+            0,
+            rs1 as u32,
+            amo_f3(width),
+            rd as u32,
+            OP_AMO,
+        ),
+        Sc {
+            width,
+            rd,
+            rs1,
+            rs2,
+        } => r_type(
+            0b00011 << 2,
+            rs2 as u32,
+            rs1 as u32,
+            amo_f3(width),
+            rd as u32,
+            OP_AMO,
+        ),
+        Amo {
+            op,
+            width,
+            rd,
+            rs1,
+            rs2,
+        } => {
             let f5 = match op {
                 AmoOp::Add => 0b00000,
                 AmoOp::Swap => 0b00001,
@@ -215,17 +251,40 @@ pub fn encode(inst: &Inst) -> u32 {
                 AmoOp::Minu => 0b11000,
                 AmoOp::Maxu => 0b11100,
             };
-            r_type(f5 << 2, rs2 as u32, rs1 as u32, amo_f3(width), rd as u32, OP_AMO)
+            r_type(
+                f5 << 2,
+                rs2 as u32,
+                rs1 as u32,
+                amo_f3(width),
+                rd as u32,
+                OP_AMO,
+            )
         }
-        FpLoad { width, frd, rs1, offset } => {
+        FpLoad {
+            width,
+            frd,
+            rs1,
+            offset,
+        } => {
             let f3 = if width == FpWidth::S { 0b010 } else { 0b011 };
             i_type(offset, rs1 as u32, f3, frd as u32, OP_LOAD_FP)
         }
-        FpStore { width, frs2, rs1, offset } => {
+        FpStore {
+            width,
+            frs2,
+            rs1,
+            offset,
+        } => {
             let f3 = if width == FpWidth::S { 0b010 } else { 0b011 };
             s_type(offset, frs2 as u32, rs1 as u32, f3, OP_STORE_FP)
         }
-        FpReg { op, width, frd, frs1, frs2 } => {
+        FpReg {
+            op,
+            width,
+            frd,
+            frs1,
+            frs2,
+        } => {
             let fmt = fp_fmt(width);
             let (f7base, f3) = match op {
                 FpOp::Fadd => (0b0000000, RM_DYN),
@@ -238,47 +297,134 @@ pub fn encode(inst: &Inst) -> u32 {
                 FpOp::Fmin => (0b0010100, 0b000),
                 FpOp::Fmax => (0b0010100, 0b001),
             };
-            r_type(f7base | fmt, frs2 as u32, frs1 as u32, f3, frd as u32, OP_FP)
+            r_type(
+                f7base | fmt,
+                frs2 as u32,
+                frs1 as u32,
+                f3,
+                frd as u32,
+                OP_FP,
+            )
         }
-        FpFma { op, width, frd, frs1, frs2, frs3 } => {
+        FpFma {
+            op,
+            width,
+            frd,
+            frs1,
+            frs2,
+            frs3,
+        } => {
             let opcode = match op {
                 FmaOp::Fmadd => OP_FMADD,
                 FmaOp::Fmsub => OP_FMSUB,
                 FmaOp::Fnmsub => OP_FNMSUB,
                 FmaOp::Fnmadd => OP_FNMADD,
             };
-            r4_type(frs3 as u32, fp_fmt(width), frs2 as u32, frs1 as u32, RM_DYN, frd as u32, opcode)
+            r4_type(
+                frs3 as u32,
+                fp_fmt(width),
+                frs2 as u32,
+                frs1 as u32,
+                RM_DYN,
+                frd as u32,
+                opcode,
+            )
         }
-        FpSqrt { width, frd, frs1 } => {
-            r_type(0b0101100 | fp_fmt(width), 0, frs1 as u32, RM_DYN, frd as u32, OP_FP)
-        }
-        FpCmp { op, width, rd, frs1, frs2 } => {
+        FpSqrt { width, frd, frs1 } => r_type(
+            0b0101100 | fp_fmt(width),
+            0,
+            frs1 as u32,
+            RM_DYN,
+            frd as u32,
+            OP_FP,
+        ),
+        FpCmp {
+            op,
+            width,
+            rd,
+            frs1,
+            frs2,
+        } => {
             let f3 = match op {
                 FpCmpOp::Fle => 0b000,
                 FpCmpOp::Flt => 0b001,
                 FpCmpOp::Feq => 0b010,
             };
-            r_type(0b1010000 | fp_fmt(width), frs2 as u32, frs1 as u32, f3, rd as u32, OP_FP)
+            r_type(
+                0b1010000 | fp_fmt(width),
+                frs2 as u32,
+                frs1 as u32,
+                f3,
+                rd as u32,
+                OP_FP,
+            )
         }
-        FcvtIntFromFp { ty, width, rd, frs1 } => {
-            r_type(0b1100000 | fp_fmt(width), int_ty_code(ty), frs1 as u32, RM_RTZ, rd as u32, OP_FP)
-        }
-        FcvtFpFromInt { ty, width, frd, rs1 } => {
-            r_type(0b1101000 | fp_fmt(width), int_ty_code(ty), rs1 as u32, RM_DYN, frd as u32, OP_FP)
-        }
-        FcvtFpFp { to, from, frd, frs1 } => {
+        FcvtIntFromFp {
+            ty,
+            width,
+            rd,
+            frs1,
+        } => r_type(
+            0b1100000 | fp_fmt(width),
+            int_ty_code(ty),
+            frs1 as u32,
+            RM_RTZ,
+            rd as u32,
+            OP_FP,
+        ),
+        FcvtFpFromInt {
+            ty,
+            width,
+            frd,
+            rs1,
+        } => r_type(
+            0b1101000 | fp_fmt(width),
+            int_ty_code(ty),
+            rs1 as u32,
+            RM_DYN,
+            frd as u32,
+            OP_FP,
+        ),
+        FcvtFpFp {
+            to,
+            from,
+            frd,
+            frs1,
+        } => {
             // fcvt.s.d: f7=0100000 rs2=1; fcvt.d.s: f7=0100001 rs2=0.
-            r_type(0b0100000 | fp_fmt(to), fp_fmt(from), frs1 as u32, RM_DYN, frd as u32, OP_FP)
+            r_type(
+                0b0100000 | fp_fmt(to),
+                fp_fmt(from),
+                frs1 as u32,
+                RM_DYN,
+                frd as u32,
+                OP_FP,
+            )
         }
-        FmvToInt { width, rd, frs1 } => {
-            r_type(0b1110000 | fp_fmt(width), 0, frs1 as u32, 0b000, rd as u32, OP_FP)
-        }
-        FmvToFp { width, frd, rs1 } => {
-            r_type(0b1111000 | fp_fmt(width), 0, rs1 as u32, 0b000, frd as u32, OP_FP)
-        }
-        Fclass { width, rd, frs1 } => {
-            r_type(0b1110000 | fp_fmt(width), 0, frs1 as u32, 0b001, rd as u32, OP_FP)
-        }
+        FmvToInt { width, rd, frs1 } => r_type(
+            0b1110000 | fp_fmt(width),
+            0,
+            frs1 as u32,
+            0b000,
+            rd as u32,
+            OP_FP,
+        ),
+        FmvToFp { width, frd, rs1 } => r_type(
+            0b1111000 | fp_fmt(width),
+            0,
+            rs1 as u32,
+            0b000,
+            frd as u32,
+            OP_FP,
+        ),
+        Fclass { width, rd, frs1 } => r_type(
+            0b1110000 | fp_fmt(width),
+            0,
+            frs1 as u32,
+            0b001,
+            rd as u32,
+            OP_FP,
+        ),
     }
 }
 
@@ -307,43 +453,84 @@ mod tests {
     fn golden_encodings() {
         // addi x0, x0, 0 == canonical nop == 0x00000013
         assert_eq!(
-            encode(&Inst::OpImm { op: ImmOp::Addi, rd: 0, rs1: 0, imm: 0 }),
+            encode(&Inst::OpImm {
+                op: ImmOp::Addi,
+                rd: 0,
+                rs1: 0,
+                imm: 0
+            }),
             0x0000_0013
         );
         // add a0, a1, a2 -> 0x00c58533
         assert_eq!(
-            encode(&Inst::Op { op: RegOp::Add, rd: 10, rs1: 11, rs2: 12 }),
+            encode(&Inst::Op {
+                op: RegOp::Add,
+                rd: 10,
+                rs1: 11,
+                rs2: 12
+            }),
             0x00C5_8533
         );
         // ld a5, 8(a0) -> 0x00853783
         assert_eq!(
-            encode(&Inst::Load { op: LoadOp::Ld, rd: 15, rs1: 10, offset: 8 }),
+            encode(&Inst::Load {
+                op: LoadOp::Ld,
+                rd: 15,
+                rs1: 10,
+                offset: 8
+            }),
             0x0085_3783
         );
         // sd a5, 16(sp) -> 0x00f13823
         assert_eq!(
-            encode(&Inst::Store { op: StoreOp::Sd, rs2: 15, rs1: 2, offset: 16 }),
+            encode(&Inst::Store {
+                op: StoreOp::Sd,
+                rs2: 15,
+                rs1: 2,
+                offset: 16
+            }),
             0x00F1_3823
         );
         // bne a5, s0, -8 -> 0xfe879ce3
         assert_eq!(
-            encode(&Inst::Branch { op: BranchOp::Bne, rs1: 15, rs2: 8, offset: -8 }),
+            encode(&Inst::Branch {
+                op: BranchOp::Bne,
+                rs1: 15,
+                rs2: 8,
+                offset: -8
+            }),
             0xFE87_9CE3
         );
         // lui a0, 0x12345 -> 0x12345537
-        assert_eq!(encode(&Inst::Lui { rd: 10, imm: 0x12345 << 12 }), 0x1234_5537);
+        assert_eq!(
+            encode(&Inst::Lui {
+                rd: 10,
+                imm: 0x12345 << 12
+            }),
+            0x1234_5537
+        );
         // jal ra, 16 -> 0x010000ef
         assert_eq!(encode(&Inst::Jal { rd: 1, offset: 16 }), 0x0100_00EF);
         // ecall -> 0x00000073
         assert_eq!(encode(&Inst::Ecall), 0x0000_0073);
         // fld fa5, 0(a5) -> 0x0007b787
         assert_eq!(
-            encode(&Inst::FpLoad { width: FpWidth::D, frd: 15, rs1: 15, offset: 0 }),
+            encode(&Inst::FpLoad {
+                width: FpWidth::D,
+                frd: 15,
+                rs1: 15,
+                offset: 0
+            }),
             0x0007_B787
         );
         // fsd fa5, 0(a4) -> 0x00f73027
         assert_eq!(
-            encode(&Inst::FpStore { width: FpWidth::D, frs2: 15, rs1: 14, offset: 0 }),
+            encode(&Inst::FpStore {
+                width: FpWidth::D,
+                frs2: 15,
+                rs1: 14,
+                offset: 0
+            }),
             0x00F7_3027
         );
         // fadd.d fa0, fa1, fa2, dyn -> 0x02c5f553
@@ -371,12 +558,22 @@ mod tests {
         );
         // mul a0, a1, a2 -> 0x02c58533
         assert_eq!(
-            encode(&Inst::Op { op: RegOp::Mul, rd: 10, rs1: 11, rs2: 12 }),
+            encode(&Inst::Op {
+                op: RegOp::Mul,
+                rd: 10,
+                rs1: 11,
+                rs2: 12
+            }),
             0x02C5_8533
         );
         // srai a0, a1, 3 -> 0x4035d513
         assert_eq!(
-            encode(&Inst::OpImm { op: ImmOp::Srai, rd: 10, rs1: 11, imm: 3 }),
+            encode(&Inst::OpImm {
+                op: ImmOp::Srai,
+                rd: 10,
+                rs1: 11,
+                imm: 3
+            }),
             0x4035_D513
         );
     }
@@ -384,7 +581,12 @@ mod tests {
     #[test]
     fn branch_offset_bit_scatter() {
         // beq x1, x2, 4096 exercises imm[12].
-        let w = encode(&Inst::Branch { op: BranchOp::Beq, rs1: 1, rs2: 2, offset: -4096 });
+        let w = encode(&Inst::Branch {
+            op: BranchOp::Beq,
+            rs1: 1,
+            rs2: 2,
+            offset: -4096,
+        });
         assert_eq!(w >> 31, 1); // sign bit (imm[12]) set
     }
 }

@@ -317,19 +317,49 @@ pub enum Inst {
     /// `jalr rd, offset(rs1)`.
     Jalr { rd: u8, rs1: u8, offset: i64 },
     /// Conditional branch.
-    Branch { op: BranchOp, rs1: u8, rs2: u8, offset: i64 },
+    Branch {
+        op: BranchOp,
+        rs1: u8,
+        rs2: u8,
+        offset: i64,
+    },
     /// Integer load.
-    Load { op: LoadOp, rd: u8, rs1: u8, offset: i64 },
+    Load {
+        op: LoadOp,
+        rd: u8,
+        rs1: u8,
+        offset: i64,
+    },
     /// Integer store.
-    Store { op: StoreOp, rs2: u8, rs1: u8, offset: i64 },
+    Store {
+        op: StoreOp,
+        rs2: u8,
+        rs1: u8,
+        offset: i64,
+    },
     /// Register-immediate ALU (I-type; for shifts `imm` is the shamt 0..63).
-    OpImm { op: ImmOp, rd: u8, rs1: u8, imm: i64 },
+    OpImm {
+        op: ImmOp,
+        rd: u8,
+        rs1: u8,
+        imm: i64,
+    },
     /// 32-bit register-immediate ALU.
-    OpImm32 { op: ImmOp32, rd: u8, rs1: u8, imm: i64 },
+    OpImm32 {
+        op: ImmOp32,
+        rd: u8,
+        rs1: u8,
+        imm: i64,
+    },
     /// Register-register ALU.
     Op { op: RegOp, rd: u8, rs1: u8, rs2: u8 },
     /// 32-bit register-register ALU.
-    Op32 { op: RegOp32, rd: u8, rs1: u8, rs2: u8 },
+    Op32 {
+        op: RegOp32,
+        rd: u8,
+        rs1: u8,
+        rs2: u8,
+    },
     /// `fence` (no-op in a single-hart model).
     Fence,
     /// `ecall` — environment call (syscall).
@@ -339,27 +369,82 @@ pub enum Inst {
     /// `lr.w/.d rd, (rs1)` — load-reserved.
     Lr { width: AmoWidth, rd: u8, rs1: u8 },
     /// `sc.w/.d rd, rs2, (rs1)` — store-conditional.
-    Sc { width: AmoWidth, rd: u8, rs1: u8, rs2: u8 },
+    Sc {
+        width: AmoWidth,
+        rd: u8,
+        rs1: u8,
+        rs2: u8,
+    },
     /// AMO read-modify-write.
-    Amo { op: AmoOp, width: AmoWidth, rd: u8, rs1: u8, rs2: u8 },
+    Amo {
+        op: AmoOp,
+        width: AmoWidth,
+        rd: u8,
+        rs1: u8,
+        rs2: u8,
+    },
     /// `flw/fld frd, offset(rs1)`.
-    FpLoad { width: FpWidth, frd: u8, rs1: u8, offset: i64 },
+    FpLoad {
+        width: FpWidth,
+        frd: u8,
+        rs1: u8,
+        offset: i64,
+    },
     /// `fsw/fsd frs2, offset(rs1)`.
-    FpStore { width: FpWidth, frs2: u8, rs1: u8, offset: i64 },
+    FpStore {
+        width: FpWidth,
+        frs2: u8,
+        rs1: u8,
+        offset: i64,
+    },
     /// Two-source FP arithmetic.
-    FpReg { op: FpOp, width: FpWidth, frd: u8, frs1: u8, frs2: u8 },
+    FpReg {
+        op: FpOp,
+        width: FpWidth,
+        frd: u8,
+        frs1: u8,
+        frs2: u8,
+    },
     /// Fused multiply-add.
-    FpFma { op: FmaOp, width: FpWidth, frd: u8, frs1: u8, frs2: u8, frs3: u8 },
+    FpFma {
+        op: FmaOp,
+        width: FpWidth,
+        frd: u8,
+        frs1: u8,
+        frs2: u8,
+        frs3: u8,
+    },
     /// `fsqrt`.
     FpSqrt { width: FpWidth, frd: u8, frs1: u8 },
     /// FP compare to integer register.
-    FpCmp { op: FpCmpOp, width: FpWidth, rd: u8, frs1: u8, frs2: u8 },
+    FpCmp {
+        op: FpCmpOp,
+        width: FpWidth,
+        rd: u8,
+        frs1: u8,
+        frs2: u8,
+    },
     /// `fcvt.<int>.<fp>` — FP to integer (truncating, RTZ).
-    FcvtIntFromFp { ty: IntTy, width: FpWidth, rd: u8, frs1: u8 },
+    FcvtIntFromFp {
+        ty: IntTy,
+        width: FpWidth,
+        rd: u8,
+        frs1: u8,
+    },
     /// `fcvt.<fp>.<int>` — integer to FP.
-    FcvtFpFromInt { ty: IntTy, width: FpWidth, frd: u8, rs1: u8 },
+    FcvtFpFromInt {
+        ty: IntTy,
+        width: FpWidth,
+        frd: u8,
+        rs1: u8,
+    },
     /// `fcvt.s.d` / `fcvt.d.s` — FP to FP precision conversion.
-    FcvtFpFp { to: FpWidth, from: FpWidth, frd: u8, frs1: u8 },
+    FcvtFpFp {
+        to: FpWidth,
+        from: FpWidth,
+        frd: u8,
+        frs1: u8,
+    },
     /// `fmv.x.w`/`fmv.x.d` — FP bits to integer register.
     FmvToInt { width: FpWidth, rd: u8, frs1: u8 },
     /// `fmv.w.x`/`fmv.d.x` — integer bits to FP register.
@@ -421,7 +506,10 @@ impl Inst {
 
     /// Whether this instruction may redirect control flow.
     pub fn is_branch(&self) -> bool {
-        matches!(self, Inst::Jal { .. } | Inst::Jalr { .. } | Inst::Branch { .. })
+        matches!(
+            self,
+            Inst::Jal { .. } | Inst::Jalr { .. } | Inst::Branch { .. }
+        )
     }
 }
 
@@ -432,15 +520,34 @@ mod tests {
     #[test]
     fn group_classification_samples() {
         assert_eq!(
-            Inst::Op { op: RegOp::Mul, rd: 1, rs1: 2, rs2: 3 }.group(),
+            Inst::Op {
+                op: RegOp::Mul,
+                rd: 1,
+                rs1: 2,
+                rs2: 3
+            }
+            .group(),
             InstGroup::IntMul
         );
         assert_eq!(
-            Inst::FpReg { op: FpOp::Fdiv, width: FpWidth::D, frd: 0, frs1: 1, frs2: 2 }.group(),
+            Inst::FpReg {
+                op: FpOp::Fdiv,
+                width: FpWidth::D,
+                frd: 0,
+                frs1: 1,
+                frs2: 2
+            }
+            .group(),
             InstGroup::FpDiv
         );
         assert_eq!(
-            Inst::Branch { op: BranchOp::Bne, rs1: 1, rs2: 2, offset: -4 }.group(),
+            Inst::Branch {
+                op: BranchOp::Bne,
+                rs1: 1,
+                rs2: 2,
+                offset: -4
+            }
+            .group(),
             InstGroup::Branch
         );
         assert!(Inst::Jal { rd: 0, offset: 8 }.is_branch());

@@ -2,13 +2,15 @@
 //! use lightly: M-extension division chains, atomics, byte loads/stores,
 //! conversions and jump-and-link control flow.
 
-use isa_riscv::{AmoOp, AmoWidth, Inst, RvAsm, RiscVExecutor};
+use isa_riscv::{AmoOp, AmoWidth, Inst, RiscVExecutor, RvAsm};
 use simcore::{CpuState, EmulationCore, Program};
 
 fn run(program: &Program) -> CpuState {
     let mut st = CpuState::new();
     program.load(&mut st).unwrap();
-    EmulationCore::new(RiscVExecutor::new()).run(&mut st, &mut []).unwrap();
+    EmulationCore::new(RiscVExecutor::new())
+        .run(&mut st, &mut [])
+        .unwrap();
     st
 }
 
@@ -23,7 +25,12 @@ fn gcd_via_rem_loop() {
     let done = a.new_label();
     a.bind(loop_top);
     a.beq(11, 0, done);
-    a.push(Inst::Op { op: isa_riscv::RegOp::Rem, rd: 12, rs1: 10, rs2: 11 });
+    a.push(Inst::Op {
+        op: isa_riscv::RegOp::Rem,
+        rd: 12,
+        rs1: 10,
+        rs2: 11,
+    });
     a.mv(10, 11);
     a.mv(11, 12);
     a.j(loop_top);
@@ -72,7 +79,13 @@ fn atomic_fetch_add_loop() {
     a.li(12, 10);
     let loop_top = a.new_label();
     a.bind(loop_top);
-    a.push(Inst::Amo { op: AmoOp::Add, width: AmoWidth::D, rd: 13, rs1: 10, rs2: 11 });
+    a.push(Inst::Amo {
+        op: AmoOp::Add,
+        width: AmoWidth::D,
+        rd: 13,
+        rs1: 10,
+        rs2: 11,
+    });
     a.addi(11, 11, 1);
     a.bge(12, 11, loop_top);
     a.la(14, last);
@@ -95,8 +108,18 @@ fn byte_memcpy() {
     a.la(12, src + src_data.len() as u64);
     let loop_top = a.new_label();
     a.bind(loop_top);
-    a.push(Inst::Load { op: isa_riscv::LoadOp::Lbu, rd: 13, rs1: 10, offset: 0 });
-    a.push(Inst::Store { op: isa_riscv::StoreOp::Sb, rs2: 13, rs1: 11, offset: 0 });
+    a.push(Inst::Load {
+        op: isa_riscv::LoadOp::Lbu,
+        rd: 13,
+        rs1: 10,
+        offset: 0,
+    });
+    a.push(Inst::Store {
+        op: isa_riscv::StoreOp::Sb,
+        rs2: 13,
+        rs1: 11,
+        offset: 0,
+    });
     a.addi(10, 10, 1);
     a.addi(11, 11, 1);
     a.bne(10, 12, loop_top);
@@ -144,7 +167,11 @@ fn jal_call_and_return() {
     a.j(start);
     a.bind(func); // a0 = a0 * 2; ret
     a.add(10, 10, 10);
-    a.push(Inst::Jalr { rd: 0, rs1: 1, offset: 0 });
+    a.push(Inst::Jalr {
+        rd: 0,
+        rs1: 1,
+        offset: 0,
+    });
     a.bind(start);
     a.set_entry_here();
     a.li(10, 21);

@@ -33,7 +33,12 @@ fn amo_width() -> impl Strategy<Value = AmoWidth> {
 }
 
 fn int_ty() -> impl Strategy<Value = IntTy> {
-    prop_oneof![Just(IntTy::W), Just(IntTy::Wu), Just(IntTy::L), Just(IntTy::Lu)]
+    prop_oneof![
+        Just(IntTy::W),
+        Just(IntTy::Wu),
+        Just(IntTy::L),
+        Just(IntTy::Lu)
+    ]
 }
 
 fn any_inst() -> impl Strategy<Value = Inst> {
@@ -136,16 +141,38 @@ fn any_inst() -> impl Strategy<Value = Inst> {
         (reg(), upper_imm()).prop_map(|(rd, imm)| Inst::Auipc { rd, imm }),
         (reg(), jal_offset()).prop_map(|(rd, offset)| Inst::Jal { rd, offset }),
         (reg(), reg(), imm12()).prop_map(|(rd, rs1, offset)| Inst::Jalr { rd, rs1, offset }),
-        (branch_op, reg(), reg(), branch_offset())
-            .prop_map(|(op, rs1, rs2, offset)| Inst::Branch { op, rs1, rs2, offset }),
-        (load_op, reg(), reg(), imm12())
-            .prop_map(|(op, rd, rs1, offset)| Inst::Load { op, rd, rs1, offset }),
-        (store_op, reg(), reg(), imm12())
-            .prop_map(|(op, rs2, rs1, offset)| Inst::Store { op, rs2, rs1, offset }),
-        (imm_op, reg(), reg(), imm12())
-            .prop_map(|(op, rd, rs1, imm)| Inst::OpImm { op, rd, rs1, imm }),
-        (shift_op, reg(), reg(), 0i64..64)
-            .prop_map(|(op, rd, rs1, imm)| Inst::OpImm { op, rd, rs1, imm }),
+        (branch_op, reg(), reg(), branch_offset()).prop_map(|(op, rs1, rs2, offset)| {
+            Inst::Branch {
+                op,
+                rs1,
+                rs2,
+                offset,
+            }
+        }),
+        (load_op, reg(), reg(), imm12()).prop_map(|(op, rd, rs1, offset)| Inst::Load {
+            op,
+            rd,
+            rs1,
+            offset
+        }),
+        (store_op, reg(), reg(), imm12()).prop_map(|(op, rs2, rs1, offset)| Inst::Store {
+            op,
+            rs2,
+            rs1,
+            offset
+        }),
+        (imm_op, reg(), reg(), imm12()).prop_map(|(op, rd, rs1, imm)| Inst::OpImm {
+            op,
+            rd,
+            rs1,
+            imm
+        }),
+        (shift_op, reg(), reg(), 0i64..64).prop_map(|(op, rd, rs1, imm)| Inst::OpImm {
+            op,
+            rd,
+            rs1,
+            imm
+        }),
         (reg(), reg(), imm12()).prop_map(|(rd, rs1, imm)| Inst::OpImm32 {
             op: ImmOp32::Addiw,
             rd,
@@ -153,39 +180,99 @@ fn any_inst() -> impl Strategy<Value = Inst> {
             imm
         }),
         (
-            prop_oneof![Just(ImmOp32::Slliw), Just(ImmOp32::Srliw), Just(ImmOp32::Sraiw)],
+            prop_oneof![
+                Just(ImmOp32::Slliw),
+                Just(ImmOp32::Srliw),
+                Just(ImmOp32::Sraiw)
+            ],
             reg(),
             reg(),
             0i64..32
         )
             .prop_map(|(op, rd, rs1, imm)| Inst::OpImm32 { op, rd, rs1, imm }),
         (reg_op, reg(), reg(), reg()).prop_map(|(op, rd, rs1, rs2)| Inst::Op { op, rd, rs1, rs2 }),
-        (reg_op32, reg(), reg(), reg())
-            .prop_map(|(op, rd, rs1, rs2)| Inst::Op32 { op, rd, rs1, rs2 }),
+        (reg_op32, reg(), reg(), reg()).prop_map(|(op, rd, rs1, rs2)| Inst::Op32 {
+            op,
+            rd,
+            rs1,
+            rs2
+        }),
         Just(Inst::Fence),
         Just(Inst::Ecall),
         Just(Inst::Ebreak),
         (amo_width(), reg(), reg()).prop_map(|(width, rd, rs1)| Inst::Lr { width, rd, rs1 }),
-        (amo_width(), reg(), reg(), reg())
-            .prop_map(|(width, rd, rs1, rs2)| Inst::Sc { width, rd, rs1, rs2 }),
-        (amo_op, amo_width(), reg(), reg(), reg())
-            .prop_map(|(op, width, rd, rs1, rs2)| Inst::Amo { op, width, rd, rs1, rs2 }),
-        (fp_width(), reg(), reg(), imm12())
-            .prop_map(|(width, frd, rs1, offset)| Inst::FpLoad { width, frd, rs1, offset }),
-        (fp_width(), reg(), reg(), imm12())
-            .prop_map(|(width, frs2, rs1, offset)| Inst::FpStore { width, frs2, rs1, offset }),
-        (fp_op, fp_width(), reg(), reg(), reg())
-            .prop_map(|(op, width, frd, frs1, frs2)| Inst::FpReg { op, width, frd, frs1, frs2 }),
+        (amo_width(), reg(), reg(), reg()).prop_map(|(width, rd, rs1, rs2)| Inst::Sc {
+            width,
+            rd,
+            rs1,
+            rs2
+        }),
+        (amo_op, amo_width(), reg(), reg(), reg()).prop_map(|(op, width, rd, rs1, rs2)| {
+            Inst::Amo {
+                op,
+                width,
+                rd,
+                rs1,
+                rs2,
+            }
+        }),
+        (fp_width(), reg(), reg(), imm12()).prop_map(|(width, frd, rs1, offset)| Inst::FpLoad {
+            width,
+            frd,
+            rs1,
+            offset
+        }),
+        (fp_width(), reg(), reg(), imm12()).prop_map(|(width, frs2, rs1, offset)| Inst::FpStore {
+            width,
+            frs2,
+            rs1,
+            offset
+        }),
+        (fp_op, fp_width(), reg(), reg(), reg()).prop_map(|(op, width, frd, frs1, frs2)| {
+            Inst::FpReg {
+                op,
+                width,
+                frd,
+                frs1,
+                frs2,
+            }
+        }),
         (fma_op, fp_width(), reg(), reg(), reg(), reg()).prop_map(
-            |(op, width, frd, frs1, frs2, frs3)| Inst::FpFma { op, width, frd, frs1, frs2, frs3 }
+            |(op, width, frd, frs1, frs2, frs3)| Inst::FpFma {
+                op,
+                width,
+                frd,
+                frs1,
+                frs2,
+                frs3
+            }
         ),
         (fp_width(), reg(), reg()).prop_map(|(width, frd, frs1)| Inst::FpSqrt { width, frd, frs1 }),
-        (fcmp_op, fp_width(), reg(), reg(), reg())
-            .prop_map(|(op, width, rd, frs1, frs2)| Inst::FpCmp { op, width, rd, frs1, frs2 }),
-        (int_ty(), fp_width(), reg(), reg())
-            .prop_map(|(ty, width, rd, frs1)| Inst::FcvtIntFromFp { ty, width, rd, frs1 }),
-        (int_ty(), fp_width(), reg(), reg())
-            .prop_map(|(ty, width, frd, rs1)| Inst::FcvtFpFromInt { ty, width, frd, rs1 }),
+        (fcmp_op, fp_width(), reg(), reg(), reg()).prop_map(|(op, width, rd, frs1, frs2)| {
+            Inst::FpCmp {
+                op,
+                width,
+                rd,
+                frs1,
+                frs2,
+            }
+        }),
+        (int_ty(), fp_width(), reg(), reg()).prop_map(|(ty, width, rd, frs1)| {
+            Inst::FcvtIntFromFp {
+                ty,
+                width,
+                rd,
+                frs1,
+            }
+        }),
+        (int_ty(), fp_width(), reg(), reg()).prop_map(|(ty, width, frd, rs1)| {
+            Inst::FcvtFpFromInt {
+                ty,
+                width,
+                frd,
+                rs1,
+            }
+        }),
         (any::<bool>(), reg(), reg()).prop_map(|(to_s, frd, frs1)| Inst::FcvtFpFp {
             to: if to_s { FpWidth::S } else { FpWidth::D },
             from: if to_s { FpWidth::D } else { FpWidth::S },

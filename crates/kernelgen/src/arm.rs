@@ -15,7 +15,6 @@ use std::collections::HashMap;
 
 use isa_aarch64::{A64Asm, Cond, FpSize, IndexMode, Inst};
 
-
 use crate::ir::*;
 use crate::personality::Personality;
 use crate::util::{
@@ -49,7 +48,10 @@ impl IntAlloc {
         IntAlloc { next: 0 }
     }
     fn get(&mut self, what: &str) -> u8 {
-        assert!(self.next < INT_POOL.len(), "arm backend out of integer registers ({what})");
+        assert!(
+            self.next < INT_POOL.len(),
+            "arm backend out of integer registers ({what})"
+        );
         let r = INT_POOL[self.next];
         self.next += 1;
         r
@@ -62,10 +64,14 @@ struct FpScratch {
 
 impl FpScratch {
     fn new() -> Self {
-        FpScratch { free: FP_SCRATCH.to_vec() }
+        FpScratch {
+            free: FP_SCRATCH.to_vec(),
+        }
     }
     fn alloc(&mut self) -> u8 {
-        self.free.pop().expect("arm backend out of FP scratch registers")
+        self.free
+            .pop()
+            .expect("arm backend out of FP scratch registers")
     }
     fn release(&mut self, r: u8) {
         if FP_SCRATCH.contains(&r) && !self.free.contains(&r) {
@@ -146,7 +152,11 @@ impl Backend<'_> {
             return;
         }
         if let Some(imm8) = isa_aarch64::encode::f64_to_fp_imm8(f64::from_bits(bits)) {
-            self.asm.push(Inst::FmovImm { size: FpSize::D, rd: dst, imm8 });
+            self.asm.push(Inst::FmovImm {
+                size: FpSize::D,
+                rd: dst,
+                imm8,
+            });
             return;
         }
         let addr = self.const_pool_addr[&bits];
@@ -235,18 +245,33 @@ impl Backend<'_> {
             Expr::Const(v) => {
                 let bits = v.to_bits();
                 if let Some(&r) = ctx.const_regs.get(&bits) {
-                    return Val { reg: r, scratch: false };
+                    return Val {
+                        reg: r,
+                        scratch: false,
+                    };
                 }
                 let dst = fs.alloc();
                 self.load_const_inline(ctx, bits, dst);
-                Val { reg: dst, scratch: true }
+                Val {
+                    reg: dst,
+                    scratch: true,
+                }
             }
-            Expr::Temp(t) => Val { reg: ctx.temp_regs[&t.0], scratch: false },
-            Expr::Acc(a) => Val { reg: ctx.acc_regs[a.0], scratch: false },
+            Expr::Temp(t) => Val {
+                reg: ctx.temp_regs[&t.0],
+                scratch: false,
+            },
+            Expr::Acc(a) => Val {
+                reg: ctx.acc_regs[a.0],
+                scratch: false,
+            },
             Expr::Load(acc) => {
                 let dst = fs.alloc();
                 self.emit_mem(ctx, acc, dst, true);
-                Val { reg: dst, scratch: true }
+                Val {
+                    reg: dst,
+                    scratch: true,
+                }
             }
             Expr::Un(op, a) => {
                 let av = self.eval(ctx, fs, a);
@@ -256,7 +281,10 @@ impl Backend<'_> {
                     UnOp::Abs => self.asm.fabs_d(dst, av.reg),
                     UnOp::Sqrt => self.asm.fsqrt_d(dst, av.reg),
                 }
-                Val { reg: dst, scratch: true }
+                Val {
+                    reg: dst,
+                    scratch: true,
+                }
             }
             Expr::Bin(op, a, b) => {
                 let av = self.eval(ctx, fs, a);
@@ -282,7 +310,10 @@ impl Backend<'_> {
                 if bv.scratch && bv.reg != dst {
                     fs.release(bv.reg);
                 }
-                Val { reg: dst, scratch: true }
+                Val {
+                    reg: dst,
+                    scratch: true,
+                }
             }
             Expr::MulAdd(a, b, c) => {
                 let av = self.eval(ctx, fs, a);
@@ -322,7 +353,10 @@ impl Backend<'_> {
                         fs.release(v.reg);
                     }
                 }
-                Val { reg: dst, scratch: true }
+                Val {
+                    reg: dst,
+                    scratch: true,
+                }
             }
             Expr::Select { cmp, a, b, t, e } => {
                 // fcmp + fcsel. Both arms are evaluated before the compare
@@ -350,14 +384,23 @@ impl Backend<'_> {
                     CmpOp::Le => Cond::Ls,
                     CmpOp::Eq => Cond::Eq,
                 };
-                self.asm.push(Inst::Fcsel { size: FpSize::D, rd: dst, rn: tv.reg, rm: ev.reg, cond });
+                self.asm.push(Inst::Fcsel {
+                    size: FpSize::D,
+                    rd: dst,
+                    rn: tv.reg,
+                    rm: ev.reg,
+                    cond,
+                });
                 if tv.scratch && tv.reg != dst {
                     fs.release(tv.reg);
                 }
                 if ev.scratch && ev.reg != dst {
                     fs.release(ev.reg);
                 }
-                Val { reg: dst, scratch: true }
+                Val {
+                    reg: dst,
+                    scratch: true,
+                }
             }
         }
     }
@@ -368,7 +411,13 @@ impl Backend<'_> {
         } else {
             isa_aarch64::FpBinOp::Fminnm
         };
-        self.asm.push(Inst::FpBin { op, size: FpSize::D, rd, rn, rm });
+        self.asm.push(Inst::FpBin {
+            op,
+            size: FpSize::D,
+            rd,
+            rn,
+            rm,
+        });
     }
 
     /// Emit the GCC-personality back-edge against a constant bound.
@@ -439,7 +488,9 @@ impl Backend<'_> {
         // (the access itself performs the bump).
         let post_ok = self.p.arm_post_index
             && !strided.is_empty()
-            && strided.iter().all(|&(a, s)| s.abs() == 1 && counts.get(&a) == Some(&1));
+            && strided
+                .iter()
+                .all(|&(a, s)| s.abs() == 1 && counts.get(&a) == Some(&1));
         // GCC picks the shared-index register-offset form when several
         // arrays are walked with the *same* index and no stencil offsets
         // (STREAM's kernels, Listing 1). Stencil accesses keep immediate
@@ -500,7 +551,10 @@ impl Backend<'_> {
         // Pinned FP registers.
         let mut fp_pin = FP_PINNED.to_vec();
         let pin = |what: &str, fp_pin: &mut Vec<u8>| -> u8 {
-            assert!(!fp_pin.is_empty(), "arm backend out of pinned FP registers ({what})");
+            assert!(
+                !fp_pin.is_empty(),
+                "arm backend out of pinned FP registers ({what})"
+            );
             fp_pin.remove(0)
         };
         for acc in &k.accs {
@@ -617,7 +671,13 @@ impl Backend<'_> {
             InnerMode::Index => {
                 let iv = ctx.index_reg.unwrap();
                 self.asm.add_imm(iv, iv, 1);
-                self.const_bound_backedge(iv, inner_trip, bound_reg, ctx.int_scratch[1], inner_label);
+                self.const_bound_backedge(
+                    iv,
+                    inner_trip,
+                    bound_reg,
+                    ctx.int_scratch[1],
+                    inner_label,
+                );
             }
             InnerMode::PointerBump => {
                 for &(arr, stride) in &strided {
@@ -667,8 +727,7 @@ impl Backend<'_> {
                         // Loop-invariant base: re-derive instead of
                         // adjusting (GCC idiom; also breaks the pointer's
                         // dependency chain through the nest).
-                        let addr =
-                            (self.array_addrs[arr] as i64 + 8 * ctx.canon[&arr]) as u64;
+                        let addr = (self.array_addrs[arr] as i64 + 8 * ctx.canon[&arr]) as u64;
                         self.asm.la(c, addr);
                     } else {
                         self.add_any(c, c, adj);
@@ -744,7 +803,12 @@ pub fn compile(prog: &KernelProgram, p: &Personality) -> Compiled {
         const_pool_addr.insert(bits, addr);
     }
 
-    let mut be = Backend { asm, p, array_addrs, const_pool_addr };
+    let mut be = Backend {
+        asm,
+        p,
+        array_addrs,
+        const_pool_addr,
+    };
 
     let n_orig = prog.kernels.len();
     let rep_reg = 2; // x2: clobbered only by the exit sequence
@@ -772,7 +836,11 @@ pub fn compile(prog: &KernelProgram, p: &Personality) -> Compiled {
         .zip(be.array_addrs.iter())
         .map(|(d, a)| (d.name.clone(), *a))
         .collect();
-    Compiled { program: be.asm.finish(), checksum_addr, array_addrs }
+    Compiled {
+        program: be.asm.finish(),
+        checksum_addr,
+        array_addrs,
+    }
 }
 
 #[cfg(test)]
@@ -805,18 +873,32 @@ mod tests {
     }
 
     fn unit(arr: ArrayId) -> Access {
-        Access { arr, strides: vec![1], offset: 0 }
+        Access {
+            arr,
+            strides: vec![1],
+            offset: 0,
+        }
     }
 
     fn copy_program(n: u64) -> KernelProgram {
         let mut p = KernelProgram::new("copy");
-        let a = p.array("a", n, ArrayInit::Linear { start: 0.5, step: 0.25 });
+        let a = p.array(
+            "a",
+            n,
+            ArrayInit::Linear {
+                start: 0.5,
+                step: 0.25,
+            },
+        );
         let b = p.array("b", n, ArrayInit::Zero);
         p.kernel(Kernel {
             name: "copy".into(),
             dims: vec![n],
             accs: vec![],
-            body: vec![Stmt::Store { access: unit(b), value: Expr::Load(unit(a)) }],
+            body: vec![Stmt::Store {
+                access: unit(b),
+                value: Expr::Load(unit(a)),
+            }],
         });
         p.checksum_arrays.push(b);
         p
@@ -855,15 +937,32 @@ mod tests {
         post.arm_post_index = true;
         let n_post = check(&p, &post);
         let n_reg = check(&p, &Personality::gcc122());
-        assert!(n_post < n_reg, "post-indexed ({n_post}) should beat register-offset ({n_reg})");
+        assert!(
+            n_post < n_reg,
+            "post-indexed ({n_post}) should beat register-offset ({n_reg})"
+        );
     }
 
     #[test]
     fn triad_and_fma() {
         let mut p = KernelProgram::new("triad");
         let a = p.array("a", 32, ArrayInit::Zero);
-        let b = p.array("b", 32, ArrayInit::Linear { start: 1.0, step: 1.0 });
-        let c = p.array("c", 32, ArrayInit::Linear { start: 2.0, step: 0.5 });
+        let b = p.array(
+            "b",
+            32,
+            ArrayInit::Linear {
+                start: 1.0,
+                step: 1.0,
+            },
+        );
+        let c = p.array(
+            "c",
+            32,
+            ArrayInit::Linear {
+                start: 2.0,
+                step: 0.5,
+            },
+        );
         p.kernel(Kernel {
             name: "triad".into(),
             dims: vec![32],
@@ -884,18 +983,37 @@ mod tests {
     #[test]
     fn stencil_with_offsets() {
         let mut p = KernelProgram::new("stencil");
-        let a = p.array("a", 66, ArrayInit::Linear { start: 0.0, step: 1.0 });
+        let a = p.array(
+            "a",
+            66,
+            ArrayInit::Linear {
+                start: 0.0,
+                step: 1.0,
+            },
+        );
         let b = p.array("b", 66, ArrayInit::Zero);
         p.kernel(Kernel {
             name: "stencil".into(),
             dims: vec![64],
             accs: vec![],
             body: vec![Stmt::Store {
-                access: Access { arr: b, strides: vec![1], offset: 1 },
+                access: Access {
+                    arr: b,
+                    strides: vec![1],
+                    offset: 1,
+                },
                 value: Expr::mul(
                     Expr::add(
-                        Expr::Load(Access { arr: a, strides: vec![1], offset: 0 }),
-                        Expr::Load(Access { arr: a, strides: vec![1], offset: 2 }),
+                        Expr::Load(Access {
+                            arr: a,
+                            strides: vec![1],
+                            offset: 0,
+                        }),
+                        Expr::Load(Access {
+                            arr: a,
+                            strides: vec![1],
+                            offset: 2,
+                        }),
                     ),
                     Expr::Const(0.5),
                 ),
@@ -909,16 +1027,31 @@ mod tests {
     #[test]
     fn two_dim_and_three_dim() {
         let mut p = KernelProgram::new("rows");
-        let m = p.array("m", 40, ArrayInit::Linear { start: 0.0, step: 1.0 });
+        let m = p.array(
+            "m",
+            40,
+            ArrayInit::Linear {
+                start: 0.0,
+                step: 1.0,
+            },
+        );
         let out = p.array("out", 40, ArrayInit::Zero);
         p.kernel(Kernel {
             name: "scale2d".into(),
             dims: vec![5, 8],
             accs: vec![],
             body: vec![Stmt::Store {
-                access: Access { arr: out, strides: vec![8, 1], offset: 0 },
+                access: Access {
+                    arr: out,
+                    strides: vec![8, 1],
+                    offset: 0,
+                },
                 value: Expr::mul(
-                    Expr::Load(Access { arr: m, strides: vec![8, 1], offset: 0 }),
+                    Expr::Load(Access {
+                        arr: m,
+                        strides: vec![8, 1],
+                        offset: 0,
+                    }),
                     Expr::Const(2.0),
                 ),
             }],
@@ -928,16 +1061,30 @@ mod tests {
         check(&p, &Personality::gcc92());
 
         let mut q = KernelProgram::new("dot3");
-        let m = q.array("m", 24, ArrayInit::Linear { start: 1.0, step: 0.5 });
+        let m = q.array(
+            "m",
+            24,
+            ArrayInit::Linear {
+                start: 1.0,
+                step: 0.5,
+            },
+        );
         let out = q.array("out", 1, ArrayInit::Zero);
         q.kernel(Kernel {
             name: "sum3".into(),
             dims: vec![2, 3, 4],
-            accs: vec![AccDecl { init: 0.0, store_to: Some((out, 0)) }],
+            accs: vec![AccDecl {
+                init: 0.0,
+                store_to: Some((out, 0)),
+            }],
             body: vec![Stmt::Accum {
                 acc: AccId(0),
                 op: BinOp::Add,
-                value: Expr::Load(Access { arr: m, strides: vec![12, 4, 1], offset: 0 }),
+                value: Expr::Load(Access {
+                    arr: m,
+                    strides: vec![12, 4, 1],
+                    offset: 0,
+                }),
             }],
         });
         q.checksum_arrays.push(out);
@@ -947,7 +1094,14 @@ mod tests {
     #[test]
     fn select_via_fcsel() {
         let mut p = KernelProgram::new("sel");
-        let a = p.array("a", 16, ArrayInit::Linear { start: -4.0, step: 0.75 });
+        let a = p.array(
+            "a",
+            16,
+            ArrayInit::Linear {
+                start: -4.0,
+                step: 0.75,
+            },
+        );
         let b = p.array("b", 16, ArrayInit::Zero);
         p.kernel(Kernel {
             name: "relu".into(),

@@ -211,9 +211,20 @@ mod tests {
     fn triad_1d() {
         let mut p = KernelProgram::new("triad");
         let a = p.array("a", 8, ArrayInit::Zero);
-        let b = p.array("b", 8, ArrayInit::Linear { start: 0.0, step: 1.0 });
+        let b = p.array(
+            "b",
+            8,
+            ArrayInit::Linear {
+                start: 0.0,
+                step: 1.0,
+            },
+        );
         let c = p.array("c", 8, ArrayInit::Fill(2.0));
-        let unit = |arr| Access { arr, strides: vec![1], offset: 0 };
+        let unit = |arr| Access {
+            arr,
+            strides: vec![1],
+            offset: 0,
+        };
         p.kernel(Kernel {
             name: "triad".into(),
             dims: vec![8],
@@ -233,16 +244,30 @@ mod tests {
     #[test]
     fn two_dim_accumulation() {
         let mut p = KernelProgram::new("sum2d");
-        let m = p.array("m", 12, ArrayInit::Linear { start: 1.0, step: 1.0 });
+        let m = p.array(
+            "m",
+            12,
+            ArrayInit::Linear {
+                start: 1.0,
+                step: 1.0,
+            },
+        );
         let out = p.array("out", 1, ArrayInit::Zero);
         p.kernel(Kernel {
             name: "sum".into(),
             dims: vec![3, 4], // 3 rows of 4
-            accs: vec![AccDecl { init: 0.0, store_to: Some((out, 0)) }],
+            accs: vec![AccDecl {
+                init: 0.0,
+                store_to: Some((out, 0)),
+            }],
             body: vec![Stmt::Accum {
                 acc: AccId(0),
                 op: BinOp::Add,
-                value: Expr::Load(Access { arr: m, strides: vec![4, 1], offset: 0 }),
+                value: Expr::Load(Access {
+                    arr: m,
+                    strides: vec![4, 1],
+                    offset: 0,
+                }),
             }],
         });
         p.checksum_arrays.push(out);
@@ -255,7 +280,11 @@ mod tests {
         let mut p = KernelProgram::new("sel");
         let a = p.array("a", 4, ArrayInit::Values(vec![1.0, -5.0, 3.0, -2.0]));
         let b = p.array("b", 4, ArrayInit::Zero);
-        let unit = |arr| Access { arr, strides: vec![1], offset: 0 };
+        let unit = |arr| Access {
+            arr,
+            strides: vec![1],
+            offset: 0,
+        };
         p.kernel(Kernel {
             name: "clamp".into(),
             dims: vec![4],
@@ -281,7 +310,11 @@ mod tests {
     fn repeat_runs_kernels_multiple_times() {
         let mut p = KernelProgram::new("rep");
         let a = p.array("a", 1, ArrayInit::Zero);
-        let unit = |arr| Access { arr, strides: vec![1], offset: 0 };
+        let unit = |arr| Access {
+            arr,
+            strides: vec![1],
+            offset: 0,
+        };
         p.kernel(Kernel {
             name: "inc".into(),
             dims: vec![1],
@@ -310,7 +343,11 @@ mod tests {
             dims: vec![1],
             accs: vec![],
             body: vec![Stmt::Store {
-                access: Access { arr: out, strides: vec![0], offset: 0 },
+                access: Access {
+                    arr: out,
+                    strides: vec![0],
+                    offset: 0,
+                },
                 value: Expr::mul_add(Expr::Const(a), Expr::Const(a), Expr::Const(-1.0)),
             }],
         });

@@ -268,7 +268,11 @@ impl KernelProgram {
 
     /// Declare an array.
     pub fn array(&mut self, name: &str, len: u64, init: ArrayInit) -> ArrayId {
-        self.arrays.push(ArrayDecl { name: name.to_string(), len, init });
+        self.arrays.push(ArrayDecl {
+            name: name.to_string(),
+            len,
+            init,
+        });
         ArrayId(self.arrays.len() - 1)
     }
 
@@ -283,7 +287,11 @@ impl KernelProgram {
         assert!(self.repeat > 0, "repeat must be positive");
         for k in &self.kernels {
             assert!(!k.dims.is_empty(), "kernel {} has no dims", k.name);
-            assert!(k.dims.iter().all(|&d| d > 0), "kernel {} has a zero trip", k.name);
+            assert!(
+                k.dims.iter().all(|&d| d > 0),
+                "kernel {} has a zero trip",
+                k.name
+            );
             let ndim = k.dims.len();
             let mut defined: Vec<bool> = Vec::new();
             let check_expr = |e: &Expr, defined: &Vec<bool>| {
@@ -399,22 +407,36 @@ pub fn augment_with_checksum(prog: &KernelProgram) -> (KernelProgram, ArrayId) {
         p.kernel(Kernel {
             name: "__checksum".into(),
             dims: vec![len],
-            accs: vec![AccDecl { init: 0.0, store_to: Some((partials, i as u64)) }],
+            accs: vec![AccDecl {
+                init: 0.0,
+                store_to: Some((partials, i as u64)),
+            }],
             body: vec![Stmt::Accum {
                 acc: AccId(0),
                 op: BinOp::Add,
-                value: Expr::Load(Access { arr: *arr, strides: vec![1], offset: 0 }),
+                value: Expr::Load(Access {
+                    arr: *arr,
+                    strides: vec![1],
+                    offset: 0,
+                }),
             }],
         });
     }
     p.kernel(Kernel {
         name: "__checksum".into(),
         dims: vec![n],
-        accs: vec![AccDecl { init: 0.0, store_to: Some((result, 0)) }],
+        accs: vec![AccDecl {
+            init: 0.0,
+            store_to: Some((result, 0)),
+        }],
         body: vec![Stmt::Accum {
             acc: AccId(0),
             op: BinOp::Add,
-            value: Expr::Load(Access { arr: partials, strides: vec![1], offset: 0 }),
+            value: Expr::Load(Access {
+                arr: partials,
+                strides: vec![1],
+                offset: 0,
+            }),
         }],
     });
     // The checksum kernels run once, after the repeated main sequence.
@@ -442,13 +464,24 @@ mod tests {
     use super::*;
 
     fn unit_access(arr: ArrayId) -> Access {
-        Access { arr, strides: vec![1], offset: 0 }
+        Access {
+            arr,
+            strides: vec![1],
+            offset: 0,
+        }
     }
 
     #[test]
     fn builder_and_validate() {
         let mut p = KernelProgram::new("t");
-        let a = p.array("a", 16, ArrayInit::Linear { start: 0.0, step: 1.0 });
+        let a = p.array(
+            "a",
+            16,
+            ArrayInit::Linear {
+                start: 0.0,
+                step: 1.0,
+            },
+        );
         let b = p.array("b", 16, ArrayInit::Zero);
         p.kernel(Kernel {
             name: "copy".into(),
@@ -508,10 +541,22 @@ mod tests {
             dims: vec![16],
             accs: vec![],
             body: vec![Stmt::Store {
-                access: Access { arr: b, strides: vec![1], offset: 1 },
+                access: Access {
+                    arr: b,
+                    strides: vec![1],
+                    offset: 1,
+                },
                 value: Expr::add(
-                    Expr::Load(Access { arr: a, strides: vec![1], offset: 0 }),
-                    Expr::Load(Access { arr: a, strides: vec![1], offset: 2 }),
+                    Expr::Load(Access {
+                        arr: a,
+                        strides: vec![1],
+                        offset: 0,
+                    }),
+                    Expr::Load(Access {
+                        arr: a,
+                        strides: vec![1],
+                        offset: 2,
+                    }),
                 ),
             }],
         });
@@ -523,10 +568,17 @@ mod tests {
         let lin = ArrayDecl {
             name: "l".into(),
             len: 4,
-            init: ArrayInit::Linear { start: 1.0, step: 0.5 },
+            init: ArrayInit::Linear {
+                start: 1.0,
+                step: 0.5,
+            },
         };
         assert_eq!(init_values(&lin), vec![1.0, 1.5, 2.0, 2.5]);
-        let fill = ArrayDecl { name: "f".into(), len: 3, init: ArrayInit::Fill(7.0) };
+        let fill = ArrayDecl {
+            name: "f".into(),
+            len: 3,
+            init: ArrayInit::Fill(7.0),
+        };
         assert_eq!(init_values(&fill), vec![7.0; 3]);
     }
 }

@@ -22,12 +22,13 @@ const DATA_BASE: u64 = 0x20_0000;
 /// Integer registers handed out to cursors/counters/ends, in order.
 /// (t0-t6, s2-s11, s1, a0-a6 — a7/a0 are clobbered at exit only.)
 const INT_POOL: &[u8] = &[
-    5, 6, 7, 28, 29, 30, 31, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 9, 10, 11, 12, 13, 14, 15,
-    16,
+    5, 6, 7, 28, 29, 30, 31, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 9, 10, 11, 12, 13, 14, 15, 16,
 ];
 
 /// FP registers for pinned values (accumulators, temps, hoisted constants).
-const FP_PINNED: &[u8] = &[8, 9, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 10, 11, 12, 13, 14, 15];
+const FP_PINNED: &[u8] = &[
+    8, 9, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 10, 11, 12, 13, 14, 15,
+];
 
 /// FP scratch registers for expression evaluation.
 const FP_SCRATCH: &[u8] = &[0, 1, 2, 3, 4, 5, 6, 7, 28, 29, 30, 31, 16, 17];
@@ -57,10 +58,14 @@ struct FpScratch {
 
 impl FpScratch {
     fn new() -> Self {
-        FpScratch { free: FP_SCRATCH.to_vec() }
+        FpScratch {
+            free: FP_SCRATCH.to_vec(),
+        }
     }
     fn alloc(&mut self) -> u8 {
-        self.free.pop().expect("riscv backend out of FP scratch registers")
+        self.free
+            .pop()
+            .expect("riscv backend out of FP scratch registers")
     }
     fn release(&mut self, r: u8) {
         if FP_SCRATCH.contains(&r) && !self.free.contains(&r) {
@@ -145,7 +150,10 @@ impl Backend<'_> {
             Expr::Const(v) => {
                 let bits = v.to_bits();
                 if let Some(&r) = ctx.const_regs.get(&bits) {
-                    return Val { reg: r, scratch: false };
+                    return Val {
+                        reg: r,
+                        scratch: false,
+                    };
                 }
                 // Unhoisted constant: load from the pool inline.
                 let addr = self.const_pool_addr[&bits];
@@ -153,14 +161,26 @@ impl Backend<'_> {
                 self.asm.la(t, addr);
                 let dst = fs.alloc();
                 self.asm.fld(dst, t, 0);
-                Val { reg: dst, scratch: true }
+                Val {
+                    reg: dst,
+                    scratch: true,
+                }
             }
-            Expr::Temp(t) => Val { reg: ctx.temp_regs[&t.0], scratch: false },
-            Expr::Acc(a) => Val { reg: ctx.acc_regs[a.0], scratch: false },
+            Expr::Temp(t) => Val {
+                reg: ctx.temp_regs[&t.0],
+                scratch: false,
+            },
+            Expr::Acc(a) => Val {
+                reg: ctx.acc_regs[a.0],
+                scratch: false,
+            },
             Expr::Load(acc) => {
                 let dst = fs.alloc();
                 self.emit_load(ctx, acc, dst);
-                Val { reg: dst, scratch: true }
+                Val {
+                    reg: dst,
+                    scratch: true,
+                }
             }
             Expr::Un(op, a) => {
                 let av = self.eval(ctx, fs, a);
@@ -170,7 +190,10 @@ impl Backend<'_> {
                     UnOp::Abs => self.asm.fabs_d(dst, av.reg),
                     UnOp::Sqrt => self.asm.fsqrt_d(dst, av.reg),
                 }
-                Val { reg: dst, scratch: true }
+                Val {
+                    reg: dst,
+                    scratch: true,
+                }
             }
             Expr::Bin(op, a, b) => {
                 let av = self.eval(ctx, fs, a);
@@ -196,7 +219,10 @@ impl Backend<'_> {
                 if bv.scratch && bv.reg != dst {
                     fs.release(bv.reg);
                 }
-                Val { reg: dst, scratch: true }
+                Val {
+                    reg: dst,
+                    scratch: true,
+                }
             }
             Expr::MulAdd(a, b, c) => {
                 let av = self.eval(ctx, fs, a);
@@ -238,7 +264,10 @@ impl Backend<'_> {
                         fs.release(v.reg);
                     }
                 }
-                Val { reg: dst, scratch: true }
+                Val {
+                    reg: dst,
+                    scratch: true,
+                }
             }
             Expr::Select { cmp, a, b, t, e } => {
                 // RISC-V has no FP conditional select: compare into an
@@ -274,7 +303,10 @@ impl Backend<'_> {
                     fs.release(ev.reg);
                 }
                 self.asm.bind(skip);
-                Val { reg: dst, scratch: true }
+                Val {
+                    reg: dst,
+                    scratch: true,
+                }
             }
         }
     }
@@ -307,14 +339,21 @@ impl Backend<'_> {
         // Pinned FP registers: accumulators, temps, hoisted constants.
         let mut fp_pin = FP_PINNED.to_vec();
         let pin = |what: &str, fp_pin: &mut Vec<u8>| -> u8 {
-            assert!(!fp_pin.is_empty(), "riscv backend out of pinned FP registers ({what})");
+            assert!(
+                !fp_pin.is_empty(),
+                "riscv backend out of pinned FP registers ({what})"
+            );
             fp_pin.remove(0)
         };
         for acc in &k.accs {
             let r = pin("acc", &mut fp_pin);
             ctx.acc_regs.push(r);
             if acc.init == 0.0 {
-                self.asm.push(Inst::FmvToFp { width: FpWidth::D, frd: r, rs1: 0 });
+                self.asm.push(Inst::FmvToFp {
+                    width: FpWidth::D,
+                    frd: r,
+                    rs1: 0,
+                });
             } else {
                 let addr = self.const_pool_addr[&acc.init.to_bits()];
                 let t = ctx.int_scratch[0];
@@ -341,7 +380,11 @@ impl Backend<'_> {
             let r = pin("const", &mut fp_pin);
             ctx.const_regs.insert(bits, r);
             if bits == 0 {
-                self.asm.push(Inst::FmvToFp { width: FpWidth::D, frd: r, rs1: 0 });
+                self.asm.push(Inst::FmvToFp {
+                    width: FpWidth::D,
+                    frd: r,
+                    rs1: 0,
+                });
             } else {
                 let addr = self.const_pool_addr[&bits];
                 let t = ctx.int_scratch[0];
@@ -475,8 +518,7 @@ impl Backend<'_> {
                         // breaks the pointer's dependency chain — without
                         // it the addi chain through the whole nest caps
                         // the measured ILP at the body size.
-                        let addr =
-                            (self.array_addrs[arr] as i64 + 8 * ctx.canon[&arr]) as u64;
+                        let addr = (self.array_addrs[arr] as i64 + 8 * ctx.canon[&arr]) as u64;
                         self.asm.la(c, addr);
                     } else {
                         self.add_any(c, c, adj);
@@ -535,7 +577,12 @@ pub fn compile(prog: &KernelProgram, p: &Personality) -> Compiled {
         const_pool_addr.insert(bits, addr);
     }
 
-    let mut be = Backend { asm, p, array_addrs, const_pool_addr };
+    let mut be = Backend {
+        asm,
+        p,
+        array_addrs,
+        const_pool_addr,
+    };
 
     // Repeat loop around the original kernels; checksum kernels run once.
     let n_orig = prog.kernels.len();
@@ -570,7 +617,11 @@ pub fn compile(prog: &KernelProgram, p: &Personality) -> Compiled {
         .zip(be.array_addrs.iter())
         .map(|(d, a)| (d.name.clone(), *a))
         .collect();
-    Compiled { program: be.asm.finish(), checksum_addr, array_addrs }
+    Compiled {
+        program: be.asm.finish(),
+        checksum_addr,
+        array_addrs,
+    }
 }
 
 #[cfg(test)]
@@ -602,19 +653,33 @@ mod tests {
     }
 
     fn unit(arr: ArrayId) -> Access {
-        Access { arr, strides: vec![1], offset: 0 }
+        Access {
+            arr,
+            strides: vec![1],
+            offset: 0,
+        }
     }
 
     #[test]
     fn copy_kernel_both_personalities() {
         let mut p = KernelProgram::new("copy");
-        let a = p.array("a", 64, ArrayInit::Linear { start: 0.5, step: 0.25 });
+        let a = p.array(
+            "a",
+            64,
+            ArrayInit::Linear {
+                start: 0.5,
+                step: 0.25,
+            },
+        );
         let b = p.array("b", 64, ArrayInit::Zero);
         p.kernel(Kernel {
             name: "copy".into(),
             dims: vec![64],
             accs: vec![],
-            body: vec![Stmt::Store { access: unit(b), value: Expr::Load(unit(a)) }],
+            body: vec![Stmt::Store {
+                access: unit(b),
+                value: Expr::Load(unit(a)),
+            }],
         });
         p.checksum_arrays.push(b);
         check(&p, &Personality::gcc92());
@@ -625,8 +690,22 @@ mod tests {
     fn triad_with_constant() {
         let mut p = KernelProgram::new("triad");
         let a = p.array("a", 32, ArrayInit::Zero);
-        let b = p.array("b", 32, ArrayInit::Linear { start: 1.0, step: 1.0 });
-        let c = p.array("c", 32, ArrayInit::Linear { start: 2.0, step: 0.5 });
+        let b = p.array(
+            "b",
+            32,
+            ArrayInit::Linear {
+                start: 1.0,
+                step: 1.0,
+            },
+        );
+        let c = p.array(
+            "c",
+            32,
+            ArrayInit::Linear {
+                start: 2.0,
+                step: 0.5,
+            },
+        );
         p.kernel(Kernel {
             name: "triad".into(),
             dims: vec![32],
@@ -646,18 +725,37 @@ mod tests {
     #[test]
     fn stencil_offsets_fold_or_not() {
         let mut p = KernelProgram::new("stencil");
-        let a = p.array("a", 66, ArrayInit::Linear { start: 0.0, step: 1.0 });
+        let a = p.array(
+            "a",
+            66,
+            ArrayInit::Linear {
+                start: 0.0,
+                step: 1.0,
+            },
+        );
         let b = p.array("b", 66, ArrayInit::Zero);
         p.kernel(Kernel {
             name: "stencil".into(),
             dims: vec![64],
             accs: vec![],
             body: vec![Stmt::Store {
-                access: Access { arr: b, strides: vec![1], offset: 1 },
+                access: Access {
+                    arr: b,
+                    strides: vec![1],
+                    offset: 1,
+                },
                 value: Expr::mul(
                     Expr::add(
-                        Expr::Load(Access { arr: a, strides: vec![1], offset: 0 }),
-                        Expr::Load(Access { arr: a, strides: vec![1], offset: 2 }),
+                        Expr::Load(Access {
+                            arr: a,
+                            strides: vec![1],
+                            offset: 0,
+                        }),
+                        Expr::Load(Access {
+                            arr: a,
+                            strides: vec![1],
+                            offset: 2,
+                        }),
                     ),
                     Expr::Const(0.5),
                 ),
@@ -683,7 +781,14 @@ mod tests {
     #[test]
     fn two_dim_with_row_stride() {
         let mut p = KernelProgram::new("rows");
-        let m = p.array("m", 40, ArrayInit::Linear { start: 0.0, step: 1.0 });
+        let m = p.array(
+            "m",
+            40,
+            ArrayInit::Linear {
+                start: 0.0,
+                step: 1.0,
+            },
+        );
         let out = p.array("out", 40, ArrayInit::Zero);
         // 5 rows x 8 cols: out[r][c] = m[r][c] * 2
         p.kernel(Kernel {
@@ -691,9 +796,17 @@ mod tests {
             dims: vec![5, 8],
             accs: vec![],
             body: vec![Stmt::Store {
-                access: Access { arr: out, strides: vec![8, 1], offset: 0 },
+                access: Access {
+                    arr: out,
+                    strides: vec![8, 1],
+                    offset: 0,
+                },
                 value: Expr::mul(
-                    Expr::Load(Access { arr: m, strides: vec![8, 1], offset: 0 }),
+                    Expr::Load(Access {
+                        arr: m,
+                        strides: vec![8, 1],
+                        offset: 0,
+                    }),
                     Expr::Const(2.0),
                 ),
             }],
@@ -706,16 +819,30 @@ mod tests {
     #[test]
     fn three_dim_nest_and_accumulator() {
         let mut p = KernelProgram::new("dot3");
-        let m = p.array("m", 24, ArrayInit::Linear { start: 1.0, step: 0.5 });
+        let m = p.array(
+            "m",
+            24,
+            ArrayInit::Linear {
+                start: 1.0,
+                step: 0.5,
+            },
+        );
         let out = p.array("out", 1, ArrayInit::Zero);
         p.kernel(Kernel {
             name: "sum3".into(),
             dims: vec![2, 3, 4],
-            accs: vec![AccDecl { init: 0.0, store_to: Some((out, 0)) }],
+            accs: vec![AccDecl {
+                init: 0.0,
+                store_to: Some((out, 0)),
+            }],
             body: vec![Stmt::Accum {
                 acc: AccId(0),
                 op: BinOp::Add,
-                value: Expr::Load(Access { arr: m, strides: vec![12, 4, 1], offset: 0 }),
+                value: Expr::Load(Access {
+                    arr: m,
+                    strides: vec![12, 4, 1],
+                    offset: 0,
+                }),
             }],
         });
         p.checksum_arrays.push(out);
@@ -725,7 +852,14 @@ mod tests {
     #[test]
     fn select_lowering() {
         let mut p = KernelProgram::new("sel");
-        let a = p.array("a", 16, ArrayInit::Linear { start: -4.0, step: 0.75 });
+        let a = p.array(
+            "a",
+            16,
+            ArrayInit::Linear {
+                start: -4.0,
+                step: 0.75,
+            },
+        );
         let b = p.array("b", 16, ArrayInit::Zero);
         p.kernel(Kernel {
             name: "relu".into(),
@@ -772,7 +906,14 @@ mod tests {
     #[test]
     fn temps_and_unops() {
         let mut p = KernelProgram::new("temps");
-        let a = p.array("a", 8, ArrayInit::Linear { start: 1.0, step: 2.0 });
+        let a = p.array(
+            "a",
+            8,
+            ArrayInit::Linear {
+                start: 1.0,
+                step: 2.0,
+            },
+        );
         let b = p.array("b", 8, ArrayInit::Zero);
         let t0 = TempId(0);
         p.kernel(Kernel {
@@ -780,7 +921,10 @@ mod tests {
             dims: vec![8],
             accs: vec![],
             body: vec![
-                Stmt::Def { temp: t0, expr: Expr::sqrt(Expr::Load(unit(a))) },
+                Stmt::Def {
+                    temp: t0,
+                    expr: Expr::sqrt(Expr::Load(unit(a))),
+                },
                 Stmt::Store {
                     access: unit(b),
                     value: Expr::mul(Expr::Temp(t0), Expr::Temp(t0)),
@@ -800,7 +944,10 @@ mod tests {
             name: "copy".into(),
             dims: vec![32],
             accs: vec![],
-            body: vec![Stmt::Store { access: unit(b), value: Expr::Load(unit(a)) }],
+            body: vec![Stmt::Store {
+                access: unit(b),
+                value: Expr::Load(unit(a)),
+            }],
         });
         p.checksum_arrays.push(b);
         let mut unfused = Personality::gcc122();

@@ -6,14 +6,19 @@ use kernelgen::*;
 use simcore::IsaKind;
 
 fn unit(arr: ArrayId) -> Access {
-    Access { arr, strides: vec![1], offset: 0 }
+    Access {
+        arr,
+        strides: vec![1],
+        offset: 0,
+    }
 }
 
 /// A kernel touching `n` distinct arrays (each needs a cursor register).
 fn many_arrays(n: usize) -> KernelProgram {
     let mut p = KernelProgram::new("wide");
-    let arrays: Vec<ArrayId> =
-        (0..n).map(|i| p.array(&format!("a{i}"), 8, ArrayInit::Fill(1.0))).collect();
+    let arrays: Vec<ArrayId> = (0..n)
+        .map(|i| p.array(&format!("a{i}"), 8, ArrayInit::Fill(1.0)))
+        .collect();
     let sum = arrays[1..]
         .iter()
         .map(|&a| Expr::Load(unit(a)))
@@ -23,7 +28,10 @@ fn many_arrays(n: usize) -> KernelProgram {
         name: "wide".into(),
         dims: vec![8],
         accs: vec![],
-        body: vec![Stmt::Store { access: unit(arrays[0]), value: sum }],
+        body: vec![Stmt::Store {
+            access: unit(arrays[0]),
+            value: sum,
+        }],
     });
     p.checksum_arrays.push(arrays[0]);
     p
@@ -59,9 +67,17 @@ fn too_many_temps_panics_clearly() {
     let mut p = KernelProgram::new("temps");
     let a = p.array("a", 8, ArrayInit::Fill(1.0));
     let body: Vec<Stmt> = (0..20)
-        .map(|i| Stmt::Def { temp: TempId(i), expr: Expr::Load(unit(a)) })
+        .map(|i| Stmt::Def {
+            temp: TempId(i),
+            expr: Expr::Load(unit(a)),
+        })
         .collect();
-    p.kernel(Kernel { name: "k".into(), dims: vec![8], accs: vec![], body });
+    p.kernel(Kernel {
+        name: "k".into(),
+        dims: vec![8],
+        accs: vec![],
+        body,
+    });
     p.checksum_arrays.push(a);
     compile(&p, IsaKind::RiscV, &Personality::gcc122());
 }

@@ -28,7 +28,9 @@ pub struct TestRng {
 impl TestRng {
     /// RNG seeded directly.
     pub fn from_seed(seed: u64) -> Self {
-        TestRng { state: seed ^ 0x9E37_79B9_7F4A_7C15 }
+        TestRng {
+            state: seed ^ 0x9E37_79B9_7F4A_7C15,
+        }
     }
 
     /// RNG seeded from a test name (FNV-1a hash), with an optional
@@ -96,7 +98,11 @@ pub trait Strategy: Clone {
     where
         F: Fn(Self::Value) -> Option<O> + Clone,
     {
-        FilterMap { inner: self, f, reason }
+        FilterMap {
+            inner: self,
+            f,
+            reason,
+        }
     }
 
     /// Recursive strategy: at each of `depth` levels, pick either the leaf
@@ -217,7 +223,10 @@ where
                 return v;
             }
         }
-        panic!("prop_filter_map({:?}): no accepted value in 1024 attempts", self.reason);
+        panic!(
+            "prop_filter_map({:?}): no accepted value in 1024 attempts",
+            self.reason
+        );
     }
 }
 
@@ -239,7 +248,9 @@ pub struct Union<T> {
 
 impl<T> Clone for Union<T> {
     fn clone(&self) -> Self {
-        Union { arms: self.arms.clone() }
+        Union {
+            arms: self.arms.clone(),
+        }
     }
 }
 
@@ -273,7 +284,9 @@ pub trait Arbitrary: Sized {
 
 /// The full-range strategy for `T` (like proptest's `any::<T>()`).
 pub fn any<T: Arbitrary>() -> AnyStrategy<T> {
-    AnyStrategy { _marker: std::marker::PhantomData }
+    AnyStrategy {
+        _marker: std::marker::PhantomData,
+    }
 }
 
 impl<T: Arbitrary + Clone> Strategy for AnyStrategy<T> {
@@ -435,7 +448,9 @@ pub struct TestCaseError {
 impl TestCaseError {
     /// Failure with the given reason.
     pub fn fail(reason: impl Into<String>) -> Self {
-        TestCaseError { message: reason.into() }
+        TestCaseError {
+            message: reason.into(),
+        }
     }
 }
 

@@ -104,7 +104,10 @@ struct Tally {
 impl Tally {
     /// Record a served matrix; flags divergence from the first one seen.
     fn record_matrix(&self, matrix_json: &str) {
-        let mut first = self.first_matrix.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut first = self
+            .first_matrix
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         match first.as_deref() {
             None => *first = Some(matrix_json.to_string()),
             Some(seen) if seen == matrix_json => {}
@@ -130,7 +133,11 @@ fn run_client(id: u64, addr: &str, spec: &JobSpec, requests: u64, tally: &Tally)
         loop {
             let t0 = Instant::now();
             match client.submit(spec, |_, _, _, _| {}) {
-                Ok(JobOutcome::Done { matrix_json, failures, .. }) => {
+                Ok(JobOutcome::Done {
+                    matrix_json,
+                    failures,
+                    ..
+                }) => {
                     let us = t0.elapsed().as_micros().min(u64::MAX as u128) as u64;
                     tally
                         .latency_us
@@ -145,13 +152,17 @@ fn run_client(id: u64, addr: &str, spec: &JobSpec, requests: u64, tally: &Tally)
                 Ok(JobOutcome::Busy { .. }) => {
                     tally.busy_rejections.fetch_add(1, Ordering::Relaxed);
                     busy_retries += 1;
-                    tally.max_busy_streak.fetch_max(busy_retries as u64, Ordering::Relaxed);
+                    tally
+                        .max_busy_streak
+                        .fetch_max(busy_retries as u64, Ordering::Relaxed);
                     if busy_retries > MAX_BUSY_RETRIES {
                         tally.failures.fetch_add(1, Ordering::Relaxed);
                         break;
                     }
                     let sleep = busy_backoff(busy_retries, &mut rng);
-                    tally.backoff_ms.fetch_add(sleep.as_millis() as u64, Ordering::Relaxed);
+                    tally
+                        .backoff_ms
+                        .fetch_add(sleep.as_millis() as u64, Ordering::Relaxed);
                     std::thread::sleep(sleep);
                 }
                 Ok(JobOutcome::Shutdown { .. }) => {
@@ -179,12 +190,18 @@ fn main() {
     };
     let clients: u64 = or_usage(
         cli::flag_value(&args, "--clients")
-            .map(|s| s.parse().map_err(|_| format!("--clients expects an integer, got '{s}'")))
+            .map(|s| {
+                s.parse()
+                    .map_err(|_| format!("--clients expects an integer, got '{s}'"))
+            })
             .unwrap_or(Ok(8)),
     );
     let requests: u64 = or_usage(
         cli::flag_value(&args, "--requests")
-            .map(|s| s.parse().map_err(|_| format!("--requests expects an integer, got '{s}'")))
+            .map(|s| {
+                s.parse()
+                    .map_err(|_| format!("--requests expects an integer, got '{s}'"))
+            })
             .unwrap_or(Ok(1)),
     );
     let min_hit_rate: Option<f64> = cli::flag_value(&args, "--min-hit-rate").map(|s| {
@@ -234,9 +251,17 @@ fn main() {
     let d_hits = after.cache_hits.saturating_sub(before.cache_hits);
     let d_misses = after.cache_misses.saturating_sub(before.cache_misses);
     let claims = d_hits + d_misses;
-    let hit_rate = if claims == 0 { 0.0 } else { 100.0 * d_hits as f64 / claims as f64 };
+    let hit_rate = if claims == 0 {
+        0.0
+    } else {
+        100.0 * d_hits as f64 / claims as f64
+    };
 
-    let hist = tally.latency_us.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone();
+    let hist = tally
+        .latency_us
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .clone();
     let ok = tally.ok.load(Ordering::Relaxed);
     let failures = tally.failures.load(Ordering::Relaxed);
     let cell_failures = tally.cell_failures.load(Ordering::Relaxed);
@@ -246,7 +271,11 @@ fn main() {
     let shutdowns = tally.shutdowns.load(Ordering::Relaxed);
     let divergent = tally.divergent.load(Ordering::Relaxed);
     let (p50, p99) = (hist.quantile(0.5), hist.quantile(0.99));
-    let throughput = if wall.as_secs_f64() > 0.0 { ok as f64 / wall.as_secs_f64() } else { 0.0 };
+    let throughput = if wall.as_secs_f64() > 0.0 {
+        ok as f64 / wall.as_secs_f64()
+    } else {
+        0.0
+    };
 
     println!(
         "load_driver: {clients} client(s) x {requests} request(s) in {:.2}s",
@@ -258,11 +287,18 @@ fn main() {
     println!("  busy retries:   {busy} (max streak {max_streak}, {backoff_ms} ms backed off)");
     println!("  shutdown-ended: {shutdowns}");
     println!("  divergent:      {divergent}");
-    println!("  latency us:     p50 {p50}  p99 {p99}  mean {:.0}  max {}", hist.mean(), hist.max());
+    println!(
+        "  latency us:     p50 {p50}  p99 {p99}  mean {:.0}  max {}",
+        hist.mean(),
+        hist.max()
+    );
     println!("  cache:          {d_hits} hit(s) / {d_misses} miss(es) = {hit_rate:.1}% hit rate");
 
     if let Some(path) = &out {
-        let first = tally.first_matrix.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let first = tally
+            .first_matrix
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         match first.as_deref() {
             Some(matrix) => {
                 if let Err(e) = std::fs::write(path, matrix) {

@@ -9,7 +9,9 @@ use std::io;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use crate::proto::{self, ClientMsg, FrameReader, JobSpec, ProtoError, ReadOutcome, ServerMsg, StatsBody};
+use crate::proto::{
+    self, ClientMsg, FrameReader, JobSpec, ProtoError, ReadOutcome, ServerMsg, StatsBody,
+};
 
 /// How a submitted job resolved.
 #[derive(Debug, Clone)]
@@ -45,14 +47,20 @@ impl Client {
     pub fn connect(addr: &str) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        Ok(Client { stream, reader: FrameReader::new() })
+        Ok(Client {
+            stream,
+            reader: FrameReader::new(),
+        })
     }
 
     /// Connect with a bound on how long to wait for the daemon to accept.
     pub fn connect_timeout(addr: &std::net::SocketAddr, timeout: Duration) -> io::Result<Client> {
         let stream = TcpStream::connect_timeout(addr, timeout)?;
         let _ = stream.set_nodelay(true);
-        Ok(Client { stream, reader: FrameReader::new() })
+        Ok(Client {
+            stream,
+            reader: FrameReader::new(),
+        })
     }
 
     /// Read the next server message (blocking).
@@ -100,19 +108,37 @@ impl Client {
         spec: &JobSpec,
         mut on_progress: impl FnMut(u64, u64, &str, bool),
     ) -> Result<JobOutcome, ProtoError> {
-        proto::write_frame(&mut self.stream, &ClientMsg::Submit { job: spec.clone() }.to_json())?;
+        proto::write_frame(
+            &mut self.stream,
+            &ClientMsg::Submit { job: spec.clone() }.to_json(),
+        )?;
         loop {
             match self.read_msg()? {
-                ServerMsg::Progress { done, total, cell, cached } => {
-                    on_progress(done, total, &cell, cached)
-                }
-                ServerMsg::Result { hits, misses, failures, matrix_json } => {
-                    return Ok(JobOutcome::Done { hits, misses, failures, matrix_json })
+                ServerMsg::Progress {
+                    done,
+                    total,
+                    cell,
+                    cached,
+                } => on_progress(done, total, &cell, cached),
+                ServerMsg::Result {
+                    hits,
+                    misses,
+                    failures,
+                    matrix_json,
+                } => {
+                    return Ok(JobOutcome::Done {
+                        hits,
+                        misses,
+                        failures,
+                        matrix_json,
+                    })
                 }
                 ServerMsg::Busy { active, limit } => return Ok(JobOutcome::Busy { active, limit }),
                 ServerMsg::Shutdown { signal } => return Ok(JobOutcome::Shutdown { signal }),
                 ServerMsg::Error { message } => {
-                    return Err(ProtoError::BadFrame(format!("server rejected job: {message}")))
+                    return Err(ProtoError::BadFrame(format!(
+                        "server rejected job: {message}"
+                    )))
                 }
                 other => return Err(unexpected("progress/result", &other)),
             }
@@ -121,7 +147,10 @@ impl Client {
 }
 
 fn unexpected(wanted: &str, got: &ServerMsg) -> ProtoError {
-    ProtoError::BadFrame(format!("expected {wanted} frame, got {:?}", frame_kind(got)))
+    ProtoError::BadFrame(format!(
+        "expected {wanted} frame, got {:?}",
+        frame_kind(got)
+    ))
 }
 
 fn frame_kind(msg: &ServerMsg) -> &'static str {

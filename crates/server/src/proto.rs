@@ -76,12 +76,16 @@ pub fn write_frame(w: &mut impl Write, msg: &Json) -> Result<(), ProtoError> {
     let payload = msg.compact();
     let bytes = payload.as_bytes();
     if bytes.len() > MAX_FRAME {
-        return Err(ProtoError::Oversized { len: bytes.len(), max: MAX_FRAME });
+        return Err(ProtoError::Oversized {
+            len: bytes.len(),
+            max: MAX_FRAME,
+        });
     }
     let mut frame = Vec::with_capacity(4 + bytes.len());
     frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
     frame.extend_from_slice(bytes);
-    w.write_all(&frame).map_err(|e| ProtoError::Io(e.to_string()))?;
+    w.write_all(&frame)
+        .map_err(|e| ProtoError::Io(e.to_string()))?;
     w.flush().map_err(|e| ProtoError::Io(e.to_string()))
 }
 
@@ -122,7 +126,9 @@ impl FrameReader {
                     return if self.buf.is_empty() {
                         Ok(ReadOutcome::Closed)
                     } else {
-                        Err(ProtoError::Truncated { have: self.buf.len() })
+                        Err(ProtoError::Truncated {
+                            have: self.buf.len(),
+                        })
                     }
                 }
                 Ok(n) => self.buf.extend_from_slice(&tmp[..n]),
@@ -151,7 +157,10 @@ impl FrameReader {
             return Err(ProtoError::BadFrame("zero-length frame".into()));
         }
         if len > MAX_FRAME {
-            return Err(ProtoError::Oversized { len, max: MAX_FRAME });
+            return Err(ProtoError::Oversized {
+                len,
+                max: MAX_FRAME,
+            });
         }
         if self.buf.len() < 4 + len {
             return Ok(None);
@@ -216,9 +225,9 @@ impl JobKind {
             "campaign" => Ok(JobKind::Campaign),
             "trace" => Ok(JobKind::TraceAnalysis),
             "fusion" => Ok(JobKind::FusionReport),
-            other => {
-                Err(format!("unknown job kind {other:?}; one of: matrix, campaign, trace, fusion"))
-            }
+            other => Err(format!(
+                "unknown job kind {other:?}; one of: matrix, campaign, trace, fusion"
+            )),
         }
     }
 }
@@ -317,7 +326,9 @@ impl JobSpec {
             self.kind.name(),
             self.size.name(),
             self.retries,
-            self.deadline_secs.map(|d| d.to_string()).unwrap_or_else(|| "-".into()),
+            self.deadline_secs
+                .map(|d| d.to_string())
+                .unwrap_or_else(|| "-".into()),
             self.inject.as_deref().unwrap_or("-"),
             self.campaign.as_deref().unwrap_or("-"),
         );
@@ -339,7 +350,11 @@ impl JobSpec {
         trace_dir: Option<std::path::PathBuf>,
     ) -> Result<(MatrixOptions, Option<CampaignManifest>), String> {
         self.validate()?;
-        let inject = self.inject.as_deref().map(isacmp::InjectSpec::parse).transpose()?;
+        let inject = self
+            .inject
+            .as_deref()
+            .map(isacmp::InjectSpec::parse)
+            .transpose()?;
         let mut manifest = None;
         let campaign = self
             .campaign
@@ -395,8 +410,8 @@ impl JobSpec {
     pub fn from_json(j: &Json) -> Result<JobSpec, ProtoError> {
         let bad = |m: &str| ProtoError::BadFrame(format!("job spec: {m}"));
         let s = |k: &str| j.get(k).and_then(Json::as_str).map(str::to_string);
-        let kind = JobKind::parse(&s("kind").ok_or_else(|| bad("missing kind"))?)
-            .map_err(|e| bad(&e))?;
+        let kind =
+            JobKind::parse(&s("kind").ok_or_else(|| bad("missing kind"))?).map_err(|e| bad(&e))?;
         let size = cli::size_from_name(&s("size").ok_or_else(|| bad("missing size"))?)
             .map_err(|e| bad(&e))?;
         let retries = j
@@ -457,18 +472,25 @@ impl ClientMsg {
             .and_then(Json::as_u64)
             .ok_or_else(|| ProtoError::BadFrame("missing proto version".into()))?;
         if proto != PROTO_VERSION {
-            return Err(ProtoError::VersionMismatch { got: proto, want: PROTO_VERSION });
+            return Err(ProtoError::VersionMismatch {
+                got: proto,
+                want: PROTO_VERSION,
+            });
         }
         match ty {
             "submit" => {
                 let job = j
                     .get("job")
                     .ok_or_else(|| ProtoError::BadFrame("submit without a job".into()))?;
-                Ok(ClientMsg::Submit { job: JobSpec::from_json(job)? })
+                Ok(ClientMsg::Submit {
+                    job: JobSpec::from_json(job)?,
+                })
             }
             "ping" => Ok(ClientMsg::Ping),
             "stats" => Ok(ClientMsg::Stats),
-            other => Err(ProtoError::BadFrame(format!("unknown client message type {other:?}"))),
+            other => Err(ProtoError::BadFrame(format!(
+                "unknown client message type {other:?}"
+            ))),
         }
     }
 }
@@ -548,19 +570,36 @@ impl StatsBody {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServerMsg {
     /// One cell resolved (streamed as the job runs).
-    Progress { done: u64, total: u64, cell: String, cached: bool },
+    Progress {
+        done: u64,
+        total: u64,
+        cell: String,
+        cached: bool,
+    },
     /// Job finished. `matrix_json` is the *exact* pretty-printed
     /// `results/matrix.json` text a one-shot `make_tables` run would have
     /// written — transported as a JSON string (the codec's escape
     /// round-trip is exact), so clients can write the bytes verbatim.
-    Result { hits: u64, misses: u64, failures: u64, matrix_json: String },
+    Result {
+        hits: u64,
+        misses: u64,
+        failures: u64,
+        matrix_json: String,
+    },
     /// Admission control: too many jobs in flight; try again later.
-    Busy { active: u64, limit: u64 },
+    Busy {
+        active: u64,
+        limit: u64,
+    },
     /// Typed failure (bad spec, protocol error, internal error).
-    Error { message: String },
+    Error {
+        message: String,
+    },
     /// Orderly daemon drain (SIGTERM/SIGINT); in-flight work is
     /// journaled. The connection closes after this frame.
-    Shutdown { signal: String },
+    Shutdown {
+        signal: String,
+    },
     Pong,
     Stats(StatsBody),
 }
@@ -568,14 +607,24 @@ pub enum ServerMsg {
 impl ServerMsg {
     pub fn to_json(&self) -> Json {
         match self {
-            ServerMsg::Progress { done, total, cell, cached } => Json::obj(vec![
+            ServerMsg::Progress {
+                done,
+                total,
+                cell,
+                cached,
+            } => Json::obj(vec![
                 ("type", Json::Str("progress".into())),
                 ("done", Json::Num(*done as f64)),
                 ("total", Json::Num(*total as f64)),
                 ("cell", Json::Str(cell.clone())),
                 ("cached", Json::Bool(*cached)),
             ]),
-            ServerMsg::Result { hits, misses, failures, matrix_json } => Json::obj(vec![
+            ServerMsg::Result {
+                hits,
+                misses,
+                failures,
+                matrix_json,
+            } => Json::obj(vec![
                 ("type", Json::Str("result".into())),
                 ("hits", Json::Num(*hits as f64)),
                 ("misses", Json::Num(*misses as f64)),
@@ -597,7 +646,9 @@ impl ServerMsg {
             ]),
             ServerMsg::Pong => Json::obj(vec![("type", Json::Str("pong".into()))]),
             ServerMsg::Stats(body) => {
-                let Json::Obj(mut fields) = body.to_json() else { unreachable!() };
+                let Json::Obj(mut fields) = body.to_json() else {
+                    unreachable!()
+                };
                 fields.insert(0, ("type".into(), Json::Str("stats".into())));
                 Json::Obj(fields)
             }
@@ -611,7 +662,9 @@ impl ServerMsg {
             .and_then(Json::as_str)
             .ok_or_else(|| bad("missing message type".into()))?;
         let num = |k: &str| {
-            j.get(k).and_then(Json::as_u64).ok_or_else(|| bad(format!("{ty}: missing {k}")))
+            j.get(k)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| bad(format!("{ty}: missing {k}")))
         };
         let text = |k: &str| {
             j.get(k)
@@ -632,9 +685,16 @@ impl ServerMsg {
                 failures: num("failures")?,
                 matrix_json: text("matrix_json")?,
             }),
-            "busy" => Ok(ServerMsg::Busy { active: num("active")?, limit: num("limit")? }),
-            "error" => Ok(ServerMsg::Error { message: text("message")? }),
-            "shutdown" => Ok(ServerMsg::Shutdown { signal: text("signal")? }),
+            "busy" => Ok(ServerMsg::Busy {
+                active: num("active")?,
+                limit: num("limit")?,
+            }),
+            "error" => Ok(ServerMsg::Error {
+                message: text("message")?,
+            }),
+            "shutdown" => Ok(ServerMsg::Shutdown {
+                signal: text("signal")?,
+            }),
             "pong" => Ok(ServerMsg::Pong),
             "stats" => Ok(ServerMsg::Stats(StatsBody::from_json(j)?)),
             other => Err(bad(format!("unknown server message type {other:?}"))),

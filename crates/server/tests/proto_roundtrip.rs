@@ -29,7 +29,9 @@ fn roundtrip_server(msg: ServerMsg) {
 fn client_messages_round_trip() {
     roundtrip_client(ClientMsg::Ping);
     roundtrip_client(ClientMsg::Stats);
-    roundtrip_client(ClientMsg::Submit { job: JobSpec::matrix(isacmp::SizeClass::Test) });
+    roundtrip_client(ClientMsg::Submit {
+        job: JobSpec::matrix(isacmp::SizeClass::Test),
+    });
     let full = JobSpec {
         kind: server::JobKind::Campaign,
         size: isacmp::SizeClass::Small,
@@ -51,9 +53,16 @@ fn client_messages_round_trip() {
 #[test]
 fn server_messages_round_trip() {
     roundtrip_server(ServerMsg::Pong);
-    roundtrip_server(ServerMsg::Busy { active: 64, limit: 64 });
-    roundtrip_server(ServerMsg::Error { message: "no \"such\" job\nnewline".into() });
-    roundtrip_server(ServerMsg::Shutdown { signal: "SIGTERM".into() });
+    roundtrip_server(ServerMsg::Busy {
+        active: 64,
+        limit: 64,
+    });
+    roundtrip_server(ServerMsg::Error {
+        message: "no \"such\" job\nnewline".into(),
+    });
+    roundtrip_server(ServerMsg::Shutdown {
+        signal: "SIGTERM".into(),
+    });
     roundtrip_server(ServerMsg::Progress {
         done: 7,
         total: 20,
@@ -100,18 +109,30 @@ fn oversized_length_prefix_is_rejected_before_payload() {
     // waiting for (or buffering) a single payload byte.
     let prefix = ((MAX_FRAME + 1) as u32).to_be_bytes().to_vec();
     let err = read_frame(&mut Cursor::new(prefix)).expect_err("oversized");
-    assert_eq!(err, ProtoError::Oversized { len: MAX_FRAME + 1, max: MAX_FRAME });
+    assert_eq!(
+        err,
+        ProtoError::Oversized {
+            len: MAX_FRAME + 1,
+            max: MAX_FRAME
+        }
+    );
 }
 
 #[test]
 fn zero_length_and_corrupt_payloads_are_typed_errors() {
     let err = read_frame(&mut Cursor::new(0u32.to_be_bytes().to_vec())).expect_err("zero length");
-    assert!(matches!(err, ProtoError::BadFrame(_)), "zero-length: {err:?}");
+    assert!(
+        matches!(err, ProtoError::BadFrame(_)),
+        "zero-length: {err:?}"
+    );
 
     let mut corrupt = (7u32.to_be_bytes()).to_vec();
     corrupt.extend_from_slice(b"{nope!!");
     let err = read_frame(&mut Cursor::new(corrupt)).expect_err("corrupt json");
-    assert!(matches!(err, ProtoError::BadJson(_)), "corrupt json: {err:?}");
+    assert!(
+        matches!(err, ProtoError::BadJson(_)),
+        "corrupt json: {err:?}"
+    );
 
     let mut not_utf8 = (4u32.to_be_bytes()).to_vec();
     not_utf8.extend_from_slice(&[0xff, 0xfe, 0x80, 0x80]);
@@ -130,7 +151,13 @@ fn version_mismatch_is_typed() {
         }
     }
     let err = ClientMsg::from_json(&j).expect_err("version mismatch");
-    assert_eq!(err, ProtoError::VersionMismatch { got: 99, want: PROTO_VERSION });
+    assert_eq!(
+        err,
+        ProtoError::VersionMismatch {
+            got: 99,
+            want: PROTO_VERSION
+        }
+    );
 }
 
 #[test]
@@ -157,8 +184,15 @@ fn reader_keeps_partial_frames_across_idle_polls() {
             Ok(1)
         }
     }
-    let msg = ServerMsg::Busy { active: 1, limit: 2 };
-    let mut src = Trickle { bytes: frame_bytes(&msg.to_json()), pos: 0, ready: false };
+    let msg = ServerMsg::Busy {
+        active: 1,
+        limit: 2,
+    };
+    let mut src = Trickle {
+        bytes: frame_bytes(&msg.to_json()),
+        pos: 0,
+        ready: false,
+    };
     let mut reader = FrameReader::new();
     let mut idles = 0u32;
     loop {
@@ -172,13 +206,21 @@ fn reader_keeps_partial_frames_across_idle_polls() {
         }
         assert!(idles < 10_000, "reader made no progress");
     }
-    assert!(idles > 0, "the trickle source should have idled at least once");
+    assert!(
+        idles > 0,
+        "the trickle source should have idled at least once"
+    );
 }
 
 #[test]
 fn two_frames_in_one_buffer_both_parse() {
     let mut bytes = frame_bytes(&ServerMsg::Pong.to_json());
-    bytes.extend_from_slice(&frame_bytes(&ServerMsg::Error { message: "x".into() }.to_json()));
+    bytes.extend_from_slice(&frame_bytes(
+        &ServerMsg::Error {
+            message: "x".into(),
+        }
+        .to_json(),
+    ));
     let mut cursor = Cursor::new(bytes);
     let mut reader = FrameReader::new();
     let first = match reader.poll(&mut cursor).unwrap() {
@@ -190,8 +232,16 @@ fn two_frames_in_one_buffer_both_parse() {
         ReadOutcome::Frame(j) => ServerMsg::from_json(&j).unwrap(),
         other => panic!("expected second frame, got {other:?}"),
     };
-    assert_eq!(second, ServerMsg::Error { message: "x".into() });
-    assert!(matches!(reader.poll(&mut cursor).unwrap(), ReadOutcome::Closed));
+    assert_eq!(
+        second,
+        ServerMsg::Error {
+            message: "x".into()
+        }
+    );
+    assert!(matches!(
+        reader.poll(&mut cursor).unwrap(),
+        ReadOutcome::Closed
+    ));
 }
 
 /// The same deterministic mixer the fault injector uses (simcore's
@@ -294,20 +344,27 @@ fn job_spec_validation_rejects_kind_flag_disagreements() {
 
 #[test]
 fn job_spec_from_args_uses_the_shared_cli_grammar() {
-    let args: Vec<String> =
-        ["--size", "test", "--retries", "2", "--campaign", "7:3"].iter().map(|s| s.to_string()).collect();
+    let args: Vec<String> = ["--size", "test", "--retries", "2", "--campaign", "7:3"]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
     let spec = JobSpec::from_args(&args).expect("valid args");
     assert_eq!(spec.kind, server::JobKind::Campaign); // inferred from --campaign
     assert_eq!(spec.size, isacmp::SizeClass::Test);
     assert_eq!(spec.retries, 2);
     assert_eq!(spec.campaign.as_deref(), Some("7:3"));
 
-    let bad: Vec<String> = ["--size", "galactic"].iter().map(|s| s.to_string()).collect();
+    let bad: Vec<String> = ["--size", "galactic"]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
     assert!(JobSpec::from_args(&bad).is_err());
 
     // `--kind fusion` implies the fusion flag so the spec validates as built.
-    let fused: Vec<String> =
-        ["--kind", "fusion", "--size", "test"].iter().map(|s| s.to_string()).collect();
+    let fused: Vec<String> = ["--kind", "fusion", "--size", "test"]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
     let spec = JobSpec::from_args(&fused).expect("valid args");
     assert_eq!(spec.kind, server::JobKind::FusionReport);
     assert!(spec.fusion);

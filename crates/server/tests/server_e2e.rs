@@ -29,7 +29,11 @@ fn scratch(tag: &str) -> PathBuf {
 /// What a one-shot `make_tables table1 --size test` run would produce —
 /// the byte-identity reference for daemon-served matrices.
 fn one_shot_reference() -> String {
-    let opts = MatrixOptions { retries: 1, heed_shutdown: true, ..Default::default() };
+    let opts = MatrixOptions {
+        retries: 1,
+        heed_shutdown: true,
+        ..Default::default()
+    };
     run_matrix_opts(&Workload::ALL, SizeClass::Test, &opts).to_json()
 }
 
@@ -55,7 +59,11 @@ fn with_reference<R>(
     let handle = std::thread::spawn(move || srv.run());
     f(addr, r);
     shutdown::request();
-    assert_eq!(handle.join().expect("server thread"), 0, "drain must exit 0");
+    assert_eq!(
+        handle.join().expect("server thread"),
+        0,
+        "drain must exit 0"
+    );
     shutdown::reset();
 }
 
@@ -70,35 +78,45 @@ fn test_config(tag: &str) -> Config {
 
 fn expect_done(outcome: JobOutcome) -> (u64, u64, u64, String) {
     match outcome {
-        JobOutcome::Done { hits, misses, failures, matrix_json } => {
-            (hits, misses, failures, matrix_json)
-        }
+        JobOutcome::Done {
+            hits,
+            misses,
+            failures,
+            matrix_json,
+        } => (hits, misses, failures, matrix_json),
         other => panic!("expected a served matrix, got {other:?}"),
     }
 }
 
 #[test]
 fn served_matrix_is_byte_identical_to_one_shot_run() {
-    with_reference(test_config("byte-identity"), |_| one_shot_reference(), |addr, reference| {
-        let mut client = Client::connect(&addr.to_string()).expect("connect");
-        let total_cells = matrix_combos(&Workload::ALL).len() as u64;
-        let mut progress = 0u64;
-        let mut last_done = 0u64;
-        let outcome = client
-            .submit(&JobSpec::matrix(SizeClass::Test), |done, total, cell, _cached| {
-                assert_eq!(total, total_cells);
-                assert!(!cell.is_empty());
-                progress += 1;
-                last_done = done;
-            })
-            .expect("submit");
-        let (hits, misses, failures, matrix_json) = expect_done(outcome);
-        assert_eq!(progress, total_cells, "every cell streams a progress frame");
-        assert_eq!(last_done, total_cells);
-        assert_eq!(failures, 0);
-        assert_eq!(hits + misses, total_cells);
-        assert_eq!(matrix_json, reference, "daemon bytes == one-shot bytes");
-    });
+    with_reference(
+        test_config("byte-identity"),
+        |_| one_shot_reference(),
+        |addr, reference| {
+            let mut client = Client::connect(&addr.to_string()).expect("connect");
+            let total_cells = matrix_combos(&Workload::ALL).len() as u64;
+            let mut progress = 0u64;
+            let mut last_done = 0u64;
+            let outcome = client
+                .submit(
+                    &JobSpec::matrix(SizeClass::Test),
+                    |done, total, cell, _cached| {
+                        assert_eq!(total, total_cells);
+                        assert!(!cell.is_empty());
+                        progress += 1;
+                        last_done = done;
+                    },
+                )
+                .expect("submit");
+            let (hits, misses, failures, matrix_json) = expect_done(outcome);
+            assert_eq!(progress, total_cells, "every cell streams a progress frame");
+            assert_eq!(last_done, total_cells);
+            assert_eq!(failures, 0);
+            assert_eq!(hits + misses, total_cells);
+            assert_eq!(matrix_json, reference, "daemon bytes == one-shot bytes");
+        },
+    );
 }
 
 #[test]
@@ -146,8 +164,11 @@ fn warm_start_serves_a_one_shot_artifact_without_recomputing() {
     with_reference(cfg, reference, |addr, reference| {
         let mut client = Client::connect(&addr.to_string()).expect("connect");
         let total = matrix_combos(&Workload::ALL).len() as u64;
-        let (hits, misses, _, served) =
-            expect_done(client.submit(&JobSpec::matrix(SizeClass::Test), |_, _, _, _| {}).unwrap());
+        let (hits, misses, _, served) = expect_done(
+            client
+                .submit(&JobSpec::matrix(SizeClass::Test), |_, _, _, _| {})
+                .unwrap(),
+        );
         assert_eq!((hits, misses), (total, 0), "warm cache: nothing recomputed");
         assert_eq!(served, reference);
     });
@@ -173,10 +194,16 @@ fn restarted_daemon_recovers_a_killed_jobs_journal() {
     // zero cells recomputed — and produce the exact one-shot bytes.
     let cfg = test_config("journal-recovery");
     let spec = JobSpec::matrix(SizeClass::Test);
-    let journal_path =
-        cfg.jobs_dir.join(format!("job-{:016x}.journal.jsonl", fnv1a64(&spec.canonical())));
+    let journal_path = cfg.jobs_dir.join(format!(
+        "job-{:016x}.journal.jsonl",
+        fnv1a64(&spec.canonical())
+    ));
     let reference = |_: &Config| {
-        let opts = MatrixOptions { retries: 1, heed_shutdown: true, ..Default::default() };
+        let opts = MatrixOptions {
+            retries: 1,
+            heed_shutdown: true,
+            ..Default::default()
+        };
         let reference_matrix = run_matrix_opts(&Workload::ALL, SizeClass::Test, &opts);
         let mut journal = CellJournal::create(&journal_path, SizeClass::Test.name(), None)
             .expect("create journal");
@@ -199,10 +226,21 @@ fn restarted_daemon_recovers_a_killed_jobs_journal() {
             .unwrap();
         let (hits, misses, failures, served) = expect_done(outcome);
         assert_eq!(recovered, total, "every cell recovered from the journal");
-        assert_eq!((hits, misses, failures), (0, 0, 0), "nothing computed, nothing cached");
-        assert_eq!(served, reference_matrix.to_json(), "recovered bytes == one-shot bytes");
+        assert_eq!(
+            (hits, misses, failures),
+            (0, 0, 0),
+            "nothing computed, nothing cached"
+        );
+        assert_eq!(
+            served,
+            reference_matrix.to_json(),
+            "recovered bytes == one-shot bytes"
+        );
     });
-    assert!(!journal_path.exists(), "a cleanly completed job retires its journal");
+    assert!(
+        !journal_path.exists(),
+        "a cleanly completed job retires its journal"
+    );
 }
 
 #[test]
@@ -212,56 +250,87 @@ fn fused_and_unfused_jobs_never_share_cache_slots() {
     // and a fused submission after a warm unfused one must recompute every
     // cell — a cross-contaminated hit would serve unfused bytes as fused.
     let fused_reference = |_: &Config| {
-        let opts =
-            MatrixOptions { retries: 1, heed_shutdown: true, fusion: true, ..Default::default() };
+        let opts = MatrixOptions {
+            retries: 1,
+            heed_shutdown: true,
+            fusion: true,
+            ..Default::default()
+        };
         run_matrix_opts(&Workload::ALL, SizeClass::Test, &opts).to_json()
     };
-    with_reference(test_config("fusion-axis"), fused_reference, |addr, fused_reference| {
-        let mut client = Client::connect(&addr.to_string()).expect("connect");
-        let total = matrix_combos(&Workload::ALL).len() as u64;
+    with_reference(
+        test_config("fusion-axis"),
+        fused_reference,
+        |addr, fused_reference| {
+            let mut client = Client::connect(&addr.to_string()).expect("connect");
+            let total = matrix_combos(&Workload::ALL).len() as u64;
 
-        let unfused_spec = JobSpec::matrix(SizeClass::Test);
-        let mut fused_spec = JobSpec::matrix(SizeClass::Test);
-        fused_spec.kind = server::JobKind::FusionReport;
-        fused_spec.fusion = true;
-        assert_ne!(unfused_spec.canonical(), fused_spec.canonical());
+            let unfused_spec = JobSpec::matrix(SizeClass::Test);
+            let mut fused_spec = JobSpec::matrix(SizeClass::Test);
+            fused_spec.kind = server::JobKind::FusionReport;
+            fused_spec.fusion = true;
+            assert_ne!(unfused_spec.canonical(), fused_spec.canonical());
 
-        let (hits, misses, _, unfused_json) =
-            expect_done(client.submit(&unfused_spec, |_, _, _, _| {}).unwrap());
-        assert_eq!((hits, misses), (0, total));
+            let (hits, misses, _, unfused_json) =
+                expect_done(client.submit(&unfused_spec, |_, _, _, _| {}).unwrap());
+            assert_eq!((hits, misses), (0, total));
 
-        // Warm unfused cache must not satisfy a single fused cell.
-        let (hits, misses, failures, fused_json) =
-            expect_done(client.submit(&fused_spec, |_, _, _, _| {}).unwrap());
-        assert_eq!((hits, misses, failures), (0, total, 0), "fused run must miss everywhere");
-        assert_ne!(fused_json, unfused_json);
-        assert!(fused_json.contains("\"fused\""), "fused cells carry their report");
-        assert!(!unfused_json.contains("\"fused\""), "unfused cells stay pre-fusion-identical");
-        assert_eq!(fused_json, fused_reference, "daemon fused bytes == one-shot fused bytes");
+            // Warm unfused cache must not satisfy a single fused cell.
+            let (hits, misses, failures, fused_json) =
+                expect_done(client.submit(&fused_spec, |_, _, _, _| {}).unwrap());
+            assert_eq!(
+                (hits, misses, failures),
+                (0, total, 0),
+                "fused run must miss everywhere"
+            );
+            assert_ne!(fused_json, unfused_json);
+            assert!(
+                fused_json.contains("\"fused\""),
+                "fused cells carry their report"
+            );
+            assert!(
+                !unfused_json.contains("\"fused\""),
+                "unfused cells stay pre-fusion-identical"
+            );
+            assert_eq!(
+                fused_json, fused_reference,
+                "daemon fused bytes == one-shot fused bytes"
+            );
 
-        // Both axes now resident: each resubmission is all hits on its own
-        // slots and returns its own bytes.
-        let (hits, _, _, fused_again) =
-            expect_done(client.submit(&fused_spec, |_, _, _, _| {}).unwrap());
-        assert_eq!(hits, total);
-        assert_eq!(fused_again, fused_json);
-        let (hits, _, _, unfused_again) =
-            expect_done(client.submit(&unfused_spec, |_, _, _, _| {}).unwrap());
-        assert_eq!(hits, total);
-        assert_eq!(unfused_again, unfused_json);
+            // Both axes now resident: each resubmission is all hits on its own
+            // slots and returns its own bytes.
+            let (hits, _, _, fused_again) =
+                expect_done(client.submit(&fused_spec, |_, _, _, _| {}).unwrap());
+            assert_eq!(hits, total);
+            assert_eq!(fused_again, fused_json);
+            let (hits, _, _, unfused_again) =
+                expect_done(client.submit(&unfused_spec, |_, _, _, _| {}).unwrap());
+            assert_eq!(hits, total);
+            assert_eq!(unfused_again, unfused_json);
 
-        let mut probe = Client::connect(&addr.to_string()).expect("connect");
-        let stats = probe.stats().expect("stats");
-        assert_eq!(stats.cache_cells, 2 * total, "both axes resident, keyed apart");
-    });
+            let mut probe = Client::connect(&addr.to_string()).expect("connect");
+            let stats = probe.stats().expect("stats");
+            assert_eq!(
+                stats.cache_cells,
+                2 * total,
+                "both axes resident, keyed apart"
+            );
+        },
+    );
 }
 
 #[test]
 fn admission_control_rejects_with_typed_busy() {
-    let cfg = Config { max_jobs: 0, ..test_config("admission") };
+    let cfg = Config {
+        max_jobs: 0,
+        ..test_config("admission")
+    };
     with_server(cfg, |addr| {
         let mut client = Client::connect(&addr.to_string()).expect("connect");
-        match client.submit(&JobSpec::matrix(SizeClass::Test), |_, _, _, _| {}).unwrap() {
+        match client
+            .submit(&JobSpec::matrix(SizeClass::Test), |_, _, _, _| {})
+            .unwrap()
+        {
             JobOutcome::Busy { active, limit } => {
                 assert_eq!(limit, 0);
                 assert_eq!(active, 0);
@@ -287,8 +356,13 @@ fn ping_stats_and_bad_specs_on_one_connection() {
         // server-side — either way the submit call errors, not panics.
         let mut bad = JobSpec::matrix(SizeClass::Test);
         bad.kind = server::JobKind::Campaign;
-        let err = client.submit(&bad, |_, _, _, _| {}).expect_err("invalid spec");
-        assert!(err.to_string().contains("campaign"), "typed message, got: {err}");
+        let err = client
+            .submit(&bad, |_, _, _, _| {})
+            .expect_err("invalid spec");
+        assert!(
+            err.to_string().contains("campaign"),
+            "typed message, got: {err}"
+        );
     });
 }
 
@@ -311,6 +385,10 @@ fn draining_daemon_sends_typed_shutdown_frames() {
         ServerMsg::Shutdown { signal } => assert!(!signal.is_empty()),
         other => panic!("expected shutdown frame, got {other:?}"),
     }
-    assert_eq!(handle.join().expect("server thread"), 0, "SIGTERM drain exits 0");
+    assert_eq!(
+        handle.join().expect("server thread"),
+        0,
+        "SIGTERM drain exits 0"
+    );
     shutdown::reset();
 }

@@ -337,8 +337,11 @@ impl<E: IsaExecutor> EmulationCore<E> {
         };
         // Beats fall on multiples of the interval counted from 0, so a run
         // resumed past the first beat never beats again.
-        let mut next_beat =
-            if self.progress_every > start_retired { self.progress_every } else { u64::MAX };
+        let mut next_beat = if self.progress_every > start_retired {
+            self.progress_every
+        } else {
+            u64::MAX
+        };
         // The masked 2^14 boundary only matters when one of its three
         // tenants is live; otherwise blocks run straight through it.
         let masked_live =
@@ -519,7 +522,9 @@ mod tests {
 
     impl SpinExec {
         fn new() -> Self {
-            SpinExec { flushes: Cell::new(0) }
+            SpinExec {
+                flushes: Cell::new(0),
+            }
         }
     }
 
@@ -575,8 +580,7 @@ mod tests {
         let mut st = CpuState::new();
         st.pc = 0x1000;
         st.mem.write_u32(0x1000, 7).unwrap(); // immediate exit(7)
-        let core =
-            EmulationCore::new(SpinExec::new()).with_deadline(Duration::from_secs(3600));
+        let core = EmulationCore::new(SpinExec::new()).with_deadline(Duration::from_secs(3600));
         let stats = core.run(&mut st, &mut []).unwrap();
         assert_eq!(stats.exit_code, 7);
     }
@@ -602,7 +606,11 @@ mod tests {
         let stats = core.run(&mut st, &mut []).unwrap();
         assert_eq!(stats.exit_code, 0x2a, "corrupted word drives the exit");
         assert_eq!(stats.retired, 4);
-        assert_eq!(core.executor().flushes.get(), 1, "decode cache flushed once");
+        assert_eq!(
+            core.executor().flushes.get(),
+            1,
+            "decode cache flushed once"
+        );
     }
 
     #[test]
@@ -619,7 +627,11 @@ mod tests {
         assert_eq!(snap.publishes(), 4096 / 64);
         let last = snap.read().expect("samples were published");
         assert_eq!(last.instret % 64, 0);
-        assert!(last.pc >= 0x1000, "published pc must be a guest pc: {:#x}", last.pc);
+        assert!(
+            last.pc >= 0x1000,
+            "published pc must be a guest pc: {:#x}",
+            last.pc
+        );
     }
 
     #[test]
@@ -679,7 +691,10 @@ mod tests {
             }
         }
         assert_eq!(pauses, 3, "one pause per interval before the budget trips");
-        assert_eq!(st.instret, budget, "error path still records absolute instret");
+        assert_eq!(
+            st.instret, budget,
+            "error path still records absolute instret"
+        );
     }
 
     #[test]
@@ -703,7 +718,9 @@ mod tests {
         st.mem.write_u32(0x1000, 0).unwrap();
         st.mem.write_u32(0x1004, 9).unwrap(); // nop, then exit(9)
         st.instret = 1_000;
-        let stats = EmulationCore::new(SpinExec::new()).run(&mut st, &mut []).unwrap();
+        let stats = EmulationCore::new(SpinExec::new())
+            .run(&mut st, &mut [])
+            .unwrap();
         assert_eq!(stats.retired, 1_002);
         assert_eq!(stats.stop, StopReason::Exited);
         assert_eq!(st.instret, 1_002);
@@ -711,8 +728,9 @@ mod tests {
 
     #[test]
     fn shutdown_flag_interrupts_at_a_clean_boundary_only_when_heeded() {
-        let _guard =
-            crate::shutdown::TEST_FLAG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = crate::shutdown::TEST_FLAG_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let interval = EmulationCore::<SpinExec>::DEADLINE_CHECK_INTERVAL;
         crate::shutdown::request();
         // Not heeded: the flag is ignored and the budget trips instead.
@@ -724,7 +742,9 @@ mod tests {
         ));
         // Heeded: the very first masked check (retired = 0) observes it.
         let mut st = spinning_state();
-        let core = EmulationCore::new(SpinExec::new()).with_budget(interval).with_shutdown();
+        let core = EmulationCore::new(SpinExec::new())
+            .with_budget(interval)
+            .with_shutdown();
         let err = core.run(&mut st, &mut []).unwrap_err();
         assert_eq!(err, SimError::Interrupted { retired: 0 });
         assert_eq!(st.instret, 0);
@@ -847,9 +867,15 @@ mod tests {
             .expect("pause, not error");
         assert_eq!(stats.stop, StopReason::CheckpointDue);
         // 16384 = DEADLINE_CHECK_INTERVAL: pauses land on masked boundaries.
-        assert_eq!(stats.retired, 16384, "pause lands exactly on the masked boundary");
+        assert_eq!(
+            stats.retired, 16384,
+            "pause lands exactly on the masked boundary"
+        );
         assert_eq!((st.instret, st.pc), (16384, pc_at(16384)));
-        assert!(exec.block_calls.get() > 0, "the block path must actually have run blocks");
+        assert!(
+            exec.block_calls.get() > 0,
+            "the block path must actually have run blocks"
+        );
     }
 
     #[test]
@@ -859,7 +885,10 @@ mod tests {
             .with_budget(1000)
             .run(&mut st, &mut [])
             .unwrap_err();
-        assert!(matches!(err, SimError::InstructionBudgetExceeded { budget: 1000 }), "{err}");
+        assert!(
+            matches!(err, SimError::InstructionBudgetExceeded { budget: 1000 }),
+            "{err}"
+        );
         assert_eq!(st.instret, 1000, "instret at the budget stop");
     }
 
@@ -897,7 +926,9 @@ mod tests {
         st.mem.write_u32(pc_at(100), 1).unwrap();
         let mut count = CountingObserver::default();
         let exec = BlockSpinExec::new();
-        EmulationCore::new(&exec).run(&mut st, &mut [&mut count]).expect("run exits");
+        EmulationCore::new(&exec)
+            .run(&mut st, &mut [&mut count])
+            .expect("run exits");
         assert_eq!(count.retired, 101, "batched counts must equal retirements");
         assert!(
             exec.block_calls.get() > 1,
@@ -912,7 +943,11 @@ mod tests {
             .run(&mut st, &mut [&mut every])
             .expect("run exits");
         assert_eq!(every.records, 101);
-        assert_eq!(every.last_pc, pc_at(100), "last record is the exiting instruction");
+        assert_eq!(
+            every.last_pc,
+            pc_at(100),
+            "last record is the exiting instruction"
+        );
     }
 
     #[test]
@@ -942,13 +977,21 @@ mod tests {
         st.mem.write_u32(pc_at(3000), 9).unwrap();
         let exec = BlockSpinExec::new();
         let plan = FaultPlan::parse("fetch@1000:0x7").unwrap();
-        let stats =
-            EmulationCore::new(&exec).with_injector(Box::new(plan)).run(&mut st, &mut []).unwrap();
+        let stats = EmulationCore::new(&exec)
+            .with_injector(Box::new(plan))
+            .run(&mut st, &mut [])
+            .unwrap();
         assert_eq!((stats.retired, stats.exit_code), (3001, 9));
         assert_eq!(exec.inner.flushes.get(), 1, "decode cache flushed once");
         let (before, after) = exec.blocks_around(1000);
-        assert!(before > 0 && after > 0, "blocks ran on both sides: {before}/{after}");
-        assert!(exec.block_starts.borrow().contains(&pc_at(1000)), "no block spans the fault");
+        assert!(
+            before > 0 && after > 0,
+            "blocks ran on both sides: {before}/{after}"
+        );
+        assert!(
+            exec.block_starts.borrow().contains(&pc_at(1000)),
+            "no block spans the fault"
+        );
     }
 
     #[test]
@@ -960,11 +1003,19 @@ mod tests {
         st.mem.write_u32(pc_at(3000), 9).unwrap();
         let exec = BlockSpinExec::new();
         let plan = FaultPlan::parse("read@500:3").unwrap();
-        let stats =
-            EmulationCore::new(&exec).with_injector(Box::new(plan)).run(&mut st, &mut []).unwrap();
+        let stats = EmulationCore::new(&exec)
+            .with_injector(Box::new(plan))
+            .run(&mut st, &mut [])
+            .unwrap();
         assert_eq!((stats.retired, stats.exit_code), (3001, 9));
-        assert_eq!(exec.blocks_around(500), (0, exec.block_calls.get() as usize));
-        assert!(exec.block_calls.get() > 0, "blocks ran once the flip had fired");
+        assert_eq!(
+            exec.blocks_around(500),
+            (0, exec.block_calls.get() as usize)
+        );
+        assert!(
+            exec.block_calls.get() > 0,
+            "blocks ran once the flip had fired"
+        );
         assert_eq!(exec.block_starts.borrow()[0], pc_at(500));
     }
 
@@ -1012,9 +1063,16 @@ mod tests {
             .run(&mut st, &mut [])
             .unwrap_err();
         assert!(matches!(err, SimError::Fault { .. }), "{err}");
-        assert_eq!(st.instret, 20000, "the second fault lands where it does uninterrupted");
+        assert_eq!(
+            st.instret, 20000,
+            "the second fault lands where it does uninterrupted"
+        );
         assert_eq!(restored.fired_count(), 2, "the second fault fired once");
-        assert_eq!(exec.inner.flushes.get(), 0, "the first fault did not fire again");
+        assert_eq!(
+            exec.inner.flushes.get(),
+            0,
+            "the first fault did not fire again"
+        );
         assert!(exec.block_calls.get() > 0);
     }
 }

@@ -106,7 +106,8 @@ mod tests {
     use super::*;
 
     fn tmp_dir(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("isacmp-durable-{name}-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("isacmp-durable-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
@@ -120,7 +121,10 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), b"first");
         durable_write(&path, b"second, longer contents").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"second, longer contents");
-        assert!(!tmp_path(&path).exists(), "tmp staging file is consumed by the rename");
+        assert!(
+            !tmp_path(&path).exists(),
+            "tmp staging file is consumed by the rename"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -60,7 +60,10 @@ fn regions_to_desc(regions: &[Region]) -> Vec<u8> {
 }
 
 fn regions_from_desc(desc: &[u8]) -> Result<Vec<Region>, SimError> {
-    let err = || SimError::Fault { pc: 0, msg: "malformed region note".into() };
+    let err = || SimError::Fault {
+        pc: 0,
+        msg: "malformed region note".into(),
+    };
     if desc.len() < 4 {
         return Err(err());
     }
@@ -120,8 +123,10 @@ impl Program {
         let mut out = Vec::new();
         // ELF header.
         let ident: [u8; EI_NIDENT] = [
-            0x7F, b'E', b'L', b'F', 2 /* 64-bit */, 1 /* little */, 1 /* version */, 0,
-            0, 0, 0, 0, 0, 0, 0, 0,
+            0x7F, b'E', b'L', b'F', 2, /* 64-bit */
+            1, /* little */
+            1, /* version */
+            0, 0, 0, 0, 0, 0, 0, 0, 0,
         ];
         out.extend_from_slice(&ident);
         put_u16(&mut out, ET_EXEC);
@@ -176,7 +181,10 @@ impl Program {
     /// Parse a statically linked ELF64 executable produced by [`Program::to_elf`]
     /// (or any simple static ELF with `PT_LOAD` segments).
     pub fn from_elf(bytes: &[u8]) -> Result<Program, SimError> {
-        let err = |msg: &str| SimError::Fault { pc: 0, msg: msg.into() };
+        let err = |msg: &str| SimError::Fault {
+            pc: 0,
+            msg: msg.into(),
+        };
         if bytes.len() < EHDR_SIZE || &bytes[0..4] != b"\x7FELF" {
             return Err(err("not an ELF file"));
         }
@@ -221,7 +229,11 @@ impl Program {
                     program.sections.push(Section {
                         addr: p_vaddr,
                         bytes: bytes[p_offset..p_offset + p_filesz].to_vec(),
-                        name: if flags & 1 != 0 { ".text".into() } else { ".data".into() },
+                        name: if flags & 1 != 0 {
+                            ".text".into()
+                        } else {
+                            ".data".into()
+                        },
                     });
                 }
                 PT_NOTE => {
@@ -235,7 +247,8 @@ impl Program {
                             && note.len() >= name_end + descsz
                             && &note[12..name_end] == NOTE_NAME
                         {
-                            program.regions = regions_from_desc(&note[name_end..name_end + descsz])?;
+                            program.regions =
+                                regions_from_desc(&note[name_end..name_end + descsz])?;
                         }
                     }
                 }
@@ -266,8 +279,16 @@ mod tests {
             bytes: (0..32u8).collect(),
             name: ".data".into(),
         });
-        p.regions.push(Region { name: "copy".into(), start: 0x1_0000, end: 0x1_0004 });
-        p.regions.push(Region { name: "scale".into(), start: 0x1_0004, end: 0x1_0008 });
+        p.regions.push(Region {
+            name: "copy".into(),
+            start: 0x1_0000,
+            end: 0x1_0004,
+        });
+        p.regions.push(Region {
+            name: "scale".into(),
+            start: 0x1_0004,
+            end: 0x1_0008,
+        });
         p
     }
 

@@ -84,7 +84,10 @@ impl std::fmt::Display for SimError {
                 write!(f, "read of unmapped guest memory at {addr:#x}")
             }
             SimError::Decode { pc, word, msg } => {
-                write!(f, "undecodable instruction {word:#010x} at pc {pc:#x}: {msg}")
+                write!(
+                    f,
+                    "undecodable instruction {word:#010x} at pc {pc:#x}: {msg}"
+                )
             }
             SimError::UnimplementedSyscall { pc, num } => {
                 write!(f, "unimplemented syscall {num} at pc {pc:#x}")
@@ -94,10 +97,16 @@ impl std::fmt::Display for SimError {
                 write!(f, "instruction budget of {budget} exceeded")
             }
             SimError::WallClockExceeded { limit_ms, retired } => {
-                write!(f, "wall-clock deadline of {limit_ms} ms exceeded after {retired} retirements")
+                write!(
+                    f,
+                    "wall-clock deadline of {limit_ms} ms exceeded after {retired} retirements"
+                )
             }
             SimError::Interrupted { retired } => {
-                write!(f, "interrupted by shutdown request after {retired} retirements")
+                write!(
+                    f,
+                    "interrupted by shutdown request after {retired} retirements"
+                )
             }
             SimError::Breakpoint { pc } => write!(f, "breakpoint at pc {pc:#x}"),
             SimError::Fault { pc, msg } => write!(f, "fault at pc {pc:#x}: {msg}"),

@@ -99,7 +99,8 @@ pub enum InjectAction {
 pub trait FaultInjector {
     /// Called before a step; `retired` is the number of instructions
     /// retired so far (0 before the first).
-    fn before_step(&mut self, state: &mut CpuState, retired: u64) -> Result<InjectAction, SimError>;
+    fn before_step(&mut self, state: &mut CpuState, retired: u64)
+        -> Result<InjectAction, SimError>;
 
     /// The first retirement count, at or after `retired`, at which
     /// [`FaultInjector::before_step`] would act; `None` when it never will
@@ -124,7 +125,11 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// Build a plan from a kind, with the default seed.
     pub fn new(kind: FaultKind) -> Self {
-        FaultPlan { kind, seed: DEFAULT_FAULT_SEED, fired: false }
+        FaultPlan {
+            kind,
+            seed: DEFAULT_FAULT_SEED,
+            fired: false,
+        }
     }
 
     /// Parse a CLI spec: `trap@N`, `fetch@N[:MASK]` (mask hex with `0x` or
@@ -153,14 +158,20 @@ impl FaultPlan {
                     .transpose()
                     .map_err(|e| format!("bad fault spec {spec:?}: {e}"))?;
                 if mask == Some(0) {
-                    return Err(format!("bad fault spec {spec:?}: a zero mask flips nothing"));
+                    return Err(format!(
+                        "bad fault spec {spec:?}: a zero mask flips nothing"
+                    ));
                 }
-                FaultKind::CorruptFetch { at_instret: n, mask }
+                FaultKind::CorruptFetch {
+                    at_instret: n,
+                    mask,
+                }
             }
             "read" => {
                 let bit = arg
                     .map(|a| {
-                        a.parse::<u32>().map_err(|_| format!("{a:?} is not a bit index"))
+                        a.parse::<u32>()
+                            .map_err(|_| format!("{a:?} is not a bit index"))
                     })
                     .transpose()
                     .map_err(|e| format!("bad fault spec {spec:?}: {e}"))?;
@@ -280,11 +291,17 @@ impl FaultPlan {
             0 => FaultKind::TrapAt { at_instret: at },
             1 => {
                 let mask = (splitmix64(stream) as u32) | 1; // non-zero
-                FaultKind::CorruptFetch { at_instret: at, mask: Some(mask) }
+                FaultKind::CorruptFetch {
+                    at_instret: at,
+                    mask: Some(mask),
+                }
             }
             _ => {
                 let bit = (splitmix64(stream) % 64) as u32;
-                FaultKind::FlipRead { nth: at, bit: Some(bit) }
+                FaultKind::FlipRead {
+                    nth: at,
+                    bit: Some(bit),
+                }
             }
         };
         FaultPlan::new(kind)
@@ -319,7 +336,9 @@ impl CampaignSpec {
             .parse()
             .map_err(|_| format!("bad campaign spec {spec:?}: {n_str:?} is not a fault count"))?;
         if n_faults == 0 {
-            return Err(format!("bad campaign spec {spec:?}: a campaign needs at least one fault"));
+            return Err(format!(
+                "bad campaign spec {spec:?}: a campaign needs at least one fault"
+            ));
         }
         Ok(CampaignSpec { seed, n_faults })
     }
@@ -345,14 +364,24 @@ impl Campaign {
     /// Draw `n` plans from a SplitMix64 stream seeded with `seed`.
     pub fn sample(seed: u64, n: usize, window: u64) -> Self {
         let mut stream = seed;
-        let plans = (0..n).map(|_| FaultPlan::sample(&mut stream, window)).collect();
-        Campaign { plans, seed, fired: Arc::new(AtomicU64::new(0)) }
+        let plans = (0..n)
+            .map(|_| FaultPlan::sample(&mut stream, window))
+            .collect();
+        Campaign {
+            plans,
+            seed,
+            fired: Arc::new(AtomicU64::new(0)),
+        }
     }
 
     /// Build a campaign from explicit plans (e.g. replayed from a
     /// manifest's spec strings).
     pub fn from_plans(plans: Vec<FaultPlan>, seed: u64) -> Self {
-        Campaign { plans, seed, fired: Arc::new(AtomicU64::new(0)) }
+        Campaign {
+            plans,
+            seed,
+            fired: Arc::new(AtomicU64::new(0)),
+        }
     }
 
     /// Append one more plan to the schedule.
@@ -388,7 +417,11 @@ impl Campaign {
 
     /// Compact human description (for logs and `ERR` cell details).
     pub fn describe(&self) -> String {
-        format!("campaign seed {:#x}: {} fault(s) scheduled", self.seed, self.plans.len())
+        format!(
+            "campaign seed {:#x}: {} fault(s) scheduled",
+            self.seed,
+            self.plans.len()
+        )
     }
 
     /// Restore per-plan fired flags and the shared fired counter from a
@@ -407,7 +440,11 @@ impl FaultInjector for Campaign {
         self.plans.iter().filter_map(|p| p.next_due(retired)).min()
     }
 
-    fn before_step(&mut self, state: &mut CpuState, retired: u64) -> Result<InjectAction, SimError> {
+    fn before_step(
+        &mut self,
+        state: &mut CpuState,
+        retired: u64,
+    ) -> Result<InjectAction, SimError> {
         let mut action = InjectAction::Continue;
         for plan in &mut self.plans {
             if plan.fired {
@@ -449,7 +486,11 @@ impl FaultInjector for FaultPlan {
         }
     }
 
-    fn before_step(&mut self, state: &mut CpuState, retired: u64) -> Result<InjectAction, SimError> {
+    fn before_step(
+        &mut self,
+        state: &mut CpuState,
+        retired: u64,
+    ) -> Result<InjectAction, SimError> {
         if self.fired {
             return Ok(InjectAction::Continue);
         }
@@ -499,11 +540,17 @@ mod tests {
         );
         assert_eq!(
             FaultPlan::parse("fetch@7:0xdead").unwrap().kind(),
-            &FaultKind::CorruptFetch { at_instret: 7, mask: Some(0xDEAD) }
+            &FaultKind::CorruptFetch {
+                at_instret: 7,
+                mask: Some(0xDEAD)
+            }
         );
         assert_eq!(
             FaultPlan::parse("read@5:63").unwrap().kind(),
-            &FaultKind::FlipRead { nth: 5, bit: Some(63) }
+            &FaultKind::FlipRead {
+                nth: 5,
+                bit: Some(63)
+            }
         );
         assert_eq!(
             FaultPlan::parse("read@5").unwrap().kind(),
@@ -513,7 +560,17 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_specs() {
-        for bad in ["", "trap", "trap@", "trap@x", "trap@3:1", "boom@3", "read@0", "fetch@1:0x0", "fetch@1:zz"] {
+        for bad in [
+            "",
+            "trap",
+            "trap@",
+            "trap@x",
+            "trap@3:1",
+            "boom@3",
+            "read@0",
+            "fetch@1:0x0",
+            "fetch@1:zz",
+        ] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad:?} should not parse");
         }
     }
@@ -525,7 +582,11 @@ mod tests {
         assert_eq!(a.fetch_mask(), b.fetch_mask());
         assert_ne!(a.fetch_mask(), 0);
         let c = FaultPlan::parse("fetch@10").unwrap().with_seed(1);
-        assert_ne!(c.fetch_mask(), a.fetch_mask(), "different seed, different mask");
+        assert_ne!(
+            c.fetch_mask(),
+            a.fetch_mask(),
+            "different seed, different mask"
+        );
         let r1 = FaultPlan::parse("read@3").unwrap();
         let r2 = FaultPlan::parse("read@3").unwrap();
         assert_eq!(r1.read_bit(), r2.read_bit());
@@ -537,7 +598,10 @@ mod tests {
         let mut plan = FaultPlan::parse("trap@3").unwrap();
         let mut st = CpuState::new();
         for retired in 0..3 {
-            assert_eq!(plan.before_step(&mut st, retired).unwrap(), InjectAction::Continue);
+            assert_eq!(
+                plan.before_step(&mut st, retired).unwrap(),
+                InjectAction::Continue
+            );
         }
         let err = plan.before_step(&mut st, 3).unwrap_err();
         assert!(matches!(err, SimError::Fault { .. }), "{err}");
@@ -556,7 +620,10 @@ mod tests {
         }
         // Derived (None) arguments become explicit in the spec.
         let derived = FaultPlan::parse("fetch@9").unwrap();
-        assert_eq!(derived.spec(), format!("fetch@9:{:#x}", derived.fetch_mask()));
+        assert_eq!(
+            derived.spec(),
+            format!("fetch@9:{:#x}", derived.fetch_mask())
+        );
         let derived = FaultPlan::parse("read@9").unwrap();
         assert_eq!(derived.spec(), format!("read@9:{}", derived.read_bit()));
     }
@@ -583,13 +650,25 @@ mod tests {
 
     #[test]
     fn campaign_spec_parses_seed_and_count() {
-        assert_eq!(CampaignSpec::parse("42:6").unwrap(), CampaignSpec { seed: 42, n_faults: 6 });
+        assert_eq!(
+            CampaignSpec::parse("42:6").unwrap(),
+            CampaignSpec {
+                seed: 42,
+                n_faults: 6
+            }
+        );
         assert_eq!(
             CampaignSpec::parse("0xfa17:12").unwrap(),
-            CampaignSpec { seed: 0xFA17, n_faults: 12 }
+            CampaignSpec {
+                seed: 0xFA17,
+                n_faults: 12
+            }
         );
         for bad in ["", "42", "42:", ":6", "42:0", "zz:6", "42:x"] {
-            assert!(CampaignSpec::parse(bad).is_err(), "{bad:?} should not parse");
+            assert!(
+                CampaignSpec::parse(bad).is_err(),
+                "{bad:?} should not parse"
+            );
         }
     }
 
@@ -606,20 +685,35 @@ mod tests {
     #[test]
     fn campaign_fires_each_plan_and_shares_the_counter() {
         let campaign = Campaign::from_plans(
-            vec![FaultPlan::parse("fetch@1:0x1").unwrap(), FaultPlan::parse("fetch@2:0x2").unwrap()],
+            vec![
+                FaultPlan::parse("fetch@1:0x1").unwrap(),
+                FaultPlan::parse("fetch@2:0x2").unwrap(),
+            ],
             0,
         );
         let mut live = campaign.clone(); // boxed-injector stand-in
         let mut st = CpuState::new();
         st.pc = 0x1000;
         st.mem.write_u32(0x1000, 0).unwrap();
-        assert_eq!(live.before_step(&mut st, 0).unwrap(), InjectAction::Continue);
-        assert_eq!(live.before_step(&mut st, 1).unwrap(), InjectAction::FlushDecodeCache);
-        assert_eq!(live.before_step(&mut st, 2).unwrap(), InjectAction::FlushDecodeCache);
+        assert_eq!(
+            live.before_step(&mut st, 0).unwrap(),
+            InjectAction::Continue
+        );
+        assert_eq!(
+            live.before_step(&mut st, 1).unwrap(),
+            InjectAction::FlushDecodeCache
+        );
+        assert_eq!(
+            live.before_step(&mut st, 2).unwrap(),
+            InjectAction::FlushDecodeCache
+        );
         assert_eq!(st.mem.read_u32(0x1000).unwrap(), 0x3);
         // The original observes the clone's firings through the shared Arc.
         assert_eq!(campaign.fired_count(), 2);
-        assert_eq!(live.before_step(&mut st, 3).unwrap(), InjectAction::Continue);
+        assert_eq!(
+            live.before_step(&mut st, 3).unwrap(),
+            InjectAction::Continue
+        );
         assert_eq!(campaign.fired_count(), 2, "one-shot plans stay fired");
     }
 
@@ -665,19 +759,29 @@ mod tests {
             st.mem.write_u32(0x1000, 0).unwrap();
             for retired in 0..6u64 {
                 let due = live.next_due(retired);
-                assert!(due.is_none_or(|d| d >= retired), "{spec}: due {due:?} before {retired}");
+                assert!(
+                    due.is_none_or(|d| d >= retired),
+                    "{spec}: due {due:?} before {retired}"
+                );
                 let was_fired = live.fired();
                 let res = live.before_step(&mut st, retired);
                 let acted = res != Ok(InjectAction::Continue) || live.fired() != was_fired;
                 assert_eq!(acted, due == Some(retired), "{spec} at retired={retired}");
             }
-            assert_eq!(live.next_due(6), None, "{spec}: a fired plan is never due again");
+            assert_eq!(
+                live.next_due(6),
+                None,
+                "{spec}: a fired plan is never due again"
+            );
         }
         // A plan whose count has already passed unfired never acts.
         assert_eq!(FaultPlan::parse("trap@3").unwrap().next_due(4), None);
         // A campaign is due at its earliest unfired plan.
         let mut campaign = Campaign::from_plans(
-            vec![FaultPlan::parse("trap@4").unwrap(), FaultPlan::parse("fetch@2:0x1").unwrap()],
+            vec![
+                FaultPlan::parse("trap@4").unwrap(),
+                FaultPlan::parse("fetch@2:0x1").unwrap(),
+            ],
             0,
         );
         assert_eq!(campaign.next_due(0), Some(2));
@@ -691,7 +795,10 @@ mod tests {
     #[test]
     fn restore_fired_suppresses_reinjection() {
         let mut campaign = Campaign::from_plans(
-            vec![FaultPlan::parse("trap@1").unwrap(), FaultPlan::parse("trap@5").unwrap()],
+            vec![
+                FaultPlan::parse("trap@1").unwrap(),
+                FaultPlan::parse("trap@5").unwrap(),
+            ],
             0,
         );
         campaign.restore_fired(&[true, false], 1);
@@ -710,8 +817,14 @@ mod tests {
         let mut st = CpuState::new();
         st.pc = 0x1000;
         st.mem.write_u32(0x1000, 0x0000_0013).unwrap();
-        assert_eq!(plan.before_step(&mut st, 0).unwrap(), InjectAction::Continue);
-        assert_eq!(plan.before_step(&mut st, 2).unwrap(), InjectAction::FlushDecodeCache);
+        assert_eq!(
+            plan.before_step(&mut st, 0).unwrap(),
+            InjectAction::Continue
+        );
+        assert_eq!(
+            plan.before_step(&mut st, 2).unwrap(),
+            InjectAction::FlushDecodeCache
+        );
         assert_eq!(st.mem.read_u32(0x1000).unwrap(), 0x0000_0012);
     }
 }

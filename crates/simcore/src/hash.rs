@@ -75,6 +75,10 @@ mod tests {
             (i * 8).hash(&mut h);
             low_bits.insert(h.finish() & 0x3F);
         }
-        assert!(low_bits.len() > 32, "only {} distinct low-6-bit patterns", low_bits.len());
+        assert!(
+            low_bits.len() > 32,
+            "only {} distinct low-6-bit patterns",
+            low_bits.len()
+        );
     }
 }

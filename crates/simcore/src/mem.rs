@@ -322,7 +322,11 @@ mod tests {
         assert_eq!(m.read_u64(0x1000).unwrap(), 0, "first read untouched");
         assert_eq!(m.read_u64(0x1000).unwrap(), 1 << 3, "second read flipped");
         assert!(!m.read_fault_pending());
-        assert_eq!(m.read_u64(0x1000).unwrap(), 0, "one-shot: later reads clean");
+        assert_eq!(
+            m.read_u64(0x1000).unwrap(),
+            0,
+            "one-shot: later reads clean"
+        );
         // The stored bytes were never modified.
         let mut raw = [0u8; 8];
         m.read_bytes(0x1000, &mut raw).unwrap();

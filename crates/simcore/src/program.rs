@@ -99,7 +99,7 @@ impl Program {
         state.pc = self.entry;
         state.x[2] = self.initial_sp; // RISC-V sp
         state.x[31] = self.initial_sp; // AArch64 SP
-        // Pre-touch the top stack page so the first frame's loads are mapped.
+                                       // Pre-touch the top stack page so the first frame's loads are mapped.
         state.mem.write_u64(self.initial_sp - 8, 0)?;
         Ok(())
     }

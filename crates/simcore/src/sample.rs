@@ -101,9 +101,21 @@ mod tests {
     fn publish_then_read_round_trips() {
         let s = SampleSnapshot::new();
         s.publish(0x8000_0010, 42);
-        assert_eq!(s.read(), Some(Sample { pc: 0x8000_0010, instret: 42 }));
+        assert_eq!(
+            s.read(),
+            Some(Sample {
+                pc: 0x8000_0010,
+                instret: 42
+            })
+        );
         s.publish(0x8000_0044, 99);
-        assert_eq!(s.read(), Some(Sample { pc: 0x8000_0044, instret: 99 }));
+        assert_eq!(
+            s.read(),
+            Some(Sample {
+                pc: 0x8000_0044,
+                instret: 99
+            })
+        );
         assert_eq!(s.publishes(), 2);
     }
 
@@ -135,7 +147,13 @@ mod tests {
         }
         writer.join().unwrap();
         let last = snap.read().unwrap();
-        assert_eq!(last, Sample { pc: 199_999, instret: 200_000 });
+        assert_eq!(
+            last,
+            Sample {
+                pc: 199_999,
+                instret: 200_000
+            }
+        );
         assert_eq!(snap.publishes(), 200_000);
         assert!(seen > 0, "reader never observed a published sample");
     }

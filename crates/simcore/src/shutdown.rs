@@ -131,7 +131,11 @@ mod tests {
         assert!(!requested());
         request();
         assert!(requested());
-        assert_eq!(last_signal(), None, "programmatic request records no signal");
+        assert_eq!(
+            last_signal(),
+            None,
+            "programmatic request records no signal"
+        );
         reset();
         assert!(!requested());
         assert_eq!(last_signal(), None);

@@ -63,8 +63,9 @@ mod tests {
 
     #[test]
     fn slice_source_drives_observers() {
-        let records: Vec<RetiredInst> =
-            (0..7).map(|i| RetiredInst::new(i * 4, InstGroup::IntAlu)).collect();
+        let records: Vec<RetiredInst> = (0..7)
+            .map(|i| RetiredInst::new(i * 4, InstGroup::IntAlu))
+            .collect();
         let mut count = CountingObserver::default();
         let mut src: &[RetiredInst] = &records;
         let n = {
@@ -92,8 +93,9 @@ mod tests {
     #[test]
     fn slice_source_hands_out_bounded_runs_in_order() {
         let n = 2 * RUN_RECORDS as u64 + 5;
-        let records: Vec<RetiredInst> =
-            (0..n).map(|i| RetiredInst::new(i * 4, InstGroup::IntAlu)).collect();
+        let records: Vec<RetiredInst> = (0..n)
+            .map(|i| RetiredInst::new(i * 4, InstGroup::IntAlu))
+            .collect();
         let (mut a, mut b) = (Runs::default(), Runs::default());
         let mut src: &[RetiredInst] = &records;
         let delivered = {

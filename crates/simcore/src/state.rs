@@ -194,7 +194,10 @@ mod tests {
         let mut s = CpuState::new();
         assert!(matches!(
             s.syscall(0x10, 9999, [0, 0, 0]),
-            Err(SimError::UnimplementedSyscall { pc: 0x10, num: 9999 })
+            Err(SimError::UnimplementedSyscall {
+                pc: 0x10,
+                num: 9999
+            })
         ));
     }
 
@@ -202,12 +205,24 @@ mod tests {
     fn state_hash_distinguishes_states() {
         let a = CpuState::new();
         let mut b = CpuState::new();
-        assert_eq!(a.state_hash(), b.state_hash(), "identical states hash equal");
+        assert_eq!(
+            a.state_hash(),
+            b.state_hash(),
+            "identical states hash equal"
+        );
         b.x[5] = 1;
-        assert_ne!(a.state_hash(), b.state_hash(), "register change alters the hash");
+        assert_ne!(
+            a.state_hash(),
+            b.state_hash(),
+            "register change alters the hash"
+        );
         let mut c = CpuState::new();
         c.instret = 10;
-        assert_ne!(a.state_hash(), c.state_hash(), "instret change alters the hash");
+        assert_ne!(
+            a.state_hash(),
+            c.state_hash(),
+            "instret change alters the hash"
+        );
     }
 
     #[test]

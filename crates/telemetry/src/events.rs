@@ -87,7 +87,11 @@ impl EventLog {
 
     /// Log holding at most `cap` events (minimum 1); older events drop first.
     pub fn with_capacity(cap: usize) -> Self {
-        EventLog { epoch: Instant::now(), cap: cap.max(1), inner: Mutex::new(LogInner::default()) }
+        EventLog {
+            epoch: Instant::now(),
+            cap: cap.max(1),
+            inner: Mutex::new(LogInner::default()),
+        }
     }
 
     /// Append an event, evicting the oldest if the ring is full.
@@ -104,7 +108,10 @@ impl EventLog {
             seq,
             t_us,
             kind: kind.to_string(),
-            fields: fields.iter().map(|(k, v)| (k.to_string(), v.clone())).collect(),
+            fields: fields
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.clone()))
+                .collect(),
         });
     }
 
@@ -201,7 +208,13 @@ mod tests {
     #[test]
     fn jsonl_lines_parse_individually() {
         let log = EventLog::new();
-        log.emit("watchdog_trip", &[("limit_ms", Json::Num(2000.0)), ("cell", Json::Str("LBM/RISC-V".into()))]);
+        log.emit(
+            "watchdog_trip",
+            &[
+                ("limit_ms", Json::Num(2000.0)),
+                ("cell", Json::Str("LBM/RISC-V".into())),
+            ],
+        );
         log.emit("cell_retry", &[("attempt", Json::Num(2.0))]);
         let jsonl = log.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();

@@ -354,7 +354,10 @@ mod tests {
     fn nested_round_trip_preserves_order() {
         let v = Json::obj(vec![
             ("z", Json::Num(1.0)),
-            ("a", Json::Arr(vec![Json::Num(2.0), Json::Str("x\"y\n".into())])),
+            (
+                "a",
+                Json::Arr(vec![Json::Num(2.0), Json::Str("x\"y\n".into())]),
+            ),
             ("m", Json::obj(vec![("k", Json::Null)])),
         ]);
         let compact = v.to_string();
@@ -375,7 +378,10 @@ mod tests {
     fn large_integers_exact() {
         let v = Json::Num(3_350_107_615.0);
         assert_eq!(v.to_string(), "3350107615");
-        assert_eq!(Json::parse("3350107615").unwrap().as_u64(), Some(3_350_107_615));
+        assert_eq!(
+            Json::parse("3350107615").unwrap().as_u64(),
+            Some(3_350_107_615)
+        );
     }
 
     #[test]
@@ -414,7 +420,10 @@ mod tests {
         let v = Json::Str(s.clone());
         let text = v.to_string();
         // No raw control bytes may survive in the rendering.
-        assert!(text.bytes().all(|b| b >= 0x20), "raw control byte in {text:?}");
+        assert!(
+            text.bytes().all(|b| b >= 0x20),
+            "raw control byte in {text:?}"
+        );
         assert_eq!(Json::parse(&text).unwrap().as_str(), Some(s.as_str()));
     }
 
@@ -424,7 +433,10 @@ mod tests {
         assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
         // \u escapes parse, including the replacement of lone surrogates.
         assert_eq!(Json::parse(r#""é""#).unwrap().as_str(), Some("é"));
-        assert_eq!(Json::parse(r#""\ud800""#).unwrap().as_str(), Some("\u{fffd}"));
+        assert_eq!(
+            Json::parse(r#""\ud800""#).unwrap().as_str(),
+            Some("\u{fffd}")
+        );
         assert!(Json::parse(r#""\uzzzz""#).is_err());
     }
 
@@ -462,8 +474,10 @@ mod tests {
         /// Up to `max` characters: plain ASCII runs, every character the
         /// writer escapes, and one-, two-, three- and four-byte UTF-8.
         fn string(&mut self, max: u64) -> String {
-            const SPECIAL: [char; 12] =
-                ['"', '\\', '/', '\n', '\r', '\t', '\u{8}', '\u{c}', '\u{1}', '\u{1f}', '\u{7f}', ' '];
+            const SPECIAL: [char; 12] = [
+                '"', '\\', '/', '\n', '\r', '\t', '\u{8}', '\u{c}', '\u{1}', '\u{1f}', '\u{7f}',
+                ' ',
+            ];
             const WIDE: [char; 4] = ['é', '→', '世', '🚀'];
             (0..self.below(max + 1))
                 .map(|_| match self.below(8) {
@@ -485,7 +499,9 @@ mod tests {
                 }
                 4 => Json::Arr((0..self.below(5)).map(|_| self.value(depth - 1)).collect()),
                 _ => Json::Obj(
-                    (0..self.below(5)).map(|_| (self.string(8), self.value(depth - 1))).collect(),
+                    (0..self.below(5))
+                        .map(|_| (self.string(8), self.value(depth - 1)))
+                        .collect(),
                 ),
             }
         }

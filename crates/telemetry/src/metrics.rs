@@ -19,7 +19,13 @@ pub struct Histogram {
 
 impl Default for Histogram {
     fn default() -> Self {
-        Histogram { buckets: [0; 65], count: 0, sum: 0, min: u64::MAX, max: 0 }
+        Histogram {
+            buckets: [0; 65],
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+        }
     }
 }
 
@@ -126,9 +132,7 @@ impl Histogram {
                 Json::Arr(
                     self.nonzero_buckets()
                         .into_iter()
-                        .map(|(low, n)| {
-                            Json::Arr(vec![Json::Num(low as f64), Json::Num(n as f64)])
-                        })
+                        .map(|(low, n)| Json::Arr(vec![Json::Num(low as f64), Json::Num(n as f64)]))
                         .collect(),
                 ),
             ),
@@ -174,7 +178,10 @@ impl MetricsRegistry {
 
     /// Record a sample into the named histogram (creating it if needed).
     pub fn histogram_record(&mut self, name: &str, v: u64) {
-        self.histograms.entry(name.to_string()).or_default().record(v);
+        self.histograms
+            .entry(name.to_string())
+            .or_default()
+            .record(v);
     }
 
     /// Read access to a histogram.
@@ -208,16 +215,29 @@ impl MetricsRegistry {
             (
                 "counters",
                 Json::Obj(
-                    self.counters.iter().map(|(k, &v)| (k.clone(), Json::Num(v as f64))).collect(),
+                    self.counters
+                        .iter()
+                        .map(|(k, &v)| (k.clone(), Json::Num(v as f64)))
+                        .collect(),
                 ),
             ),
             (
                 "gauges",
-                Json::Obj(self.gauges.iter().map(|(k, &v)| (k.clone(), Json::Num(v))).collect()),
+                Json::Obj(
+                    self.gauges
+                        .iter()
+                        .map(|(k, &v)| (k.clone(), Json::Num(v)))
+                        .collect(),
+                ),
             ),
             (
                 "histograms",
-                Json::Obj(self.histograms.iter().map(|(k, h)| (k.clone(), h.to_json())).collect()),
+                Json::Obj(
+                    self.histograms
+                        .iter()
+                        .map(|(k, h)| (k.clone(), h.to_json()))
+                        .collect(),
+                ),
             ),
         ])
     }

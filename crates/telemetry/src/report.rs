@@ -97,8 +97,14 @@ impl RunReport {
     pub fn finish_from(mut self, telemetry: &Telemetry) -> Self {
         self.spans = telemetry.timeline().to_json();
         self.metrics = telemetry.metrics_json();
-        self.events =
-            Json::Arr(telemetry.events().snapshot().iter().map(|e| e.to_json()).collect());
+        self.events = Json::Arr(
+            telemetry
+                .events()
+                .snapshot()
+                .iter()
+                .map(|e| e.to_json())
+                .collect(),
+        );
         self
     }
 
@@ -211,7 +217,11 @@ impl RunReport {
             notes: j
                 .get("notes")
                 .and_then(Json::as_arr)
-                .map(|a| a.iter().filter_map(|n| n.as_str().map(str::to_string)).collect())
+                .map(|a| {
+                    a.iter()
+                        .filter_map(|n| n.as_str().map(str::to_string))
+                        .collect()
+                })
                 .unwrap_or_default(),
         })
     }
@@ -325,8 +335,10 @@ mod tests {
         }
         let mut report = RunReport::new("run_elf x.elf");
         report.spans = tl.to_json();
-        report.observer_overheads =
-            vec![("path_length".to_string(), 3.5), ("trace_writer".to_string(), 12.0)];
+        report.observer_overheads = vec![
+            ("path_length".to_string(), 3.5),
+            ("trace_writer".to_string(), 12.0),
+        ];
         let text = report.to_json().pretty();
         let parsed = RunReport::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(parsed.observer_overheads, report.observer_overheads);
@@ -342,31 +354,46 @@ mod tests {
         tel.event("watchdog_trip", &[("limit_ms", Json::Num(2000.0))]);
         let mut blocks = std::collections::HashMap::new();
         blocks.insert(0x1000u64, 4u64);
-        let hb = crate::sampler::SampleProfile::from_parts(
-            Duration::from_micros(250),
-            blocks,
-            0,
-        )
-        .attribute(&[]);
+        let hb = crate::sampler::SampleProfile::from_parts(Duration::from_micros(250), blocks, 0)
+            .attribute(&[]);
         let report = RunReport::new("run_elf x.elf")
             .with_run(Duration::from_millis(10), 20_000, Some(0))
             .with_sampler(&hb)
-            .with_phases(PhaseNanos { fetch_ns: 1, decode_ns: 2, execute_ns: 3, observe_ns: 4 })
+            .with_phases(PhaseNanos {
+                fetch_ns: 1,
+                decode_ns: 2,
+                execute_ns: 3,
+                observe_ns: 4,
+            })
             .finish_from(&tel);
         assert!((report.host_ns_per_op() - 500.0).abs() < 1e-9);
         let text = report.to_json().pretty();
         let parsed = RunReport::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(
             parsed.phases,
-            Some(PhaseNanos { fetch_ns: 1, decode_ns: 2, execute_ns: 3, observe_ns: 4 })
+            Some(PhaseNanos {
+                fetch_ns: 1,
+                decode_ns: 2,
+                execute_ns: 3,
+                observe_ns: 4
+            })
         );
         assert_eq!(
-            parsed.sampler.as_ref().unwrap().get("total_samples").unwrap().as_u64(),
+            parsed
+                .sampler
+                .as_ref()
+                .unwrap()
+                .get("total_samples")
+                .unwrap()
+                .as_u64(),
             Some(4)
         );
         let events = parsed.events.as_arr().unwrap();
         assert_eq!(events.len(), 1);
-        assert_eq!(events[0].get("kind").unwrap().as_str(), Some("watchdog_trip"));
+        assert_eq!(
+            events[0].get("kind").unwrap().as_str(),
+            Some("watchdog_trip")
+        );
         assert!(parsed.summary().contains("ns/op"), "{}", parsed.summary());
         assert!(parsed.summary().contains("phases:"), "{}", parsed.summary());
         // Zero phase breakdown is dropped, not serialized.
@@ -380,11 +407,8 @@ mod tests {
         let dir = std::env::temp_dir().join("telemetry-report-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("report.json");
-        let report = RunReport::new("make_tables table1").with_run(
-            Duration::from_millis(10),
-            42,
-            None,
-        );
+        let report =
+            RunReport::new("make_tables table1").with_run(Duration::from_millis(10), 42, None);
         report.write_file(&path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let parsed = RunReport::from_json(&Json::parse(&text).unwrap()).unwrap();

@@ -78,7 +78,10 @@ impl Sampler {
         let handle = std::thread::Builder::new()
             .name("hotblock-sampler".into())
             .spawn(move || {
-                let mut counts = RawCounts { pcs: HashMap::new(), idle: 0 };
+                let mut counts = RawCounts {
+                    pcs: HashMap::new(),
+                    idle: 0,
+                };
                 let mut last_instret: Option<u64> = None;
                 while !stop_flag.load(Ordering::Relaxed) {
                     std::thread::sleep(period);
@@ -93,14 +96,22 @@ impl Sampler {
                 counts
             })
             .expect("spawn sampler thread");
-        Sampler { stop, handle, period }
+        Sampler {
+            stop,
+            handle,
+            period,
+        }
     }
 
     /// Stop the thread and collect its counts.
     pub fn stop(self) -> SampleProfile {
         self.stop.store(true, Ordering::Relaxed);
         let counts = self.handle.join().expect("sampler thread panicked");
-        SampleProfile { period: self.period, pcs: counts.pcs, idle: counts.idle }
+        SampleProfile {
+            period: self.period,
+            pcs: counts.pcs,
+            idle: counts.idle,
+        }
     }
 }
 
@@ -148,7 +159,11 @@ impl SampleProfile {
         }
         let mut blocks: Vec<HotBlock> = bucketed
             .into_iter()
-            .map(|((start, symbol), samples)| HotBlock { start, samples, symbol })
+            .map(|((start, symbol), samples)| HotBlock {
+                start,
+                samples,
+                symbol,
+            })
             .collect();
         blocks.sort_by(|a, b| {
             b.samples
@@ -164,8 +179,10 @@ impl SampleProfile {
                 None => other += b.samples,
             }
         }
-        let mut symbols: Vec<(String, u64)> =
-            by_symbol.into_iter().map(|(s, n)| (s.to_string(), n)).collect();
+        let mut symbols: Vec<(String, u64)> = by_symbol
+            .into_iter()
+            .map(|(s, n)| (s.to_string(), n))
+            .collect();
         symbols.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         HotBlockProfile {
             period_us: self.period.as_micros() as u64,
@@ -210,7 +227,11 @@ impl HotBlockProfile {
 
     /// Samples charged to the named symbol.
     pub fn symbol_samples(&self, name: &str) -> u64 {
-        self.symbols.iter().find(|(s, _)| s == name).map(|(_, n)| *n).unwrap_or(0)
+        self.symbols
+            .iter()
+            .find(|(s, _)| s == name)
+            .map(|(_, n)| *n)
+            .unwrap_or(0)
     }
 
     /// Fraction of attributed samples falling in any of `names` (0 when
@@ -258,7 +279,10 @@ impl HotBlockProfile {
             .map(|(s, c)| format!("{s} {:.0}%", *c as f64 * 100.0 / total as f64))
             .collect();
         if self.other > 0 {
-            parts.push(format!("? {:.0}%", self.other as f64 * 100.0 / total as f64));
+            parts.push(format!(
+                "? {:.0}%",
+                self.other as f64 * 100.0 / total as f64
+            ));
         }
         out.push_str(&parts.join(" | "));
         out.push('\n');
@@ -334,7 +358,11 @@ mod tests {
     use super::*;
 
     fn region(name: &str, start: u64, end: u64) -> Region {
-        Region { name: name.into(), start, end }
+        Region {
+            name: name.into(),
+            start,
+            end,
+        }
     }
 
     fn profile() -> SampleProfile {
@@ -347,7 +375,10 @@ mod tests {
     }
 
     fn regions() -> Vec<Region> {
-        vec![region("triad", 0x1000, 0x1080), region("copy", 0x2000, 0x2040)]
+        vec![
+            region("triad", 0x1000, 0x1080),
+            region("copy", 0x2000, 0x2040),
+        ]
     }
 
     #[test]
@@ -404,10 +435,13 @@ mod tests {
         let j = hb.to_json(2);
         assert_eq!(j.get("total_samples").unwrap().as_u64(), Some(100));
         assert_eq!(j.get("hot_blocks").unwrap().as_arr().unwrap().len(), 2);
-        assert_eq!(j.get("symbols").unwrap().get("triad").unwrap().as_u64(), Some(85));
+        assert_eq!(
+            j.get("symbols").unwrap().get("triad").unwrap().as_u64(),
+            Some(85)
+        );
         // Empty profile renders a hint instead of a header-only table.
-        let empty = SampleProfile::from_parts(Duration::from_micros(250), HashMap::new(), 0)
-            .attribute(&[]);
+        let empty =
+            SampleProfile::from_parts(Duration::from_micros(250), HashMap::new(), 0).attribute(&[]);
         assert!(empty.table(5).contains("no samples"));
     }
 
@@ -434,7 +468,10 @@ mod tests {
             std::thread::sleep(Duration::from_micros(200));
         }
         let profile = sampler.stop();
-        assert!(profile.total_samples() > 0, "sampler never saw the advancing core");
+        assert!(
+            profile.total_samples() > 0,
+            "sampler never saw the advancing core"
+        );
         let hb = profile.attribute(&[region("kernel", 0x4000, 0x4100)]);
         assert_eq!(hb.other, 0, "all samples must land in the kernel region");
         assert!(hb.symbol_fraction(&["kernel"]) > 0.99);

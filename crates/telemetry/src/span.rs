@@ -61,7 +61,10 @@ impl Default for Timeline {
 impl Timeline {
     /// Fresh timeline; the epoch (time zero) is now.
     pub fn new() -> Self {
-        Timeline { epoch: Instant::now(), inner: Mutex::new(TimelineInner::default()) }
+        Timeline {
+            epoch: Instant::now(),
+            inner: Mutex::new(TimelineInner::default()),
+        }
     }
 
     /// Open a span; it closes (recording its duration) when the returned
@@ -80,9 +83,18 @@ impl Timeline {
         };
         let parent = inner.open.get(&tid).and_then(|stack| stack.last().copied());
         let index = inner.spans.len();
-        inner.spans.push(SpanRecord { name: name.to_string(), parent, start, dur: None, thread });
+        inner.spans.push(SpanRecord {
+            name: name.to_string(),
+            parent,
+            start,
+            dur: None,
+            thread,
+        });
         inner.open.entry(tid).or_default().push(index);
-        SpanGuard { timeline: self, index }
+        SpanGuard {
+            timeline: self,
+            index,
+        }
     }
 
     /// Run `f` inside a span named `name`.
@@ -203,8 +215,10 @@ impl Timeline {
 /// sorted for determinism.
 pub(crate) fn collapse_spans(spans: &[(String, Option<usize>, Option<u64>)]) -> String {
     // Self time = own duration minus the durations of direct children.
-    let mut self_us: Vec<i64> =
-        spans.iter().map(|(_, _, d)| d.unwrap_or(0) as i64).collect();
+    let mut self_us: Vec<i64> = spans
+        .iter()
+        .map(|(_, _, d)| d.unwrap_or(0) as i64)
+        .collect();
     for s in spans {
         if let (Some(p), Some(d)) = (s.1, s.2) {
             if p < self_us.len() {
@@ -313,7 +327,10 @@ mod tests {
         });
         let spans = tl.records();
         let worker = spans.iter().find(|s| s.name == "worker").unwrap();
-        assert_eq!(worker.parent, None, "worker span must not nest under main-thread span");
+        assert_eq!(
+            worker.parent, None,
+            "worker span must not nest under main-thread span"
+        );
         assert_ne!(worker.thread, spans[0].thread);
     }
 

@@ -285,7 +285,11 @@ mod tests {
             compiler: "gcc-12.2".into(),
             isa: "RISC-V".into(),
             size: "test".into(),
-            regions: vec![Region { name: "copy".into(), start: 0x100, end: 0x180 }],
+            regions: vec![Region {
+                name: "copy".into(),
+                start: 0x100,
+                end: 0x180,
+            }],
         };
         let text = meta.to_json().pretty();
         let parsed = TraceMeta::from_json(&Json::parse(&text).unwrap()).unwrap();
@@ -307,8 +311,9 @@ mod tests {
 
     #[test]
     fn flipping_any_bit_of_a_block_payload_changes_the_checksum() {
-        let payload: Vec<u8> =
-            (0..4096u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        let payload: Vec<u8> = (0..4096u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
         let clean = fnv1a64(&payload);
         let mut bad = payload.clone();
         for byte in 0..bad.len() {
@@ -331,8 +336,15 @@ mod tests {
 
     #[test]
     fn trailer_checksum_changes_with_fields() {
-        let a = TraceTrailer { total_records: 10, state_hash: 1, capture_wall_us: 5 };
-        let b = TraceTrailer { total_records: 11, ..a };
+        let a = TraceTrailer {
+            total_records: 10,
+            state_hash: 1,
+            capture_wall_us: 5,
+        };
+        let b = TraceTrailer {
+            total_records: 11,
+            ..a
+        };
         assert_ne!(a.checksum(), b.checksum());
     }
 }

@@ -66,7 +66,11 @@ impl BimodalPredictor {
     /// Predictor with `2^log2_entries` counters.
     pub fn new(log2_entries: u32) -> Self {
         let n = 1usize << log2_entries;
-        BimodalPredictor { table: vec![Counter2::default(); n], mask: n - 1, stats: BranchStats::default() }
+        BimodalPredictor {
+            table: vec![Counter2::default(); n],
+            mask: n - 1,
+            stats: BranchStats::default(),
+        }
     }
 
     /// Statistics so far.
@@ -180,8 +184,16 @@ mod tests {
             bim.on_retire(&b);
             gs.on_retire(&b);
         }
-        assert!(bim.stats().accuracy() < 0.75, "bimodal {}", bim.stats().accuracy());
-        assert!(gs.stats().accuracy() > 0.95, "gshare {}", gs.stats().accuracy());
+        assert!(
+            bim.stats().accuracy() < 0.75,
+            "bimodal {}",
+            bim.stats().accuracy()
+        );
+        assert!(
+            gs.stats().accuracy() > 0.95,
+            "gshare {}",
+            gs.stats().accuracy()
+        );
     }
 
     #[test]
@@ -193,7 +205,11 @@ mod tests {
 
     #[test]
     fn mpki_definition() {
-        let s = BranchStats { branches: 100, hits: 90, taken: 50 };
+        let s = BranchStats {
+            branches: 100,
+            hits: 90,
+            taken: 50,
+        };
         assert!((s.mpki(10_000) - 1.0).abs() < 1e-12);
     }
 }

@@ -185,8 +185,8 @@ impl LatencyModel for A64fxLatency {
 macro_rules! latency_fields {
     ($m:ident) => {
         $m!(
-            int_alu, int_mul, int_div, shift, logical, branch, load, store, fp_add, fp_mul,
-            fp_fma, fp_div, fp_sqrt, fp_cmp, fp_cvt, fp_move, atomic, system
+            int_alu, int_mul, int_div, shift, logical, branch, load, store, fp_add, fp_mul, fp_fma,
+            fp_div, fp_sqrt, fp_cmp, fp_cvt, fp_move, atomic, system
         )
     };
 }

@@ -63,9 +63,18 @@ impl BudeParams {
     /// atoms = 24,388 pairs, 64 poses).
     pub fn for_size(size: SizeClass) -> Self {
         match size {
-            SizeClass::Test => BudeParams { nposes: 4, npairs: 32 },
-            SizeClass::Small => BudeParams { nposes: 16, npairs: 512 },
-            SizeClass::Paper => BudeParams { nposes: 64, npairs: 24_388 },
+            SizeClass::Test => BudeParams {
+                nposes: 4,
+                npairs: 32,
+            },
+            SizeClass::Small => BudeParams {
+                nposes: 16,
+                npairs: 512,
+            },
+            SizeClass::Paper => BudeParams {
+                nposes: 64,
+                npairs: 24_388,
+            },
         }
     }
 }
@@ -86,24 +95,56 @@ pub fn build_with(params: BudeParams) -> KernelProgram {
     let coord = |rng: &mut DeckRng, n: u64, span: f64| -> Vec<f64> {
         (0..n).map(|_| rng.range(-span, span)).collect()
     };
-    let dx = p.array("pair_dx", npairs, ArrayInit::Values(coord(&mut rng, npairs, 8.0)));
-    let dy = p.array("pair_dy", npairs, ArrayInit::Values(coord(&mut rng, npairs, 8.0)));
-    let dz = p.array("pair_dz", npairs, ArrayInit::Values(coord(&mut rng, npairs, 8.0)));
+    let dx = p.array(
+        "pair_dx",
+        npairs,
+        ArrayInit::Values(coord(&mut rng, npairs, 8.0)),
+    );
+    let dy = p.array(
+        "pair_dy",
+        npairs,
+        ArrayInit::Values(coord(&mut rng, npairs, 8.0)),
+    );
+    let dz = p.array(
+        "pair_dz",
+        npairs,
+        ArrayInit::Values(coord(&mut rng, npairs, 8.0)),
+    );
     let charge: Vec<f64> = (0..npairs).map(|_| rng.range(-1.0, 1.0)).collect();
     let charge = p.array("pair_charge", npairs, ArrayInit::Values(charge));
     let radius: Vec<f64> = (0..npairs).map(|_| rng.range(1.0, 3.0)).collect();
     let radius = p.array("pair_radius", npairs, ArrayInit::Values(radius));
 
     // Per-pose rigid-body displacement (stand-in for the pose rotation).
-    let tx = p.array("pose_tx", nposes, ArrayInit::Values(coord(&mut rng, nposes, 2.0)));
-    let ty = p.array("pose_ty", nposes, ArrayInit::Values(coord(&mut rng, nposes, 2.0)));
-    let tz = p.array("pose_tz", nposes, ArrayInit::Values(coord(&mut rng, nposes, 2.0)));
+    let tx = p.array(
+        "pose_tx",
+        nposes,
+        ArrayInit::Values(coord(&mut rng, nposes, 2.0)),
+    );
+    let ty = p.array(
+        "pose_ty",
+        nposes,
+        ArrayInit::Values(coord(&mut rng, nposes, 2.0)),
+    );
+    let tz = p.array(
+        "pose_tz",
+        nposes,
+        ArrayInit::Values(coord(&mut rng, nposes, 2.0)),
+    );
 
     let energies = p.array("energies", nposes, ArrayInit::Zero);
 
     // Access helpers: pose-indexed (outer dim), pair-indexed (inner dim).
-    let by_pair = |arr| Access { arr, strides: vec![0, 1], offset: 0 };
-    let by_pose = |arr| Access { arr, strides: vec![1, 0], offset: 0 };
+    let by_pair = |arr| Access {
+        arr,
+        strides: vec![0, 1],
+        offset: 0,
+    };
+    let by_pose = |arr| Access {
+        arr,
+        strides: vec![1, 0],
+        offset: 0,
+    };
 
     let t_dx = TempId(0);
     let t_dy = TempId(1);
@@ -163,7 +204,10 @@ pub fn build_with(params: BudeParams) -> KernelProgram {
             temp: t_dz,
             expr: Expr::add(Expr::Load(by_pair(dz)), Expr::Load(by_pose(tz))),
         },
-        Stmt::Def { temp: t_dist, expr: Expr::sqrt(dist2) },
+        Stmt::Def {
+            temp: t_dist,
+            expr: Expr::sqrt(dist2),
+        },
         Stmt::Def {
             temp: t_distbb,
             expr: Expr::sub(Expr::Temp(t_dist), Expr::Load(by_pair(radius))),
@@ -190,7 +234,10 @@ mod tests {
 
     #[test]
     fn energies_are_finite_and_pose_dependent() {
-        let p = build_with(BudeParams { nposes: 4, npairs: 64 });
+        let p = build_with(BudeParams {
+            nposes: 4,
+            npairs: 64,
+        });
         let r = kernelgen::interpret(&p, &Personality::gcc122());
         let e = &r.arrays["energies"];
         assert_eq!(e.len(), 4);

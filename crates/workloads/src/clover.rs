@@ -38,9 +38,21 @@ impl CloverParams {
     /// Parameters per size class.
     pub fn for_size(size: SizeClass) -> Self {
         match size {
-            SizeClass::Test => CloverParams { nx: 8, ny: 8, steps: 2 },
-            SizeClass::Small => CloverParams { nx: 32, ny: 32, steps: 4 },
-            SizeClass::Paper => CloverParams { nx: 96, ny: 96, steps: 10 },
+            SizeClass::Test => CloverParams {
+                nx: 8,
+                ny: 8,
+                steps: 2,
+            },
+            SizeClass::Small => CloverParams {
+                nx: 32,
+                ny: 32,
+                steps: 4,
+            },
+            SizeClass::Paper => CloverParams {
+                nx: 96,
+                ny: 96,
+                steps: 10,
+            },
         }
     }
 }
@@ -110,7 +122,10 @@ pub fn build_with(params: CloverParams) -> KernelProgram {
                     Expr::mul(Expr::Load(at(density, 0, 0)), Expr::Load(at(energy, 0, 0))),
                 ),
             },
-            Stmt::Store { access: at(pressure, 0, 0), value: Expr::Temp(t_p) },
+            Stmt::Store {
+                access: at(pressure, 0, 0),
+                value: Expr::Temp(t_p),
+            },
             Stmt::Store {
                 access: at(soundspeed, 0, 0),
                 value: Expr::sqrt(Expr::div(
@@ -190,8 +205,14 @@ pub fn build_with(params: CloverParams) -> KernelProgram {
             Stmt::Def {
                 temp: t_tf,
                 expr: Expr::add(
-                    Expr::sub(Expr::Load(at(vol_flux_x, 1, 0)), Expr::Load(at(vol_flux_x, 0, 0))),
-                    Expr::sub(Expr::Load(at(vol_flux_y, 0, 1)), Expr::Load(at(vol_flux_y, 0, 0))),
+                    Expr::sub(
+                        Expr::Load(at(vol_flux_x, 1, 0)),
+                        Expr::Load(at(vol_flux_x, 0, 0)),
+                    ),
+                    Expr::sub(
+                        Expr::Load(at(vol_flux_y, 0, 1)),
+                        Expr::Load(at(vol_flux_y, 0, 0)),
+                    ),
                 ),
             },
             Stmt::Store {
@@ -199,7 +220,10 @@ pub fn build_with(params: CloverParams) -> KernelProgram {
                 value: Expr::sub(
                     Expr::Load(at(energy, 0, 0)),
                     Expr::mul(
-                        Expr::div(Expr::Load(at(pressure, 0, 0)), Expr::Load(at(density, 0, 0))),
+                        Expr::div(
+                            Expr::Load(at(pressure, 0, 0)),
+                            Expr::Load(at(density, 0, 0)),
+                        ),
                         Expr::Temp(t_tf),
                     ),
                 ),
@@ -253,7 +277,10 @@ pub fn build_with(params: CloverParams) -> KernelProgram {
         p.kernel(Kernel {
             name: "calc_dt".into(),
             dims: vec![ny, nx],
-            accs: vec![AccDecl { init: 1e10, store_to: Some((dt_out, 0)) }],
+            accs: vec![AccDecl {
+                init: 1e10,
+                store_to: Some((dt_out, 0)),
+            }],
             body: vec![Stmt::Accum {
                 acc: AccId(0),
                 op: BinOp::Min,
@@ -279,7 +306,11 @@ mod tests {
 
     #[test]
     fn fields_stay_finite_and_positive() {
-        let p = build_with(CloverParams { nx: 8, ny: 8, steps: 3 });
+        let p = build_with(CloverParams {
+            nx: 8,
+            ny: 8,
+            steps: 3,
+        });
         let r = kernelgen::interpret(&p, &Personality::gcc122());
         assert!(r.checksum.is_finite());
         for v in &r.arrays["density"] {
@@ -292,7 +323,11 @@ mod tests {
 
     #[test]
     fn shock_interface_moves_mass() {
-        let p = build_with(CloverParams { nx: 8, ny: 8, steps: 3 });
+        let p = build_with(CloverParams {
+            nx: 8,
+            ny: 8,
+            steps: 3,
+        });
         let r = kernelgen::interpret(&p, &Personality::gcc122());
         let d = &r.arrays["density"];
         // The initial left/right split (1.0 / 0.125) must evolve.
@@ -307,7 +342,14 @@ mod tests {
         let names: Vec<&str> = p.kernels.iter().map(|k| k.name.as_str()).collect();
         assert_eq!(
             names,
-            vec!["ideal_gas", "flux_calc", "viscosity", "pdv", "advec_cell", "calc_dt"]
+            vec![
+                "ideal_gas",
+                "flux_calc",
+                "viscosity",
+                "pdv",
+                "advec_cell",
+                "calc_dt"
+            ]
         );
     }
 }

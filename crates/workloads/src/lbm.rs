@@ -37,9 +37,21 @@ impl LbmParams {
     /// Parameters per size class (Paper = 128x128, 100 iterations).
     pub fn for_size(size: SizeClass) -> Self {
         match size {
-            SizeClass::Test => LbmParams { nx: 8, ny: 8, iters: 2 },
-            SizeClass::Small => LbmParams { nx: 24, ny: 24, iters: 8 },
-            SizeClass::Paper => LbmParams { nx: 128, ny: 128, iters: 100 },
+            SizeClass::Test => LbmParams {
+                nx: 8,
+                ny: 8,
+                iters: 2,
+            },
+            SizeClass::Small => LbmParams {
+                nx: 24,
+                ny: 24,
+                iters: 8,
+            },
+            SizeClass::Paper => LbmParams {
+                nx: 128,
+                ny: 128,
+                iters: 100,
+            },
         }
     }
 }
@@ -83,11 +95,7 @@ pub fn build_with(params: LbmParams) -> KernelProgram {
     // Initial state: equilibrium at rest everywhere (including halo).
     let mut cells = Vec::with_capacity(9);
     for (s, ws) in W.iter().enumerate() {
-        cells.push(p.array(
-            &format!("cells{s}"),
-            len,
-            ArrayInit::Fill(ws * density0),
-        ));
+        cells.push(p.array(&format!("cells{s}"), len, ArrayInit::Fill(ws * density0)));
     }
     let mut tmp = Vec::with_capacity(9);
     for s in 0..9 {
@@ -157,7 +165,12 @@ pub fn build_with(params: LbmParams) -> KernelProgram {
             ),
         });
     }
-    p.kernel(Kernel { name: "accelerate".into(), dims: vec![nx], accs: vec![], body: acc_body });
+    p.kernel(Kernel {
+        name: "accelerate".into(),
+        dims: vec![nx],
+        accs: vec![],
+        body: acc_body,
+    });
 
     // --- propagate (pull streaming), split into 3-speed groups ------------
     for group in [[0usize, 1, 2], [3, 4, 5], [6, 7, 8]] {
@@ -168,7 +181,12 @@ pub fn build_with(params: LbmParams) -> KernelProgram {
                 value: Expr::Load(interior(cells[s], -EX[s], -EY[s])),
             })
             .collect();
-        p.kernel(Kernel { name: "propagate".into(), dims: vec![ny, nx], accs: vec![], body });
+        p.kernel(Kernel {
+            name: "propagate".into(),
+            dims: vec![ny, nx],
+            accs: vec![],
+            body,
+        });
     }
 
     // --- collision: moments then per-speed BGK relax + rebound ------------
@@ -185,24 +203,29 @@ pub fn build_with(params: LbmParams) -> KernelProgram {
                 .unwrap()
         };
         let body = vec![
-            Stmt::Def { temp: t_d, expr: sum(&[0, 1, 2, 3, 4, 5, 6, 7, 8]) },
-            Stmt::Store { access: interior(density, 0, 0), value: Expr::Temp(t_d) },
+            Stmt::Def {
+                temp: t_d,
+                expr: sum(&[0, 1, 2, 3, 4, 5, 6, 7, 8]),
+            },
+            Stmt::Store {
+                access: interior(density, 0, 0),
+                value: Expr::Temp(t_d),
+            },
             Stmt::Store {
                 access: interior(ux, 0, 0),
-                value: Expr::div(
-                    Expr::sub(sum(&[1, 5, 8]), sum(&[3, 6, 7])),
-                    Expr::Temp(t_d),
-                ),
+                value: Expr::div(Expr::sub(sum(&[1, 5, 8]), sum(&[3, 6, 7])), Expr::Temp(t_d)),
             },
             Stmt::Store {
                 access: interior(uy, 0, 0),
-                value: Expr::div(
-                    Expr::sub(sum(&[2, 5, 6]), sum(&[4, 7, 8])),
-                    Expr::Temp(t_d),
-                ),
+                value: Expr::div(Expr::sub(sum(&[2, 5, 6]), sum(&[4, 7, 8])), Expr::Temp(t_d)),
             },
         ];
-        p.kernel(Kernel { name: "collision".into(), dims: vec![ny, nx], accs: vec![], body });
+        p.kernel(Kernel {
+            name: "collision".into(),
+            dims: vec![ny, nx],
+            accs: vec![],
+            body,
+        });
     }
     for s in 0..9usize {
         // u . e_s
@@ -216,8 +239,14 @@ pub fn build_with(params: LbmParams) -> KernelProgram {
             ),
         };
         let usq = Expr::add(
-            Expr::mul(Expr::Load(interior(ux, 0, 0)), Expr::Load(interior(ux, 0, 0))),
-            Expr::mul(Expr::Load(interior(uy, 0, 0)), Expr::Load(interior(uy, 0, 0))),
+            Expr::mul(
+                Expr::Load(interior(ux, 0, 0)),
+                Expr::Load(interior(ux, 0, 0)),
+            ),
+            Expr::mul(
+                Expr::Load(interior(uy, 0, 0)),
+                Expr::Load(interior(uy, 0, 0)),
+            ),
         );
         let t_ue = TempId(0);
         // equilibrium: w_s * rho * (1 + 3 ue + 4.5 ue^2 - 1.5 usq)
@@ -239,7 +268,10 @@ pub fn build_with(params: LbmParams) -> KernelProgram {
         );
         // rebound on obstacles: take the opposite incoming population.
         let body = vec![
-            Stmt::Def { temp: t_ue, expr: ue },
+            Stmt::Def {
+                temp: t_ue,
+                expr: ue,
+            },
             Stmt::Store {
                 access: interior(cells[s], 0, 0),
                 value: Expr::Select {
@@ -251,7 +283,12 @@ pub fn build_with(params: LbmParams) -> KernelProgram {
                 },
             },
         ];
-        p.kernel(Kernel { name: "collision".into(), dims: vec![ny, nx], accs: vec![], body });
+        p.kernel(Kernel {
+            name: "collision".into(),
+            dims: vec![ny, nx],
+            accs: vec![],
+            body,
+        });
     }
 
     // --- av_velocity: the benchmark's per-step observable -----------------
@@ -260,8 +297,14 @@ pub fn build_with(params: LbmParams) -> KernelProgram {
     let av = p.array("av_vels", 1, ArrayInit::Zero);
     {
         let speed = Expr::sqrt(Expr::add(
-            Expr::mul(Expr::Load(interior(ux, 0, 0)), Expr::Load(interior(ux, 0, 0))),
-            Expr::mul(Expr::Load(interior(uy, 0, 0)), Expr::Load(interior(uy, 0, 0))),
+            Expr::mul(
+                Expr::Load(interior(ux, 0, 0)),
+                Expr::Load(interior(ux, 0, 0)),
+            ),
+            Expr::mul(
+                Expr::Load(interior(uy, 0, 0)),
+                Expr::Load(interior(uy, 0, 0)),
+            ),
         ));
         let fluid_speed = Expr::mul(
             speed,
@@ -270,8 +313,15 @@ pub fn build_with(params: LbmParams) -> KernelProgram {
         p.kernel(Kernel {
             name: "av_velocity".into(),
             dims: vec![ny, nx],
-            accs: vec![AccDecl { init: 0.0, store_to: Some((av, 0)) }],
-            body: vec![Stmt::Accum { acc: AccId(0), op: BinOp::Add, value: fluid_speed }],
+            accs: vec![AccDecl {
+                init: 0.0,
+                store_to: Some((av, 0)),
+            }],
+            body: vec![Stmt::Accum {
+                acc: AccId(0),
+                op: BinOp::Add,
+                value: fluid_speed,
+            }],
         });
     }
 
@@ -287,7 +337,11 @@ mod tests {
 
     #[test]
     fn conserves_roughly_and_stays_finite() {
-        let p = build_with(LbmParams { nx: 8, ny: 8, iters: 4 });
+        let p = build_with(LbmParams {
+            nx: 8,
+            ny: 8,
+            iters: 4,
+        });
         let r = kernelgen::interpret(&p, &Personality::gcc122());
         assert!(r.checksum.is_finite());
         // Interior mass should stay near the initial interior+halo total.
@@ -301,7 +355,11 @@ mod tests {
 
     #[test]
     fn acceleration_creates_flow() {
-        let p = build_with(LbmParams { nx: 8, ny: 8, iters: 4 });
+        let p = build_with(LbmParams {
+            nx: 8,
+            ny: 8,
+            iters: 4,
+        });
         let r = kernelgen::interpret(&p, &Personality::gcc122());
         // Eastward populations should now exceed westward ones overall.
         let east: f64 = r.arrays["cells1"].iter().sum();
@@ -314,6 +372,9 @@ mod tests {
         let p = build(SizeClass::Test);
         let mut names: Vec<&str> = p.kernels.iter().map(|k| k.name.as_str()).collect();
         names.dedup();
-        assert_eq!(names, vec!["accelerate", "propagate", "collision", "av_velocity"]);
+        assert_eq!(
+            names,
+            vec!["accelerate", "propagate", "collision", "av_velocity"]
+        );
     }
 }

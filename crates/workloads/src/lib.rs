@@ -114,7 +114,11 @@ mod tests {
             let p = w.build(SizeClass::Test);
             p.validate();
             assert!(!p.kernels.is_empty(), "{} has kernels", w.name());
-            assert!(!p.checksum_arrays.is_empty(), "{} has checksum arrays", w.name());
+            assert!(
+                !p.checksum_arrays.is_empty(),
+                "{} has checksum arrays",
+                w.name()
+            );
         }
     }
 

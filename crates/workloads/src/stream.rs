@@ -28,8 +28,14 @@ impl StreamParams {
     pub fn for_size(size: SizeClass) -> Self {
         match size {
             SizeClass::Test => StreamParams { n: 64, ntimes: 2 },
-            SizeClass::Small => StreamParams { n: 20_000, ntimes: 3 },
-            SizeClass::Paper => StreamParams { n: 10_000_000, ntimes: 10 },
+            SizeClass::Small => StreamParams {
+                n: 20_000,
+                ntimes: 3,
+            },
+            SizeClass::Paper => StreamParams {
+                n: 10_000_000,
+                ntimes: 10,
+            },
         }
     }
 }
@@ -46,14 +52,21 @@ pub fn build_with(params: StreamParams) -> KernelProgram {
     let a = p.array("a", n, ArrayInit::Fill(1.0));
     let b = p.array("b", n, ArrayInit::Fill(2.0));
     let c = p.array("c", n, ArrayInit::Fill(0.0));
-    let unit = |arr| Access { arr, strides: vec![1], offset: 0 };
+    let unit = |arr| Access {
+        arr,
+        strides: vec![1],
+        offset: 0,
+    };
     let scalar = 3.0;
 
     p.kernel(Kernel {
         name: "copy".into(),
         dims: vec![n],
         accs: vec![],
-        body: vec![Stmt::Store { access: unit(c), value: Expr::Load(unit(a)) }],
+        body: vec![Stmt::Store {
+            access: unit(c),
+            value: Expr::Load(unit(a)),
+        }],
     });
     p.kernel(Kernel {
         name: "scale".into(),
@@ -79,7 +92,11 @@ pub fn build_with(params: StreamParams) -> KernelProgram {
         accs: vec![],
         body: vec![Stmt::Store {
             access: unit(a),
-            value: Expr::mul_add(Expr::Const(scalar), Expr::Load(unit(c)), Expr::Load(unit(b))),
+            value: Expr::mul_add(
+                Expr::Const(scalar),
+                Expr::Load(unit(c)),
+                Expr::Load(unit(b)),
+            ),
         }],
     });
     p.repeat = ntimes;

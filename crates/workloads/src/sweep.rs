@@ -49,9 +49,27 @@ impl SweepParams {
     /// Parameters per size class (Paper = na 32, 32x16x8 cells, 8 octants).
     pub fn for_size(size: SizeClass) -> Self {
         match size {
-            SizeClass::Test => SweepParams { na: 4, nz: 4, ny: 4, nx: 4, octants: 2 },
-            SizeClass::Small => SweepParams { na: 16, nz: 16, ny: 8, nx: 8, octants: 8 },
-            SizeClass::Paper => SweepParams { na: 32, nz: 32, ny: 16, nx: 8, octants: 8 },
+            SizeClass::Test => SweepParams {
+                na: 4,
+                nz: 4,
+                ny: 4,
+                nx: 4,
+                octants: 2,
+            },
+            SizeClass::Small => SweepParams {
+                na: 16,
+                nz: 16,
+                ny: 8,
+                nx: 8,
+                octants: 8,
+            },
+            SizeClass::Paper => SweepParams {
+                na: 32,
+                nz: 32,
+                ny: 16,
+                nx: 8,
+                octants: 8,
+            },
         }
     }
 }
@@ -63,7 +81,13 @@ pub fn build(size: SizeClass) -> KernelProgram {
 
 /// Build minisweep with explicit parameters.
 pub fn build_with(params: SweepParams) -> KernelProgram {
-    let SweepParams { na, nz, ny, nx, octants } = params;
+    let SweepParams {
+        na,
+        nz,
+        ny,
+        nx,
+        octants,
+    } = params;
     assert_eq!(na % GROUP, 0, "na must be a multiple of {GROUP}");
     let groups = na / GROUP;
     // Padded spatial extents (one upwind halo plane per dimension).
@@ -78,7 +102,14 @@ pub fn build_with(params: SweepParams) -> KernelProgram {
         v.push(p.array(&format!("vflux{a}"), volume, ArrayInit::Zero));
     }
     // Isotropic source over the (padded) spatial grid.
-    let source = p.array("source", volume, ArrayInit::Linear { start: 1.0, step: 0.001 });
+    let source = p.array(
+        "source",
+        volume,
+        ArrayInit::Linear {
+            start: 1.0,
+            step: 0.001,
+        },
+    );
     // Exiting-face flux per angle (the checksum / normsum target).
     let out = p.array("outflow", na * ny * nx, ArrayInit::Zero);
 
@@ -119,7 +150,12 @@ pub fn build_with(params: SweepParams) -> KernelProgram {
                 ),
             });
         }
-        p.kernel(Kernel { name: "sweep".into(), dims: vec![nz, ny, nx], accs: vec![], body });
+        p.kernel(Kernel {
+            name: "sweep".into(),
+            dims: vec![nz, ny, nx],
+            accs: vec![],
+            body,
+        });
     }
 
     // Outflow extraction: copy the last z-plane of every angle into the
@@ -142,7 +178,12 @@ pub fn build_with(params: SweepParams) -> KernelProgram {
                 }),
             });
         }
-        p.kernel(Kernel { name: "outflow".into(), dims: vec![ny, nx], accs: vec![], body });
+        p.kernel(Kernel {
+            name: "outflow".into(),
+            dims: vec![ny, nx],
+            accs: vec![],
+            body,
+        });
     }
 
     p.repeat = octants;
@@ -156,7 +197,13 @@ mod tests {
 
     #[test]
     fn wavefront_dependency_holds() {
-        let prm = SweepParams { na: 4, nz: 3, ny: 3, nx: 3, octants: 1 };
+        let prm = SweepParams {
+            na: 4,
+            nz: 3,
+            ny: 3,
+            nx: 3,
+            octants: 1,
+        };
         let p = build_with(prm);
         let r = kernelgen::interpret(&p, &Personality::gcc122());
         let v = &r.arrays["vflux0"];
@@ -172,7 +219,13 @@ mod tests {
 
     #[test]
     fn outflow_reflects_final_plane() {
-        let prm = SweepParams { na: 4, nz: 3, ny: 3, nx: 3, octants: 2 };
+        let prm = SweepParams {
+            na: 4,
+            nz: 3,
+            ny: 3,
+            nx: 3,
+            octants: 2,
+        };
         let p = build_with(prm);
         let r = kernelgen::interpret(&p, &Personality::gcc122());
         let out = &r.arrays["outflow"];

@@ -53,7 +53,12 @@ fn cross_isa_checksums_identical() {
         let p = Personality::gcc122();
         let (rv, _) = run_guest(w, IsaKind::RiscV, &p);
         let (arm, _) = run_guest(w, IsaKind::AArch64, &p);
-        assert_eq!(rv.to_bits(), arm.to_bits(), "{} cross-ISA mismatch", w.name());
+        assert_eq!(
+            rv.to_bits(),
+            arm.to_bits(),
+            "{} cross-ISA mismatch",
+            w.name()
+        );
     }
 }
 

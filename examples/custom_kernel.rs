@@ -17,9 +17,20 @@ use kernelgen::{Access, ArrayInit, Expr, Kernel, KernelProgram, Stmt};
 
 fn jacobi(n: u64, sweeps: u64) -> KernelProgram {
     let mut p = KernelProgram::new("jacobi1d");
-    let a = p.array("a", n + 2, ArrayInit::Linear { start: 0.0, step: 1.0 });
+    let a = p.array(
+        "a",
+        n + 2,
+        ArrayInit::Linear {
+            start: 0.0,
+            step: 1.0,
+        },
+    );
     let b = p.array("b", n + 2, ArrayInit::Zero);
-    let at = |arr, offset| Access { arr, strides: vec![1], offset };
+    let at = |arr, offset| Access {
+        arr,
+        strides: vec![1],
+        offset,
+    };
     // b[i] = (a[i-1] + a[i] + a[i+1]) / 3, then copy back.
     p.kernel(Kernel {
         name: "smooth".into(),
@@ -40,7 +51,10 @@ fn jacobi(n: u64, sweeps: u64) -> KernelProgram {
         name: "copy_back".into(),
         dims: vec![n],
         accs: vec![],
-        body: vec![Stmt::Store { access: at(a, 1), value: Expr::Load(at(b, 1)) }],
+        body: vec![Stmt::Store {
+            access: at(a, 1),
+            value: Expr::Load(at(b, 1)),
+        }],
     });
     p.repeat = sweeps;
     p.checksum_arrays = vec![a];
@@ -64,7 +78,11 @@ fn main() {
             let mut cp = DualCriticalPath::new(Tx2Latency);
             let (st, _) = execute(&compiled, &mut [&mut pl, &mut cp]);
             let got = st.mem.read_f64(compiled.checksum_addr).unwrap();
-            assert_eq!(got.to_bits(), expected.to_bits(), "guest must match interpreter");
+            assert_eq!(
+                got.to_bits(),
+                expected.to_bits(),
+                "guest must match interpreter"
+            );
             let r = cp.unit();
             println!(
                 "{:<10}{:<10}{:>14}{:>12}{:>8.0}   {:.6e}",

@@ -34,7 +34,13 @@ fn main() {
                 rv.cycles as f64 / arm.cycles as f64
             ));
         }
-        println!("{:<12}{:>16}{:>16}{:>18}", w.name(), cols[0], cols[1], cols[2]);
+        println!(
+            "{:<12}{:>16}{:>16}{:>18}",
+            w.name(),
+            cols[0],
+            cols[1],
+            cols[2]
+        );
     }
     println!(
         "\nRatios near 1.0 extend the paper's conclusion — neither ISA is\n\

@@ -15,8 +15,8 @@ fn main() {
         "ISA", "path length", "CP", "ILP", "2GHz runtime"
     );
     for isa in [IsaKind::AArch64, IsaKind::RiscV] {
-        let cell = run_cell(Workload::Stream, isa, &Personality::gcc122(), size)
-            .expect("cell measures");
+        let cell =
+            run_cell(Workload::Stream, isa, &Personality::gcc122(), size).expect("cell measures");
         println!(
             "{:<10} {:>14} {:>12} {:>8.0} {:>13.3} ms",
             cell.isa,

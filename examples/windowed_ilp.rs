@@ -6,7 +6,9 @@
 //! cargo run --release --example windowed_ilp
 //! ```
 
-use isacmp::{compile, execute, IsaKind, Personality, SizeClass, WindowedCp, Workload, PAPER_WINDOW_SIZES};
+use isacmp::{
+    compile, execute, IsaKind, Personality, SizeClass, WindowedCp, Workload, PAPER_WINDOW_SIZES,
+};
 
 fn main() {
     let p = Personality::gcc122();

@@ -4,9 +4,7 @@
 //! manifest, and the full result matrix (including its `failures` set)
 //! byte for byte; different seeds must explore different schedules.
 
-use isacmp::{
-    run_matrix_opts, CampaignManifest, CampaignSpec, MatrixOptions, SizeClass, Workload,
-};
+use isacmp::{run_matrix_opts, CampaignManifest, CampaignSpec, MatrixOptions, SizeClass, Workload};
 use proptest::prelude::*;
 
 proptest! {

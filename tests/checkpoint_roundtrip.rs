@@ -22,28 +22,28 @@ const PAGE_SIZE: usize = 4096;
 fn checkpoint() -> impl Strategy<Value = Checkpoint> {
     (
         (
-            any::<u64>(),                                   // pc
-            any::<u64>(),                                   // instret
-            any::<u8>(),                                    // nzcv
-            proptest::option::of(any::<i64>()),             // exited
-            any::<u64>(),                                   // brk
-            proptest::collection::vec(any::<u8>(), 0..64),  // output
+            any::<u64>(),                                  // pc
+            any::<u64>(),                                  // instret
+            any::<u8>(),                                   // nzcv
+            proptest::option::of(any::<i64>()),            // exited
+            any::<u64>(),                                  // brk
+            proptest::collection::vec(any::<u8>(), 0..64), // output
         ),
-        proptest::collection::vec(any::<u64>(), 32..33),    // x
-        proptest::collection::vec(any::<u64>(), 32..33),    // f
+        proptest::collection::vec(any::<u64>(), 32..33), // x
+        proptest::collection::vec(any::<u64>(), 32..33), // f
         // Sparse memory: (page-spacing, fill byte) pairs; cumulative
         // spacing keeps page addresses strictly ascending.
         proptest::collection::vec((1u64..8, any::<u8>()), 0..4),
         proptest::collection::vec((any::<u64>(), 0u32..64), 0..3), // read faults
         proptest::option::of((
-            any::<u64>(),                                   // campaign seed
-            any::<u64>(),                                   // fired_count
+            any::<u64>(), // campaign seed
+            any::<u64>(), // fired_count
             proptest::collection::vec(
                 (proptest::collection::vec(0u8..26, 1..25), any::<bool>()),
                 0..4,
             ),
         )),
-        (any::<u64>(), any::<u64>(), any::<u64>()),         // trace mark
+        (any::<u64>(), any::<u64>(), any::<u64>()), // trace mark
     )
         .prop_map(|(core, x, f, pages, faults, campaign, trace)| {
             let (pc, instret, nzcv, exited, brk, output) = core;
@@ -67,11 +67,15 @@ fn checkpoint() -> impl Strategy<Value = Checkpoint> {
             for (nth, bit) in faults {
                 st.mem.arm_read_fault(nth, bit);
             }
-            let mut ckpt = Checkpoint::capture(&st, None, TraceMark {
-                records: trace.0,
-                blocks: trace.1,
-                bytes: trace.2,
-            });
+            let mut ckpt = Checkpoint::capture(
+                &st,
+                None,
+                TraceMark {
+                    records: trace.0,
+                    blocks: trace.1,
+                    bytes: trace.2,
+                },
+            );
             // Campaign state is attached after capture: the plans here are
             // arbitrary strings exercising the length-prefixed encoding,
             // not parseable fault specs (rearm is covered elsewhere).
@@ -81,8 +85,7 @@ fn checkpoint() -> impl Strategy<Value = Checkpoint> {
                 plans: plans
                     .into_iter()
                     .map(|(letters, fired)| {
-                        let spec: String =
-                            letters.iter().map(|&l| (b'a' + l) as char).collect();
+                        let spec: String = letters.iter().map(|&l| (b'a' + l) as char).collect();
                         (spec, fired)
                     })
                     .collect(),
@@ -184,7 +187,11 @@ fn corruption_of_every_image_byte_is_caught_or_visible() {
     let clean = Checkpoint::capture(
         &st,
         None,
-        TraceMark { records: 4096, blocks: 1, bytes: 70_000 },
+        TraceMark {
+            records: 4096,
+            blocks: 1,
+            bytes: 70_000,
+        },
     )
     .to_bytes();
     let reference = Checkpoint::from_bytes(&clean).unwrap();
@@ -195,7 +202,10 @@ fn corruption_of_every_image_byte_is_caught_or_visible() {
         let mut bad = clean.clone();
         bad[pos] ^= 1;
         if let Ok(decoded) = Checkpoint::from_bytes(&bad) {
-            assert_ne!(decoded, reference, "flip at byte {pos} was silently absorbed");
+            assert_ne!(
+                decoded, reference,
+                "flip at byte {pos} was silently absorbed"
+            );
         }
     }
 }
@@ -212,9 +222,16 @@ fn block_engine_restore_rebuilds_cache_cold_and_finishes_byte_identical() {
         Workload,
     };
 
-    let compiled =
-        compile(&Workload::Stream.build(SizeClass::Small), IsaKind::RiscV, &Personality::gcc122());
-    let mark = TraceMark { records: 0, blocks: 0, bytes: 0 };
+    let compiled = compile(
+        &Workload::Stream.build(SizeClass::Small),
+        IsaKind::RiscV,
+        &Personality::gcc122(),
+    );
+    let mark = TraceMark {
+        records: 0,
+        blocks: 0,
+        bytes: 0,
+    };
 
     // Reference: one uninterrupted run.
     let mut ref_st = CpuState::new();
@@ -232,7 +249,11 @@ fn block_engine_restore_rebuilds_cache_cold_and_finishes_byte_identical() {
         .with_checkpoint_every(400_000)
         .run(&mut st, &mut [])
         .expect("run reaches the checkpoint boundary");
-    assert_eq!(stats.stop, StopReason::CheckpointDue, "snapshot must interrupt mid-run");
+    assert_eq!(
+        stats.stop,
+        StopReason::CheckpointDue,
+        "snapshot must interrupt mid-run"
+    );
     assert!(st.exited.is_none(), "the guest must not have finished yet");
     let snapshot = Checkpoint::capture(&st, None, mark).to_bytes();
 

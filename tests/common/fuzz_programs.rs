@@ -18,11 +18,20 @@ const ARRAY_LEN: u64 = 24;
 pub enum ExprSpec {
     Const(i32),
     Temp(u8),
-    Load { arr: u8, offset: u8 },
+    Load {
+        arr: u8,
+        offset: u8,
+    },
     Un(u8, Box<ExprSpec>),
     Bin(u8, Box<ExprSpec>, Box<ExprSpec>),
     MulAdd(Box<ExprSpec>, Box<ExprSpec>, Box<ExprSpec>),
-    Select(u8, Box<ExprSpec>, Box<ExprSpec>, Box<ExprSpec>, Box<ExprSpec>),
+    Select(
+        u8,
+        Box<ExprSpec>,
+        Box<ExprSpec>,
+        Box<ExprSpec>,
+        Box<ExprSpec>,
+    ),
 }
 
 pub fn expr_spec() -> impl Strategy<Value = ExprSpec> {
@@ -34,11 +43,13 @@ pub fn expr_spec() -> impl Strategy<Value = ExprSpec> {
     leaf.prop_recursive(3, 24, 3, |inner| {
         prop_oneof![
             (0u8..2, inner.clone()).prop_map(|(op, a)| ExprSpec::Un(op, Box::new(a))),
-            (0u8..5, inner.clone(), inner.clone())
-                .prop_map(|(op, a, b)| ExprSpec::Bin(op, Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone(), inner.clone()).prop_map(|(a, b, c)| {
-                ExprSpec::MulAdd(Box::new(a), Box::new(b), Box::new(c))
-            }),
+            (0u8..5, inner.clone(), inner.clone()).prop_map(|(op, a, b)| ExprSpec::Bin(
+                op,
+                Box::new(a),
+                Box::new(b)
+            )),
+            (inner.clone(), inner.clone(), inner.clone())
+                .prop_map(|(a, b, c)| { ExprSpec::MulAdd(Box::new(a), Box::new(b), Box::new(c)) }),
             (0u8..3, inner.clone(), inner.clone(), inner.clone(), inner).prop_map(
                 |(cmp, a, b, t, e)| ExprSpec::Select(
                     cmp,
@@ -55,8 +66,15 @@ pub fn expr_spec() -> impl Strategy<Value = ExprSpec> {
 #[derive(Debug, Clone)]
 pub enum StmtSpec {
     Def(ExprSpec),
-    Store { arr: u8, offset: u8, value: ExprSpec },
-    Accum { op: u8, value: ExprSpec },
+    Store {
+        arr: u8,
+        offset: u8,
+        value: ExprSpec,
+    },
+    Accum {
+        op: u8,
+        value: ExprSpec,
+    },
 }
 
 pub fn stmt_spec() -> impl Strategy<Value = StmtSpec> {
@@ -87,7 +105,12 @@ pub fn program_spec() -> impl Strategy<Value = ProgramSpec> {
         1u64..3,
         any::<bool>(),
     )
-        .prop_map(|(dims, stmts, repeat, use_acc)| ProgramSpec { dims, stmts, repeat, use_acc })
+        .prop_map(|(dims, stmts, repeat, use_acc)| ProgramSpec {
+            dims,
+            stmts,
+            repeat,
+            use_acc,
+        })
 }
 
 /// Realise a spec as a valid IR program (defines temps before use, keeps
@@ -99,7 +122,10 @@ pub fn realise(spec: &ProgramSpec) -> KernelProgram {
             p.array(
                 &format!("a{i}"),
                 ARRAY_LEN,
-                ArrayInit::Linear { start: 0.25 + i as f64, step: 0.5 },
+                ArrayInit::Linear {
+                    start: 0.25 + i as f64,
+                    step: 0.5,
+                },
             )
         })
         .collect();
@@ -108,7 +134,9 @@ pub fn realise(spec: &ProgramSpec) -> KernelProgram {
     let ndim = spec.dims.len();
     // Unit stride on the innermost dim only: max index = offset + dim-1;
     // keep offsets+trips within ARRAY_LEN.
-    let strides: Vec<i64> = (0..ndim).map(|d| if d == ndim - 1 { 1 } else { 2 }).collect();
+    let strides: Vec<i64> = (0..ndim)
+        .map(|d| if d == ndim - 1 { 1 } else { 2 })
+        .collect();
     let span: i64 = spec
         .dims
         .iter()
@@ -207,14 +235,25 @@ pub fn realise(spec: &ProgramSpec) -> KernelProgram {
         }
     }
     if body.is_empty() {
-        body.push(Stmt::Store { access: access(0, 0), value: Expr::Const(1.0) });
+        body.push(Stmt::Store {
+            access: access(0, 0),
+            value: Expr::Const(1.0),
+        });
     }
     let accs = if spec.use_acc {
-        vec![kernelgen::AccDecl { init: 0.0, store_to: Some((out, 0)) }]
+        vec![kernelgen::AccDecl {
+            init: 0.0,
+            store_to: Some((out, 0)),
+        }]
     } else {
         vec![]
     };
-    p.kernel(Kernel { name: "fuzzed".into(), dims: spec.dims.clone(), accs, body });
+    p.kernel(Kernel {
+        name: "fuzzed".into(),
+        dims: spec.dims.clone(),
+        accs,
+        body,
+    });
     p.repeat = spec.repeat;
     p.checksum_arrays = vec![arrays[0], arrays[1], arrays[2], out];
     // Sanity: the realised program must validate.

@@ -10,7 +10,11 @@ fn full_matrix_runs_and_serialises() {
     for c in &m.cells {
         assert!(c.path_length > 0);
         assert!(c.critical_path > 0 && c.critical_path <= c.path_length);
-        assert!(c.scaled_cp >= c.critical_path, "{}: scaling shortens CP?", c.workload);
+        assert!(
+            c.scaled_cp >= c.critical_path,
+            "{}: scaling shortens CP?",
+            c.workload
+        );
         assert!(!c.kernels.is_empty());
     }
     // Formatting must include every workload.
@@ -29,15 +33,34 @@ fn full_matrix_runs_and_serialises() {
 fn stream_compiler_findings_match_paper() {
     // Paper §3.3: moving GCC 9.2 -> 12.2 shortens the AArch64 STREAM path
     // (better loop exits), while the RISC-V kernels are identical.
-    let arm92 = run_cell(Workload::Stream, IsaKind::AArch64, &Personality::gcc92(), SizeClass::Small)
-        .expect("arm gcc-9.2 cell");
-    let arm122 =
-        run_cell(Workload::Stream, IsaKind::AArch64, &Personality::gcc122(), SizeClass::Small)
-            .expect("arm gcc-12.2 cell");
-    let rv92 = run_cell(Workload::Stream, IsaKind::RiscV, &Personality::gcc92(), SizeClass::Small)
-        .expect("rv gcc-9.2 cell");
-    let rv122 = run_cell(Workload::Stream, IsaKind::RiscV, &Personality::gcc122(), SizeClass::Small)
-        .expect("rv gcc-12.2 cell");
+    let arm92 = run_cell(
+        Workload::Stream,
+        IsaKind::AArch64,
+        &Personality::gcc92(),
+        SizeClass::Small,
+    )
+    .expect("arm gcc-9.2 cell");
+    let arm122 = run_cell(
+        Workload::Stream,
+        IsaKind::AArch64,
+        &Personality::gcc122(),
+        SizeClass::Small,
+    )
+    .expect("arm gcc-12.2 cell");
+    let rv92 = run_cell(
+        Workload::Stream,
+        IsaKind::RiscV,
+        &Personality::gcc92(),
+        SizeClass::Small,
+    )
+    .expect("rv gcc-9.2 cell");
+    let rv122 = run_cell(
+        Workload::Stream,
+        IsaKind::RiscV,
+        &Personality::gcc122(),
+        SizeClass::Small,
+    )
+    .expect("rv gcc-12.2 cell");
 
     assert!(
         arm92.path_length > arm122.path_length,
@@ -46,7 +69,10 @@ fn stream_compiler_findings_match_paper() {
         arm122.path_length
     );
     // Paper: "the main kernels remain the same for both RISC-V binaries".
-    assert_eq!(rv92.path_length, rv122.path_length, "RISC-V STREAM identical across compilers");
+    assert_eq!(
+        rv92.path_length, rv122.path_length,
+        "RISC-V STREAM identical across compilers"
+    );
     // Paper Figure 1: the ISAs stay within ~10-20% of each other.
     let ratio = rv122.path_length as f64 / arm122.path_length as f64;
     assert!((0.8..=1.25).contains(&ratio), "path-length ratio {ratio}");
@@ -58,8 +84,13 @@ fn stream_compiler_findings_match_paper() {
 
 #[test]
 fn per_kernel_breakdown_covers_stream() {
-    let cell = run_cell(Workload::Stream, IsaKind::RiscV, &Personality::gcc122(), SizeClass::Test)
-        .expect("cell measures");
+    let cell = run_cell(
+        Workload::Stream,
+        IsaKind::RiscV,
+        &Personality::gcc122(),
+        SizeClass::Test,
+    )
+    .expect("cell measures");
     let names: Vec<&str> = cell.kernels.iter().map(|(n, _)| n.as_str()).collect();
     for k in ["copy", "scale", "add", "triad"] {
         assert!(names.contains(&k), "missing kernel {k}: {names:?}");
@@ -75,8 +106,8 @@ fn windowed_ilp_grows_with_window_size() {
     // (more instructions to pick from), for every workload and ISA.
     for w in [Workload::Stream, Workload::MiniBude] {
         for isa in [IsaKind::AArch64, IsaKind::RiscV] {
-            let cell = run_cell(w, isa, &Personality::gcc122(), SizeClass::Test)
-                .expect("cell measures");
+            let cell =
+                run_cell(w, isa, &Personality::gcc122(), SizeClass::Test).expect("cell measures");
             let ilps: Vec<f64> = cell.windows.iter().map(|&(_, _, ilp)| ilp).collect();
             assert!(
                 ilps.windows(2).all(|p| p[1] >= p[0] * 0.8),
@@ -95,8 +126,13 @@ fn scaled_cp_fp_chains_scale_by_fp_latency() {
     // STREAM's longest chain after scaling runs through the checksum's
     // fadd reduction: scaled CP ~ 6x the unit CP (TX2 fadd latency),
     // exactly the paper's Table 1 -> Table 2 STREAM relationship.
-    let cell = run_cell(Workload::Stream, IsaKind::RiscV, &Personality::gcc122(), SizeClass::Small)
-        .expect("cell measures");
+    let cell = run_cell(
+        Workload::Stream,
+        IsaKind::RiscV,
+        &Personality::gcc122(),
+        SizeClass::Small,
+    )
+    .expect("cell measures");
     let factor = cell.scaled_cp as f64 / cell.critical_path as f64;
     assert!(
         (4.0..=6.5).contains(&factor),
@@ -109,8 +145,12 @@ fn minisweep_has_high_cross_angle_ilp() {
     // Paper Table 1: minisweep's ILP is in the thousands (independent
     // angle sweeps). At Test size (2 angles, tiny grid) it is merely
     // "high"; check it clearly exceeds serial workloads' ILP.
-    let sweep =
-        run_cell(Workload::Minisweep, IsaKind::RiscV, &Personality::gcc122(), SizeClass::Small)
-            .expect("cell measures");
+    let sweep = run_cell(
+        Workload::Minisweep,
+        IsaKind::RiscV,
+        &Personality::gcc122(),
+        SizeClass::Small,
+    )
+    .expect("cell measures");
     assert!(sweep.ilp() > 20.0, "sweep ILP {}", sweep.ilp());
 }

@@ -14,11 +14,10 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 use isacmp::{
-    compile, interpret, isa_label, matrix_combos, record_outcome, run_matrix_opts,
-    AArch64Executor, CampaignManifest, CampaignSpec, CellAnalyses, CellError, CellOptions,
-    CpuState, EmulationCore, ExperimentCell, FaultInjector, FaultPlan, InjectSpec, IsaExecutor,
-    IsaKind, MatrixOptions, Observer, Personality, ResultMatrix, RetiredInst, RiscVExecutor,
-    SizeClass, Workload,
+    compile, interpret, isa_label, matrix_combos, record_outcome, run_matrix_opts, AArch64Executor,
+    CampaignManifest, CampaignSpec, CellAnalyses, CellError, CellOptions, CpuState, EmulationCore,
+    ExperimentCell, FaultInjector, FaultPlan, InjectSpec, IsaExecutor, IsaKind, MatrixOptions,
+    Observer, Personality, ResultMatrix, RetiredInst, RiscVExecutor, SizeClass, Workload,
 };
 
 mod common;
@@ -121,9 +120,7 @@ fn assert_core_matches_stepper(
     fault: Option<&FaultPlan>,
     with_stream: bool,
 ) {
-    let inj = |f: Option<&FaultPlan>| {
-        f.map(|p| Box::new(p.clone()) as Box<dyn FaultInjector>)
-    };
+    let inj = |f: Option<&FaultPlan>| f.map(|p| Box::new(p.clone()) as Box<dyn FaultInjector>);
     let stepper = run_one(workload, isa, size, true, inj(fault), with_stream);
     let core = run_one(workload, isa, size, false, inj(fault), with_stream);
     assert_eq!(
@@ -209,9 +206,14 @@ fn stepped_cell(
     let mut st = CpuState::new();
     compiled.program.load(&mut st).map_err(CellError::Load)?;
     let mut analyses = CellAnalyses::new(&compiled.program.regions);
-    let injector = opts.armed_campaign().map(|c| Box::new(c) as Box<dyn FaultInjector>);
+    let injector = opts
+        .armed_campaign()
+        .map(|c| Box::new(c) as Box<dyn FaultInjector>);
     let run = drive_isa(isa, &mut st, &mut analyses.observers(), injector, true);
-    run.map_err(|err| CellError::Sim { err, instret: st.instret })?;
+    run.map_err(|err| CellError::Sim {
+        err,
+        instret: st.instret,
+    })?;
     if let Some(code) = st.exited.filter(|&c| c != 0) {
         return Err(CellError::NonZeroExit { code });
     }
@@ -219,7 +221,10 @@ fn stepped_cell(
     let got = st
         .mem
         .read_f64(compiled.checksum_addr)
-        .map_err(|err| CellError::Sim { err, instret: st.instret })?;
+        .map_err(|err| CellError::Sim {
+            err,
+            instret: st.instret,
+        })?;
     if got.to_bits() != expected.to_bits() {
         return Err(CellError::ChecksumMismatch {
             expected_bits: expected.to_bits(),
@@ -235,7 +240,14 @@ fn stepped_matrix(workloads: &[Workload], size: SizeClass, opts: &MatrixOptions)
     for (w, p, isa) in matrix_combos(workloads) {
         let cell_opts = opts.cell_options(w.name(), p.label(), isa_label(isa));
         let outcome = stepped_cell(w, isa, &p, size, &cell_opts);
-        record_outcome(&mut m, w.name(), p.label(), isa_label(isa), Ok(outcome), opts.retries);
+        record_outcome(
+            &mut m,
+            w.name(),
+            p.label(),
+            isa_label(isa),
+            Ok(outcome),
+            opts.retries,
+        );
     }
     m
 }
@@ -262,9 +274,11 @@ fn matrix_json_is_byte_identical_across_engines() {
     };
     agree(&inject, "injected");
     let campaign = MatrixOptions {
-        campaign: Some(CampaignManifest::sample(CampaignSpec::parse("7:3").unwrap())
-            .campaign()
-            .unwrap()),
+        campaign: Some(
+            CampaignManifest::sample(CampaignSpec::parse("7:3").unwrap())
+                .campaign()
+                .unwrap(),
+        ),
         ..Default::default()
     };
     agree(&campaign, "campaign");
@@ -279,7 +293,12 @@ mod invalidation {
     const CODE: u64 = 0x1_0000;
 
     fn addi(rd: u8, rs1: u8, imm: i64) -> u32 {
-        encode(&Inst::OpImm { op: ImmOp::Addi, rd, rs1, imm })
+        encode(&Inst::OpImm {
+            op: ImmOp::Addi,
+            rd,
+            rs1,
+            imm,
+        })
     }
 
     fn load(words: &[u32]) -> CpuState {
@@ -308,7 +327,10 @@ mod invalidation {
         exec.flush_decode_cache();
         let mut st = load(&[addi(1, 0, 9)]);
         let _ = EmulationCore::new(&exec).run(&mut st, &mut []);
-        assert_eq!(st.x[1], 9, "flush must force a re-decode of the mutated bytes");
+        assert_eq!(
+            st.x[1], 9,
+            "flush must force a re-decode of the mutated bytes"
+        );
     }
 
     /// End-to-end: a `fetch@N:MASK` fault mutates the fetched word and
@@ -323,7 +345,12 @@ mod invalidation {
         let w_mut = w_orig ^ MASK;
         assert_eq!(
             decode(w_mut).unwrap(),
-            Inst::OpImm { op: ImmOp::Addi, rd: 1, rs1: 0, imm: 69 },
+            Inst::OpImm {
+                op: ImmOp::Addi,
+                rd: 1,
+                rs1: 0,
+                imm: 69
+            },
             "mask must yield a decodable mutated instruction"
         );
         let program = [addi(2, 0, 1), w_orig];
@@ -342,15 +369,25 @@ mod invalidation {
         let _ = EmulationCore::new(&exec)
             .with_injector(Box::new(plan))
             .run(&mut st, &mut []);
-        assert_eq!(st.x[1], 69, "the corrupted fetch must execute the mutated immediate");
-        assert_eq!(st.mem.read_u32(CODE + 4).unwrap(), w_mut, "the fault mutates guest memory");
+        assert_eq!(
+            st.x[1], 69,
+            "the corrupted fetch must execute the mutated immediate"
+        );
+        assert_eq!(
+            st.mem.read_u32(CODE + 4).unwrap(),
+            w_mut,
+            "the fault mutates guest memory"
+        );
 
         // A run over a mutated image at the warm PC: only the
         // fault's cache flush makes this re-decode instead of replaying
         // the pristine block cached in step one.
         let mut st = load(&[program[0], w_mut]);
         let _ = EmulationCore::new(&exec).run(&mut st, &mut []);
-        assert_eq!(st.x[1], 69, "stale pre-fault block must not survive the flush");
+        assert_eq!(
+            st.x[1], 69,
+            "stale pre-fault block must not survive the flush"
+        );
     }
 
     /// A read flip that lands on an instruction fetch is decoded and kept
@@ -363,9 +400,15 @@ mod invalidation {
         // and flipping bit 21 turns its immediate 1 into 3.
         let program = [
             addi(1, 1, 1),
-            encode(&Inst::Branch { op: BranchOp::Blt, rs1: 1, rs2: 2, offset: -4 }),
+            encode(&Inst::Branch {
+                op: BranchOp::Blt,
+                rs1: 1,
+                rs2: 2,
+                offset: -4,
+            }),
         ];
-        let flip = || Some(Box::new(FaultPlan::parse("read@1:21").unwrap()) as Box<dyn FaultInjector>);
+        let flip =
+            || Some(Box::new(FaultPlan::parse("read@1:21").unwrap()) as Box<dyn FaultInjector>);
         let run = |stepped: bool| {
             let mut st = load(&program);
             st.x[2] = 50;
@@ -373,10 +416,17 @@ mod invalidation {
             let result = if stepped {
                 run_stepped(&exec, &mut st, &mut [], flip(), 1000)
             } else {
-                let core = EmulationCore::new(&exec).with_budget(1000).with_injector(flip().unwrap());
+                let core = EmulationCore::new(&exec)
+                    .with_budget(1000)
+                    .with_injector(flip().unwrap());
                 core.run(&mut st, &mut []).map(|s| s.retired)
             };
-            (result.map_err(|e| e.to_string()), st.x[1], st.instret, st.pc)
+            (
+                result.map_err(|e| e.to_string()),
+                st.x[1],
+                st.instret,
+                st.pc,
+            )
         };
         let stepper = run(true);
         assert_eq!(stepper.1, 51, "every pass adds the flipped immediate 3");

@@ -4,20 +4,25 @@
 //! checksum cross-check.
 
 use isacmp::{
-    resume_matrix, run_cell_opts, run_matrix_opts, CellOptions, InjectSpec, IsaKind,
-    MatrixOptions, Personality, ResultMatrix, SizeClass, Workload,
+    resume_matrix, run_cell_opts, run_matrix_opts, CellOptions, InjectSpec, IsaKind, MatrixOptions,
+    Personality, ResultMatrix, SizeClass, Workload,
 };
 
 #[test]
 fn injected_fault_degrades_one_cell_and_spares_the_rest() {
     let inject = InjectSpec::parse("STREAM/gcc-12.2/RISC-V:trap@1000").unwrap();
-    let opts = MatrixOptions { inject: Some(inject), ..Default::default() };
+    let opts = MatrixOptions {
+        inject: Some(inject),
+        ..Default::default()
+    };
     let m = run_matrix_opts(&[Workload::Stream, Workload::Lbm], SizeClass::Test, &opts);
 
     assert_eq!(m.cells.len(), 7, "seven healthy cells measured");
     assert_eq!(m.failures.len(), 1, "exactly the targeted cell failed");
     assert!(!m.is_complete());
-    let f = m.get_failure("STREAM", "gcc-12.2", "RISC-V").expect("targeted failure recorded");
+    let f = m
+        .get_failure("STREAM", "gcc-12.2", "RISC-V")
+        .expect("targeted failure recorded");
     assert_eq!(f.kind, "sim");
     assert!(f.detail.contains("injected fault"), "detail: {}", f.detail);
     // The healthy twin of the faulted cell is untouched.
@@ -25,7 +30,10 @@ fn injected_fault_degrades_one_cell_and_spares_the_rest() {
 
     // Tables render the failure in place instead of dropping the run.
     let t1 = m.table1();
-    assert!(t1.contains("ERR(sim)"), "table1 should mark the failed cell:\n{t1}");
+    assert!(
+        t1.contains("ERR(sim)"),
+        "table1 should mark the failed cell:\n{t1}"
+    );
     assert!(t1.contains("LBM"), "unaffected workloads still render");
 
     // The failure record survives the JSON round trip.
@@ -42,28 +50,49 @@ fn resume_reruns_only_the_recorded_failures() {
     // only the failed cell re-runs, the seven healthy cells are kept
     // verbatim, and the healed matrix is complete.
     let inject = InjectSpec::parse("STREAM/gcc-12.2/RISC-V:trap@1000").unwrap();
-    let opts = MatrixOptions { inject: Some(inject), ..Default::default() };
+    let opts = MatrixOptions {
+        inject: Some(inject),
+        ..Default::default()
+    };
     let partial = run_matrix_opts(&[Workload::Stream, Workload::Lbm], SizeClass::Test, &opts);
     assert_eq!(partial.cells.len(), 7);
     assert_eq!(partial.failures.len(), 1);
 
     let prior = ResultMatrix::from_json(&partial.to_json()).expect("matrix round-trips");
-    assert_eq!(prior.failures.len(), 1, "failure record survives serialization");
+    assert_eq!(
+        prior.failures.len(),
+        1,
+        "failure record survives serialization"
+    );
 
     let tel = isacmp::telemetry::global();
     let skipped0 = tel.counter("cells_skipped");
     let resumed0 = tel.counter("cells_resumed");
     let healed = resume_matrix(&prior, SizeClass::Test, &MatrixOptions::default());
-    assert_eq!(tel.counter("cells_skipped") - skipped0, 7, "healthy cells kept, not re-run");
-    assert_eq!(tel.counter("cells_resumed") - resumed0, 1, "only the failure re-ran");
+    assert_eq!(
+        tel.counter("cells_skipped") - skipped0,
+        7,
+        "healthy cells kept, not re-run"
+    );
+    assert_eq!(
+        tel.counter("cells_resumed") - resumed0,
+        1,
+        "only the failure re-ran"
+    );
 
-    assert!(healed.is_complete(), "resume heals the matrix: {}", healed.failure_summary());
+    assert!(
+        healed.is_complete(),
+        "resume heals the matrix: {}",
+        healed.failure_summary()
+    );
     assert_eq!(healed.cells.len(), 8);
     // The kept cells are the prior ones verbatim, and every healed cell
     // measures identically to a from-scratch never-faulted run. (The
     // resumed cell is appended last, so compare per cell, not per blob.)
     for old in &prior.cells {
-        let kept = healed.get(&old.workload, &old.compiler, &old.isa).expect("cell kept");
+        let kept = healed
+            .get(&old.workload, &old.compiler, &old.isa)
+            .expect("cell kept");
         assert_eq!(format!("{kept:?}"), format!("{old:?}"));
     }
     let fresh = run_matrix_opts(
@@ -73,8 +102,9 @@ fn resume_reruns_only_the_recorded_failures() {
     );
     assert_eq!(fresh.cells.len(), healed.cells.len());
     for cell in &fresh.cells {
-        let healed_cell =
-            healed.get(&cell.workload, &cell.compiler, &cell.isa).expect("healed cell present");
+        let healed_cell = healed
+            .get(&cell.workload, &cell.compiler, &cell.isa)
+            .expect("healed cell present");
         assert_eq!(
             format!("{healed_cell:?}"),
             format!("{cell:?}"),
@@ -88,19 +118,33 @@ fn resume_carries_unknown_labels_forward() {
     // A matrix produced by a build with more workloads than this one must
     // not lose its un-mappable failures on resume — they stay recorded.
     let inject = InjectSpec::parse("STREAM/gcc-12.2/RISC-V:trap@1000").unwrap();
-    let opts = MatrixOptions { inject: Some(inject), ..Default::default() };
+    let opts = MatrixOptions {
+        inject: Some(inject),
+        ..Default::default()
+    };
     let mut prior = run_matrix_opts(&[Workload::Stream], SizeClass::Test, &opts);
     prior.failures[0].workload = "NOT-A-WORKLOAD".into();
 
     let healed = resume_matrix(&prior, SizeClass::Test, &MatrixOptions::default());
-    assert_eq!(healed.failures.len(), 1, "unknown label carried forward, not dropped");
+    assert_eq!(
+        healed.failures.len(),
+        1,
+        "unknown label carried forward, not dropped"
+    );
     assert_eq!(healed.failures[0].workload, "NOT-A-WORKLOAD");
-    assert_eq!(healed.cells.len(), prior.cells.len(), "no cell re-ran for it");
+    assert_eq!(
+        healed.cells.len(),
+        prior.cells.len(),
+        "no cell re-ran for it"
+    );
 }
 
 #[test]
 fn zero_deadline_is_a_typed_timeout() {
-    let opts = CellOptions { deadline: Some(std::time::Duration::ZERO), ..Default::default() };
+    let opts = CellOptions {
+        deadline: Some(std::time::Duration::ZERO),
+        ..Default::default()
+    };
     let err = run_cell_opts(
         Workload::Stream,
         IsaKind::AArch64,
@@ -110,7 +154,10 @@ fn zero_deadline_is_a_typed_timeout() {
     )
     .expect_err("a zero wall-clock budget must trip the watchdog");
     assert_eq!(err.kind(), "timeout");
-    assert!(!err.retryable(), "watchdog trips are deterministic; retrying wastes wall time");
+    assert!(
+        !err.retryable(),
+        "watchdog trips are deterministic; retrying wastes wall time"
+    );
 }
 
 #[test]
@@ -120,7 +167,10 @@ fn read_corruption_is_caught_by_the_checksum() {
     // low mantissa bit could round away in the checksum reduction; bit 62
     // cannot.)
     let fault = isacmp::FaultPlan::parse("read@40:62").unwrap();
-    let opts = CellOptions { fault: Some(fault), ..Default::default() };
+    let opts = CellOptions {
+        fault: Some(fault),
+        ..Default::default()
+    };
     let err = run_cell_opts(
         Workload::Stream,
         IsaKind::RiscV,
@@ -145,7 +195,11 @@ fn retries_rerun_the_cell_and_are_capped() {
     let tel = isacmp::telemetry::global();
     let before = tel.counter("cell_retries");
     let fault = isacmp::FaultPlan::parse("trap@1000").unwrap();
-    let opts = CellOptions { retries: 2, fault: Some(fault), ..Default::default() };
+    let opts = CellOptions {
+        retries: 2,
+        fault: Some(fault),
+        ..Default::default()
+    };
     let err = run_cell_opts(
         Workload::Stream,
         IsaKind::RiscV,
@@ -155,5 +209,9 @@ fn retries_rerun_the_cell_and_are_capped() {
     )
     .expect_err("deterministic fault fails every retry");
     assert_eq!(err.kind(), "sim");
-    assert_eq!(tel.counter("cell_retries") - before, 2, "both granted retries were spent");
+    assert_eq!(
+        tel.counter("cell_retries") - before,
+        2,
+        "both granted retries were spent"
+    );
 }

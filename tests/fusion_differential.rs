@@ -9,9 +9,8 @@
 use std::sync::{Mutex, MutexGuard};
 
 use isacmp::{
-    compile, matrix_combos, run_cell_opts, run_matrix_opts, try_execute, CellAnalyses,
-    CellOptions, FusionPass, IsaKind, MatrixOptions, Observer, Personality, RetiredInst,
-    SizeClass, Workload,
+    compile, matrix_combos, run_cell_opts, run_matrix_opts, try_execute, CellAnalyses, CellOptions,
+    FusionPass, IsaKind, MatrixOptions, Observer, Personality, RetiredInst, SizeClass, Workload,
 };
 
 /// Every test in this binary holds this lock: the trace counters they
@@ -25,7 +24,11 @@ fn serial() -> MutexGuard<'static, ()> {
 }
 
 fn fused_opts(dir: &std::path::Path) -> MatrixOptions {
-    MatrixOptions { trace_dir: Some(dir.to_path_buf()), fusion: true, ..Default::default() }
+    MatrixOptions {
+        trace_dir: Some(dir.to_path_buf()),
+        fusion: true,
+        ..Default::default()
+    }
 }
 
 #[test]
@@ -37,13 +40,24 @@ fn replayed_fusion_reports_match_live_byte_identically() {
 
     let captures_before = tel.counter("trace_captures");
     let live = run_matrix_opts(&Workload::ALL, SizeClass::Test, &fused_opts(&dir));
-    assert!(live.is_complete(), "live fused matrix must be clean:\n{}", live.failure_summary());
+    assert!(
+        live.is_complete(),
+        "live fused matrix must be clean:\n{}",
+        live.failure_summary()
+    );
     assert_eq!(tel.counter("trace_captures") - captures_before, 20);
-    assert!(live.has_fused(), "fusion: true must populate every cell's fused block");
+    assert!(
+        live.has_fused(),
+        "fusion: true must populate every cell's fused block"
+    );
 
     let replays_before = tel.counter("trace_replays");
     let replayed = run_matrix_opts(&Workload::ALL, SizeClass::Test, &fused_opts(&dir));
-    assert!(replayed.is_complete(), "replay must be clean:\n{}", replayed.failure_summary());
+    assert!(
+        replayed.is_complete(),
+        "replay must be clean:\n{}",
+        replayed.failure_summary()
+    );
     assert_eq!(tel.counter("trace_replays") - replays_before, 20);
 
     // The fused artifacts, byte for byte: the comparison table, the per-pair
@@ -66,9 +80,19 @@ fn fused_and_unfused_cells_share_traces_but_not_results() {
     let tel = isacmp::telemetry::global();
 
     let cell = |fusion: bool| {
-        let opts = CellOptions { trace_dir: Some(dir.clone()), fusion, ..Default::default() };
-        run_cell_opts(Workload::Stream, IsaKind::RiscV, &Personality::gcc122(), SizeClass::Test, &opts)
-            .expect("cell must run")
+        let opts = CellOptions {
+            trace_dir: Some(dir.clone()),
+            fusion,
+            ..Default::default()
+        };
+        run_cell_opts(
+            Workload::Stream,
+            IsaKind::RiscV,
+            &Personality::gcc122(),
+            SizeClass::Test,
+            &opts,
+        )
+        .expect("cell must run")
     };
 
     // Unfused capture first; the fused run must *replay* the same trace —
@@ -82,9 +106,18 @@ fn fused_and_unfused_cells_share_traces_but_not_results() {
         "a fused run must reuse the unfused run's trace"
     );
 
-    assert!(unfused.fused.is_none(), "fusion off must leave the cell's fused block empty");
-    let report = fused.fused.as_ref().expect("fusion on must attach a report");
-    assert_eq!(report.effective_path_length, fused.path_length - report.fused_pairs);
+    assert!(
+        unfused.fused.is_none(),
+        "fusion off must leave the cell's fused block empty"
+    );
+    let report = fused
+        .fused
+        .as_ref()
+        .expect("fusion on must attach a report");
+    assert_eq!(
+        report.effective_path_length,
+        fused.path_length - report.fused_pairs
+    );
     assert!(
         report.fused_critical_path <= fused.critical_path,
         "fusing can only shorten the critical path"
@@ -95,7 +128,10 @@ fn fused_and_unfused_cells_share_traces_but_not_results() {
     // of them.
     let mut defused = fused.clone();
     defused.fused = None;
-    assert_eq!(unfused, defused, "fusion must not perturb the baseline measurements");
+    assert_eq!(
+        unfused, defused,
+        "fusion must not perturb the baseline measurements"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }

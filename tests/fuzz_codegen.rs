@@ -29,10 +29,12 @@ fn run_on(prog: &KernelProgram, isa: IsaKind, p: &Personality) -> f64 {
     let mut st = CpuState::new();
     c.program.load(&mut st).unwrap();
     match isa {
-        IsaKind::RiscV => EmulationCore::new(RiscVExecutor::new()).run(&mut st, &mut []).unwrap(),
-        IsaKind::AArch64 => {
-            EmulationCore::new(AArch64Executor::new()).run(&mut st, &mut []).unwrap()
-        }
+        IsaKind::RiscV => EmulationCore::new(RiscVExecutor::new())
+            .run(&mut st, &mut [])
+            .unwrap(),
+        IsaKind::AArch64 => EmulationCore::new(AArch64Executor::new())
+            .run(&mut st, &mut [])
+            .unwrap(),
     };
     st.mem.read_f64(c.checksum_addr).unwrap()
 }
@@ -141,12 +143,24 @@ mod engine_fuzz {
     fn profile_for(seed: u64) -> Profile {
         match seed % 3 {
             // Branch-dense (including self-branches): every block is short.
-            0 => Profile { len: 32, branch_pct: 40, mem_pct: 0 },
+            0 => Profile {
+                len: 32,
+                branch_pct: 40,
+                mem_pct: 0,
+            },
             // Straight-line runs longer than MAX_BLOCK_LEN (64): straddles
             // block boundaries, so fuel splits mid-run.
-            1 => Profile { len: 96 + (seed as usize % 65), branch_pct: 4, mem_pct: 10 },
+            1 => Profile {
+                len: 96 + (seed as usize % 65),
+                branch_pct: 4,
+                mem_pct: 10,
+            },
             // Mixed ALU/memory/branch soup.
-            _ => Profile { len: 48, branch_pct: 20, mem_pct: 25 },
+            _ => Profile {
+                len: 48,
+                branch_pct: 20,
+                mem_pct: 25,
+            },
         }
     }
 
@@ -168,7 +182,10 @@ mod engine_fuzz {
                 let inst = if rng.chance(p.branch_pct) {
                     let offset = target_offset(&mut rng, i, p.len);
                     if rng.chance(25) {
-                        Inst::Jal { rd: reg(&mut rng), offset }
+                        Inst::Jal {
+                            rd: reg(&mut rng),
+                            offset,
+                        }
                     } else {
                         let op = match rng.below(6) {
                             0 => BranchOp::Beq,
@@ -178,15 +195,30 @@ mod engine_fuzz {
                             4 => BranchOp::Bltu,
                             _ => BranchOp::Bgeu,
                         };
-                        Inst::Branch { op, rs1: reg(&mut rng), rs2: reg(&mut rng), offset }
+                        Inst::Branch {
+                            op,
+                            rs1: reg(&mut rng),
+                            rs2: reg(&mut rng),
+                            offset,
+                        }
                     }
                 } else if rng.chance(p.mem_pct) {
                     // x8 is preset to SCRATCH; keep accesses inside the page.
                     let offset = (rng.below(512) * 8) as i64;
                     if rng.chance(50) {
-                        Inst::Load { op: LoadOp::Ld, rd: reg(&mut rng), rs1: 8, offset }
+                        Inst::Load {
+                            op: LoadOp::Ld,
+                            rd: reg(&mut rng),
+                            rs1: 8,
+                            offset,
+                        }
                     } else {
-                        Inst::Store { op: StoreOp::Sd, rs2: reg(&mut rng), rs1: 8, offset }
+                        Inst::Store {
+                            op: StoreOp::Sd,
+                            rs2: reg(&mut rng),
+                            rs1: 8,
+                            offset,
+                        }
                     }
                 } else if rng.chance(50) {
                     let op = match rng.below(4) {
@@ -196,7 +228,12 @@ mod engine_fuzz {
                         _ => ImmOp::Andi,
                     };
                     let imm = rng.below(256) as i64 - 128;
-                    Inst::OpImm { op, rd: reg(&mut rng), rs1: reg(&mut rng), imm }
+                    Inst::OpImm {
+                        op,
+                        rd: reg(&mut rng),
+                        rs1: reg(&mut rng),
+                        imm,
+                    }
                 } else {
                     let op = match rng.below(4) {
                         0 => RegOp::Add,
@@ -204,7 +241,12 @@ mod engine_fuzz {
                         2 => RegOp::Xor,
                         _ => RegOp::Sltu,
                     };
-                    Inst::Op { op, rd: reg(&mut rng), rs1: reg(&mut rng), rs2: reg(&mut rng) }
+                    Inst::Op {
+                        op,
+                        rd: reg(&mut rng),
+                        rs1: reg(&mut rng),
+                        rs2: reg(&mut rng),
+                    }
                 };
                 encode(&inst)
             })
@@ -221,7 +263,10 @@ mod engine_fuzz {
                 let inst = if rng.chance(p.branch_pct) {
                     let offset = target_offset(&mut rng, i, p.len);
                     match rng.below(3) {
-                        0 => Inst::B { link: false, offset },
+                        0 => Inst::B {
+                            link: false,
+                            offset,
+                        },
                         1 => {
                             let cond = match rng.below(6) {
                                 0 => Cond::Eq,
@@ -252,7 +297,11 @@ mod engine_fuzz {
                             shift12: false,
                         },
                         1 => Inst::LogicalShifted {
-                            op: if rng.chance(50) { LogicOp::Orr } else { LogicOp::Eor },
+                            op: if rng.chance(50) {
+                                LogicOp::Orr
+                            } else {
+                                LogicOp::Eor
+                            },
                             sf: true,
                             rd: reg(&mut rng),
                             rn: reg(&mut rng),
@@ -327,7 +376,10 @@ mod engine_fuzz {
         let result = if stepped {
             run_stepped(&exec, &mut st, &mut obs, None, BUDGET)
         } else {
-            EmulationCore::new(exec).with_budget(BUDGET).run(&mut st, &mut obs).map(|s| s.retired)
+            EmulationCore::new(exec)
+                .with_budget(BUDGET)
+                .run(&mut st, &mut obs)
+                .map(|s| s.retired)
         };
         Fingerprint {
             result: result.map_err(|e| e.to_string()),
@@ -345,7 +397,12 @@ mod engine_fuzz {
             if riscv {
                 run_words(words, isa_riscv::RiscVExecutor::new(), stepped, with_stream)
             } else {
-                run_words(words, isa_aarch64::AArch64Executor::new(), stepped, with_stream)
+                run_words(
+                    words,
+                    isa_aarch64::AArch64Executor::new(),
+                    stepped,
+                    with_stream,
+                )
             }
         };
         for with_stream in [true, false] {
@@ -412,7 +469,11 @@ mod engine_fuzz {
             )
         };
         for seed in seeds {
-            let words = if riscv { gen_riscv(seed) } else { gen_aarch64(seed) };
+            let words = if riscv {
+                gen_riscv(seed)
+            } else {
+                gen_aarch64(seed)
+            };
             if let Some(d) = divergence(&words, riscv) {
                 let min = shrink(&words, riscv, nop);
                 let listing: Vec<String> = min

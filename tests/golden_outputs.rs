@@ -33,7 +33,9 @@ use isacmp::{
 };
 
 fn golden(name: &str) -> String {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
 }
 
@@ -63,7 +65,10 @@ fn unfused_matrix_matches_goldens() {
 
 #[test]
 fn fused_matrix_matches_goldens() {
-    let opts = MatrixOptions { fusion: true, ..Default::default() };
+    let opts = MatrixOptions {
+        fusion: true,
+        ..Default::default()
+    };
     let m = run_matrix_opts(&Workload::ALL, SizeClass::Test, &opts);
     assert!(m.is_complete(), "{}", m.failure_summary());
     assert_golden("matrix-fused.json", &m.to_json());
@@ -74,12 +79,18 @@ fn fused_matrix_matches_goldens() {
 
 #[test]
 fn mix_report_matches_golden() {
-    assert_golden("mix.txt", &format!("{}\n", experiments::mix(SizeClass::Test)));
+    assert_golden(
+        "mix.txt",
+        &format!("{}\n", experiments::mix(SizeClass::Test)),
+    );
 }
 
 #[test]
 fn pipeline_report_matches_golden() {
-    assert_golden("pipeline.txt", &format!("{}\n", experiments::pipeline(SizeClass::Test)));
+    assert_golden(
+        "pipeline.txt",
+        &format!("{}\n", experiments::pipeline(SizeClass::Test)),
+    );
 }
 
 /// `make_tables`'s default of one retry per retryable failure.
@@ -87,13 +98,29 @@ const CLI_RETRIES: u32 = 1;
 
 #[test]
 fn campaign_matrix_matches_golden() {
-    let manifest = CampaignManifest::sample(CampaignSpec { seed: 65, n_faults: 3 });
+    let manifest = CampaignManifest::sample(CampaignSpec {
+        seed: 65,
+        n_faults: 3,
+    });
     let campaign = manifest.campaign().unwrap();
     let has = |want: fn(&FaultKind) -> bool| campaign.plans().iter().any(|p| want(p.kind()));
-    assert!(has(|k| matches!(k, FaultKind::TrapAt { .. })), "schedule has no trap");
-    assert!(has(|k| matches!(k, FaultKind::CorruptFetch { .. })), "schedule has no fetch fault");
-    assert!(has(|k| matches!(k, FaultKind::FlipRead { .. })), "schedule has no read flip");
-    let opts = MatrixOptions { retries: CLI_RETRIES, campaign: Some(campaign), ..Default::default() };
+    assert!(
+        has(|k| matches!(k, FaultKind::TrapAt { .. })),
+        "schedule has no trap"
+    );
+    assert!(
+        has(|k| matches!(k, FaultKind::CorruptFetch { .. })),
+        "schedule has no fetch fault"
+    );
+    assert!(
+        has(|k| matches!(k, FaultKind::FlipRead { .. })),
+        "schedule has no read flip"
+    );
+    let opts = MatrixOptions {
+        retries: CLI_RETRIES,
+        campaign: Some(campaign),
+        ..Default::default()
+    };
     let m = run_matrix_opts(&Workload::ALL, SizeClass::Test, &opts);
     assert_golden("matrix-campaign.json", &m.to_json());
 }
@@ -101,18 +128,32 @@ fn campaign_matrix_matches_golden() {
 #[test]
 fn injected_read_flip_matrix_matches_golden() {
     let inject = InjectSpec::parse("STREAM/gcc-12.2/RISC-V:read@40:62").unwrap();
-    let opts = MatrixOptions { retries: CLI_RETRIES, inject: Some(inject), ..Default::default() };
+    let opts = MatrixOptions {
+        retries: CLI_RETRIES,
+        inject: Some(inject),
+        ..Default::default()
+    };
     let m = run_matrix_opts(&Workload::ALL, SizeClass::Test, &opts);
-    assert!(!m.is_complete(), "the flip must turn its cell into an ERR entry");
+    assert!(
+        !m.is_complete(),
+        "the flip must turn its cell into an ERR entry"
+    );
     assert_golden("matrix-inject.json", &m.to_json());
 }
 
 #[test]
 fn faulted_budgets_follow_the_longest_clean_paths() {
-    for (size, name) in [(SizeClass::Test, "matrix.json"), (SizeClass::Small, "matrix-small.json")] {
+    for (size, name) in [
+        (SizeClass::Test, "matrix.json"),
+        (SizeClass::Small, "matrix-small.json"),
+    ] {
         let m = ResultMatrix::from_json(&golden(name)).unwrap();
         let longest = m.cells.iter().map(|c| c.path_length).max().unwrap();
-        assert_eq!(faulted_budget(size), Some(FAULTED_BUDGET_FACTOR * longest), "{name}");
+        assert_eq!(
+            faulted_budget(size),
+            Some(FAULTED_BUDGET_FACTOR * longest),
+            "{name}"
+        );
     }
     assert_eq!(faulted_budget(SizeClass::Paper), None);
 }

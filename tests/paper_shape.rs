@@ -10,7 +10,9 @@ const SMALL_MATRIX_FNV1A64: u64 = 0x3ed6_82cc_015a_85a5;
 const SMALL_MATRIX_LEN: usize = 23_003;
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+    })
 }
 
 #[test]

@@ -15,20 +15,34 @@ use isacmp::{
 fn run_cell_records_spans_and_counters() {
     let tel = isacmp::telemetry::global();
     let before = tel.counter("cells_run");
-    run_cell(Workload::Stream, IsaKind::RiscV, &Personality::gcc122(), SizeClass::Test)
-        .expect("cell measures");
+    run_cell(
+        Workload::Stream,
+        IsaKind::RiscV,
+        &Personality::gcc122(),
+        SizeClass::Test,
+    )
+    .expect("cell measures");
     assert!(tel.counter("cells_run") > before);
     assert!(tel.counter("instructions_retired") > 0);
 
-    let names: Vec<String> =
-        tel.timeline().records().iter().map(|r| r.name.clone()).collect();
+    let names: Vec<String> = tel
+        .timeline()
+        .records()
+        .iter()
+        .map(|r| r.name.clone())
+        .collect();
     assert!(names.iter().any(|n| n.starts_with("cell:STREAM/RISC-V/")));
     for stage in ["compile", "emulate", "verify"] {
-        assert!(names.iter().any(|n| n == stage), "missing span {stage:?} in {names:?}");
+        assert!(
+            names.iter().any(|n| n == stage),
+            "missing span {stage:?} in {names:?}"
+        );
     }
     // Every cell wall time lands in the histogram.
     let snapshot = tel.metrics_snapshot();
-    let h = snapshot.histogram("cell_wall_ms").expect("cell_wall_ms recorded");
+    let h = snapshot
+        .histogram("cell_wall_ms")
+        .expect("cell_wall_ms recorded");
     assert!(h.count() >= 1);
 }
 
@@ -46,7 +60,10 @@ fn profiling_observer_attributes_guest_execution() {
     // (3-array kernels) at least as hot as copy (2-array kernel).
     let hot = profile.hot_regions(10);
     let count = |name: &str| {
-        hot.iter().find(|(n, _)| n == name).map(|(_, c)| *c).unwrap_or(0)
+        hot.iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, c)| *c)
+            .unwrap_or(0)
     };
     for k in ["copy", "scale", "add", "triad"] {
         assert!(count(k) > 0, "kernel {k} missing from {hot:?}");
@@ -62,8 +79,13 @@ fn profiling_observer_attributes_guest_execution() {
 #[test]
 fn run_report_round_trips_through_json() {
     let tel = isacmp::telemetry::global();
-    run_cell(Workload::Lbm, IsaKind::AArch64, &Personality::gcc92(), SizeClass::Test)
-        .expect("cell measures");
+    run_cell(
+        Workload::Lbm,
+        IsaKind::AArch64,
+        &Personality::gcc92(),
+        SizeClass::Test,
+    )
+    .expect("cell measures");
     let report = RunReport::new("integration-test")
         .with_run(std::time::Duration::from_millis(12), 48_000, Some(0))
         .finish_from(tel);
@@ -88,9 +110,16 @@ fn clean_matrix_report_carries_every_cell_counter() {
     assert!(matrix.is_complete(), "{}", matrix.failure_summary());
     let report = RunReport::new("matrix").finish_from(isacmp::telemetry::global());
     let json = report.to_json();
-    let counters = json.get("metrics").and_then(|m| m.get("counters")).expect("counters");
+    let counters = json
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .expect("counters");
     for name in ["cells_run", "cells_failed", "cell_retries"] {
-        assert!(counters.get(name).is_some(), "{name} missing from {}", counters.pretty());
+        assert!(
+            counters.get(name).is_some(),
+            "{name} missing from {}",
+            counters.pretty()
+        );
     }
     assert_eq!(counters.get("cells_failed").and_then(Json::as_u64), Some(0));
     assert!(counters.get("cells_run").and_then(Json::as_u64) >= Some(20));

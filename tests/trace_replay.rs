@@ -18,7 +18,10 @@ fn serial() -> MutexGuard<'static, ()> {
 }
 
 fn opts(dir: &std::path::Path) -> MatrixOptions {
-    MatrixOptions { trace_dir: Some(dir.to_path_buf()), ..Default::default() }
+    MatrixOptions {
+        trace_dir: Some(dir.to_path_buf()),
+        ..Default::default()
+    }
 }
 
 #[test]
@@ -30,15 +33,29 @@ fn replayed_matrix_reproduces_live_tables_byte_identically() {
 
     let captures_before = tel.counter("trace_captures");
     let live = run_matrix_opts(&Workload::ALL, SizeClass::Test, &opts(&dir));
-    assert!(live.is_complete(), "live matrix must be clean:\n{}", live.failure_summary());
+    assert!(
+        live.is_complete(),
+        "live matrix must be clean:\n{}",
+        live.failure_summary()
+    );
     let captured = tel.counter("trace_captures") - captures_before;
-    assert_eq!(captured, 20, "every cell of the 5x2x2 matrix captures a trace");
+    assert_eq!(
+        captured, 20,
+        "every cell of the 5x2x2 matrix captures a trace"
+    );
 
     let replays_before = tel.counter("trace_replays");
     let replayed = run_matrix_opts(&Workload::ALL, SizeClass::Test, &opts(&dir));
-    assert!(replayed.is_complete(), "replay must be clean:\n{}", replayed.failure_summary());
+    assert!(
+        replayed.is_complete(),
+        "replay must be clean:\n{}",
+        replayed.failure_summary()
+    );
     let replays = tel.counter("trace_replays") - replays_before;
-    assert_eq!(replays, 20, "second run must come entirely from the trace cache");
+    assert_eq!(
+        replays, 20,
+        "second run must come entirely from the trace cache"
+    );
 
     // The headline artifacts, byte for byte.
     assert_eq!(live.table1(), replayed.table1());
@@ -57,11 +74,20 @@ fn stale_provenance_falls_back_to_live_recapture() {
     let dir = std::env::temp_dir().join(format!("isacmp-stale-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let tel = isacmp::telemetry::global();
-    let opts = CellOptions { trace_dir: Some(dir.clone()), ..Default::default() };
+    let opts = CellOptions {
+        trace_dir: Some(dir.clone()),
+        ..Default::default()
+    };
 
     let cell = |w| {
-        run_cell_opts(w, IsaKind::RiscV, &Personality::gcc122(), SizeClass::Test, &opts)
-            .expect("cell must run")
+        run_cell_opts(
+            w,
+            IsaKind::RiscV,
+            &Personality::gcc122(),
+            SizeClass::Test,
+            &opts,
+        )
+        .expect("cell must run")
     };
     let first = cell(Workload::Stream);
 
@@ -95,10 +121,19 @@ fn older_format_version_is_stale_and_recaptured() {
     let dir = std::env::temp_dir().join(format!("isacmp-oldver-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let tel = isacmp::telemetry::global();
-    let opts = CellOptions { trace_dir: Some(dir.clone()), ..Default::default() };
+    let opts = CellOptions {
+        trace_dir: Some(dir.clone()),
+        ..Default::default()
+    };
     let cell = || {
-        run_cell_opts(Workload::Stream, IsaKind::RiscV, &Personality::gcc122(), SizeClass::Test, &opts)
-            .expect("cell must run")
+        run_cell_opts(
+            Workload::Stream,
+            IsaKind::RiscV,
+            &Personality::gcc122(),
+            SizeClass::Test,
+            &opts,
+        )
+        .expect("cell must run")
     };
     let first = cell();
 
@@ -109,7 +144,10 @@ fn older_format_version_is_stale_and_recaptured() {
     bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
 
-    let (stale, errors) = (tel.counter("trace_stale"), tel.counter("trace_replay_errors"));
+    let (stale, errors) = (
+        tel.counter("trace_stale"),
+        tel.counter("trace_replay_errors"),
+    );
     let second = cell();
     assert_eq!(tel.counter("trace_stale") - stale, 1);
     assert_eq!(tel.counter("trace_replay_errors") - errors, 0);
