@@ -36,12 +36,12 @@ fn retired_inst() -> impl Strategy<Value = RetiredInst> {
             ri.dsts = dsts.iter().map(|&r| RegId::Int(r)).collect();
             if group == InstGroup::Load {
                 if let Some(a) = read {
-                    ri.mem_reads.push(0x1000 + a * 8, 8);
+                    ri.push_read(0x1000 + a * 8, 8);
                 }
             }
             if group == InstGroup::Store {
                 if let Some(a) = write {
-                    ri.mem_writes.push(0x1000 + a * 8, 8);
+                    ri.push_write(0x1000 + a * 8, 8);
                 }
             }
             ri.is_branch = group == InstGroup::Branch;
