@@ -88,17 +88,10 @@ impl CellAnalyses<FusedCriticalPath> {
 }
 
 impl<D: DependencyFold> CellAnalyses<D> {
-    /// The bundle as an observer list, ready for an emulation core run or
-    /// a [`RetireSource::drive`] call.
-    pub fn observers(&mut self) -> Vec<&mut dyn Observer> {
-        vec![self]
-    }
-
     /// Pump an entire retirement source through the bundle, returning the
     /// number of instructions analyzed.
     pub fn run(&mut self, source: &mut dyn RetireSource) -> Result<u64, SimError> {
-        let mut obs = self.observers();
-        source.drive(&mut obs)
+        source.drive(&mut [self])
     }
 
     /// Package the measurements as an [`ExperimentCell`] for the given

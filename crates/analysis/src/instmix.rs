@@ -17,13 +17,6 @@ pub struct InstMix {
     branches: u64,
 }
 
-fn group_index(g: InstGroup) -> usize {
-    InstGroup::ALL
-        .iter()
-        .position(|&x| x == g)
-        .expect("group in ALL")
-}
-
 impl InstMix {
     /// Fresh histogram.
     pub fn new() -> Self {
@@ -44,7 +37,7 @@ impl InstMix {
 
     /// Count for one group.
     pub fn count(&self, g: InstGroup) -> u64 {
-        self.counts[group_index(g)]
+        self.counts[g.code() as usize]
     }
 
     /// Fraction of the path length for one group.
@@ -92,7 +85,7 @@ impl InstMix {
 impl Observer for InstMix {
     #[inline]
     fn on_retire(&mut self, ri: &RetiredInst) {
-        self.counts[group_index(ri.group)] += 1;
+        self.counts[ri.group.code() as usize] += 1;
         self.total += 1;
         if ri.is_branch {
             self.branches += 1;
@@ -138,7 +131,7 @@ impl CpComposition {
     pub fn composition(&self) -> Vec<(InstGroup, u64)> {
         let mut v: Vec<(InstGroup, u64)> = InstGroup::ALL
             .iter()
-            .map(|&g| (g, self.frontier[group_index(g)]))
+            .map(|&g| (g, self.frontier[g.code() as usize]))
             .filter(|&(_, c)| c > 0)
             .collect();
         v.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
@@ -151,7 +144,7 @@ impl CpComposition {
         let fp: u64 = InstGroup::ALL
             .iter()
             .filter(|g| g.is_fp())
-            .map(|&g| self.frontier[group_index(g)])
+            .map(|&g| self.frontier[g.code() as usize])
             .sum();
         fp as f64 / self.longest.max(1) as f64
     }
@@ -170,7 +163,7 @@ impl Observer for CpComposition {
         self.chains.write(ri, depth);
         if depth > self.longest {
             self.longest = depth;
-            self.frontier[group_index(ri.group)] += 1;
+            self.frontier[ri.group.code() as usize] += 1;
         }
     }
 }

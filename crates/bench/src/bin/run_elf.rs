@@ -12,7 +12,7 @@
 //! - `--metrics <path>`: write a structured [`telemetry::RunReport`]
 //!   (stage spans, host MIPS, instruction-group mix, hot regions, and
 //!   per-observer overhead attribution from one calibration run per
-//!   observer) as JSON.
+//!   observer) as JSON. Calibration runs never print heartbeats.
 //! - `--trace-out <path>`: capture the retired-instruction stream to a
 //!   compact binary `.trace` file (inspect with the `trace_tool` bin,
 //!   replay through `make_tables --trace-dir`).
@@ -51,11 +51,10 @@ use bench::cli;
 use isacmp::telemetry::sampler::Sampler;
 use isacmp::SampleSnapshot;
 use isacmp::{
-    shutdown, AArch64Executor, Campaign, CampaignSpec, Checkpoint, CpuState, DualCriticalPath,
-    EmulationCore, FaultInjector, FaultPlan, IsaKind, Observer, PathLength, PhaseNanos,
-    ProfilingObserver, Program, RiscVExecutor, RunReport, RunStats, SimError, StopReason,
-    TraceMark, TraceMeta, TraceReader, TraceWriter, Tx2Latency, WindowedCp,
-    DEFAULT_CAMPAIGN_WINDOW, DEFAULT_FAULT_SEED,
+    progress_interval, shutdown, AArch64Executor, Campaign, CampaignSpec, CellAnalyses, Checkpoint,
+    CpuState, EmulationCore, FaultInjector, FaultPlan, IsaKind, Observer, ProfilingObserver,
+    Program, RiscVExecutor, RunReport, RunStats, SimError, StopReason, TraceMark, TraceMeta,
+    TraceReader, TraceWriter, DEFAULT_CAMPAIGN_WINDOW, DEFAULT_FAULT_SEED,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -194,11 +193,14 @@ fn parse_args() -> Result<Args, String> {
 
 /// Drive one run segment: from the state's current position to guest
 /// exit, the next checkpoint boundary, an error, or an interruption.
+/// `progress` overrides the heartbeat interval the core takes from
+/// `ISACMP_PROGRESS`.
 #[allow(clippy::too_many_arguments)]
 fn run_segment(
     isa: IsaKind,
     st: &mut CpuState,
     obs: &mut [&mut dyn Observer],
+    progress: Option<u64>,
     deadline: Option<Duration>,
     injector: Option<Box<dyn FaultInjector>>,
     sample: Option<Arc<SampleSnapshot>>,
@@ -207,6 +209,7 @@ fn run_segment(
 ) -> Result<RunStats, SimError> {
     fn core_for<E: isacmp::IsaExecutor>(
         exec: E,
+        progress: Option<u64>,
         deadline: Option<Duration>,
         injector: Option<Box<dyn FaultInjector>>,
         sample: Option<Arc<SampleSnapshot>>,
@@ -214,6 +217,9 @@ fn run_segment(
         heed_shutdown: bool,
     ) -> EmulationCore<E> {
         let mut core = EmulationCore::new(exec);
+        if let Some(n) = progress {
+            core = core.with_progress(n);
+        }
         if let Some(d) = deadline {
             core = core.with_deadline(d);
         }
@@ -234,6 +240,7 @@ fn run_segment(
     match isa {
         IsaKind::RiscV => core_for(
             RiscVExecutor::new(),
+            progress,
             deadline,
             injector,
             sample,
@@ -243,6 +250,7 @@ fn run_segment(
         .run(st, obs),
         IsaKind::AArch64 => core_for(
             AArch64Executor::new(),
+            progress,
             deadline,
             injector,
             sample,
@@ -307,24 +315,11 @@ fn report_fired(campaign: Option<&Campaign>) {
     }
 }
 
-fn sum_phases(a: PhaseNanos, b: PhaseNanos) -> PhaseNanos {
-    PhaseNanos {
-        fetch_ns: a.fetch_ns + b.fetch_ns,
-        decode_ns: a.decode_ns + b.decode_ns,
-        execute_ns: a.execute_ns + b.execute_ns,
-        observe_ns: a.observe_ns + b.observe_ns,
-    }
-}
-
 fn main() {
     let args = parse_args().unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2);
     });
-    if let Some(n) = args.progress {
-        // The emulation core reads this when constructed.
-        std::env::set_var("ISACMP_PROGRESS", n.to_string());
-    }
     let path = &args.elf;
     let bytes = std::fs::read(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
@@ -336,9 +331,7 @@ fn main() {
     });
 
     let tel = isacmp::telemetry::global();
-    let mut pl = PathLength::new(&program.regions);
-    let mut cp = DualCriticalPath::new(Tx2Latency);
-    let mut wcp = WindowedCp::paper();
+    let mut analyses = CellAnalyses::new(&program.regions);
     let mut profile = ProfilingObserver::new(&program.regions);
 
     // Ad-hoc ELF runs are not matrix cells, so the provenance header names
@@ -400,8 +393,7 @@ fn main() {
                     std::process::exit(1);
                 });
             {
-                let mut obs: Vec<&mut dyn Observer> =
-                    vec![&mut pl, &mut cp, &mut wcp, &mut profile];
+                let mut obs: [&mut dyn Observer; 2] = [&mut analyses, &mut profile];
                 let mut fed = 0u64;
                 while fed < ckpt.trace.records {
                     match reader.next() {
@@ -515,7 +507,6 @@ fn main() {
 
     let run_start = Instant::now();
     let mut total_wall = Duration::ZERO;
-    let mut total_phases = PhaseNanos::default();
     let stats = loop {
         // The watchdog budget spans the whole run, not one segment.
         let remaining = args.deadline.map(|d| d.saturating_sub(run_start.elapsed()));
@@ -526,7 +517,7 @@ fn main() {
                 (None, Some(p)) => Some(Box::new(p.clone())),
                 (None, None) => None,
             };
-            let mut obs: Vec<&mut dyn Observer> = vec![&mut pl, &mut cp, &mut wcp, &mut profile];
+            let mut obs: Vec<&mut dyn Observer> = vec![&mut analyses, &mut profile];
             if let Some(t) = tracer.as_mut() {
                 obs.push(t);
             }
@@ -534,6 +525,7 @@ fn main() {
                 program.isa,
                 &mut st,
                 &mut obs,
+                args.progress.map(progress_interval),
                 remaining,
                 injector,
                 snapshot.clone(),
@@ -544,7 +536,6 @@ fn main() {
         match seg {
             Ok(s) if s.stop == StopReason::CheckpointDue => {
                 total_wall += s.wall;
-                total_phases = sum_phases(total_phases, s.phases);
                 let ckpt_path = args
                     .checkpoint
                     .as_deref()
@@ -569,7 +560,6 @@ fn main() {
             }
             Ok(mut s) => {
                 s.wall += total_wall;
-                s.phases = sum_phases(total_phases, s.phases);
                 break s;
             }
             Err(err) => {
@@ -613,33 +603,27 @@ fn main() {
     println!("{path}");
     println!("  isa          : {}", program.isa);
     println!("  exit code    : {}", stats.exit_code);
-    println!("  path length  : {}", pl.total());
-    let r = cp.unit();
+    let cell = analyses.into_cell(&trace_meta.workload, "elf", &trace_meta.isa);
+    println!("  path length  : {}", cell.path_length);
     println!(
         "  critical path: {}  (ILP {:.0}, 2GHz runtime {:.4} ms)",
-        r.critical_path,
-        r.ilp(),
-        r.runtime_ms()
+        cell.critical_path,
+        cell.ilp(),
+        cell.runtime_ms()
     );
-    let s = cp.scaled();
     println!(
         "  scaled CP    : {}  (ILP {:.0}, 2GHz runtime {:.4} ms)",
-        s.critical_path,
-        s.ilp(),
-        s.runtime_ms()
+        cell.scaled_cp,
+        cell.scaled_ilp(),
+        cell.scaled_runtime_ms()
     );
     println!("  per kernel   :");
-    for (name, count) in pl.by_kernel() {
+    for (name, count) in &cell.kernels {
         println!("    {name:<14} {count}");
     }
     println!("  windowed ILP :");
-    for w in wcp.stats() {
-        println!(
-            "    window {:<6} mean CP {:>10.2}  mean ILP {:>8.2}",
-            w.size,
-            w.mean_cp(),
-            w.mean_ilp()
-        );
+    for (size, mean_cp, mean_ilp) in &cell.windows {
+        println!("    window {size:<6} mean CP {mean_cp:>10.2}  mean ILP {mean_ilp:>8.2}");
     }
     if !st.output.is_empty() {
         println!("  guest output : {:?}", st.output_string());
@@ -665,8 +649,7 @@ fn main() {
 
     let mut report = RunReport::new(&format!("run_elf {path}"))
         .with_run(stats.wall, stats.retired, Some(stats.exit_code as u64))
-        .with_profile(&profile)
-        .with_phases(stats.phases);
+        .with_profile(&profile);
     if let Some(hb) = &hot_blocks {
         report = report.with_sampler(hb);
     }
@@ -675,14 +658,24 @@ fn main() {
         // Calibration: time a bare observer-free run to establish raw
         // emulation speed, then one run per observer alone to attribute
         // the overhead observer by observer. All calibration runs are
-        // deliberately watchdog- and fault-free.
+        // deliberately watchdog-, fault- and heartbeat-free.
         let _span = tel.enter("calibrate");
         let bare_run = |obs: &mut Vec<&mut dyn Observer>| {
             let mut st = CpuState::new();
             program.load(&mut st).ok()?;
-            run_segment(program.isa, &mut st, obs, None, None, None, None, false)
-                .ok()
-                .map(|s| s.wall)
+            run_segment(
+                program.isa,
+                &mut st,
+                obs,
+                Some(u64::MAX),
+                None,
+                None,
+                None,
+                None,
+                false,
+            )
+            .ok()
+            .map(|s| s.wall)
         };
         let bare = bare_run(&mut vec![]);
         if let Some(bare_wall) = bare.filter(|w| !w.is_zero()) {
@@ -690,10 +683,8 @@ fn main() {
                 ((wall.as_secs_f64() / bare_wall.as_secs_f64() - 1.0) * 100.0).max(0.0)
             };
             report.observer_overhead_pct = Some(pct_over(stats.wall));
-            let solo: [(&str, &mut dyn Observer); 5] = [
-                ("path_length", &mut PathLength::new(&program.regions)),
-                ("critical_path", &mut DualCriticalPath::new(Tx2Latency)),
-                ("windowed_cp", &mut WindowedCp::paper()),
+            let solo: [(&str, &mut dyn Observer); 3] = [
+                ("analyses", &mut CellAnalyses::new(&program.regions)),
                 ("profile", &mut ProfilingObserver::new(&program.regions)),
                 // The trace observer encodes into a sink: observer-side
                 // cost only, no filesystem noise.

@@ -60,9 +60,9 @@ pub use isa_aarch64::AArch64Executor;
 pub use isa_riscv::RiscVExecutor;
 pub use kernelgen::{compile, interpret, Compiled, KernelProgram, Personality};
 pub use simcore::{
-    durable, host_mips, shutdown, Campaign, CampaignSpec, CampaignState, Checkpoint,
-    CheckpointError, CpuState, EmulationCore, FaultInjector, FaultKind, FaultPlan, InjectAction,
-    InstGroup, IsaExecutor, IsaKind, Observer, Phase, PhaseNanos, Program, RegSet, RetiredInst,
+    durable, host_mips, progress_interval, shutdown, Campaign, CampaignSpec, CampaignState,
+    Checkpoint, CheckpointError, CpuState, EmulationCore, FaultInjector, FaultKind, FaultPlan,
+    InjectAction, InstGroup, IsaExecutor, IsaKind, Observer, Program, RegSet, RetiredInst,
     RunStats, Sample, SampleSnapshot, SimError, StopReason, TraceMark, DEFAULT_CAMPAIGN_WINDOW,
     DEFAULT_FAULT_SEED,
 };
@@ -452,22 +452,15 @@ fn run_cell_attempt(
     match run_result {
         Ok((st, stats, wall)) => {
             // rvr-style host-cost attribution for every verified live run:
-            // MIPS per cell as a gauge, ns-per-guest-op in a histogram, and
-            // (when the `phase-timers` feature is on) the retire-loop phase
-            // breakdown as counters. These live only in telemetry — the
-            // matrix JSON stays byte-identical between live and replayed
-            // runs.
+            // MIPS per cell as a gauge and ns-per-guest-op in a histogram.
+            // These live only in telemetry — the matrix JSON stays
+            // byte-identical between live and replayed runs.
             tel.gauge_set(
                 &format!("cell_mips:{}", cell_label(workload, isa, personality)),
                 stats.host_mips(),
             );
             if let Some(ns) = (stats.wall.as_nanos() as u64).checked_div(stats.retired) {
                 tel.histogram_record("host_ns_per_op", ns);
-            }
-            for (name, ns) in stats.phases.entries() {
-                if ns > 0 {
-                    tel.counter_add(&format!("phase_{name}_ns"), ns);
-                }
             }
             // The run is verified: commit the capture into the cache
             // durably (fsync + rename + dir fsync), so a later crash can

@@ -10,7 +10,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use simcore::phase::{self, Phase};
 use simcore::{CpuState, InstGroup, IsaExecutor, RegId, RetiredInst, SimError, WordMap};
 
 use crate::decode::decode;
@@ -84,14 +83,10 @@ impl AArch64Executor {
             let inst = match cached {
                 Some(i) => i,
                 None => {
-                    let word = {
-                        let _t = phase::scoped(Phase::Fetch);
-                        match state.mem.read_u32(cur) {
-                            Ok(w) => w,
-                            Err(_) => break,
-                        }
+                    let word = match state.mem.read_u32(cur) {
+                        Ok(w) => w,
+                        Err(_) => break,
                     };
-                    let _t = phase::scoped(Phase::Decode);
                     match decode(word) {
                         Ok(i) => i,
                         Err(_) => break,
@@ -359,21 +354,11 @@ impl IsaExecutor for AArch64Executor {
         if pc & 3 != 0 {
             return Err(SimError::MisalignedPc { pc });
         }
-        // Phase scopes are kept disjoint so the breakdown never
-        // double-counts: the cache lookup and decode are Decode, the
-        // cache-miss word read is Fetch, execution is Execute.
-        let cached = {
-            let _t = phase::scoped(Phase::Decode);
-            self.cache.borrow_mut().get(&pc).copied()
-        };
+        let cached = self.cache.borrow_mut().get(&pc).copied();
         let inst = match cached {
             Some(i) => i,
             None => {
-                let word = {
-                    let _t = phase::scoped(Phase::Fetch);
-                    state.mem.read_u32(pc)?
-                };
-                let _t = phase::scoped(Phase::Decode);
+                let word = state.mem.read_u32(pc)?;
                 let i = decode(word).map_err(|e| SimError::Decode {
                     pc,
                     word,
@@ -383,7 +368,6 @@ impl IsaExecutor for AArch64Executor {
                 i
             }
         };
-        let _t = phase::scoped(Phase::Execute);
         execute(&inst, pc, state)
     }
 
@@ -435,11 +419,7 @@ impl IsaExecutor for AArch64Executor {
             let take = (block.insts.len() as u64).min(fuel - done) as usize;
             for (i, inst) in block.insts[..take].iter().enumerate() {
                 let ipc = block.start.wrapping_add(4 * i as u64);
-                let res = {
-                    let _t = phase::scoped(Phase::Execute);
-                    execute(inst, ipc, state)
-                };
-                match res {
+                match execute(inst, ipc, state) {
                     Ok(ri) => {
                         done += 1;
                         if let Some(s) = sink.as_mut() {

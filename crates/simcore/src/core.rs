@@ -7,7 +7,6 @@ use std::time::{Duration, Instant};
 use crate::error::SimError;
 use crate::fault::{FaultInjector, InjectAction};
 use crate::observer::Observer;
-use crate::phase::{self, Phase, PhaseNanos};
 use crate::retire::RetiredInst;
 use crate::sample::SampleSnapshot;
 use crate::state::CpuState;
@@ -49,8 +48,7 @@ pub trait IsaExecutor {
     /// and the fault, if any; on a fault `state.pc` addresses the faulting
     /// instruction, exactly as a failed [`IsaExecutor::step`] leaves it.
     /// When `sink` is present it receives every retirement record in
-    /// program order (the observer slow path); when absent the executor may
-    /// skip materializing records entirely (the fast path).
+    /// program order; the core passes none when no observer is attached.
     ///
     /// The default implementation steps one instruction at a time, which is
     /// semantically exact but gains nothing; block-caching executors
@@ -135,9 +133,6 @@ pub struct RunStats {
     pub stop: StopReason,
     /// Host wall-clock time spent inside the run loop (this segment only).
     pub wall: Duration,
-    /// Retire-loop phase breakdown; all-zero unless the crate is built with
-    /// the `phase-timers` feature.
-    pub phases: PhaseNanos,
 }
 
 impl RunStats {
@@ -194,15 +189,22 @@ pub struct EmulationCore<E: IsaExecutor> {
 /// Default heartbeat interval when `ISACMP_PROGRESS` is set without a count.
 const DEFAULT_PROGRESS_INTERVAL: u64 = 50_000_000;
 
-fn progress_interval_from_env() -> u64 {
-    match std::env::var("ISACMP_PROGRESS") {
-        Ok(v) => match v.trim().parse::<u64>() {
-            Ok(0) | Err(_) => u64::MAX,
-            Ok(1) => DEFAULT_PROGRESS_INTERVAL,
-            Ok(n) => n,
-        },
-        Err(_) => u64::MAX,
+/// Heartbeat interval for a count as `ISACMP_PROGRESS` spells it: 0
+/// disables the heartbeat (`u64::MAX`), 1 picks the 50M default, and any
+/// other count is the interval itself.
+pub fn progress_interval(n: u64) -> u64 {
+    match n {
+        0 => u64::MAX,
+        1 => DEFAULT_PROGRESS_INTERVAL,
+        n => n,
     }
+}
+
+fn progress_interval_from_env() -> u64 {
+    std::env::var("ISACMP_PROGRESS")
+        .ok()
+        .and_then(|v| v.trim().parse::<u64>().ok())
+        .map_or(u64::MAX, progress_interval)
 }
 
 impl<E: IsaExecutor> EmulationCore<E> {
@@ -346,13 +348,6 @@ impl<E: IsaExecutor> EmulationCore<E> {
         // tenants is live; otherwise blocks run straight through it.
         let masked_live =
             next_checkpoint != u64::MAX || self.heed_shutdown || self.deadline.is_some();
-        // Observer fast path: when no attached observer wants per-
-        // instruction records, the executor skips materializing them and
-        // observers get one `on_batch` per block instead.
-        let wants_retires = observers.iter().any(|o| o.wants_retires());
-        // Reset this thread's phase accumulator so a prior (possibly failed)
-        // run on the same worker thread cannot leak into our breakdown.
-        let _ = phase::take();
         while state.exited.is_none() {
             if retired >= self.max_insts {
                 state.instret = retired;
@@ -370,7 +365,6 @@ impl<E: IsaExecutor> EmulationCore<E> {
                         exit_code: 0,
                         stop: StopReason::CheckpointDue,
                         wall: start.elapsed(),
-                        phases: phase::take(),
                     });
                 }
                 if self.heed_shutdown && crate::shutdown::requested() {
@@ -408,7 +402,7 @@ impl<E: IsaExecutor> EmulationCore<E> {
                 injector_due = inj.next_due(retired + 1).unwrap_or(u64::MAX);
             }
             if state.mem.read_fault_pending() {
-                if let Err(e) = self.step_one(state, observers, wants_retires) {
+                if let Err(e) = self.step_one(state, observers) {
                     state.instret = retired;
                     return Err(e);
                 }
@@ -427,24 +421,18 @@ impl<E: IsaExecutor> EmulationCore<E> {
                     stop = stop.min((retired | self.sample_mask) + 1);
                 }
                 let fuel = stop - retired;
-                let (done, err) = if wants_retires {
+                // A bare run passes no sink, so it skips dispatch.
+                let (done, err) = if observers.is_empty() {
+                    self.exec.run_block(state, fuel, None)
+                } else {
                     let mut sink = |ri: &RetiredInst| {
-                        let _t = phase::scoped(Phase::Observe);
                         for obs in observers.iter_mut() {
                             obs.on_retire(ri);
                         }
                     };
                     self.exec.run_block(state, fuel, Some(&mut sink))
-                } else {
-                    self.exec.run_block(state, fuel, None)
                 };
                 retired += done;
-                if !wants_retires && done > 0 && !observers.is_empty() {
-                    let _t = phase::scoped(Phase::Observe);
-                    for obs in observers.iter_mut() {
-                        obs.on_batch(done);
-                    }
-                }
                 if let Some(e) = err {
                     state.instret = retired;
                     return Err(e);
@@ -452,7 +440,7 @@ impl<E: IsaExecutor> EmulationCore<E> {
                 if done == 0 && state.exited.is_none() {
                     // Forward-progress guard against a miscounting executor:
                     // one step either retires or surfaces the fault.
-                    if let Err(e) = self.step_one(state, observers, wants_retires) {
+                    if let Err(e) = self.step_one(state, observers) {
                         state.instret = retired;
                         return Err(e);
                     }
@@ -478,7 +466,6 @@ impl<E: IsaExecutor> EmulationCore<E> {
             exit_code: state.exited.unwrap_or(0),
             stop: StopReason::Exited,
             wall: start.elapsed(),
-            phases: phase::take(),
         })
     }
 
@@ -488,18 +475,10 @@ impl<E: IsaExecutor> EmulationCore<E> {
         &self,
         state: &mut CpuState,
         observers: &mut [&mut dyn Observer],
-        wants_retires: bool,
     ) -> Result<(), SimError> {
         let ri = self.exec.step(state)?;
-        if !observers.is_empty() {
-            let _t = phase::scoped(Phase::Observe);
-            for obs in observers.iter_mut() {
-                if wants_retires {
-                    obs.on_retire(&ri);
-                } else {
-                    obs.on_batch(1);
-                }
-            }
+        for obs in observers.iter_mut() {
+            obs.on_retire(&ri);
         }
         Ok(())
     }
@@ -647,23 +626,6 @@ mod tests {
     }
 
     #[test]
-    fn phase_breakdown_is_zero_without_the_feature() {
-        let mut st = CpuState::new();
-        st.pc = 0x1000;
-        st.mem.write_u32(0x1000, 7).unwrap();
-        let core = EmulationCore::new(SpinExec::new());
-        let mut count = crate::observer::CountingObserver::default();
-        let mut obs: [&mut dyn Observer; 1] = [&mut count];
-        let stats = core.run(&mut st, &mut obs).unwrap();
-        if crate::phase::enabled() {
-            // With timers on, observer dispatch was inside an Observe scope.
-            assert!(stats.phases.observe_ns > 0 || stats.retired == 0);
-        } else {
-            assert_eq!(stats.phases, crate::phase::PhaseNanos::default());
-        }
-    }
-
-    #[test]
     fn checkpoint_pauses_land_on_masked_boundaries_and_resume_seamlessly() {
         let interval = EmulationCore::<SpinExec>::DEADLINE_CHECK_INTERVAL;
         let budget = interval * 3 + 100;
@@ -769,7 +731,7 @@ mod tests {
 
     /// SpinExec with genuine block support: retires up to 16 instructions
     /// per `run_block` call (a fixed pretend block length), so fuel
-    /// splitting, mid-block exits, and batch callbacks all get exercised
+    /// splitting, mid-block exits, and per-block dispatch all get exercised
     /// without an ISA decoder. Records the pc each block starts at.
     struct BlockSpinExec {
         inner: SpinExec,
@@ -842,8 +804,7 @@ mod tests {
         0x1000 + 4 * n
     }
 
-    /// A full-stream observer: `wants_retires` stays true, so the block
-    /// loop must take its slow path and deliver every record.
+    /// A full-record observer: keeps the count and the last record's pc.
     #[derive(Default)]
     struct EveryRecord {
         records: u64,
@@ -920,28 +881,20 @@ mod tests {
     }
 
     #[test]
-    fn block_fast_path_batches_and_slow_path_delivers_every_record() {
-        // Batch-only observer: fast path, one on_batch per block batch.
+    fn block_dispatch_delivers_every_record_to_every_observer() {
         let mut st = spinning_state();
         st.mem.write_u32(pc_at(100), 1).unwrap();
         let mut count = CountingObserver::default();
+        let mut every = EveryRecord::default();
         let exec = BlockSpinExec::new();
         EmulationCore::new(&exec)
-            .run(&mut st, &mut [&mut count])
+            .run(&mut st, &mut [&mut count, &mut every])
             .expect("run exits");
-        assert_eq!(count.retired, 101, "batched counts must equal retirements");
+        assert_eq!(count.retired, 101, "counts must equal retirements");
         assert!(
             exec.block_calls.get() > 1,
             "a 101-instruction run must span several 16-instruction blocks"
         );
-
-        // Record-hungry observer: slow path, every record delivered.
-        let mut st = spinning_state();
-        st.mem.write_u32(pc_at(100), 1).unwrap();
-        let mut every = EveryRecord::default();
-        EmulationCore::new(BlockSpinExec::new())
-            .run(&mut st, &mut [&mut every])
-            .expect("run exits");
         assert_eq!(every.records, 101);
         assert_eq!(
             every.last_pc,

@@ -49,7 +49,6 @@ pub mod fault;
 pub mod hash;
 pub mod mem;
 pub mod observer;
-pub mod phase;
 pub mod program;
 pub mod regid;
 pub mod retire;
@@ -59,7 +58,9 @@ pub mod source;
 pub mod state;
 
 pub use crate::checkpoint::{CampaignState, Checkpoint, CheckpointError, TraceMark};
-pub use crate::core::{host_mips, EmulationCore, IsaExecutor, RunStats, StopReason};
+pub use crate::core::{
+    host_mips, progress_interval, EmulationCore, IsaExecutor, RunStats, StopReason,
+};
 pub use crate::deps::DepTable;
 pub use crate::error::SimError;
 pub use crate::fault::{
@@ -68,8 +69,7 @@ pub use crate::fault::{
 };
 pub use crate::hash::{WordHasher, WordMap};
 pub use crate::mem::Memory;
-pub use crate::observer::{CountingObserver, NullObserver, Observer};
-pub use crate::phase::{Phase, PhaseNanos};
+pub use crate::observer::{CountingObserver, Observer};
 pub use crate::program::{IsaKind, Program, Region, Section};
 pub use crate::regid::{RegId, RegSet, NUM_REG_SLOTS};
 pub use crate::retire::{InstGroup, MemAccess, RetiredInst, MAX_MEM_ACCESSES};

@@ -28,38 +28,6 @@ pub trait Observer {
 
     /// Called once when the program exits; default does nothing.
     fn on_finish(&mut self) {}
-
-    /// Whether this observer needs the per-instruction
-    /// [`Observer::on_retire`] stream. The core's block loop only takes its
-    /// fast path (no retirement records materialized) when **every**
-    /// attached observer returns `false`; those observers then receive
-    /// [`Observer::on_batch`] instead. Defaults to `true`, so existing
-    /// observers keep exact per-instruction semantics unchanged.
-    fn wants_retires(&self) -> bool {
-        true
-    }
-
-    /// Called with the size of each retired batch when the block loop
-    /// runs its fast path (see [`Observer::wants_retires`]). An observer
-    /// returning `false` from `wants_retires` must account for `n`
-    /// retirements here; the default does nothing.
-    fn on_batch(&mut self, n: u64) {
-        let _ = n;
-    }
-}
-
-/// A no-op observer, useful for raw speed measurements.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullObserver;
-
-impl Observer for NullObserver {
-    #[inline]
-    fn on_retire(&mut self, _ri: &RetiredInst) {}
-
-    /// Needs nothing per instruction, so it never forces the slow path.
-    fn wants_retires(&self) -> bool {
-        false
-    }
 }
 
 /// An observer that simply counts retirements; the cheapest possible
@@ -74,16 +42,6 @@ impl Observer for CountingObserver {
     #[inline]
     fn on_retire(&mut self, _ri: &RetiredInst) {
         self.retired += 1;
-    }
-
-    /// Counting needs only batch sizes, not records.
-    fn wants_retires(&self) -> bool {
-        false
-    }
-
-    #[inline]
-    fn on_batch(&mut self, n: u64) {
-        self.retired += n;
     }
 }
 

@@ -27,7 +27,7 @@ pub mod span;
 pub use events::{Event, EventLog};
 pub use json::Json;
 pub use metrics::{bucket_index, bucket_low, Histogram, MetricsRegistry};
-pub use profile::{group_index, ProfilingObserver};
+pub use profile::ProfilingObserver;
 pub use report::RunReport;
 pub use sampler::{HotBlockProfile, Sampler};
 pub use span::{SpanGuard, SpanRecord, Timeline};

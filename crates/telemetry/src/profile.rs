@@ -6,31 +6,6 @@ use simcore::{InstGroup, Observer, Region, RetiredInst};
 
 use crate::json::Json;
 
-/// Position of `g` in [`InstGroup::ALL`] (explicit match, so the per-retire
-/// path compiles to a jump table rather than a linear scan).
-pub fn group_index(g: InstGroup) -> usize {
-    match g {
-        InstGroup::IntAlu => 0,
-        InstGroup::IntMul => 1,
-        InstGroup::IntDiv => 2,
-        InstGroup::Shift => 3,
-        InstGroup::Logical => 4,
-        InstGroup::Branch => 5,
-        InstGroup::Load => 6,
-        InstGroup::Store => 7,
-        InstGroup::FpAdd => 8,
-        InstGroup::FpMul => 9,
-        InstGroup::FpFma => 10,
-        InstGroup::FpDiv => 11,
-        InstGroup::FpSqrt => 12,
-        InstGroup::FpCmp => 13,
-        InstGroup::FpCvt => 14,
-        InstGroup::FpMove => 15,
-        InstGroup::Atomic => 16,
-        InstGroup::System => 17,
-    }
-}
-
 /// A streaming guest profiler: per-PC-bucket retirement histogram,
 /// per-[`InstGroup`] mix, branch/memory statistics, and per-region counts
 /// resolved against [`simcore::Program::regions`].
@@ -142,7 +117,7 @@ impl ProfilingObserver {
     pub fn group_mix(&self) -> Vec<(InstGroup, u64)> {
         InstGroup::ALL
             .iter()
-            .map(|&g| (g, self.group_counts[group_index(g)]))
+            .map(|&g| (g, self.group_counts[g.code() as usize]))
             .filter(|&(_, n)| n > 0)
             .collect()
     }
@@ -252,7 +227,7 @@ impl ProfilingObserver {
 impl Observer for ProfilingObserver {
     fn on_retire(&mut self, ri: &RetiredInst) {
         self.retired += 1;
-        self.group_counts[group_index(ri.group)] += 1;
+        self.group_counts[ri.group.code() as usize] += 1;
         if !self.regions.is_empty() {
             self.attribute_region(ri.pc);
         } else {

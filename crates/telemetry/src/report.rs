@@ -4,8 +4,6 @@ use std::io::Write;
 use std::path::Path;
 use std::time::Duration;
 
-use simcore::PhaseNanos;
-
 use crate::json::Json;
 use crate::profile::ProfilingObserver;
 use crate::sampler::HotBlockProfile;
@@ -40,9 +38,6 @@ pub struct RunReport {
     pub profile: Option<Json>,
     /// Hot-block sampling profile (see [`crate::sampler`]), if one ran.
     pub sampler: Option<Json>,
-    /// Retire-loop phase breakdown, when the run was built with the
-    /// `phase-timers` feature and attributed any time.
-    pub phases: Option<PhaseNanos>,
     /// Structured events drained from the hub's [`crate::EventLog`]
     /// (empty array when the run emitted none).
     pub events: Json,
@@ -81,13 +76,6 @@ impl RunReport {
     /// Attach a hot-block sampling profile (top 10 blocks).
     pub fn with_sampler(mut self, sampler: &HotBlockProfile) -> Self {
         self.sampler = Some(sampler.to_json(10));
-        self
-    }
-
-    /// Attach a retire-loop phase breakdown; an all-zero breakdown (timers
-    /// compiled out) is dropped rather than serialized as noise.
-    pub fn with_phases(mut self, phases: PhaseNanos) -> Self {
-        self.phases = (phases.total_ns() > 0).then_some(phases);
         self
     }
 
@@ -148,17 +136,6 @@ impl RunReport {
                 ),
             ));
         }
-        if let Some(ph) = &self.phases {
-            members.push((
-                "phase_ns",
-                Json::Obj(
-                    ph.entries()
-                        .iter()
-                        .map(|(name, ns)| (name.to_string(), Json::Num(*ns as f64)))
-                        .collect(),
-                ),
-            ));
-        }
         members.push(("spans", self.spans.clone()));
         members.push(("metrics", self.metrics.clone()));
         if let Some(p) = &self.profile {
@@ -204,15 +181,6 @@ impl RunReport {
             metrics: j.get("metrics").cloned().unwrap_or(Json::obj(vec![])),
             profile: j.get("profile").cloned(),
             sampler: j.get("sampler").cloned(),
-            phases: j.get("phase_ns").map(|ph| {
-                let ns = |k: &str| ph.get(k).and_then(Json::as_u64).unwrap_or(0);
-                PhaseNanos {
-                    fetch_ns: ns("fetch"),
-                    decode_ns: ns("decode"),
-                    execute_ns: ns("execute"),
-                    observe_ns: ns("observe"),
-                }
-            }),
             events: j.get("events").cloned().unwrap_or(Json::Arr(Vec::new())),
             notes: j
                 .get("notes")
@@ -247,9 +215,6 @@ impl RunReport {
         );
         if let Some(c) = self.exit_code {
             s.push_str(&format!(" | exit {c}"));
-        }
-        if let Some(ph) = &self.phases {
-            s.push_str(&format!(" | phases: {}", ph.summary()));
         }
         if let Some(pct) = self.observer_overhead_pct {
             s.push_str(&format!(" | observer overhead ~{pct:.0}%"));
@@ -349,7 +314,7 @@ mod tests {
     }
 
     #[test]
-    fn phases_sampler_and_events_round_trip() {
+    fn sampler_and_events_round_trip() {
         let tel = Telemetry::new();
         tel.event("watchdog_trip", &[("limit_ms", Json::Num(2000.0))]);
         let mut blocks = std::collections::HashMap::new();
@@ -359,25 +324,10 @@ mod tests {
         let report = RunReport::new("run_elf x.elf")
             .with_run(Duration::from_millis(10), 20_000, Some(0))
             .with_sampler(&hb)
-            .with_phases(PhaseNanos {
-                fetch_ns: 1,
-                decode_ns: 2,
-                execute_ns: 3,
-                observe_ns: 4,
-            })
             .finish_from(&tel);
         assert!((report.host_ns_per_op() - 500.0).abs() < 1e-9);
         let text = report.to_json().pretty();
         let parsed = RunReport::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(
-            parsed.phases,
-            Some(PhaseNanos {
-                fetch_ns: 1,
-                decode_ns: 2,
-                execute_ns: 3,
-                observe_ns: 4
-            })
-        );
         assert_eq!(
             parsed
                 .sampler
@@ -395,11 +345,6 @@ mod tests {
             Some("watchdog_trip")
         );
         assert!(parsed.summary().contains("ns/op"), "{}", parsed.summary());
-        assert!(parsed.summary().contains("phases:"), "{}", parsed.summary());
-        // Zero phase breakdown is dropped, not serialized.
-        let plain = RunReport::new("x").with_phases(PhaseNanos::default());
-        assert!(plain.phases.is_none());
-        assert!(!plain.to_json().pretty().contains("phase_ns"));
     }
 
     #[test]

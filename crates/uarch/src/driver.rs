@@ -21,10 +21,8 @@ use crate::pipeline::{InOrderCore, OoOCore};
 
 /// Run the guest in `state` to completion on `exec`, feeding every
 /// retirement to `observer`, with an optional wall-clock deadline and
-/// fault injector — the same knobs as the emulation path. Timing models
-/// want per-instruction records, so the core takes its observer slow path
-/// (records are still delivered one by one; only decode overhead is
-/// amortized over blocks).
+/// fault injector — the same knobs as the emulation path. Records are
+/// delivered one by one; only decode overhead is amortized over blocks.
 pub fn run_guest<E: IsaExecutor>(
     observer: &mut dyn Observer,
     exec: E,

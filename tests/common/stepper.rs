@@ -1,7 +1,7 @@
 //! The per-instruction stepper: the oracle the emulation core's retire
 //! loop is held to. It consults the fault injector before every step and
 //! retires one instruction at a time through `IsaExecutor::step` — no
-//! blocks, no fuel boundaries, no fast path — so whatever the core does
+//! blocks, no fuel boundaries — so whatever the core does
 //! to go faster, a run must come out exactly as it does here.
 
 use simcore::{CpuState, FaultInjector, InjectAction, IsaExecutor, Observer, SimError};

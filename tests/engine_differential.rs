@@ -27,8 +27,8 @@ use common::stepper::run_stepped;
 const BUDGET: u64 = EmulationCore::<RiscVExecutor>::DEFAULT_BUDGET;
 
 /// Folds the full retirement stream — every field of every record, in
-/// order — into one hash. Requests per-instruction callbacks, so in the
-/// core this also exercises the observer slow path.
+/// order — into one hash. In the core this also exercises per-record
+/// observer dispatch.
 #[derive(Default)]
 struct StreamHash {
     hash: u64,
@@ -136,8 +136,8 @@ fn assert_core_matches_stepper(
 
 /// Every kernel × both ISAs at the small size class, bare (no
 /// observers): final state hash, instret, pc, and stop outcome must be
-/// identical. Bare runs take the core's batched fast path, so this is the
-/// leg that actually exercises block-cached execution.
+/// identical. Bare runs hand the executor no record sink, so this is the
+/// leg that exercises block-cached execution without observer dispatch.
 #[test]
 fn small_runs_agree_bare_on_both_engines() {
     for workload in Workload::ALL {
@@ -209,7 +209,7 @@ fn stepped_cell(
     let injector = opts
         .armed_campaign()
         .map(|c| Box::new(c) as Box<dyn FaultInjector>);
-    let run = drive_isa(isa, &mut st, &mut analyses.observers(), injector, true);
+    let run = drive_isa(isa, &mut st, &mut [&mut analyses], injector, true);
     run.map_err(|err| CellError::Sim {
         err,
         instret: st.instret,
