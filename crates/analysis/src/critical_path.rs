@@ -70,18 +70,20 @@ pub struct DualCriticalPath {
     longest_unit: u64,
     longest_scaled: u64,
     retired: u64,
-    model: Box<dyn LatencyModel + Send>,
+    /// The latency model's cost of each group, by [`InstGroup::code`].
+    latency: [u64; InstGroup::ALL.len()],
 }
 
 impl DualCriticalPath {
     /// Dual analysis with the given latency model for the scaled half.
-    pub fn new<M: LatencyModel + Send + 'static>(model: M) -> Self {
+    /// The model is asked once per group, here.
+    pub fn new<M: LatencyModel>(model: M) -> Self {
         DualCriticalPath {
             chains: DepTable::new(),
             longest_unit: 0,
             longest_scaled: 0,
             retired: 0,
-            model: Box::new(model),
+            latency: InstGroup::ALL.map(|g| model.latency(g)),
         }
     }
 
@@ -124,7 +126,7 @@ impl DependencyFold for DualCriticalPath {
         // forwarding (§5.1).
         let scaled_cost = match ri.group {
             InstGroup::Load | InstGroup::Store => 1,
-            g => self.model.latency(g),
+            g => self.latency[g.code() as usize],
         };
         let chain = Chain {
             unit: NonZeroU64::MIN.saturating_add(src_u),
@@ -153,13 +155,35 @@ impl Observer for DualCriticalPath {
 mod tests {
     use super::*;
     use simcore::{RegId, RegSet, RetiredInst};
-    use uarch::Tx2Latency;
+    use uarch::{Tx2Latency, UnitLatency};
 
     fn op(group: InstGroup, srcs: &[RegId], dsts: &[RegId]) -> RetiredInst {
         let mut ri = RetiredInst::new(0, group);
         ri.srcs = RegSet::of(srcs);
         ri.dsts = RegSet::of(dsts);
         ri
+    }
+
+    #[test]
+    fn latency_table_matches_the_model_for_every_group() {
+        fn check(model: impl LatencyModel + Clone) {
+            let cp = DualCriticalPath::new(model.clone());
+            for g in InstGroup::ALL {
+                assert_eq!(
+                    cp.latency[g.code() as usize],
+                    model.latency(g),
+                    "{} {g:?}",
+                    model.name()
+                );
+            }
+        }
+        check(Tx2Latency);
+        check(UnitLatency);
+        let mut custom = Tx2Latency::table();
+        custom.name = "custom".into();
+        custom.fp_fma = 9;
+        custom.int_div = 40;
+        check(custom);
     }
 
     #[test]

@@ -116,12 +116,32 @@ fn element(acc: &Access, ivs: &[u64]) -> usize {
     idx as usize
 }
 
+/// Everything of a personality that [`interpret`] reads: whether `a*b + c`
+/// contracts into one rounding. The other knobs only shape the machine
+/// code, so personalities with equal keys get the same [`InterpResult`]
+/// for the same program, and a cache of reference checksums may key on
+/// this.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ReferenceKey {
+    fuse_fma: bool,
+}
+
+impl ReferenceKey {
+    /// The key of `personality`.
+    pub fn of(personality: &Personality) -> Self {
+        ReferenceKey {
+            fuse_fma: personality.fuse_fma,
+        }
+    }
+}
+
 /// Interpret `prog` under `personality`'s arithmetic model.
 pub fn interpret(prog: &KernelProgram, personality: &Personality) -> InterpResult {
     prog.validate();
+    let ReferenceKey { fuse_fma } = ReferenceKey::of(personality);
     let mut ctx = Ctx {
         arrays: prog.arrays.iter().map(init_values).collect(),
-        fuse_fma: personality.fuse_fma,
+        fuse_fma,
     };
 
     for _rep in 0..prog.repeat {
@@ -359,5 +379,19 @@ mod tests {
         assert_eq!(fused, a.mul_add(a, -1.0));
         assert_eq!(unfused, a * a - 1.0);
         assert_ne!(fused.to_bits(), unfused.to_bits());
+    }
+
+    #[test]
+    fn reference_key_ignores_codegen_knobs_only() {
+        let key = ReferenceKey::of(&Personality::gcc122());
+        assert_eq!(ReferenceKey::of(&Personality::gcc92()), key);
+        let mut ablated = Personality::gcc122();
+        ablated.arm_post_index = true;
+        ablated.arm_register_offset = false;
+        ablated.riscv_fused_compare_branch = false;
+        assert_eq!(ReferenceKey::of(&ablated), key);
+        let mut unfused = Personality::gcc122();
+        unfused.fuse_fma = false;
+        assert_ne!(ReferenceKey::of(&unfused), key);
     }
 }

@@ -68,7 +68,7 @@ pub mod ir;
 pub mod personality;
 pub mod riscv;
 
-pub use interp::interpret;
+pub use interp::{interpret, ReferenceKey};
 pub use ir::*;
 pub use personality::Personality;
 

@@ -28,8 +28,9 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use isacmp::{
-    isa_label, journal_outcome, matrix_combos, pool, read_journal, record_outcome, run_cell_opts,
-    shutdown, CellError, CellJournal, ExperimentCell, ResultMatrix, SizeClass, Workload,
+    isa_label, journal_outcome, matrix_combos, pool, read_journal, record_outcome,
+    run_cell_with_reference, shutdown, CellError, CellJournal, ExperimentCell, ReferenceMemo,
+    ResultMatrix, SizeClass, Workload,
 };
 
 use crate::cache::{CellKey, Claim, ResultCache};
@@ -453,6 +454,9 @@ fn run_job(state: &Arc<State>, spec: &JobSpec, stream: &mut TcpStream) -> Result
     let mut follows: Vec<(usize, CellKey, Arc<crate::cache::Flight>)> = Vec::new();
     let mut outstanding = 0usize;
     let (mut hits, mut misses, mut done) = (0u64, 0u64, 0u64);
+    // The cells this job computes share one reference checksum per
+    // workload.
+    let reference = Arc::new(ReferenceMemo::new());
 
     for (i, &(w, p, isa)) in combos.iter().enumerate() {
         let (wn, pl, il) = (w.name(), p.label(), isa_label(isa));
@@ -478,9 +482,10 @@ fn run_job(state: &Arc<State>, spec: &JobSpec, stream: &mut TcpStream) -> Result
             misses += 1;
             let tx = tx.clone();
             let journal = journal.clone();
+            let reference = Arc::clone(&reference);
             let retries = opts.retries;
             pool::global().submit(Box::new(move || {
-                let outcome = run_cell_opts(w, isa, &p, size, &cell_opts);
+                let outcome = run_cell_with_reference(w, isa, &p, size, &cell_opts, &reference);
                 journal_outcome(
                     journal.as_deref(),
                     w.name(),
@@ -526,9 +531,10 @@ fn run_job(state: &Arc<State>, spec: &JobSpec, stream: &mut TcpStream) -> Result
                 let journal = journal.clone();
                 let cache_state = Arc::clone(state);
                 let key = key.clone();
+                let reference = Arc::clone(&reference);
                 let retries = opts.retries;
                 pool::global().submit(Box::new(move || {
-                    let outcome = run_cell_opts(w, isa, &p, size, &cell_opts);
+                    let outcome = run_cell_with_reference(w, isa, &p, size, &cell_opts, &reference);
                     let for_cache = match &outcome {
                         Ok(cell) => Ok(cell.clone()),
                         Err(e) => Err(e.to_string()),
@@ -632,7 +638,8 @@ fn run_job(state: &Arc<State>, spec: &JobSpec, stream: &mut TcpStream) -> Result
                         // Compute inline — this is a connection thread, so
                         // blocking here is fine.
                         let cell_opts = opts.cell_options(wn, pl, il);
-                        let outcome = run_cell_opts(w, isa, &p, size, &cell_opts);
+                        let outcome =
+                            run_cell_with_reference(w, isa, &p, size, &cell_opts, &reference);
                         let for_cache = match &outcome {
                             Ok(cell) => Ok(cell.clone()),
                             Err(e) => Err(e.to_string()),

@@ -1,10 +1,13 @@
 //! A fast hasher for word-keyed maps on the analysis hot paths.
 //!
-//! The dependency table keys its memory pages, and the ISA back-ends their
-//! decode caches, by guest address, and touch them once or twice per
-//! retired instruction — hundreds of millions of lookups at paper scale. The default SipHash is DoS-hardened
-//! but slow for this; a Fibonacci multiplicative hash is ample for
-//! guest-address keys (the "attacker" is our own workload generator).
+//! [`crate::PageMap`] indexes its pages by page number (guest memory and
+//! the dependency table both keep their pages there), and the ISA
+//! back-ends key their decode caches by guest address. These maps are
+//! touched once or twice per retired instruction — hundreds of millions
+//! of lookups at paper scale, though the page map's cache answers most of
+//! its own. The default SipHash is DoS-hardened but slow for this; a
+//! splitmix64 finalizer is ample for guest-address keys (the "attacker" is
+//! our own workload generator).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

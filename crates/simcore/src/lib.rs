@@ -4,7 +4,8 @@
 //! This crate provides the pieces of the simulation environment that are
 //! independent of any particular instruction set:
 //!
-//! * a sparse, paged [`Memory`] model,
+//! * a sparse, paged [`Memory`] model, whose pages and the dependency
+//!   table's share one cached [`PageMap`],
 //! * the architectural [`CpuState`] (integer + FP register files, PC, NZCV
 //!   flags, memory, syscall plumbing),
 //! * the unified [`RegId`] register-identifier space and the
@@ -49,6 +50,7 @@ pub mod fault;
 pub mod hash;
 pub mod mem;
 pub mod observer;
+pub mod pages;
 pub mod program;
 pub mod regid;
 pub mod retire;
@@ -70,6 +72,7 @@ pub use crate::fault::{
 pub use crate::hash::{WordHasher, WordMap};
 pub use crate::mem::Memory;
 pub use crate::observer::{CountingObserver, Observer};
+pub use crate::pages::PageMap;
 pub use crate::program::{IsaKind, Program, Region, Section};
 pub use crate::regid::{RegId, RegSet, NUM_REG_SLOTS};
 pub use crate::retire::{InstGroup, MemAccess, RetiredInst, MAX_MEM_ACCESSES};
