@@ -10,16 +10,13 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use simcore::{CpuState, InstGroup, IsaExecutor, RegId, RetiredInst, SimError, WordMap};
+use simcore::{
+    CpuState, IsaExecutor, RegId, RetiredInst, RunSlots, SimError, WordMap, MAX_BLOCK_LEN,
+};
 
 use crate::decode::decode;
 use crate::encode::fp_imm8_to_f64;
 use crate::inst::*;
-
-/// Longest straight-line run pre-decoded into one block. Bounds both the
-/// work a single cache miss performs and how far past a hot loop's entry
-/// the builder speculatively decodes.
-const MAX_BLOCK_LEN: usize = 64;
 
 /// A pre-decoded basic block: the straight-line instruction run starting
 /// at `start`, ending at the first control-flow terminator (or the length
@@ -109,17 +106,12 @@ impl AArch64Executor {
     }
 }
 
-struct Retire {
-    ri: RetiredInst,
+/// Fills a retirement record where it lies; filters out ZR.
+struct Retire<'a> {
+    ri: &'a mut RetiredInst,
 }
 
-impl Retire {
-    fn new(pc: u64, group: InstGroup) -> Self {
-        Retire {
-            ri: RetiredInst::new(pc, group),
-        }
-    }
-
+impl Retire<'_> {
     /// Source general register, 31 = ZR (omitted).
     #[inline]
     fn src_zr(&mut self, r: u8) {
@@ -391,26 +383,22 @@ impl IsaExecutor for AArch64Executor {
         &self,
         state: &mut CpuState,
         fuel: u64,
-        mut sink: Option<&mut dyn FnMut(&RetiredInst)>,
+        run: Option<&mut Vec<RetiredInst>>,
     ) -> (u64, Option<SimError>) {
+        let mut slots = RunSlots::new(run);
         let mut done = 0u64;
-        while done < fuel && state.exited.is_none() {
-            let block = match self.block_at(state, state.pc) {
-                Some(b) => b,
-                None => {
-                    // No block can start here; the per-instruction path
-                    // raises the exact architectural fault (misaligned PC,
-                    // unmapped fetch, undecodable word).
-                    match self.step(state) {
-                        Ok(ri) => {
-                            done += 1;
-                            if let Some(s) = sink.as_mut() {
-                                s(&ri);
-                            }
-                            continue;
-                        }
-                        Err(e) => return (done, Some(e)),
+        while done < fuel && state.exited.is_none() && !slots.full() {
+            let Some(block) = self.block_at(state, state.pc) else {
+                // No block can start here; the per-instruction path
+                // raises the exact architectural fault (misaligned PC,
+                // unmapped fetch, undecodable word).
+                match self.step(state) {
+                    Ok(ri) => {
+                        done += 1;
+                        slots.push(ri);
+                        continue;
                     }
+                    Err(e) => return (done, Some(e)),
                 }
             };
             // A block never straddles the fuel boundary: execute only the
@@ -419,15 +407,11 @@ impl IsaExecutor for AArch64Executor {
             let take = (block.insts.len() as u64).min(fuel - done) as usize;
             for (i, inst) in block.insts[..take].iter().enumerate() {
                 let ipc = block.start.wrapping_add(4 * i as u64);
-                match execute(inst, ipc, state) {
-                    Ok(ri) => {
-                        done += 1;
-                        if let Some(s) = sink.as_mut() {
-                            s(&ri);
-                        }
-                    }
-                    Err(e) => return (done, Some(e)),
+                if let Err(e) = execute_into(inst, ipc, state, slots.next_slot()) {
+                    slots.discard();
+                    return (done, Some(e));
                 }
+                done += 1;
             }
         }
         (done, None)
@@ -436,7 +420,23 @@ impl IsaExecutor for AArch64Executor {
 
 /// Execute one decoded instruction at `pc`, returning its retirement record.
 pub fn execute(inst: &Inst, pc: u64, state: &mut CpuState) -> Result<RetiredInst, SimError> {
-    let mut r = Retire::new(pc, inst.group());
+    let mut ri = RetiredInst::new(pc, inst.group());
+    execute_into(inst, pc, state, &mut ri)?;
+    Ok(ri)
+}
+
+/// Execute one decoded instruction at `pc`, building its retirement record
+/// in `slot`. The slot is first reset to a blank record for `pc`, so
+/// nothing it held before survives; on an error it holds a partial record
+/// that no observer may see.
+pub fn execute_into(
+    inst: &Inst,
+    pc: u64,
+    state: &mut CpuState,
+    slot: &mut RetiredInst,
+) -> Result<(), SimError> {
+    *slot = RetiredInst::new(pc, inst.group());
+    let mut r = Retire { ri: slot };
     let mut next_pc = pc.wrapping_add(4);
 
     use Inst::*;
@@ -1490,7 +1490,7 @@ pub fn execute(inst: &Inst, pc: u64, state: &mut CpuState) -> Result<RetiredInst
     }
 
     state.pc = next_pc;
-    Ok(r.ri)
+    Ok(())
 }
 
 /// IEEE max preserving +0 > -0 ordering.

@@ -1,8 +1,8 @@
 //! Unit tests for A64 instruction semantics, including NZCV flag behaviour.
 
-use isa_aarch64::exec::{cond_holds, execute};
+use isa_aarch64::exec::{cond_holds, execute, execute_into};
 use isa_aarch64::*;
-use simcore::{CpuState, RegId};
+use simcore::{CpuState, InstGroup, RegId, RetiredInst};
 
 fn fresh() -> CpuState {
     CpuState::new()
@@ -889,4 +889,29 @@ fn adr_adrp() {
         &mut st,
     );
     assert_eq!(st.x[1], 0x1_2000, "adrp is page-aligned");
+}
+
+#[test]
+fn execute_into_leaves_nothing_of_the_record_it_overwrites() {
+    let mut st = fresh();
+    st.x[1] = 0x2000;
+    st.mem.write_u64(0x2000, 7).unwrap();
+    let ldr = Inst::LdrImm {
+        size: MemSize::X,
+        rt: 2,
+        rn: 1,
+        imm12: 0,
+    };
+    for next in [ldr, add_shifted(true, true, 31, 1, 2)] {
+        // No A64 instruction in the subset makes two accesses, so the
+        // slot's old record is built by hand: a read, a write, a branch.
+        let mut slot = RetiredInst::new(0x40, InstGroup::Atomic);
+        slot.push_read(0x3000, 8);
+        slot.push_write(0x3008, 8);
+        slot.is_branch = true;
+        slot.taken = true;
+        slot.dsts.insert(RegId::Int(9));
+        execute_into(&next, 0x44, &mut st, &mut slot).unwrap();
+        assert_eq!(slot, execute(&next, 0x44, &mut st).unwrap(), "{next:?}");
+    }
 }

@@ -13,15 +13,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use simcore::{CpuState, InstGroup, IsaExecutor, RegId, RetiredInst, SimError, WordMap};
+use simcore::{
+    CpuState, IsaExecutor, RegId, RetiredInst, RunSlots, SimError, WordMap, MAX_BLOCK_LEN,
+};
 
 use crate::decode::decode;
 use crate::inst::*;
-
-/// Longest straight-line run pre-decoded into one block. Bounds both the
-/// work a single cache miss performs and how far past a hot loop's entry
-/// the builder speculatively decodes.
-const MAX_BLOCK_LEN: usize = 64;
 
 /// A pre-decoded basic block: the straight-line instruction run starting
 /// at `start`, ending at the first control-flow terminator (or the length
@@ -104,18 +101,12 @@ impl RiscVExecutor {
     }
 }
 
-/// Builder for the retirement record; filters out `x0`.
-struct Retire {
-    ri: RetiredInst,
+/// Fills a retirement record where it lies; filters out `x0`.
+struct Retire<'a> {
+    ri: &'a mut RetiredInst,
 }
 
-impl Retire {
-    fn new(pc: u64, group: InstGroup) -> Self {
-        Retire {
-            ri: RetiredInst::new(pc, group),
-        }
-    }
-
+impl Retire<'_> {
     #[inline]
     fn src_x(&mut self, r: u8) {
         if r != 0 {
@@ -374,26 +365,22 @@ impl IsaExecutor for RiscVExecutor {
         &self,
         state: &mut CpuState,
         fuel: u64,
-        mut sink: Option<&mut dyn FnMut(&RetiredInst)>,
+        run: Option<&mut Vec<RetiredInst>>,
     ) -> (u64, Option<SimError>) {
+        let mut slots = RunSlots::new(run);
         let mut done = 0u64;
-        while done < fuel && state.exited.is_none() {
-            let block = match self.block_at(state, state.pc) {
-                Some(b) => b,
-                None => {
-                    // No block can start here; the per-instruction path
-                    // raises the exact architectural fault (misaligned PC,
-                    // unmapped fetch, undecodable word).
-                    match self.step(state) {
-                        Ok(ri) => {
-                            done += 1;
-                            if let Some(s) = sink.as_mut() {
-                                s(&ri);
-                            }
-                            continue;
-                        }
-                        Err(e) => return (done, Some(e)),
+        while done < fuel && state.exited.is_none() && !slots.full() {
+            let Some(block) = self.block_at(state, state.pc) else {
+                // No block can start here; the per-instruction path
+                // raises the exact architectural fault (misaligned PC,
+                // unmapped fetch, undecodable word).
+                match self.step(state) {
+                    Ok(ri) => {
+                        done += 1;
+                        slots.push(ri);
+                        continue;
                     }
+                    Err(e) => return (done, Some(e)),
                 }
             };
             // A block never straddles the fuel boundary: execute only the
@@ -402,15 +389,11 @@ impl IsaExecutor for RiscVExecutor {
             let take = (block.insts.len() as u64).min(fuel - done) as usize;
             for (i, inst) in block.insts[..take].iter().enumerate() {
                 let ipc = block.start.wrapping_add(4 * i as u64);
-                match execute(inst, ipc, state) {
-                    Ok(ri) => {
-                        done += 1;
-                        if let Some(s) = sink.as_mut() {
-                            s(&ri);
-                        }
-                    }
-                    Err(e) => return (done, Some(e)),
+                if let Err(e) = execute_into(inst, ipc, state, slots.next_slot()) {
+                    slots.discard();
+                    return (done, Some(e));
                 }
+                done += 1;
             }
         }
         (done, None)
@@ -418,12 +401,28 @@ impl IsaExecutor for RiscVExecutor {
 }
 
 /// Execute one decoded instruction at `pc`, returning its retirement record.
+pub fn execute(inst: &Inst, pc: u64, state: &mut CpuState) -> Result<RetiredInst, SimError> {
+    let mut ri = RetiredInst::new(pc, inst.group());
+    execute_into(inst, pc, state, &mut ri)?;
+    Ok(ri)
+}
+
+/// Execute one decoded instruction at `pc`, building its retirement record
+/// in `slot`. The slot is first reset to a blank record for `pc`, so
+/// nothing it held before survives; on an error it holds a partial record
+/// that no observer may see.
 // Division guards follow the ISA manual's explicit case tables rather than
 // checked_div (divide-by-zero and overflow have architecturally defined
 // results, not error paths).
 #[allow(clippy::manual_is_multiple_of, clippy::manual_checked_ops)]
-pub fn execute(inst: &Inst, pc: u64, state: &mut CpuState) -> Result<RetiredInst, SimError> {
-    let mut r = Retire::new(pc, inst.group());
+pub fn execute_into(
+    inst: &Inst,
+    pc: u64,
+    state: &mut CpuState,
+    slot: &mut RetiredInst,
+) -> Result<(), SimError> {
+    *slot = RetiredInst::new(pc, inst.group());
+    let mut r = Retire { ri: slot };
     let mut next_pc = pc.wrapping_add(4);
 
     use Inst::*;
@@ -979,7 +978,7 @@ pub fn execute(inst: &Inst, pc: u64, state: &mut CpuState) -> Result<RetiredInst
     }
 
     state.pc = next_pc;
-    Ok(r.ri)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1580,5 +1579,86 @@ mod tests {
             &mut st,
         );
         assert_eq!(f32::from_bits(st.mem.read_u32(0x3008).unwrap()), 3.5);
+    }
+
+    #[test]
+    fn execute_into_leaves_nothing_of_the_record_it_overwrites() {
+        let mut st = fresh();
+        st.mem.write_u64(0x1000, 10).unwrap();
+        st.x[1] = 0x1000;
+        st.x[2] = 5;
+        let amo = Inst::Amo {
+            op: AmoOp::Add,
+            width: AmoWidth::D,
+            rd: 3,
+            rs1: 1,
+            rs2: 2,
+        };
+        let ld = Inst::Load {
+            op: LoadOp::Ld,
+            rd: 4,
+            rs1: 1,
+            offset: 0,
+        };
+        let addi = Inst::OpImm {
+            op: ImmOp::Addi,
+            rd: 5,
+            rs1: 0,
+            imm: 42,
+        };
+        for next in [ld, addi] {
+            let mut slot = RetiredInst::new(0, simcore::InstGroup::IntAlu);
+            execute_into(&amo, 0x40, &mut st, &mut slot).unwrap();
+            assert_eq!(slot.mem_accesses().len(), 2, "the slot held two accesses");
+            execute_into(&next, 0x44, &mut st, &mut slot).unwrap();
+            assert_eq!(slot, execute(&next, 0x44, &mut st).unwrap(), "{next:?}");
+        }
+    }
+
+    #[test]
+    fn run_block_builds_the_records_step_returns() {
+        let addi = |rd, imm| Inst::OpImm {
+            op: ImmOp::Addi,
+            rd,
+            rs1: 0,
+            imm,
+        };
+        let ld = Inst::Load {
+            op: LoadOp::Ld,
+            rd: 6,
+            rs1: 7,
+            offset: 0,
+        };
+        // `ld` reads through x7: mapped, the guest exits; unmapped, the
+        // load faults in the middle of its block and takes its slot back.
+        let program = [addi(5, 7), ld, addi(17, 93), addi(10, 0), Inst::Ecall];
+        for (base, retired, faults) in [(0x2000, 5, false), (0x9_0000, 1, true)] {
+            let load = || {
+                let mut st = fresh();
+                for (i, inst) in program.iter().enumerate() {
+                    st.mem
+                        .write_u32(0x1000 + 4 * i as u64, crate::encode::encode(inst))
+                        .unwrap();
+                }
+                st.mem.write_u64(0x2000, 99).unwrap();
+                st.pc = 0x1000;
+                st.x[7] = base;
+                st
+            };
+            let exec = RiscVExecutor::new();
+            let mut stepped = Vec::new();
+            let mut st = load();
+            while st.exited.is_none() {
+                match exec.step(&mut st) {
+                    Ok(ri) => stepped.push(ri),
+                    Err(_) => break,
+                }
+            }
+            let mut st = load();
+            let mut run = Vec::with_capacity(simcore::source::RUN_RECORDS + MAX_BLOCK_LEN);
+            let (done, err) = RiscVExecutor::new().run_block(&mut st, 100, Some(&mut run));
+            assert_eq!((done, err.is_some()), (retired, faults));
+            assert_eq!(run, stepped);
+        }
     }
 }

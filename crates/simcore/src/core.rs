@@ -7,8 +7,9 @@ use std::time::{Duration, Instant};
 use crate::error::SimError;
 use crate::fault::{FaultInjector, InjectAction};
 use crate::observer::Observer;
-use crate::retire::RetiredInst;
+use crate::retire::{InstGroup, RetiredInst};
 use crate::sample::SampleSnapshot;
+use crate::source::RUN_RECORDS;
 use crate::state::CpuState;
 
 /// Host emulation rate in million instructions per second. The single
@@ -22,6 +23,14 @@ pub fn host_mips(retired: u64, wall: Duration) -> f64 {
         retired as f64 / wall.as_secs_f64() / 1e6
     }
 }
+
+/// Longest straight-line run an ISA back-end pre-decodes into one block.
+/// It bounds the work a block-cache miss performs, how far past a hot
+/// loop's entry the builder decodes, and how far a block carries a run
+/// past [`RUN_RECORDS`]: executors look at the run's length only between
+/// blocks, so the core sizes each run buffer for [`RUN_RECORDS`] plus
+/// this many records and it never reallocates.
+pub const MAX_BLOCK_LEN: usize = 64;
 
 /// Implemented by each ISA back-end: fetch, decode and execute exactly one
 /// instruction, mutating `state` and describing what happened.
@@ -47,8 +56,14 @@ pub trait IsaExecutor {
     /// the guest exits or an instruction faults. Returns how many retired
     /// and the fault, if any; on a fault `state.pc` addresses the faulting
     /// instruction, exactly as a failed [`IsaExecutor::step`] leaves it.
-    /// When `sink` is present it receives every retirement record in
-    /// program order; the core passes none when no observer is attached.
+    ///
+    /// When `run` is present, every retirement record is appended to it in
+    /// program order, built in place in its slot through [`RunSlots`]; a
+    /// faulting instruction's slot is taken back, so the run ends with the
+    /// last record that retired. The executor also returns at the first
+    /// block boundary at which the run holds [`RUN_RECORDS`] records, so a
+    /// run buffer with room for [`MAX_BLOCK_LEN`] more never reallocates.
+    /// The core passes no run when no observer is attached.
     ///
     /// The default implementation steps one instruction at a time, which is
     /// semantically exact but gains nothing; block-caching executors
@@ -57,21 +72,80 @@ pub trait IsaExecutor {
         &self,
         state: &mut CpuState,
         fuel: u64,
-        mut sink: Option<&mut dyn FnMut(&RetiredInst)>,
+        run: Option<&mut Vec<RetiredInst>>,
     ) -> (u64, Option<SimError>) {
+        let mut slots = RunSlots::new(run);
         let mut done = 0u64;
-        while done < fuel && state.exited.is_none() {
+        while done < fuel && state.exited.is_none() && !slots.full() {
             match self.step(state) {
                 Ok(ri) => {
                     done += 1;
-                    if let Some(s) = sink.as_mut() {
-                        s(&ri);
-                    }
+                    slots.push(ri);
                 }
                 Err(e) => return (done, Some(e)),
             }
         }
         (done, None)
+    }
+}
+
+/// Where [`IsaExecutor::run_block`] builds retirement records: in the next
+/// slot of the observers' run buffer, or, on a bare run, in one scratch
+/// record that every retirement overwrites.
+pub struct RunSlots<'a> {
+    run: Option<&'a mut Vec<RetiredInst>>,
+    scratch: RetiredInst,
+}
+
+impl<'a> RunSlots<'a> {
+    /// Slots in `run`, or scratch slots when it is `None`.
+    pub fn new(run: Option<&'a mut Vec<RetiredInst>>) -> Self {
+        RunSlots {
+            run,
+            scratch: RetiredInst::new(0, InstGroup::IntAlu),
+        }
+    }
+
+    /// Whether the run holds [`RUN_RECORDS`] records, so the executor
+    /// returns at this block boundary. A bare run never fills.
+    #[inline]
+    pub fn full(&self) -> bool {
+        self.run
+            .as_ref()
+            .is_some_and(|run| run.len() >= RUN_RECORDS)
+    }
+
+    /// The slot the next retirement is built in: a new slot at the end of
+    /// the run, or the scratch record. The caller resets it before filling
+    /// it (the ISA back-ends' `execute_into` does).
+    #[inline]
+    pub fn next_slot(&mut self) -> &mut RetiredInst {
+        match self.run.as_deref_mut() {
+            Some(run) => {
+                debug_assert!(run.len() < run.capacity(), "the run buffer reallocated");
+                let at = run.len();
+                run.push(RetiredInst::new(0, InstGroup::IntAlu));
+                &mut run[at]
+            }
+            None => &mut self.scratch,
+        }
+    }
+
+    /// Take back the slot [`RunSlots::next_slot`] handed out last: its
+    /// instruction faulted, so no observer may see its half-built record.
+    #[inline]
+    pub fn discard(&mut self) {
+        if let Some(run) = self.run.as_deref_mut() {
+            run.pop();
+        }
+    }
+
+    /// Append a record built elsewhere, such as by [`IsaExecutor::step`].
+    #[inline]
+    pub fn push(&mut self, ri: RetiredInst) {
+        if let Some(run) = self.run.as_deref_mut() {
+            run.push(ri);
+        }
     }
 }
 
@@ -100,9 +174,9 @@ impl<E: IsaExecutor + ?Sized> IsaExecutor for &E {
         &self,
         state: &mut CpuState,
         fuel: u64,
-        sink: Option<&mut dyn FnMut(&RetiredInst)>,
+        run: Option<&mut Vec<RetiredInst>>,
     ) -> (u64, Option<SimError>) {
-        (**self).run_block(state, fuel, sink)
+        (**self).run_block(state, fuel, run)
     }
 }
 
@@ -322,12 +396,54 @@ impl<E: IsaExecutor> EmulationCore<E> {
     /// execution, which would move the read the flip lands on, and a flip
     /// that hits an instruction fetch must reach the per-word decode
     /// cache exactly as a single step leaves it.
+    ///
+    /// Observers receive records in runs. The executor builds each record
+    /// in place in a run buffer, and the core hands the buffer to every
+    /// observer with one [`Observer::on_records`] call once it holds
+    /// [`RUN_RECORDS`] records, and before `run` returns for any reason: an
+    /// error, a checkpoint pause, or the guest's exit, ahead of
+    /// [`Observer::on_finish`]. Whenever `run` returns, the observers hold
+    /// exactly the records retired up to `state.instret`.
     pub fn run(
         &self,
         state: &mut CpuState,
         observers: &mut [&mut dyn Observer],
     ) -> Result<RunStats, SimError> {
         let start = Instant::now();
+        // One allocation per call, with room for a block past a full run,
+        // so the buffer never reallocates. A bare run keeps no records.
+        let mut run =
+            (!observers.is_empty()).then(|| Vec::with_capacity(RUN_RECORDS + MAX_BLOCK_LEN));
+        let outcome = self.retire_loop(state, observers, &mut run, start);
+        if let Some(run) = run.as_mut() {
+            dispatch(run, observers);
+        }
+        let stop = outcome?;
+        let mut exit_code = 0;
+        if stop == StopReason::Exited {
+            exit_code = state.exited.unwrap_or(0);
+            for obs in observers.iter_mut() {
+                obs.on_finish();
+            }
+        }
+        Ok(RunStats {
+            retired: state.instret,
+            exit_code,
+            stop,
+            wall: start.elapsed(),
+        })
+    }
+
+    /// The retire loop behind [`EmulationCore::run`]: retires into `run`,
+    /// dispatching it whenever it fills, and leaves `state.instret` at the
+    /// count reached on every return. The caller dispatches what is left.
+    fn retire_loop(
+        &self,
+        state: &mut CpuState,
+        observers: &mut [&mut dyn Observer],
+        run: &mut Option<Vec<RetiredInst>>,
+        start: Instant,
+    ) -> Result<StopReason, SimError> {
         // A restored state resumes counting where the snapshot left off;
         // fresh states start at instret 0, so nothing changes for them.
         let start_retired = state.instret;
@@ -360,12 +476,7 @@ impl<E: IsaExecutor> EmulationCore<E> {
                 // so the checkpoint/shutdown polls are off the hot path.
                 if retired >= next_checkpoint {
                     state.instret = retired;
-                    return Ok(RunStats {
-                        retired,
-                        exit_code: 0,
-                        stop: StopReason::CheckpointDue,
-                        wall: start.elapsed(),
-                    });
+                    return Ok(StopReason::CheckpointDue);
                 }
                 if self.heed_shutdown && crate::shutdown::requested() {
                     state.instret = retired;
@@ -402,7 +513,7 @@ impl<E: IsaExecutor> EmulationCore<E> {
                 injector_due = inj.next_due(retired + 1).unwrap_or(u64::MAX);
             }
             if state.mem.read_fault_pending() {
-                if let Err(e) = self.step_one(state, observers) {
+                if let Err(e) = self.step_one(state, run.as_mut()) {
                     state.instret = retired;
                     return Err(e);
                 }
@@ -420,18 +531,7 @@ impl<E: IsaExecutor> EmulationCore<E> {
                 if self.sample_mask != u64::MAX {
                     stop = stop.min((retired | self.sample_mask) + 1);
                 }
-                let fuel = stop - retired;
-                // A bare run passes no sink, so it skips dispatch.
-                let (done, err) = if observers.is_empty() {
-                    self.exec.run_block(state, fuel, None)
-                } else {
-                    let mut sink = |ri: &RetiredInst| {
-                        for obs in observers.iter_mut() {
-                            obs.on_retire(ri);
-                        }
-                    };
-                    self.exec.run_block(state, fuel, Some(&mut sink))
-                };
+                let (done, err) = self.exec.run_block(state, stop - retired, run.as_mut());
                 retired += done;
                 if let Some(e) = err {
                     state.instret = retired;
@@ -439,13 +539,17 @@ impl<E: IsaExecutor> EmulationCore<E> {
                 }
                 if done == 0 && state.exited.is_none() {
                     // Forward-progress guard against a miscounting executor:
-                    // one step either retires or surfaces the fault.
-                    if let Err(e) = self.step_one(state, observers) {
+                    // one step either retires or surfaces the fault. The run
+                    // is never full here, so a full run cannot trip it.
+                    if let Err(e) = self.step_one(state, run.as_mut()) {
                         state.instret = retired;
                         return Err(e);
                     }
                     retired += 1;
                 }
+            }
+            if let Some(run) = run.as_mut().filter(|run| run.len() >= RUN_RECORDS) {
+                dispatch(run, observers);
             }
             if retired == next_beat {
                 let mips = host_mips(retired, start.elapsed());
@@ -458,29 +562,32 @@ impl<E: IsaExecutor> EmulationCore<E> {
             }
         }
         state.instret = retired;
-        for obs in observers.iter_mut() {
-            obs.on_finish();
-        }
-        Ok(RunStats {
-            retired,
-            exit_code: state.exited.unwrap_or(0),
-            stop: StopReason::Exited,
-            wall: start.elapsed(),
-        })
+        Ok(StopReason::Exited)
     }
 
     /// Retire exactly one instruction through [`IsaExecutor::step`] and
-    /// hand it to the observers the way a block of one would.
+    /// append its record to the run, as a block of one would.
     fn step_one(
         &self,
         state: &mut CpuState,
-        observers: &mut [&mut dyn Observer],
+        run: Option<&mut Vec<RetiredInst>>,
     ) -> Result<(), SimError> {
         let ri = self.exec.step(state)?;
-        for obs in observers.iter_mut() {
-            obs.on_retire(&ri);
+        if let Some(run) = run {
+            run.push(ri);
         }
         Ok(())
+    }
+}
+
+/// Hand `run` to every observer, one [`Observer::on_records`] call each,
+/// and empty it. An empty run goes to no one.
+fn dispatch(run: &mut Vec<RetiredInst>, observers: &mut [&mut dyn Observer]) {
+    if !run.is_empty() {
+        for obs in observers.iter_mut() {
+            obs.on_records(run);
+        }
+        run.clear();
     }
 }
 
@@ -778,19 +885,18 @@ mod tests {
             &self,
             state: &mut CpuState,
             fuel: u64,
-            mut sink: Option<&mut dyn FnMut(&RetiredInst)>,
+            run: Option<&mut Vec<RetiredInst>>,
         ) -> (u64, Option<SimError>) {
             self.block_calls.set(self.block_calls.get() + 1);
             self.block_starts.borrow_mut().push(state.pc);
+            let mut slots = RunSlots::new(run);
             let take = fuel.min(16);
             let mut done = 0;
             while done < take && state.exited.is_none() {
                 match self.step(state) {
                     Ok(ri) => {
                         done += 1;
-                        if let Some(s) = sink.as_mut() {
-                            s(&ri);
-                        }
+                        slots.push(ri);
                     }
                     Err(e) => return (done, Some(e)),
                 }
@@ -816,6 +922,135 @@ mod tests {
             self.records += 1;
             self.last_pc = ri.pc;
         }
+    }
+
+    /// Keeps every run it is handed. The core hands out runs only, so a
+    /// record handed on its own fails the test.
+    #[derive(Default)]
+    struct Runs {
+        runs: Vec<Vec<RetiredInst>>,
+        finished: bool,
+    }
+
+    impl Runs {
+        fn records(&self) -> Vec<RetiredInst> {
+            self.runs.concat()
+        }
+
+        /// No run is empty, and none is longer than a full run plus one
+        /// of `BlockSpinExec`'s 16-instruction blocks.
+        fn assert_bounded(&self) {
+            for run in &self.runs {
+                assert!(
+                    !run.is_empty() && run.len() <= RUN_RECORDS + 16,
+                    "run of {} records",
+                    run.len()
+                );
+            }
+        }
+    }
+
+    impl Observer for Runs {
+        fn on_retire(&mut self, _ri: &RetiredInst) {
+            panic!("the core hands observers runs, not single records");
+        }
+
+        fn on_records(&mut self, run: &[RetiredInst]) {
+            self.runs.push(run.to_vec());
+        }
+
+        fn on_finish(&mut self) {
+            self.finished = true;
+        }
+    }
+
+    /// The records a spinning guest retires as its retirements `range`.
+    fn spin_records(range: std::ops::Range<u64>) -> Vec<RetiredInst> {
+        range
+            .map(|n| RetiredInst::new(pc_at(n), InstGroup::IntAlu))
+            .collect()
+    }
+
+    #[test]
+    fn observers_get_bounded_runs_that_concatenate_to_the_stream() {
+        let n = 3 * RUN_RECORDS as u64 + 37;
+        for blocks in [false, true] {
+            let mut st = spinning_state();
+            st.mem.write_u32(pc_at(n - 1), 1).unwrap();
+            let (mut a, mut b) = (Runs::default(), Runs::default());
+            let mut observers: [&mut dyn Observer; 2] = [&mut a, &mut b];
+            let stats = if blocks {
+                EmulationCore::new(BlockSpinExec::new()).run(&mut st, &mut observers)
+            } else {
+                EmulationCore::new(SpinExec::new()).run(&mut st, &mut observers)
+            }
+            .unwrap();
+            assert_eq!(stats.retired, n);
+            for runs in [&a, &b] {
+                runs.assert_bounded();
+                assert_eq!(runs.records(), spin_records(0..n), "blocks: {blocks}");
+                assert!(runs.finished);
+            }
+        }
+    }
+
+    #[test]
+    fn a_trap_leaves_observers_holding_exactly_the_records_before_it() {
+        let n = 2 * RUN_RECORDS as u64 + 5;
+        let mut st = spinning_state();
+        let mut runs = Runs::default();
+        let plan = FaultPlan::parse(&format!("trap@{n}")).unwrap();
+        let err = EmulationCore::new(BlockSpinExec::new())
+            .with_injector(Box::new(plan))
+            .run(&mut st, &mut [&mut runs])
+            .unwrap_err();
+        assert!(matches!(err, SimError::Fault { .. }), "{err}");
+        assert_eq!(st.instret, n);
+        assert_eq!(runs.records(), spin_records(0..n));
+        assert!(!runs.finished, "a failed run does not finish");
+    }
+
+    #[test]
+    fn a_checkpoint_pause_leaves_observers_holding_every_record() {
+        let interval = EmulationCore::<SpinExec>::DEADLINE_CHECK_INTERVAL;
+        // Resumed 5 retirements in, the run pauses at the masked boundary
+        // 2 * interval with a partial run pending.
+        let mut st = spinning_state();
+        st.instret = 5;
+        let paused = 2 * interval - 5;
+        assert_ne!(paused % RUN_RECORDS as u64, 0);
+        st.mem.write_u32(pc_at(paused + 99), 4).unwrap();
+        let core = EmulationCore::new(BlockSpinExec::new()).with_checkpoint_every(interval);
+        let mut runs = Runs::default();
+        let stats = core.run(&mut st, &mut [&mut runs]).unwrap();
+        assert_eq!(stats.stop, StopReason::CheckpointDue);
+        assert_eq!(st.instret, 2 * interval);
+        assert_eq!(runs.records(), spin_records(0..paused));
+        assert!(!runs.finished, "a pause does not finish");
+        let stats = core.run(&mut st, &mut [&mut runs]).unwrap();
+        assert_eq!(stats.stop, StopReason::Exited);
+        runs.assert_bounded();
+        assert_eq!(runs.records(), spin_records(0..paused + 100));
+        assert!(runs.finished);
+    }
+
+    #[test]
+    fn records_keep_retirement_order_while_a_read_flip_is_pending() {
+        // SpinExec fetches once per step, so read #1200 is the fetch of
+        // retirement 1199: its exit(8) loses bit 3 and becomes a nop. The
+        // 1,199 single steps before it fill more than two runs.
+        let mut st = spinning_state();
+        st.mem.write_u32(pc_at(1199), 8).unwrap();
+        st.mem.write_u32(pc_at(3000), 9).unwrap();
+        let plan = FaultPlan::parse("read@1200:3").unwrap();
+        let mut runs = Runs::default();
+        let stats = EmulationCore::new(BlockSpinExec::new())
+            .with_injector(Box::new(plan))
+            .run(&mut st, &mut [&mut runs])
+            .unwrap();
+        assert_eq!((stats.retired, stats.exit_code), (3001, 9));
+        runs.assert_bounded();
+        assert_eq!(runs.records(), spin_records(0..3001));
     }
 
     #[test]

@@ -61,7 +61,8 @@ pub mod state;
 
 pub use crate::checkpoint::{CampaignState, Checkpoint, CheckpointError, TraceMark};
 pub use crate::core::{
-    host_mips, progress_interval, EmulationCore, IsaExecutor, RunStats, StopReason,
+    host_mips, progress_interval, EmulationCore, IsaExecutor, RunSlots, RunStats, StopReason,
+    MAX_BLOCK_LEN,
 };
 pub use crate::deps::DepTable;
 pub use crate::error::SimError;

@@ -11,6 +11,8 @@
 //! * [`OoOCore`] — out-of-order with a ROB, issue width and per-class
 //!   functional units (TX2-class by default).
 
+use std::marker::PhantomData;
+
 use simcore::{DepTable, InstGroup, Observer, RetiredInst};
 
 use crate::cache::{CacheConfig, CacheModel};
@@ -94,6 +96,14 @@ impl PipelineStats {
     }
 }
 
+/// A model's latency for each group, by [`InstGroup::code`]: filled once,
+/// so a retirement costs one index instead of a call into the model.
+type Latencies = [u64; InstGroup::ALL.len()];
+
+fn latencies<M: LatencyModel>(model: &M) -> Latencies {
+    InstGroup::ALL.map(|g| model.latency(g))
+}
+
 fn unit_class(group: InstGroup) -> usize {
     // 0 = FP, 1 = integer (incl. branch/system), 2 = memory.
     match group {
@@ -129,7 +139,8 @@ fn dcache_extra(dcache: &mut Option<DCache>, ri: &RetiredInst) -> u64 {
 
 /// Dual-issue, in-order, stall-on-use pipeline model.
 pub struct InOrderCore<M: LatencyModel> {
-    model: M,
+    latency: Latencies,
+    model: PhantomData<M>,
     config: PipelineConfig,
     cycle: u64,
     issued_this_cycle: u64,
@@ -144,7 +155,8 @@ impl<M: LatencyModel> InOrderCore<M> {
     /// Create an in-order core with the given latency model and resources.
     pub fn new(model: M, config: PipelineConfig) -> Self {
         InOrderCore {
-            model,
+            latency: latencies(&model),
+            model: PhantomData,
             config,
             cycle: 0,
             issued_this_cycle: 0,
@@ -186,7 +198,9 @@ impl<M: LatencyModel> Observer for InOrderCore<M> {
             self.cycle = ready;
             self.issued_this_cycle = 0;
         }
-        let done = self.cycle + self.model.latency(ri.group) + dcache_extra(&mut self.dcache, ri);
+        let done = self.cycle
+            + self.latency[ri.group.code() as usize]
+            + dcache_extra(&mut self.dcache, ri);
         self.done_max = self.done_max.max(done);
         self.ready.write(ri, done);
         self.issued_this_cycle += 1;
@@ -197,7 +211,8 @@ impl<M: LatencyModel> Observer for InOrderCore<M> {
 /// Out-of-order pipeline model: finite ROB, issue width and functional
 /// units, perfect branch prediction and renaming.
 pub struct OoOCore<M: LatencyModel> {
-    model: M,
+    latency: Latencies,
+    model: PhantomData<M>,
     config: PipelineConfig,
     /// Completion cycle of the value in each location.
     ready: DepTable<u64>,
@@ -221,7 +236,8 @@ impl<M: LatencyModel> OoOCore<M> {
             vec![0u64; config.mem_units as usize],
         ];
         OoOCore {
-            model,
+            latency: latencies(&model),
+            model: PhantomData,
             ready: DepTable::new(),
             rob_retire: vec![0; config.rob.max(1)],
             rob_head: 0,
@@ -274,7 +290,8 @@ impl<M: LatencyModel> Observer for OoOCore<M> {
             .unwrap();
         let start = ready.max(self.fu_free[class][best]);
         self.fu_free[class][best] = start + 1; // pipelined unit: 1/cycle
-        let done = start + self.model.latency(ri.group) + dcache_extra(&mut self.dcache, ri);
+        let done =
+            start + self.latency[ri.group.code() as usize] + dcache_extra(&mut self.dcache, ri);
         self.ready.write(ri, done);
 
         // In-order retirement.
@@ -290,7 +307,7 @@ impl<M: LatencyModel> Observer for OoOCore<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::latency::{Tx2Latency, UnitLatency};
+    use crate::latency::{A64fxLatency, Tx2Latency, UnitLatency};
     use simcore::{RegId, RegSet};
 
     fn alu(dst: u8, srcs: &[u8]) -> RetiredInst {
@@ -305,6 +322,28 @@ mod tests {
         ri.dsts = RegSet::of(&[RegId::Fp(dst)]);
         ri.srcs = srcs.iter().map(|&r| RegId::Fp(r)).collect();
         ri
+    }
+
+    #[test]
+    fn latency_tables_match_the_model_for_every_group() {
+        fn check(model: impl LatencyModel + Clone) {
+            let in_order = InOrderCore::new(model.clone(), PipelineConfig::a55());
+            let ooo = OoOCore::new(model.clone(), PipelineConfig::tx2());
+            for g in InstGroup::ALL {
+                let want = model.latency(g);
+                let at = g.code() as usize;
+                assert_eq!(in_order.latency[at], want, "{} {g:?}", model.name());
+                assert_eq!(ooo.latency[at], want, "{} {g:?}", model.name());
+            }
+        }
+        check(Tx2Latency);
+        check(A64fxLatency);
+        check(UnitLatency);
+        let mut custom = Tx2Latency::table();
+        custom.name = "custom".into();
+        custom.fp_fma = 9;
+        custom.int_div = 40;
+        check(custom);
     }
 
     #[test]

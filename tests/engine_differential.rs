@@ -20,6 +20,9 @@ use isacmp::{
     Observer, Personality, ResultMatrix, RetiredInst, RiscVExecutor, SizeClass, Workload,
 };
 
+use simcore::source::RUN_RECORDS;
+use simcore::MAX_BLOCK_LEN;
+
 mod common;
 use common::stepper::run_stepped;
 
@@ -27,8 +30,8 @@ use common::stepper::run_stepped;
 const BUDGET: u64 = EmulationCore::<RiscVExecutor>::DEFAULT_BUDGET;
 
 /// Folds the full retirement stream — every field of every record, in
-/// order — into one hash. In the core this also exercises per-record
-/// observer dispatch.
+/// order — into one hash. In the core this also exercises run
+/// dispatch.
 #[derive(Default)]
 struct StreamHash {
     hash: u64,
@@ -136,7 +139,7 @@ fn assert_core_matches_stepper(
 
 /// Every kernel × both ISAs at the small size class, bare (no
 /// observers): final state hash, instret, pc, and stop outcome must be
-/// identical. Bare runs hand the executor no record sink, so this is the
+/// identical. Bare runs hand the executor no run buffer, so this is the
 /// leg that exercises block-cached execution without observer dispatch.
 #[test]
 fn small_runs_agree_bare_on_both_engines() {
@@ -189,6 +192,77 @@ fn campaign_runs_agree_on_both_engines() {
         let stepper = run_one(Workload::Lbm, isa, SizeClass::Test, true, campaign(), true);
         let core = run_one(Workload::Lbm, isa, SizeClass::Test, false, campaign(), true);
         assert_eq!(stepper, core, "campaign runs diverge on {isa:?}");
+    }
+}
+
+/// Every run of records an observer is handed, in order: single records
+/// from the stepper, runs from the core.
+#[derive(Default)]
+struct RunLog(Vec<Vec<RetiredInst>>);
+
+impl Observer for RunLog {
+    fn on_retire(&mut self, ri: &RetiredInst) {
+        self.0.push(vec![*ri]);
+    }
+
+    fn on_records(&mut self, run: &[RetiredInst]) {
+        self.0.push(run.to_vec());
+    }
+}
+
+fn logged_run(
+    workload: Workload,
+    isa: IsaKind,
+    fault: Option<&FaultPlan>,
+    stepped: bool,
+) -> (Result<u64, String>, RunLog) {
+    let compiled = compile(
+        &workload.build(SizeClass::Test),
+        isa,
+        &Personality::gcc122(),
+    );
+    let mut st = CpuState::new();
+    compiled.program.load(&mut st).expect("program loads");
+    let mut log = RunLog::default();
+    let injector = fault.map(|p| Box::new(p.clone()) as Box<dyn FaultInjector>);
+    let result = drive_isa(isa, &mut st, &mut [&mut log], injector, stepped);
+    (result.map_err(|e| e.to_string()), log)
+}
+
+/// The core hands its observers runs: none empty, none longer than a full
+/// run plus one block, and together exactly the stepper's records, in
+/// order. That holds for every kernel, when a trap ends the run (the
+/// observers then hold exactly the records retired before it) and while
+/// a read flip is pending (records retire one step at a time).
+#[test]
+fn live_runs_are_bounded_and_concatenate_to_the_steppers_records() {
+    let trap = FaultPlan::parse("trap@1000").unwrap();
+    let flip = FaultPlan::parse("read@40:62").unwrap();
+    let mut cases: Vec<(Workload, Option<&FaultPlan>)> =
+        Workload::ALL.iter().map(|&w| (w, None)).collect();
+    cases.extend([
+        (Workload::Stream, Some(&trap)),
+        (Workload::Stream, Some(&flip)),
+    ]);
+    for (workload, fault) in cases {
+        for isa in [IsaKind::RiscV, IsaKind::AArch64] {
+            let what = format!("{}/{isa:?} fault={fault:?}", workload.name());
+            let (stepper_result, stepper) = logged_run(workload, isa, fault, true);
+            let (core_result, core) = logged_run(workload, isa, fault, false);
+            assert_eq!(core_result, stepper_result, "{what}");
+            for run in &core.0 {
+                assert!(
+                    (1..=RUN_RECORDS + MAX_BLOCK_LEN).contains(&run.len()),
+                    "{what}: a run of {} records",
+                    run.len()
+                );
+            }
+            let records = core.0.concat();
+            assert!(records == stepper.0.concat(), "{what}: records differ");
+            if fault == Some(&trap) {
+                assert_eq!(records.len(), 1000, "{what}");
+            }
+        }
     }
 }
 

@@ -85,7 +85,7 @@ proptest! {
 /// block-boundary-straddling code must retire identical (pc, instret,
 /// state-hash) streams on the emulation core's block loop and on the
 /// per-instruction stepper oracle (`tests/common/stepper.rs`) — with
-/// observers attached (a record sink per block) and bare (none). On
+/// observers attached (records built into a run buffer) and bare (none). On
 /// the first divergence the failing sequence is shrunk by hand (prefix
 /// truncation, then per-instruction nop substitution; the in-tree
 /// proptest shim has no shrinker) before the panic reports it.
