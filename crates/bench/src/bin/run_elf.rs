@@ -51,10 +51,10 @@ use bench::cli;
 use isacmp::telemetry::sampler::Sampler;
 use isacmp::SampleSnapshot;
 use isacmp::{
-    progress_interval, shutdown, AArch64Executor, Campaign, CampaignSpec, CellAnalyses, Checkpoint,
+    executor, progress_interval, shutdown, Campaign, CampaignSpec, CellAnalyses, Checkpoint,
     CpuState, EmulationCore, FaultInjector, FaultPlan, IsaKind, Observer, ProfilingObserver,
-    Program, RiscVExecutor, RunReport, RunStats, SimError, StopReason, TraceMark, TraceMeta,
-    TraceReader, TraceWriter, DEFAULT_CAMPAIGN_WINDOW, DEFAULT_FAULT_SEED,
+    Program, RunReport, RunStats, SimError, StopReason, TraceMark, TraceMeta, TraceReader,
+    TraceWriter, DEFAULT_CAMPAIGN_WINDOW, DEFAULT_FAULT_SEED,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -207,58 +207,26 @@ fn run_segment(
     checkpoint_every: Option<u64>,
     heed_shutdown: bool,
 ) -> Result<RunStats, SimError> {
-    fn core_for<E: isacmp::IsaExecutor>(
-        exec: E,
-        progress: Option<u64>,
-        deadline: Option<Duration>,
-        injector: Option<Box<dyn FaultInjector>>,
-        sample: Option<Arc<SampleSnapshot>>,
-        checkpoint_every: Option<u64>,
-        heed_shutdown: bool,
-    ) -> EmulationCore<E> {
-        let mut core = EmulationCore::new(exec);
-        if let Some(n) = progress {
-            core = core.with_progress(n);
-        }
-        if let Some(d) = deadline {
-            core = core.with_deadline(d);
-        }
-        if let Some(inj) = injector {
-            core = core.with_injector(inj);
-        }
-        if let Some(s) = sample {
-            core = core.with_sampling(s, SAMPLE_LOG2_STRIDE);
-        }
-        if let Some(n) = checkpoint_every {
-            core = core.with_checkpoint_every(n);
-        }
-        if heed_shutdown {
-            core = core.with_shutdown();
-        }
-        core
+    let mut core = EmulationCore::new(executor(isa));
+    if let Some(n) = progress {
+        core = core.with_progress(n);
     }
-    match isa {
-        IsaKind::RiscV => core_for(
-            RiscVExecutor::new(),
-            progress,
-            deadline,
-            injector,
-            sample,
-            checkpoint_every,
-            heed_shutdown,
-        )
-        .run(st, obs),
-        IsaKind::AArch64 => core_for(
-            AArch64Executor::new(),
-            progress,
-            deadline,
-            injector,
-            sample,
-            checkpoint_every,
-            heed_shutdown,
-        )
-        .run(st, obs),
+    if let Some(d) = deadline {
+        core = core.with_deadline(d);
     }
+    if let Some(inj) = injector {
+        core = core.with_injector(inj);
+    }
+    if let Some(s) = sample {
+        core = core.with_sampling(s, SAMPLE_LOG2_STRIDE);
+    }
+    if let Some(n) = checkpoint_every {
+        core = core.with_checkpoint_every(n);
+    }
+    if heed_shutdown {
+        core = core.with_shutdown();
+    }
+    core.run(st, obs)
 }
 
 /// Durably snapshot the paused machine (plus the armed campaign and the

@@ -12,8 +12,8 @@
 //! spans, retired count, host MIPS) as JSON.
 
 use isacmp::{
-    compile, AArch64Executor, CpuState, EmulationCore, IsaExecutor, IsaKind, Observer, Personality,
-    RetiredInst, SizeClass, Workload,
+    compile, executor, CpuState, EmulationCore, IsaKind, Observer, Personality, RetiredInst,
+    SizeClass, Workload,
 };
 
 struct Tracer<'a> {
@@ -141,18 +141,14 @@ fn main() {
         .iter()
         .map(|s| (s.addr, s.bytes.clone()))
         .collect();
-    let rv = |w: u32| isacmp::RiscVExecutor::new().disassemble(w);
-    let arm = |w: u32| AArch64Executor::new().disassemble(w);
-    let disasm: &dyn Fn(u32) -> String = match isa {
-        IsaKind::RiscV => &rv,
-        IsaKind::AArch64 => &arm,
-    };
+    let exec = executor(isa);
+    let disasm = |w: u32| exec.disassemble(w);
     let mut tracer = Tracer {
         max,
         emitted: 0,
         region,
         region_name,
-        disasm,
+        disasm: &disasm,
         text,
     };
     if let Some(name) = &tracer.region_name {
@@ -171,19 +167,15 @@ fn main() {
     let stats = {
         let _span = tel.enter("emulate");
         let mut obs: Vec<&mut dyn Observer> = vec![&mut tracer];
-        match isa {
-            IsaKind::RiscV => {
-                EmulationCore::new(isacmp::RiscVExecutor::new()).run(&mut st, &mut obs)
-            }
-            IsaKind::AArch64 => EmulationCore::new(AArch64Executor::new()).run(&mut st, &mut obs),
-        }
-        .unwrap_or_else(|e| {
-            eprintln!(
-                "guest fault: {e} (pc={:#x}, after {} retired instructions)",
-                st.pc, st.instret
-            );
-            std::process::exit(1);
-        })
+        EmulationCore::new(&exec)
+            .run(&mut st, &mut obs)
+            .unwrap_or_else(|e| {
+                eprintln!(
+                    "guest fault: {e} (pc={:#x}, after {} retired instructions)",
+                    st.pc, st.instret
+                );
+                std::process::exit(1);
+            })
     };
 
     if let Some(path) = metrics_path {

@@ -71,7 +71,7 @@ pub use simcore::{
 pub use telemetry;
 pub use telemetry::{ProfilingObserver, RunReport};
 pub use uarch::{
-    run_guest, BimodalPredictor, BranchStats, CacheConfig, CacheModel, CacheStats, GsharePredictor,
+    BimodalPredictor, BranchStats, CacheConfig, CacheModel, CacheStats, GsharePredictor,
     InOrderCore, LatencyModel, OoOCore, PipelineConfig, PipelineStats, Tx2Latency, UnitLatency,
 };
 pub use workloads::{SizeClass, Workload};
@@ -94,6 +94,15 @@ fn cell_label(workload: Workload, isa: IsaKind, personality: &Personality) -> St
         isa_label(isa),
         personality.label()
     )
+}
+
+/// A fresh executor for `isa`: the one place that picks an ISA's
+/// executor. Every runner builds its emulation core around one of these.
+pub fn executor(isa: IsaKind) -> Box<dyn IsaExecutor> {
+    match isa {
+        IsaKind::RiscV => Box::new(RiscVExecutor::new()),
+        IsaKind::AArch64 => Box::new(AArch64Executor::new()),
+    }
 }
 
 /// Execute a compiled program, streaming retirements through `observers`,
@@ -143,47 +152,20 @@ fn try_execute_inner(
         return Err((CellError::Load(e), Box::new(st)));
     }
 
-    fn build_core<E: IsaExecutor>(
-        exec: E,
-        deadline: Option<std::time::Duration>,
-        injector: Option<Box<dyn FaultInjector>>,
-        budget: Option<u64>,
-        heed_shutdown: bool,
-    ) -> EmulationCore<E> {
-        let mut core = EmulationCore::new(exec);
-        if let Some(b) = budget {
-            core = core.with_budget(b);
-        }
-        if let Some(d) = deadline {
-            core = core.with_deadline(d);
-        }
-        if let Some(inj) = injector {
-            core = core.with_injector(inj);
-        }
-        if heed_shutdown {
-            core = core.with_shutdown();
-        }
-        core
+    let mut core = EmulationCore::new(executor(compiled.program.isa));
+    if let Some(b) = budget {
+        core = core.with_budget(b);
     }
-
-    let result = match compiled.program.isa {
-        IsaKind::RiscV => build_core(
-            RiscVExecutor::new(),
-            deadline,
-            injector,
-            budget,
-            heed_shutdown,
-        )
-        .run(&mut st, observers),
-        IsaKind::AArch64 => build_core(
-            AArch64Executor::new(),
-            deadline,
-            injector,
-            budget,
-            heed_shutdown,
-        )
-        .run(&mut st, observers),
-    };
+    if let Some(d) = deadline {
+        core = core.with_deadline(d);
+    }
+    if let Some(inj) = injector {
+        core = core.with_injector(inj);
+    }
+    if heed_shutdown {
+        core = core.with_shutdown();
+    }
+    let result = core.run(&mut st, observers);
     let stats = match result {
         Ok(stats) => stats,
         Err(err) => {
@@ -1094,9 +1076,10 @@ impl AnyPipeline {
 }
 
 /// [`run_pipeline_full`] on an already compiled program, with typed errors
-/// and the same fault hooks as the emulation path: the guest is driven through `uarch::run_guest`, so a
-/// wall-clock deadline and a [`FaultInjector`] (plan or whole campaign)
-/// apply to the pipeline-timed run exactly as they do to [`try_execute`].
+/// and the same fault hooks as the emulation path: the pipeline model is
+/// one more observer of [`try_execute_with`]'s run, so a wall-clock
+/// deadline and a [`FaultInjector`] (plan or whole campaign) apply to the
+/// pipeline-timed run exactly as they do to [`try_execute`].
 /// Returns the final architectural state alongside the timing stats so
 /// differential tests can compare the two paths.
 pub fn try_run_pipeline_full(
@@ -1108,38 +1091,8 @@ pub fn try_run_pipeline_full(
     injector: Option<Box<dyn FaultInjector>>,
 ) -> Result<(CpuState, PipelineStats), CellError> {
     let _span = telemetry::global().enter("pipeline");
-    let mut st = CpuState::new();
-    compiled.program.load(&mut st).map_err(CellError::Load)?;
     let mut core = AnyPipeline::build(config, out_of_order, dcache);
-    let result = match compiled.program.isa {
-        IsaKind::RiscV => uarch::run_guest(
-            core.observer(),
-            RiscVExecutor::new(),
-            &mut st,
-            deadline,
-            injector,
-        ),
-        IsaKind::AArch64 => uarch::run_guest(
-            core.observer(),
-            AArch64Executor::new(),
-            &mut st,
-            deadline,
-            injector,
-        ),
-    };
-    let stats = result.map_err(|err| {
-        let instret = st.instret;
-        if err.is_watchdog() {
-            CellError::Timeout { err, instret }
-        } else {
-            CellError::Sim { err, instret }
-        }
-    })?;
-    if stats.exit_code != 0 {
-        return Err(CellError::NonZeroExit {
-            code: stats.exit_code,
-        });
-    }
+    let (st, _) = try_execute_with(compiled, &mut [core.observer()], deadline, injector)?;
     Ok((st, core.stats()))
 }
 
@@ -1184,14 +1137,12 @@ pub fn disassemble_region(compiled: &Compiled, region: &str) -> Vec<(u64, String
         // A listing tool shouldn't panic: surface the reason in-band.
         return vec![(0, format!("<load failed: {e}>"))];
     }
+    let exec = executor(program.isa);
     let mut out = Vec::new();
     for r in program.regions.iter().filter(|r| r.name == region) {
         for pc in (r.start..r.end).step_by(4) {
             let text = match st.mem.read_u32(pc) {
-                Ok(word) => match program.isa {
-                    IsaKind::RiscV => RiscVExecutor::new().disassemble(word),
-                    IsaKind::AArch64 => AArch64Executor::new().disassemble(word),
-                },
+                Ok(word) => exec.disassemble(word),
                 Err(_) => "<unmapped>".to_string(),
             };
             out.push((pc, text));

@@ -1,5 +1,9 @@
 //! Functional execution of A64 instructions.
 //!
+//! [`A64`] gives the shared block-caching front end
+//! ([`simcore::BlockExecutor`]) the A64 decoder, block terminators and
+//! semantics; [`AArch64Executor`] is that front end over them.
+//!
 //! Register 31 resolves to SP or ZR per the architectural rules of each
 //! instruction class. ZR reads/writes are omitted from the retirement
 //! record's source/destination sets (breaking dependency chains exactly as
@@ -7,102 +11,55 @@
 //! The NZCV flags are reported as the [`RegId::Flags`] slot, so `cmp` ->
 //! `b.ne` sequences form two-instruction dependency chains.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use simcore::{
-    CpuState, IsaExecutor, RegId, RetiredInst, RunSlots, SimError, WordMap, MAX_BLOCK_LEN,
-};
+use simcore::{BlockExecutor, CpuState, IsaSemantics, RegId, RetiredInst, SimError};
 
 use crate::decode::decode;
 use crate::encode::fp_imm8_to_f64;
 use crate::inst::*;
 
-/// A pre-decoded basic block: the straight-line instruction run starting
-/// at `start`, ending at the first control-flow terminator (or the length
-/// cap / first undecodable word, whichever comes sooner). Instruction `i`
-/// sits at `start + 4*i`; only the final instruction can redirect the PC,
-/// so execution inside a block is purely sequential.
-struct Block {
-    start: u64,
-    insts: Vec<Inst>,
-}
+/// The A64 semantics the shared block-caching front end runs.
+pub struct A64;
 
-/// Whether `inst` ends a basic block: anything that can change control
-/// flow (or end the run) — branches, register jumps, and the trap
-/// instructions.
-fn ends_block(inst: &Inst) -> bool {
-    matches!(
-        inst,
-        Inst::B { .. }
-            | Inst::BCond { .. }
-            | Inst::Cbz { .. }
-            | Inst::Tbz { .. }
-            | Inst::BrReg { .. }
-            | Inst::Svc { .. }
-            | Inst::Brk { .. }
-    )
-}
+/// AArch64 executor: the shared [`BlockExecutor`] over [`A64`].
+pub type AArch64Executor = BlockExecutor<A64>;
 
-/// AArch64 executor with a per-instance decode cache and a pre-decoded
-/// basic-block cache (used by the core's block loop).
-#[derive(Default)]
-pub struct AArch64Executor {
-    cache: RefCell<WordMap<Inst>>,
-    blocks: RefCell<WordMap<Rc<Block>>>,
-}
+impl IsaSemantics for A64 {
+    type Inst = Inst;
 
-impl AArch64Executor {
-    /// Create a fresh executor.
-    pub fn new() -> Self {
-        AArch64Executor::default()
+    const NAME: &'static str = "aarch64";
+
+    fn decode(word: u32) -> Result<Inst, String> {
+        decode(word).map_err(|e| e.msg)
     }
 
-    /// Look up (or build and cache) the block starting at `pc`. `None`
-    /// when no block can start there — misaligned PC, unreadable or
-    /// undecodable first word — in which case the per-instruction path
-    /// must produce the exact fault. Build failures are never cached:
-    /// memory may be remapped or repaired before the PC is reached again.
-    fn block_at(&self, state: &CpuState, pc: u64) -> Option<Rc<Block>> {
-        if pc & 3 != 0 {
-            return None;
+    /// Branches, register jumps, and the trap instructions.
+    fn ends_block(inst: &Inst) -> bool {
+        matches!(
+            inst,
+            Inst::B { .. }
+                | Inst::BCond { .. }
+                | Inst::Cbz { .. }
+                | Inst::Tbz { .. }
+                | Inst::BrReg { .. }
+                | Inst::Svc { .. }
+                | Inst::Brk { .. }
+        )
+    }
+
+    fn execute_into(
+        inst: &Inst,
+        pc: u64,
+        state: &mut CpuState,
+        slot: &mut RetiredInst,
+    ) -> Result<(), SimError> {
+        execute_into(inst, pc, state, slot)
+    }
+
+    fn disassemble(word: u32) -> String {
+        match decode(word) {
+            Ok(i) => crate::disasm::disassemble(&i),
+            Err(e) => format!(".inst {word:#010x} ; {e}"),
         }
-        if let Some(b) = self.blocks.borrow().get(&pc) {
-            return Some(Rc::clone(b));
-        }
-        let mut insts = Vec::new();
-        let mut cur = pc;
-        loop {
-            // A decode `step` has cached wins over the word in memory: a
-            // read flip that landed on that fetch keeps its flipped
-            // instruction for the rest of the run, as stepping does.
-            let cached = self.cache.borrow().get(&cur).copied();
-            let inst = match cached {
-                Some(i) => i,
-                None => {
-                    let word = match state.mem.read_u32(cur) {
-                        Ok(w) => w,
-                        Err(_) => break,
-                    };
-                    match decode(word) {
-                        Ok(i) => i,
-                        Err(_) => break,
-                    }
-                }
-            };
-            let done = ends_block(&inst);
-            insts.push(inst);
-            if done || insts.len() == MAX_BLOCK_LEN {
-                break;
-            }
-            cur = cur.wrapping_add(4);
-        }
-        if insts.is_empty() {
-            return None;
-        }
-        let b = Rc::new(Block { start: pc, insts });
-        self.blocks.borrow_mut().insert(pc, Rc::clone(&b));
-        Some(b)
     }
 }
 
@@ -337,84 +294,6 @@ fn ror_bits(v: u64, r: u32, bits: u32) -> u64 {
         v
     } else {
         ((v >> r) | (v << (bits - r))) & mask
-    }
-}
-
-impl IsaExecutor for AArch64Executor {
-    fn step(&self, state: &mut CpuState) -> Result<RetiredInst, SimError> {
-        let pc = state.pc;
-        if pc & 3 != 0 {
-            return Err(SimError::MisalignedPc { pc });
-        }
-        let cached = self.cache.borrow_mut().get(&pc).copied();
-        let inst = match cached {
-            Some(i) => i,
-            None => {
-                let word = state.mem.read_u32(pc)?;
-                let i = decode(word).map_err(|e| SimError::Decode {
-                    pc,
-                    word,
-                    msg: e.msg,
-                })?;
-                self.cache.borrow_mut().insert(pc, i);
-                i
-            }
-        };
-        execute(&inst, pc, state)
-    }
-
-    fn disassemble(&self, word: u32) -> String {
-        match decode(word) {
-            Ok(i) => crate::disasm::disassemble(&i),
-            Err(e) => format!(".inst {word:#010x} ; {e}"),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "aarch64"
-    }
-
-    fn flush_decode_cache(&self) {
-        self.cache.borrow_mut().clear();
-        self.blocks.borrow_mut().clear();
-    }
-
-    fn run_block(
-        &self,
-        state: &mut CpuState,
-        fuel: u64,
-        run: Option<&mut Vec<RetiredInst>>,
-    ) -> (u64, Option<SimError>) {
-        let mut slots = RunSlots::new(run);
-        let mut done = 0u64;
-        while done < fuel && state.exited.is_none() && !slots.full() {
-            let Some(block) = self.block_at(state, state.pc) else {
-                // No block can start here; the per-instruction path
-                // raises the exact architectural fault (misaligned PC,
-                // unmapped fetch, undecodable word).
-                match self.step(state) {
-                    Ok(ri) => {
-                        done += 1;
-                        slots.push(ri);
-                        continue;
-                    }
-                    Err(e) => return (done, Some(e)),
-                }
-            };
-            // A block never straddles the fuel boundary: execute only the
-            // prefix that fits, and the next call re-enters mid-block (the
-            // remainder is itself a valid block keyed by its start PC).
-            let take = (block.insts.len() as u64).min(fuel - done) as usize;
-            for (i, inst) in block.insts[..take].iter().enumerate() {
-                let ipc = block.start.wrapping_add(4 * i as u64);
-                if let Err(e) = execute_into(inst, ipc, state, slots.next_slot()) {
-                    slots.discard();
-                    return (done, Some(e));
-                }
-                done += 1;
-            }
-        }
-        (done, None)
     }
 }
 

@@ -1,103 +1,57 @@
 //! Functional execution of RV64G instructions.
 //!
-//! [`RiscVExecutor`] implements [`simcore::IsaExecutor`]: it fetches the
-//! word at `pc`, decodes it (through a decode cache — instruction memory is
-//! immutable in our statically linked images), executes it against the
-//! architectural state, and emits the [`RetiredInst`] record dependency
-//! analyses consume.
+//! [`Rv64g`] gives the shared block-caching front end
+//! ([`simcore::BlockExecutor`]) RV64G's decoder, block terminators and
+//! semantics; [`RiscVExecutor`] is that front end over them. Each
+//! instruction executes against the architectural state and emits the
+//! [`RetiredInst`] record dependency analyses consume.
 //!
 //! Zero-register handling matches the paper's critical-path method: `x0`
 //! always reads zero and is never reported as a source or destination, so
 //! chains naturally break through it.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use simcore::{
-    CpuState, IsaExecutor, RegId, RetiredInst, RunSlots, SimError, WordMap, MAX_BLOCK_LEN,
-};
+use simcore::{BlockExecutor, CpuState, IsaSemantics, RegId, RetiredInst, SimError};
 
 use crate::decode::decode;
 use crate::inst::*;
 
-/// A pre-decoded basic block: the straight-line instruction run starting
-/// at `start`, ending at the first control-flow terminator (or the length
-/// cap / first undecodable word, whichever comes sooner). Instruction `i`
-/// sits at `start + 4*i`; only the final instruction can redirect the PC,
-/// so execution inside a block is purely sequential.
-struct Block {
-    start: u64,
-    insts: Vec<Inst>,
-}
+/// The RV64G semantics the shared block-caching front end runs.
+pub struct Rv64g;
 
-/// Whether `inst` ends a basic block: anything that can change control
-/// flow (or end the run) — jumps, branches, and the trap instructions.
-fn ends_block(inst: &Inst) -> bool {
-    matches!(
-        inst,
-        Inst::Jal { .. } | Inst::Jalr { .. } | Inst::Branch { .. } | Inst::Ecall | Inst::Ebreak
-    )
-}
+/// RV64G executor: the shared [`BlockExecutor`] over [`Rv64g`].
+pub type RiscVExecutor = BlockExecutor<Rv64g>;
 
-/// RV64G executor with a per-instance decode cache and a pre-decoded
-/// basic-block cache (used by the core's block loop).
-#[derive(Default)]
-pub struct RiscVExecutor {
-    cache: RefCell<WordMap<Inst>>,
-    blocks: RefCell<WordMap<Rc<Block>>>,
-}
+impl IsaSemantics for Rv64g {
+    type Inst = Inst;
 
-impl RiscVExecutor {
-    /// Create a fresh executor.
-    pub fn new() -> Self {
-        RiscVExecutor::default()
+    const NAME: &'static str = "rv64g";
+
+    fn decode(word: u32) -> Result<Inst, String> {
+        decode(word).map_err(|e| e.msg)
     }
 
-    /// Look up (or build and cache) the block starting at `pc`. `None`
-    /// when no block can start there — misaligned PC, unreadable or
-    /// undecodable first word — in which case the per-instruction path
-    /// must produce the exact fault. Build failures are never cached:
-    /// memory may be remapped or repaired before the PC is reached again.
-    fn block_at(&self, state: &CpuState, pc: u64) -> Option<Rc<Block>> {
-        if pc & 3 != 0 {
-            return None;
+    /// Jumps, branches, and the trap instructions.
+    fn ends_block(inst: &Inst) -> bool {
+        matches!(
+            inst,
+            Inst::Jal { .. } | Inst::Jalr { .. } | Inst::Branch { .. } | Inst::Ecall | Inst::Ebreak
+        )
+    }
+
+    fn execute_into(
+        inst: &Inst,
+        pc: u64,
+        state: &mut CpuState,
+        slot: &mut RetiredInst,
+    ) -> Result<(), SimError> {
+        execute_into(inst, pc, state, slot)
+    }
+
+    fn disassemble(word: u32) -> String {
+        match decode(word) {
+            Ok(i) => crate::disasm::disassemble(&i),
+            Err(e) => format!(".word {word:#010x} ; {e}"),
         }
-        if let Some(b) = self.blocks.borrow().get(&pc) {
-            return Some(Rc::clone(b));
-        }
-        let mut insts = Vec::new();
-        let mut cur = pc;
-        loop {
-            // A decode `step` has cached wins over the word in memory: a
-            // read flip that landed on that fetch keeps its flipped
-            // instruction for the rest of the run, as stepping does.
-            let cached = self.cache.borrow().get(&cur).copied();
-            let inst = match cached {
-                Some(i) => i,
-                None => {
-                    let word = match state.mem.read_u32(cur) {
-                        Ok(w) => w,
-                        Err(_) => break,
-                    };
-                    match decode(word) {
-                        Ok(i) => i,
-                        Err(_) => break,
-                    }
-                }
-            };
-            let done = ends_block(&inst);
-            insts.push(inst);
-            if done || insts.len() == MAX_BLOCK_LEN {
-                break;
-            }
-            cur = cur.wrapping_add(4);
-        }
-        if insts.is_empty() {
-            return None;
-        }
-        let b = Rc::new(Block { start: pc, insts });
-        self.blocks.borrow_mut().insert(pc, Rc::clone(&b));
-        Some(b)
     }
 }
 
@@ -319,84 +273,6 @@ fn cvt_int_to_f64(v: u64, ty: IntTy) -> f64 {
         IntTy::Wu => (v as u32) as f64,
         IntTy::L => (v as i64) as f64,
         IntTy::Lu => v as f64,
-    }
-}
-
-impl IsaExecutor for RiscVExecutor {
-    fn step(&self, state: &mut CpuState) -> Result<RetiredInst, SimError> {
-        let pc = state.pc;
-        if pc & 3 != 0 {
-            return Err(SimError::MisalignedPc { pc });
-        }
-        let cached = self.cache.borrow_mut().get(&pc).copied();
-        let inst = match cached {
-            Some(i) => i,
-            None => {
-                let word = state.mem.read_u32(pc)?;
-                let i = decode(word).map_err(|e| SimError::Decode {
-                    pc,
-                    word,
-                    msg: e.msg,
-                })?;
-                self.cache.borrow_mut().insert(pc, i);
-                i
-            }
-        };
-        execute(&inst, pc, state)
-    }
-
-    fn disassemble(&self, word: u32) -> String {
-        match decode(word) {
-            Ok(i) => crate::disasm::disassemble(&i),
-            Err(e) => format!(".word {word:#010x} ; {e}"),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "rv64g"
-    }
-
-    fn flush_decode_cache(&self) {
-        self.cache.borrow_mut().clear();
-        self.blocks.borrow_mut().clear();
-    }
-
-    fn run_block(
-        &self,
-        state: &mut CpuState,
-        fuel: u64,
-        run: Option<&mut Vec<RetiredInst>>,
-    ) -> (u64, Option<SimError>) {
-        let mut slots = RunSlots::new(run);
-        let mut done = 0u64;
-        while done < fuel && state.exited.is_none() && !slots.full() {
-            let Some(block) = self.block_at(state, state.pc) else {
-                // No block can start here; the per-instruction path
-                // raises the exact architectural fault (misaligned PC,
-                // unmapped fetch, undecodable word).
-                match self.step(state) {
-                    Ok(ri) => {
-                        done += 1;
-                        slots.push(ri);
-                        continue;
-                    }
-                    Err(e) => return (done, Some(e)),
-                }
-            };
-            // A block never straddles the fuel boundary: execute only the
-            // prefix that fits, and the next call re-enters mid-block (the
-            // remainder is itself a valid block keyed by its start PC).
-            let take = (block.insts.len() as u64).min(fuel - done) as usize;
-            for (i, inst) in block.insts[..take].iter().enumerate() {
-                let ipc = block.start.wrapping_add(4 * i as u64);
-                if let Err(e) = execute_into(inst, ipc, state, slots.next_slot()) {
-                    slots.discard();
-                    return (done, Some(e));
-                }
-                done += 1;
-            }
-        }
-        (done, None)
     }
 }
 
@@ -984,6 +860,7 @@ pub fn execute_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::{IsaExecutor, MAX_BLOCK_LEN};
 
     fn fresh() -> CpuState {
         CpuState::new()

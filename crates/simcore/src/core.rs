@@ -24,7 +24,7 @@ pub fn host_mips(retired: u64, wall: Duration) -> f64 {
     }
 }
 
-/// Longest straight-line run an ISA back-end pre-decodes into one block.
+/// Longest straight-line run the front end pre-decodes into one block.
 /// It bounds the work a block-cache miss performs, how far past a hot
 /// loop's entry the builder decodes, and how far a block carries a run
 /// past [`RUN_RECORDS`]: executors look at the run's length only between
@@ -32,8 +32,9 @@ pub fn host_mips(retired: u64, wall: Duration) -> f64 {
 /// this many records and it never reallocates.
 pub const MAX_BLOCK_LEN: usize = 64;
 
-/// Implemented by each ISA back-end: fetch, decode and execute exactly one
-/// instruction, mutating `state` and describing what happened.
+/// What the core drives: fetch, decode and execute exactly one
+/// instruction, mutating `state` and describing what happened. Both ISAs
+/// implement it through the shared [`crate::BlockExecutor`] front end.
 pub trait IsaExecutor {
     /// Execute the instruction at `state.pc`, advance the PC, and return the
     /// retirement record.
@@ -46,9 +47,10 @@ pub trait IsaExecutor {
     /// Short ISA name ("rv64g", "aarch64").
     fn name(&self) -> &'static str;
 
-    /// Drop any cached decodes. Called by the core after instruction memory
-    /// is mutated behind the executor's back (fault injection); the default
-    /// suits executors that do not cache. Block-building executors must
+    /// Drop any cached decodes. Called by the core when a fault injector
+    /// asks: after it mutates instruction memory behind the executor's
+    /// back, or when it arms a read flip that must count every fetch. The
+    /// default suits executors that do not cache. Block-building executors must
     /// drop their block cache here too, not just per-instruction decodes.
     fn flush_decode_cache(&self) {}
 
@@ -58,7 +60,7 @@ pub trait IsaExecutor {
     /// instruction, exactly as a failed [`IsaExecutor::step`] leaves it.
     ///
     /// When `run` is present, every retirement record is appended to it in
-    /// program order, built in place in its slot through [`RunSlots`]; a
+    /// program order, built in place in its slot; a
     /// faulting instruction's slot is taken back, so the run ends with the
     /// last record that retired. The executor also returns at the first
     /// block boundary at which the run holds [`RUN_RECORDS`] records, so a
@@ -66,8 +68,8 @@ pub trait IsaExecutor {
     /// The core passes no run when no observer is attached.
     ///
     /// The default implementation steps one instruction at a time, which is
-    /// semantically exact but gains nothing; block-caching executors
-    /// override it.
+    /// semantically exact but gains nothing; [`crate::BlockExecutor`]
+    /// overrides it.
     fn run_block(
         &self,
         state: &mut CpuState,
@@ -92,7 +94,7 @@ pub trait IsaExecutor {
 /// Where [`IsaExecutor::run_block`] builds retirement records: in the next
 /// slot of the observers' run buffer, or, on a bare run, in one scratch
 /// record that every retirement overwrites.
-pub struct RunSlots<'a> {
+pub(crate) struct RunSlots<'a> {
     run: Option<&'a mut Vec<RetiredInst>>,
     scratch: RetiredInst,
 }
@@ -149,36 +151,42 @@ impl<'a> RunSlots<'a> {
     }
 }
 
-/// Executors borrow-share cleanly: every trait method takes `&self`, so a
-/// shared reference is itself an executor. This lets one executor (and
-/// its decode/block caches) back several [`EmulationCore`]s in sequence —
-/// the shape cache-invalidation tests and multi-run drivers need.
-impl<E: IsaExecutor + ?Sized> IsaExecutor for &E {
-    fn step(&self, state: &mut CpuState) -> Result<RetiredInst, SimError> {
-        (**self).step(state)
-    }
+/// A shared reference or a box around an executor is itself an executor:
+/// every trait method takes `&self`. A reference lets one executor (and
+/// its decode/block caches) back several [`EmulationCore`]s in sequence;
+/// a box lets a caller pick the ISA at run time.
+macro_rules! forward_executor {
+    ($($ty:ty),*) => {$(
+        impl<E: IsaExecutor + ?Sized> IsaExecutor for $ty {
+            fn step(&self, state: &mut CpuState) -> Result<RetiredInst, SimError> {
+                (**self).step(state)
+            }
 
-    fn disassemble(&self, word: u32) -> String {
-        (**self).disassemble(word)
-    }
+            fn disassemble(&self, word: u32) -> String {
+                (**self).disassemble(word)
+            }
 
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
+            fn name(&self) -> &'static str {
+                (**self).name()
+            }
 
-    fn flush_decode_cache(&self) {
-        (**self).flush_decode_cache()
-    }
+            fn flush_decode_cache(&self) {
+                (**self).flush_decode_cache()
+            }
 
-    fn run_block(
-        &self,
-        state: &mut CpuState,
-        fuel: u64,
-        run: Option<&mut Vec<RetiredInst>>,
-    ) -> (u64, Option<SimError>) {
-        (**self).run_block(state, fuel, run)
-    }
+            fn run_block(
+                &self,
+                state: &mut CpuState,
+                fuel: u64,
+                run: Option<&mut Vec<RetiredInst>>,
+            ) -> (u64, Option<SimError>) {
+                (**self).run_block(state, fuel, run)
+            }
+        }
+    )*};
 }
+
+forward_executor!(&E, Box<E>);
 
 /// Why [`EmulationCore::run`] returned `Ok`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1113,6 +1121,25 @@ mod tests {
             .expect("run exits");
         assert_eq!(stats.retired, 501);
         assert_eq!(stats.exit_code, 9);
+    }
+
+    #[test]
+    fn a_boxed_executor_forwards_every_call() {
+        let exec = BlockSpinExec::new();
+        let boxed: Box<dyn IsaExecutor + '_> = Box::new(&exec);
+        assert_eq!(boxed.name(), "block-spin");
+        boxed.flush_decode_cache();
+        assert_eq!(exec.inner.flushes.get(), 1);
+        let mut st = spinning_state();
+        st.mem.write_u32(pc_at(100), 1).unwrap();
+        let stats = EmulationCore::new(boxed)
+            .run(&mut st, &mut [])
+            .expect("run exits");
+        assert_eq!(stats.retired, 101);
+        assert!(
+            exec.block_calls.get() > 0,
+            "the box must forward run_block, not fall back to stepping"
+        );
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! - [`commit`]: the same rename + directory-fsync discipline for a tmp
 //!   file some other writer already produced (e.g. a streamed trace
 //!   capture), fsyncing it first.
-//! - [`durable_append`]: append one record to a log and `fdatasync` it
-//!   before returning, so an append-only journal survives a crash with
+//! - [`DurableLog::append`]: append one record to a log and `fdatasync`
+//!   it before returning, so an append-only journal survives a crash with
 //!   every acknowledged record intact (the final record may be torn — a
 //!   torn *line* — which readers must tolerate).
 //!

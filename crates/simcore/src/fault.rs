@@ -22,11 +22,11 @@
 //! counts at which it acts ([`FaultInjector::next_due`]); the
 //! [`EmulationCore`](crate::EmulationCore) treats each as one more fuel
 //! boundary of its retire loop and calls `before_step` there (see
-//! `EmulationCore::with_injector`). The uarch
-//! pipeline and cache cores accept the same hook through their `run_guest`
-//! drivers. Read-value flips are armed directly on the
-//! [`Memory`](crate::Memory) at the start of the run (several can be armed
-//! at once).
+//! `EmulationCore::with_injector`). The uarch pipeline and cache models
+//! are observers of that same core, so they see the same faults.
+//! Read-value flips are armed directly on the [`Memory`](crate::Memory)
+//! at the start of the run (several can be armed at once); arming one
+//! flushes the executor's decode caches, so every fetch is counted.
 //!
 //! The layer exists to *prove* the harness's fault tolerance: checksum
 //! verification must catch silent data corruption, and the experiment
@@ -88,7 +88,8 @@ pub enum FaultKind {
 pub enum InjectAction {
     /// Nothing to do; proceed with the step.
     Continue,
-    /// Instruction memory changed: the executor must drop cached decodes.
+    /// Instruction memory changed, or a read flip armed that must count
+    /// every fetch: the executor must drop cached decodes.
     FlushDecodeCache,
 }
 
@@ -497,9 +498,11 @@ impl FaultInjector for FaultPlan {
         match self.kind {
             FaultKind::FlipRead { nth, .. } => {
                 // Armed once, on the memory itself, before the first step.
+                // Decodes cached by an earlier run on a shared executor
+                // would skip fetches the flip must count, so drop them.
                 self.fired = true;
                 state.mem.arm_read_fault(nth, self.read_bit());
-                Ok(InjectAction::Continue)
+                Ok(InjectAction::FlushDecodeCache)
             }
             FaultKind::TrapAt { at_instret } if retired == at_instret => {
                 self.fired = true;

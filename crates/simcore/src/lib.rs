@@ -12,10 +12,12 @@
 //!   [`DepTable`] dependency model every critical-path analysis folds over,
 //! * the [`RetiredInst`] record emitted for every retired instruction and the
 //!   [`Observer`] trait analyses implement to consume the retirement stream,
-//! * the [`IsaExecutor`] trait each ISA crate implements, and the
-//!   single-cycle [`EmulationCore`] driver (the paper's "emulation core
-//!   model which executes each instruction atomically to completion in a
-//!   single cycle"),
+//! * the [`IsaExecutor`] trait the core drives, the block-caching
+//!   [`BlockExecutor`] front end that implements it for both ISAs over
+//!   each ISA crate's [`IsaSemantics`], and the single-cycle
+//!   [`EmulationCore`] driver (the paper's "emulation core model which
+//!   executes each instruction atomically to completion in a single
+//!   cycle"),
 //! * a [`Program`] container + loader for statically linked images produced
 //!   by the `kernelgen` assembler back-ends.
 //!
@@ -47,6 +49,7 @@ pub mod durable;
 pub mod elf;
 pub mod error;
 pub mod fault;
+pub mod frontend;
 pub mod hash;
 pub mod mem;
 pub mod observer;
@@ -61,8 +64,7 @@ pub mod state;
 
 pub use crate::checkpoint::{CampaignState, Checkpoint, CheckpointError, TraceMark};
 pub use crate::core::{
-    host_mips, progress_interval, EmulationCore, IsaExecutor, RunSlots, RunStats, StopReason,
-    MAX_BLOCK_LEN,
+    host_mips, progress_interval, EmulationCore, IsaExecutor, RunStats, StopReason, MAX_BLOCK_LEN,
 };
 pub use crate::deps::DepTable;
 pub use crate::error::SimError;
@@ -70,6 +72,7 @@ pub use crate::fault::{
     Campaign, CampaignSpec, FaultInjector, FaultKind, FaultPlan, InjectAction,
     DEFAULT_CAMPAIGN_WINDOW, DEFAULT_FAULT_SEED,
 };
+pub use crate::frontend::{BlockExecutor, IsaSemantics};
 pub use crate::hash::{WordHasher, WordMap};
 pub use crate::mem::Memory;
 pub use crate::observer::{CountingObserver, Observer};

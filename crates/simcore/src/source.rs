@@ -14,8 +14,9 @@ use crate::retire::RetiredInst;
 /// Something that can stream retired instructions, in program order, into a
 /// set of [`Observer`]s.
 ///
-/// Implementations: a live emulation run (`isacmp::LiveSource`), a replayed
-/// trace (`trace::TraceReader`), or any slice of records (below).
+/// Implementations: a replayed trace (`trace::TraceReader`) and any slice
+/// of records (below). A live run feeds observers directly through
+/// [`EmulationCore::run`](crate::EmulationCore::run).
 pub trait RetireSource {
     /// Pump every remaining retirement through `observers` (calling
     /// [`Observer::on_finish`] at the end), returning the number of

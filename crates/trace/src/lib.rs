@@ -6,7 +6,7 @@
 //! This crate splits *execution* from *analysis*: a [`TraceWriter`] rides the
 //! retirement stream as a [`simcore::Observer`] and encodes each
 //! [`simcore::RetiredInst`] into a delta-compressed, checksummed block
-//! format (see [`format`] for the byte-level spec), and a [`TraceReader`]
+//! format (see [`mod@format`] for the byte-level spec), and a [`TraceReader`]
 //! replays the identical stream later — no compile, no emulation, one block
 //! of memory — through the same observers via [`simcore::RetireSource`].
 //!

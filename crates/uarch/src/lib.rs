@@ -22,12 +22,10 @@
 
 pub mod branch;
 pub mod cache;
-pub mod driver;
 pub mod latency;
 pub mod pipeline;
 
 pub use branch::{BimodalPredictor, BranchStats, GsharePredictor};
 pub use cache::{CacheConfig, CacheModel, CacheStats};
-pub use driver::run_guest;
 pub use latency::{A64fxLatency, LatencyModel, LatencyTable, Tx2Latency, UnitLatency};
 pub use pipeline::{InOrderCore, OoOCore, PipelineConfig, PipelineStats};

@@ -11,8 +11,7 @@ use analysis::{
     PAPER_WINDOW_SIZES,
 };
 use fusion::{merge, recognise, PairKind};
-use isa_aarch64::AArch64Executor;
-use isa_riscv::RiscVExecutor;
+use isacmp::executor;
 use kernelgen::{compile, KernelProgram, Personality};
 use proptest::prelude::*;
 use simcore::{
@@ -588,14 +587,9 @@ fn emulate(prog: &KernelProgram, isa: IsaKind, p: &Personality) -> (Vec<RetiredI
     let mut st = CpuState::new();
     c.program.load(&mut st).unwrap();
     let mut capture = Capture(Vec::new());
-    match isa {
-        IsaKind::RiscV => EmulationCore::new(RiscVExecutor::new())
-            .run(&mut st, &mut [&mut capture])
-            .unwrap(),
-        IsaKind::AArch64 => EmulationCore::new(AArch64Executor::new())
-            .run(&mut st, &mut [&mut capture])
-            .unwrap(),
-    };
+    EmulationCore::new(executor(isa))
+        .run(&mut st, &mut [&mut capture])
+        .unwrap();
     (capture.0, c.program.regions)
 }
 

@@ -14,7 +14,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 use isacmp::{
-    compile, interpret, isa_label, matrix_combos, record_outcome, run_matrix_opts, AArch64Executor,
+    compile, executor, interpret, isa_label, matrix_combos, record_outcome, run_matrix_opts,
     CampaignManifest, CampaignSpec, CellAnalyses, CellError, CellOptions, CpuState, EmulationCore,
     ExperimentCell, FaultInjector, FaultPlan, InjectSpec, IsaExecutor, IsaKind, MatrixOptions,
     Observer, Personality, ResultMatrix, RetiredInst, RiscVExecutor, SizeClass, Workload,
@@ -84,10 +84,7 @@ fn drive_isa(
     injector: Option<Box<dyn FaultInjector>>,
     stepped: bool,
 ) -> Result<u64, isacmp::SimError> {
-    match isa {
-        IsaKind::RiscV => drive(RiscVExecutor::new(), state, observers, injector, stepped),
-        IsaKind::AArch64 => drive(AArch64Executor::new(), state, observers, injector, stepped),
-    }
+    drive(executor(isa), state, observers, injector, stepped)
 }
 
 fn run_one(
@@ -359,20 +356,96 @@ fn matrix_json_is_byte_identical_across_engines() {
 }
 
 mod invalidation {
-    use isa_riscv::{decode, encode, BranchOp, ImmOp, Inst};
-    use isacmp::{CpuState, EmulationCore, FaultInjector, FaultPlan, IsaExecutor, RiscVExecutor};
+    use isa_aarch64::{Cond, MovOp, ShiftType};
+    use isa_riscv::{BranchOp, ImmOp};
+    use isacmp::{
+        executor, CpuState, EmulationCore, FaultInjector, FaultPlan, IsaExecutor, IsaKind,
+    };
 
     use super::common::stepper::run_stepped;
 
     const CODE: u64 = 0x1_0000;
+    const ISAS: [IsaKind; 2] = [IsaKind::RiscV, IsaKind::AArch64];
 
-    fn addi(rd: u8, rs1: u8, imm: i64) -> u32 {
-        encode(&Inst::OpImm {
-            op: ImmOp::Addi,
-            rd,
-            rs1,
-            imm,
-        })
+    /// `x<rd> = imm`.
+    fn mov(isa: IsaKind, rd: u8, imm: u16) -> u32 {
+        match isa {
+            IsaKind::RiscV => isa_riscv::encode(&isa_riscv::Inst::OpImm {
+                op: ImmOp::Addi,
+                rd,
+                rs1: 0,
+                imm: imm.into(),
+            }),
+            IsaKind::AArch64 => isa_aarch64::encode(&isa_aarch64::Inst::MovWide {
+                op: MovOp::Movz,
+                sf: true,
+                rd,
+                imm16: imm,
+                hw: 0,
+            }),
+        }
+    }
+
+    /// The bit of a [`mov`] word that holds bit 6 of its immediate.
+    fn mov_imm_bit6(isa: IsaKind) -> u32 {
+        match isa {
+            IsaKind::RiscV => 1 << 26,
+            IsaKind::AArch64 => 1 << 11,
+        }
+    }
+
+    /// `x1 += 1` until `x1 >= x2`, the increment first, and the bit of the
+    /// increment's word that turns its immediate 1 into 3.
+    fn count_loop(isa: IsaKind) -> (Vec<u32>, u32) {
+        match isa {
+            IsaKind::RiscV => {
+                use isa_riscv::{encode, Inst};
+                let program = vec![
+                    encode(&Inst::OpImm {
+                        op: ImmOp::Addi,
+                        rd: 1,
+                        rs1: 1,
+                        imm: 1,
+                    }),
+                    encode(&Inst::Branch {
+                        op: BranchOp::Blt,
+                        rs1: 1,
+                        rs2: 2,
+                        offset: -4,
+                    }),
+                ];
+                (program, 21)
+            }
+            IsaKind::AArch64 => {
+                use isa_aarch64::{encode, Inst};
+                let program = vec![
+                    encode(&Inst::AddSubImm {
+                        sub: false,
+                        set_flags: false,
+                        sf: true,
+                        rd: 1,
+                        rn: 1,
+                        imm12: 1,
+                        shift12: false,
+                    }),
+                    encode(&Inst::AddSubShifted {
+                        sub: true,
+                        set_flags: true,
+                        sf: true,
+                        rd: 31,
+                        rn: 1,
+                        rm: 2,
+                        shift: ShiftType::Lsl,
+                        amount: 0,
+                    }),
+                    encode(&Inst::BCond {
+                        cond: Cond::Lt,
+                        offset: -8,
+                    }),
+                ];
+                (program, 11)
+            }
+        }
     }
 
     fn load(words: &[u32]) -> CpuState {
@@ -389,22 +462,24 @@ mod invalidation {
     /// execute the new bytes, not the stale decode.
     #[test]
     fn flush_drops_cached_blocks_and_redecodes() {
-        let exec = RiscVExecutor::new();
+        for isa in ISAS {
+            let exec = executor(isa);
 
-        // Warm the block cache with the original program.
-        let mut st = load(&[addi(1, 0, 5)]);
-        let _ = EmulationCore::new(&exec).run(&mut st, &mut []);
-        assert_eq!(st.x[1], 5);
+            // Warm the block cache with the original program.
+            let mut st = load(&[mov(isa, 1, 5)]);
+            let _ = EmulationCore::new(&exec).run(&mut st, &mut []);
+            assert_eq!(st.x[1], 5, "{isa}");
 
-        // Same PC, mutated bytes, same executor: without a flush the
-        // stale block would replay the old immediate.
-        exec.flush_decode_cache();
-        let mut st = load(&[addi(1, 0, 9)]);
-        let _ = EmulationCore::new(&exec).run(&mut st, &mut []);
-        assert_eq!(
-            st.x[1], 9,
-            "flush must force a re-decode of the mutated bytes"
-        );
+            // Same PC, mutated bytes, same executor: without a flush the
+            // stale block would replay the old immediate.
+            exec.flush_decode_cache();
+            let mut st = load(&[mov(isa, 1, 9)]);
+            let _ = EmulationCore::new(&exec).run(&mut st, &mut []);
+            assert_eq!(
+                st.x[1], 9,
+                "{isa}: flush must force a re-decode of the mutated bytes"
+            );
+        }
     }
 
     /// End-to-end: a `fetch@N:MASK` fault mutates the fetched word and
@@ -414,54 +489,83 @@ mod invalidation {
     /// (with the original bytes) must not survive.
     #[test]
     fn fetch_fault_flushes_the_block_cache() {
-        let w_orig = addi(1, 0, 5);
-        const MASK: u32 = 0x0400_0000; // flips imm bit 6: 5 ^ 64 = 69
-        let w_mut = w_orig ^ MASK;
-        assert_eq!(
-            decode(w_mut).unwrap(),
-            Inst::OpImm {
-                op: ImmOp::Addi,
-                rd: 1,
-                rs1: 0,
-                imm: 69
-            },
-            "mask must yield a decodable mutated instruction"
-        );
-        let program = [addi(2, 0, 1), w_orig];
+        for isa in ISAS {
+            let w_orig = mov(isa, 1, 5);
+            let mask = mov_imm_bit6(isa); // 5 ^ 64 = 69
+            let w_mut = w_orig ^ mask;
+            assert_eq!(
+                w_mut,
+                mov(isa, 1, 69),
+                "{isa}: mask must yield a decodable mutated instruction"
+            );
+            let program = [mov(isa, 2, 1), w_orig];
 
-        let exec = RiscVExecutor::new();
+            let exec = executor(isa);
 
-        // Warm the block cache with the pristine program.
+            // Warm the block cache with the pristine program.
+            let mut st = load(&program);
+            let _ = EmulationCore::new(&exec).run(&mut st, &mut []);
+            assert_eq!(st.x[1], 5, "{isa}");
+
+            // Fault at retirement 1: the word at CODE+4 is XOR-masked in
+            // guest memory and the decode caches are flushed.
+            let plan = FaultPlan::parse(&format!("fetch@1:{mask:#x}")).unwrap();
+            let mut st = load(&program);
+            let _ = EmulationCore::new(&exec)
+                .with_injector(Box::new(plan))
+                .run(&mut st, &mut []);
+            assert_eq!(
+                st.x[1], 69,
+                "{isa}: the corrupted fetch must execute the mutated immediate"
+            );
+            assert_eq!(
+                st.mem.read_u32(CODE + 4).unwrap(),
+                w_mut,
+                "{isa}: the fault mutates guest memory"
+            );
+
+            // A run over a mutated image at the warm PC: only the
+            // fault's cache flush makes this re-decode instead of replaying
+            // the pristine block cached in step one.
+            let mut st = load(&[program[0], w_mut]);
+            let _ = EmulationCore::new(&exec).run(&mut st, &mut []);
+            assert_eq!(
+                st.x[1], 69,
+                "{isa}: stale pre-fault block must not survive the flush"
+            );
+        }
+    }
+
+    /// Run [`count_loop`] to `x2 = 50` on `exec` (or on the stepper over
+    /// it), with its increment's first fetch flipped when `flip`: read #1
+    /// is that fetch.
+    fn run_loop<E: IsaExecutor>(
+        isa: IsaKind,
+        exec: &E,
+        stepped: bool,
+        flip: bool,
+    ) -> (Result<u64, String>, u64, u64, u64) {
+        let (program, bit) = count_loop(isa);
+        let injector = flip.then(|| {
+            Box::new(FaultPlan::parse(&format!("read@1:{bit}")).unwrap()) as Box<dyn FaultInjector>
+        });
         let mut st = load(&program);
-        let _ = EmulationCore::new(&exec).run(&mut st, &mut []);
-        assert_eq!(st.x[1], 5);
-
-        // Fault at retirement 1: the word at CODE+4 is XOR-masked in
-        // guest memory and the decode caches are flushed.
-        let plan = FaultPlan::parse(&format!("fetch@1:{MASK:#x}")).unwrap();
-        let mut st = load(&program);
-        let _ = EmulationCore::new(&exec)
-            .with_injector(Box::new(plan))
-            .run(&mut st, &mut []);
-        assert_eq!(
-            st.x[1], 69,
-            "the corrupted fetch must execute the mutated immediate"
-        );
-        assert_eq!(
-            st.mem.read_u32(CODE + 4).unwrap(),
-            w_mut,
-            "the fault mutates guest memory"
-        );
-
-        // A run over a mutated image at the warm PC: only the
-        // fault's cache flush makes this re-decode instead of replaying
-        // the pristine block cached in step one.
-        let mut st = load(&[program[0], w_mut]);
-        let _ = EmulationCore::new(&exec).run(&mut st, &mut []);
-        assert_eq!(
-            st.x[1], 69,
-            "stale pre-fault block must not survive the flush"
-        );
+        st.x[2] = 50;
+        let result = if stepped {
+            run_stepped(exec, &mut st, &mut [], injector, 1000)
+        } else {
+            let mut core = EmulationCore::new(exec).with_budget(1000);
+            if let Some(inj) = injector {
+                core = core.with_injector(inj);
+            }
+            core.run(&mut st, &mut []).map(|s| s.retired)
+        };
+        (
+            result.map_err(|e| e.to_string()),
+            st.x[1],
+            st.instret,
+            st.pc,
+        )
     }
 
     /// A read flip that lands on an instruction fetch is decoded and kept
@@ -470,40 +574,27 @@ mod invalidation {
     /// must reuse that decode, not re-fetch the clean word.
     #[test]
     fn read_flip_on_a_fetch_stays_in_the_loop() {
-        // x1 += 1 until x1 >= 50; read #1 is the first fetch of the addi,
-        // and flipping bit 21 turns its immediate 1 into 3.
-        let program = [
-            addi(1, 1, 1),
-            encode(&Inst::Branch {
-                op: BranchOp::Blt,
-                rs1: 1,
-                rs2: 2,
-                offset: -4,
-            }),
-        ];
-        let flip =
-            || Some(Box::new(FaultPlan::parse("read@1:21").unwrap()) as Box<dyn FaultInjector>);
-        let run = |stepped: bool| {
-            let mut st = load(&program);
-            st.x[2] = 50;
-            let exec = RiscVExecutor::new();
-            let result = if stepped {
-                run_stepped(&exec, &mut st, &mut [], flip(), 1000)
-            } else {
-                let core = EmulationCore::new(&exec)
-                    .with_budget(1000)
-                    .with_injector(flip().unwrap());
-                core.run(&mut st, &mut []).map(|s| s.retired)
-            };
-            (
-                result.map_err(|e| e.to_string()),
-                st.x[1],
-                st.instret,
-                st.pc,
-            )
-        };
-        let stepper = run(true);
-        assert_eq!(stepper.1, 51, "every pass adds the flipped immediate 3");
-        assert_eq!(run(false), stepper);
+        for isa in ISAS {
+            let stepper = run_loop(isa, &executor(isa), true, true);
+            assert_eq!(
+                stepper.1, 51,
+                "{isa}: every pass adds the flipped immediate 3"
+            );
+            assert_eq!(run_loop(isa, &executor(isa), false, true), stepper, "{isa}");
+        }
+    }
+
+    /// An executor that backs several runs keeps its caches between them.
+    /// A flip armed in a later run must still land on the fetch it names,
+    /// so the run comes out as the stepper's on a fresh executor.
+    #[test]
+    fn read_flip_on_a_shared_executor_stays_in_the_loop() {
+        for isa in ISAS {
+            let stepper = run_loop(isa, &executor(isa), true, true);
+            let exec = executor(isa);
+            let warm = run_loop(isa, &exec, false, false);
+            assert_eq!(warm.1, 50, "{isa}: the clean run counts by 1");
+            assert_eq!(run_loop(isa, &exec, false, true), stepper, "{isa}");
+        }
     }
 }

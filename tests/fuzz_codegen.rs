@@ -15,8 +15,7 @@
 //! the interpreter's number semantics and each ISA's architectural rules).
 //! Everything else must agree bit-exactly.
 
-use isa_aarch64::AArch64Executor;
-use isa_riscv::RiscVExecutor;
+use isacmp::executor;
 use kernelgen::{compile, interpret, KernelProgram, Personality};
 use proptest::prelude::*;
 use simcore::{CpuState, EmulationCore, IsaKind};
@@ -28,14 +27,9 @@ fn run_on(prog: &KernelProgram, isa: IsaKind, p: &Personality) -> f64 {
     let c = compile(prog, isa, p);
     let mut st = CpuState::new();
     c.program.load(&mut st).unwrap();
-    match isa {
-        IsaKind::RiscV => EmulationCore::new(RiscVExecutor::new())
-            .run(&mut st, &mut [])
-            .unwrap(),
-        IsaKind::AArch64 => EmulationCore::new(AArch64Executor::new())
-            .run(&mut st, &mut [])
-            .unwrap(),
-    };
+    EmulationCore::new(executor(isa))
+        .run(&mut st, &mut [])
+        .unwrap();
     st.mem.read_f64(c.checksum_addr).unwrap()
 }
 
@@ -93,7 +87,8 @@ mod engine_fuzz {
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};
 
-    use simcore::{CpuState, EmulationCore, IsaExecutor, Observer, RetiredInst};
+    use isacmp::executor;
+    use simcore::{CpuState, EmulationCore, IsaExecutor, IsaKind, Observer, RetiredInst};
 
     use crate::common::stepper::run_stepped;
 
@@ -393,18 +388,12 @@ mod engine_fuzz {
     /// `Some(description)` when the core and the stepper disagree on
     /// `words`, checked on both the observed (slow) and bare (fast) paths.
     fn divergence(words: &[u32], riscv: bool) -> Option<String> {
-        let run = |stepped, with_stream| {
-            if riscv {
-                run_words(words, isa_riscv::RiscVExecutor::new(), stepped, with_stream)
-            } else {
-                run_words(
-                    words,
-                    isa_aarch64::AArch64Executor::new(),
-                    stepped,
-                    with_stream,
-                )
-            }
+        let isa = if riscv {
+            IsaKind::RiscV
+        } else {
+            IsaKind::AArch64
         };
+        let run = |stepped, with_stream| run_words(words, executor(isa), stepped, with_stream);
         for with_stream in [true, false] {
             let (stepper, core) = (run(true, with_stream), run(false, with_stream));
             if stepper != core {
