@@ -14,7 +14,7 @@ use crate::critical_path::DualCriticalPath;
 use crate::fused::FusedCriticalPath;
 use crate::path_length::PathLength;
 use crate::tables::ExperimentCell;
-use crate::windowed::WindowedCp;
+use crate::windowed::{WindowStats, WindowedCp};
 
 /// The dependency half of a [`CellAnalyses`] bundle: one table whose
 /// reads, resolved once per retirement, feed its critical paths and, as
@@ -48,14 +48,21 @@ pub struct CellAnalyses<D = DualCriticalPath> {
 /// retirement in the same call and their independent work overlaps in the
 /// core; handed a run of records as separate observers, each would walk
 /// the run in turn. The critical path's dependency table resolves each
-/// read once and hands every producer's distance to the windowed lanes.
+/// read once and hands every producer's distance to the windowed lanes,
+/// which resolve the whole run once it is folded.
 impl<D: DependencyFold> Observer for CellAnalyses<D> {
-    #[inline]
     fn on_retire(&mut self, ri: &RetiredInst) {
-        self.path_length.on_retire(ri);
+        self.on_records(std::slice::from_ref(ri));
+    }
+
+    fn on_records(&mut self, run: &[RetiredInst]) {
         let lanes = self.windowed.lanes();
-        self.critical_path.retire(ri, |dist| lanes.producer(dist));
-        lanes.retire();
+        for ri in run {
+            self.path_length.on_retire(ri);
+            self.critical_path.retire(ri, |dist| lanes.producer(dist));
+            lanes.end_record();
+        }
+        lanes.run();
     }
 
     fn on_finish(&mut self) {
@@ -92,6 +99,11 @@ impl<D: DependencyFold> CellAnalyses<D> {
     /// number of instructions analyzed.
     pub fn run(&mut self, source: &mut dyn RetireSource) -> Result<u64, SimError> {
         source.drive(&mut [self])
+    }
+
+    /// The windowed critical path's statistics, per window size.
+    pub fn window_stats(&self) -> Vec<WindowStats> {
+        self.windowed.stats()
     }
 
     /// Package the measurements as an [`ExperimentCell`] for the given
@@ -191,7 +203,7 @@ mod tests {
         let stats = windowed.stats();
         assert_eq!(stats.last().map(|s| s.windows), Some(3));
         assert_eq!(
-            bundle.windowed.stats(),
+            bundle.window_stats(),
             stats,
             "shared fold equals standalone"
         );

@@ -96,16 +96,10 @@ pub struct FusedCriticalPath {
     /// counts in its producer's region, so the effective per-kernel counts
     /// are the stream's less these.
     absorbed: PathLength,
-}
-
-/// Scaled cost of one instruction: its TX2 latency, but 1 for loads and
-/// stores, which the paper assumes forwarded (§5.1).
-#[inline]
-fn cost(group: InstGroup) -> u64 {
-    match group {
-        InstGroup::Load | InstGroup::Store => 1,
-        g => Tx2Latency.latency(g),
-    }
+    /// Scaled cost of each group, by [`InstGroup::code`]: its TX2 latency,
+    /// but 1 for loads and stores, which the paper assumes forwarded
+    /// (§5.1).
+    cost: [u64; InstGroup::ALL.len()],
 }
 
 /// The register a pair from `p` drops from `p`'s sources as its link
@@ -133,6 +127,10 @@ impl FusedCriticalPath {
             pending: None,
             counts: [0; PairKind::ALL.len()],
             absorbed: PathLength::new(regions),
+            cost: InstGroup::ALL.map(|g| match g {
+                InstGroup::Load | InstGroup::Store => 1,
+                g => Tx2Latency.latency(g),
+            }),
         }
     }
 
@@ -207,7 +205,7 @@ impl DependencyFold for FusedCriticalPath {
                     };
                     (s.max(chain), f.max(fused))
                 });
-        let cost = cost(ri.group);
+        let cost = self.cost[ri.group.code() as usize];
         let own = src.then(cost);
         let chain = Chain {
             unit: NonZeroU64::MIN.saturating_add(src.unit),
@@ -299,6 +297,18 @@ mod tests {
         cp.finish();
         let cell = cp.fused_cell(&[]);
         (cell.fused_critical_path, cell.fused_scaled_cp)
+    }
+
+    #[test]
+    fn cost_table_matches_the_model_for_every_group() {
+        let cp = FusedCriticalPath::new(IsaKind::RiscV, &[]);
+        for g in InstGroup::ALL {
+            let want = match g {
+                InstGroup::Load | InstGroup::Store => 1,
+                g => Tx2Latency.latency(g),
+            };
+            assert_eq!(cp.cost[g.code() as usize], want, "{g:?}");
+        }
     }
 
     #[test]

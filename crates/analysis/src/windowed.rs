@@ -7,21 +7,50 @@
 //! physical registers and perfect branch prediction; instruction latency is
 //! not accounted for (§6.1).
 //!
-//! Every window of every size is measured at once, with the same small
-//! amount of work per retirement. With a 50 % slide, a size has
-//! `ceil(size / (size / 2))` windows open at any time, 2 for an even size
-//! and 3 for an odd one, and each open window owns a *lane*: an `i16`
-//! slot in a row of 16. The paper's seven sizes need 14 lanes, one
-//! row. Each retirement is resolved into its producers, the last writer of
-//! each source register slot and of each word read ([`simcore::DepTable`]),
-//! and its chain depth in every lane is
+//! Every window of every size is measured at once. With a slide of
+//! `size / 2`, a size has `lanes = ceil(size / slide)` windows open at any
+//! time, 2 for an even size and 3 for an odd one, and each open window
+//! owns a *lane*: an `i16` slot in a row of 16. The paper's seven sizes
+//! need 14 lanes, one row.
+//!
+//! **Depths.** Each retirement is resolved into its producers, the last
+//! writer of each source register slot and of each word read
+//! ([`simcore::DepTable`]), and its chain depth in every lane is
 //! `depth[l] = 1 + max(row_p[l] if dist_p <= age[l] else 0)` over its
 //! producers `p`. `age[l]` is the retirement's offset into lane `l`'s
 //! window, `dist_p` how far back `p` retired, and `row_p` the producer's
 //! depths, kept in a ring of the last `next_pow2(max(sizes))` retirements.
-//! Each lane keeps the running max of its depths, which is the window's
-//! CP when it closes; the lane's age and max reset when its next window
-//! starts.
+//! Each lane keeps the running max of its depths, `longest`, which is the
+//! window's CP when it closes.
+//!
+//! **The schedule is two lane compares.** Each lane holds two constants:
+//! its size and its period, `lanes * slide`. After a retirement, a lane
+//! whose age equals its size closes its window if it is *armed*, that is,
+//! if its first window has started. Before a retirement, a lane whose age
+//! equals its period starts a window: masks clear its age and `longest`
+//! and arm it. A size's lane `k < lanes` begins at age
+//! `period - k * slide`, unarmed, so it starts window `k` at retirement
+//! `k * slide` and window `k + lanes` a period later. The period is at
+//! least the size, so a lane closes each window before it starts the next.
+//! An odd size's lane then idles, and its age can count past `i16::MAX`
+//! (a period is at most 49,149): ages wrap, and the schedule only compares
+//! them for equality. No window is counted: after `n` retirements a size
+//! has closed `(n - size) / slide + 1` windows once `n >= size`.
+//!
+//! **A run at a time.** A driver first folds every record of a run,
+//! listing each record's in-window producer distances in one flat
+//! `i16` list, then `Lanes::run` resolves the whole run row by row. A
+//! row's ages, maxima, armed mask and close accumulators stay in locals
+//! from the run's first record to its last, so a record costs a few
+//! 16-lane operations and no schedule lookup.
+//!
+//! **Exact sums.** A closing lane adds its `longest` to a wrapping `u16`
+//! sum and to its least and greatest CP. A lane closes windows at least a
+//! period, hence at least `size`, retirements apart, each with a CP of at
+//! most `size`, so over `FLUSH` retirements its CPs add up to less than
+//! `FLUSH + i16::MAX`, which a `u16` holds. No run resolves more than
+//! `FLUSH` retirements, and its lane sums are added to `u64` lane totals
+//! when it ends.
 //!
 //! This is exact: a location's last writer is unique, so if it precedes a
 //! window's start, no instruction in the window writes the location. A
@@ -45,6 +74,11 @@ const LANES: usize = 16;
 
 /// One value per lane.
 type Row = [Depth; LANES];
+
+/// Most retirements one run resolves, so a lane's `u16` CP sum cannot
+/// wrap before the run's end adds it to the lane's `u64` total.
+const FLUSH: usize = 1 << 15;
+const _: () = assert!(FLUSH + Depth::MAX as usize <= u16::MAX as usize);
 
 /// Fewest retirements between two prunings of the writer table. Pruning
 /// scans the table's pages, so with tiny windows it must not run every few
@@ -79,48 +113,54 @@ impl WindowStats {
     }
 }
 
-/// One window size: its lanes, its schedule and its totals. Window `k`
-/// covers retirements `[k * size / 2, k * size / 2 + size)` and owns lane
+/// One window size and its lanes. Window `k` covers retirements
+/// `[k * size / 2, k * size / 2 + size)` and owns lane
 /// `first_lane + k % lanes`.
 struct PerSize {
     size: usize,
     first_lane: usize,
     /// Windows open at once.
     lanes: usize,
-    /// Windows started so far.
-    started: u64,
-    /// Retirement index at which the next window starts.
-    next_start: u64,
-    /// Retirement count at which the oldest open window closes.
-    next_close: u64,
-    windows: u64,
-    cp_sum: u64,
-    cp_min: u64,
-    cp_max: u64,
 }
 
-/// The lane kernel: the chain depths of every open window, fed one
-/// retirement's producer distances at a time.
+/// One row of lanes: its schedule, and its state between runs. Lanes no
+/// size uses run a schedule of zeros and are never read.
+#[derive(Clone, Copy, Default)]
+struct LaneRow {
+    /// Age at which each lane's window closes: its size.
+    close_at: Row,
+    /// Age at which each lane starts a window: its size's period.
+    start_at: Row,
+    /// Offset of the next retirement into each lane's window.
+    age: Row,
+    /// Deepest chain so far in each lane's window.
+    longest: Row,
+    /// All ones in each lane whose first window has started.
+    armed: Row,
+    /// Smallest and largest CP of the windows each lane closed.
+    least: Row,
+    greatest: Row,
+    /// Sum of the CPs of the windows each lane closed.
+    cp_sum: [u64; LANES],
+}
+
+/// The lane kernel: the chain depths of every open window, fed a run of
+/// retirements' producer distances at a time.
 pub(crate) struct Lanes {
     /// Producers this far back or further are outside every window.
     max_size: u64,
-    /// Rows per retirement.
-    rows: usize,
-    /// Depths of the last `mask + 1` retirements, `rows` rows each.
+    rows: Vec<LaneRow>,
+    /// Depths of the last `slots` retirements, row by row: row `r` of
+    /// retirement `i` is at `r * slots + i % slots`.
     ring: Vec<Row>,
-    mask: usize,
-    /// Offset of the retirement being resolved into each lane's window.
-    age: Vec<Row>,
-    /// Deepest chain so far in each lane's window.
-    longest: Vec<Row>,
-    /// Distances back to the producers of the retirement being resolved
-    /// that may lie inside a window.
+    slots: usize,
+    /// Distances back to the producers, in some window, of the pending
+    /// retirements: folded, not yet resolved.
     dists: Vec<Depth>,
-    /// Retirements seen so far: the index of the one being resolved.
+    /// Where each pending retirement's distances end in `dists`.
+    ends: Vec<u32>,
+    /// Retirements resolved so far.
     retired: u64,
-    /// Retirement count at which the next window of any size starts or
-    /// closes.
-    next_event: u64,
     sizes: Vec<PerSize>,
 }
 
@@ -143,37 +183,41 @@ impl Lanes {
                     size,
                     first_lane: first,
                     lanes,
-                    // Window 0 starts now, in a lane that is already clear.
-                    started: 1,
-                    next_start: (size / 2) as u64,
-                    next_close: size as u64,
-                    windows: 0,
-                    cp_sum: 0,
-                    cp_min: u64::MAX,
-                    cp_max: 0,
                 }
             })
             .collect();
+        let mut rows = vec![LaneRow::default(); first_lane.div_ceil(LANES)];
+        for s in &sizes {
+            let (slide, period) = (s.size / 2, s.lanes * (s.size / 2));
+            for k in 0..s.lanes {
+                let (row, lane) = (
+                    &mut rows[(s.first_lane + k) / LANES],
+                    (s.first_lane + k) % LANES,
+                );
+                // Ages compare only for equality, so a period past the
+                // lane type wraps to the same bits on both sides.
+                row.close_at[lane] = s.size as Depth;
+                row.start_at[lane] = period as u16 as Depth;
+                row.age[lane] = (period - k * slide) as u16 as Depth;
+                row.least[lane] = Depth::MAX;
+            }
+        }
         let max_size = sizes.iter().map(|s| s.size).max().unwrap();
-        let min_size = sizes.iter().map(|s| s.size).min().unwrap();
-        let rows = first_lane.div_ceil(LANES);
         let slots = max_size.next_power_of_two();
         Lanes {
             max_size: max_size as u64,
-            rows,
-            ring: vec![[0; LANES]; slots * rows],
-            mask: slots - 1,
-            age: vec![[0; LANES]; rows],
-            longest: vec![[0; LANES]; rows],
+            ring: vec![[0; LANES]; slots * rows.len()],
+            slots,
             dists: Vec::new(),
+            ends: Vec::new(),
+            rows,
             retired: 0,
-            next_event: (min_size / 2) as u64,
             sizes,
         }
     }
 
     /// Count a producer `dist` retirements back from the retirement being
-    /// resolved.
+    /// folded.
     #[inline]
     pub(crate) fn producer(&mut self, dist: u64) {
         if dist < self.max_size {
@@ -181,68 +225,127 @@ impl Lanes {
         }
     }
 
-    /// Finish the retirement being resolved: record its depths, close the
-    /// windows it completes and start those the next one opens.
+    /// End the retirement being folded. It waits, pending, for the next
+    /// [`Lanes::run`], which comes at once if it is the `FLUSH`th.
     #[inline]
-    pub(crate) fn retire(&mut self) {
-        let (index, mask, rows) = (self.retired as usize, self.mask, self.rows);
-        for r in 0..rows {
-            let (age, mut longest) = (self.age[r], self.longest[r]);
-            let mut depth = [0; LANES];
-            for &d in &self.dists {
-                let row = self.ring[((index - d as usize) & mask) * rows + r];
-                for l in 0..LANES {
-                    // In lane `l`'s window iff at most `age[l]` back;
-                    // branch-free, so the lanes vectorize.
-                    depth[l] = depth[l].max(row[l] & -((d <= age[l]) as Depth));
-                }
-            }
-            let mut next = age;
-            for l in 0..LANES {
-                // Lanes no window uses, and an odd size's lanes between
-                // windows, count past the lane type's range; wrapping keeps
-                // them harmless until a window start resets them.
-                depth[l] = depth[l].wrapping_add(1);
-                longest[l] = longest[l].max(depth[l]);
-                next[l] = next[l].wrapping_add(1);
-            }
-            self.ring[(index & mask) * rows + r] = depth;
-            (self.age[r], self.longest[r]) = (next, longest);
-        }
-        self.dists.clear();
-        self.retired += 1;
-        if self.retired == self.next_event {
-            self.boundaries();
+    pub(crate) fn end_record(&mut self) {
+        self.ends.push(self.dists.len() as u32);
+        if self.ends.len() == FLUSH {
+            self.run();
         }
     }
 
-    /// Close the windows the last retirement completed, then start those
-    /// the next one opens: a lane can close one window and start the next.
-    fn boundaries(&mut self) {
-        let now = self.retired;
-        let mut next = u64::MAX;
-        for s in &mut self.sizes {
-            let slide = (s.size / 2) as u64;
-            if s.next_close == now {
-                let lane = s.first_lane + (s.windows % s.lanes as u64) as usize;
-                let cp = self.longest[lane / LANES][lane % LANES] as u64;
-                s.windows += 1;
-                s.cp_sum += cp;
-                s.cp_min = s.cp_min.min(cp);
-                s.cp_max = s.cp_max.max(cp);
-                s.next_close += slide;
-            }
-            if s.next_start == now {
-                let lane = s.first_lane + (s.started % s.lanes as u64) as usize;
-                self.age[lane / LANES][lane % LANES] = 0;
-                self.longest[lane / LANES][lane % LANES] = 0;
-                s.started += 1;
-                s.next_start += slide;
-            }
-            next = next.min(s.next_close).min(s.next_start);
-        }
-        self.next_event = next;
+    /// Index of the retirement being folded.
+    #[inline]
+    fn folding(&self) -> u64 {
+        self.retired + self.ends.len() as u64
     }
+
+    /// Resolve every pending retirement, row by row, each row over the
+    /// whole run.
+    pub(crate) fn run(&mut self) {
+        let rings = self.ring.chunks_exact_mut(self.slots);
+        for (row, ring) in self.rows.iter_mut().zip(rings) {
+            resolve_row(row, ring, self.retired, &self.dists, &self.ends);
+        }
+        self.retired += self.ends.len() as u64;
+        self.dists.clear();
+        self.ends.clear();
+    }
+
+    /// Per-size statistics of the resolved retirements.
+    fn stats(&self) -> Vec<WindowStats> {
+        let lane = |l: usize| &self.rows[l / LANES];
+        self.sizes
+            .iter()
+            .map(|s| {
+                let (size, slide) = (s.size as u64, (s.size / 2) as u64);
+                let windows = match self.retired.checked_sub(size) {
+                    Some(past) => past / slide + 1,
+                    None => 0,
+                };
+                let lanes = s.first_lane..s.first_lane + s.lanes;
+                let least = lanes.clone().map(|l| lane(l).least[l % LANES]).min();
+                let greatest = lanes.clone().map(|l| lane(l).greatest[l % LANES]).max();
+                WindowStats {
+                    size: s.size,
+                    windows,
+                    cp_sum: lanes.map(|l| lane(l).cp_sum[l % LANES]).sum(),
+                    cp_min: if windows == 0 {
+                        0
+                    } else {
+                        least.unwrap() as u64
+                    },
+                    cp_max: greatest.unwrap() as u64,
+                }
+            })
+            .collect()
+    }
+}
+
+/// Resolve the retirements whose producer distances `dists` and `ends`
+/// list, the first of them retirement `first`, in one row's lanes, with
+/// `ring` the row's ring. The run's lane sums, which fit a `u16` because
+/// it is at most `FLUSH` long, are added to the lanes' totals at its end.
+fn resolve_row(row: &mut LaneRow, ring: &mut [Row], first: u64, dists: &[Depth], ends: &[u32]) {
+    let mask = ring.len() - 1;
+    let LaneRow {
+        close_at,
+        start_at,
+        mut age,
+        mut longest,
+        mut armed,
+        mut least,
+        mut greatest,
+        mut cp_sum,
+    } = *row;
+    let mut sum = [0u16; LANES];
+    let mut from = 0;
+    for (i, &end) in ends.iter().enumerate() {
+        let index = first as usize + i;
+        for l in 0..LANES {
+            let start = -((age[l] == start_at[l]) as Depth);
+            age[l] &= !start;
+            longest[l] &= !start;
+            armed[l] |= start;
+        }
+        let mut depth = [0; LANES];
+        for &d in &dists[from..end as usize] {
+            let producer = ring[(index - d as usize) & mask];
+            for l in 0..LANES {
+                // In lane `l`'s window iff at most `age[l]` back;
+                // branch-free, so the lanes vectorize.
+                depth[l] = depth[l].max(producer[l] & -((d <= age[l]) as Depth));
+            }
+        }
+        from = end as usize;
+        for l in 0..LANES {
+            // An idle lane's depths and ages count past the lane type's
+            // range; wrapping keeps them harmless until its next start.
+            depth[l] = depth[l].wrapping_add(1);
+            longest[l] = longest[l].max(depth[l]);
+            age[l] = age[l].wrapping_add(1);
+            let close = -((age[l] == close_at[l]) as Depth) & armed[l];
+            let cp = longest[l] & close;
+            sum[l] = sum[l].wrapping_add(cp as u16);
+            least[l] = least[l].min(cp | (Depth::MAX & !close));
+            greatest[l] = greatest[l].max(cp);
+        }
+        ring[index & mask] = depth;
+    }
+    for l in 0..LANES {
+        cp_sum[l] += sum[l] as u64;
+    }
+    *row = LaneRow {
+        close_at,
+        start_at,
+        age,
+        longest,
+        armed,
+        least,
+        greatest,
+        cp_sum,
+    };
 }
 
 /// Single-pass windowed-CP analyzer for a set of window sizes.
@@ -289,37 +392,36 @@ impl WindowedCp {
 
     /// Per-size statistics, in the order sizes were supplied.
     pub fn stats(&self) -> Vec<WindowStats> {
-        self.lanes
-            .sizes
-            .iter()
-            .map(|s| WindowStats {
-                size: s.size,
-                windows: s.windows,
-                cp_sum: s.cp_sum,
-                cp_min: if s.windows == 0 { 0 } else { s.cp_min },
-                cp_max: s.cp_max,
-            })
-            .collect()
+        self.lanes.stats()
     }
 }
 
 impl Observer for WindowedCp {
     fn on_retire(&mut self, ri: &RetiredInst) {
-        let lanes = &mut self.lanes;
-        let index = lanes.retired;
-        self.writers
-            .fold_reads(ri, (), |(), p| lanes.producer(index - p));
-        self.writers.write(ri, index);
-        lanes.retire();
+        self.on_records(std::slice::from_ref(ri));
+    }
 
-        self.to_prune -= 1;
-        if self.to_prune == 0 {
-            // Forget the memory words last written `max(sizes)` or more
-            // retirements ago: no window reaches back to them.
-            let (next, max) = (lanes.retired, lanes.max_size);
-            self.writers.retain_words(|p| next - p < max);
-            self.to_prune = self.period;
+    /// Fold the run's records through the writer table, then resolve them
+    /// in the lanes.
+    fn on_records(&mut self, run: &[RetiredInst]) {
+        let lanes = &mut self.lanes;
+        for ri in run {
+            let index = lanes.folding();
+            self.writers
+                .fold_reads(ri, (), |(), p| lanes.producer(index - p));
+            self.writers.write(ri, index);
+            lanes.end_record();
+
+            self.to_prune -= 1;
+            if self.to_prune == 0 {
+                // Forget the memory words last written `max(sizes)` or more
+                // retirements ago: no window reaches back to them.
+                let (next, max) = (index + 1, lanes.max_size);
+                self.writers.retain_words(|p| next - p < max);
+                self.to_prune = self.period;
+            }
         }
+        lanes.run();
     }
 }
 
@@ -345,10 +447,10 @@ mod tests {
     fn each_size_takes_one_lane_per_open_window() {
         let paper = Lanes::new(&PAPER_WINDOW_SIZES);
         assert!(paper.sizes.iter().all(|s| s.lanes == 2));
-        assert_eq!(paper.rows, 1, "the paper's sizes fit one row");
+        assert_eq!(paper.rows.len(), 1, "the paper's sizes fit one row");
         let odd = Lanes::new(&[3, 5, 7, 9, 11, 13]);
         assert!(odd.sizes.iter().all(|s| s.lanes == 3));
-        assert_eq!(odd.rows, 2);
+        assert_eq!(odd.rows.len(), 2);
         assert_eq!(
             odd.sizes[5].first_lane, 15,
             "a size's lanes may straddle rows"
@@ -410,6 +512,24 @@ mod tests {
             assert!(s.cp_max as usize <= s.size);
             assert!(s.cp_min >= 1);
             assert!(s.mean_ilp() >= 1.0);
+        }
+    }
+
+    #[test]
+    fn lane_sums_stay_exact_over_one_long_run() {
+        // One slice of a fully serial stream: every window's CP is its
+        // size, and each lane's CPs add up to far more than a `u16` holds,
+        // at size 2 (a close every other retirement per lane) and at the
+        // largest legal size, whose odd period of 49,149 runs past `i16`.
+        let sizes = [2, 4, 7, Depth::MAX as usize];
+        let records = vec![serial(); 200_000];
+        let mut w = WindowedCp::new(&sizes);
+        w.on_records(&records);
+        for s in w.stats() {
+            let windows = (records.len() - s.size) / (s.size / 2) + 1;
+            assert_eq!(s.windows, windows as u64, "size {}", s.size);
+            assert_eq!(s.cp_sum, s.windows * s.size as u64, "size {}", s.size);
+            assert_eq!((s.cp_min, s.cp_max), (s.size as u64, s.size as u64));
         }
     }
 

@@ -78,6 +78,18 @@ fn assert_matches_oracle(stream: &[RetiredInst]) {
     }
 }
 
+/// Run lengths a bulk source might hand an observer: single records,
+/// lengths that straddle a live run's 512, and the whole stream.
+const RUN_LENGTHS: [usize; 7] = [1, 2, 3, 511, 512, 4_096, usize::MAX];
+
+/// Hand `stream` to `obs` in runs of `run` records.
+fn feed(obs: &mut dyn Observer, stream: &[RetiredInst], run: usize) {
+    for part in stream.chunks(run) {
+        obs.on_records(part);
+    }
+    obs.on_finish();
+}
+
 fn assert_windows_match(dag: &Dag, w: &WindowedCp, sizes: &[usize]) {
     let want: Vec<_> = sizes.iter().map(|&s| dag.window_stats(s)).collect();
     assert_eq!(w.stats(), want, "window stats for sizes {sizes:?}");
@@ -266,6 +278,49 @@ fn dual_matches_oracle_on_mixed_stream() {
         })
         .collect();
     assert_matches_oracle(&stream);
+}
+
+#[test]
+fn windows_do_not_depend_on_where_runs_break() {
+    let size_sets: [&[usize]; 4] = [
+        &PAPER_WINDOW_SIZES,
+        &SMALL_WINDOWS,
+        &ODD_WINDOWS,
+        &MULTI_ROW_WINDOWS,
+    ];
+    let streams = [
+        (IsaKind::RiscV, random_stream(3, 9_000)),
+        (IsaKind::RiscV, pair_stream(IsaKind::RiscV, 3, 5_000)),
+        (IsaKind::AArch64, pair_stream(IsaKind::AArch64, 4, 5_000)),
+    ];
+    for (isa, stream) in &streams {
+        let dag = Dag::new(stream);
+        let want: Vec<Vec<_>> = size_sets
+            .iter()
+            .map(|sizes| sizes.iter().map(|&s| dag.window_stats(s)).collect())
+            .collect();
+        for run in RUN_LENGTHS {
+            for (sizes, want) in size_sets.iter().zip(&want) {
+                let mut w = WindowedCp::new(sizes);
+                feed(&mut w, stream, run);
+                assert_eq!(&w.stats(), want, "sizes {sizes:?} in runs of {run}");
+            }
+            let mut plain = CellAnalyses::new(&[]);
+            feed(&mut plain, stream, run);
+            assert_eq!(
+                plain.window_stats(),
+                want[0],
+                "plain bundle in runs of {run}"
+            );
+            let mut fused = CellAnalyses::fused(*isa, &[]);
+            feed(&mut fused, stream, run);
+            assert_eq!(
+                fused.window_stats(),
+                want[0],
+                "fused bundle in runs of {run}"
+            );
+        }
+    }
 }
 
 /// Fuse `stream` the naive way: at each record, try to pair it with the
