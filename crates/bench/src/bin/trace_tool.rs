@@ -10,8 +10,8 @@
 //! cargo run --release -p bench --bin trace_tool -- fuse   results/stream.trace
 //! ```
 //!
-//! - `info`: header provenance and trailer totals (header only on a file
-//!   whose body is damaged).
+//! - `info`: header provenance, trailer totals and bytes per record
+//!   (header only on a file whose body is damaged).
 //! - `verify`: full integrity scan — block checksums, record decode,
 //!   trailer consistency. Exit 1 on any corruption.
 //! - `dump`: human-readable record listing (`--limit N`, default 50;
@@ -52,7 +52,8 @@ fn print_header(path: &str, reader: &TraceReader<std::io::BufReader<std::fs::Fil
 fn info(path: &str) {
     let reader = open(path);
     print_header(path, &reader);
-    if let Ok(len) = std::fs::metadata(path).map(|m| m.len()) {
+    let len = std::fs::metadata(path).map(|m| m.len()).ok();
+    if let Some(len) = len {
         println!("  file bytes : {len}");
     }
     // The trailer lives at the end of the stream, so totals require a scan;
@@ -61,6 +62,9 @@ fn info(path: &str) {
         Ok(s) => {
             println!("  records    : {}", s.records);
             println!("  blocks     : {}", s.blocks);
+            if let Some(len) = len.filter(|_| s.records > 0) {
+                println!("  bytes/rec  : {:.2}", len as f64 / s.records as f64);
+            }
             println!("  state hash : {:#018x}", s.trailer.state_hash);
             let wall = std::time::Duration::from_micros(s.trailer.capture_wall_us);
             println!(

@@ -76,7 +76,7 @@ fn capture_inspect_and_diff_through_the_binaries() {
 
     let (code, stdout, _) = run("trace_tool", &dir, &["info", "stream.trace"]);
     assert_eq!(code, 0);
-    assert!(stdout.contains("ICTR v2"), "{stdout}");
+    assert!(stdout.contains("ICTR v3"), "{stdout}");
     assert!(stdout.contains("RISC-V"), "{stdout}");
 
     let (code, stdout, _) = run("trace_tool", &dir, &["verify", "stream.trace"]);

@@ -48,8 +48,8 @@ pub const VERSION: u16 = 1;
 
 /// The checkpoint checksum: an FNV-1a-style fold, one byte per step, with
 /// multiplier `0x1_0000_01B3` (not FNV's 64-bit prime). This was the trace
-/// format's checksum up to trace version 1; trace version 2 folds 8-byte
-/// words with the published prime, but checkpoint version 1 keeps this one,
+/// format's checksum up to trace version 1; trace versions 2 and later fold
+/// 8-byte words with the published prime, but checkpoint version 1 keeps this one,
 /// since changing it would change the checkpoint format.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;

@@ -68,7 +68,7 @@ impl std::fmt::Display for RegId {
 /// Building the source/destination sets of a retired instruction must not
 /// allocate (the emulator retires tens of millions of instructions per
 /// analysis run), so this is a plain `u128`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct RegSet(u128);
 
 impl RegSet {

@@ -153,7 +153,7 @@ impl MemAccess {
 /// (an AMO is one read and one write, `ldp`/`stp` one 16-byte access). A
 /// third access panics. Unused slots stay zeroed, so the derived
 /// `PartialEq` compares only what was recorded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RetiredInst {
     /// Architectural registers read (zero registers omitted).
     pub srcs: RegSet,
@@ -221,6 +221,14 @@ impl RetiredInst {
     #[inline]
     pub fn mem_accesses(&self) -> impl ExactSizeIterator<Item = MemAccess> {
         self.slots(0..(self.n_reads + self.n_writes) as usize)
+    }
+
+    /// The static part of the accesses: the widths slot for slot (zero
+    /// past the last access), the read count and the write count, as
+    /// [`RetiredInst::set_accesses`] takes them.
+    #[inline]
+    pub fn access_shape(&self) -> ([u8; 2], u8, u8) {
+        (self.sizes, self.n_reads, self.n_writes)
     }
 
     /// Record a memory read; panics past [`MAX_MEM_ACCESSES`] accesses.

@@ -11,24 +11,38 @@
 //!              | u64 trailer_checksum
 //! ```
 //!
-//! Within a block payload each record is encoded as:
+//! A block's payload is its own table of static-instruction *templates*
+//! followed by its records:
 //!
 //! ```text
-//! flags   u8      bit0 is_branch, bit1 taken,
-//!                 bits2-3 #mem reads (0..=2), bits4-5 #mem writes (0..=2)
-//! group   u8      InstGroup::code()
-//! pc      varint  zigzag(pc - prev_pc); prev_pc starts at the block's
-//!                 first_pc, so the first record's delta is zero
-//! srcs    u8 n + n slot bytes (RegId::index, 0..=64)
-//! dsts    u8 n + n slot bytes
-//! mem     per access (reads then writes):
-//!         varint zigzag(addr - prev_addr) + u8 size; prev_addr starts at 0
-//!         per block and is shared by reads and writes
+//! payload  varint n_templates | n_templates templates | n_records records
+//! template u8 group        InstGroup::code()
+//!          u8 flags        bit0 is_branch, bits2-3 #mem reads,
+//!                          bits4-5 #mem writes (reads + writes <= 2);
+//!                          every other bit zero
+//!          u8 size         one per access, reads then writes
+//!          srcs            u8 n + n slot bytes (RegId::index, 0..=64)
+//!          dsts            u8 n + n slot bytes
+//! record   u8 ctrl         bit0 taken, bit1 pc = previous pc + 4,
+//!                          bits2-7 template id; id 63 escapes to a
+//!                          following varint (id - 63)
+//!          varint          zigzag(pc - prev_pc), only when bit1 is clear;
+//!                          prev_pc starts at the block's first_pc - 4
+//!          varint          per access of the template: zigzag(addr -
+//!                          prev_addr); prev_addr starts at 0 per block and
+//!                          is shared by reads and writes
 //! ```
 //!
-//! Delta-encoded PCs make straight-line code cost one byte per record for
-//! the PC; the shared address predictor makes streaming access patterns
-//! (the dominant case in all five workloads) one or two bytes per access.
+//! A template is everything about a retirement that is fixed per static
+//! instruction: its group, branch flag, access counts and sizes, and
+//! register lists. Template ids follow first appearance within the block,
+//! so a capture is deterministic. Templates are per block, not per file,
+//! so every block decodes on its own and a capture resumed at a block
+//! boundary ([`crate::TraceWriter::resume`]) writes exactly the bytes an
+//! uninterrupted one would. Straight-line code with no memory access then
+//! costs one byte per record; the shared address predictor makes
+//! streaming access patterns (the dominant case in all five workloads) one
+//! or two bytes per access.
 //!
 //! `payload_checksum` and `trailer_checksum` are [`fnv1a64`]: FNV-1a 64
 //! folded over 8-byte little-endian words, with the last `len % 8` bytes
@@ -37,23 +51,25 @@
 //! checksum.
 //!
 //! Version history: version 1 folded one byte per step (and multiplied by
-//! `0x1_0000_01B3`, not FNV's 64-bit prime); version 2 (current) folds
-//! words with the published prime, about eight times fewer multiply steps
-//! for the same bytes. The layout is otherwise the same.
+//! `0x1_0000_01B3`, not FNV's 64-bit prime); version 2 folded words with
+//! the published prime, about eight times fewer multiply steps for the
+//! same bytes, and encoded every field of every record; version 3
+//! (current) keeps version 2's framing and checksum and moves the static
+//! fields into per-block templates, about a quarter of version 2's bytes.
 //!
 //! Versioning policy: `VERSION` bumps on any change to the header, block,
 //! record layout or checksum. Readers reject other versions outright —
 //! traces are cheap to regenerate, so there is no cross-version migration
 //! path; the trace cache treats another version as stale and recaptures.
 
-use simcore::Region;
+use simcore::{InstGroup, RegId, RegSet, Region, RetiredInst, MAX_MEM_ACCESSES, NUM_REG_SLOTS};
 use telemetry::Json;
 
 /// File magic: "ICTR" (Isa-Comparison TRace).
 pub const MAGIC: [u8; 4] = *b"ICTR";
 
 /// Current format version; readers accept exactly this.
-pub const VERSION: u16 = 2;
+pub const VERSION: u16 = 3;
 
 /// Tag byte introducing a record block.
 pub const BLOCK_TAG: u8 = b'B';
@@ -64,6 +80,18 @@ pub const TRAILER_TAG: u8 = b'E';
 /// Records per block. Bounds reader memory (one decoded block at a time)
 /// and sets the granularity of checksum verification.
 pub const BLOCK_RECORDS: usize = 4096;
+
+/// Template ids below this fit in a record's ctrl byte; this id value
+/// escapes to a following varint `(id - ESCAPE_ID)`.
+pub const ESCAPE_ID: u8 = 63;
+
+/// Longest encoded template: group, flags, two sizes, and two register
+/// lists of every slot.
+pub const MAX_TEMPLATE_BYTES: usize = 4 + 2 * (1 + NUM_REG_SLOTS);
+
+/// Longest encoded record: ctrl, an escaped id, a PC delta and two
+/// address deltas, each varint at most 10 bytes.
+pub const MAX_RECORD_BYTES: usize = 1 + 4 * 10;
 
 /// FNV-1a 64 offset basis.
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
@@ -112,8 +140,10 @@ pub fn get_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     loop {
         let byte = *bytes.get(*pos)?;
         *pos += 1;
-        if shift >= 64 {
-            return None; // over-long encoding
+        // The tenth byte carries bit 63 alone: anything more is a value
+        // past `u64` or an over-long encoding.
+        if shift == 63 && byte > 1 {
+            return None;
         }
         v |= ((byte & 0x7F) as u64) << shift;
         if byte & 0x80 == 0 {
@@ -133,6 +163,84 @@ pub fn zigzag(v: i64) -> u64 {
 #[inline]
 pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
+}
+
+/// Template flag bits that may be set: is_branch and the two access
+/// counts.
+const TEMPLATE_FLAGS: u8 = 0b0011_1101;
+
+/// The template of `ri`: the record with its dynamic fields (PC, taken
+/// bit, addresses) cleared, so two retirements share a template exactly
+/// when their static parts agree.
+#[inline]
+pub(crate) fn template_of(ri: &RetiredInst) -> RetiredInst {
+    let (sizes, n_reads, n_writes) = ri.access_shape();
+    let mut t = *ri;
+    t.pc = 0;
+    t.taken = false;
+    t.set_accesses([0; 2], sizes, n_reads, n_writes);
+    t
+}
+
+/// Append the encoding of template `t`.
+pub(crate) fn put_template(out: &mut Vec<u8>, t: &RetiredInst) {
+    let (sizes, n_reads, n_writes) = t.access_shape();
+    out.push(t.group.code());
+    out.push(t.is_branch as u8 | (n_reads << 2) | (n_writes << 4));
+    out.extend_from_slice(&sizes[..(n_reads + n_writes) as usize]);
+    for set in [&t.srcs, &t.dsts] {
+        out.push(set.len() as u8);
+        out.extend(set.iter().map(|r| r.index() as u8));
+    }
+}
+
+fn get_byte(bytes: &[u8], pos: &mut usize) -> Result<u8, String> {
+    let b = *bytes.get(*pos).ok_or("truncated")?;
+    *pos += 1;
+    Ok(b)
+}
+
+fn get_regs(bytes: &[u8], pos: &mut usize) -> Result<RegSet, String> {
+    let n = get_byte(bytes, pos)?;
+    if n as usize > NUM_REG_SLOTS {
+        return Err(format!("{n} registers in one list"));
+    }
+    let mut set = RegSet::empty();
+    for _ in 0..n {
+        let slot = get_byte(bytes, pos)?;
+        if slot as usize >= NUM_REG_SLOTS {
+            return Err(format!("register slot {slot}"));
+        }
+        set.insert(RegId::from_index(slot as usize));
+    }
+    Ok(set)
+}
+
+/// Read the template at `*pos`, advancing it, and check every field; the
+/// error says what was wrong.
+pub(crate) fn get_template(bytes: &[u8], pos: &mut usize) -> Result<RetiredInst, String> {
+    let code = get_byte(bytes, pos)?;
+    let group =
+        InstGroup::from_code(code).ok_or_else(|| format!("unknown group code {code:#04x}"))?;
+    let flags = get_byte(bytes, pos)?;
+    if flags & !TEMPLATE_FLAGS != 0 {
+        return Err(format!("reserved flag bits set in {flags:#04x}"));
+    }
+    let (n_reads, n_writes) = ((flags >> 2) & 0x3, (flags >> 4) & 0x3);
+    let n = (n_reads + n_writes) as usize;
+    if n > MAX_MEM_ACCESSES {
+        return Err(format!("{n} memory accesses, more than a record holds"));
+    }
+    let mut sizes = [0u8; 2];
+    for size in &mut sizes[..n] {
+        *size = get_byte(bytes, pos)?;
+    }
+    let mut t = RetiredInst::new(0, group);
+    t.is_branch = flags & 1 != 0;
+    t.srcs = get_regs(bytes, pos)?;
+    t.dsts = get_regs(bytes, pos)?;
+    t.set_accesses([0; 2], sizes, n_reads, n_writes);
+    Ok(t)
 }
 
 /// Provenance carried in the trace header: enough to key a trace cache, to
@@ -266,6 +374,25 @@ mod tests {
         buf.pop();
         let mut pos = 0;
         assert_eq!(get_varint(&buf, &mut pos), None);
+    }
+
+    #[test]
+    fn varint_overflow_is_none() {
+        // Ten bytes whose last carries bits above bit 63.
+        let mut buf = vec![0xFF; 9];
+        buf.push(0x02);
+        let mut pos = 0;
+        assert_eq!(get_varint(&buf, &mut pos), None);
+        // An eleventh byte is over-long even when it adds nothing.
+        let mut buf = vec![0x80; 10];
+        buf.push(0x00);
+        let mut pos = 0;
+        assert_eq!(get_varint(&buf, &mut pos), None);
+        // Bit 63 alone still decodes.
+        let mut buf = vec![0x80; 9];
+        buf.push(0x01);
+        let mut pos = 0;
+        assert_eq!(get_varint(&buf, &mut pos), Some(1 << 63));
     }
 
     #[test]

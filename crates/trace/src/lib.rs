@@ -5,10 +5,12 @@
 //! cell, and every analysis re-run used to pay that emulation cost again.
 //! This crate splits *execution* from *analysis*: a [`TraceWriter`] rides the
 //! retirement stream as a [`simcore::Observer`] and encodes each
-//! [`simcore::RetiredInst`] into a delta-compressed, checksummed block
-//! format (see [`mod@format`] for the byte-level spec), and a [`TraceReader`]
-//! replays the identical stream later — no compile, no emulation, one block
-//! of memory — through the same observers via [`simcore::RetireSource`].
+//! [`simcore::RetiredInst`] into a checksummed block format: each block
+//! holds one template per static instruction shape, and a record is a
+//! template id with delta-encoded PC and addresses (see [`mod@format`] for
+//! the byte-level spec). A [`TraceReader`] replays the identical stream
+//! later — no compile, no emulation, one block of memory — through the same
+//! observers via [`simcore::RetireSource`].
 //!
 //! Provenance travels with the bytes: the header records workload /
 //! compiler / ISA / size-class plus the program's kernel regions, and the

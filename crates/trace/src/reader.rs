@@ -3,12 +3,12 @@
 use std::io::{self, Read};
 use std::path::Path;
 
-use simcore::{Observer, RegSet, RetireSource, RetiredInst, SimError};
+use simcore::{InstGroup, Observer, RetireSource, RetiredInst, SimError};
 use telemetry::Json;
 
 use crate::format::{
-    fnv1a64, get_varint, unzigzag, TraceMeta, TraceTrailer, BLOCK_RECORDS, BLOCK_TAG, MAGIC,
-    TRAILER_TAG, VERSION,
+    fnv1a64, get_template, get_varint, unzigzag, TraceMeta, TraceTrailer, BLOCK_RECORDS, BLOCK_TAG,
+    ESCAPE_ID, MAGIC, MAX_RECORD_BYTES, MAX_TEMPLATE_BYTES, TRAILER_TAG, VERSION,
 };
 
 /// Everything that can go wrong reading a trace.
@@ -73,6 +73,123 @@ impl From<io::Error> for TraceError {
     }
 }
 
+/// Why a record failed to decode.
+enum BadRecord {
+    /// The payload ended inside the record, or a varint overflowed.
+    Truncated,
+    /// The record names a template id past the block's table.
+    NoTemplate(u64),
+}
+
+/// Read a varint past its first byte out of line, taking and returning
+/// the position by value, so the decode loop's position never has to
+/// live in memory for a call to borrow.
+#[cold]
+#[inline(never)]
+fn get_long_varint(payload: &[u8], pos: usize) -> Result<(u64, usize), BadRecord> {
+    let mut at = pos;
+    let v = get_varint(payload, &mut at).ok_or(BadRecord::Truncated)?;
+    Ok((v, at))
+}
+
+/// Read a zigzag varint delta, as the `u64` that wrapping-adds it; most
+/// are one byte.
+#[inline(always)]
+fn get_delta(payload: &[u8], pos: &mut usize) -> Result<u64, BadRecord> {
+    let byte = *payload.get(*pos).ok_or(BadRecord::Truncated)?;
+    let v = if byte < 0x80 {
+        *pos += 1;
+        byte as u64
+    } else {
+        let (v, at) = get_long_varint(payload, *pos)?;
+        *pos = at;
+        v
+    };
+    Ok(unzigzag(v) as u64)
+}
+
+/// Decode one record from `payload` at `pos` into `slot`: a copy of the
+/// template it names, with its PC, taken bit and addresses set. Every
+/// dynamic field is built in a local and stored once, and nothing is read
+/// back from `slot`: a wide load of fresh narrow stores cannot be
+/// forwarded and would stall each record. The ctrl byte has no reserved
+/// bits, and a template's unused access slots are zero already, so neither
+/// needs a check here.
+#[inline(always)]
+fn decode_record(
+    payload: &[u8],
+    pos: &mut usize,
+    templates: &[RetiredInst],
+    prev_pc: &mut u64,
+    prev_addr: &mut u64,
+    slot: &mut RetiredInst,
+) -> Result<(), BadRecord> {
+    let ctrl = *payload.get(*pos).ok_or(BadRecord::Truncated)?;
+    *pos += 1;
+    let mut id = (ctrl >> 2) as u64;
+    if id == ESCAPE_ID as u64 {
+        let (more, at) = get_long_varint(payload, *pos)?;
+        id = id.saturating_add(more);
+        *pos = at;
+    }
+    let t = templates
+        .get(id as usize)
+        .ok_or(BadRecord::NoTemplate(id))?;
+    let pc = if ctrl & 2 != 0 {
+        prev_pc.wrapping_add(4)
+    } else {
+        prev_pc.wrapping_add(get_delta(payload, pos)?)
+    };
+    *prev_pc = pc;
+    let (sizes, n_reads, n_writes) = t.access_shape();
+    let n = n_reads + n_writes;
+    let a0 = if n > 0 {
+        *prev_addr = prev_addr.wrapping_add(get_delta(payload, pos)?);
+        *prev_addr
+    } else {
+        0
+    };
+    let a1 = if n > 1 {
+        *prev_addr = prev_addr.wrapping_add(get_delta(payload, pos)?);
+        *prev_addr
+    } else {
+        0
+    };
+    *slot = *t;
+    slot.pc = pc;
+    slot.taken = ctrl & 1 != 0;
+    slot.set_accesses([a0, a1], sizes, n_reads, n_writes);
+    Ok(())
+}
+
+/// Decode one record per slot of `block` from `payload`, starting at `pos`
+/// with the PC and address bases a block starts from. Returns the position
+/// after the last record, or the index of the record that failed and why.
+/// Kept out of line so the loop's few live values stay in registers.
+#[inline(never)]
+fn decode_records(
+    payload: &[u8],
+    mut pos: usize,
+    templates: &[RetiredInst],
+    first_pc: u64,
+    block: &mut [RetiredInst],
+) -> Result<usize, (usize, BadRecord)> {
+    let mut prev_pc = first_pc.wrapping_sub(4);
+    let mut prev_addr = 0u64;
+    for (i, slot) in block.iter_mut().enumerate() {
+        decode_record(
+            payload,
+            &mut pos,
+            templates,
+            &mut prev_pc,
+            &mut prev_addr,
+            slot,
+        )
+        .map_err(|why| (i, why))?;
+    }
+    Ok(pos)
+}
+
 /// What a full verification pass learned about a trace.
 #[derive(Debug, Clone)]
 pub struct TraceSummary {
@@ -102,6 +219,8 @@ pub struct TraceReader<R: Read> {
     version: u16,
     /// The current block's encoded bytes; reused from block to block.
     payload: Vec<u8>,
+    /// The current block's templates, by id; reused from block to block.
+    templates: Vec<RetiredInst>,
     block: Vec<RetiredInst>,
     next_in_block: usize,
     blocks_read: u64,
@@ -156,6 +275,7 @@ impl<R: Read> TraceReader<R> {
             meta,
             version,
             payload: Vec::new(),
+            templates: Vec::new(),
             block: Vec::new(),
             next_in_block: 0,
             blocks_read: 0,
@@ -188,69 +308,6 @@ impl<R: Read> TraceReader<R> {
     /// Blocks decoded so far.
     pub fn blocks_read(&self) -> u64 {
         self.blocks_read
-    }
-
-    /// Decode one record from `payload` at `pos`. Every field is built in
-    /// a local and the record is stored once: pushing accesses one at a
-    /// time into a record on the stack and then copying it out would read
-    /// back fresh narrow stores with wide loads, a store-forwarding stall
-    /// per record.
-    #[inline]
-    fn decode_record(
-        payload: &[u8],
-        pos: &mut usize,
-        prev_pc: &mut u64,
-        prev_addr: &mut u64,
-    ) -> Option<RetiredInst> {
-        let flags = *payload.get(*pos)?;
-        *pos += 1;
-        let group = simcore::InstGroup::from_code(*payload.get(*pos)?)?;
-        *pos += 1;
-        let delta = unzigzag(get_varint(payload, pos)?);
-        let pc = prev_pc.wrapping_add(delta as u64);
-        *prev_pc = pc;
-        let mut regs = || {
-            let n = *payload.get(*pos)?;
-            *pos += 1;
-            if n as usize > simcore::NUM_REG_SLOTS {
-                return None;
-            }
-            let mut set = RegSet::empty();
-            for _ in 0..n {
-                let slot = *payload.get(*pos)?;
-                *pos += 1;
-                if slot as usize >= simcore::NUM_REG_SLOTS {
-                    return None;
-                }
-                set.insert(simcore::RegId::from_index(slot as usize));
-            }
-            Some(set)
-        };
-        let srcs = regs()?;
-        let dsts = regs()?;
-        let n_reads = (flags >> 2) & 0x3;
-        let n_writes = (flags >> 4) & 0x3;
-        let n = (n_reads + n_writes) as usize;
-        if n > simcore::MAX_MEM_ACCESSES {
-            return None;
-        }
-        let mut access = || {
-            let delta = unzigzag(get_varint(payload, pos)?);
-            let addr = prev_addr.wrapping_add(delta as u64);
-            *prev_addr = addr;
-            let size = *payload.get(*pos)?;
-            *pos += 1;
-            Some((addr, size))
-        };
-        let (a0, s0) = if n > 0 { access()? } else { (0, 0) };
-        let (a1, s1) = if n > 1 { access()? } else { (0, 0) };
-        let mut ri = RetiredInst::new(pc, group);
-        ri.srcs = srcs;
-        ri.dsts = dsts;
-        ri.set_accesses([a0, a1], [s0, s1], n_reads, n_writes);
-        ri.is_branch = flags & 1 != 0;
-        ri.taken = flags & 2 != 0;
-        Some(ri)
     }
 
     /// Read and decode the next block. Returns `false` once the trailer has
@@ -304,9 +361,11 @@ impl<R: Read> TraceReader<R> {
                 detail: format!("implausible record count {n_records}"),
             });
         }
-        // Worst-case record encoding is well under 64 bytes; anything
-        // larger is a corrupt length that would drive a huge allocation.
-        if payload_len > n_records * 64 {
+        // A block holds at most one template per record after its template
+        // count (a varint, at most 10 bytes); anything longer than that
+        // worst case is a corrupt length that would drive a huge
+        // allocation.
+        if payload_len > 10 + n_records * (MAX_TEMPLATE_BYTES + MAX_RECORD_BYTES) {
             return Err(TraceError::Corrupt {
                 block: self.blocks_read,
                 detail: format!("implausible payload length {payload_len} for {n_records} records"),
@@ -326,10 +385,14 @@ impl<R: Read> TraceReader<R> {
                 detail: format!("checksum {stored_checksum:#018x} != computed {computed:#018x}"),
             });
         }
-        self.block.clear();
         self.next_in_block = 0;
-        if let Err(detail) = Self::decode_block(&self.payload, n_records, first_pc, &mut self.block)
-        {
+        if let Err(detail) = Self::decode_block(
+            &self.payload,
+            n_records,
+            first_pc,
+            &mut self.templates,
+            &mut self.block,
+        ) {
             // Never leave part of a damaged block where `drive` or `next`
             // could hand it out.
             self.block.clear();
@@ -342,24 +405,42 @@ impl<R: Read> TraceReader<R> {
         Ok(true)
     }
 
-    /// Decode all `n_records` of a checksum-verified payload into `block`,
-    /// which must consume the payload exactly.
+    /// Decode a checksum-verified payload: its templates into `templates`,
+    /// checking each once, then all `n_records` records into `block`. The
+    /// records must consume the payload exactly.
     fn decode_block(
         payload: &[u8],
         n_records: usize,
         first_pc: u64,
+        templates: &mut Vec<RetiredInst>,
         block: &mut Vec<RetiredInst>,
     ) -> Result<(), String> {
-        block.reserve(n_records);
         let mut pos = 0usize;
-        let mut prev_pc = first_pc;
-        let mut prev_addr = 0u64;
-        for i in 0..n_records {
-            match Self::decode_record(payload, &mut pos, &mut prev_pc, &mut prev_addr) {
-                Some(ri) => block.push(ri),
-                None => return Err(format!("record {i} of {n_records} failed to decode")),
-            }
+        let n_templates = get_varint(payload, &mut pos).ok_or("template count failed to decode")?;
+        if n_templates > n_records as u64 {
+            return Err(format!("{n_templates} templates for {n_records} records"));
         }
+        templates.clear();
+        for k in 0..n_templates {
+            let t = get_template(payload, &mut pos)
+                .map_err(|why| format!("template {k} of {n_templates}: {why}"))?;
+            templates.push(t);
+        }
+        // Sized, not cleared: the previous block's records are overwritten
+        // in place, so a block of the same size costs no extra stores.
+        block.truncate(n_records);
+        block.resize(n_records, RetiredInst::new(0, InstGroup::IntAlu));
+        let pos = match decode_records(payload, pos, templates, first_pc, block) {
+            Ok(pos) => pos,
+            Err((i, BadRecord::Truncated)) => {
+                return Err(format!("record {i} of {n_records} failed to decode"))
+            }
+            Err((i, BadRecord::NoTemplate(id))) => {
+                return Err(format!(
+                    "record {i} of {n_records} names template {id} of {n_templates}"
+                ))
+            }
+        };
         if pos != payload.len() {
             return Err(format!(
                 "{} trailing payload bytes after the last record",
@@ -370,10 +451,15 @@ impl<R: Read> TraceReader<R> {
     }
 
     /// Decode the whole trace, verifying every checksum and the trailer.
-    /// Consumes the reader; the records themselves are discarded.
+    /// Consumes the reader; the records themselves are discarded a block
+    /// at a time, never copied out one by one.
     pub fn verify(mut self) -> Result<TraceSummary, TraceError> {
-        for r in self.by_ref() {
-            r?;
+        while !self.failed && self.trailer.is_none() {
+            self.records_read += (self.block.len() - self.next_in_block) as u64;
+            self.next_in_block = self.block.len();
+            if !self.next_block()? {
+                break;
+            }
         }
         let trailer = self.trailer.ok_or(TraceError::Truncated)?;
         Ok(TraceSummary {
@@ -696,36 +782,127 @@ mod tests {
         assert_eq!(rec.records.len(), BLOCK_RECORDS);
     }
 
-    #[test]
-    fn a_record_claiming_three_accesses_is_a_corrupt_block() {
-        // Block 0 is a real capture; block 1 is one hand-built Load whose
-        // flags claim two reads and a write, one more access than a
-        // record holds. Its checksum is valid, so only the decoder can
-        // object, and it must do so with a typed error, not a panic.
-        let mut buf = capture(&sample_stream(BLOCK_RECORDS + 1));
+    /// A template for a Load of 8 bytes reading slot 2 into slot 3.
+    fn load_template() -> Vec<u8> {
+        vec![InstGroup::Load.code(), 1 << 2, 8, 1, 2, 1, 3]
+    }
+
+    /// Block 0 is a real capture; block 1 holds `n_records` and the
+    /// hand-built `payload`. Its checksum is valid, so only the decoder can
+    /// object, and it must do so with a typed error naming block 1, not a
+    /// panic, before handing out any of block 1's records.
+    fn assert_block_1_corrupt(n_records: u32, payload: &[u8], want: &str) {
+        let stream = sample_stream(BLOCK_RECORDS + 1);
+        let mut buf = capture(&stream);
         buf.truncate(block_offset(&buf, 1));
-        let flags = (2 << 2) | (1 << 4);
-        let mut payload = vec![flags, InstGroup::Load.code(), 0, 0, 0];
-        for _ in 0..3 {
-            payload.extend_from_slice(&[0, 8]); // address delta 0, 8 bytes
-        }
         buf.push(BLOCK_TAG);
-        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&n_records.to_le_bytes());
         buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         buf.extend_from_slice(&0x1000u64.to_le_bytes());
-        buf.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        buf.extend_from_slice(&payload);
+        buf.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        buf.extend_from_slice(payload);
+
         let mut reader = TraceReader::new(io::Cursor::new(&buf)).unwrap();
         for _ in 0..BLOCK_RECORDS {
             reader.next().unwrap().unwrap();
         }
         match reader.next() {
             Some(Err(TraceError::Corrupt { block: 1, detail })) => {
-                assert!(detail.contains("record 0 of 1"), "got: {detail}")
+                assert!(detail.contains(want), "want {want:?}, got: {detail}")
             }
             other => panic!("want block 1 corrupt, got {other:?}"),
         }
         assert!(reader.next().is_none());
+
+        let mut reader = TraceReader::new(io::Cursor::new(&buf)).unwrap();
+        let mut rec = Recorder::default();
+        let err = reader
+            .drive(&mut [&mut rec])
+            .expect_err("damage must be caught");
+        let SimError::Fault { msg, .. } = err else {
+            panic!("want a fault, got {err}")
+        };
+        assert!(msg.contains("corrupt trace block 1:"), "got: {msg}");
+        assert_eq!(
+            rec.records,
+            stream[..BLOCK_RECORDS],
+            "observers saw only block 0"
+        );
+    }
+
+    #[test]
+    fn a_template_claiming_three_accesses_is_a_corrupt_block() {
+        let flags = (2 << 2) | (1 << 4);
+        let mut payload = vec![1, InstGroup::Load.code(), flags, 8, 8, 8, 0, 0];
+        payload.extend_from_slice(&[0b10, 0, 0, 0]); // id 0, next PC, 3 addresses
+        assert_block_1_corrupt(1, &payload, "template 0 of 1: 3 memory accesses");
+    }
+
+    #[test]
+    fn an_unknown_group_code_is_a_corrupt_block() {
+        let mut payload = vec![1];
+        payload.extend(load_template());
+        payload[1] = 0xEE;
+        payload.extend_from_slice(&[0b10, 0]);
+        assert_block_1_corrupt(1, &payload, "template 0 of 1: unknown group code 0xee");
+    }
+
+    #[test]
+    fn reserved_template_flag_bits_are_a_corrupt_block() {
+        for bit in [1, 6, 7] {
+            let mut payload = vec![1];
+            payload.extend(load_template());
+            payload[2] |= 1 << bit;
+            payload.extend_from_slice(&[0b10, 0]);
+            assert_block_1_corrupt(1, &payload, "reserved flag bits");
+        }
+    }
+
+    #[test]
+    fn a_register_slot_past_the_namespace_is_a_corrupt_block() {
+        let mut payload = vec![1];
+        payload.extend(load_template());
+        payload[7] = simcore::NUM_REG_SLOTS as u8; // the destination slot
+        payload.extend_from_slice(&[0b10, 0]);
+        assert_block_1_corrupt(1, &payload, "template 0 of 1: register slot 65");
+    }
+
+    #[test]
+    fn more_templates_than_records_is_a_corrupt_block() {
+        let mut payload = vec![2];
+        payload.extend(load_template());
+        payload.extend(load_template());
+        payload.extend_from_slice(&[0b10, 0]);
+        assert_block_1_corrupt(1, &payload, "2 templates for 1 records");
+    }
+
+    #[test]
+    fn a_record_naming_a_template_past_the_table_is_a_corrupt_block() {
+        let mut payload = vec![1];
+        payload.extend(load_template());
+        payload.extend_from_slice(&[0b10, 0, 1 << 2 | 0b10, 0]);
+        assert_block_1_corrupt(2, &payload, "record 1 of 2 names template 1 of 1");
+        // The escape to a varint id reaches past the table the same way.
+        let mut payload = vec![1];
+        payload.extend(load_template());
+        payload.extend_from_slice(&[(ESCAPE_ID << 2) | 0b10, 0, 0]);
+        assert_block_1_corrupt(1, &payload, "record 0 of 1 names template 63 of 1");
+        // An escaped id whose varint overflows `u64` cannot wrap into the
+        // table.
+        let mut payload = vec![1];
+        payload.extend(load_template());
+        payload.push((ESCAPE_ID << 2) | 0b10);
+        payload.extend_from_slice(&[0xFF; 9]);
+        payload.extend_from_slice(&[0x7F, 0]);
+        assert_block_1_corrupt(1, &payload, "record 0 of 1 failed to decode");
+    }
+
+    #[test]
+    fn leftover_payload_bytes_are_a_corrupt_block() {
+        let mut payload = vec![1];
+        payload.extend(load_template());
+        payload.extend_from_slice(&[0b10, 0, 0]);
+        assert_block_1_corrupt(1, &payload, "1 trailing payload bytes");
     }
 
     #[test]

@@ -1,14 +1,21 @@
 //! Streaming trace capture.
 
+use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::Path;
 
 use simcore::{Observer, RetiredInst};
 
 use crate::format::{
-    fnv1a64, put_varint, zigzag, TraceMeta, TraceTrailer, BLOCK_RECORDS, BLOCK_TAG, MAGIC,
-    TRAILER_TAG, VERSION,
+    fnv1a64, put_template, put_varint, template_of, zigzag, TraceMeta, TraceTrailer, BLOCK_RECORDS,
+    BLOCK_TAG, ESCAPE_ID, MAGIC, TRAILER_TAG, VERSION,
 };
+
+/// Entries in the PC-indexed template cache (a power of two).
+const CACHE_SLOTS: usize = 1024;
+
+/// A cache slot holding no template id.
+const NO_TEMPLATE: u32 = u32::MAX;
 
 /// Headline numbers from a finished capture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,7 +38,19 @@ pub struct WriteSummary {
 /// `finish` returns `Ok`.
 pub struct TraceWriter<W: Write> {
     out: W,
+    /// The open block's encoded records.
     payload: Vec<u8>,
+    /// The open block's encoded templates.
+    template_bytes: Vec<u8>,
+    /// The open block's templates, by id.
+    templates: Vec<RetiredInst>,
+    /// Each of the open block's templates to its id.
+    ids: HashMap<RetiredInst, u32>,
+    /// The template id last seen at a PC, by `(pc >> 2) % CACHE_SLOTS`; a
+    /// hint that counts only once the template matches in full.
+    cache: Box<[u32; CACHE_SLOTS]>,
+    /// The framed payload of the block being flushed.
+    block: Vec<u8>,
     n_in_block: u32,
     first_pc: u64,
     prev_pc: u64,
@@ -54,9 +73,10 @@ impl TraceWriter<io::BufWriter<std::fs::File>> {
     /// The file is truncated to `bytes` — the flushed-block boundary a
     /// checkpoint's trace mark recorded — and the writer resumes with its
     /// `records`/`blocks`/`bytes` counters restored, an empty open block,
-    /// and fresh per-block delta bases (which is exactly the state an
-    /// uninterrupted writer has at a block boundary). The continuation is
-    /// therefore byte-identical to a capture that never stopped.
+    /// no templates and fresh per-block delta bases (which is exactly the
+    /// state an uninterrupted writer has at a block boundary). The
+    /// continuation is therefore byte-identical to a capture that never
+    /// stopped.
     pub fn resume(path: &Path, records: u64, blocks: u64, bytes: u64) -> io::Result<Self> {
         use std::io::Seek;
         let file = std::fs::OpenOptions::new()
@@ -73,18 +93,7 @@ impl TraceWriter<io::BufWriter<std::fs::File>> {
         file.set_len(bytes)?;
         let mut out = io::BufWriter::new(file);
         out.seek(io::SeekFrom::End(0))?;
-        Ok(TraceWriter {
-            out,
-            payload: Vec::with_capacity(BLOCK_RECORDS * 8),
-            n_in_block: 0,
-            first_pc: 0,
-            prev_pc: 0,
-            prev_addr: 0,
-            records,
-            blocks,
-            bytes,
-            error: None,
-        })
+        Ok(TraceWriter::at_block_boundary(out, records, blocks, bytes))
     }
 
     /// Flush buffered bytes and `fdatasync` the file, so everything
@@ -117,18 +126,30 @@ impl<W: Write> TraceWriter<W> {
         out.write_all(&0u16.to_le_bytes())?;
         out.write_all(&(meta_bytes.len() as u32).to_le_bytes())?;
         out.write_all(&meta_bytes)?;
-        Ok(TraceWriter {
+        let header_bytes = (4 + 2 + 2 + 4 + meta_bytes.len()) as u64;
+        Ok(TraceWriter::at_block_boundary(out, 0, 0, header_bytes))
+    }
+
+    /// A writer over `out` with its counters at the given values and an
+    /// empty open block: the state of any writer between two blocks.
+    fn at_block_boundary(out: W, records: u64, blocks: u64, bytes: u64) -> Self {
+        TraceWriter {
             out,
-            payload: Vec::with_capacity(BLOCK_RECORDS * 8),
+            payload: Vec::with_capacity(BLOCK_RECORDS * 4),
+            template_bytes: Vec::new(),
+            templates: Vec::new(),
+            ids: HashMap::new(),
+            cache: Box::new([NO_TEMPLATE; CACHE_SLOTS]),
+            block: Vec::with_capacity(BLOCK_RECORDS * 4),
             n_in_block: 0,
             first_pc: 0,
             prev_pc: 0,
             prev_addr: 0,
-            records: 0,
-            blocks: 0,
-            bytes: (4 + 2 + 2 + 4 + meta_bytes.len()) as u64,
+            records,
+            blocks,
+            bytes,
             error: None,
-        })
+        }
     }
 
     /// Records written so far.
@@ -151,35 +172,54 @@ impl<W: Write> TraceWriter<W> {
         self.error.as_ref()
     }
 
+    /// The open block's id for the template of `ri`, adding the template
+    /// if the block has not seen it. The PC-indexed cache answers most
+    /// lookups, but only after the whole template compares equal: one PC
+    /// can retire with different shapes.
+    #[inline]
+    fn template_id(&mut self, ri: &RetiredInst) -> u32 {
+        let t = template_of(ri);
+        let slot = (ri.pc >> 2) as usize % CACHE_SLOTS;
+        let hint = self.cache[slot];
+        if self.templates.get(hint as usize) == Some(&t) {
+            return hint;
+        }
+        let next = self.templates.len() as u32;
+        let id = *self.ids.entry(t).or_insert(next);
+        if id == next {
+            self.templates.push(t);
+            put_template(&mut self.template_bytes, &t);
+        }
+        self.cache[slot] = id;
+        id
+    }
+
     fn encode(&mut self, ri: &RetiredInst) {
         if self.n_in_block == 0 {
             self.first_pc = ri.pc;
-            self.prev_pc = ri.pc;
+            self.prev_pc = ri.pc.wrapping_sub(4);
             self.prev_addr = 0;
         }
-        let n_reads = ri.mem_reads().len() as u8;
-        let n_writes = ri.mem_writes().len() as u8;
-        let flags =
-            (ri.is_branch as u8) | ((ri.taken as u8) << 1) | (n_reads << 2) | (n_writes << 4);
-        self.payload.push(flags);
-        self.payload.push(ri.group.code());
-        put_varint(
-            &mut self.payload,
-            zigzag(ri.pc.wrapping_sub(self.prev_pc) as i64),
-        );
-        self.prev_pc = ri.pc;
-        for set in [&ri.srcs, &ri.dsts] {
-            self.payload.push(set.len() as u8);
-            for r in set.iter() {
-                self.payload.push(r.index() as u8);
-            }
+        let id = self.template_id(ri);
+        let sequential = ri.pc == self.prev_pc.wrapping_add(4);
+        let ctrl =
+            (ri.taken as u8) | ((sequential as u8) << 1) | (id.min(ESCAPE_ID as u32) as u8) << 2;
+        self.payload.push(ctrl);
+        if id >= ESCAPE_ID as u32 {
+            put_varint(&mut self.payload, (id - ESCAPE_ID as u32) as u64);
         }
+        if !sequential {
+            put_varint(
+                &mut self.payload,
+                zigzag(ri.pc.wrapping_sub(self.prev_pc) as i64),
+            );
+        }
+        self.prev_pc = ri.pc;
         for a in ri.mem_accesses() {
             put_varint(
                 &mut self.payload,
                 zigzag(a.addr.wrapping_sub(self.prev_addr) as i64),
             );
-            self.payload.push(a.size);
             self.prev_addr = a.addr;
         }
         self.n_in_block += 1;
@@ -189,30 +229,37 @@ impl<W: Write> TraceWriter<W> {
         }
     }
 
+    /// Write the open block, then start the next one with no records and
+    /// no templates.
     fn flush_block(&mut self) {
-        if self.n_in_block == 0 || self.error.is_some() {
-            self.payload.clear();
-            self.n_in_block = 0;
-            return;
-        }
-        let checksum = fnv1a64(&self.payload);
-        let write = (|| -> io::Result<()> {
-            self.out.write_all(&[BLOCK_TAG])?;
-            self.out.write_all(&self.n_in_block.to_le_bytes())?;
-            self.out
-                .write_all(&(self.payload.len() as u32).to_le_bytes())?;
-            self.out.write_all(&self.first_pc.to_le_bytes())?;
-            self.out.write_all(&checksum.to_le_bytes())?;
-            self.out.write_all(&self.payload)
-        })();
-        match write {
-            Ok(()) => {
-                self.bytes += (1 + 4 + 4 + 8 + 8 + self.payload.len()) as u64;
-                self.blocks += 1;
+        if self.n_in_block > 0 && self.error.is_none() {
+            self.block.clear();
+            put_varint(&mut self.block, self.templates.len() as u64);
+            self.block.extend_from_slice(&self.template_bytes);
+            self.block.extend_from_slice(&self.payload);
+            let checksum = fnv1a64(&self.block);
+            let write = (|| -> io::Result<()> {
+                self.out.write_all(&[BLOCK_TAG])?;
+                self.out.write_all(&self.n_in_block.to_le_bytes())?;
+                self.out
+                    .write_all(&(self.block.len() as u32).to_le_bytes())?;
+                self.out.write_all(&self.first_pc.to_le_bytes())?;
+                self.out.write_all(&checksum.to_le_bytes())?;
+                self.out.write_all(&self.block)
+            })();
+            match write {
+                Ok(()) => {
+                    self.bytes += (1 + 4 + 4 + 8 + 8 + self.block.len()) as u64;
+                    self.blocks += 1;
+                }
+                Err(e) => self.error = Some(e),
             }
-            Err(e) => self.error = Some(e),
         }
         self.payload.clear();
+        self.template_bytes.clear();
+        self.templates.clear();
+        self.ids.clear();
+        self.cache.fill(NO_TEMPLATE);
         self.n_in_block = 0;
     }
 

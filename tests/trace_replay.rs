@@ -137,11 +137,11 @@ fn older_format_version_is_stale_and_recaptured() {
     };
     let first = cell();
 
-    // Stamp the capture as format version 1 (bytes 4..6 of the header):
+    // Stamp the capture as format version 2 (bytes 4..6 of the header):
     // an older build's cache. It is stale, not damaged.
     let path = dir.join("STREAM-gcc-12.2-RISC-V-test.trace");
     let mut bytes = std::fs::read(&path).unwrap();
-    bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+    bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
 
     let (stale, errors) = (
@@ -156,7 +156,7 @@ fn older_format_version_is_stale_and_recaptured() {
     // The live run recaptured the file in the current version.
     let bytes = std::fs::read(&path).unwrap();
     assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), trace::VERSION);
-    assert_eq!(trace::VERSION, 2);
+    assert_eq!(trace::VERSION, 3);
     let summary = trace::TraceReader::open(&path).unwrap().verify().unwrap();
     assert_eq!(summary.version, trace::VERSION);
 

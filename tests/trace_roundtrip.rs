@@ -52,8 +52,57 @@ fn inst() -> impl Strategy<Value = RetiredInst> {
         })
 }
 
+/// Static shape `k` of [`many_shapes`]: the group and one source register
+/// follow from `k`, so shapes below `InstGroup::ALL.len() * 65` are
+/// pairwise distinct. Loads read and stores write `addr`.
+fn shaped(k: usize, pc: u64, addr: u64) -> RetiredInst {
+    let groups = InstGroup::ALL.len();
+    let mut ri = RetiredInst::new(pc, InstGroup::ALL[k % groups]);
+    ri.srcs = RegSet::of(&[RegId::from_index(k / groups % 65)]);
+    match ri.group {
+        InstGroup::Load => ri.push_read(addr, 8),
+        InstGroup::Store => ri.push_write(addr, 4),
+        _ => {}
+    }
+    ri
+}
+
+/// One block holding `shapes` distinct static shapes. Each shape retires
+/// once in order, two to a PC, so every PC retires with two shapes; then
+/// random shapes retire again while the PC steps on, stays put, jumps
+/// forward or jumps backward.
+fn many_shapes(shapes: std::ops::Range<usize>) -> impl Strategy<Value = Vec<RetiredInst>> {
+    (
+        shapes,
+        proptest::collection::vec((any::<u16>(), 0u8..4, 1u64..64, any::<u64>()), 0..400),
+    )
+        .prop_map(|(n, tail)| {
+            let base = 0x40_0000;
+            let mut s: Vec<RetiredInst> = (0..n)
+                .map(|k| shaped(k, base + 4 * (k as u64 / 2), 0x1000 + 8 * k as u64))
+                .collect();
+            let mut pc = base + 4 * (n as u64 / 2);
+            for (k, step, jump, addr) in tail {
+                pc = match step {
+                    0 => pc.wrapping_add(4),
+                    1 => pc,
+                    2 => pc.wrapping_add(4 * jump),
+                    _ => pc.wrapping_sub(4 * jump),
+                };
+                s.push(shaped(k as usize % n, pc, addr));
+            }
+            s
+        })
+}
+
+/// Arbitrary records, or one block of more static shapes than a ctrl byte
+/// names (past 63) or than a one-byte escape names (past 63 + 127).
 fn stream() -> impl Strategy<Value = Vec<RetiredInst>> {
-    proptest::collection::vec(inst(), 1..400)
+    prop_oneof![
+        proptest::collection::vec(inst(), 1..400),
+        many_shapes(64..191),
+        many_shapes(191..400),
+    ]
 }
 
 fn capture(stream: &[RetiredInst], state_hash: u64) -> Vec<u8> {
