@@ -127,6 +127,13 @@ impl ResultMatrix {
             .find(|c| c.workload == workload && c.compiler == compiler && c.isa == isa)
     }
 
+    /// Does the matrix hold an outcome, a cell or a failure, for this
+    /// combination?
+    pub fn has_record(&self, workload: &str, compiler: &str, isa: &str) -> bool {
+        self.get(workload, compiler, isa).is_some()
+            || self.get_failure(workload, compiler, isa).is_some()
+    }
+
     /// True when every attempted cell was measured.
     pub fn is_complete(&self) -> bool {
         self.failures.is_empty()

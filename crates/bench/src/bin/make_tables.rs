@@ -71,9 +71,9 @@ use std::sync::{Arc, Mutex};
 
 use bench::{cli, experiments};
 use isacmp::{
-    compile, continue_matrix, durable, read_journal, resume_matrix_journaled, run_cell,
-    run_matrix_journaled, run_matrix_opts, shutdown, CampaignManifest, CellJournal, ExperimentCell,
-    IsaKind, JournalContents, MatrixOptions, Personality, ResultMatrix, SizeClass, Workload,
+    compile, continue_matrix, durable, read_journal, resume_matrix, run_cell, run_matrix_journaled,
+    run_matrix_opts, shutdown, CampaignManifest, CellJournal, ExperimentCell, IsaKind,
+    JournalContents, MatrixOptions, Personality, ResultMatrix, SizeClass, Workload,
 };
 
 /// Where matrix runs journal completed cells for crash recovery. Fused
@@ -242,16 +242,12 @@ fn matrix(
                 prior.cells.len(),
                 prior.failures.len()
             );
-            // Seed a fresh journal with the kept cells so a crash mid-heal
+            // The heal journals every record it keeps, so a crash mid-heal
             // is itself journal-resumable.
             let journal = open_journal(jpath, || {
-                let mut j = CellJournal::create(Path::new(jpath), size.name(), None)?;
-                for c in &prior.cells {
-                    j.record_cell(c)?;
-                }
-                Ok(j)
+                CellJournal::create(Path::new(jpath), size.name(), None)
             });
-            resume_matrix_journaled(prior, size, opts, journal.as_ref())
+            resume_matrix(prior, size, opts, journal.as_ref())
         }
         None => {
             eprintln!("running the experiment matrix (5 workloads x 2 compilers x 2 ISAs) ...");

@@ -659,16 +659,11 @@ pub fn run_cell(
 /// degrade to [`ResultMatrix::failures`] entries; the other cells still
 /// measure.
 pub fn run_matrix(size: SizeClass) -> ResultMatrix {
-    run_matrix_for(&Workload::ALL, size)
+    run_matrix_opts(&Workload::ALL, size, &MatrixOptions::default())
 }
 
-/// Run the matrix for a subset of workloads.
-pub fn run_matrix_for(workloads: &[Workload], size: SizeClass) -> ResultMatrix {
-    run_matrix_opts(workloads, size, &MatrixOptions::default())
-}
-
-/// Run the matrix with fault-tolerance options (per-cell deadline,
-/// retries, targeted fault injection).
+/// Run the matrix for a subset of workloads with fault-tolerance options
+/// (per-cell deadline, retries, targeted fault injection).
 pub fn run_matrix_opts(
     workloads: &[Workload],
     size: SizeClass,
@@ -697,6 +692,29 @@ pub fn matrix_combos(workloads: &[Workload]) -> Vec<(Workload, Personality, IsaK
         .collect()
 }
 
+/// The `(workload, compiler, ISA)` labels a combination's records carry.
+fn combo_labels(
+    &(w, p, isa): &(Workload, Personality, IsaKind),
+) -> (&'static str, &'static str, &'static str) {
+    (w.name(), p.label(), isa_label(isa))
+}
+
+/// Does `matrix` hold a record, a cell or a failure, of this combination?
+fn has_combo(matrix: &ResultMatrix, combo: &(Workload, Personality, IsaKind)) -> bool {
+    let (w, c, i) = combo_labels(combo);
+    matrix.has_record(w, c, i)
+}
+
+/// Is the combination these record labels name one of `combos`?
+fn in_plan(combos: &[(Workload, Personality, IsaKind)], w: &str, c: &str, i: &str) -> bool {
+    combos.iter().any(|k| combo_labels(k) == (w, c, i))
+}
+
+/// One combination's resolution, as [`record_outcome`] folds it: the
+/// cell's own result, or the message of a panic that escaped the cell (or
+/// of a lost worker).
+pub type Outcome = Result<Result<ExperimentCell, CellError>, String>;
+
 /// [`run_matrix_opts`] with a crash-safe [`CellJournal`]: each cell's
 /// outcome is durably appended as it completes, before the worker moves
 /// on, so a SIGKILL mid-matrix loses at most the cells still in flight.
@@ -715,18 +733,73 @@ pub fn run_matrix_journaled(
 ) -> ResultMatrix {
     let _span = telemetry::global().enter("matrix");
     let combos = matrix_combos(workloads);
-    let outcomes = run_combos(&combos, size, opts, journal, &Default::default());
+    run_plan(&combos, &ResultMatrix::default(), size, opts, journal)
+}
+
+/// The one matrix driver behind every entry point: run, on the shared
+/// pool, each of `combos` that `kept` holds no record of, journaling each
+/// outcome as it completes, then [`assemble_matrix`] the kept records and
+/// the fresh outcomes.
+fn run_plan(
+    combos: &[(Workload, Personality, IsaKind)],
+    kept: &ResultMatrix,
+    size: SizeClass,
+    opts: &MatrixOptions,
+    journal: Option<&std::sync::Arc<std::sync::Mutex<CellJournal>>>,
+) -> ResultMatrix {
+    let missing: Vec<_> = combos
+        .iter()
+        .filter(|c| !has_combo(kept, c))
+        .copied()
+        .collect();
+    let mut ran = run_combos(&missing, size, opts, journal, &Default::default()).into_iter();
+    let outcomes = combos
+        .iter()
+        .map(|c| {
+            if has_combo(kept, c) {
+                None
+            } else {
+                ran.next().flatten()
+            }
+        })
+        .collect();
+    assemble_matrix(combos, kept, outcomes, opts.retries)
+}
+
+/// Assemble a matrix: `combos` in order, each from `kept`'s record of it
+/// or else from its slot in `outcomes` (folded by [`record_outcome`]),
+/// then `kept`'s records of combinations outside `combos`, at the end. A
+/// combo with neither was skipped by a shutdown; it is missing from the
+/// journal too, so the next resume runs it.
+///
+/// Public because the `isacmpd` daemon assembles served matrices through
+/// this exact fold; it (plus [`matrix_combos`] order) is what makes fresh,
+/// continued, healed and daemon-served matrices byte-identical.
+pub fn assemble_matrix(
+    combos: &[(Workload, Personality, IsaKind)],
+    kept: &ResultMatrix,
+    outcomes: Vec<Option<Outcome>>,
+    retries_asked: u32,
+) -> ResultMatrix {
     let mut matrix = ResultMatrix::default();
-    for ((w, p, isa), outcome) in combos.iter().zip(outcomes) {
-        if let Some(outcome) = outcome {
-            record_outcome(
-                &mut matrix,
-                w.name(),
-                p.label(),
-                isa_label(*isa),
-                outcome,
-                opts.retries,
-            );
+    for (combo, outcome) in combos.iter().zip(outcomes) {
+        let (w, c, i) = combo_labels(combo);
+        if let Some(cell) = kept.get(w, c, i) {
+            matrix.cells.push(cell.clone());
+        } else if let Some(f) = kept.get_failure(w, c, i) {
+            matrix.failures.push(f.clone());
+        } else if let Some(outcome) = outcome {
+            record_outcome(&mut matrix, w, c, i, outcome, retries_asked);
+        }
+    }
+    for c in &kept.cells {
+        if !in_plan(combos, &c.workload, &c.compiler, &c.isa) {
+            matrix.cells.push(c.clone());
+        }
+    }
+    for f in &kept.failures {
+        if !in_plan(combos, &f.workload, &f.compiler, &f.isa) {
+            matrix.failures.push(f.clone());
         }
     }
     matrix
@@ -740,14 +813,13 @@ pub fn run_matrix_journaled(
 /// pool — though `run_batch` in fact blocks until every slot resolves.
 /// `reference` is the run's memo of reference checksums; every matrix
 /// entry point passes a fresh one, so no run reuses another's.
-#[allow(clippy::type_complexity)]
 fn run_combos(
     combos: &[(Workload, Personality, IsaKind)],
     size: SizeClass,
     opts: &MatrixOptions,
     journal: Option<&std::sync::Arc<std::sync::Mutex<CellJournal>>>,
     reference: &std::sync::Arc<ReferenceMemo>,
-) -> Vec<Option<Result<Result<ExperimentCell, CellError>, String>>> {
+) -> Vec<Option<Outcome>> {
     // A matrix report always carries the cell counters, so a clean run
     // reads `cells_failed: 0` instead of lacking the key.
     let tel = telemetry::global();
@@ -760,33 +832,63 @@ fn run_combos(
             let cell_opts = opts.cell_options(w.name(), p.label(), isa_label(isa));
             let journal = journal.cloned();
             let reference = std::sync::Arc::clone(reference);
-            let retries = opts.retries;
             Box::new(move || {
-                let outcome = run_cell_with_reference(w, isa, &p, size, &cell_opts, &reference);
-                journal_outcome(
-                    journal.as_deref(),
-                    w.name(),
-                    p.label(),
-                    isa_label(isa),
-                    &outcome,
-                    retries,
-                );
-                outcome
+                run_journaled_cell(w, isa, &p, size, &cell_opts, &reference, journal.as_deref())
             }) as Box<dyn FnOnce() -> Result<ExperimentCell, CellError> + Send>
         })
         .collect();
     pool::global().run_batch(tasks, opts.heed_shutdown)
 }
 
+/// Run one cell and journal its outcome: the task every matrix entry
+/// point puts on the shared pool. Public because the `isacmpd` daemon
+/// runs the cells it computes through exactly this task, so daemon-written
+/// journals are indistinguishable from `make_tables` ones.
+pub fn run_journaled_cell(
+    workload: Workload,
+    isa: IsaKind,
+    personality: &Personality,
+    size: SizeClass,
+    opts: &CellOptions,
+    reference: &ReferenceMemo,
+    journal: Option<&std::sync::Mutex<CellJournal>>,
+) -> Result<ExperimentCell, CellError> {
+    let outcome = run_cell_with_reference(workload, isa, personality, size, opts, reference);
+    journal_outcome(
+        journal,
+        workload.name(),
+        personality.label(),
+        isa_label(isa),
+        &outcome,
+        opts.retries,
+    );
+    outcome
+}
+
+/// Lock a run's journal, whatever a panicking holder left behind.
+fn lock_journal(journal: &std::sync::Mutex<CellJournal>) -> std::sync::MutexGuard<'_, CellJournal> {
+    journal
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Count and log a journal append that failed. Journal I/O failures are
+/// never escalated — the in-memory matrix still carries the outcome.
+fn journal_error(io: std::io::Error) {
+    let tel = telemetry::global();
+    tel.counter_add("journal_errors", 1);
+    tel.event(
+        "journal_error",
+        &[("error", telemetry::Json::Str(io.to_string()))],
+    );
+}
+
 /// Durably append one completed cell outcome to the journal (if one is
 /// attached). Interrupted cells are deliberately *not* journaled: the
 /// absence of a record is what marks the combo for re-running on resume.
-/// Journal I/O failures are counted and logged, never escalated — the
-/// in-memory matrix still carries the outcome.
 ///
-/// Public because the `isacmpd` daemon journals cells it runs on the
-/// shared pool through exactly this path, so daemon-written journals are
-/// indistinguishable from `make_tables` ones.
+/// Public because the `isacmpd` daemon journals the cells it serves from
+/// its cache through this path too, so each job's journal is complete.
 pub fn journal_outcome(
     journal: Option<&std::sync::Mutex<CellJournal>>,
     workload: &str,
@@ -796,13 +898,8 @@ pub fn journal_outcome(
     retries_asked: u32,
 ) {
     let Some(journal) = journal else { return };
-    let lock = || {
-        journal
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    };
     let written = match outcome {
-        Ok(cell) => lock().record_cell(cell),
+        Ok(cell) => lock_journal(journal).record_cell(cell),
         Err(CellError::Interrupted { .. }) => return,
         Err(e) => {
             // Mirror `record_outcome`'s retries accounting exactly, so a
@@ -814,33 +911,23 @@ pub fn journal_outcome(
                 0
             };
             let f = e.to_failure(workload, compiler, isa, retries as u64);
-            lock().record_failure(&f)
+            lock_journal(journal).record_failure(&f)
         }
     };
     if let Err(io) = written {
-        let tel = telemetry::global();
-        tel.counter_add("journal_errors", 1);
-        tel.event(
-            "journal_error",
-            &[("error", telemetry::Json::Str(io.to_string()))],
-        );
+        journal_error(io);
     }
 }
 
 /// Fold one worker outcome into the matrix: a measured cell, a typed
 /// failure, or (worst case) a panic that escaped even `run_cell`'s
 /// catch_unwind / a lost worker — recorded, never fatal.
-///
-/// Public because the `isacmpd` daemon assembles served matrices through
-/// this exact path; that shared fold (plus [`matrix_combos`] order) is
-/// what makes a daemon-served `matrix.json` byte-identical to a one-shot
-/// `make_tables` run.
 pub fn record_outcome(
     matrix: &mut ResultMatrix,
     workload: &str,
     compiler: &str,
     isa: &str,
-    outcome: Result<Result<ExperimentCell, CellError>, String>,
+    outcome: Outcome,
     retries_asked: u32,
 ) {
     match outcome {
@@ -867,42 +954,20 @@ pub fn record_outcome(
     }
 }
 
-/// Map a failure record's labels back to a runnable combination. `None`
-/// for labels this build does not know (e.g. a matrix produced by a newer
-/// workload set) — those are carried forward untouched by a resume.
-fn combo_for(
-    workload: &str,
-    compiler: &str,
-    isa: &str,
-) -> Option<(Workload, Personality, IsaKind)> {
-    let w = Workload::ALL
-        .iter()
-        .copied()
-        .find(|w| w.name() == workload)?;
-    let p = [Personality::gcc92(), Personality::gcc122()]
-        .into_iter()
-        .find(|p| p.label() == compiler)?;
-    let i = [IsaKind::AArch64, IsaKind::RiscV]
-        .into_iter()
-        .find(|&i| isa_label(i) == isa)?;
-    Some((w, p, i))
-}
-
-/// Resume a partial matrix: keep every measured cell from `prior` and
-/// re-run only its recorded `failures` (in parallel, with `opts`).
-/// Failures whose labels this build cannot map to a combination are
-/// carried forward unchanged rather than silently dropped.
+/// Heal a finished-but-partial matrix: keep every measured cell from
+/// `prior` and re-run only its recorded `failures` (in parallel, with
+/// `opts`), in canonical order, so a healed matrix is byte-identical to a
+/// never-faulted run. Failures whose labels this build cannot map to a
+/// combination are carried forward unchanged at the end rather than
+/// silently dropped.
+///
+/// Every kept record is journaled before the re-runs start, so a heal
+/// killed midway continues from its journal ([`continue_matrix`]) with
+/// nothing lost.
 ///
 /// Telemetry counters: `cells_skipped` (prior healthy cells kept) and
 /// `cells_resumed` (failed cells re-run).
-pub fn resume_matrix(prior: &ResultMatrix, size: SizeClass, opts: &MatrixOptions) -> ResultMatrix {
-    resume_matrix_journaled(prior, size, opts, None)
-}
-
-/// [`resume_matrix`] with a crash-safe [`CellJournal`] attached to the
-/// re-run cells (kept prior cells are the caller's to seed into the
-/// journal — see `make_tables`).
-pub fn resume_matrix_journaled(
+pub fn resume_matrix(
     prior: &ResultMatrix,
     size: SizeClass,
     opts: &MatrixOptions,
@@ -910,33 +975,30 @@ pub fn resume_matrix_journaled(
 ) -> ResultMatrix {
     let tel = telemetry::global();
     let _span = tel.enter("matrix_resume");
-    let mut matrix = ResultMatrix {
-        cells: prior.cells.clone(),
-        failures: Vec::new(),
-    };
-    tel.counter_add("cells_skipped", prior.cells.len() as u64);
-    let mut reruns: Vec<(Workload, Personality, IsaKind)> = Vec::new();
-    for f in &prior.failures {
-        match combo_for(&f.workload, &f.compiler, &f.isa) {
-            Some(combo) => reruns.push(combo),
-            None => matrix.failures.push(f.clone()),
+    let combos: Vec<_> = matrix_combos(&Workload::ALL)
+        .into_iter()
+        .filter(|c| has_combo(prior, c))
+        .collect();
+    let mut kept = prior.clone();
+    kept.failures
+        .retain(|f| !in_plan(&combos, &f.workload, &f.compiler, &f.isa));
+    tel.counter_add("cells_skipped", kept.cells.len() as u64);
+    tel.counter_add(
+        "cells_resumed",
+        (prior.failures.len() - kept.failures.len()) as u64,
+    );
+    if let Some(journal) = journal {
+        let mut j = lock_journal(journal);
+        let written = kept
+            .cells
+            .iter()
+            .try_for_each(|c| j.record_cell(c))
+            .and_then(|()| kept.failures.iter().try_for_each(|f| j.record_failure(f)));
+        if let Err(io) = written {
+            journal_error(io);
         }
     }
-    tel.counter_add("cells_resumed", reruns.len() as u64);
-    let outcomes = run_combos(&reruns, size, opts, journal, &Default::default());
-    for ((w, p, isa), outcome) in reruns.iter().zip(outcomes) {
-        if let Some(outcome) = outcome {
-            record_outcome(
-                &mut matrix,
-                w.name(),
-                p.label(),
-                isa_label(*isa),
-                outcome,
-                opts.retries,
-            );
-        }
-    }
-    matrix
+    run_plan(&combos, &kept, size, opts, journal)
 }
 
 /// Continue an interrupted matrix run from journal-recovered outcomes.
@@ -944,7 +1006,7 @@ pub fn resume_matrix_journaled(
 /// Unlike [`resume_matrix`] (which *heals* a finished-but-partial matrix
 /// by re-running its failures), this is a strict continuation: every
 /// recorded cell AND failure from `prior` is kept verbatim, and only the
-/// combinations with no record at all are run. The result is reassembled
+/// combinations with no record at all are run. The result is assembled
 /// in canonical matrix order, so a run that was SIGKILLed and resumed
 /// produces a `matrix.json` byte-identical to one that was never
 /// interrupted. Records whose labels this build cannot map to a known
@@ -962,74 +1024,19 @@ pub fn continue_matrix(
     let tel = telemetry::global();
     let _span = tel.enter("matrix_continue");
     let combos = matrix_combos(workloads);
-    let key = |w: &str, c: &str, i: &str| (w.to_string(), c.to_string(), i.to_string());
-    let done: std::collections::HashSet<_> = prior
-        .cells
-        .iter()
-        .map(|c| key(&c.workload, &c.compiler, &c.isa))
-        .chain(
-            prior
-                .failures
-                .iter()
-                .map(|f| key(&f.workload, &f.compiler, &f.isa)),
-        )
-        .collect();
-    let missing: Vec<(Workload, Personality, IsaKind)> = combos
-        .iter()
-        .filter(|(w, p, isa)| !done.contains(&key(w.name(), p.label(), isa_label(*isa))))
-        .cloned()
-        .collect();
-    tel.counter_add(
-        "cells_skipped",
-        (prior.cells.len() + prior.failures.len()) as u64,
-    );
-    tel.counter_add("cells_resumed", missing.len() as u64);
+    let recovered = (prior.cells.len() + prior.failures.len()) as u64;
+    let remaining = combos.iter().filter(|c| !has_combo(prior, c)).count() as u64;
+    tel.counter_add("cells_skipped", recovered);
+    tel.counter_add("cells_resumed", remaining);
     tel.counter_add("journal_resumes", 1);
     tel.event(
         "journal_resume",
         &[
-            ("recovered", telemetry::Json::Num(done.len() as f64)),
-            ("remaining", telemetry::Json::Num(missing.len() as f64)),
+            ("recovered", telemetry::Json::Num(recovered as f64)),
+            ("remaining", telemetry::Json::Num(remaining as f64)),
         ],
     );
-
-    let outcomes = run_combos(&missing, size, opts, journal, &Default::default());
-    let mut fresh: std::collections::HashMap<_, _> = missing
-        .iter()
-        .zip(outcomes)
-        .filter_map(|((w, p, isa), o)| o.map(|o| (key(w.name(), p.label(), isa_label(*isa)), o)))
-        .collect();
-
-    // Reassemble in canonical order: kept records slot back into exactly
-    // the position an uninterrupted run would have produced them in.
-    let mut matrix = ResultMatrix::default();
-    for (w, p, isa) in &combos {
-        let (wn, pl, il) = (w.name(), p.label(), isa_label(*isa));
-        if let Some(c) = prior.get(wn, pl, il) {
-            matrix.cells.push(c.clone());
-        } else if let Some(f) = prior.get_failure(wn, pl, il) {
-            matrix.failures.push(f.clone());
-        } else if let Some(outcome) = fresh.remove(&key(wn, pl, il)) {
-            record_outcome(&mut matrix, wn, pl, il, outcome, opts.retries);
-        }
-        // else: skipped because shutdown was requested again — still
-        // missing from the journal, so the next resume re-attempts it.
-    }
-    let known: std::collections::HashSet<_> = combos
-        .iter()
-        .map(|(w, p, isa)| key(w.name(), p.label(), isa_label(*isa)))
-        .collect();
-    for c in &prior.cells {
-        if !known.contains(&key(&c.workload, &c.compiler, &c.isa)) {
-            matrix.cells.push(c.clone());
-        }
-    }
-    for f in &prior.failures {
-        if !known.contains(&key(&f.workload, &f.compiler, &f.isa)) {
-            matrix.failures.push(f.clone());
-        }
-    }
-    matrix
+    run_plan(&combos, prior, size, opts, journal)
 }
 
 /// Either pipeline flavour behind one observer interface, so the guest-run
@@ -1189,7 +1196,11 @@ mod tests {
 
     #[test]
     fn matrix_runs_one_workload() {
-        let m = run_matrix_for(&[Workload::Stream], SizeClass::Test);
+        let m = run_matrix_opts(
+            &[Workload::Stream],
+            SizeClass::Test,
+            &MatrixOptions::default(),
+        );
         assert_eq!(m.cells.len(), 4);
         assert!(
             m.is_complete(),

@@ -8,7 +8,8 @@
 //! `isacmpd listening on <addr>` on stdout once ready, and serves until
 //! SIGTERM/SIGINT, at which point it checkpoints in-flight jobs via their
 //! cell journals, notifies connected clients with a typed `shutdown`
-//! frame, and exits 0.
+//! frame, and exits 0. An unknown flag, a flag missing its value or a
+//! stray argument exits 2 with the usage text.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -16,6 +17,17 @@ use std::time::Duration;
 use bench::cli;
 use isacmp::shutdown;
 use server::{Config, Server};
+
+/// Flags taking a value; `--help`/`-h` are the only bare ones.
+const VALUED_FLAGS: [&str; 7] = [
+    "--addr",
+    "--max-jobs",
+    "--jobs-dir",
+    "--trace-dir",
+    "--warm",
+    "--warm-size",
+    "--drain-secs",
+];
 
 fn usage() -> ! {
     eprintln!(
@@ -73,6 +85,7 @@ fn main() {
     if cli::has_flag(&args, "--help") || cli::has_flag(&args, "-h") {
         usage();
     }
+    or_usage(cli::check_flags(&args, &VALUED_FLAGS, &[]));
     shutdown::install();
     let cfg = parse_config(&args);
     let server = match Server::bind(cfg) {

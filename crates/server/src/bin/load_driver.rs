@@ -2,7 +2,7 @@
 //!
 //! Usage: load_driver --addr HOST:PORT [--clients N] [--requests N]
 //!                    [job flags: --size/--retries/--deadline-secs/--inject/
-//!                     --campaign/--kind/--fusion]
+//!                     --campaign/--fusion]
 //!                    [--out MATRIX.JSON] [--stats-out STATS.JSON]
 //!                    [--min-hit-rate PCT]
 //!
@@ -16,7 +16,8 @@
 //!
 //! Exit codes: 0 success; 1 any job failure, matrix divergence, a
 //! `--min-hit-rate` miss, or (with `--fail-on-cell-failures`) any failure
-//! entry inside a served matrix; 2 usage. Failure *entries* are otherwise
+//! entry inside a served matrix; 2 usage (including an unknown flag, a
+//! flag missing its value or a stray argument). Failure *entries* are otherwise
 //! reported but tolerated — a fault campaign produces them by design.
 
 use std::io::Write;
@@ -62,13 +63,28 @@ fn busy_backoff(retry: u32, rng: &mut u64) -> Duration {
     Duration::from_millis(BUSY_BACKOFF_BASE_MS + splitmix64(rng) % span)
 }
 
+/// Flags taking a value, and bare flags (`--help`/`-h` are handled first).
+const VALUED_FLAGS: [&str; 11] = [
+    "--addr",
+    "--clients",
+    "--requests",
+    "--size",
+    "--retries",
+    "--deadline-secs",
+    "--inject",
+    "--campaign",
+    "--out",
+    "--stats-out",
+    "--min-hit-rate",
+];
+const BARE_FLAGS: [&str; 2] = ["--fusion", "--fail-on-cell-failures"];
+
 fn usage() -> ! {
     eprintln!(
         "usage: load_driver --addr HOST:PORT [--clients N] [--requests N] \
          [--size NAME] [--retries N] [--deadline-secs S] \
-         [--inject SPEC] [--campaign SEED:N] [--kind matrix|campaign|trace|fusion] \
-         [--fusion] [--out MATRIX.JSON] [--stats-out STATS.JSON] [--min-hit-rate PCT] \
-         [--fail-on-cell-failures]"
+         [--inject SPEC] [--campaign SEED:N] [--fusion] [--out MATRIX.JSON] \
+         [--stats-out STATS.JSON] [--min-hit-rate PCT] [--fail-on-cell-failures]"
     );
     std::process::exit(2);
 }
@@ -184,6 +200,7 @@ fn main() {
     if cli::has_flag(&args, "--help") || cli::has_flag(&args, "-h") {
         usage();
     }
+    or_usage(cli::check_flags(&args, &VALUED_FLAGS, &BARE_FLAGS));
     let Some(addr) = cli::flag_value(&args, "--addr") else {
         eprintln!("load_driver: --addr is required");
         usage();

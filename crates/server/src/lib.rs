@@ -1,11 +1,12 @@
 //! `isacmpd`: an always-on experiment server for the ISA-comparison
 //! matrix, plus the client pieces that talk to it.
 //!
-//! The daemon accepts matrix / campaign / trace-analysis job submissions
-//! over a std-only TCP protocol ([`proto`]: 4-byte big-endian length
-//! prefix + `telemetry::json` payload), runs cells on the process-wide
-//! work-stealing shard pool (`isacmp::pool::global`), and serves results
-//! from a provenance-keyed single-flight cell cache ([`cache`]) so
+//! The daemon accepts job submissions over a std-only TCP protocol
+//! ([`proto`]: 4-byte big-endian length prefix + `telemetry::json`
+//! payload). A job is a `make_tables` matrix run, described by the same
+//! flags (size, retries, deadline, injection, campaign, fusion). The
+//! daemon runs cells on the process-wide work-stealing shard pool
+//! (`isacmp::pool::global`) and serves results from a provenance-keyed single-flight cell cache ([`cache`]) so
 //! identical cells are computed exactly once no matter how many clients
 //! ask. Jobs stream per-cell progress frames, survive daemon restarts via
 //! per-job cell journals (the `make_tables --resume` machinery), and are
@@ -28,7 +29,7 @@ pub mod server;
 pub use cache::{CellKey, Claim, ResultCache};
 pub use client::{Client, JobOutcome};
 pub use proto::{
-    ClientMsg, FrameReader, JobKind, JobSpec, ProtoError, ReadOutcome, ServerMsg, StatsBody,
-    MAX_FRAME, PROTO_VERSION,
+    ClientMsg, FrameReader, JobSpec, ProtoError, ReadOutcome, ServerMsg, StatsBody, MAX_FRAME,
+    PROTO_VERSION,
 };
 pub use server::{Config, Server};

@@ -24,8 +24,10 @@ use isacmp::{CampaignManifest, MatrixOptions, SizeClass};
 
 /// Protocol version spoken by this build. Client messages carry it; a
 /// mismatch is a typed error, not silent misinterpretation. Version 2
-/// dropped the job spec's `engine` field (there is one retire loop).
-pub const PROTO_VERSION: u64 = 2;
+/// dropped the job spec's `engine` field (there is one retire loop);
+/// version 3 dropped its `kind` field, which restated the `campaign` and
+/// `fusion` fields.
+pub const PROTO_VERSION: u64 = 3;
 
 /// Hard cap on a frame payload. A full paper-size `matrix.json` is ~100
 /// KiB; 16 MiB leaves room for growth while keeping a hostile length
@@ -189,57 +191,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<Json, ProtoError> {
     }
 }
 
-/// What kind of work a job submission asks for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobKind {
-    /// The paper's experiment matrix (optionally with a targeted
-    /// `--inject` fault).
-    Matrix,
-    /// A seeded multi-fault campaign swept over every cell (requires a
-    /// campaign spec).
-    Campaign,
-    /// The matrix through the trace cache: first run captures each cell's
-    /// retired-instruction stream, later runs replay it.
-    TraceAnalysis,
-    /// Trace analysis with the macro-op fusion pass armed: every cell
-    /// additionally reports fused pair counts and effective path length.
-    /// Served from the same trace cache as [`JobKind::TraceAnalysis`] —
-    /// traces are fusion-independent — but cached under a distinct result
-    /// provenance key.
-    FusionReport,
-}
-
-impl JobKind {
-    pub fn name(self) -> &'static str {
-        match self {
-            JobKind::Matrix => "matrix",
-            JobKind::Campaign => "campaign",
-            JobKind::TraceAnalysis => "trace",
-            JobKind::FusionReport => "fusion",
-        }
-    }
-
-    pub fn parse(s: &str) -> Result<JobKind, String> {
-        match s {
-            "matrix" => Ok(JobKind::Matrix),
-            "campaign" => Ok(JobKind::Campaign),
-            "trace" => Ok(JobKind::TraceAnalysis),
-            "fusion" => Ok(JobKind::FusionReport),
-            other => Err(format!(
-                "unknown job kind {other:?}; one of: matrix, campaign, trace, fusion"
-            )),
-        }
-    }
-}
-
 /// A job submission: everything that determines a matrix run's output,
 /// carried as the same canonical spec strings the `make_tables` CLI
 /// takes, parsed and validated by the exact same `bench::cli` grammar —
 /// so a spec the daemon accepts is a spec the one-shot CLI would run
-/// identically.
+/// identically: a job is a matrix run with these flags.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
-    pub kind: JobKind,
     pub size: SizeClass,
     pub retries: u32,
     /// Per-cell watchdog, in (fractional) seconds.
@@ -248,8 +206,7 @@ pub struct JobSpec {
     pub inject: Option<String>,
     /// `<seed>:<n-faults>` campaign spec.
     pub campaign: Option<String>,
-    /// Arm the macro-op fusion pass (implied by
-    /// [`JobKind::FusionReport`]; also legal on plain matrix jobs).
+    /// Arm the macro-op fusion pass (`--fusion`).
     pub fusion: bool,
 }
 
@@ -258,7 +215,6 @@ impl JobSpec {
     /// equivalent of `make_tables table1 --size <s>` with defaults.
     pub fn matrix(size: SizeClass) -> JobSpec {
         JobSpec {
-            kind: JobKind::Matrix,
             size,
             retries: 1,
             deadline_secs: None,
@@ -270,49 +226,18 @@ impl JobSpec {
 
     /// Build a spec from CLI args via the shared `bench::cli` grammar
     /// (`--size`, `--retries`, `--deadline-secs`, `--inject`, `--campaign`,
-    /// `--kind`). Values are validated here, client-side,
-    /// with the same parsers the daemon re-runs server-side.
+    /// `--fusion`). Values are validated here, client-side, with the same
+    /// parsers the daemon re-runs server-side.
     pub fn from_args(args: &[String]) -> Result<JobSpec, String> {
         let flags = cli::MatrixFlags::parse(args)?;
-        let kind = match cli::flag_value(args, "--kind") {
-            Some(k) => JobKind::parse(&k)?,
-            None if flags.campaign.is_some() => JobKind::Campaign,
-            None => JobKind::Matrix,
-        };
-        let spec = JobSpec {
-            kind,
+        Ok(JobSpec {
             size: flags.size,
             retries: flags.retries,
             deadline_secs: flags.deadline.map(|d| d.as_secs_f64()),
             inject: cli::flag_value(args, "--inject"),
             campaign: cli::flag_value(args, "--campaign"),
-            fusion: flags.fusion || kind == JobKind::FusionReport,
-        };
-        spec.validate()?;
-        Ok(spec)
-    }
-
-    /// Structural validation (kind/flag agreement). Value grammar is
-    /// checked by [`JobSpec::matrix_options`] through `bench::cli`.
-    pub fn validate(&self) -> Result<(), String> {
-        match self.kind {
-            JobKind::Campaign if self.campaign.is_none() => {
-                Err("campaign jobs need a --campaign <seed>:<n-faults> spec".into())
-            }
-            JobKind::Matrix if self.campaign.is_some() => {
-                Err("matrix jobs cannot carry a campaign spec (use kind \"campaign\")".into())
-            }
-            JobKind::TraceAnalysis if self.inject.is_some() || self.campaign.is_some() => {
-                Err("trace jobs cannot inject faults (the trace cache ignores armed cells)".into())
-            }
-            JobKind::FusionReport if self.inject.is_some() || self.campaign.is_some() => {
-                Err("fusion jobs cannot inject faults (fusion measures the clean stream)".into())
-            }
-            JobKind::FusionReport if !self.fusion => {
-                Err("fusion jobs must carry the fusion flag".into())
-            }
-            _ => Ok(()),
-        }
+            fusion: flags.fusion,
+        })
     }
 
     /// The provenance key: a stable canonical string of everything that
@@ -322,8 +247,7 @@ impl JobSpec {
     /// of a killed run when the same spec is resubmitted.
     pub fn canonical(&self) -> String {
         let mut key = format!(
-            "v{PROTO_VERSION}:{}:{}:r{}:d{}:i{}:c{}",
-            self.kind.name(),
+            "v{PROTO_VERSION}:{}:r{}:d{}:i{}:c{}",
             self.size.name(),
             self.retries,
             self.deadline_secs
@@ -344,12 +268,13 @@ impl JobSpec {
     /// deterministic campaign sampling) — this is what makes a
     /// daemon-served matrix byte-identical to a one-shot run. Also
     /// returns the sampled campaign manifest for the job journal's begin
-    /// record.
+    /// record. `trace_dir` is the daemon's trace cache; the cells run
+    /// through it as `make_tables --trace-dir` runs them (fault-armed cells
+    /// bypass it).
     pub fn matrix_options(
         &self,
         trace_dir: Option<std::path::PathBuf>,
     ) -> Result<(MatrixOptions, Option<CampaignManifest>), String> {
-        self.validate()?;
         let inject = self
             .inject
             .as_deref()
@@ -376,9 +301,7 @@ impl JobSpec {
             retries: self.retries,
             inject,
             campaign,
-            trace_dir: matches!(self.kind, JobKind::TraceAnalysis | JobKind::FusionReport)
-                .then_some(trace_dir)
-                .flatten(),
+            trace_dir,
             heed_shutdown: true,
             checkpoint_dir: None,
             fusion: self.fusion,
@@ -388,7 +311,6 @@ impl JobSpec {
 
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
-            ("kind", Json::Str(self.kind.name().into())),
             ("size", Json::Str(self.size.name().into())),
             ("retries", Json::Num(self.retries as f64)),
         ];
@@ -410,8 +332,6 @@ impl JobSpec {
     pub fn from_json(j: &Json) -> Result<JobSpec, ProtoError> {
         let bad = |m: &str| ProtoError::BadFrame(format!("job spec: {m}"));
         let s = |k: &str| j.get(k).and_then(Json::as_str).map(str::to_string);
-        let kind =
-            JobKind::parse(&s("kind").ok_or_else(|| bad("missing kind"))?).map_err(|e| bad(&e))?;
         let size = cli::size_from_name(&s("size").ok_or_else(|| bad("missing size"))?)
             .map_err(|e| bad(&e))?;
         let retries = j
@@ -426,17 +346,14 @@ impl JobSpec {
                     .ok_or_else(|| bad("invalid deadline_secs"))?,
             ),
         };
-        let spec = JobSpec {
-            kind,
+        Ok(JobSpec {
             size,
             retries,
             deadline_secs,
             inject: s("inject"),
             campaign: s("campaign"),
             fusion: matches!(j.get("fusion"), Some(Json::Bool(true))),
-        };
-        spec.validate().map_err(|e| bad(&e))?;
-        Ok(spec)
+        })
     }
 }
 

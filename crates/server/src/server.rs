@@ -10,7 +10,7 @@
 //! cache waits live here and not in the cell tasks.
 //!
 //! Crash safety: every job journals its cell outcomes (through the same
-//! `isacmp::journal_outcome` path as `make_tables`) to a per-spec journal
+//! `isacmp::run_journaled_cell` task as `make_tables`) to a per-spec journal
 //! under the jobs directory. A `kill -9` loses at most the cells in
 //! flight; when the restarted daemon receives the same spec again it
 //! recovers every recorded outcome and runs only the rest, reassembling
@@ -28,9 +28,9 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use isacmp::{
-    isa_label, journal_outcome, matrix_combos, pool, read_journal, record_outcome,
-    run_cell_with_reference, shutdown, CellError, CellJournal, ExperimentCell, ReferenceMemo,
-    ResultMatrix, SizeClass, Workload,
+    assemble_matrix, isa_label, journal_outcome, matrix_combos, pool, read_journal,
+    run_journaled_cell, shutdown, CellError, CellJournal, CellOptions, ExperimentCell, IsaKind,
+    Outcome, Personality, ReferenceMemo, ResultMatrix, SizeClass, Workload,
 };
 
 use crate::cache::{CellKey, Claim, ResultCache};
@@ -53,7 +53,10 @@ pub struct Config {
     pub max_jobs: usize,
     /// Per-job cell journals live here (`job-<speckey>.journal.jsonl`).
     pub jobs_dir: PathBuf,
-    /// Trace capture/replay dir for trace-analysis jobs.
+    /// Trace capture/replay dir. Every job runs its cells through it, as
+    /// `make_tables --trace-dir` does: a cell with a capture replays it, a
+    /// live one captures, and fault-armed cells bypass it. Replayed cells
+    /// are byte-identical to live ones.
     pub trace_dir: Option<PathBuf>,
     /// Warm the cell cache from a one-shot `matrix.json` at startup.
     pub warm: Option<PathBuf>,
@@ -414,19 +417,67 @@ fn submit(state: &Arc<State>, spec: &JobSpec, stream: &mut TcpStream) -> Result<
     result
 }
 
-/// One cell's resolution, as fed into `isacmp::record_outcome`.
-type Outcome = Result<Result<ExperimentCell, CellError>, String>;
+/// A job's per-combo outcome slots and its progress stream. Every combo
+/// the job resolves, whether recovered from its journal, served from the
+/// cache or computed, passes through [`JobProgress::resolved`] exactly
+/// once, which sends its one progress frame.
+struct JobProgress<'a> {
+    stream: &'a mut TcpStream,
+    combos: &'a [(Workload, Personality, IsaKind)],
+    journal: Option<&'a Mutex<CellJournal>>,
+    retries: u32,
+    slots: Vec<Option<Outcome>>,
+    done: u64,
+}
 
-/// Execute one job: plan combos in canonical order, recover journaled
-/// outcomes, resolve the rest through the cache / the shard pool, stream
-/// progress, and send the result (or a typed shutdown frame).
+impl JobProgress<'_> {
+    /// Fill combo `i`'s slot (a journal-recovered combo leaves it empty)
+    /// and stream its progress frame.
+    fn resolved(
+        &mut self,
+        i: usize,
+        outcome: Option<Outcome>,
+        cached: bool,
+    ) -> Result<(), ProtoError> {
+        let (w, p, isa) = self.combos[i];
+        self.slots[i] = outcome;
+        self.done += 1;
+        let frame = ServerMsg::Progress {
+            done: self.done,
+            total: self.combos.len() as u64,
+            cell: format!("{}/{}/{}", w.name(), p.label(), isa_label(isa)),
+            cached,
+        };
+        proto::send(self.stream, &frame)
+    }
+
+    /// Resolve combo `i` with a cell the cache served. The hit is journaled
+    /// too, so this job's journal is self-contained for resume on a cold
+    /// (cache-less) restart.
+    fn hit(&mut self, i: usize, cell: ExperimentCell) -> Result<(), ProtoError> {
+        let (w, p, isa) = self.combos[i];
+        let outcome = Ok(cell);
+        let (wn, pl, il) = (w.name(), p.label(), isa_label(isa));
+        journal_outcome(self.journal, wn, pl, il, &outcome, self.retries);
+        self.resolved(i, Some(Ok(outcome)), true)
+    }
+}
+
+/// What the cache keeps of a computed cell: the cell, or why it failed.
+fn cache_value(outcome: &Result<ExperimentCell, CellError>) -> Result<ExperimentCell, String> {
+    outcome.as_ref().cloned().map_err(ToString::to_string)
+}
+
+/// Execute one job: a `make_tables` matrix run with the spec's flags.
+/// Plan combos in canonical order, recover journaled outcomes, resolve
+/// the rest through the cache / the shard pool, stream progress, and send
+/// the result (or a typed shutdown frame).
 fn run_job(state: &Arc<State>, spec: &JobSpec, stream: &mut TcpStream) -> Result<(), ProtoError> {
     let (opts, manifest) = match spec.matrix_options(state.cfg.trace_dir.clone()) {
         Ok(x) => x,
         Err(e) => return proto::send(stream, &ServerMsg::Error { message: e }),
     };
     let combos = matrix_combos(&Workload::ALL);
-    let total = combos.len() as u64;
     let size = spec.size;
 
     // Journal recovery: a restarted daemon finds a killed run's records
@@ -449,108 +500,62 @@ fn run_job(state: &Arc<State>, spec: &JobSpec, stream: &mut TcpStream) -> Result
         .journals
         .acquire(speckey, &journal_path, size.name(), manifest.as_ref());
 
+    let mut job = JobProgress {
+        stream,
+        combos: &combos,
+        journal: journal.as_deref(),
+        retries: opts.retries,
+        slots: (0..combos.len()).map(|_| None).collect(),
+        done: 0,
+    };
     let (tx, rx) = mpsc::channel::<(usize, Outcome)>();
-    let mut slots: Vec<Option<Outcome>> = (0..combos.len()).map(|_| None).collect();
     let mut follows: Vec<(usize, CellKey, Arc<crate::cache::Flight>)> = Vec::new();
     let mut outstanding = 0usize;
-    let (mut hits, mut misses, mut done) = (0u64, 0u64, 0u64);
+    let (mut hits, mut misses) = (0u64, 0u64);
     // The cells this job computes share one reference checksum per
     // workload.
     let reference = Arc::new(ReferenceMemo::new());
+    // Compute combo `i` on the pool as a journaled matrix cell; a leader
+    // (`key` set) hands the result to the cache for its followers.
+    let compute = |i: usize, cell_opts: CellOptions, key: Option<CellKey>| {
+        let (w, p, isa) = combos[i];
+        let (tx, journal) = (tx.clone(), journal.clone());
+        let (reference, state) = (Arc::clone(&reference), Arc::clone(state));
+        pool::global().submit(Box::new(move || {
+            let outcome =
+                run_journaled_cell(w, isa, &p, size, &cell_opts, &reference, journal.as_deref());
+            if let Some(key) = key {
+                state.cache.complete(&key, cache_value(&outcome));
+            }
+            let _ = tx.send((i, Ok(outcome)));
+        }));
+    };
 
     for (i, &(w, p, isa)) in combos.iter().enumerate() {
         let (wn, pl, il) = (w.name(), p.label(), isa_label(isa));
-        let label = format!("{wn}/{pl}/{il}");
-        if prior.get(wn, pl, il).is_some() || prior.get_failure(wn, pl, il).is_some() {
-            // Recovered from the journal; resolved at assembly.
-            done += 1;
-            proto::send(
-                stream,
-                &ServerMsg::Progress {
-                    done,
-                    total,
-                    cell: label,
-                    cached: true,
-                },
-            )?;
+        if prior.has_record(wn, pl, il) {
+            // Recovered from the journal; assembled from `prior`.
+            job.resolved(i, None, true)?;
             continue;
         }
         let cell_opts = opts.cell_options(wn, pl, il);
         // Fault-armed cells are not reusable measurements — never cached.
-        let cacheable = cell_opts.fault.is_none() && cell_opts.campaign.is_none();
-        if !cacheable {
+        if cell_opts.fault.is_some() || cell_opts.campaign.is_some() {
             misses += 1;
-            let tx = tx.clone();
-            let journal = journal.clone();
-            let reference = Arc::clone(&reference);
-            let retries = opts.retries;
-            pool::global().submit(Box::new(move || {
-                let outcome = run_cell_with_reference(w, isa, &p, size, &cell_opts, &reference);
-                journal_outcome(
-                    journal.as_deref(),
-                    w.name(),
-                    p.label(),
-                    isa_label(isa),
-                    &outcome,
-                    retries,
-                );
-                let _ = tx.send((i, Ok(outcome)));
-            }));
             outstanding += 1;
+            compute(i, cell_opts, None);
             continue;
         }
         let key = CellKey::new(wn, pl, il, size.name(), spec.fusion);
         match state.cache.claim(&key) {
             Claim::Hit(cell) => {
                 hits += 1;
-                // Journal the hit too: this job's journal is then
-                // self-contained for resume on a cold (cache-less) restart.
-                journal_outcome(
-                    journal.as_deref(),
-                    wn,
-                    pl,
-                    il,
-                    &Ok((*cell).clone()),
-                    opts.retries,
-                );
-                slots[i] = Some(Ok(Ok(*cell)));
-                done += 1;
-                proto::send(
-                    stream,
-                    &ServerMsg::Progress {
-                        done,
-                        total,
-                        cell: label,
-                        cached: true,
-                    },
-                )?;
+                job.hit(i, *cell)?;
             }
             Claim::Lead => {
                 misses += 1;
-                let tx = tx.clone();
-                let journal = journal.clone();
-                let cache_state = Arc::clone(state);
-                let key = key.clone();
-                let reference = Arc::clone(&reference);
-                let retries = opts.retries;
-                pool::global().submit(Box::new(move || {
-                    let outcome = run_cell_with_reference(w, isa, &p, size, &cell_opts, &reference);
-                    let for_cache = match &outcome {
-                        Ok(cell) => Ok(cell.clone()),
-                        Err(e) => Err(e.to_string()),
-                    };
-                    cache_state.cache.complete(&key, for_cache);
-                    journal_outcome(
-                        journal.as_deref(),
-                        w.name(),
-                        p.label(),
-                        isa_label(isa),
-                        &outcome,
-                        retries,
-                    );
-                    let _ = tx.send((i, Ok(outcome)));
-                }));
                 outstanding += 1;
+                compute(i, cell_opts, Some(key));
             }
             Claim::Follow(flight) => {
                 hits += 1;
@@ -566,20 +571,8 @@ fn run_job(state: &Arc<State>, spec: &JobSpec, stream: &mut TcpStream) -> Result
     while outstanding > 0 {
         match rx.recv_timeout(Duration::from_millis(50)) {
             Ok((i, outcome)) => {
-                let (w, p, isa) = combos[i];
-                let label = format!("{}/{}/{}", w.name(), p.label(), isa_label(isa));
-                slots[i] = Some(outcome);
                 outstanding -= 1;
-                done += 1;
-                proto::send(
-                    stream,
-                    &ServerMsg::Progress {
-                        done,
-                        total,
-                        cell: label,
-                        cached: false,
-                    },
-                )?;
+                job.resolved(i, Some(outcome), false)?;
             }
             Err(mpsc::RecvTimeoutError::Timeout) => continue,
             // All senders gone without filling every slot: a pool worker
@@ -592,90 +585,44 @@ fn run_job(state: &Arc<State>, spec: &JobSpec, stream: &mut TcpStream) -> Result
     // the connection thread; if that leader fails or is interrupted we
     // re-claim (possibly becoming the new leader and computing inline).
     for (i, key, mut flight) in follows {
-        let (w, p, isa) = combos[i];
-        let (wn, pl, il) = (w.name(), p.label(), isa_label(isa));
         loop {
             match flight.wait_for(Duration::from_millis(100)) {
-                Some(Ok(cell)) => {
-                    journal_outcome(
-                        journal.as_deref(),
-                        wn,
-                        pl,
-                        il,
-                        &Ok(cell.clone()),
-                        opts.retries,
-                    );
-                    slots[i] = Some(Ok(Ok(cell)));
-                    done += 1;
-                    let label = format!("{wn}/{pl}/{il}");
-                    proto::send(
-                        stream,
-                        &ServerMsg::Progress {
-                            done,
-                            total,
-                            cell: label,
-                            cached: true,
-                        },
-                    )?;
-                    break;
-                }
+                Some(Ok(cell)) => break job.hit(i, cell)?,
                 Some(Err(_leader_failed)) => match state.cache.claim(&key) {
-                    Claim::Hit(cell) => {
-                        journal_outcome(
-                            journal.as_deref(),
-                            wn,
-                            pl,
-                            il,
-                            &Ok((*cell).clone()),
-                            opts.retries,
-                        );
-                        slots[i] = Some(Ok(Ok(*cell)));
-                        done += 1;
-                        break;
-                    }
+                    Claim::Hit(cell) => break job.hit(i, *cell)?,
                     Claim::Follow(next) => flight = next,
                     Claim::Lead => {
                         // Compute inline — this is a connection thread, so
                         // blocking here is fine.
-                        let cell_opts = opts.cell_options(wn, pl, il);
-                        let outcome =
-                            run_cell_with_reference(w, isa, &p, size, &cell_opts, &reference);
-                        let for_cache = match &outcome {
-                            Ok(cell) => Ok(cell.clone()),
-                            Err(e) => Err(e.to_string()),
-                        };
-                        state.cache.complete(&key, for_cache);
-                        journal_outcome(journal.as_deref(), wn, pl, il, &outcome, opts.retries);
-                        slots[i] = Some(Ok(outcome));
-                        done += 1;
-                        break;
+                        let (w, p, isa) = combos[i];
+                        let cell_opts = opts.cell_options(w.name(), p.label(), isa_label(isa));
+                        let outcome = run_journaled_cell(
+                            w,
+                            isa,
+                            &p,
+                            size,
+                            &cell_opts,
+                            &reference,
+                            journal.as_deref(),
+                        );
+                        state.cache.complete(&key, cache_value(&outcome));
+                        break job.resolved(i, Some(Ok(outcome)), false)?;
                     }
                 },
-                None => {
-                    if shutdown::requested() {
-                        // Stop waiting; the slot stays unresolved and the
-                        // journal's gap marks it for resume.
-                        break;
-                    }
-                }
+                // Stop waiting on a drain; the slot stays unresolved and
+                // the journal's gap marks it for resume.
+                None if shutdown::requested() => break,
+                None => {}
             }
         }
     }
 
-    // Reassemble in canonical order through the same fold as every other
-    // matrix entry point — the byte-identity invariant.
-    let mut matrix = ResultMatrix::default();
-    for (i, &(w, p, isa)) in combos.iter().enumerate() {
-        let (wn, pl, il) = (w.name(), p.label(), isa_label(isa));
-        if let Some(c) = prior.get(wn, pl, il) {
-            matrix.cells.push(c.clone());
-        } else if let Some(f) = prior.get_failure(wn, pl, il) {
-            matrix.failures.push(f.clone());
-        } else if let Some(outcome) = slots[i].take() {
-            record_outcome(&mut matrix, wn, pl, il, outcome, opts.retries);
-        }
-    }
-    let completed = (matrix.cells.len() + matrix.failures.len()) as u64 == total;
+    // Assemble through the same fold as every other matrix entry point —
+    // the byte-identity invariant.
+    let matrix = assemble_matrix(&combos, &prior, job.slots, opts.retries);
+    let completed = combos
+        .iter()
+        .all(|&(w, p, isa)| matrix.has_record(w.name(), p.label(), isa_label(isa)));
     state.journals.release(speckey, completed);
 
     if !completed {
@@ -684,10 +631,10 @@ fn run_job(state: &Arc<State>, spec: &JobSpec, stream: &mut TcpStream) -> Result
         let signal = shutdown::last_signal()
             .map(shutdown::signal_name)
             .unwrap_or_else(|| "shutdown request".into());
-        return proto::send(stream, &ServerMsg::Shutdown { signal });
+        return proto::send(job.stream, &ServerMsg::Shutdown { signal });
     }
     proto::send(
-        stream,
+        job.stream,
         &ServerMsg::Result {
             hits,
             misses,

@@ -33,7 +33,6 @@ fn client_messages_round_trip() {
         job: JobSpec::matrix(isacmp::SizeClass::Test),
     });
     let full = JobSpec {
-        kind: server::JobKind::Campaign,
         size: isacmp::SizeClass::Small,
         retries: 3,
         deadline_secs: Some(2.5),
@@ -43,9 +42,8 @@ fn client_messages_round_trip() {
     };
     roundtrip_client(ClientMsg::Submit { job: full });
 
-    // A fused trace-analysis job: the `fusion` flag must survive the wire.
+    // A fused job: the `fusion` flag must survive the wire.
     let mut fused = JobSpec::matrix(isacmp::SizeClass::Test);
-    fused.kind = server::JobKind::FusionReport;
     fused.fusion = true;
     roundtrip_client(ClientMsg::Submit { job: fused });
 }
@@ -294,7 +292,7 @@ fn job_spec_canonical_is_stable_and_discriminating() {
     let a = JobSpec::matrix(isacmp::SizeClass::Test);
     // The journal-recovery contract: the canonical string (and thus the
     // journal file name) must not drift between builds.
-    assert_eq!(a.canonical(), "v2:matrix:test:r1:d-:i-:c-");
+    assert_eq!(a.canonical(), "v3:test:r1:d-:i-:c-");
     let mut b = a.clone();
     b.retries = 2;
     assert_ne!(a.canonical(), b.canonical());
@@ -306,40 +304,7 @@ fn job_spec_canonical_is_stable_and_discriminating() {
     let mut f = a.clone();
     f.fusion = true;
     assert_ne!(a.canonical(), f.canonical());
-    assert_eq!(f.canonical(), "v2:matrix:test:r1:d-:i-:c-:f1");
-}
-
-#[test]
-fn job_spec_validation_rejects_kind_flag_disagreements() {
-    let mut campaign_without_spec = JobSpec::matrix(isacmp::SizeClass::Test);
-    campaign_without_spec.kind = server::JobKind::Campaign;
-    assert!(campaign_without_spec.validate().is_err());
-
-    let mut matrix_with_campaign = JobSpec::matrix(isacmp::SizeClass::Test);
-    matrix_with_campaign.campaign = Some("1:2".into());
-    assert!(matrix_with_campaign.validate().is_err());
-
-    let mut armed_trace = JobSpec::matrix(isacmp::SizeClass::Test);
-    armed_trace.kind = server::JobKind::TraceAnalysis;
-    armed_trace.inject = Some("dhrystone/gcc-12.2/RISC-V:decode".into());
-    assert!(armed_trace.validate().is_err());
-
-    // Fusion measures the clean retired stream: fault injection is refused.
-    let mut armed_fusion = JobSpec::matrix(isacmp::SizeClass::Test);
-    armed_fusion.kind = server::JobKind::FusionReport;
-    armed_fusion.fusion = true;
-    armed_fusion.inject = Some("dhrystone/gcc-12.2/RISC-V:decode".into());
-    assert!(armed_fusion.validate().is_err());
-
-    // A fusion job without the fusion flag is self-contradictory.
-    let mut unflagged_fusion = JobSpec::matrix(isacmp::SizeClass::Test);
-    unflagged_fusion.kind = server::JobKind::FusionReport;
-    assert!(unflagged_fusion.validate().is_err());
-
-    let mut ok_fusion = JobSpec::matrix(isacmp::SizeClass::Test);
-    ok_fusion.kind = server::JobKind::FusionReport;
-    ok_fusion.fusion = true;
-    assert!(ok_fusion.validate().is_ok());
+    assert_eq!(f.canonical(), "v3:test:r1:d-:i-:c-:f1");
 }
 
 #[test]
@@ -349,7 +314,6 @@ fn job_spec_from_args_uses_the_shared_cli_grammar() {
         .map(|s| s.to_string())
         .collect();
     let spec = JobSpec::from_args(&args).expect("valid args");
-    assert_eq!(spec.kind, server::JobKind::Campaign); // inferred from --campaign
     assert_eq!(spec.size, isacmp::SizeClass::Test);
     assert_eq!(spec.retries, 2);
     assert_eq!(spec.campaign.as_deref(), Some("7:3"));
@@ -360,13 +324,11 @@ fn job_spec_from_args_uses_the_shared_cli_grammar() {
         .collect();
     assert!(JobSpec::from_args(&bad).is_err());
 
-    // `--kind fusion` implies the fusion flag so the spec validates as built.
-    let fused: Vec<String> = ["--kind", "fusion", "--size", "test"]
+    // `--fusion` arms the fusion axis.
+    let fused: Vec<String> = ["--fusion", "--size", "test"]
         .iter()
         .map(|s| s.to_string())
         .collect();
     let spec = JobSpec::from_args(&fused).expect("valid args");
-    assert_eq!(spec.kind, server::JobKind::FusionReport);
     assert!(spec.fusion);
-    assert!(spec.validate().is_ok());
 }

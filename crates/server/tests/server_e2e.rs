@@ -9,10 +9,10 @@
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{mpsc, Mutex, PoisonError};
 
 use isacmp::{
-    matrix_combos, run_matrix_opts, shutdown, CellJournal, MatrixOptions, SizeClass, Workload,
+    matrix_combos, pool, run_matrix_opts, shutdown, CellJournal, MatrixOptions, SizeClass, Workload,
 };
 use server::{Client, Config, JobOutcome, JobSpec, Server, ServerMsg};
 
@@ -88,6 +88,29 @@ fn expect_done(outcome: JobOutcome) -> (u64, u64, u64, String) {
     }
 }
 
+/// Submit `spec` and check its progress stream: the callback must see
+/// `done` = 1..=total, each exactly once and in order, whatever path
+/// (journal, cache, pool, follower) resolved each cell. Returns the
+/// outcome and how many frames were marked cached.
+fn submit_checked(client: &mut Client, spec: &JobSpec) -> (JobOutcome, u64) {
+    let total_cells = matrix_combos(&Workload::ALL).len() as u64;
+    let mut seen = Vec::new();
+    let mut cached_frames = 0u64;
+    let outcome = client
+        .submit(spec, |done, total, cell, cached| {
+            assert_eq!(total, total_cells);
+            assert!(!cell.is_empty());
+            seen.push(done);
+            cached_frames += cached as u64;
+        })
+        .expect("submit");
+    if matches!(outcome, JobOutcome::Done { .. }) {
+        let want: Vec<u64> = (1..=total_cells).collect();
+        assert_eq!(seen, want, "one progress frame per cell, done = 1..=total");
+    }
+    (outcome, cached_frames)
+}
+
 #[test]
 fn served_matrix_is_byte_identical_to_one_shot_run() {
     with_reference(
@@ -96,22 +119,8 @@ fn served_matrix_is_byte_identical_to_one_shot_run() {
         |addr, reference| {
             let mut client = Client::connect(&addr.to_string()).expect("connect");
             let total_cells = matrix_combos(&Workload::ALL).len() as u64;
-            let mut progress = 0u64;
-            let mut last_done = 0u64;
-            let outcome = client
-                .submit(
-                    &JobSpec::matrix(SizeClass::Test),
-                    |done, total, cell, _cached| {
-                        assert_eq!(total, total_cells);
-                        assert!(!cell.is_empty());
-                        progress += 1;
-                        last_done = done;
-                    },
-                )
-                .expect("submit");
+            let (outcome, _) = submit_checked(&mut client, &JobSpec::matrix(SizeClass::Test));
             let (hits, misses, failures, matrix_json) = expect_done(outcome);
-            assert_eq!(progress, total_cells, "every cell streams a progress frame");
-            assert_eq!(last_done, total_cells);
             assert_eq!(failures, 0);
             assert_eq!(hits + misses, total_cells);
             assert_eq!(matrix_json, reference, "daemon bytes == one-shot bytes");
@@ -126,17 +135,10 @@ fn repeated_submissions_are_served_from_the_cache() {
         let spec = JobSpec::matrix(SizeClass::Test);
         let total = matrix_combos(&Workload::ALL).len() as u64;
 
-        let (hits, misses, _, first) = expect_done(client.submit(&spec, |_, _, _, _| {}).unwrap());
+        let (hits, misses, _, first) = expect_done(submit_checked(&mut client, &spec).0);
         assert_eq!((hits, misses), (0, total), "cold cache: all misses");
 
-        let mut cached_frames = 0u64;
-        let outcome = client
-            .submit(&spec, |_, _, _, cached| {
-                if cached {
-                    cached_frames += 1;
-                }
-            })
-            .unwrap();
+        let (outcome, cached_frames) = submit_checked(&mut client, &spec);
         let (hits, misses, _, second) = expect_done(outcome);
         assert_eq!((hits, misses), (total, 0), "warm cache: all hits");
         assert_eq!(cached_frames, total, "every progress frame marked cached");
@@ -164,11 +166,8 @@ fn warm_start_serves_a_one_shot_artifact_without_recomputing() {
     with_reference(cfg, reference, |addr, reference| {
         let mut client = Client::connect(&addr.to_string()).expect("connect");
         let total = matrix_combos(&Workload::ALL).len() as u64;
-        let (hits, misses, _, served) = expect_done(
-            client
-                .submit(&JobSpec::matrix(SizeClass::Test), |_, _, _, _| {})
-                .unwrap(),
-        );
+        let (hits, misses, _, served) =
+            expect_done(submit_checked(&mut client, &JobSpec::matrix(SizeClass::Test)).0);
         assert_eq!((hits, misses), (total, 0), "warm cache: nothing recomputed");
         assert_eq!(served, reference);
     });
@@ -216,14 +215,7 @@ fn restarted_daemon_recovers_a_killed_jobs_journal() {
     with_reference(cfg, reference, |addr, reference_matrix| {
         let mut client = Client::connect(&addr.to_string()).expect("connect");
         let total = matrix_combos(&Workload::ALL).len() as u64;
-        let mut recovered = 0u64;
-        let outcome = client
-            .submit(&spec, |_, _, _, cached| {
-                if cached {
-                    recovered += 1;
-                }
-            })
-            .unwrap();
+        let (outcome, recovered) = submit_checked(&mut client, &spec);
         let (hits, misses, failures, served) = expect_done(outcome);
         assert_eq!(recovered, total, "every cell recovered from the journal");
         assert_eq!(
@@ -267,17 +259,16 @@ fn fused_and_unfused_jobs_never_share_cache_slots() {
 
             let unfused_spec = JobSpec::matrix(SizeClass::Test);
             let mut fused_spec = JobSpec::matrix(SizeClass::Test);
-            fused_spec.kind = server::JobKind::FusionReport;
             fused_spec.fusion = true;
             assert_ne!(unfused_spec.canonical(), fused_spec.canonical());
 
             let (hits, misses, _, unfused_json) =
-                expect_done(client.submit(&unfused_spec, |_, _, _, _| {}).unwrap());
+                expect_done(submit_checked(&mut client, &unfused_spec).0);
             assert_eq!((hits, misses), (0, total));
 
             // Warm unfused cache must not satisfy a single fused cell.
             let (hits, misses, failures, fused_json) =
-                expect_done(client.submit(&fused_spec, |_, _, _, _| {}).unwrap());
+                expect_done(submit_checked(&mut client, &fused_spec).0);
             assert_eq!(
                 (hits, misses, failures),
                 (0, total, 0),
@@ -299,12 +290,11 @@ fn fused_and_unfused_jobs_never_share_cache_slots() {
 
             // Both axes now resident: each resubmission is all hits on its own
             // slots and returns its own bytes.
-            let (hits, _, _, fused_again) =
-                expect_done(client.submit(&fused_spec, |_, _, _, _| {}).unwrap());
+            let (hits, _, _, fused_again) = expect_done(submit_checked(&mut client, &fused_spec).0);
             assert_eq!(hits, total);
             assert_eq!(fused_again, fused_json);
             let (hits, _, _, unfused_again) =
-                expect_done(client.submit(&unfused_spec, |_, _, _, _| {}).unwrap());
+                expect_done(submit_checked(&mut client, &unfused_spec).0);
             assert_eq!(hits, total);
             assert_eq!(unfused_again, unfused_json);
 
@@ -315,6 +305,65 @@ fn fused_and_unfused_jobs_never_share_cache_slots() {
                 2 * total,
                 "both axes resident, keyed apart"
             );
+        },
+    );
+}
+
+#[test]
+fn followers_of_a_failed_leader_still_stream_every_cell_once() {
+    // Stall the shared pool, so that a zero-deadline job claims, and so
+    // leads, every cell long before any of them runs, and a clean job
+    // submitted next follows all of those flights. Released, the doomed
+    // cells fail at once, and the clean job re-claims each cell and
+    // computes it inline. Both jobs must stream exactly one progress frame
+    // per cell, and the clean job must serve the one-shot bytes.
+    with_reference(
+        test_config("failed-leader"),
+        |_| one_shot_reference(),
+        |addr, reference| {
+            let total = matrix_combos(&Workload::ALL).len() as u64;
+            let (started_tx, started) = mpsc::channel();
+            let releases: Vec<mpsc::Sender<()>> = (0..pool::global().stats().workers)
+                .map(|_| {
+                    let (release, wait) = mpsc::channel();
+                    let started_tx = started_tx.clone();
+                    pool::global().submit(Box::new(move || {
+                        let _ = started_tx.send(());
+                        let _ = wait.recv();
+                    }));
+                    release
+                })
+                .collect();
+            for _ in &releases {
+                started.recv().expect("a stalled worker");
+            }
+            let submit = move |deadline_secs| {
+                std::thread::spawn(move || {
+                    let mut client = Client::connect(&addr.to_string()).expect("connect");
+                    let mut spec = JobSpec::matrix(SizeClass::Test);
+                    spec.deadline_secs = deadline_secs;
+                    expect_done(submit_checked(&mut client, &spec).0)
+                })
+            };
+            let mut probe = Client::connect(&addr.to_string()).expect("connect");
+            let mut wait_for = |done: &dyn Fn(&server::StatsBody) -> bool| {
+                while !done(&probe.stats().expect("stats")) {
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                }
+            };
+            let doomed = submit(Some(0.0));
+            wait_for(&|s| s.cache_misses == total);
+            let clean = submit(None);
+            wait_for(&|s| s.cache_hits == total);
+            for release in releases {
+                release.send(()).expect("release a worker");
+            }
+
+            let (hits, misses, failures, served) = clean.join().expect("clean job");
+            assert_eq!((hits, misses, failures), (total, 0, 0));
+            assert_eq!(served, reference);
+            let (_, _, failures, _) = doomed.join().expect("zero-deadline job");
+            assert_eq!(failures, total, "every doomed cell timed out");
         },
     );
 }
@@ -351,11 +400,11 @@ fn ping_stats_and_bad_specs_on_one_connection() {
         assert_eq!(stats.jobs_total, 0);
         assert!(stats.pool_workers > 0, "shard pool is live");
 
-        // A structurally-invalid spec (campaign kind, no campaign spec)
-        // is rejected with a typed error at submit time, client-side or
+        // A spec the CLI grammar cannot parse (an unparsable campaign) is
+        // rejected with a typed error at submit time, client-side or
         // server-side — either way the submit call errors, not panics.
         let mut bad = JobSpec::matrix(SizeClass::Test);
-        bad.kind = server::JobKind::Campaign;
+        bad.campaign = Some("not-a-campaign".into());
         let err = client
             .submit(&bad, |_, _, _, _| {})
             .expect_err("invalid spec");

@@ -1,11 +1,11 @@
 //! End-to-end integration: the full experiment matrix runs and reproduces
 //! the paper's qualitative findings (DESIGN.md's expected shapes).
 
-use isacmp::{run_cell, run_matrix_for, IsaKind, Personality, SizeClass, Workload};
+use isacmp::{run_cell, run_matrix, IsaKind, Personality, SizeClass, Workload};
 
 #[test]
 fn full_matrix_runs_and_serialises() {
-    let m = run_matrix_for(&Workload::ALL, SizeClass::Test);
+    let m = run_matrix(SizeClass::Test);
     assert_eq!(m.cells.len(), 20, "5 workloads x 2 compilers x 2 ISAs");
     for c in &m.cells {
         assert!(c.path_length > 0);

@@ -3,10 +3,18 @@
 //! produce typed timeouts, and silent corruption is caught by the
 //! checksum cross-check.
 
+use std::sync::{Arc, Mutex, PoisonError};
+
 use isacmp::{
-    resume_matrix, run_cell_opts, run_matrix_opts, CellOptions, InjectSpec, IsaKind, MatrixOptions,
-    Personality, ResultMatrix, SizeClass, Workload,
+    continue_matrix, read_journal, resume_matrix, run_cell_opts, run_matrix_opts, CellJournal,
+    CellOptions, InjectSpec, IsaKind, MatrixOptions, Personality, ResultMatrix, SizeClass,
+    Workload,
 };
+
+/// Heals and continuations add to the process-wide `cells_skipped` /
+/// `cells_resumed` counters, whose deltas one test asserts: the tests that
+/// heal or continue take turns.
+static RESUME_COUNTERS: Mutex<()> = Mutex::new(());
 
 #[test]
 fn injected_fault_degrades_one_cell_and_spares_the_rest() {
@@ -66,9 +74,12 @@ fn resume_reruns_only_the_recorded_failures() {
     );
 
     let tel = isacmp::telemetry::global();
+    let _turn = RESUME_COUNTERS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     let skipped0 = tel.counter("cells_skipped");
     let resumed0 = tel.counter("cells_resumed");
-    let healed = resume_matrix(&prior, SizeClass::Test, &MatrixOptions::default());
+    let healed = resume_matrix(&prior, SizeClass::Test, &MatrixOptions::default(), None);
     assert_eq!(
         tel.counter("cells_skipped") - skipped0,
         7,
@@ -87,8 +98,7 @@ fn resume_reruns_only_the_recorded_failures() {
     );
     assert_eq!(healed.cells.len(), 8);
     // The kept cells are the prior ones verbatim, and every healed cell
-    // measures identically to a from-scratch never-faulted run. (The
-    // resumed cell is appended last, so compare per cell, not per blob.)
+    // measures identically to a from-scratch never-faulted run.
     for old in &prior.cells {
         let kept = healed
             .get(&old.workload, &old.compiler, &old.isa)
@@ -111,6 +121,7 @@ fn resume_reruns_only_the_recorded_failures() {
             "healed cell identical to a never-faulted measurement"
         );
     }
+    assert_eq!(healed.to_json(), fresh.to_json());
 }
 
 #[test]
@@ -125,7 +136,10 @@ fn resume_carries_unknown_labels_forward() {
     let mut prior = run_matrix_opts(&[Workload::Stream], SizeClass::Test, &opts);
     prior.failures[0].workload = "NOT-A-WORKLOAD".into();
 
-    let healed = resume_matrix(&prior, SizeClass::Test, &MatrixOptions::default());
+    let _turn = RESUME_COUNTERS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    let healed = resume_matrix(&prior, SizeClass::Test, &MatrixOptions::default(), None);
     assert_eq!(
         healed.failures.len(),
         1,
@@ -137,6 +151,51 @@ fn resume_carries_unknown_labels_forward() {
         prior.cells.len(),
         "no cell re-ran for it"
     );
+}
+
+#[test]
+fn a_healed_journal_continues_to_the_heals_bytes() {
+    // A heal journals every record it keeps, the failures it carries
+    // forward included, so continuing from its journal (as after a kill
+    // mid-heal) loses none of them.
+    let inject = InjectSpec::parse("STREAM/gcc-12.2/RISC-V:trap@1000").unwrap();
+    let opts = MatrixOptions {
+        inject: Some(inject),
+        ..Default::default()
+    };
+    let mut prior = run_matrix_opts(&[Workload::Stream], SizeClass::Test, &opts);
+    let mut foreign = prior.failures[0].clone();
+    foreign.workload = "NOT-A-WORKLOAD".into();
+    prior.failures.push(foreign);
+
+    let dir = std::env::temp_dir().join(format!("heal-journal-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("matrix.journal.jsonl");
+    let journal = CellJournal::create(&path, SizeClass::Test.name(), None).unwrap();
+    let journal = Arc::new(Mutex::new(journal));
+    let _turn = RESUME_COUNTERS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    let healed = resume_matrix(
+        &prior,
+        SizeClass::Test,
+        &MatrixOptions::default(),
+        Some(&journal),
+    );
+    assert_eq!(healed.cells.len(), 4, "the mapped failure re-ran");
+    assert_eq!(healed.failures.len(), 1, "the foreign failure rode along");
+    drop(journal);
+
+    let recovered = read_journal(&path).expect("journal reads back");
+    let _ = std::fs::remove_dir_all(&dir);
+    let continued = continue_matrix(
+        &[Workload::Stream],
+        SizeClass::Test,
+        &MatrixOptions::default(),
+        &recovered.matrix,
+        None,
+    );
+    assert_eq!(continued.to_json(), healed.to_json());
 }
 
 #[test]
