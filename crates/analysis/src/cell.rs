@@ -177,6 +177,109 @@ mod tests {
             .collect()
     }
 
+    /// [`stream`], with a RISC-V `slli`+`add` pair every ten records.
+    fn paired_stream(n: u64) -> Vec<RetiredInst> {
+        let t = RegId::Int(5);
+        let mut records = stream(n);
+        for (i, ri) in records.iter_mut().enumerate() {
+            let (group, srcs) = match i % 10 {
+                7 => (InstGroup::Shift, RegSet::of(&[t])),
+                8 => (InstGroup::IntAlu, RegSet::of(&[RegId::Int(1), t])),
+                _ => continue,
+            };
+            *ri = RetiredInst::new(ri.pc, group);
+            ri.srcs = srcs;
+            ri.dsts = RegSet::of(&[t]);
+        }
+        records
+    }
+
+    /// The distances back to each record's producers a fold reports.
+    fn distances<D: DependencyFold>(fold: &mut D, records: &[RetiredInst]) -> Vec<Vec<u64>> {
+        records
+            .iter()
+            .map(|ri| {
+                let mut seen = Vec::new();
+                fold.retire(ri, |d| seen.push(d));
+                seen
+            })
+            .collect()
+    }
+
+    /// The same, from writer stamps that are `u64` retirement indices.
+    fn reference_distances(records: &[RetiredInst]) -> Vec<Vec<u64>> {
+        let mut writers = simcore::DepTable::new();
+        (0u64..)
+            .zip(records)
+            .map(|(i, ri)| {
+                let seen = writers.fold_reads(ri, Vec::new(), |mut v, w: u64| {
+                    v.push(i - w);
+                    v
+                });
+                writers.write(ri, i);
+                seen
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stamps_stay_exact_across_the_wrap_and_a_sweep() {
+        use crate::critical_path::NEAR;
+        // The folds start 40,008 records short of 2^32, so record 40,007,
+        // a shift, is stamped 2^32 - 1, and its add, record 40,008, is
+        // stamped 0 after a sweep. By then the base register, written by
+        // record 0 and read ever after, is more than NEAR old: the sweep
+        // clamps it.
+        const START: u64 = (1 << 32) - 40_008;
+        let records = paired_stream(80_000);
+        let near = |all: Vec<Vec<u64>>| -> Vec<Vec<u64>> {
+            all.into_iter()
+                .map(|ds| ds.into_iter().map(|d| d.min(NEAR.into())).collect())
+                .collect()
+        };
+        let want = near(reference_distances(&records));
+        assert!(want.iter().flatten().any(|&d| d == NEAR.into()));
+        assert!(want.iter().flatten().any(|&d| d == 1));
+        let mut dual = DualCriticalPath::starting_at(Tx2Latency, START);
+        assert_eq!(near(distances(&mut dual, &records)), want, "unfused");
+        let mut fused = FusedCriticalPath::starting_at(IsaKind::RiscV, &[], START);
+        assert_eq!(near(distances(&mut fused, &records)), want, "fused");
+
+        // Whole bundles, started at 2^32 - 40,008 and at 0, agree on every
+        // measurement, the fused fold's links and the windows included.
+        fn cell<D: DependencyFold>(fold: D, records: &[RetiredInst]) -> ExperimentCell {
+            let mut bundle = CellAnalyses {
+                path_length: PathLength::new(&[]),
+                critical_path: fold,
+                windowed: WindowedCp::paper(),
+            };
+            bundle.run(&mut &records[..]).unwrap();
+            bundle.into_cell("w", "c", "RISC-V")
+        }
+        let unfused = cell(DualCriticalPath::new(Tx2Latency), &records);
+        assert_eq!(
+            cell(DualCriticalPath::starting_at(Tx2Latency, START), &records),
+            unfused
+        );
+        let mut windowed = WindowedCp::paper();
+        windowed.on_records(&records);
+        let windows: Vec<_> = windowed
+            .stats()
+            .iter()
+            .map(|s| (s.size, s.mean_cp(), s.mean_ilp()))
+            .collect();
+        assert_eq!(unfused.windows, windows, "u64-stamped windows");
+        let from_zero = cell(FusedCriticalPath::new(IsaKind::RiscV, &[]), &records);
+        let mut wrapped = cell(
+            FusedCriticalPath::starting_at(IsaKind::RiscV, &[], START),
+            &records,
+        );
+        let fused = wrapped.fused.as_mut().unwrap();
+        fused.effective_path_length -= START;
+        assert_eq!(fused.pair_counts, vec![("slli+add".to_string(), 8_000)]);
+        assert_eq!(wrapped, from_zero);
+    }
+
     #[test]
     fn bundle_matches_individual_observers() {
         let regions = vec![Region {

@@ -14,8 +14,40 @@
 //!
 //! Both fold over [`simcore::DepTable`], which states the dependency
 //! model (register slots, 8-byte words, sources before destinations).
+//!
+//! **Narrow entries.** A table entry (a `Chain`, and the fused fold's
+//! entry) holds `u32` depths and a `u32` writer stamp, so at paper scale,
+//! where the table holds tens of millions of words, it costs half the
+//! memory `u64` fields would. A fold adds in `u64` and narrows once, where
+//! it writes a depth to the table, with a checked conversion: a depth past
+//! `u32::MAX` stops the cell with a panic naming the depth and the record,
+//! never a wrapped or saturated value.
+//!
+//! **Exact stamps.** A writer's stamp is its retirement index modulo
+//! 2^32, and a producer's distance back is the wrapping difference of two
+//! stamps. Two things read it: the windowed lanes, which use a distance
+//! only if it is below `max(sizes)`, at most `i16::MAX`; and the fused
+//! fold's link test, which asks whether a writer is the record just
+//! before, distance 1. So a distance need only be exact below `NEAR`
+//! (2^15), and read `NEAR` or more otherwise. Before every retirement whose
+//! index is a multiple of 2^31, a sweep makes every stamp that looks older
+//! than `NEAR` look exactly `NEAR` old. Then, at every retirement, every
+//! stamp looks from 1 to `2^32 - 1` old, so no difference wraps:
+//!
+//! * one written since the last sweep is less than 2^31 old;
+//! * one the last sweep kept looked at most `NEAR` old then, and sweeps
+//!   come 2^31 retirements apart, so it looks at most `NEAR + 2^31` old;
+//! * one the last sweep clamped looks at most `NEAR + 2^31` old too, and
+//!   the next sweep clamps it again.
+//!
+//! A stamp's apparent age is its true age until a sweep clamps it, which
+//! happens only once it is more than `NEAR` old. So a true distance below
+//! `NEAR` is reported exactly, and one of `NEAR` or more reads `NEAR` or
+//! more, for a stream of any length. A sweep walks the whole table; past
+//! its first record, no paper-scale cell (at most 2.82G records) sweeps
+//! more than once.
 
-use std::num::NonZeroU64;
+use std::num::{NonZeroU32, NonZeroU64};
 
 use simcore::{DepTable, InstGroup, Observer, RetireSource, RetiredInst, SimError};
 use uarch::LatencyModel;
@@ -46,14 +78,84 @@ impl CpResult {
 }
 
 /// The value in one location: the chain depths its last writer reached,
-/// and that writer's retirement index.
+/// and that writer's stamp. `Option<Chain>` is 12 bytes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Chain {
     /// Unit-cost depth, at least 1. Being non-zero, it gives
-    /// `Option<Chain>` its `None`, so table entries stay 24 bytes.
-    pub(crate) unit: NonZeroU64,
-    pub(crate) scaled: u64,
-    pub(crate) writer: u64,
+    /// `Option<Chain>` its `None`.
+    pub(crate) unit: NonZeroU32,
+    /// Latency-scaled depth.
+    pub(crate) scaled: u32,
+    /// The writer's [`Stamp`].
+    pub(crate) writer: Stamp,
+}
+
+/// A writer's retirement index modulo 2^32, kept exact by [`sweep`].
+pub(crate) type Stamp = u32;
+
+/// Distances below this are reported exactly; it exceeds every window
+/// size the lanes accept.
+pub(crate) const NEAR: Stamp = 1 << 15;
+const _: () = assert!(crate::windowed::MAX_WINDOW < NEAR as usize);
+
+/// Retirements between two sweeps of a table's stamps.
+const SWEEP: u64 = 1 << 31;
+const _: () = assert!(NEAR as u64 + SWEEP < 1 << 32);
+
+/// A table entry that carries its writer's stamp.
+pub(crate) trait Stamped {
+    fn writer(&mut self) -> &mut Stamp;
+}
+
+impl Stamped for Chain {
+    #[inline]
+    fn writer(&mut self) -> &mut Stamp {
+        &mut self.writer
+    }
+}
+
+/// Count the retirement `*retired` and return its index and stamp. Before
+/// every [`SWEEP`]th, first [`sweep`] `table`.
+#[inline]
+pub(crate) fn next_stamp<V: Stamped + Copy>(
+    retired: &mut u64,
+    table: &mut DepTable<V>,
+) -> (u64, Stamp) {
+    let index = *retired;
+    *retired += 1;
+    let stamp = index as Stamp;
+    if index.is_multiple_of(SWEEP) {
+        sweep(table, stamp);
+    }
+    (index, stamp)
+}
+
+/// Make every stamp in `table` older than [`NEAR`] at stamp `now` look
+/// exactly `NEAR` old.
+#[cold]
+fn sweep<V: Stamped + Copy>(table: &mut DepTable<V>, now: Stamp) {
+    table.update_all(|v| {
+        let writer = v.writer();
+        if now.wrapping_sub(*writer) > NEAR {
+            *writer = now.wrapping_sub(NEAR);
+        }
+    });
+}
+
+/// `depth`, which the fold reached at record `index`, narrowed to a table
+/// field. A depth the field cannot hold stops the cell.
+#[inline]
+pub(crate) fn narrow<W: Copy + Into<u64>, N: TryFrom<W>>(depth: W, index: u64) -> N {
+    N::try_from(depth).unwrap_or_else(|_| too_deep(depth.into(), index))
+}
+
+#[cold]
+#[inline(never)]
+fn too_deep(depth: u64, index: u64) -> ! {
+    panic!(
+        "chain depth {depth} at record {index} exceeds the dependency table's limit of {}",
+        u32::MAX
+    )
 }
 
 /// Unit-cost and latency-scaled critical paths computed in one pass.
@@ -87,6 +189,16 @@ impl DualCriticalPath {
         }
     }
 
+    /// [`DualCriticalPath::new`] as if `start` records that touch no
+    /// location had retired already.
+    #[cfg(test)]
+    pub(crate) fn starting_at<M: LatencyModel>(model: M, start: u64) -> Self {
+        DualCriticalPath {
+            retired: start,
+            ..DualCriticalPath::new(model)
+        }
+    }
+
     /// Unit-cost result (the paper's Table 1).
     pub fn unit(&self) -> CpResult {
         CpResult {
@@ -116,10 +228,9 @@ impl DependencyFold for DualCriticalPath {
     /// last writer of a location it reads) as its distance back.
     #[inline]
     fn retire(&mut self, ri: &RetiredInst, mut producer: impl FnMut(u64)) {
-        let index = self.retired;
-        self.retired += 1;
+        let (index, stamp) = next_stamp(&mut self.retired, &mut self.chains);
         let (src_u, src_s) = self.chains.fold_reads(ri, (0, 0), |(u, s), c| {
-            producer(index - c.writer);
+            producer(u64::from(stamp.wrapping_sub(c.writer)));
             (u.max(c.unit.get()), s.max(c.scaled))
         });
         // Loads and stores are not scaled: the paper assumes store
@@ -128,14 +239,18 @@ impl DependencyFold for DualCriticalPath {
             InstGroup::Load | InstGroup::Store => 1,
             g => self.latency[g.code() as usize],
         };
-        let chain = Chain {
-            unit: NonZeroU64::MIN.saturating_add(src_u),
-            scaled: src_s + scaled_cost,
-            writer: index,
-        };
-        self.chains.write(ri, chain);
-        self.longest_unit = self.longest_unit.max(chain.unit.get());
-        self.longest_scaled = self.longest_scaled.max(chain.scaled);
+        let unit = NonZeroU64::MIN.saturating_add(u64::from(src_u));
+        let scaled = u64::from(src_s).saturating_add(scaled_cost);
+        self.chains.write(
+            ri,
+            Chain {
+                unit: narrow(unit, index),
+                scaled: narrow(scaled, index),
+                writer: stamp,
+            },
+        );
+        self.longest_unit = self.longest_unit.max(unit.get());
+        self.longest_scaled = self.longest_scaled.max(scaled);
     }
 
     fn fill(&self, cell: &mut ExperimentCell) {
@@ -187,8 +302,58 @@ mod tests {
     }
 
     #[test]
-    fn table_entries_stay_24_bytes() {
-        assert_eq!(std::mem::size_of::<Option<Chain>>(), 24);
+    fn table_entries_stay_12_bytes() {
+        assert_eq!(std::mem::size_of::<Option<Chain>>(), 12);
+    }
+
+    #[test]
+    fn a_sweep_clamps_only_stamps_older_than_near() {
+        // Just past a wrap, registers and a word whose stamps look from 1
+        // to 2^32 - 1 retirements old.
+        let now: Stamp = 7;
+        let ages = [1, NEAR - 1, NEAR, NEAR + 1, 1 << 31, u32::MAX];
+        let mut table = DepTable::new();
+        for (r, &age) in ages.iter().enumerate() {
+            let mut ri = op(InstGroup::IntAlu, &[], &[RegId::Int(r as u8 + 1)]);
+            if r == ages.len() - 1 {
+                ri.push_write(0x100, 8);
+            }
+            let chain = Chain {
+                unit: NonZeroU32::MIN,
+                scaled: 1,
+                writer: now.wrapping_sub(age),
+            };
+            table.write(&ri, chain);
+        }
+        sweep(&mut table, now);
+        let mut all = op(InstGroup::IntAlu, &[], &[]);
+        all.srcs = (1..=ages.len() as u8).map(RegId::Int).collect();
+        all.push_read(0x100, 8);
+        let seen = table.fold_reads(&all, Vec::new(), |mut v, c| {
+            v.push(now.wrapping_sub(c.writer));
+            v
+        });
+        assert_eq!(seen, [1, NEAR - 1, NEAR, NEAR, NEAR, NEAR, NEAR]);
+    }
+
+    #[test]
+    fn a_sweep_keeps_an_old_stamp_from_wrapping_into_the_windows() {
+        // Eight records short of 2^32, x9 holds a stamp 2^32 - 16 records
+        // old. Unswept, 24 records later it would look 8 old.
+        const START: u64 = (1 << 32) - 8;
+        let mut cp = DualCriticalPath::starting_at(Tx2Latency, START);
+        let x9 = RegId::Int(9);
+        let old = Chain {
+            unit: NonZeroU32::MIN,
+            scaled: 1,
+            writer: (START as Stamp).wrapping_sub(u32::MAX - 15),
+        };
+        cp.chains.write(&op(InstGroup::IntAlu, &[], &[x9]), old);
+        for _ in 0..40 {
+            cp.retire(&op(InstGroup::IntAlu, &[x9], &[]), |d| {
+                assert!(d >= NEAR.into(), "distance {d}")
+            });
+        }
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! the distance (in retired instructions) back to the most recent producer
 //! of each of its sources, bucketed into a histogram.
 
+use std::num::NonZeroU64;
+
 use simcore::{DepTable, Observer, RetireSource, RetiredInst, SimError};
 
 /// Histogram bucket upper bounds (inclusive), in retired instructions.
@@ -14,8 +16,9 @@ pub const DIST_BUCKETS: [u64; 8] = [1, 2, 4, 8, 16, 64, 256, u64::MAX];
 
 /// Dependency-distance histogram over the retirement stream.
 pub struct DepDistance {
-    /// Retirement index of the last writer of each location.
-    writers: DepTable<u64>,
+    /// Retirement index of the last writer of each location, counted
+    /// from 1.
+    writers: DepTable<NonZeroU64>,
     /// Histogram: edges whose distance falls in each bucket.
     buckets: [u64; DIST_BUCKETS.len()],
     /// Total dependency edges observed.
@@ -86,7 +89,7 @@ impl Observer for DepDistance {
     fn on_retire(&mut self, ri: &RetiredInst) {
         self.index += 1;
         self.writers.fold_reads(ri, (), |(), producer| {
-            let dist = self.index - producer;
+            let dist = self.index - producer.get();
             self.edges += 1;
             self.dist_sum += dist;
             let bucket = DIST_BUCKETS
@@ -95,7 +98,8 @@ impl Observer for DepDistance {
                 .expect("last bucket is unbounded");
             self.buckets[bucket] += 1;
         });
-        self.writers.write(ri, self.index);
+        let index = NonZeroU64::new(self.index).expect("counted from 1");
+        self.writers.write(ri, index);
     }
 }
 

@@ -24,6 +24,11 @@
 //! * A pending producer's own depth joins the longest fused chain only
 //!   once it resolves: it can exceed the merged depth, when `p` read the
 //!   link register from a deeper chain.
+//!
+//! Entries hold `u32` depths and a `u32` writer stamp, narrowed and kept
+//! exact as [`crate::critical_path`] states. The link test compares
+//! stamps: `p` is the record just before `c`, distance 1, which a stamp
+//! reports exactly.
 
 use std::num::NonZeroU64;
 
@@ -31,7 +36,7 @@ use simcore::{DepTable, InstGroup, IsaKind, Observer, RegId, Region, RetiredInst
 use uarch::{LatencyModel, Tx2Latency};
 
 use crate::cell::DependencyFold;
-use crate::critical_path::Chain;
+use crate::critical_path::{narrow, next_stamp, Chain, Stamp, Stamped};
 use crate::pairs::{can_produce, recognise, single_dst, PairKind};
 use crate::path_length::PathLength;
 use crate::tables::{ExperimentCell, FusedCell};
@@ -57,23 +62,57 @@ impl Depths {
     fn then(self, cost: u64) -> Depths {
         Depths {
             unit: self.unit + 1,
-            scaled: self.scaled + cost,
+            scaled: self.scaled.saturating_add(cost),
+        }
+    }
+
+    /// These depths, reached at record `index`, as a table entry's.
+    #[inline]
+    fn narrow(self, index: u64) -> Narrow {
+        Narrow {
+            unit: narrow(self.unit, index),
+            scaled: narrow(self.scaled, index),
+        }
+    }
+}
+
+/// [`Depths`] as a table entry holds them.
+#[derive(Debug, Clone, Copy)]
+struct Narrow {
+    unit: u32,
+    scaled: u32,
+}
+
+impl Narrow {
+    #[inline]
+    fn widen(self) -> Depths {
+        Depths {
+            unit: self.unit.into(),
+            scaled: self.scaled.into(),
         }
     }
 }
 
 /// The value in one location: the unfused chain and writer, as in
-/// [`crate::DualCriticalPath`], and the fused chain. 40 bytes.
+/// [`crate::DualCriticalPath`], and the fused chain. `Option<Entry>` is
+/// 20 bytes.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     chain: Chain,
-    fused: Depths,
+    fused: Narrow,
+}
+
+impl Stamped for Entry {
+    #[inline]
+    fn writer(&mut self) -> &mut Stamp {
+        &mut self.chain.writer
+    }
 }
 
 /// A record that may still fuse with the next one.
 struct Pending {
     ri: RetiredInst,
-    index: u64,
+    stamp: Stamp,
     /// The fused depth of its sources.
     sources: Depths,
     /// The same without the link register a pair from it would drop.
@@ -134,6 +173,16 @@ impl FusedCriticalPath {
         }
     }
 
+    /// [`FusedCriticalPath::new`] as if `start` records that touch no
+    /// location had retired already.
+    #[cfg(test)]
+    pub(crate) fn starting_at(isa: IsaKind, regions: &[Region], start: u64) -> Self {
+        FusedCriticalPath {
+            retired: start,
+            ..FusedCriticalPath::new(isa, regions)
+        }
+    }
+
     /// The fused measurements, given the stream's per-kernel counts. A
     /// producer still pending counts as retired alone, as at the end of
     /// the stream.
@@ -170,7 +219,7 @@ impl FusedCriticalPath {
                 let mut rest = *ri;
                 rest.srcs = ri.srcs.iter().filter(|&r| r != link).collect();
                 self.chains
-                    .fold_reads(&rest, Depths::default(), |d, e| d.max(e.fused))
+                    .fold_reads(&rest, Depths::default(), |d, e| d.max(e.fused.widen()))
             }
             _ => sources,
         }
@@ -180,26 +229,23 @@ impl FusedCriticalPath {
 impl DependencyFold for FusedCriticalPath {
     #[inline]
     fn retire(&mut self, ri: &RetiredInst, mut producer: impl FnMut(u64)) {
-        let index = self.retired;
-        self.retired += 1;
-        let (kind, link_writer) = match &self.pending {
-            Some(p) => match recognise(self.isa, &p.ri, ri) {
-                // The fused side skips what the producer of a pair wrote.
-                Some(kind) => (Some(kind), p.index),
-                None => (None, u64::MAX),
-            },
-            None => (None, u64::MAX),
-        };
+        let (index, stamp) = next_stamp(&mut self.retired, &mut self.chains);
+        let kind = self
+            .pending
+            .as_ref()
+            .and_then(|p| recognise(self.isa, &p.ri, ri));
+        // The fused side skips what the producer of a pair wrote.
+        let link_writer = kind.and(self.pending.as_ref().map(|p| p.stamp));
         let (src, fused_src) =
             self.chains
                 .fold_reads(ri, (Depths::default(), Depths::default()), |(s, f), e| {
-                    producer(index - e.chain.writer);
+                    producer(u64::from(stamp.wrapping_sub(e.chain.writer)));
                     let chain = Depths {
-                        unit: e.chain.unit.get(),
-                        scaled: e.chain.scaled,
+                        unit: e.chain.unit.get().into(),
+                        scaled: e.chain.scaled.into(),
                     };
-                    let fused = if e.chain.writer != link_writer {
-                        e.fused
+                    let fused = if Some(e.chain.writer) != link_writer {
+                        e.fused.widen()
                     } else {
                         Depths::default()
                     };
@@ -208,9 +254,9 @@ impl DependencyFold for FusedCriticalPath {
         let cost = self.cost[ri.group.code() as usize];
         let own = src.then(cost);
         let chain = Chain {
-            unit: NonZeroU64::MIN.saturating_add(src.unit),
-            scaled: own.scaled,
-            writer: index,
+            unit: narrow(NonZeroU64::MIN.saturating_add(src.unit), index),
+            scaled: narrow(own.scaled, index),
+            writer: stamp,
         };
         self.longest = self.longest.max(own);
         if let Some(kind) = kind {
@@ -225,10 +271,17 @@ impl DependencyFold for FusedCriticalPath {
                 None => p.sources,
             };
             let fused = before.max(fused_src).then(cost);
-            self.chains.write(ri, Entry { chain, fused });
+            let narrowed = fused.narrow(index);
+            self.chains.write(
+                ri,
+                Entry {
+                    chain,
+                    fused: narrowed,
+                },
+            );
             self.chains.update(&p.ri, |e| {
-                if e.chain.writer == p.index {
-                    e.fused = fused;
+                if e.chain.writer == p.stamp {
+                    e.fused = narrowed;
                 }
             });
             self.longest_fused = self.longest_fused.max(fused);
@@ -244,7 +297,7 @@ impl DependencyFold for FusedCriticalPath {
             let sources_sans_link = self.sources_sans_link(ri, fused_src);
             self.pending = Some(Pending {
                 ri: *ri,
-                index,
+                stamp,
                 sources: fused_src,
                 sources_sans_link,
                 alone: fused,
@@ -253,7 +306,13 @@ impl DependencyFold for FusedCriticalPath {
             self.pending = None;
             self.longest_fused = self.longest_fused.max(fused);
         }
-        self.chains.write(ri, Entry { chain, fused });
+        self.chains.write(
+            ri,
+            Entry {
+                chain,
+                fused: fused.narrow(index),
+            },
+        );
     }
 
     /// A producer still pending retires alone: no pair spans the end of a
@@ -312,8 +371,21 @@ mod tests {
     }
 
     #[test]
-    fn table_entries_stay_40_bytes() {
-        assert_eq!(std::mem::size_of::<Option<Entry>>(), 40);
+    fn table_entries_stay_20_bytes() {
+        assert_eq!(std::mem::size_of::<Option<Entry>>(), 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "chain depth 4294967298 at record 1")]
+    fn a_depth_past_u32_is_reported_not_wrapped() {
+        // Two dependent multiplies costing 2^31 + 1 each: the second's
+        // scaled depth does not fit an entry, and the fold stops with it.
+        let mut cp = FusedCriticalPath::new(IsaKind::RiscV, &[]);
+        cp.cost[InstGroup::IntMul.code() as usize] = (1 << 31) + 1;
+        let mul = op(InstGroup::IntMul, &[x(1)], &[x(1)]);
+        cp.retire(&mul, |_| {});
+        assert_eq!(cp.longest.scaled, (1 << 31) + 1);
+        cp.retire(&mul, |_| {});
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! chain ("they were more computationally dense"). These observers make
 //! both quantitative.
 
+use std::num::NonZeroU64;
+
 use simcore::{DepTable, InstGroup, Observer, RetireSource, RetiredInst, SimError};
 
 /// Histogram of retired instructions per [`InstGroup`].
@@ -107,7 +109,8 @@ impl Observer for InstMix {
 /// folded into the CP result.
 #[derive(Debug, Clone)]
 pub struct CpComposition {
-    chains: DepTable<u64>,
+    /// Unit-cost depth of each location's value, at least 1.
+    chains: DepTable<NonZeroU64>,
     longest: u64,
     frontier: [u64; InstGroup::ALL.len()],
 }
@@ -159,10 +162,11 @@ impl Default for CpComposition {
 impl Observer for CpComposition {
     #[inline]
     fn on_retire(&mut self, ri: &RetiredInst) {
-        let depth = self.chains.fold_reads(ri, 0, u64::max) + 1;
+        let depth =
+            NonZeroU64::MIN.saturating_add(self.chains.fold_reads(ri, 0, |d, c| d.max(c.get())));
         self.chains.write(ri, depth);
-        if depth > self.longest {
-            self.longest = depth;
+        if depth.get() > self.longest {
+            self.longest = depth.get();
             self.frontier[ri.group.code() as usize] += 1;
         }
     }

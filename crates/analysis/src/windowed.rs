@@ -60,6 +60,8 @@
 //! ([`crate::CellAnalyses`]) feeds the lanes from the table its critical
 //! path keeps instead, so each retirement's reads are folded once.
 
+use std::num::NonZeroU64;
+
 use simcore::{DepTable, Observer, RetireSource, RetiredInst, SimError};
 
 /// The window sizes used in the paper's Figure 2.
@@ -68,6 +70,9 @@ pub const PAPER_WINDOW_SIZES: [usize; 7] = [4, 16, 64, 200, 500, 1000, 2000];
 /// A chain depth, age or producer distance within one window. A window
 /// size must fit, which bounds sizes to `Depth::MAX`.
 type Depth = i16;
+
+/// The largest window size.
+pub(crate) const MAX_WINDOW: usize = Depth::MAX as usize;
 
 /// Lanes per row: 16 `i16`s, two SSE2 registers.
 const LANES: usize = 16;
@@ -173,9 +178,8 @@ impl Lanes {
             .map(|&size| {
                 assert!(size >= 2, "window size must be at least 2");
                 assert!(
-                    size <= Depth::MAX as usize,
-                    "window size {size} exceeds the lane limit of {}",
-                    Depth::MAX
+                    size <= MAX_WINDOW,
+                    "window size {size} exceeds the lane limit of {MAX_WINDOW}"
                 );
                 let (first, lanes) = (first_lane, size.div_ceil(size / 2));
                 first_lane += lanes;
@@ -351,9 +355,9 @@ fn resolve_row(row: &mut LaneRow, ring: &mut [Row], first: u64, dists: &[Depth],
 /// Single-pass windowed-CP analyzer for a set of window sizes.
 pub struct WindowedCp {
     lanes: Lanes,
-    /// Retirement index of the last writer of every register slot, and of
-    /// every word written in the last `max(sizes)` retirements.
-    writers: DepTable<u64>,
+    /// Retirement index + 1 of the last writer of every register slot,
+    /// and of every word written in the last `max(sizes)` retirements.
+    writers: DepTable<NonZeroU64>,
     /// Retirements between two prunings of `writers`.
     period: usize,
     /// Retirements until `writers` is next pruned.
@@ -406,18 +410,19 @@ impl Observer for WindowedCp {
     fn on_records(&mut self, run: &[RetiredInst]) {
         let lanes = &mut self.lanes;
         for ri in run {
-            let index = lanes.folding();
+            // Index + 1, so that differences of stamps are distances.
+            let stamp = NonZeroU64::MIN.saturating_add(lanes.folding());
             self.writers
-                .fold_reads(ri, (), |(), p| lanes.producer(index - p));
-            self.writers.write(ri, index);
+                .fold_reads(ri, (), |(), p| lanes.producer(stamp.get() - p.get()));
+            self.writers.write(ri, stamp);
             lanes.end_record();
 
             self.to_prune -= 1;
             if self.to_prune == 0 {
                 // Forget the memory words last written `max(sizes)` or more
                 // retirements ago: no window reaches back to them.
-                let (next, max) = (index + 1, lanes.max_size);
-                self.writers.retain_words(|p| next - p < max);
+                let (next, max) = (stamp.get() + 1, lanes.max_size);
+                self.writers.retain_words(|p| next - p.get() < max);
                 self.to_prune = self.period;
             }
         }

@@ -162,6 +162,22 @@ impl JournalRegistry {
     }
 }
 
+/// One job's hold on its journal's registry entry, released on every
+/// exit from the job, as interrupted unless the job marks it completed.
+/// A job that returns early, say because its client hung up, still lets a
+/// later clean run of the same spec retire the journal.
+struct JournalHold<'a> {
+    journals: &'a JournalRegistry,
+    key: u64,
+    completed: bool,
+}
+
+impl Drop for JournalHold<'_> {
+    fn drop(&mut self) {
+        self.journals.release(self.key, self.completed);
+    }
+}
+
 /// Daemon-wide shared state.
 pub struct State {
     cfg: Config,
@@ -499,6 +515,11 @@ fn run_job(state: &Arc<State>, spec: &JobSpec, stream: &mut TcpStream) -> Result
     let journal = state
         .journals
         .acquire(speckey, &journal_path, size.name(), manifest.as_ref());
+    let mut hold = JournalHold {
+        journals: &state.journals,
+        key: speckey,
+        completed: false,
+    };
 
     let mut job = JobProgress {
         stream,
@@ -623,7 +644,8 @@ fn run_job(state: &Arc<State>, spec: &JobSpec, stream: &mut TcpStream) -> Result
     let completed = combos
         .iter()
         .all(|&(w, p, isa)| matrix.has_record(w.name(), p.label(), isa_label(isa)));
-    state.journals.release(speckey, completed);
+    hold.completed = completed;
+    drop(hold);
 
     if !completed {
         // Interrupted mid-job: the journal keeps what finished; the

@@ -7,14 +7,17 @@
 //! reference under the same lock: the reference heeds the flag too, so
 //! another test's drain would truncate it.
 
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::{mpsc, Mutex, PoisonError};
 
 use isacmp::{
     matrix_combos, pool, run_matrix_opts, shutdown, CellJournal, MatrixOptions, SizeClass, Workload,
 };
-use server::{Client, Config, JobOutcome, JobSpec, Server, ServerMsg};
+use server::proto::write_frame;
+use server::{
+    Client, ClientMsg, Config, FrameReader, JobOutcome, JobSpec, ReadOutcome, Server, ServerMsg,
+};
 
 static E2E_LOCK: Mutex<()> = Mutex::new(());
 
@@ -233,6 +236,47 @@ fn restarted_daemon_recovers_a_killed_jobs_journal() {
         !journal_path.exists(),
         "a cleanly completed job retires its journal"
     );
+}
+
+#[test]
+fn a_client_that_hangs_up_mid_job_leaves_no_journal_behind() {
+    // Client A submits, reads one progress frame and hangs up, so the
+    // daemon fails to send it a later frame and its job ends early. Client
+    // B then runs the same spec to its result: that clean completion must
+    // retire the journal, however the earlier holder of it left.
+    let cfg = test_config("hang-up");
+    let jobs_dir = cfg.jobs_dir.clone();
+    let spec = JobSpec::matrix(SizeClass::Test);
+    with_server(cfg, |addr| {
+        let mut a = TcpStream::connect(addr).expect("connect");
+        let submit = ClientMsg::Submit { job: spec.clone() };
+        write_frame(&mut a, &submit.to_json()).expect("submit");
+        let mut reader = FrameReader::new();
+        let first = loop {
+            match reader.poll(&mut a).expect("read") {
+                ReadOutcome::Frame(j) => break ServerMsg::from_json(&j).expect("frame"),
+                ReadOutcome::Idle => continue,
+                ReadOutcome::Closed => panic!("daemon closed before any progress"),
+            }
+        };
+        assert!(matches!(first, ServerMsg::Progress { .. }), "{first:?}");
+        drop(a);
+
+        let mut client = Client::connect(&addr.to_string()).expect("connect");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while client.stats().expect("stats").jobs_active > 0 {
+            assert!(std::time::Instant::now() < deadline, "A's job never ended");
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        let (_, _, failures, _) = expect_done(submit_checked(&mut client, &spec).0);
+        assert_eq!(failures, 0);
+    });
+    let left: Vec<_> = std::fs::read_dir(&jobs_dir)
+        .expect("jobs dir")
+        .map(|e| e.expect("entry").file_name())
+        .filter(|name| name.to_string_lossy().ends_with(".journal.jsonl"))
+        .collect();
+    assert!(left.is_empty(), "journals left behind: {left:?}");
 }
 
 #[test]

@@ -104,6 +104,15 @@ impl<V: Copy> DepTable<V> {
         }
     }
 
+    /// Rewrite with `f` every value the table holds, register and word.
+    pub fn update_all(&mut self, mut f: impl FnMut(&mut V)) {
+        self.regs.iter_mut().flatten().for_each(&mut f);
+        self.pages.retain(|page| {
+            page.iter_mut().flatten().for_each(&mut f);
+            true
+        });
+    }
+
     /// Forget every memory word whose value fails `keep`, and free the
     /// pages left empty; a later read of such a word finds no writer.
     pub fn retain_words(&mut self, mut keep: impl FnMut(V) -> bool) {

@@ -12,6 +12,7 @@
 //!   functional units (TX2-class by default).
 
 use std::marker::PhantomData;
+use std::num::NonZeroU64;
 
 use simcore::{DepTable, InstGroup, Observer, RetiredInst};
 
@@ -137,6 +138,18 @@ fn dcache_extra(dcache: &mut Option<DCache>, ri: &RetiredInst) -> u64 {
     }
 }
 
+/// A `ready` table entry for a value that completes at cycle `done`.
+#[inline]
+fn ready_at(done: u64) -> NonZeroU64 {
+    NonZeroU64::MIN.saturating_add(done)
+}
+
+/// The later of cycle `cycle` and the completion cycle of entry `ready`.
+#[inline]
+fn latest(cycle: u64, ready: NonZeroU64) -> u64 {
+    cycle.max(ready.get() - 1)
+}
+
 /// Dual-issue, in-order, stall-on-use pipeline model.
 pub struct InOrderCore<M: LatencyModel> {
     latency: Latencies,
@@ -144,8 +157,8 @@ pub struct InOrderCore<M: LatencyModel> {
     config: PipelineConfig,
     cycle: u64,
     issued_this_cycle: u64,
-    /// Completion cycle of the value in each location.
-    ready: DepTable<u64>,
+    /// Completion cycle + 1 of the value in each location.
+    ready: DepTable<NonZeroU64>,
     retired: u64,
     done_max: u64,
     dcache: Option<DCache>,
@@ -193,7 +206,7 @@ impl<M: LatencyModel> Observer for InOrderCore<M> {
             self.issued_this_cycle = 0;
         }
         // Stall until sources are ready (in-order: the whole front stalls).
-        let ready = self.ready.fold_reads(ri, self.cycle, u64::max);
+        let ready = self.ready.fold_reads(ri, self.cycle, latest);
         if ready > self.cycle {
             self.cycle = ready;
             self.issued_this_cycle = 0;
@@ -202,7 +215,7 @@ impl<M: LatencyModel> Observer for InOrderCore<M> {
             + self.latency[ri.group.code() as usize]
             + dcache_extra(&mut self.dcache, ri);
         self.done_max = self.done_max.max(done);
-        self.ready.write(ri, done);
+        self.ready.write(ri, ready_at(done));
         self.issued_this_cycle += 1;
         self.retired += 1;
     }
@@ -214,8 +227,8 @@ pub struct OoOCore<M: LatencyModel> {
     latency: Latencies,
     model: PhantomData<M>,
     config: PipelineConfig,
-    /// Completion cycle of the value in each location.
-    ready: DepTable<u64>,
+    /// Completion cycle + 1 of the value in each location.
+    ready: DepTable<NonZeroU64>,
     /// Retire cycle of the i-th most recent instruction (ring, ROB-sized).
     rob_retire: Vec<u64>,
     rob_head: usize,
@@ -277,7 +290,7 @@ impl<M: LatencyModel> Observer for OoOCore<M> {
         let dispatch = width_cycle.max(rob_cycle);
 
         // Operand readiness.
-        let ready = self.ready.fold_reads(ri, dispatch, u64::max);
+        let ready = self.ready.fold_reads(ri, dispatch, latest);
 
         // Functional-unit contention: pick the earliest-free pipe of the
         // class, but not before `ready`.
@@ -292,7 +305,7 @@ impl<M: LatencyModel> Observer for OoOCore<M> {
         self.fu_free[class][best] = start + 1; // pipelined unit: 1/cycle
         let done =
             start + self.latency[ri.group.code() as usize] + dcache_extra(&mut self.dcache, ri);
-        self.ready.write(ri, done);
+        self.ready.write(ri, ready_at(done));
 
         // In-order retirement.
         let retire = done.max(self.last_retire);

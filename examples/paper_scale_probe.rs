@@ -1,6 +1,7 @@
 //! Measure one workload cell at the paper's full parameters (used to fill
 //! EXPERIMENTS.md's paper-scale section; STREAM at N=10M x 10 iterations
-//! retires ~2.5G instructions).
+//! retires ~2.5G instructions), then print the process's peak RSS after
+//! both ISAs' cells (`VmHWM` from `/proc/self/status`, where it exists).
 //!
 //! ```sh
 //! cargo run --release --example paper_scale_probe -- STREAM
@@ -35,4 +36,15 @@ fn main() {
             t.elapsed().as_secs_f64()
         );
     }
+    match peak_rss_kib() {
+        Some(kib) => println!("peak_rss={:.0}MiB", kib as f64 / 1024.0),
+        None => println!("peak_rss=unknown"),
+    }
+}
+
+/// The process's peak resident set in KiB, from `VmHWM`.
+fn peak_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
 }

@@ -199,6 +199,25 @@ fn lanes_survive_wrapping_their_depth_type() {
 }
 
 #[test]
+fn a_scaled_depth_past_u32_is_reported_not_wrapped() {
+    // Two dependent multiplies at a latency above 2^31: the second's
+    // scaled depth, 2^32 + 2, does not fit a dependency-table entry, and
+    // the fold stops with it, in every profile, rather than wrap it to 2.
+    let mut model = Tx2Latency::table();
+    model.int_mul = (1 << 31) + 1;
+    let mut mul = RetiredInst::new(0, InstGroup::IntMul);
+    mul.srcs = RegSet::of(&[RegId::Int(1)]);
+    mul.dsts = RegSet::of(&[RegId::Int(1)]);
+    let mut cp = DualCriticalPath::new(model);
+    cp.on_retire(&mul);
+    assert_eq!(cp.scaled().critical_path, (1 << 31) + 1);
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cp.on_retire(&mul)))
+        .expect_err("a depth past u32::MAX stops the fold");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(msg.contains("chain depth 4294967298 at record 1"), "{msg}");
+}
+
+#[test]
 #[should_panic(expected = "window size 32768 exceeds the lane limit of 32767")]
 fn windows_larger_than_the_lane_type_are_rejected() {
     WindowedCp::new(&[4, i16::MAX as usize + 1]);
