@@ -29,10 +29,10 @@
 //! - `--deadline-secs <s>`: wall-clock watchdog; a trip exits 124 and,
 //!   when `--checkpoint` is set, leaves a resumable snapshot behind.
 //! - `--inject <fault>`: deterministic fault injection (`trap@N`,
-//!   `fetch@N[:MASK]`, `read@N[:BIT]`).
+//!   `fetch@N[:MASK]`, `read@N[:BIT]`), armed as a campaign of one plan.
 //! - `--campaign <seed>:<n>`: seeded multi-fault campaign (`n` sampled
-//!   faults); mutually exclusive with `--inject`. The fired count is
-//!   reported after the run.
+//!   faults); mutually exclusive with `--inject`. Either way, the fired
+//!   count is reported after the run.
 //! - `--checkpoint <path>`: crash-safe snapshotting. The snapshot is
 //!   written durably (tmp + fsync + rename) on SIGINT/SIGTERM (exit 130)
 //!   and on a watchdog trip; add `--checkpoint-every <N>` to also write
@@ -52,9 +52,9 @@ use isacmp::telemetry::sampler::Sampler;
 use isacmp::SampleSnapshot;
 use isacmp::{
     executor, progress_interval, shutdown, Campaign, CampaignSpec, CellAnalyses, Checkpoint,
-    CpuState, EmulationCore, FaultInjector, FaultPlan, IsaKind, Observer, ProfilingObserver,
-    Program, RunReport, RunStats, SimError, StopReason, TraceMark, TraceMeta, TraceReader,
-    TraceWriter, DEFAULT_CAMPAIGN_WINDOW, DEFAULT_FAULT_SEED,
+    CpuState, EmulationCore, FaultPlan, IsaKind, Observer, ProfilingObserver, Program, RunReport,
+    RunStats, SimError, StopReason, TraceMark, TraceMeta, TraceReader, TraceWriter,
+    DEFAULT_CAMPAIGN_WINDOW,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -202,7 +202,7 @@ fn run_segment(
     obs: &mut [&mut dyn Observer],
     progress: Option<u64>,
     deadline: Option<Duration>,
-    injector: Option<Box<dyn FaultInjector>>,
+    campaign: Option<Campaign>,
     sample: Option<Arc<SampleSnapshot>>,
     checkpoint_every: Option<u64>,
     heed_shutdown: bool,
@@ -214,8 +214,8 @@ fn run_segment(
     if let Some(d) = deadline {
         core = core.with_deadline(d);
     }
-    if let Some(inj) = injector {
-        core = core.with_injector(inj);
+    if let Some(c) = campaign {
+        core = core.with_campaign(c);
     }
     if let Some(s) = sample {
         core = core.with_sampling(s, SAMPLE_LOG2_STRIDE);
@@ -318,15 +318,12 @@ fn main() {
     let checkpointing = args.checkpoint.is_some();
     let mut st = CpuState::new();
     let mut tracer: Option<FileTracer> = None;
-    // The armed fault schedule this process drives. A fresh clone is boxed
-    // into the core each segment; clones share the fired counter, and
-    // per-plan fired flags are reconstructed deterministically at each
-    // checkpoint boundary, so pausing never re-arms a fired fault.
+    // The armed fault schedule this process drives (`--inject` is a
+    // one-plan campaign). A fresh clone goes into the core each segment;
+    // clones share the fired counter, and per-plan fired flags are
+    // reconstructed deterministically at each checkpoint boundary, so
+    // pausing never re-arms a fired fault.
     let mut campaign: Option<Campaign> = None;
-    // Single-plan injection outside checkpointing keeps its direct path;
-    // with checkpointing on, the plan rides in a one-plan campaign so the
-    // snapshot can carry it.
-    let mut solo_inject: Option<FaultPlan> = None;
 
     if let Some(ckpt_path) = &args.restore {
         let ckpt = Checkpoint::read(std::path::Path::new(ckpt_path)).unwrap_or_else(|e| {
@@ -444,11 +441,7 @@ fn main() {
         });
         if let Some(plan) = &args.inject {
             eprintln!("fault injection armed: {}", plan.describe());
-            if checkpointing {
-                campaign = Some(Campaign::from_plans(vec![plan.clone()], DEFAULT_FAULT_SEED));
-            } else {
-                solo_inject = Some(plan.clone());
-            }
+            campaign = Some(plan.clone().into());
         }
         if let Some(c) = &args.campaign {
             eprintln!("{}", c.describe());
@@ -480,11 +473,6 @@ fn main() {
         let remaining = args.deadline.map(|d| d.saturating_sub(run_start.elapsed()));
         let seg = {
             let _span = tel.enter("emulate");
-            let injector: Option<Box<dyn FaultInjector>> = match (&campaign, &solo_inject) {
-                (Some(c), _) => Some(Box::new(c.clone())),
-                (None, Some(p)) => Some(Box::new(p.clone())),
-                (None, None) => None,
-            };
             let mut obs: Vec<&mut dyn Observer> = vec![&mut analyses, &mut profile];
             if let Some(t) = tracer.as_mut() {
                 obs.push(t);
@@ -495,7 +483,7 @@ fn main() {
                 &mut obs,
                 args.progress.map(progress_interval),
                 remaining,
-                injector,
+                campaign.clone(),
                 snapshot.clone(),
                 args.checkpoint_every,
                 checkpointing,

@@ -77,12 +77,13 @@ pub fn parse_size(args: &[String]) -> Result<SizeClass, String> {
     }
 }
 
-/// Parse a `--deadline-secs` value (fractional seconds).
+/// Parse a `--deadline-secs` value (fractional seconds). The checked
+/// conversion rejects what a `Duration` cannot hold: negative, NaN,
+/// infinite, and finite but too large (`1e30`).
 pub fn deadline_from_secs(s: &str) -> Result<Duration, String> {
     s.parse::<f64>()
         .ok()
-        .filter(|secs| secs.is_finite() && *secs >= 0.0)
-        .map(Duration::from_secs_f64)
+        .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
         .ok_or_else(|| format!("bad --deadline-secs value {s:?}: expected seconds"))
 }
 
@@ -255,9 +256,15 @@ mod tests {
 
     #[test]
     fn bad_values_are_actionable_errors() {
-        assert!(parse_deadline(&args(&["--deadline-secs", "fast"]))
-            .unwrap_err()
-            .contains("deadline"));
+        for bad in ["fast", "-1", "inf", "NaN", "1e30"] {
+            assert!(parse_deadline(&args(&["--deadline-secs", bad]))
+                .unwrap_err()
+                .contains("deadline"));
+        }
+        assert_eq!(
+            parse_deadline(&args(&["--deadline-secs", "2.5"])),
+            Ok(Some(Duration::from_millis(2500)))
+        );
         assert!(parse_retries(&args(&["--retries", "many"]), 1)
             .unwrap_err()
             .contains("retries"));

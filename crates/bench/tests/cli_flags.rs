@@ -44,6 +44,21 @@ fn unknown_flag_is_a_usage_error() {
 }
 
 #[test]
+fn seconds_a_duration_cannot_hold_are_a_usage_error() {
+    let dir = scratch("cli-deadline");
+    for secs in ["abc", "1e30"] {
+        let (code, stderr) =
+            make_tables(&dir, &["table1", "--size", "test", "--deadline-secs", secs]);
+        assert_eq!(code, 2, "--deadline-secs {secs}: {stderr}");
+        assert!(stderr.contains("--deadline-secs"), "{stderr}");
+    }
+    assert!(
+        !dir.join("results").exists(),
+        "a rejected command line must run nothing"
+    );
+}
+
+#[test]
 fn every_documented_flag_is_accepted() {
     let dir = scratch("cli-full");
     let (code, stderr) = make_tables(

@@ -1,5 +1,5 @@
-//! `run_elf`'s analysis lines against the matrix goldens, and its
-//! heartbeats under `--metrics` calibration.
+//! `run_elf`'s analysis lines against the matrix goldens, its heartbeats
+//! under `--metrics` calibration, and its `--inject` runs.
 //!
 //! `run_elf` measures an ELF with the same per-cell analysis bundle the
 //! matrix uses, so the test-size STREAM binaries must print exactly the
@@ -17,10 +17,10 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// Emit the test-size ELFs into `dir/results/bin`.
-fn emit_elves(dir: &Path) {
+/// Emit the ELFs of `size` into `dir/results/bin`.
+fn emit_elves(dir: &Path, size: &str) {
     let out = Command::new(env!("CARGO_BIN_EXE_make_tables"))
-        .args(["elves", "--size", "test"])
+        .args(["elves", "--size", size])
         .current_dir(dir)
         .output()
         .expect("make_tables runs");
@@ -111,7 +111,7 @@ fn expected_lines(cell: &Json) -> Vec<String> {
 #[test]
 fn stream_analysis_lines_match_the_golden_matrix_cells() {
     let dir = scratch("runelf-golden");
-    emit_elves(&dir);
+    emit_elves(&dir, "test");
     for (elf, isa) in [("riscv64", "RISC-V"), ("aarch64", "AArch64")] {
         let path = format!("results/bin/stream-gcc-12.2-{elf}.elf");
         let (code, stdout, stderr) = run_elf(&dir, &[&path], &[]);
@@ -128,7 +128,7 @@ fn stream_analysis_lines_match_the_golden_matrix_cells() {
 #[test]
 fn calibration_runs_print_no_heartbeats() {
     let dir = scratch("runelf-beats");
-    emit_elves(&dir);
+    emit_elves(&dir, "test");
     let elf = "results/bin/stream-gcc-12.2-riscv64.elf";
     let beats = |stderr: &str| stderr.lines().filter(|l| l.contains(" retired, ")).count();
     // 4,326 retirements beat at 1000, 2000, 3000 and 4000; the calibration
@@ -144,4 +144,103 @@ fn calibration_runs_print_no_heartbeats() {
     );
     assert_eq!(code, 0, "{stderr}");
     assert_eq!(beats(&stderr), 4, "{stderr}");
+}
+
+#[test]
+fn injected_trap_fails_the_run_and_reports_it_fired() {
+    let dir = scratch("runelf-trap");
+    emit_elves(&dir, "test");
+    let elf = "results/bin/stream-gcc-12.2-riscv64.elf";
+    let (code, stdout, stderr) = run_elf(&dir, &[elf, "--inject", "trap@1000"], &[]);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(
+        stdout.is_empty(),
+        "a failed run prints no analysis: {stdout}"
+    );
+    assert!(
+        stderr.contains("injected fault: forced trap at instret 1000"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("after 1000 retired instructions"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("campaign: 1 of 1 scheduled fault(s) fired"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn injected_run_prints_the_same_with_and_without_checkpoints() {
+    let dir = scratch("runelf-inject-ckpt");
+    emit_elves(&dir, "small");
+    let elf = "results/bin/stream-gcc-12.2-riscv64.elf";
+    // The small STREAM run retires 1,860,162 instructions and pauses every
+    // 409,600 (400,000 rounded up to the masked interval); this fetch flip
+    // lands after the last pause, at 1,638,400, and the guest still exits.
+    let fault = "fetch@1800000:0x400";
+    let fired = "campaign: 1 of 1 scheduled fault(s) fired";
+    let analysis = |stdout: &str| -> Vec<String> {
+        stdout
+            .lines()
+            .filter(|l| !l.starts_with("  run ") && !l.starts_with("  trace "))
+            .map(str::to_string)
+            .collect()
+    };
+    let (code, clean, stderr) = run_elf(&dir, &[elf], &[]);
+    assert_eq!(code, 0, "{stderr}");
+    let (code, straight, stderr) = run_elf(
+        &dir,
+        &[elf, "--inject", fault, "--trace-out", "ref.trace"],
+        &[],
+    );
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stderr.contains(fired), "{stderr}");
+    assert_ne!(
+        analysis(&straight),
+        analysis(&clean),
+        "the flip must change the run"
+    );
+
+    let (code, paused, stderr) = run_elf(
+        &dir,
+        &[
+            elf,
+            "--inject",
+            fault,
+            "--checkpoint",
+            "run.ckpt",
+            "--checkpoint-every",
+            "400000",
+            "--trace-out",
+            "ckpt.trace",
+        ],
+        &[],
+    );
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stderr.contains("at 1638400 retirements"), "{stderr}");
+    assert!(stderr.contains(fired), "{stderr}");
+    assert_eq!(analysis(&paused), analysis(&straight));
+
+    // The last snapshot holds the fault armed and unfired; restoring it
+    // (the capture replays the prefix to the analyses) ends in the same
+    // run, down to the trace bytes before the trailer's wall time.
+    let (code, resumed, stderr) = run_elf(
+        &dir,
+        &[elf, "--restore", "run.ckpt", "--trace-out", "ckpt.trace"],
+        &[],
+    );
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stderr.contains("0 already fired"), "{stderr}");
+    assert!(stderr.contains(fired), "{stderr}");
+    assert_eq!(analysis(&resumed), analysis(&straight));
+    let read = |name: &str| std::fs::read(dir.join(name)).expect(name);
+    let (reference, restored) = (read("ref.trace"), read("ckpt.trace"));
+    assert_eq!(reference.len(), restored.len(), "trace sizes differ");
+    let cut = reference.len() - 16;
+    assert!(
+        reference[..cut] == restored[..cut],
+        "restored trace diverges"
+    );
 }

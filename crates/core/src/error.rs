@@ -164,15 +164,14 @@ pub struct CellOptions {
     /// Retries for [`CellError::retryable`] failures (clamped to
     /// [`MAX_CELL_RETRIES`]).
     pub retries: u32,
-    /// Deterministic one-shot fault to inject into the run.
-    pub fault: Option<FaultPlan>,
-    /// Seeded multi-fault schedule to inject into the run (may coexist
-    /// with `fault`; the schedules merge).
+    /// Fault schedule to inject into the run: a seeded campaign, a lone
+    /// targeted fault (a one-plan campaign), or both merged by
+    /// [`MatrixOptions::cell_options`].
     pub campaign: Option<Campaign>,
     /// Trace cache directory: replay a matching capture instead of
     /// emulating, and capture one on a live run. Ignored (no capture, no
-    /// replay) while a fault or campaign is armed — an injected-fault run
-    /// is not a reusable measurement.
+    /// replay) while a campaign is armed — an injected-fault run is not a
+    /// reusable measurement.
     pub trace_dir: Option<std::path::PathBuf>,
     /// Honor the process shutdown flag ([`simcore::shutdown`]): abort the
     /// retire loop at the next masked boundary with
@@ -196,28 +195,14 @@ impl CellOptions {
         self.retries.min(MAX_CELL_RETRIES)
     }
 
-    /// Merge the one-shot fault and the campaign schedule into one
-    /// freshly-armed injector. A new `Campaign` (fresh fired state) is
-    /// built per call, so every retry of a cell deterministically
-    /// re-injects the same schedule from scratch.
+    /// The campaign, freshly armed for one attempt. A new `Campaign`
+    /// (fresh fired counter) is built per call, so every retry of a cell
+    /// deterministically re-injects the same schedule from scratch.
     pub fn armed_campaign(&self) -> Option<Campaign> {
-        let mut plans: Vec<FaultPlan> = self
-            .campaign
+        self.campaign
             .as_ref()
-            .map(|c| c.plans().to_vec())
-            .unwrap_or_default();
-        if let Some(f) = &self.fault {
-            plans.push(f.clone());
-        }
-        if plans.is_empty() {
-            return None;
-        }
-        let seed = self
-            .campaign
-            .as_ref()
-            .map(Campaign::seed)
-            .unwrap_or(DEFAULT_FAULT_SEED);
-        Some(Campaign::from_plans(plans, seed))
+            .filter(|c| !c.is_empty())
+            .map(|c| Campaign::from_plans(c.plans().to_vec(), c.seed()))
     }
 }
 
@@ -309,19 +294,25 @@ pub struct MatrixOptions {
 }
 
 impl MatrixOptions {
-    /// The per-cell options for one labelled cell (attaching the injected
-    /// fault when the selector matches, and the campaign unconditionally).
+    /// The per-cell options for one labelled cell: the campaign
+    /// unconditionally, with the injected fault appended to its plans when
+    /// the selector matches (a one-plan campaign tagged
+    /// [`DEFAULT_FAULT_SEED`] when there is no campaign). Each such cell
+    /// counts once in the `faults_injected` telemetry counter.
     pub fn cell_options(&self, workload: &str, compiler: &str, isa: &str) -> CellOptions {
-        let fault = self.inject.as_ref().and_then(|i| {
-            i.selector
-                .matches(workload, compiler, isa)
-                .then(|| i.plan.clone())
-        });
+        let mut campaign = self.campaign.clone();
+        if let Some(i) = &self.inject {
+            if i.selector.matches(workload, compiler, isa) {
+                telemetry::global().counter_add("faults_injected", 1);
+                campaign
+                    .get_or_insert_with(|| Campaign::from_plans(Vec::new(), DEFAULT_FAULT_SEED))
+                    .push(i.plan.clone());
+            }
+        }
         CellOptions {
             deadline: self.deadline,
             retries: self.retries,
-            fault,
-            campaign: self.campaign.clone(),
+            campaign,
             trace_dir: self.trace_dir.clone(),
             heed_shutdown: self.heed_shutdown,
             checkpoint_dir: self.checkpoint_dir.clone(),
@@ -412,11 +403,12 @@ mod tests {
     #[test]
     fn armed_campaign_merges_fault_and_schedule() {
         assert!(CellOptions::default().armed_campaign().is_none());
-        let o = CellOptions {
-            fault: Some(FaultPlan::parse("trap@10").unwrap()),
+        let o = MatrixOptions {
+            inject: Some(InjectSpec::parse("*/*/*:trap@10").unwrap()),
             campaign: Some(Campaign::sample(7, 3, 100)),
             ..Default::default()
-        };
+        }
+        .cell_options("STREAM", "gcc-9.2", "AArch64");
         let armed = o.armed_campaign().unwrap();
         assert_eq!(armed.len(), 4, "3 sampled plans + the one-shot fault");
         assert_eq!(armed.seed(), 7, "campaign seed wins when both are set");

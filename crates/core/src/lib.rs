@@ -63,10 +63,9 @@ pub use isa_riscv::RiscVExecutor;
 pub use kernelgen::{compile, interpret, Compiled, KernelProgram, Personality, ReferenceKey};
 pub use simcore::{
     durable, host_mips, progress_interval, shutdown, Campaign, CampaignSpec, CampaignState,
-    Checkpoint, CheckpointError, CpuState, EmulationCore, FaultInjector, FaultKind, FaultPlan,
-    InjectAction, InstGroup, IsaExecutor, IsaKind, Observer, Program, RegSet, RetiredInst,
-    RunStats, Sample, SampleSnapshot, SimError, StopReason, TraceMark, DEFAULT_CAMPAIGN_WINDOW,
-    DEFAULT_FAULT_SEED,
+    Checkpoint, CheckpointError, CpuState, EmulationCore, FaultKind, FaultPlan, InjectAction,
+    InstGroup, IsaExecutor, IsaKind, Observer, Program, RegSet, RetiredInst, RunStats, Sample,
+    SampleSnapshot, SimError, StopReason, TraceMark, DEFAULT_CAMPAIGN_WINDOW, DEFAULT_FAULT_SEED,
 };
 pub use telemetry;
 pub use telemetry::{ProfilingObserver, RunReport};
@@ -109,31 +108,19 @@ pub fn executor(isa: IsaKind) -> Box<dyn IsaExecutor> {
 /// with typed errors: load failures, guest faults, watchdog trips and
 /// non-zero exits all come back as a [`CellError`] instead of a panic.
 ///
-/// `deadline` attaches a wall-clock watchdog; `fault` injects a
-/// deterministic [`FaultPlan`] into the run.
+/// `deadline` attaches a wall-clock watchdog; `campaign` arms a fault
+/// schedule (a lone [`FaultPlan`] is `Campaign::from(plan)`). The run
+/// fires a clone, so `campaign`'s fired count reads the faults that fired.
 pub fn try_execute(
     compiled: &Compiled,
     observers: &mut [&mut dyn Observer],
     deadline: Option<std::time::Duration>,
-    fault: Option<&FaultPlan>,
+    campaign: Option<&Campaign>,
 ) -> Result<(CpuState, RunStats), CellError> {
-    let injector: Option<Box<dyn FaultInjector>> =
-        fault.map(|p| Box::new(p.clone()) as Box<dyn FaultInjector>);
-    try_execute_with(compiled, observers, deadline, injector)
+    try_execute_inner(compiled, observers, deadline, campaign, None, false).map_err(|(e, _)| e)
 }
 
-/// [`try_execute`] with an arbitrary [`FaultInjector`] (e.g. a whole
-/// [`Campaign`]) instead of a single plan.
-pub fn try_execute_with(
-    compiled: &Compiled,
-    observers: &mut [&mut dyn Observer],
-    deadline: Option<std::time::Duration>,
-    injector: Option<Box<dyn FaultInjector>>,
-) -> Result<(CpuState, RunStats), CellError> {
-    try_execute_inner(compiled, observers, deadline, injector, None, false).map_err(|(e, _)| e)
-}
-
-/// The execution path behind [`try_execute_with`]: same typed errors,
+/// The execution path behind [`try_execute`]: same typed errors,
 /// but the failing machine state rides along with the error so callers
 /// can snapshot it (watchdog-trip checkpoints need the state the guest
 /// died in, not a fresh one). `budget` replaces the emulation core's
@@ -142,7 +129,7 @@ fn try_execute_inner(
     compiled: &Compiled,
     observers: &mut [&mut dyn Observer],
     deadline: Option<std::time::Duration>,
-    injector: Option<Box<dyn FaultInjector>>,
+    campaign: Option<&Campaign>,
     budget: Option<u64>,
     heed_shutdown: bool,
 ) -> Result<(CpuState, RunStats), (CellError, Box<CpuState>)> {
@@ -159,8 +146,8 @@ fn try_execute_inner(
     if let Some(d) = deadline {
         core = core.with_deadline(d);
     }
-    if let Some(inj) = injector {
-        core = core.with_injector(inj);
+    if let Some(c) = campaign {
+        core = core.with_campaign(c.clone());
     }
     if heed_shutdown {
         core = core.with_shutdown();
@@ -204,7 +191,7 @@ pub fn execute(compiled: &Compiled, observers: &mut [&mut dyn Observer]) -> (Cpu
 /// fault-armed cell may retire; see [`faulted_budget`].
 pub const FAULTED_BUDGET_FACTOR: u64 = 4;
 
-/// The instruction budget of a cell with a fault or campaign armed:
+/// The instruction budget of a cell with a fault campaign armed:
 /// [`FAULTED_BUDGET_FACTOR`] times the longest clean path length at its
 /// size, which `tests/golden/` pins (LBM, GCC 9.2, RISC-V at `test` and
 /// `small`). A fault that sends the guest astray then fails the cell as an
@@ -276,10 +263,7 @@ fn run_cell_attempt(
     // Tracing (capture and replay) only applies to clean measurement runs:
     // an injected-fault run is not reusable, and a replay cannot reproduce
     // the fault.
-    let tracing = opts
-        .trace_dir
-        .as_ref()
-        .filter(|_| opts.fault.is_none() && opts.campaign.is_none());
+    let tracing = opts.trace_dir.as_ref().filter(|_| opts.campaign.is_none());
     if let Some(dir) = tracing {
         let path = tracecache::trace_path(dir, workload, personality, isa, size);
         if path.exists() {
@@ -350,9 +334,6 @@ fn run_cell_attempt(
         if let Some(c) = &armed {
             tel.counter_add("faults_scheduled", c.len() as u64);
         }
-        let injector: Option<Box<dyn FaultInjector>> = armed
-            .as_ref()
-            .map(|c| Box::new(c.clone()) as Box<dyn FaultInjector>);
         let emu_start = std::time::Instant::now();
         // A fault can send the guest astray; its budget bounds the run's
         // time and the memory the guest and the analyses' tables grow to.
@@ -361,7 +342,7 @@ fn run_cell_attempt(
             &compiled,
             &mut obs,
             opts.deadline,
-            injector,
+            armed.as_ref(),
             budget,
             opts.heed_shutdown,
         )
@@ -531,10 +512,11 @@ fn write_timeout_snapshot(
 
 /// [`run_cell`] with explicit fault-tolerance options: a wall-clock
 /// deadline, bounded retries for retryable failures, and (for testing the
-/// harness itself) a deterministic injected fault.
+/// harness itself) a deterministic injected fault schedule.
 ///
 /// Telemetry counters: `cells_run`, `cells_failed`, `cell_retries`,
-/// `watchdog_trips`, `faults_injected`.
+/// `watchdog_trips`, `faults_scheduled`, `faults_fired` (a targeted
+/// fault's `faults_injected` is counted by [`MatrixOptions::cell_options`]).
 pub fn run_cell_opts(
     workload: Workload,
     isa: IsaKind,
@@ -572,9 +554,6 @@ pub fn run_cell_with_reference(
         personality.label()
     ));
     let cell_start = std::time::Instant::now();
-    if opts.fault.is_some() {
-        tel.counter_add("faults_injected", 1);
-    }
     let max_retries = opts.effective_retries();
     let mut attempt = 0u32;
     loop {
@@ -1084,9 +1063,9 @@ impl AnyPipeline {
 
 /// [`run_pipeline_full`] on an already compiled program, with typed errors
 /// and the same fault hooks as the emulation path: the pipeline model is
-/// one more observer of [`try_execute_with`]'s run, so a wall-clock
-/// deadline and a [`FaultInjector`] (plan or whole campaign) apply to the
-/// pipeline-timed run exactly as they do to [`try_execute`].
+/// one more observer of [`try_execute`]'s run, so a wall-clock deadline
+/// and a fault [`Campaign`] apply to the pipeline-timed run exactly as
+/// they do to the emulation path.
 /// Returns the final architectural state alongside the timing stats so
 /// differential tests can compare the two paths.
 pub fn try_run_pipeline_full(
@@ -1095,11 +1074,11 @@ pub fn try_run_pipeline_full(
     out_of_order: bool,
     dcache: Option<(CacheConfig, u64)>,
     deadline: Option<std::time::Duration>,
-    injector: Option<Box<dyn FaultInjector>>,
+    campaign: Option<&Campaign>,
 ) -> Result<(CpuState, PipelineStats), CellError> {
     let _span = telemetry::global().enter("pipeline");
     let mut core = AnyPipeline::build(config, out_of_order, dcache);
-    let (st, _) = try_execute_with(compiled, &mut [core.observer()], deadline, injector)?;
+    let (st, _) = try_execute(compiled, &mut [core.observer()], deadline, campaign)?;
     Ok((st, core.stats()))
 }
 

@@ -69,13 +69,12 @@ fn parse_config(args: &[String]) -> Config {
         cfg.warm_size = or_usage(cli::size_from_name(&name));
     }
     if let Some(s) = cli::flag_value(args, "--drain-secs") {
-        let secs = or_usage(
+        cfg.drain_timeout = or_usage(
             s.parse::<f64>()
                 .ok()
-                .filter(|v| v.is_finite() && *v >= 0.0)
+                .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
                 .ok_or_else(|| format!("--drain-secs expects a non-negative number, got '{s}'")),
         );
-        cfg.drain_timeout = Duration::from_secs_f64(secs);
     }
     cfg
 }

@@ -17,6 +17,7 @@
 //! losing mid-frame bytes.
 
 use std::io::{Read, Write};
+use std::time::Duration;
 
 use bench::cli;
 use isacmp::telemetry::Json;
@@ -294,7 +295,9 @@ impl JobSpec {
             .transpose()?;
         let deadline = self
             .deadline_secs
-            .map(|d| cli::deadline_from_secs(&d.to_string()))
+            .map(|d| {
+                Duration::try_from_secs_f64(d).map_err(|e| format!("bad deadline_secs {d}: {e}"))
+            })
             .transpose()?;
         let opts = MatrixOptions {
             deadline,
@@ -342,7 +345,7 @@ impl JobSpec {
             None => None,
             Some(v) => Some(
                 v.as_f64()
-                    .filter(|d| d.is_finite() && *d >= 0.0)
+                    .filter(|d| Duration::try_from_secs_f64(*d).is_ok())
                     .ok_or_else(|| bad("invalid deadline_secs"))?,
             ),
         };

@@ -561,7 +561,7 @@ fn run_job(state: &Arc<State>, spec: &JobSpec, stream: &mut TcpStream) -> Result
         }
         let cell_opts = opts.cell_options(wn, pl, il);
         // Fault-armed cells are not reusable measurements — never cached.
-        if cell_opts.fault.is_some() || cell_opts.campaign.is_some() {
+        if cell_opts.campaign.is_some() {
             misses += 1;
             outstanding += 1;
             compute(i, cell_opts, None);

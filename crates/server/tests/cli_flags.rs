@@ -30,6 +30,7 @@ fn isacmpd_rejects_flags_outside_its_grammar() {
         &["--jobs-dir", jobs, "--kind", "fusion"][..],
         &["--jobs-dir", jobs, "--max-jobs"][..],
         &["--jobs-dir", jobs, "stray"][..],
+        &["--jobs-dir", jobs, "--drain-secs", "1e30"][..],
     ] {
         let (code, stderr) = run(exe, args);
         assert_eq!(code, 2, "{args:?}: {stderr}");

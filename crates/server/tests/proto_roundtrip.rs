@@ -139,6 +139,22 @@ fn zero_length_and_corrupt_payloads_are_typed_errors() {
 }
 
 #[test]
+fn job_spec_rejects_deadlines_a_duration_cannot_hold() {
+    let spec = |d: f64| {
+        let mut job = JobSpec::matrix(isacmp::SizeClass::Test);
+        job.deadline_secs = Some(d);
+        job.to_json()
+    };
+    assert!(JobSpec::from_json(&spec(2.5)).is_ok());
+    // Finite and non-negative, yet far beyond `Duration::MAX`.
+    let err = JobSpec::from_json(&spec(1e30)).expect_err("1e30 s is no deadline");
+    assert!(
+        matches!(&err, ProtoError::BadFrame(m) if m.contains("deadline_secs")),
+        "{err:?}"
+    );
+}
+
+#[test]
 fn version_mismatch_is_typed() {
     let mut j = ClientMsg::Ping.to_json();
     if let isacmp::telemetry::Json::Obj(fields) = &mut j {

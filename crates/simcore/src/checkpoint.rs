@@ -148,11 +148,11 @@ pub struct CampaignState {
 
 impl CampaignState {
     /// Capture a campaign's state as of a step boundary where `retired`
-    /// instructions have retired and the injector has *not yet* been
+    /// instructions have retired and the campaign has *not yet* been
     /// polled for the next step. Fired flags are reconstructed from the
     /// deterministic polling discipline (see [`FaultPlan::fired_by`])
-    /// because the live flags sit inside the boxed injector clone the
-    /// core owns.
+    /// because the live flags sit inside the campaign clone the core
+    /// owns.
     pub fn capture(campaign: &Campaign, retired: u64) -> Self {
         let plans: Vec<(String, bool)> = campaign
             .plans()

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::error::SimError;
-use crate::fault::{FaultInjector, InjectAction};
+use crate::fault::{Campaign, InjectAction};
 use crate::observer::Observer;
 use crate::retire::{InstGroup, RetiredInst};
 use crate::sample::SampleSnapshot;
@@ -47,7 +47,7 @@ pub trait IsaExecutor {
     /// Short ISA name ("rv64g", "aarch64").
     fn name(&self) -> &'static str;
 
-    /// Drop any cached decodes. Called by the core when a fault injector
+    /// Drop any cached decodes. Called by the core when a fault campaign
     /// asks: after it mutates instruction memory behind the executor's
     /// back, or when it arms a read flip that must count every fetch. The
     /// default suits executors that do not cache. Block-building executors must
@@ -244,10 +244,10 @@ pub struct EmulationCore<E: IsaExecutor> {
     /// Wall-clock watchdog; checked every [`Self::DEADLINE_CHECK_INTERVAL`]
     /// retirements so the hot loop pays only an AND and a branch.
     deadline: Option<Duration>,
-    /// Fault-injection hook, consulted before each step at which it is due
-    /// (see [`FaultInjector::next_due`]). `RefCell` keeps
+    /// Fault schedule, consulted before each step at which it is due
+    /// (see [`Campaign::next_due`]). `RefCell` keeps
     /// [`EmulationCore::run`] callable on a shared core.
-    injector: Option<RefCell<Box<dyn FaultInjector>>>,
+    campaign: Option<RefCell<Campaign>>,
     /// Shared snapshot for the sampling profiler, written every
     /// `sample_mask + 1` retirements when attached.
     sample: Option<Arc<SampleSnapshot>>,
@@ -305,7 +305,7 @@ impl<E: IsaExecutor> EmulationCore<E> {
             max_insts: Self::DEFAULT_BUDGET,
             progress_every: progress_interval_from_env(),
             deadline: None,
-            injector: None,
+            campaign: None,
             sample: None,
             sample_mask: u64::MAX,
             checkpoint_every: u64::MAX,
@@ -328,10 +328,11 @@ impl<E: IsaExecutor> EmulationCore<E> {
         self
     }
 
-    /// Attach a fault injector (e.g. a [`crate::FaultPlan`]), consulted
-    /// before every step at which it is due.
-    pub fn with_injector(mut self, injector: Box<dyn FaultInjector>) -> Self {
-        self.injector = Some(RefCell::new(injector));
+    /// Arm a fault schedule (a lone [`crate::FaultPlan`] is
+    /// `Campaign::from(plan)`), consulted before every step at which it is
+    /// due. The core fires its own clone; clones share the fired counter.
+    pub fn with_campaign(mut self, campaign: Campaign) -> Self {
+        self.campaign = Some(RefCell::new(campaign));
         self
     }
 
@@ -393,11 +394,11 @@ impl<E: IsaExecutor> EmulationCore<E> {
     /// There is one retire loop. Each iteration computes the earliest
     /// retirement count at which any event is due — budget, masked
     /// boundary (checkpoint / shutdown / deadline), sampling boundary,
-    /// heartbeat, and the injector's next due point — and hands the
+    /// heartbeat, and the campaign's next due point — and hands the
     /// executor exactly that much fuel, so blocks never straddle an event
     /// and every event lands at the same `instret` (and `state.pc`) as it
     /// would when checked before every single step. At one count the
-    /// order is: masked checks, sample publish, injector.
+    /// order is: masked checks, sample publish, campaign.
     ///
     /// While an armed read fault is pending the loop advances through
     /// [`IsaExecutor::step`] only: a block build fetches words ahead of
@@ -505,11 +506,11 @@ impl<E: IsaExecutor> EmulationCore<E> {
                     snap.publish(state.pc, retired);
                 }
             }
-            let mut injector_due = u64::MAX;
-            if let Some(inj) = &self.injector {
-                let mut inj = inj.borrow_mut();
-                if inj.next_due(retired) == Some(retired) {
-                    match inj.before_step(state, retired) {
+            let mut campaign_due = u64::MAX;
+            if let Some(campaign) = &self.campaign {
+                let mut campaign = campaign.borrow_mut();
+                if campaign.next_due(retired) == Some(retired) {
+                    match campaign.before_step(state, retired) {
                         Ok(InjectAction::Continue) => {}
                         Ok(InjectAction::FlushDecodeCache) => self.exec.flush_decode_cache(),
                         Err(e) => {
@@ -518,7 +519,7 @@ impl<E: IsaExecutor> EmulationCore<E> {
                         }
                     }
                 }
-                injector_due = inj.next_due(retired + 1).unwrap_or(u64::MAX);
+                campaign_due = campaign.next_due(retired + 1).unwrap_or(u64::MAX);
             }
             if state.mem.read_fault_pending() {
                 if let Err(e) = self.step_one(state, run.as_mut()) {
@@ -532,7 +533,7 @@ impl<E: IsaExecutor> EmulationCore<E> {
                 // budget was just checked; the boundary expressions round
                 // up), so the executor always gets at least one instruction
                 // of fuel.
-                let mut stop = self.max_insts.min(next_beat).min(injector_due);
+                let mut stop = self.max_insts.min(next_beat).min(campaign_due);
                 if masked_live {
                     stop = stop.min((retired | (Self::DEADLINE_CHECK_INTERVAL - 1)) + 1);
                 }
@@ -683,7 +684,7 @@ mod tests {
     fn injected_trap_stops_run_at_target_instret() {
         let mut st = spinning_state();
         let plan = FaultPlan::parse("trap@5").unwrap();
-        let core = EmulationCore::new(SpinExec::new()).with_injector(Box::new(plan));
+        let core = EmulationCore::new(SpinExec::new()).with_campaign(plan.into());
         let err = core.run(&mut st, &mut []).unwrap_err();
         assert!(matches!(err, SimError::Fault { .. }), "{err}");
         assert_eq!(st.instret, 5, "trap must fire before the 6th instruction");
@@ -696,7 +697,7 @@ mod tests {
         // non-zero, which SpinExec treats as exit.
         let plan = FaultPlan::parse("fetch@3:0x2a").unwrap();
         let exec = SpinExec::new();
-        let core = EmulationCore::new(exec).with_injector(Box::new(plan));
+        let core = EmulationCore::new(exec).with_campaign(plan.into());
         let stats = core.run(&mut st, &mut []).unwrap();
         assert_eq!(stats.exit_code, 0x2a, "corrupted word drives the exit");
         assert_eq!(stats.retired, 4);
@@ -839,7 +840,7 @@ mod tests {
         let mut st = spinning_state();
         // Flip a low bit of the very first fetch: nop becomes exit(1<<b).
         let plan = FaultPlan::parse("read@1:0").unwrap();
-        let core = EmulationCore::new(SpinExec::new()).with_injector(Box::new(plan));
+        let core = EmulationCore::new(SpinExec::new()).with_campaign(plan.into());
         let stats = core.run(&mut st, &mut []).unwrap();
         assert_eq!(stats.exit_code, 1);
     }
@@ -1009,7 +1010,7 @@ mod tests {
         let mut runs = Runs::default();
         let plan = FaultPlan::parse(&format!("trap@{n}")).unwrap();
         let err = EmulationCore::new(BlockSpinExec::new())
-            .with_injector(Box::new(plan))
+            .with_campaign(plan.into())
             .run(&mut st, &mut [&mut runs])
             .unwrap_err();
         assert!(matches!(err, SimError::Fault { .. }), "{err}");
@@ -1053,7 +1054,7 @@ mod tests {
         let plan = FaultPlan::parse("read@1200:3").unwrap();
         let mut runs = Runs::default();
         let stats = EmulationCore::new(BlockSpinExec::new())
-            .with_injector(Box::new(plan))
+            .with_campaign(plan.into())
             .run(&mut st, &mut [&mut runs])
             .unwrap();
         assert_eq!((stats.retired, stats.exit_code), (3001, 9));
@@ -1171,7 +1172,7 @@ mod tests {
         st.mem.write_u32(pc_at(3000), 9).unwrap();
         let exec = BlockSpinExec::new();
         let plan = FaultPlan::parse("trap@1000").unwrap();
-        let core = EmulationCore::new(&exec).with_injector(Box::new(plan));
+        let core = EmulationCore::new(&exec).with_campaign(plan.into());
         let err = core.run(&mut st, &mut []).unwrap_err();
         assert!(matches!(err, SimError::Fault { .. }), "{err}");
         assert_eq!((st.instret, st.pc), (1000, pc_at(1000)));
@@ -1193,7 +1194,7 @@ mod tests {
         let exec = BlockSpinExec::new();
         let plan = FaultPlan::parse("fetch@1000:0x7").unwrap();
         let stats = EmulationCore::new(&exec)
-            .with_injector(Box::new(plan))
+            .with_campaign(plan.into())
             .run(&mut st, &mut [])
             .unwrap();
         assert_eq!((stats.retired, stats.exit_code), (3001, 9));
@@ -1219,7 +1220,7 @@ mod tests {
         let exec = BlockSpinExec::new();
         let plan = FaultPlan::parse("read@500:3").unwrap();
         let stats = EmulationCore::new(&exec)
-            .with_injector(Box::new(plan))
+            .with_campaign(plan.into())
             .run(&mut st, &mut [])
             .unwrap();
         assert_eq!((stats.retired, stats.exit_code), (3001, 9));
@@ -1252,7 +1253,7 @@ mod tests {
         let mut st = guest();
         let campaign = schedule();
         let err = EmulationCore::new(BlockSpinExec::new())
-            .with_injector(Box::new(campaign.clone()))
+            .with_campaign(campaign.clone())
             .run(&mut st, &mut [])
             .unwrap_err();
         assert!(matches!(err, SimError::Fault { .. }), "{err}");
@@ -1262,7 +1263,7 @@ mod tests {
         let mut st = guest();
         let campaign = schedule();
         let stats = EmulationCore::new(BlockSpinExec::new())
-            .with_injector(Box::new(campaign.clone()))
+            .with_campaign(campaign.clone())
             .with_checkpoint_every(16384)
             .run(&mut st, &mut [])
             .unwrap();
@@ -1274,7 +1275,7 @@ mod tests {
         let restored = ckpt.campaign.as_ref().unwrap().rearm().unwrap();
         let exec = BlockSpinExec::new();
         let err = EmulationCore::new(&exec)
-            .with_injector(Box::new(restored.clone()))
+            .with_campaign(restored.clone())
             .run(&mut st, &mut [])
             .unwrap_err();
         assert!(matches!(err, SimError::Fault { .. }), "{err}");

@@ -17,13 +17,14 @@
 //! its seed alone. Each plan's canonical spec is recoverable via
 //! [`FaultPlan::spec`], which is what campaign manifests serialize.
 //!
-//! Injection is driven by the [`FaultInjector`] hook — the pre-step
-//! counterpart of [`crate::Observer`]. An injector names the retirement
-//! counts at which it acts ([`FaultInjector::next_due`]); the
+//! A campaign is the only schedule a run is armed with: a lone fault is a
+//! campaign of one plan (`Campaign::from(plan)`). The campaign is the
+//! pre-step counterpart of [`crate::Observer`]. It names the retirement
+//! counts at which it acts ([`Campaign::next_due`]); the
 //! [`EmulationCore`](crate::EmulationCore) treats each as one more fuel
-//! boundary of its retire loop and calls `before_step` there (see
-//! `EmulationCore::with_injector`). The uarch pipeline and cache models
-//! are observers of that same core, so they see the same faults.
+//! boundary of its retire loop and calls [`Campaign::before_step`] there
+//! (see `EmulationCore::with_campaign`). The uarch pipeline and cache
+//! models are observers of that same core, so they see the same faults.
 //! Read-value flips are armed directly on the [`Memory`](crate::Memory)
 //! at the start of the run (several can be armed at once); arming one
 //! flushes the executor's decode caches, so every fetch is counted.
@@ -83,7 +84,7 @@ pub enum FaultKind {
     },
 }
 
-/// Action requested by a [`FaultInjector`] after mutating guest state.
+/// Action requested by [`Campaign::before_step`] after mutating guest state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectAction {
     /// Nothing to do; proceed with the step.
@@ -93,29 +94,10 @@ pub enum InjectAction {
     FlushDecodeCache,
 }
 
-/// Pre-step hook consulted by the emulation core — the fault-injection
-/// counterpart of [`crate::Observer`]. Called with the retirement count the
-/// next step will have; may mutate state, request a decode-cache flush, or
-/// abort the run with an injected [`SimError`].
-pub trait FaultInjector {
-    /// Called before a step; `retired` is the number of instructions
-    /// retired so far (0 before the first).
-    fn before_step(&mut self, state: &mut CpuState, retired: u64)
-        -> Result<InjectAction, SimError>;
-
-    /// The first retirement count, at or after `retired`, at which
-    /// [`FaultInjector::before_step`] would act; `None` when it never will
-    /// again. The core calls `before_step` only at these counts, so a call
-    /// at any other count must be a no-op. The default, `Some(retired)`,
-    /// asks to be consulted before every step.
-    fn next_due(&self, retired: u64) -> Option<u64> {
-        Some(retired)
-    }
-}
-
 /// A deterministic single-fault plan. See the module docs for the spec
-/// grammar. Cloning a plan re-arms it (the fired flag is per-instance), so
-/// retries of a failed cell deterministically re-inject the same fault.
+/// grammar. The fired flag is per-instance and a run fires its own clone,
+/// so the plan a caller keeps stays armed and retries of a failed cell
+/// deterministically re-inject the same fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     kind: FaultKind,
@@ -155,7 +137,11 @@ impl FaultPlan {
             }
             "fetch" => {
                 let mask = arg
-                    .map(|a| parse_u64_maybe_hex(a).map(|v| v as u32))
+                    .map(|a| {
+                        let v = parse_u64_maybe_hex(a)?;
+                        u32::try_from(v)
+                            .map_err(|_| format!("mask {a:?} is wider than an instruction word"))
+                    })
                     .transpose()
                     .map_err(|e| format!("bad fault spec {spec:?}: {e}"))?;
                 if mask == Some(0) {
@@ -213,12 +199,12 @@ impl FaultPlan {
     }
 
     /// Whether this plan *would have fired* by the time `retired`
-    /// instructions have retired, given the injector's polling discipline
+    /// instructions have retired, given the campaign's polling discipline
     /// (`before_step` consulted with `retired` = 0, 1, 2, ... before each
     /// step). `FlipRead` arms on the very first poll; `trap`/`fetch` fire
     /// on the poll where `retired == at_instret`. This is how a checkpoint
     /// taken at a step boundary reconstructs fired flags without access to
-    /// the boxed injector the core owns.
+    /// the campaign clone the core owns.
     pub fn fired_by(&self, retired: u64) -> bool {
         match self.kind {
             FaultKind::FlipRead { .. } => retired > 0,
@@ -350,10 +336,10 @@ impl CampaignSpec {
 /// Sampling is pure SplitMix64, so `Campaign::sample(seed, n, window)`
 /// always yields the same schedule; the sampled plans are fully explicit
 /// (see [`FaultPlan::sample`]) so the whole campaign serializes to specs
-/// and replays exactly. The campaign implements [`FaultInjector`] by
-/// polling every still-armed plan each step; clones share a fired counter
-/// (an `Arc`), so the caller can observe how many faults actually fired
-/// even after handing a boxed clone to a core.
+/// and replays exactly. The campaign injects by polling every still-armed
+/// plan at each due step; clones share a fired counter (an `Arc`), so the
+/// caller can observe how many faults actually fired even after handing a
+/// clone to a core.
 #[derive(Debug, Clone)]
 pub struct Campaign {
     plans: Vec<FaultPlan>,
@@ -434,14 +420,20 @@ impl Campaign {
         }
         self.fired.store(fired_count, Ordering::SeqCst);
     }
-}
 
-impl FaultInjector for Campaign {
-    fn next_due(&self, retired: u64) -> Option<u64> {
+    /// The first retirement count, at or after `retired`, at which
+    /// [`Campaign::before_step`] would act: the earliest due point of any
+    /// unfired plan; `None` when no plan will act again. The core calls
+    /// `before_step` only at these counts.
+    pub fn next_due(&self, retired: u64) -> Option<u64> {
         self.plans.iter().filter_map(|p| p.next_due(retired)).min()
     }
 
-    fn before_step(
+    /// Called before a step, with the number of instructions retired so
+    /// far (0 before the first): fire every unfired plan due at `retired`.
+    /// May mutate state, request a decode-cache flush, or abort the run
+    /// with an injected [`SimError`]; a plan that aborts counts as fired.
+    pub fn before_step(
         &mut self,
         state: &mut CpuState,
         retired: u64,
@@ -464,6 +456,14 @@ impl FaultInjector for Campaign {
     }
 }
 
+/// A lone fault is a campaign of one plan, tagged with
+/// [`DEFAULT_FAULT_SEED`].
+impl From<FaultPlan> for Campaign {
+    fn from(plan: FaultPlan) -> Self {
+        Campaign::from_plans(vec![plan], DEFAULT_FAULT_SEED)
+    }
+}
+
 fn parse_u64_maybe_hex(s: &str) -> Result<u64, String> {
     let parsed = match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
         Some(hex) => u64::from_str_radix(hex, 16),
@@ -472,7 +472,9 @@ fn parse_u64_maybe_hex(s: &str) -> Result<u64, String> {
     parsed.map_err(|_| format!("{s:?} is not a number"))
 }
 
-impl FaultInjector for FaultPlan {
+impl FaultPlan {
+    /// The first retirement count, at or after `retired`, at which
+    /// [`FaultPlan::before_step`] would act; `None` once it never will.
     /// `trap@N` and `fetch@N` act once, at `N`; an unfired `read@N` acts
     /// on the first poll, where it arms the flip on the memory.
     fn next_due(&self, retired: u64) -> Option<u64> {
@@ -487,6 +489,8 @@ impl FaultInjector for FaultPlan {
         }
     }
 
+    /// Act if due at `retired`; a call at any count that
+    /// [`FaultPlan::next_due`] does not name is a no-op.
     fn before_step(
         &mut self,
         state: &mut CpuState,
@@ -573,6 +577,8 @@ mod tests {
             "read@0",
             "fetch@1:0x0",
             "fetch@1:zz",
+            "fetch@100:0x100000001",
+            "fetch@100:0x100000000",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad:?} should not parse");
         }
@@ -694,7 +700,7 @@ mod tests {
             ],
             0,
         );
-        let mut live = campaign.clone(); // boxed-injector stand-in
+        let mut live = campaign.clone(); // the core's clone
         let mut st = CpuState::new();
         st.pc = 0x1000;
         st.mem.write_u32(0x1000, 0).unwrap();

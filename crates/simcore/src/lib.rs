@@ -69,8 +69,8 @@ pub use crate::core::{
 pub use crate::deps::DepTable;
 pub use crate::error::SimError;
 pub use crate::fault::{
-    Campaign, CampaignSpec, FaultInjector, FaultKind, FaultPlan, InjectAction,
-    DEFAULT_CAMPAIGN_WINDOW, DEFAULT_FAULT_SEED,
+    Campaign, CampaignSpec, FaultKind, FaultPlan, InjectAction, DEFAULT_CAMPAIGN_WINDOW,
+    DEFAULT_FAULT_SEED,
 };
 pub use crate::frontend::{BlockExecutor, IsaSemantics};
 pub use crate::hash::{WordHasher, WordMap};

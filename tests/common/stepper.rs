@@ -1,13 +1,13 @@
 //! The per-instruction stepper: the oracle the emulation core's retire
-//! loop is held to. It consults the fault injector before every step and
+//! loop is held to. It consults the fault campaign before every step and
 //! retires one instruction at a time through `IsaExecutor::step` — no
 //! blocks, no fuel boundaries — so whatever the core does
 //! to go faster, a run must come out exactly as it does here.
 
-use simcore::{CpuState, FaultInjector, InjectAction, IsaExecutor, Observer, SimError};
+use simcore::{Campaign, CpuState, InjectAction, IsaExecutor, Observer, SimError};
 
 /// Run `state` until the guest exits or `budget` instructions have
-/// retired, calling the injector's `before_step` before every step and
+/// retired, calling the campaign's `before_step` before every step and
 /// each observer's `on_retire` after it. Returns the retirement count,
 /// counted from the state's `instret`; on an error `state.instret` holds
 /// the count reached, as the core leaves it.
@@ -15,7 +15,7 @@ pub fn run_stepped<E: IsaExecutor>(
     exec: &E,
     state: &mut CpuState,
     observers: &mut [&mut dyn Observer],
-    mut injector: Option<Box<dyn FaultInjector>>,
+    mut campaign: Option<Campaign>,
     budget: u64,
 ) -> Result<u64, SimError> {
     let mut retired = state.instret;
@@ -26,8 +26,8 @@ pub fn run_stepped<E: IsaExecutor>(
         if retired >= budget {
             break Err(SimError::InstructionBudgetExceeded { budget });
         }
-        if let Some(inj) = injector.as_mut() {
-            match inj.before_step(state, retired) {
+        if let Some(c) = campaign.as_mut() {
+            match c.before_step(state, retired) {
                 Ok(InjectAction::Continue) => {}
                 Ok(InjectAction::FlushDecodeCache) => exec.flush_decode_cache(),
                 Err(e) => break Err(e),

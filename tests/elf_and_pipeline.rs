@@ -4,10 +4,9 @@
 //! with fault injection off *and* on.
 
 use isacmp::{
-    compile, execute, run_pipeline, run_pipeline_full, try_execute, try_execute_with,
-    try_run_pipeline_full, CacheConfig, CacheModel, Campaign, CellError, DualCriticalPath,
-    FaultInjector, FaultPlan, IsaKind, Observer, PathLength, Personality, PipelineConfig, Program,
-    SizeClass, Tx2Latency, Workload,
+    compile, execute, run_pipeline, run_pipeline_full, try_execute, try_run_pipeline_full,
+    CacheConfig, CacheModel, Campaign, CellError, DualCriticalPath, FaultPlan, IsaKind, Observer,
+    PathLength, Personality, PipelineConfig, Program, SizeClass, Tx2Latency, Workload,
 };
 
 #[test]
@@ -159,20 +158,19 @@ fn pipeline_and_emulation_fail_identically_under_injection() {
         (1000, PipelineConfig::tx2(), true),
     ] {
         for isa in [IsaKind::AArch64, IsaKind::RiscV] {
-            let fault = FaultPlan::parse(&format!("trap@{at}")).unwrap();
+            let fault = Campaign::from(FaultPlan::parse(&format!("trap@{at}")).unwrap());
             let compiled = compile(&Workload::Stream.build(SizeClass::Test), isa, &p);
             let err_emu = match try_execute(&compiled, &mut [], None, Some(&fault)) {
                 Err(e) => e,
                 Ok(_) => panic!("injected trap must fail emulation"),
             };
-            let injector: Option<Box<dyn FaultInjector>> = Some(Box::new(fault.clone()));
             let err_pipe = match try_run_pipeline_full(
                 &compiled,
                 config.clone(),
                 out_of_order,
                 None,
                 None,
-                injector,
+                Some(&fault),
             ) {
                 Err(e) => e,
                 Ok(_) => panic!("injected trap must fail the pipeline run"),
@@ -207,10 +205,9 @@ fn cache_model_under_a_campaign_fires_its_read_flip_once() {
         );
         let campaign = Campaign::from_plans(vec![FaultPlan::parse("read@1000:0").unwrap()], 0);
         let mut l1d = CacheModel::new(CacheConfig::l1d_32k());
-        let injector: Box<dyn FaultInjector> = Box::new(campaign.clone());
         // The flip may or may not corrupt the result; only its firing and
         // the cache's view of the run are checked here.
-        let _ = try_execute_with(&compiled, &mut [&mut l1d], None, Some(injector));
+        let _ = try_execute(&compiled, &mut [&mut l1d], None, Some(&campaign));
         assert_eq!(
             campaign.fired_count(),
             1,

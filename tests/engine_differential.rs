@@ -6,8 +6,8 @@
 //! sweeps — including under injected faults and seeded campaign
 //! schedules.
 //!
-//! The core runs blocks between an injector's due points and single-steps
-//! while a read flip is pending; the stepper consults the injector before
+//! The core runs blocks between a campaign's due points and single-steps
+//! while a read flip is pending; the stepper consults the campaign before
 //! every step. The faulted legs here pin that the two are the same run.
 
 use std::collections::hash_map::DefaultHasher;
@@ -15,8 +15,8 @@ use std::hash::{Hash, Hasher};
 
 use isacmp::{
     compile, executor, interpret, isa_label, matrix_combos, record_outcome, run_matrix_opts,
-    CampaignManifest, CampaignSpec, CellAnalyses, CellError, CellOptions, CpuState, EmulationCore,
-    ExperimentCell, FaultInjector, FaultPlan, InjectSpec, IsaExecutor, IsaKind, MatrixOptions,
+    Campaign, CampaignManifest, CampaignSpec, CellAnalyses, CellError, CellOptions, CpuState,
+    EmulationCore, ExperimentCell, FaultPlan, InjectSpec, IsaExecutor, IsaKind, MatrixOptions,
     Observer, Personality, ResultMatrix, RetiredInst, RiscVExecutor, SizeClass, Workload,
 };
 
@@ -64,15 +64,15 @@ fn drive<E: IsaExecutor>(
     exec: E,
     state: &mut CpuState,
     observers: &mut [&mut dyn Observer],
-    injector: Option<Box<dyn FaultInjector>>,
+    campaign: Option<Campaign>,
     stepped: bool,
 ) -> Result<u64, isacmp::SimError> {
     if stepped {
-        return run_stepped(&exec, state, observers, injector, BUDGET);
+        return run_stepped(&exec, state, observers, campaign, BUDGET);
     }
     let mut core = EmulationCore::new(exec);
-    if let Some(inj) = injector {
-        core = core.with_injector(inj);
+    if let Some(c) = campaign {
+        core = core.with_campaign(c);
     }
     core.run(state, observers).map(|s| s.retired)
 }
@@ -81,10 +81,10 @@ fn drive_isa(
     isa: IsaKind,
     state: &mut CpuState,
     observers: &mut [&mut dyn Observer],
-    injector: Option<Box<dyn FaultInjector>>,
+    campaign: Option<Campaign>,
     stepped: bool,
 ) -> Result<u64, isacmp::SimError> {
-    drive(executor(isa), state, observers, injector, stepped)
+    drive(executor(isa), state, observers, campaign, stepped)
 }
 
 fn run_one(
@@ -92,7 +92,7 @@ fn run_one(
     isa: IsaKind,
     size: SizeClass,
     stepped: bool,
-    injector: Option<Box<dyn FaultInjector>>,
+    campaign: Option<Campaign>,
     with_stream: bool,
 ) -> Outcome {
     let compiled = compile(&workload.build(size), isa, &Personality::gcc122());
@@ -103,7 +103,7 @@ fn run_one(
     if with_stream {
         obs.push(&mut stream);
     }
-    let result = drive_isa(isa, &mut st, &mut obs, injector, stepped);
+    let result = drive_isa(isa, &mut st, &mut obs, campaign, stepped);
     Outcome {
         result: result.map_err(|e| e.to_string()),
         state_hash: st.state_hash(),
@@ -120,7 +120,7 @@ fn assert_core_matches_stepper(
     fault: Option<&FaultPlan>,
     with_stream: bool,
 ) {
-    let inj = |f: Option<&FaultPlan>| f.map(|p| Box::new(p.clone()) as Box<dyn FaultInjector>);
+    let inj = |f: Option<&FaultPlan>| f.map(|p| Campaign::from(p.clone()));
     let stepper = run_one(workload, isa, size, true, inj(fault), with_stream);
     let core = run_one(workload, isa, size, false, inj(fault), with_stream);
     assert_eq!(
@@ -185,7 +185,7 @@ fn campaign_runs_agree_on_both_engines() {
     let spec = CampaignSpec::parse("7:3").unwrap();
     let manifest = CampaignManifest::sample(spec);
     for isa in [IsaKind::RiscV, IsaKind::AArch64] {
-        let campaign = || Some(Box::new(manifest.campaign().unwrap()) as Box<dyn FaultInjector>);
+        let campaign = || Some(manifest.campaign().unwrap());
         let stepper = run_one(Workload::Lbm, isa, SizeClass::Test, true, campaign(), true);
         let core = run_one(Workload::Lbm, isa, SizeClass::Test, false, campaign(), true);
         assert_eq!(stepper, core, "campaign runs diverge on {isa:?}");
@@ -221,8 +221,8 @@ fn logged_run(
     let mut st = CpuState::new();
     compiled.program.load(&mut st).expect("program loads");
     let mut log = RunLog::default();
-    let injector = fault.map(|p| Box::new(p.clone()) as Box<dyn FaultInjector>);
-    let result = drive_isa(isa, &mut st, &mut [&mut log], injector, stepped);
+    let campaign = fault.map(|p| Campaign::from(p.clone()));
+    let result = drive_isa(isa, &mut st, &mut [&mut log], campaign, stepped);
     (result.map_err(|e| e.to_string()), log)
 }
 
@@ -277,10 +277,13 @@ fn stepped_cell(
     let mut st = CpuState::new();
     compiled.program.load(&mut st).map_err(CellError::Load)?;
     let mut analyses = CellAnalyses::new(&compiled.program.regions);
-    let injector = opts
-        .armed_campaign()
-        .map(|c| Box::new(c) as Box<dyn FaultInjector>);
-    let run = drive_isa(isa, &mut st, &mut [&mut analyses], injector, true);
+    let run = drive_isa(
+        isa,
+        &mut st,
+        &mut [&mut analyses],
+        opts.armed_campaign(),
+        true,
+    );
     run.map_err(|err| CellError::Sim {
         err,
         instret: st.instret,
@@ -358,9 +361,7 @@ fn matrix_json_is_byte_identical_across_engines() {
 mod invalidation {
     use isa_aarch64::{Cond, MovOp, ShiftType};
     use isa_riscv::{BranchOp, ImmOp};
-    use isacmp::{
-        executor, CpuState, EmulationCore, FaultInjector, FaultPlan, IsaExecutor, IsaKind,
-    };
+    use isacmp::{executor, Campaign, CpuState, EmulationCore, FaultPlan, IsaExecutor, IsaKind};
 
     use super::common::stepper::run_stepped;
 
@@ -512,7 +513,7 @@ mod invalidation {
             let plan = FaultPlan::parse(&format!("fetch@1:{mask:#x}")).unwrap();
             let mut st = load(&program);
             let _ = EmulationCore::new(&exec)
-                .with_injector(Box::new(plan))
+                .with_campaign(plan.into())
                 .run(&mut st, &mut []);
             assert_eq!(
                 st.x[1], 69,
@@ -546,17 +547,16 @@ mod invalidation {
         flip: bool,
     ) -> (Result<u64, String>, u64, u64, u64) {
         let (program, bit) = count_loop(isa);
-        let injector = flip.then(|| {
-            Box::new(FaultPlan::parse(&format!("read@1:{bit}")).unwrap()) as Box<dyn FaultInjector>
-        });
+        let campaign =
+            flip.then(|| Campaign::from(FaultPlan::parse(&format!("read@1:{bit}")).unwrap()));
         let mut st = load(&program);
         st.x[2] = 50;
         let result = if stepped {
-            run_stepped(exec, &mut st, &mut [], injector, 1000)
+            run_stepped(exec, &mut st, &mut [], campaign, 1000)
         } else {
             let mut core = EmulationCore::new(exec).with_budget(1000);
-            if let Some(inj) = injector {
-                core = core.with_injector(inj);
+            if let Some(c) = campaign {
+                core = core.with_campaign(c);
             }
             core.run(&mut st, &mut []).map(|s| s.retired)
         };

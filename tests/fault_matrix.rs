@@ -227,7 +227,7 @@ fn read_corruption_is_caught_by_the_checksum() {
     // cannot.)
     let fault = isacmp::FaultPlan::parse("read@40:62").unwrap();
     let opts = CellOptions {
-        fault: Some(fault),
+        campaign: Some(fault.into()),
         ..Default::default()
     };
     let err = run_cell_opts(
@@ -256,7 +256,7 @@ fn retries_rerun_the_cell_and_are_capped() {
     let fault = isacmp::FaultPlan::parse("trap@1000").unwrap();
     let opts = CellOptions {
         retries: 2,
-        fault: Some(fault),
+        campaign: Some(fault.into()),
         ..Default::default()
     };
     let err = run_cell_opts(

@@ -29,7 +29,7 @@ fn a_fault_armed_cell_checks_its_own_checksum_against_the_shared_one() {
     let clean = CellOptions::default();
     // Flip an exponent bit of the 40th read, as tests/fault_matrix.rs does.
     let faulted = CellOptions {
-        fault: Some(FaultPlan::parse("read@40:62").unwrap()),
+        campaign: Some(FaultPlan::parse("read@40:62").unwrap().into()),
         ..Default::default()
     };
     let run = |isa, p: &Personality, opts| {
